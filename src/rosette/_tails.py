@@ -3,7 +3,7 @@
 Three evaluators cover the closed unit disk:
 
 * ``zeta_tail``   -- w == 1 exactly: Hurwitz-zeta tail by Euler-Maclaurin.
-* ``lerch_tail``  -- |1 - w| not too small relative to 1/a: large-order
+* ``lerch_tail_vec`` -- |1 - w| not too small relative to 1/a: large-order
   expansion of the Lerch sum in negative-order polylogarithms (Eulerian
   polynomials).  Divergent-asymptotic: terms are monitored and summation
   stops at the smallest term.
@@ -104,11 +104,6 @@ def lerch_tail_vec(sigma: float, a: int, w: np.ndarray) -> tuple[np.ndarray, np.
         binom *= (-sigma - k) / (k + 1.0)
     err[active] = last[active]
     return pref * acc, np.abs(pref) * err
-
-
-def lerch_tail(sigma: float, a: int, w: complex) -> tuple[complex, float]:
-    val, err = lerch_tail_vec(sigma, a, np.array([w]))
-    return complex(val[0]), float(err[0])
 
 
 def lerch_tail_mp(sigma: float, a: int, w: complex) -> complex:

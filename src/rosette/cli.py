@@ -30,6 +30,7 @@ from .maps import RosetteParams, f_many, reduce_beta
 from .render import Overlay, RenderSpec, render_svg
 from .series import SeriesKind
 from .verify import (
+    CheckResult,
     fundamental_decomposition,
     integral_oracle,
     symmetry_suite,
@@ -52,26 +53,36 @@ def parse_beta(text: str) -> float:
         mult = float(m.group("mult")) if m.group("mult") else 1.0
         den = float(m.group("den")) if m.group("den") else 1.0
         val = mult * math.pi / den
-        return -val if m.group("sign") == "-" else val
-    try:
-        return float(s)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"cannot parse angle {text!r}: use radians or forms like pi/4, -2pi/5"
-        ) from None
+        val = -val if m.group("sign") == "-" else val
+    else:
+        try:
+            val = float(s)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"cannot parse angle {text!r}: use radians or forms like pi/4, -2pi/5"
+            ) from None
+    if not math.isfinite(val):
+        raise argparse.ArgumentTypeError(f"angle {text!r} is not a finite number")
+    return val
 
 
-def _positive_order(text: str) -> int:
-    n = int(text)
-    if n < 3:
-        raise argparse.ArgumentTypeError("the rosette order must satisfy n >= 3")
-    return n
+def _int_at_least(name: str, low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{name} >= {low} is required, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value: 'x'"
+    return parse
 
 
 def _grid(text: str) -> tuple[int, int]:
     m = re.match(r"^(\d+)x(\d+)$", text.strip(), re.IGNORECASE)
-    if not m:
-        raise argparse.ArgumentTypeError("grid must look like 24x16")
+    if not m or min(int(m.group(1)), int(m.group(2))) < 1:
+        raise argparse.ArgumentTypeError("grid must look like 24x16, both counts >= 1")
     return int(m.group(1)), int(m.group(2))
 
 
@@ -175,15 +186,11 @@ def cmd_features(args) -> int:
 # --- verify ----------------------------------------------------------------------
 
 
-def _checks_payload(report) -> list[dict]:
+def _checks_payload(checks: list[CheckResult]) -> list[dict]:
     return [
-        {
-            "name": c.name,
-            "passed": bool(c.passed),
-            "max_residual": float(c.max_residual),
-            "samples_used": int(c.samples_used),
-        }
-        for c in report.checks
+        {"name": c.name, "passed": bool(c.passed), "max_residual": float(c.max_residual),
+         "samples_used": int(c.samples_used)}
+        for c in checks
     ]
 
 
@@ -192,17 +199,14 @@ def cmd_verify(args) -> int:
     params = RosetteParams(args.n, beta)
     quick = args.level == "quick"
 
-    checks = []
     suite = symmetry_suite(params, sample_count=200 if quick else 1000, seed=args.seed)
-    checks.extend(_checks_payload(suite))
-
     scan = univalence_scan(
         params,
         grid_resolution=12 if quick else 21,
         per_interval=None if not quick else 96,
         seed=args.seed,
     )
-    checks.extend(_checks_payload(scan))
+    results = suite.checks + scan.checks
 
     rng = np.random.default_rng(args.seed)
     worst = 0.0
@@ -214,27 +218,17 @@ def cmd_verify(args) -> int:
         for z in pts:
             worst = max(worst, integral_oracle(params, complex(z), kind).residual)
         worst = max(worst, integral_oracle(params, 1.0, kind).residual)
-    checks.append(
-        {
-            "name": "integral_identities",
-            "passed": worst < 1e-9,
-            "max_residual": worst,
-            "samples_used": 2 * (count + 1),
-        }
-    )
+    results.append(CheckResult("integral_identities", worst < 1e-9, worst, 2 * (count + 1)))
 
     if not quick:
         original = RosetteParams(args.n, args.beta)
         _, coverage = fundamental_decomposition(original, probe_grid=60)
-        checks.append(
-            {
-                "name": "fundamental_tiling",
-                "passed": bool(coverage.passed),
-                "max_residual": float(coverage.violations),
-                "samples_used": coverage.probes,
-            }
-        )
+        witness = coverage.first_violation
+        details = {"first_violation": witness} if witness else None
+        results.append(CheckResult("fundamental_tiling", coverage.passed,
+                                   float(coverage.violations), coverage.probes, details))
 
+    checks = _checks_payload(results)
     passed = all(c["passed"] for c in checks)
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -353,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--n", type=_positive_order, required=True, help="order, n >= 3")
+        p.add_argument("--n", type=_int_at_least("n", 3), required=True, help="order, n >= 3")
         p.add_argument(
             "--beta",
             type=parse_beta,
@@ -378,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dump", help="CSV stream of curve samples")
     common(p)
     p.add_argument("--what", choices=["boundary", "radial"], default="boundary")
-    p.add_argument("--count", type=int, default=64)
+    p.add_argument("--count", type=_int_at_least("count", 1), default=64)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_dump)
 
@@ -387,8 +381,8 @@ def build_parser() -> argparse.ArgumentParser:
         common(p)
         p.add_argument("--out", default=None, help="output SVG path")
         p.add_argument("--grid", type=_grid, default=(24, 16), help="RxC polar grid")
-        p.add_argument("--samples", type=int, default=256)
-        p.add_argument("--width", type=int, default=900)
+        p.add_argument("--samples", type=_int_at_least("samples", 16), default=256)
+        p.add_argument("--width", type=_int_at_least("width", 1), default=900)
         p.add_argument("--margin", type=float, default=0.08)
         p.add_argument(
             "--overlay",
@@ -398,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         if name == "decompose":
             p.add_argument("--report", default=None, help="coverage report path (JSON)")
-            p.add_argument("--probe-grid", type=int, default=60)
+            p.add_argument("--probe-grid", type=_int_at_least("probe-grid", 1), default=60)
         p.set_defaults(func=fn)
 
     return parser

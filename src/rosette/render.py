@@ -17,7 +17,7 @@ import numpy as np
 from .boundary import extract_features, boundary_points, bounding_radius
 from .maps import RosetteParams, f_many, hypocycloid, reduce_beta
 from .svgout import SvgCanvas, axis_segment, flatten_curve
-from .verify import rotated_copies, _segment_distances
+from .verify import curve_distances, rotated_copies
 
 TWO_PI = 2.0 * math.pi
 
@@ -54,18 +54,16 @@ def _rotated_features(params: RosetteParams):
     if shifts == 0:
         return report.features
     pre = cmath.exp(1j * shifts * (math.pi / params.n + math.pi / 2))
-    rotated = []
-    for ft in report.features:
-        rotated.append(
-            replace(
-                ft,
-                t=ft.t + shifts * math.pi / params.n,
-                location=pre * ft.location,
-                argument=(ft.argument + cmath.phase(pre)) % TWO_PI,
-                axis_arg=None if ft.axis_arg is None else ft.axis_arg + cmath.phase(pre),
-            )
+    return tuple(
+        replace(
+            ft,
+            t=ft.t + shifts * math.pi / params.n,
+            location=pre * ft.location,
+            argument=(ft.argument + cmath.phase(pre)) % TWO_PI,
+            axis_arg=None if ft.axis_arg is None else ft.axis_arg + cmath.phase(pre),
         )
-    return tuple(rotated)
+        for ft in report.features
+    )
 
 
 def _boundary_vertices(spec: RenderSpec) -> np.ndarray:
@@ -73,10 +71,7 @@ def _boundary_vertices(spec: RenderSpec) -> np.ndarray:
     params = spec.params
     n = params.n
     per = max(spec.samples_per_curve, 64)
-    mids = []
-    for j in range(2 * n):
-        mids.append((j + (np.arange(per) + 0.5) / per) * math.pi / n)
-    ts = np.concatenate(mids)
+    ts = ((np.arange(2 * n)[:, None] + (np.arange(per) + 0.5) / per) * math.pi / n).ravel()
     vals = boundary_points(params, ts)
     feats = _rotated_features(params)
     ft_ts = np.array([ft.t % TWO_PI for ft in feats])
@@ -173,8 +168,5 @@ def feature_overlay_deviation_px(spec: RenderSpec) -> float:
     half = bounding_radius(spec.params.n) * (1.0 + spec.margin_frac)
     scale = spec.width_px / (2.0 * half)
     boundary = _boundary_vertices(spec) * scale
-    worst = 0.0
-    for ft in _rotated_features(spec.params):
-        d = float(_segment_distances(boundary, complex(ft.location) * scale).min())
-        worst = max(worst, d)
-    return worst
+    dots = np.array([complex(ft.location) * scale for ft in _rotated_features(spec.params)])
+    return float(curve_distances(boundary, dots).max(initial=0.0))

@@ -30,16 +30,12 @@ class SvgCanvas:
     def _fmt(self, v: float) -> str:
         return f"{v:.3f}"
 
-    def polyline(
-        self, points, stroke: str = "#000000", width: float = 1.0, closed: bool = False
-    ) -> None:
+    def polyline(self, points, stroke: str = "#000000", width: float = 1.0) -> None:
         pts = np.asarray(points, dtype=complex)
         if pts.size < 2:
             return
         coords = [self.to_px(complex(p)) for p in pts]
         d = "M" + "L".join(f"{self._fmt(x)} {self._fmt(y)}" for x, y in coords)
-        if closed:
-            d += "Z"
         self.elements.append(
             f'<path d="{d}" fill="none" stroke="{stroke}" '
             f'stroke-width="{self._fmt(width)}"/>'

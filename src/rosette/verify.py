@@ -16,6 +16,7 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -93,24 +94,93 @@ class IntegralCheck(NamedTuple):
     residual: float
 
 
-# --- winding numbers ----------------------------------------------------------
+# --- geometry kernels ----------------------------------------------------------
+
+# |det - exact| <= _ORIENT_ERR * (|left| + |right|) for the float determinant below
+# (Shewchuk, "Adaptive precision floating-point arithmetic and fast robust geometric
+# predicates", 1997); inside that bound the sign is decided in exact arithmetic.
+_ORIENT_ERR = (3.0 + 16.0 * 2.0**-53) * 2.0**-53
+_BLOCK = 1 << 18  # element budget of one vectorised block of pairs
 
 
-def _segment_distances(pts: np.ndarray, w0: complex) -> np.ndarray:
+def _orientation(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Exact sign of cross(a - p, b - p): +1 when p lies left of a -> b, 0 on the line."""
+    u, v = a - p, b - p
+    left, right = u.real * v.imag, u.imag * v.real
+    det = left - right
+    sign = np.sign(det).astype(int)
+    unsure = np.abs(det) <= _ORIENT_ERR * (np.abs(left) + np.abs(right)) + np.finfo(float).tiny
+    for k in np.flatnonzero(unsure):
+        corners = (a[k], b[k], p[k])
+        (ax, ay), (bx, by), (px, py) = ((Fraction(w.real), Fraction(w.imag)) for w in corners)
+        exact = (ax - px) * (by - py) - (ay - py) * (bx - px)
+        sign[k] = (exact > 0) - (exact < 0)
+    return sign
+
+
+def _ranges(starts: np.ndarray, stops: np.ndarray, block: int):
+    """Yield (k, position) arrays over all positions in [starts[k], stops[k]), ~block at once."""
+    counts = np.maximum(stops - starts, 0)
+    cum = np.concatenate([[0], np.cumsum(counts)])
+    k0 = 0
+    while k0 < counts.size:
+        k1 = int(np.searchsorted(cum, cum[k0] + block, "right")) - 1
+        k1 = min(max(k1, k0 + 1), counts.size)
+        c = counts[k0:k1]
+        owner = np.repeat(np.arange(k0, k1), c)
+        pos = np.arange(cum[k0], cum[k1]) - np.repeat(cum[k0:k1] - starts[k0:k1], c)
+        yield owner, pos
+        k0 = k1
+
+
+def _windings(pts: np.ndarray, probes: np.ndarray) -> np.ndarray:
+    """Winding number of the closed polyline ``pts`` around each probe, exact off the curve.
+
+    Signed crossing-number rule (Hormann & Agathos, Comput. Geom. 2001): an edge
+    whose half-open y-range [min, max) holds the probe's y adds +1 when it runs up
+    with the probe on its left, -1 when it runs down with the probe on its right.
+    With the probes sorted by y, each edge meets only the slice inside its y-range:
+    O((V + P) log P + K) for K such pairs, about P times the edges a line crosses.
+    """
+    a, b = pts[:-1], pts[1:]
+    order = np.argsort(probes.imag, kind="stable")
+    ys = probes.imag[order]
+    lo = np.searchsorted(ys, np.minimum(a.imag, b.imag), "left")
+    hi = np.searchsorted(ys, np.maximum(a.imag, b.imag), "left")
+    up = a.imag < b.imag
+    total = np.zeros(probes.size)
+    for edge, slot in _ranges(lo, hi, _BLOCK):
+        probe = order[slot]
+        side = _orientation(a[edge], b[edge], probes[probe])
+        step = np.where(up[edge], np.maximum(side, 0), np.minimum(side, 0))
+        total += np.bincount(probe, weights=step, minlength=probes.size)
+    return total.astype(int)
+
+
+def curve_distances(curve, points, chunk: int = 64) -> np.ndarray:
+    """Distance from each point to the nearest segment of the polyline ``curve``.
+
+    Blocks of ``chunk`` points hold at most chunk x segments values, and at most _BLOCK.
+    """
+    pts = np.asarray(curve, dtype=complex)
+    probes = np.asarray(points, dtype=complex).ravel()
     a = pts[:-1]
-    b = pts[1:]
-    ab = b - a
+    ab = pts[1:] - a
     denom = np.abs(ab) ** 2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = ((w0 - a) * np.conj(ab)).real / denom
-    t = np.nan_to_num(t, nan=0.0)
-    t = np.clip(t, 0.0, 1.0)
-    return np.abs(w0 - (a + t * ab))
+    conj_ab = np.conj(ab)
+    rows = max(1, min(chunk, _BLOCK // max(a.size, 1)))
+    out = np.empty(probes.size)
+    for i0 in range(0, probes.size, rows):
+        w0 = probes[i0 : i0 + rows, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = ((w0 - a) * conj_ab).real / denom
+        t = np.clip(np.nan_to_num(t, nan=0.0), 0.0, 1.0)
+        out[i0 : i0 + rows] = np.abs(w0 - (a + t * ab)).min(axis=1)
+    return out
 
 
 def min_distance_to_curve(curve, w0: complex) -> float:
-    pts = np.asarray(curve, dtype=complex)
-    return float(_segment_distances(pts, w0).min())
+    return float(curve_distances(curve, [w0])[0])
 
 
 def _ensure_closed(pts: np.ndarray) -> np.ndarray:
@@ -125,38 +195,15 @@ def _ensure_closed(pts: np.ndarray) -> np.ndarray:
 def winding_number(
     curve, w0: complex, exclusion_radius: Optional[float] = None
 ) -> WindingResult:
-    """Integer winding of a closed polyline around w0.
+    """Integer winding of a closed polyline around w0 (exact crossing-number rule).
 
-    Accumulates wrapped argument increments of curve - w0, subdividing any
-    segment whose increment reaches pi/2 until all increments are small.
     Raises TooCloseToCurve when w0 is within the exclusion radius of a
     segment, and OpenCurve when the polyline is not closed.
     """
     pts = _ensure_closed(np.asarray(curve, dtype=complex))
     if exclusion_radius is None:
         exclusion_radius = 1e-9 * float(np.abs(pts - w0).max())
-    mind = float(_segment_distances(pts, w0).min())
-    if mind <= exclusion_radius:
-        raise TooCloseToCurve(
-            f"probe at distance {mind:.3e} <= exclusion radius {exclusion_radius:.3e}"
-        )
-    rel = pts - w0
-    for _ in range(64):
-        ang = np.angle(rel)
-        diffs = np.diff(ang)
-        diffs = (diffs + math.pi) % TWO_PI - math.pi
-        big = np.abs(diffs) >= math.pi / 2
-        if not big.any():
-            break
-        # insert midpoints on offending segments; winding of the polyline is unchanged
-        idx = np.flatnonzero(big)
-        mids = 0.5 * (rel[idx] + rel[idx + 1])
-        rel = np.insert(rel, idx + 1, mids)
-    total = float(diffs.sum()) / TWO_PI
-    w = round(total)
-    if abs(total - w) > 0.25:
-        raise TooCloseToCurve(f"winding sum {total} did not settle near an integer")
-    return WindingResult(point=complex(w0), winding=int(w), min_distance_to_curve=mind)
+    return _winding_results(pts, np.array([w0], dtype=complex), exclusion_radius)[0]
 
 
 def winding_numbers(
@@ -164,64 +211,66 @@ def winding_numbers(
 ) -> list[WindingResult]:
     """Batch winding numbers for many probes against one closed polyline."""
     pts = _ensure_closed(np.asarray(curve, dtype=complex))
-    probes = np.asarray(points, dtype=complex).ravel()
-    results: list[WindingResult] = []
-    for i0 in range(0, probes.size, chunk):
-        block = probes[i0 : i0 + chunk]
-        rel = pts[None, :] - block[:, None]
-        ang = np.angle(rel)
-        diffs = np.diff(ang, axis=1)
-        diffs = (diffs + math.pi) % TWO_PI - math.pi
-        ok = np.abs(diffs).max(axis=1) < math.pi / 2
-        totals = diffs.sum(axis=1) / TWO_PI
-        for k, w0 in enumerate(block):
-            dmin = float(_segment_distances(pts, complex(w0)).min())
-            if dmin <= exclusion_radius:
-                raise TooCloseToCurve(
-                    f"probe {w0} at distance {dmin:.3e} from the curve"
-                )
-            if ok[k]:
-                results.append(WindingResult(complex(w0), round(float(totals[k])), dmin))
-            else:  # rare: fall back to the adaptive scalar path
-                results.append(winding_number(pts, complex(w0), exclusion_radius))
-    return results
+    return _winding_results(pts, np.asarray(points, dtype=complex).ravel(), exclusion_radius, chunk)
+
+
+def _winding_results(pts, probes, exclusion_radius, chunk=64) -> list[WindingResult]:
+    dist = curve_distances(pts, probes, chunk)
+    close = np.flatnonzero(dist <= exclusion_radius)
+    if close.size:
+        k = close[0]
+        raise TooCloseToCurve(
+            f"probe {probes[k]} at distance {dist[k]:.3e} <= exclusion {exclusion_radius:.3e}"
+        )
+    wind = _windings(pts, probes)
+    return [WindingResult(complex(p), int(w), float(d)) for p, w, d in zip(probes, wind, dist)]
 
 
 # --- polyline simplicity ------------------------------------------------------
 
 
+def _crossing_pairs(pts: np.ndarray, block: int) -> np.ndarray:
+    """Index pairs (i, j), i < j, of properly crossing non-adjacent segments, sorted.
+
+    An x-sorted sweep (after Shamos & Hoey, 1976): with the segments sorted by
+    left end, those whose x-ranges overlap a segment's are a contiguous run after
+    it, so only pairs with overlapping bounding boxes are built, ``block`` at a time.
+    """
+    a, b = pts[:-1], pts[1:]
+    n = a.size
+    lo_x, hi_x = np.minimum(a.real, b.real), np.maximum(a.real, b.real)
+    lo_y, hi_y = np.minimum(a.imag, b.imag), np.maximum(a.imag, b.imag)
+    order = np.argsort(lo_x, kind="stable")
+    stop = np.searchsorted(lo_x[order], hi_x[order], "right")
+    found = [np.empty((0, 2), dtype=int)]
+    for p, q in _ranges(np.arange(1, n + 1), stop, block):
+        i = np.minimum(order[p], order[q])
+        j = np.maximum(order[p], order[q])
+        keep = (j > i + 1) & ~((i == 0) & (j == n - 1))  # wrap adjacency
+        keep &= (lo_y[i] <= hi_y[j]) & (lo_y[j] <= hi_y[i])
+        i, j = i[keep], j[keep]
+        d1 = _cross(b[i] - a[i], a[j] - a[i])
+        d2 = _cross(b[i] - a[i], b[j] - a[i])
+        d3 = _cross(b[j] - a[j], a[i] - a[j])
+        d4 = _cross(b[j] - a[j], b[i] - a[j])
+        hit = (d1 * d2 < 0.0) & (d3 * d4 < 0.0)
+        found.append(np.stack([i[hit], j[hit]], axis=1))
+    pairs = np.concatenate(found)
+    return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+
+
 def count_self_intersections(pts: np.ndarray, chunk: int = 1024) -> int:
     """Number of properly crossing non-adjacent segment pairs of a closed polyline."""
     pts = _ensure_closed(np.asarray(pts, dtype=complex))
-    a = pts[:-1]
-    b = pts[1:]
-    n = a.size
-    ax, ay, bx, by = a.real, a.imag, b.real, b.imag
-    lo_x, hi_x = np.minimum(ax, bx), np.maximum(ax, bx)
-    lo_y, hi_y = np.minimum(ay, by), np.maximum(ay, by)
-    count = 0
-    for i0 in range(0, n, chunk):
-        i1 = min(i0 + chunk, n)
-        for j0 in range(i0, n, chunk):
-            j1 = min(j0 + chunk, n)
-            ii, jj = np.meshgrid(np.arange(i0, i1), np.arange(j0, j1), indexing="ij")
-            mask = jj > ii + 1
-            mask &= ~((ii == 0) & (jj == n - 1))  # wrap adjacency
-            mask &= ~(
-                (lo_x[ii] > hi_x[jj])
-                | (lo_x[jj] > hi_x[ii])
-                | (lo_y[ii] > hi_y[jj])
-                | (lo_y[jj] > hi_y[ii])
-            )
-            if not mask.any():
-                continue
-            i_s, j_s = ii[mask], jj[mask]
-            d1 = _cross(b[i_s] - a[i_s], a[j_s] - a[i_s])
-            d2 = _cross(b[i_s] - a[i_s], b[j_s] - a[i_s])
-            d3 = _cross(b[j_s] - a[j_s], a[i_s] - a[j_s])
-            d4 = _cross(b[j_s] - a[j_s], b[i_s] - a[j_s])
-            count += int(np.count_nonzero((d1 * d2 < 0.0) & (d3 * d4 < 0.0)))
-    return count
+    return len(_crossing_pairs(pts, chunk * chunk))
+
+
+def _crossing_witness(pts: np.ndarray) -> dict:
+    """The first crossing segment pair of a closed polyline and its crossing point."""
+    i, j = (int(k) for k in _crossing_pairs(pts, _BLOCK)[0])
+    u, v = pts[i + 1] - pts[i], pts[j + 1] - pts[j]
+    point = pts[i] + u * (_cross(pts[j] - pts[i], v) / _cross(u, v))
+    return {"segments": [i, j], "point": [float(point.real), float(point.imag)]}
 
 
 def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -299,14 +348,11 @@ def univalence_scan(
     checks: list[CheckResult] = []
 
     crossings = count_self_intersections(poly)
+    simple = {"segments": poly.size - 1}
+    if crossings:
+        simple["first_crossing"] = _crossing_witness(poly)
     checks.append(
-        CheckResult(
-            "boundary_simple",
-            crossings == 0,
-            float(crossings),
-            poly.size - 1,
-            {"segments": poly.size - 1},
-        )
+        CheckResult("boundary_simple", crossings == 0, float(crossings), poly.size - 1, simple)
     )
 
     scale = scale_constant(n)
@@ -314,53 +360,42 @@ def univalence_scan(
     zgrid = _interior_grid(grid_resolution)
     probes = f_many(params, zgrid)
     res = winding_numbers(poly, probes, exclusion)
-    worst = max(abs(r.winding - 1) for r in res)
+    worst, witness = _worst_probe(res, 1)
+    details = {"min_curve_distance": min(r.min_distance_to_curve for r in res)}
+    if witness:
+        details["worst_probe"] = witness
     checks.append(
-        CheckResult(
-            "interior_winding_one",
-            worst == 0,
-            float(worst),
-            len(res),
-            {"min_curve_distance": min(r.min_distance_to_curve for r in res)},
-        )
+        CheckResult("interior_winding_one", worst == 0, float(worst), len(res), details)
     )
 
     radius = bounding_radius(n) + margin * scale
     ring = radius * np.exp(1j * TWO_PI * (np.arange(exterior_probes) + 0.37) / exterior_probes)
     res_out = winding_numbers(poly, ring, exclusion)
-    worst_out = max(abs(r.winding) for r in res_out)
-    checks.append(
-        CheckResult(
-            "exterior_winding_zero", worst_out == 0, float(worst_out), len(res_out)
-        )
-    )
+    worst_out, witness = _worst_probe(res_out, 0)
+    details = {"worst_probe": witness} if witness else None
+    checks.append(CheckResult("exterior_winding_zero", worst_out == 0, float(worst_out),
+                              len(res_out), details))
 
     min_sep = _min_pairwise_distance(probes)
-    checks.append(
-        CheckResult(
-            "grid_images_distinct",
-            min_sep > 0.0,
-            0.0 if min_sep > 0.0 else 1.0,
-            probes.size,
-            {"min_separation": min_sep},
-        )
-    )
+    checks.append(CheckResult("grid_images_distinct", min_sep > 0.0, 0.0 if min_sep > 0.0 else 1.0,
+                              probes.size, {"min_separation": min_sep}))
     return VerificationReport(params=params, checks=checks, seed=seed)
+
+
+def _worst_probe(res: list[WindingResult], target: int) -> tuple[int, Optional[dict]]:
+    """Largest |winding - target| over the probes, and the first probe reaching it if nonzero."""
+    errors = [abs(r.winding - target) for r in res]
+    k = int(np.argmax(errors))
+    p, w = res[k].point, res[k].winding
+    return errors[k], {"index": k, "point": [p.real, p.imag], "winding": w} if errors[k] else None
 
 
 def _min_pairwise_distance(pts: np.ndarray, chunk: int = 512) -> float:
     best = math.inf
-    n = pts.size
-    for i0 in range(0, n, chunk):
-        block = pts[i0 : i0 + chunk]
-        tail = pts[i0:]
-        d = np.abs(block[:, None] - tail[None, :])
-        # keep strictly upper-triangular pairs (global j > global i)
-        rows = np.arange(block.size)[:, None]
-        cols = np.arange(tail.size)[None, :]
-        vals = d[cols > rows]
-        if vals.size:
-            best = min(best, float(vals.min()))
+    for i0 in range(0, pts.size, chunk):
+        d = np.abs(pts[i0 : i0 + chunk, None] - pts[None, :])
+        d[np.arange(d.shape[0]), np.arange(i0, i0 + d.shape[0])] = math.inf  # self-pairs
+        best = min(best, float(d.min(initial=math.inf)))
     return best
 
 
@@ -547,6 +582,7 @@ class CoverageReport:
     vertex_angle: float
     half_sector_angles: tuple[float, float]
     min_separation_scale: float
+    first_violation: Optional[dict] = None  # probe index, z, image point, copies containing it
 
 
 def fundamental_set(params: RosetteParams, per_interval: int = 768, radial: int = 600) -> FundamentalSet:
@@ -617,22 +653,23 @@ def fundamental_decomposition(
     scale = scale_constant(n)
     tol = 1e-6 * scale
 
-    i = (np.arange(probe_grid) + 0.5) / probe_grid
-    radii = r_max * np.sqrt(i)
-    angles = TWO_PI * (np.arange(probe_grid) + 0.5) / probe_grid
-    zgrid = (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
+    zgrid = _interior_grid(probe_grid, r_max)
     probes = f_many(params, zgrid)
 
     counts = np.zeros(probes.size, dtype=int)
     for copy in copies:
-        counts += _points_inside(copy.polyline, probes)
+        counts += _windings(_ensure_closed(copy.polyline), probes) != 0
 
     suspect = np.flatnonzero(counts != 1)
-    violations = 0
-    for idx in suspect:
-        d = min(min_distance_to_curve(c.polyline, complex(probes[idx])) for c in copies)
-        if d > tol:
-            violations += 1
+    dist = np.min([curve_distances(c.polyline, probes[suspect]) for c in copies], axis=0)
+    violating = suspect[dist > tol]
+    violations = int(violating.size)
+    witness = None
+    if violations:
+        k = int(violating[0])
+        z, w = complex(zgrid[k]), complex(probes[k])
+        witness = {"index": k, "z": [z.real, z.imag], "point": [w.real, w.imag],
+                   "copies_containing": int(counts[k])}
 
     hist = {int(c): int((counts == c).sum()) for c in np.unique(counts)}
 
@@ -655,20 +692,6 @@ def fundamental_decomposition(
         vertex_angle=float(vertex_angle),
         half_sector_angles=(float(half_angles[0]), float(half_angles[1])),
         min_separation_scale=float(scale),
+        first_violation=witness,
     )
     return copies, report
-
-
-def _points_inside(polyline: np.ndarray, probes: np.ndarray, chunk: int = 2048) -> np.ndarray:
-    """1 where the winding of the polyline around the probe is nonzero, else 0."""
-    pts = _ensure_closed(polyline)
-    out = np.zeros(probes.size, dtype=int)
-    for i0 in range(0, probes.size, chunk):
-        block = probes[i0 : i0 + chunk]
-        rel = pts[None, :] - block[:, None]
-        ang = np.angle(rel)
-        diffs = np.diff(ang, axis=1)
-        diffs = (diffs + math.pi) % TWO_PI - math.pi
-        totals = np.abs(diffs.sum(axis=1) / TWO_PI)
-        out[i0 : i0 + chunk] = (np.round(totals) != 0).astype(int)
-    return out

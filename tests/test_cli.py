@@ -275,3 +275,38 @@ def test_negative_beta_value_on_command_line(tmp_path):
     assert run_cli(["features", "--n", "5", "--beta", "-pi/3", "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert payload["beta_input"] == pytest.approx(-PI / 3)
+
+
+# --- input validation --------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv,option",
+    [
+        (["dump", "--n", "5", "--beta", "0", "--count", "0"], "--count"),
+        (["dump", "--n", "5", "--beta", "0", "--count", "-3"], "--count"),
+        (["render", "--n", "5", "--beta", "0", "--width", "0"], "--width"),
+        (["decompose", "--n", "5", "--beta", "0", "--width", "0"], "--width"),
+        (["render", "--n", "5", "--beta", "0", "--samples", "4"], "--samples"),
+        (["features", "--n", "5", "--beta", "nan"], "--beta"),
+        (["features", "--n", "5", "--beta", "inf"], "--beta"),
+        (["features", "--n", "5", "--beta", "-inf"], "--beta"),
+    ],
+    ids=["count-0", "count-neg", "render-width-0", "decompose-width-0", "samples-4",
+         "beta-nan", "beta-inf", "beta-neg-inf"],
+)
+def test_bad_input_is_a_one_line_usage_error(argv, option, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv + ["--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert err[-1].startswith(f"rosette {argv[0]}: error: argument {option}:")
+    assert not any("Traceback" in line for line in err)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e999"])
+def test_parse_beta_rejects_non_finite(bad):
+    with pytest.raises(argparse.ArgumentTypeError, match="not a finite number"):
+        parse_beta(bad)

@@ -1,8 +1,10 @@
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rosette import (
     OpenCurve,
@@ -24,6 +26,7 @@ from rosette import (
     winding_number,
     winding_numbers,
 )
+from rosette import verify
 from rosette.boundary import wrap_angle
 from rosette.maps import dg_many, dh_many
 
@@ -99,6 +102,216 @@ def test_self_intersection_counts():
     assert count_self_intersections(square) == 0
     bowtie = np.array([0.0, 1.0 + 1.0j, 1.0, 0.0 + 1.0j, 0.0])
     assert count_self_intersections(bowtie) == 1
+
+
+def test_self_intersection_ignores_touching_and_adjacent_segments():
+    # vertex touching a segment, collinear overlap and a repeated vertex are not proper crossings
+    touching = np.array([0, 2, 2 + 2j, 1, 1 - 1j, -1j, 0], dtype=complex)
+    assert count_self_intersections(touching) == 0
+    overlap = np.array([0, 2, 2 + 1j, 1, 3, 3 - 1j, -1j, 0], dtype=complex)
+    assert count_self_intersections(overlap) == 0
+    repeated = np.array([0.0, 1.0, 1.0, 1.0 + 1.0j, 1.0j, 0.0])
+    assert count_self_intersections(repeated) == 0
+
+
+# --- brute-force references for the geometry kernels ---------------------------------
+
+
+def angle_sum_winding(poly, w0):
+    """Winding of a closed polyline around w0 as the sum of the signed angles it subtends."""
+    rel = np.asarray(poly, dtype=complex) - w0
+    u, v = rel[:-1], rel[1:]
+    angles = np.arctan2(u.real * v.imag - u.imag * v.real, u.real * v.real + u.imag * v.imag)
+    return round(float(angles.sum()) / (2 * PI))
+
+
+def brute_force_crossings(poly):
+    """Proper crossings over every pair of non-adjacent segments, in exact arithmetic."""
+    pts = [(Fraction(p.real), Fraction(p.imag)) for p in np.asarray(poly, dtype=complex)]
+    segs = list(zip(pts[:-1], pts[1:]))
+    n = len(segs)
+
+    def orient(a, b, c):
+        d = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+        return (d > 0) - (d < 0)
+
+    count = 0
+    for i in range(n):
+        for j in range(i + 2, n):
+            if i == 0 and j == n - 1:
+                continue
+            (a, b), (c, d) = segs[i], segs[j]
+            if orient(a, b, c) * orient(a, b, d) < 0 and orient(c, d, a) * orient(c, d, b) < 0:
+                count += 1
+    return count
+
+
+def on_polyline(poly, w0):
+    """Exact test: w0 lies on some segment of the polyline."""
+    x, y = Fraction(w0.real), Fraction(w0.imag)
+    for a, b in zip(poly[:-1], poly[1:]):
+        ax, ay, bx, by = (Fraction(v) for v in (a.real, a.imag, b.real, b.imag))
+        collinear = (bx - ax) * (y - ay) == (by - ay) * (x - ax)
+        if collinear and min(ax, bx) <= x <= max(ax, bx) and min(ay, by) <= y <= max(ay, by):
+            return True
+    return False
+
+
+lattice_polygons = st.lists(
+    st.tuples(st.integers(-6, 6), st.integers(-6, 6)), min_size=3, max_size=12
+).map(lambda vs: np.array([complex(x, y) for x, y in vs + vs[:1]]))
+# half-integer probes: many sit at the height of a vertex or of a horizontal edge
+lattice_probes = st.lists(
+    st.tuples(st.integers(-14, 14), st.integers(-14, 14)), min_size=1, max_size=30
+).map(lambda ps: np.array([complex(x, y) / 2 for x, y in ps]))
+
+
+@st.composite
+def star_polygons(draw):
+    """Simple polygons: vertices at sorted angles around the origin."""
+    m = draw(st.integers(3, 40))
+    angles = sorted(draw(st.lists(st.floats(0.0, 2 * PI, exclude_max=True), min_size=m,
+                                  max_size=m, unique=True)))
+    radii = draw(st.lists(st.floats(0.2, 3.0), min_size=m, max_size=m))
+    poly = np.array([r * cmath.exp(1j * t) for r, t in zip(radii, angles)])
+    return np.append(poly, poly[0])
+
+
+def check_windings_match_reference(poly, probes):
+    probes = np.array([w for w in probes if not on_polyline(poly, w)])
+    if probes.size == 0:
+        return
+    for curve, sign in ((poly, 1), (poly[::-1], -1)):
+        got = [r.winding for r in winding_numbers(curve, probes, exclusion_radius=0.0)]
+        assert got == [sign * angle_sum_winding(poly, w) for w in probes]
+
+
+@settings(max_examples=150, deadline=None)
+@given(lattice_polygons, lattice_probes)
+def test_crossing_kernel_matches_angle_sum_on_lattice_polygons(poly, probes):
+    check_windings_match_reference(poly, probes)
+
+
+@settings(max_examples=100, deadline=None)
+@given(star_polygons(), st.lists(st.complex_numbers(max_magnitude=3.5), min_size=1, max_size=30))
+def test_crossing_kernel_matches_angle_sum_on_simple_polygons(poly, probes):
+    probes = np.array(probes, dtype=complex)
+    far = verify.curve_distances(poly, probes) > 1e-9
+    check_windings_match_reference(poly, probes[far])
+    inside = [r.winding for r in winding_numbers(poly, probes[far], exclusion_radius=0.0)]
+    assert set(inside) <= {0, 1}
+
+
+@settings(max_examples=150, deadline=None)
+@given(lattice_polygons)
+def test_self_intersections_match_brute_force(poly):
+    assert count_self_intersections(poly) == brute_force_crossings(poly)
+    assert count_self_intersections(poly[::-1]) == brute_force_crossings(poly)
+    assert count_self_intersections(poly, chunk=2) == brute_force_crossings(poly)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.complex_numbers(max_magnitude=10.0), min_size=3, max_size=40))
+def test_self_intersections_match_brute_force_on_random_polygons(vertices):
+    # on a 2**-20 grid the float crossing predicate is exact, like the reference
+    poly = np.round(np.array(vertices + vertices[:1], dtype=complex) * 2**20) / 2**20
+    assert count_self_intersections(poly) == brute_force_crossings(poly)
+
+
+def test_winding_half_open_rule_degenerate_cases():
+    # probes at the exact height of vertices, of horizontal edges, with repeated vertices
+    diamond = np.array([-1j, 1.0, 1j, -1.0, -1j])
+    staircase = np.array([0, 4, 4 + 2j, 2 + 2j, 2 + 2j, 2 + 4j, 4j, 4j, 0])
+    cases = [
+        (diamond, [0.2, 0.9, -0.9, 2.0, -2.0, 1j - 0.5, 0.5j]),
+        (staircase, [1 + 2j, 3 + 2j, 5 + 2j, -1 + 2j, 1 + 4j, 3 + 4j, 1, 3, 5, 0.5j]),
+    ]
+    for poly, probes in cases:
+        check_windings_match_reference(poly, np.array(probes, dtype=complex))
+    probes = [1 + 2j, 5 + 2j, 3 + 3j, 1 + 3j, 3 + 4j]
+    got = winding_numbers(staircase, probes, exclusion_radius=0.0)
+    assert [r.winding for r in got] == [1, 0, 0, 1, 0]
+
+
+def test_winding_exact_sign_within_one_ulp_of_an_edge():
+    # p is one ulp right of the point of the line a-b at its height, so exactly
+    # left of a -> b, but the float determinant says right
+    a, b = complex(0.1, 0.3), complex(17.3, 11.9)
+    px, py = 0.998796992481203, 0.9061654135338346
+    float_det = (a.real - px) * (b.imag - py) - (a.imag - py) * (b.real - px)
+    exact = (Fraction(a.real) - Fraction(px)) * (Fraction(b.imag) - Fraction(py)) - (
+        Fraction(a.imag) - Fraction(py)
+    ) * (Fraction(b.real) - Fraction(px))
+    assert exact > 0 > float_det
+    p = complex(px, py)
+    right_of_ab = np.array([a, b, complex(17.3, 0.3), a])  # clockwise, interior on the right
+    left_of_ab = np.array([a, b, complex(0.1, 11.9), a])  # counter-clockwise
+    assert winding_number(right_of_ab, p, exclusion_radius=0.0).winding == 0
+    assert winding_number(left_of_ab, p, exclusion_radius=0.0).winding == 1
+    assert winding_number(left_of_ab[::-1], p, exclusion_radius=0.0).winding == -1
+
+
+def test_curve_distances_match_the_scalar_query():
+    c = unit_circle(64)
+    probes = np.array([0.0, 0.5 + 0.1j, 1.5, -2.0j, 0.9])
+    batch = verify.curve_distances(c, probes, chunk=2)
+    assert batch.tolist() == [min_distance_to_curve(c, w) for w in probes]
+    res = winding_numbers(c, probes, exclusion_radius=1e-6)
+    assert [r.min_distance_to_curve for r in res] == batch.tolist()
+    with pytest.raises(TooCloseToCurve, match=r"probe \(1\.5"):
+        winding_numbers(c, [0.0, 1.5, 1.0], exclusion_radius=0.6)
+
+
+# --- failure witnesses -----------------------------------------------------------------
+
+
+def test_univalence_failure_witnesses(monkeypatch):
+    # a figure eight in place of the boundary: one crossing, interior probes wound 0 or -1
+    t = 2 * PI * (np.arange(801) + 0.3) / 800  # the crossing at 0 falls between vertices
+    eight = np.sin(t) + 0.5j * np.sin(2 * t)
+    eight[-1] = eight[0]
+    monkeypatch.setattr(verify, "boundary_polyline", lambda params, per_interval: eight)
+    report = univalence_scan(RosetteParams(5, 0.0), grid_resolution=8, per_interval=64)
+    by_name = {c.name: c for c in report.checks}
+    simple = by_name["boundary_simple"]
+    assert not simple.passed and simple.max_residual == 1.0
+    crossing = simple.details["first_crossing"]
+    point = complex(*crossing["point"])
+    i, j = crossing["segments"]
+    assert i < j and abs(point) < 1e-6
+    assert min_distance_to_curve(eight[i : i + 2], point) < 1e-15
+    assert min_distance_to_curve(eight[j : j + 2], point) < 1e-15
+    interior = by_name["interior_winding_one"]
+    assert not interior.passed
+    worst = interior.details["worst_probe"]
+    assert abs(worst["winding"] - 1) == interior.max_residual
+    assert angle_sum_winding(eight, complex(*worst["point"])) == worst["winding"]
+    assert by_name["exterior_winding_zero"].details is None
+
+
+def test_tiling_failure_witness(monkeypatch):
+    real = verify.rotated_copies
+
+    def doubled(params):
+        copies, base, shifts = real(params)
+        return copies + copies[:1], base, shifts
+
+    monkeypatch.setattr(verify, "rotated_copies", doubled)
+    _, cov = fundamental_decomposition(RosetteParams(5, PI / 5), probe_grid=20)
+    assert not cov.passed and cov.violations > 0
+    witness = cov.first_violation
+    assert witness["copies_containing"] == 2
+    z = complex(*witness["z"])
+    image = f_many(RosetteParams(5, PI / 5), z)
+    assert complex(*witness["point"]) == pytest.approx(image, abs=1e-12)
+
+
+def test_passing_checks_carry_no_witness():
+    _, cov = fundamental_decomposition(RosetteParams(5, PI / 5), probe_grid=20)
+    assert cov.passed and cov.first_violation is None
+    report = univalence_scan(RosetteParams(5, 0.0), grid_resolution=8, per_interval=64)
+    assert all("first_crossing" not in (c.details or {}) and "worst_probe" not in (c.details or {})
+               for c in report.checks)
 
 
 # --- univalence -----------------------------------------------------------------------
