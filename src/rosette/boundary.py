@@ -30,6 +30,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import (
+    FeatureMismatch,
     IntervalCrossesCusp,
     NonCanonicalBeta,
     SingularParameter,
@@ -46,7 +47,8 @@ T_SINGULAR_TOL = 1e-10
 # Tolerance for recognizing beta = pi/2 (the nodes-instead-of-cusps case).
 BETA_HALF_PI_TOL = 1e-9
 
-# Offsets used for the one-sided Richardson secant confirmation of features.
+# Offsets used for the one-sided Richardson secant confirmation of features;
+# feature confirmation shrinks them with pi/n past n = 1000 (see _confirm_offsets).
 CONFIRM_OFFSETS = (1e-3, 1e-4, 1e-5)
 CONFIRM_TOL = 5e-3
 
@@ -142,7 +144,8 @@ def _derivative_values(params: RosetteParams, ts: np.ndarray) -> np.ndarray:
     return cmath.exp(0.5j * beta) * dh_dt + np.conj(dg_dt) * cmath.exp(-0.5j * beta)
 
 
-def _is_half_pi(beta: float) -> bool:
+def is_half_pi(beta: float) -> bool:
+    """Whether beta is pi/2 (the nodes-instead-of-cusps phase) within BETA_HALF_PI_TOL."""
     return abs(beta - math.pi / 2) <= BETA_HALF_PI_TOL
 
 
@@ -165,7 +168,7 @@ def boundary_derivative(params: RosetteParams, t: float) -> BoundaryDerivative:
     x = 1.0 / abs(cmath.sqrt(1.0 - cmath.exp(2j * n * t)))
     sin_term = math.sin(beta) if first_half else -math.sin(beta)
     d_mag = math.sqrt(2.0) * math.sqrt(max(1.0 + sin_term, 0.0)) * x
-    if _is_half_pi(beta) and not first_half:
+    if is_half_pi(beta) and not first_half:
         return BoundaryDerivative(d_value, None, 0.0)
     k = int(math.ceil(t * n / TWO_PI))
     d_arg = k * math.pi - (n / 2.0 - 1.0) * t
@@ -189,20 +192,6 @@ def curve_samples(params: RosetteParams, ts: Sequence[float]) -> list[CurveSampl
 # --- features ----------------------------------------------------------------
 
 
-def _require_canonical(params: RosetteParams) -> None:
-    if not (-math.pi / 2 - 1e-12 < params.beta <= math.pi / 2 + 1e-12):
-        raise NonCanonicalBeta(
-            f"beta={params.beta} outside (-pi/2, pi/2]; reduce it first"
-        )
-
-
-def feature_parameters(n: int, at_half_pi: bool) -> list[float]:
-    """Parameters of the boundary features: multiples of pi/n (2pi/n at beta=pi/2)."""
-    if at_half_pi:
-        return [2.0 * k * math.pi / n for k in range(n)]
-    return [j * math.pi / n for j in range(2 * n)]
-
-
 def feature_values(params: RosetteParams) -> dict[int, complex]:
     """a(j pi/n) for j = 0..2n-1, through the exact rotation laws.
 
@@ -223,6 +212,21 @@ def feature_values(params: RosetteParams) -> dict[int, complex]:
     }
 
 
+def feature_vertices(params: RosetteParams) -> tuple[np.ndarray, np.ndarray]:
+    """Parameters t = j pi/n in [0, 2pi) of the boundary features and their values a(t).
+
+    At beta = pi/2 + l pi the n nodes j = l (mod 2) replace the cusps; the other
+    multiples of pi/n only end arcs of constancy and repeat the node values.  At
+    every other beta all 2n multiples are features.  Values from feature_values.
+    """
+    n = params.n
+    shifts = round((params.beta - math.pi / 2) / math.pi)
+    nodes = is_half_pi(params.beta - shifts * math.pi)
+    values = feature_values(params)
+    js = range(shifts % 2, 2 * n, 2) if nodes else range(2 * n)
+    return np.array([j * math.pi / n for j in js]), np.array([values[j] for j in js])
+
+
 def extract_features(params: RosetteParams, confirm: bool = True) -> FeatureReport:
     """Locate and classify every boundary feature of a canonical-beta rosette.
 
@@ -235,54 +239,22 @@ def extract_features(params: RosetteParams, confirm: bool = True) -> FeatureRepo
     Richardson-extrapolated secants of the curve itself and checked against
     the closed forms.
     """
-    _require_canonical(params)
-    n, beta = params.n, params.beta
-    at_half_pi = _is_half_pi(beta)
-    values = feature_values(params)
+    if not params.is_canonical():
+        raise NonCanonicalBeta(f"beta={params.beta} outside (-pi/2, pi/2]; reduce it first")
+    n = params.n
+    ts, locations = feature_vertices(params)
+    nodes = ts.size == n  # beta = pi/2: n nodes replace the cusps
     features: list[BoundaryFeature] = []
-    if at_half_pi:
-        for k in range(n):
-            t = 2.0 * k * math.pi / n
-            loc = values[(2 * k) % (2 * n)]
-            features.append(
-                BoundaryFeature(
-                    kind=FeatureKind.NODE,
-                    t=t,
-                    location=loc,
-                    magnitude=abs(loc),
-                    argument=_reduce_t(cmath.phase(loc)),
-                    axis_arg=None,
-                    interior_angle=math.pi / 2 - math.pi / n,
-                )
-            )
-    else:
-        for j in range(2 * n):
-            t = j * math.pi / n
-            loc = values[j]
-            if j % 2 == 0:
-                features.append(
-                    BoundaryFeature(
-                        kind=FeatureKind.CUSP,
-                        t=t,
-                        location=loc,
-                        magnitude=abs(loc),
-                        argument=_reduce_t(cmath.phase(loc)),
-                        axis_arg=_reduce_t(t),
-                        interior_angle=None,
-                    )
-                )
-            else:
-                features.append(
-                    BoundaryFeature(
-                        kind=FeatureKind.REMOVABLE_NODE,
-                        t=t,
-                        location=loc,
-                        magnitude=abs(loc),
-                        argument=_reduce_t(cmath.phase(loc)),
-                        axis_arg=_reduce_t(math.pi / 2 + t),
-                        interior_angle=math.pi,
-                    )
-                )
+    for j, (t, loc) in enumerate(zip(ts.tolist(), locations.tolist())):
+        if nodes:
+            kind, axis, angle = FeatureKind.NODE, None, math.pi / 2 - math.pi / n
+        elif j % 2 == 0:
+            kind, axis, angle = FeatureKind.CUSP, _reduce_t(t), None
+        else:
+            kind, axis, angle = FeatureKind.REMOVABLE_NODE, _reduce_t(math.pi / 2 + t), math.pi
+        features.append(
+            BoundaryFeature(kind, t, loc, abs(loc), _reduce_t(cmath.phase(loc)), axis, angle)
+        )
     if confirm:
         _confirm_features(params, features)
     args = [ft.argument for ft in features]
@@ -297,69 +269,31 @@ def extract_features(params: RosetteParams, confirm: bool = True) -> FeatureRepo
     )
 
 
-def _richardson_secant_args(
-    values_by_offset: list[complex], base: complex, offsets: Sequence[float], sign: int
-) -> float:
-    """Extrapolated secant direction arg(sign * (a(t0 + sign*d) - a(t0))), d -> 0."""
-    raw = [cmath.phase(sign * (v - base)) for v in values_by_offset]
-    # unwrap around the first estimate before extrapolating
-    ref = raw[0]
-    unwrapped = [ref + wrap_angle(a - ref) for a in raw]
-    est = unwrapped
-    ratio = offsets[0] / offsets[1]
-    while len(est) > 1:  # Richardson for an O(delta) error model
-        est = [
-            (ratio * est[i + 1] - est[i]) / (ratio - 1.0) for i in range(len(est) - 1)
-        ]
-    return est[0]
+def _confirm_offsets(n: int) -> tuple[float, ...]:
+    """CONFIRM_OFFSETS scaled by min(1, 1000/n), so that they stay well below pi/n."""
+    scale = min(1.0, 1000.0 / n)
+    return tuple(d * scale for d in CONFIRM_OFFSETS)
 
 
 def _confirm_features(params: RosetteParams, features: list[BoundaryFeature]) -> None:
-    """Numerically verify one-sided tangent directions at every feature."""
-    n = params.n
-    at_half_pi = _is_half_pi(params.beta)
-    offsets = CONFIRM_OFFSETS
-    if at_half_pi:
-        curve = lambda ts: halfspeed_points(params, ts)  # noqa: E731
-    else:
-        curve = lambda ts: boundary_points(params, ts)  # noqa: E731
-    ts, sides, bases = [], [], []
-    for ft in features:
-        for sign in (-1, 1):
-            for d in offsets:
-                ts.append(ft.t + sign * d)
-            sides.append(sign)
-            bases.append(ft.location)
-    vals = curve(np.array(ts))
-    k = len(offsets)
-    idx = 0
-    for fi, ft in enumerate(features):
-        left = _richardson_secant_args(
-            list(vals[idx : idx + k]), ft.location, offsets, -1
-        )
-        right = _richardson_secant_args(
-            list(vals[idx + k : idx + 2 * k]), ft.location, offsets, 1
-        )
-        idx += 2 * k
+    """Check the measured one-sided tangent directions at every feature against the closed forms."""
+    curve = halfspeed_points if is_half_pi(params.beta) else boundary_points
+    left, right = one_sided_tangents(
+        lambda ts: curve(params, ts),
+        [ft.t for ft in features],
+        [ft.location for ft in features],
+        _confirm_offsets(params.n),
+    )
+    for ft, lo, hi in zip(features, left.tolist(), right.tolist()):
         if ft.kind is FeatureKind.CUSP:
-            expected_left, expected_right = ft.t, math.pi + ft.t
+            checks = [(lo, ft.t), (hi, math.pi + ft.t)]
         elif ft.kind is FeatureKind.REMOVABLE_NODE:
-            expected_left = expected_right = ft.axis_arg
-        else:  # beta = pi/2 node: exterior angle pi/2 + pi/n
-            expected_left = None
-            expected_right = None
-            jump = wrap_angle(right - left)
-            want = math.pi / 2 + math.pi / n
-            if abs(wrap_angle(jump - want)) > CONFIRM_TOL:
-                raise AssertionError(
-                    f"node at t={ft.t}: tangent jump {jump} does not match {want}"
-                )
-        for got, want in ((left, expected_left), (right, expected_right)):
-            if want is not None and abs(wrap_angle(got - want)) > CONFIRM_TOL:
-                raise AssertionError(
-                    f"{ft.kind.value} at t={ft.t}: tangent direction {got} "
-                    f"does not match expected {want}"
-                )
+            checks = [(lo, ft.axis_arg), (hi, ft.axis_arg)]
+        else:  # beta = pi/2 node: the tangent jumps by the exterior angle
+            checks = [(wrap_angle(hi - lo), math.pi - ft.interior_angle)]
+        for got, want in checks:
+            if abs(wrap_angle(got - want)) > CONFIRM_TOL:
+                raise FeatureMismatch(ft.kind, ft.t, got, want)
 
 
 class SeparationSide(Enum):
@@ -374,7 +308,6 @@ def separation_angle(params: RosetteParams, side: SeparationSide) -> float:
     has the larger argument, the minus-branch otherwise; the two branches
     sum to 2pi/n.
     """
-    _require_canonical(params)
     if not abs(params.beta) < math.pi / 2:
         raise NonCanonicalBeta("separation angles require |beta| < pi/2")
     n = params.n
@@ -396,7 +329,7 @@ def _check_within_petal(params: RosetteParams, t0: float, t1: float) -> None:
         raise IntervalCrossesCusp(
             f"[{t0}, {t1}] crosses a cusp parameter (multiple of 2pi/{n})"
         )
-    if _is_half_pi(params.beta):
+    if is_half_pi(params.beta):
         # only the first half of each inter-cusp interval carries the curve
         if t1 - k0 * petal > math.pi / n + 1e-12:
             raise IntervalCrossesCusp(
@@ -445,7 +378,7 @@ def halfspeed_points(params: RosetteParams, ts) -> np.ndarray:
     each active half-interval at half speed and skips the constancy arcs,
     visiting the node exactly at t = 2k pi/n.
     """
-    if not _is_half_pi(params.beta):
+    if not is_half_pi(params.beta):
         raise WrongBeta("half-speed reparametrization requires beta = pi/2")
     n = params.n
     ts = np.asarray(ts, dtype=float)
@@ -493,7 +426,8 @@ def detect_arg_nonmonotonicity(
     Returns (found, witness_t) with the witness at the midpoint of a grid
     step on which the unwrapped argument decreases by more than 1e-6 rad.
     """
-    _require_canonical(params)
+    if not params.is_canonical():
+        raise NonCanonicalBeta(f"beta={params.beta} outside (-pi/2, pi/2]; reduce it first")
     ts = boundary_parameter_grid(params.n, per_interval, refine=2)
     vals = boundary_points(params, ts)
     args = np.unwrap(np.angle(vals))
@@ -516,6 +450,31 @@ class SingularPointEstimate(NamedTuple):
     kind: FeatureKind
 
 
+def one_sided_tangents(
+    curve_fn: Callable[[np.ndarray], np.ndarray],
+    ts: Sequence[float],
+    locations: Sequence[complex],
+    offsets: Sequence[float] = CONFIRM_OFFSETS,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Left and right tangent directions of a curve at each parameter in ``ts``.
+
+    The secant directions arg(s (a(t0 + s d) - a(t0))), s = -1 and +1, are
+    unwrapped around the one at the first offset and Richardson-extrapolated
+    to d -> 0 for an O(d) error model; the offsets must form a geometric
+    sequence.  One call of ``curve_fn`` covers every parameter and both sides.
+    """
+    t0 = np.asarray(ts, dtype=float)
+    d = np.asarray(offsets, dtype=float)
+    side = np.array([-1.0, 1.0])[:, None]
+    vals = curve_fn((t0[:, None, None] + side * d).ravel()).reshape(t0.size, 2, d.size)
+    raw = np.angle(side * (vals - np.asarray(locations, dtype=complex)[:, None, None]))
+    est = raw[..., :1] + (raw - raw[..., :1] + math.pi) % TWO_PI - math.pi
+    ratio = d[0] / d[1]
+    while est.shape[-1] > 1:
+        est = (ratio * est[..., 1:] - est[..., :-1]) / (ratio - 1.0)
+    return est[:, 0, 0], est[:, 1, 0]
+
+
 def classify_singular_point(
     curve_fn: Callable[[np.ndarray], np.ndarray],
     t0: float,
@@ -524,16 +483,12 @@ def classify_singular_point(
 ) -> SingularPointEstimate:
     """Classify an isolated singular point of any closed curve numerically.
 
-    One-sided tangent directions are Richardson-extrapolated from secants;
-    the point is a cusp when they differ by pi (mod 2pi), a removable node
-    when they agree, and a node otherwise.  Shared by the rosette feature
-    confirmation pass and the hypocycloid baseline check.
+    The one-sided tangent directions come from ``one_sided_tangents``; the
+    point is a cusp when they differ by pi (mod 2pi), a removable node when
+    they agree, and a node otherwise.
     """
     base = complex(curve_fn(np.array([t0]))[0]) if location is None else location
-    left_vals = list(curve_fn(t0 - np.asarray(offsets)))
-    right_vals = list(curve_fn(t0 + np.asarray(offsets)))
-    left = _richardson_secant_args(left_vals, base, offsets, -1)
-    right = _richardson_secant_args(right_vals, base, offsets, 1)
+    left, right = (float(x[0]) for x in one_sided_tangents(curve_fn, [t0], [base], offsets))
     jump = abs(wrap_angle(right - left))
     if abs(jump - math.pi) < CONFIRM_TOL:
         kind = FeatureKind.CUSP

@@ -39,6 +39,10 @@ from .verify import (
 
 SCHEMA_VERSION = 1
 
+# Largest |beta| accepted: reducing a float beta modulo pi loses about
+# |beta| * 1e-16 (1e-13 at 1e4, 2e-12 at 1e5), so larger phases mean nothing.
+BETA_LIMIT = 1e4
+
 _BETA_RE = re.compile(
     r"^(?P<sign>[+-]?)(?P<mult>\d+(?:\.\d+)?)?\s*pi(?:\s*/\s*(?P<den>\d+(?:\.\d+)?))?$",
     re.IGNORECASE,
@@ -63,6 +67,10 @@ def parse_beta(text: str) -> float:
             ) from None
     if not math.isfinite(val):
         raise argparse.ArgumentTypeError(f"angle {text!r} is not a finite number")
+    if abs(val) > BETA_LIMIT:
+        raise argparse.ArgumentTypeError(
+            f"angle {text!r} is outside [-{BETA_LIMIT:g}, {BETA_LIMIT:g}]"
+        )
     return val
 
 
@@ -304,11 +312,7 @@ def _render_spec(args, extra_overlays: frozenset = frozenset()) -> RenderSpec:
 
 
 def cmd_render(args) -> int:
-    spec = _render_spec(args)
-    doc = render_svg(spec)
-    if args.out is None:
-        raise SystemExit("render requires --out PATH")
-    _write_text(args.out, doc)
+    _write_text(args.out, render_svg(_render_spec(args)))
     return 0
 
 
@@ -379,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, fn in (("render", cmd_render), ("decompose", cmd_decompose)):
         p = sub.add_parser(name, help=f"{name} a figure")
         common(p)
-        p.add_argument("--out", default=None, help="output SVG path")
+        p.add_argument("--out", required=name == "render", help="output SVG path")
         p.add_argument("--grid", type=_grid, default=(24, 16), help="RxC polar grid")
         p.add_argument("--samples", type=_int_at_least("samples", 16), default=256)
         p.add_argument("--width", type=_int_at_least("width", 1), default=900)

@@ -43,3 +43,19 @@ class OpenCurve(RosetteError):
 
 class QuadratureFailure(RosetteError):
     """Adaptive quadrature did not reach the requested accuracy."""
+
+
+class FeatureMismatch(RosetteError):
+    """A boundary feature's measured tangent direction disagrees with its closed form.
+
+    Carries the witness: the feature ``kind``, its parameter ``t`` and the
+    ``measured`` and ``expected`` directions (for a node, the tangent jump).
+    """
+
+    def __init__(self, kind, t: float, measured: float, expected: float):
+        super().__init__(kind, t, measured, expected)
+        self.kind, self.t, self.measured, self.expected = kind, t, measured, expected
+
+    def __str__(self) -> str:
+        return (f"{self.kind.value} at t={self.t}: tangent direction {self.measured} "
+                f"does not match expected {self.expected}")

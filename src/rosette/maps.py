@@ -215,11 +215,16 @@ def canonical_rotation(theta: float, theta_tilde: float) -> tuple[float, float]:
     return (theta - theta_tilde) / 2.0, theta + theta_tilde
 
 
-def transit_identity(params: RosetteParams, z, shifts: int) -> np.ndarray:
-    """Right-hand side of the phase-shift law: f_{beta+l pi}(z) expressed through f_beta.
+def half_turn_rotation(n: int, shifts: int) -> complex:
+    """Image rotation e^{i l (pi/2 + pi/n)} of the half-turn law for l = ``shifts``.
 
-    f_{beta + l pi}(z) = e^{i l (pi/n + pi/2)} f_beta(e^{-i l pi/n} z).
+    f_{beta + l pi}(z) = e^{i l (pi/2 + pi/n)} f_beta(e^{-i l pi/n} z): moving the
+    phase by l half turns rotates the image and shifts the parameter by l pi/n.
     """
-    n = params.n
-    pre = cmath.exp(1j * shifts * (math.pi / n + math.pi / 2))
-    return pre * f_many(params, np.asarray(z, dtype=complex) * cmath.exp(-1j * shifts * math.pi / n))
+    return cmath.exp(1j * shifts * (math.pi / 2 + math.pi / n))
+
+
+def transit_identity(params: RosetteParams, z, shifts: int) -> np.ndarray:
+    """Right-hand side of the half-turn law: f_{beta+l pi}(z) expressed through f_beta."""
+    z = np.asarray(z, dtype=complex) * cmath.exp(-1j * shifts * math.pi / params.n)
+    return half_turn_rotation(params.n, shifts) * f_many(params, z)

@@ -14,8 +14,8 @@ from enum import Enum
 
 import numpy as np
 
-from .boundary import extract_features, boundary_points, bounding_radius
-from .maps import RosetteParams, f_many, hypocycloid, reduce_beta
+from .boundary import boundary_points, bounding_radius, extract_features, feature_vertices
+from .maps import RosetteParams, f_many, half_turn_rotation, hypocycloid
 from .svgout import SvgCanvas, axis_segment, flatten_curve
 from .verify import curve_distances, rotated_copies
 
@@ -47,13 +47,12 @@ class RenderSpec:
 
 
 def _rotated_features(params: RosetteParams):
-    """Features of f for any beta: canonical features carried through the shift law."""
-    beta_c, shifts = reduce_beta(params.beta)
-    canonical = RosetteParams(params.n, beta_c, params.policy)
+    """Features of f for any beta: canonical features carried through the half-turn law."""
+    canonical, shifts = params.canonical()
     report = extract_features(canonical, confirm=False)
     if shifts == 0:
         return report.features
-    pre = cmath.exp(1j * shifts * (math.pi / params.n + math.pi / 2))
+    pre = half_turn_rotation(params.n, shifts)
     return tuple(
         replace(
             ft,
@@ -73,13 +72,8 @@ def _boundary_vertices(spec: RenderSpec) -> np.ndarray:
     per = max(spec.samples_per_curve, 64)
     ts = ((np.arange(2 * n)[:, None] + (np.arange(per) + 0.5) / per) * math.pi / n).ravel()
     vals = boundary_points(params, ts)
-    feats = _rotated_features(params)
-    ft_ts = np.array([ft.t % TWO_PI for ft in feats])
-    ft_vals = np.array([ft.location for ft in feats])
-    allts = np.concatenate([ts, ft_ts])
-    allvals = np.concatenate([vals, ft_vals])
-    order = np.argsort(allts)
-    out = allvals[order]
+    ft_ts, ft_vals = feature_vertices(params)
+    out = np.concatenate([vals, ft_vals])[np.argsort(np.concatenate([ts, ft_ts]))]
     return np.append(out, out[0])
 
 

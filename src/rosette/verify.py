@@ -20,15 +20,15 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy import integrate
 
 from .boundary import (
     boundary_parameter_grid,
     boundary_points,
     bounding_radius,
-    feature_parameters,
     feature_values,
+    feature_vertices,
     halfspeed_points,
+    is_half_pi,
     wrap_angle,
 )
 from .errors import OpenCurve, QuadratureFailure, TooCloseToCurve
@@ -39,6 +39,7 @@ from .maps import (
     f_many,
     g_many,
     h_many,
+    half_turn_rotation,
     transit_identity,
 )
 from .series import SeriesKind, scale_constant
@@ -292,27 +293,19 @@ def boundary_polyline(
     """Closed polyline through the boundary curve (half-speed at beta = pi/2).
 
     Samples every basic interval at offset grid points plus the exact
-    feature parameters, so cusps and nodes are vertices of the polyline.
-    The feature vertices come from the rotation laws (series evaluated at
-    argument exactly 1), never from near-singular parameters.
+    feature parameters of ``feature_vertices``, so cusps and nodes are
+    vertices of the polyline, their values taken from the rotation laws
+    (series evaluated at argument exactly 1), never from near-singular
+    parameters.
     """
     n = params.n
     if halfspeed is None:
-        halfspeed = abs(params.beta - math.pi / 2) <= 1e-9
-    exact = feature_values(params)
+        halfspeed = is_half_pi(params.beta)
+    ft_ts, ft_vals = feature_vertices(params)
     grid = boundary_parameter_grid(n, per_interval, refine=2)
-    if halfspeed:
-        vals = halfspeed_points(params, grid)
-        ft_ts = np.array(feature_parameters(n, at_half_pi=True))
-        ft_vals = np.array([exact[(2 * k) % (2 * n)] for k in range(n)])
-    else:
-        vals = boundary_points(params, grid)
-        ft_ts = np.array(feature_parameters(n, at_half_pi=False))
-        ft_vals = np.array([exact[j] for j in range(2 * n)])
-    all_ts = np.concatenate([grid, ft_ts])
-    all_vals = np.concatenate([vals, ft_vals])
-    order = np.argsort(all_ts)
-    out = _dedupe(all_vals[order], 1e-13 * scale_constant(n))
+    vals = halfspeed_points(params, grid) if halfspeed else boundary_points(params, grid)
+    order = np.argsort(np.concatenate([grid, ft_ts]))
+    out = _dedupe(np.concatenate([vals, ft_vals])[order], 1e-13 * scale_constant(n))
     return np.append(out, out[0])
 
 
@@ -413,6 +406,8 @@ def integral_oracle(
     through the series.  Near |z| = 1 the substitution zeta = z(1 - u^2)
     removes the inverse-square-root endpoint singularity.
     """
+    from scipy import integrate  # imported here: this cross-check is its only user
+
     z = complex(z)
     n = params.n
 
@@ -487,9 +482,9 @@ def symmetry_suite(
     res = np.abs(f_many(params, np.conj(z)) - np.conj(f_many(mirrored, z))).max()
     add("reflection_conjugation", float(res), sample_count, 1e-10)
 
-    # half-turn phase shift: f_beta(z) = e^{-i(pi/2+pi/n)} f_{beta+pi}(e^{i pi/n} z)
+    # half-turn law with l = -1, read from beta + pi back to beta
     shifted = RosetteParams(n, beta + math.pi, params.policy)
-    pre = cmath.exp(-1j * (math.pi / 2 + math.pi / n))
+    pre = half_turn_rotation(n, -1)
     res = np.abs(
         f_many(params, z) - pre * f_many(shifted, np.exp(1j * math.pi / n) * z)
     ).max()
@@ -623,15 +618,17 @@ def fundamental_set(params: RosetteParams, per_interval: int = 768, radial: int 
 def rotated_copies(params: RosetteParams) -> tuple[list[RotatedCopy], FundamentalSet, int]:
     """The n rotated copies whose union reconstructs the full image.
 
-    For params with arbitrary beta = canonical + l*pi the copies are
-    i^l e^{i(2k+l)pi/n} times the canonical fundamental set, k = 1..n.
+    For params with arbitrary beta = canonical + l*pi the copies are the
+    canonical fundamental set turned by e^{2ik pi/n}, k = 1..n, and then by
+    the image rotation of the half-turn law, ``half_turn_rotation(n, l)``.
     """
     base = fundamental_set(params)
     _, shifts = params.canonical()
     n = params.n
+    turn = half_turn_rotation(n, shifts)
     copies = []
     for k in range(1, n + 1):
-        pref = cmath.exp(1j * (shifts * math.pi / 2 + (2 * k + shifts) * math.pi / n))
+        pref = turn * cmath.exp(2j * k * math.pi / n)
         copies.append(RotatedCopy(prefactor=pref, polyline=pref * base.boundary_polyline))
     return copies, base, shifts
 

@@ -29,7 +29,17 @@ from rosette import (
     total_curvature,
     total_curvature_numeric,
 )
-from rosette.boundary import feature_values, wrap_angle
+from rosette import FeatureMismatch, RosetteError
+from rosette.boundary import (
+    CONFIRM_OFFSETS,
+    _confirm_offsets,
+    feature_values,
+    feature_vertices,
+    is_half_pi,
+    one_sided_tangents,
+    wrap_angle,
+)
+from rosette.maps import half_turn_rotation
 
 PI = math.pi
 
@@ -429,3 +439,86 @@ def test_hypocycloid_regular_at_odd_multiples():
     curve = lambda ts: hypocycloid(n, np.exp(1j * np.asarray(ts)))  # noqa: E731
     est = classify_singular_point(curve, PI / n)
     assert est.kind is FeatureKind.REMOVABLE_NODE  # smooth point: tangents agree
+
+
+# --- shared feature vertices and confirmation ----------------------------------------------
+
+
+@pytest.mark.parametrize("n", [3, 5, 8])
+@pytest.mark.parametrize("shifts", [-1, 1, 2])
+def test_feature_vertices_at_shifted_half_pi_are_the_rotated_nodes(n, shifts):
+    ts, vals = feature_vertices(RosetteParams(n, PI / 2 + shifts * PI))
+    base_ts, base_vals = feature_vertices(RosetteParams(n, PI / 2))
+    assert len(ts) == len(base_ts) == n
+    moved = np.mod(base_ts + shifts * PI / n, 2 * PI)
+    order = np.argsort(moved)
+    assert np.allclose(ts, moved[order], atol=1e-12)
+    assert np.abs(vals - half_turn_rotation(n, shifts) * base_vals[order]).max() < 1e-12
+
+
+def test_feature_vertices_away_from_half_pi_are_all_multiples():
+    for beta in (0.0, 0.3, -1.2, 0.3 + 2 * PI):
+        ts, vals = feature_vertices(RosetteParams(5, beta))
+        assert np.allclose(ts, np.arange(10) * PI / 5)
+        exact = feature_values(RosetteParams(5, beta))
+        assert vals.tolist() == [exact[j] for j in range(10)]
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.7, -1.2, PI / 2])
+def test_batched_tangents_match_one_point_classification(beta):
+    p = RosetteParams(5, beta)
+    feats = extract_features(p, confirm=False).features
+    part = halfspeed_points if is_half_pi(beta) else boundary_points
+    curve = lambda ts: part(p, ts)  # noqa: E731
+    left, right = one_sided_tangents(curve, [ft.t for ft in feats], [ft.location for ft in feats])
+    for ft, lo, hi in zip(feats, left, right):
+        est = classify_singular_point(curve, ft.t, location=ft.location)
+        assert est.kind is ft.kind
+        assert abs(wrap_angle(est.left_arg - lo)) < 1e-9
+        assert abs(wrap_angle(est.right_arg - hi)) < 1e-9
+
+
+def test_batched_tangents_match_one_point_classification_on_hypocycloid():
+    n = 5
+    curve = lambda ts: hypocycloid(n, np.exp(1j * np.asarray(ts)))  # noqa: E731
+    ts = np.arange(2 * n) * PI / n
+    left, right = one_sided_tangents(curve, ts, curve(ts))
+    for t0, lo, hi in zip(ts, left, right):
+        est = classify_singular_point(curve, t0)
+        assert abs(wrap_angle(est.left_arg - lo)) < 1e-12
+        assert abs(wrap_angle(est.right_arg - hi)) < 1e-12
+
+
+def test_confirm_offsets_shrink_only_past_n_1000():
+    for n in (3, 12, 999, 1000):
+        assert _confirm_offsets(n) == CONFIRM_OFFSETS
+    for n in (1001, 5000, 100000):
+        assert max(_confirm_offsets(n)) < 0.5 * PI / n
+
+
+@pytest.mark.parametrize("beta", [0.3, PI / 2])
+def test_features_confirm_at_large_order(beta):
+    n = 5000
+    rep = extract_features(RosetteParams(n, beta))
+    assert len(rep.features) == (n if beta == PI / 2 else 2 * n)
+    assert rep.features[1].t == pytest.approx((2 if beta == PI / 2 else 1) * PI / n)
+
+
+def test_feature_mismatch_carries_its_witness(monkeypatch):
+    import rosette.boundary as boundary
+
+    real = boundary.one_sided_tangents
+
+    def skewed(*args, **kwargs):
+        left, right = real(*args, **kwargs)
+        return left + 0.1, right
+
+    monkeypatch.setattr(boundary, "one_sided_tangents", skewed)
+    with pytest.raises(FeatureMismatch) as exc:
+        extract_features(RosetteParams(5, 0.3))
+    err = exc.value
+    assert isinstance(err, RosetteError)
+    assert err.kind is FeatureKind.CUSP and err.t == 0.0
+    assert err.expected == 0.0
+    assert wrap_angle(err.measured - err.expected) == pytest.approx(0.1, abs=1e-3)
+    assert str(err).startswith("cusp at t=0.0: tangent direction")

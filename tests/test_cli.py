@@ -291,9 +291,12 @@ def test_negative_beta_value_on_command_line(tmp_path):
         (["features", "--n", "5", "--beta", "nan"], "--beta"),
         (["features", "--n", "5", "--beta", "inf"], "--beta"),
         (["features", "--n", "5", "--beta", "-inf"], "--beta"),
+        (["verify", "--n", "5", "--beta", "1e300", "--level", "quick"], "--beta"),
+        (["features", "--n", "5", "--beta", "-1e5"], "--beta"),
+        (["dump", "--n", "5", "--beta", "40000pi"], "--beta"),
     ],
     ids=["count-0", "count-neg", "render-width-0", "decompose-width-0", "samples-4",
-         "beta-nan", "beta-inf", "beta-neg-inf"],
+         "beta-nan", "beta-inf", "beta-neg-inf", "beta-1e300", "beta-neg-1e5", "beta-40000pi"],
 )
 def test_bad_input_is_a_one_line_usage_error(argv, option, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -310,3 +313,31 @@ def test_bad_input_is_a_one_line_usage_error(argv, option, tmp_path, capsys):
 def test_parse_beta_rejects_non_finite(bad):
     with pytest.raises(argparse.ArgumentTypeError, match="not a finite number"):
         parse_beta(bad)
+
+
+def test_parse_beta_accepts_phases_up_to_1e4():
+    assert parse_beta("1e4") == 1e4
+    assert parse_beta("-3183pi") == pytest.approx(-3183 * PI)
+    with pytest.raises(argparse.ArgumentTypeError, match="outside"):
+        parse_beta("10000.001")
+
+
+def test_render_without_out_is_a_usage_error_before_any_work(monkeypatch, capsys):
+    import rosette.cli as cli
+
+    def fail(spec):
+        raise AssertionError("render_svg ran before the arguments were checked")
+
+    monkeypatch.setattr(cli, "render_svg", fail)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["render", "--n", "5", "--beta", "0", "--samples", "16", "--grid", "2x2"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[-1] == "rosette render: error: the following arguments are required: --out"
+
+
+def test_decompose_out_stays_optional():
+    from rosette.cli import build_parser
+
+    args = build_parser().parse_args(["decompose", "--n", "5", "--beta", "0"])
+    assert args.out is None

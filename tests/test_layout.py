@@ -1,0 +1,37 @@
+"""Package layout rules: module boundaries and import cost."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import rosette
+
+SOURCE = Path(rosette.__file__).parent
+
+
+def test_no_module_imports_another_modules_private_names():
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            # "from . import _tails" binds a whole private module, which is allowed
+            if isinstance(node, ast.ImportFrom) and node.level and node.module:
+                found += [
+                    f"{path.name}:{node.lineno} from .{node.module} import {alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                ]
+    assert found == []
+
+
+def test_import_leaves_scipy_unloaded():
+    code = "import sys, rosette; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(SOURCE.parent)},
+    )
+    assert out.stdout.strip() == "False"
