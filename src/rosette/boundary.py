@@ -36,7 +36,7 @@ from .errors import (
     SingularParameter,
     WrongBeta,
 )
-from .maps import RosetteParams, f_many, g, h
+from .maps import RosetteParams, f_many, g, h, half_turn_rotation
 from .series import scale_constant
 
 TWO_PI = 2.0 * math.pi
@@ -144,9 +144,20 @@ def _derivative_values(params: RosetteParams, ts: np.ndarray) -> np.ndarray:
     return cmath.exp(0.5j * beta) * dh_dt + np.conj(dg_dt) * cmath.exp(-0.5j * beta)
 
 
+def half_pi_shift(beta: float) -> Optional[int]:
+    """The l with beta = pi/2 + l pi within BETA_HALF_PI_TOL, or None for any other beta.
+
+    These are the nodes-instead-of-cusps phases; l half turns carry pi/2 to them.
+    """
+    if not math.isfinite(beta):
+        return None
+    shifts = round((beta - math.pi / 2) / math.pi)
+    return shifts if abs(beta - shifts * math.pi - math.pi / 2) <= BETA_HALF_PI_TOL else None
+
+
 def is_half_pi(beta: float) -> bool:
-    """Whether beta is pi/2 (the nodes-instead-of-cusps phase) within BETA_HALF_PI_TOL."""
-    return abs(beta - math.pi / 2) <= BETA_HALF_PI_TOL
+    """Whether beta is pi/2 itself (not another phase of its class) within BETA_HALF_PI_TOL."""
+    return half_pi_shift(beta) == 0
 
 
 def boundary_derivative(params: RosetteParams, t: float) -> BoundaryDerivative:
@@ -196,9 +207,10 @@ def feature_values(params: RosetteParams) -> dict[int, complex]:
     """a(j pi/n) for j = 0..2n-1, through the exact rotation laws.
 
     a(j pi/n) = e^{ij pi/n} (e^{i beta/2} h(1) + (-1)^j e^{-i beta/2} g(1)),
-    so only the two series values at argument exactly 1 are needed.  This
-    avoids evaluating the series at arguments that merely round to 1, where
-    it is far more expensive.
+    so only the two series values at argument exactly 1, the gamma closed
+    forms, are needed.  Arguments that merely round to 1 would give the curve
+    at a parameter off by rounding, about 1e-8 away in value, because the
+    curve is only Hoelder-1/2 there.
     """
     n, beta = params.n, params.beta
     h1 = h(params, 1.0)  # real positive
@@ -220,10 +232,9 @@ def feature_vertices(params: RosetteParams) -> tuple[np.ndarray, np.ndarray]:
     every other beta all 2n multiples are features.  Values from feature_values.
     """
     n = params.n
-    shifts = round((params.beta - math.pi / 2) / math.pi)
-    nodes = is_half_pi(params.beta - shifts * math.pi)
+    shifts = half_pi_shift(params.beta)
     values = feature_values(params)
-    js = range(shifts % 2, 2 * n, 2) if nodes else range(2 * n)
+    js = range(2 * n) if shifts is None else range(shifts % 2, 2 * n, 2)
     return np.array([j * math.pi / n for j in js]), np.array([values[j] for j in js])
 
 
@@ -233,8 +244,10 @@ def extract_features(params: RosetteParams, confirm: bool = True) -> FeatureRepo
     For |beta| < pi/2: n cusps at t = 2k pi/n with axis argument 2k pi/n,
     interleaved with n removable nodes at odd multiples of pi/n whose common
     tangent direction is pi/2 + (2k-1)pi/n.  For beta = pi/2: n nodes at
-    t = 2k pi/n with interior angle pi/2 - pi/n.  Feature locations come from
-    the series evaluated exactly at argument 1 plus the rotation laws.  With
+    t = 2k pi/n with interior angle pi/2 - pi/n (within BETA_HALF_PI_TOL
+    above -pi/2, the same nodes carried to the odd multiples).  Feature
+    locations come from the series evaluated exactly at argument 1 plus the
+    rotation laws.  With
     ``confirm`` the one-sided tangent directions are re-estimated from
     Richardson-extrapolated secants of the curve itself and checked against
     the closed forms.
@@ -276,10 +289,23 @@ def _confirm_offsets(n: int) -> tuple[float, ...]:
 
 
 def _confirm_features(params: RosetteParams, features: list[BoundaryFeature]) -> None:
-    """Check the measured one-sided tangent directions at every feature against the closed forms."""
-    curve = halfspeed_points if is_half_pi(params.beta) else boundary_points
+    """Check the measured one-sided tangent directions at every feature against the closed forms.
+
+    The nodes of beta = pi/2 + l pi are measured on the half-speed curve of
+    pi/2 carried through the half-turn law, which skips the constancy arcs.
+    """
+    shifts = half_pi_shift(params.beta)
+    if shifts is None:
+        def curve(ts):
+            return boundary_points(params, ts)
+    else:
+        base = RosetteParams(params.n, params.beta - shifts * math.pi, params.policy)
+        rot, lag = half_turn_rotation(params.n, shifts), shifts * math.pi / params.n
+
+        def curve(ts):
+            return rot * halfspeed_points(base, np.asarray(ts) - lag)
     left, right = one_sided_tangents(
-        lambda ts: curve(params, ts),
+        curve,
         [ft.t for ft in features],
         [ft.location for ft in features],
         _confirm_offsets(params.n),

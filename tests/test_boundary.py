@@ -522,3 +522,16 @@ def test_feature_mismatch_carries_its_witness(monkeypatch):
     assert err.expected == 0.0
     assert wrap_angle(err.measured - err.expected) == pytest.approx(0.1, abs=1e-3)
     assert str(err).startswith("cusp at t=0.0: tangent direction")
+
+
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_features_just_above_minus_half_pi_are_the_carried_nodes(n):
+    # beta = -pi/2 + 1e-10 is canonical and lies in the class of pi/2 (l = -1):
+    # its nodes sit at the odd multiples of pi/n and are confirmed, not refused
+    rep = extract_features(RosetteParams(n, -PI / 2 + 1e-10))
+    assert [ft.kind for ft in rep.features] == [FeatureKind.NODE] * n
+    assert [ft.t for ft in rep.features] == [j * PI / n for j in range(1, 2 * n, 2)]
+    canon = extract_features(RosetteParams(n, PI / 2)).features
+    rot = half_turn_rotation(n, -1)
+    for k, ft in enumerate(rep.features):
+        assert abs(ft.location - rot * canon[(k + 1) % n].location) < 1e-8

@@ -87,6 +87,15 @@ def test_features_half_pi_nodes(tmp_path):
         assert ft["interior_angle"] == pytest.approx(3 * PI / 10)
 
 
+def test_features_just_above_minus_half_pi_are_nodes(tmp_path):
+    out = tmp_path / "nodes.json"
+    assert run_cli(["features", "--n", "5", "--beta", "-1.5707963266", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["half_turn_shifts"] == 0
+    assert [ft["kind"] for ft in payload["features"]] == ["node"] * 5
+    assert payload["features"][0]["t"] == pytest.approx(PI / 5)
+
+
 def test_features_csv_rfc4180(tmp_path):
     out = tmp_path / "features.csv"
     run_cli(["features", "--n", "6", "--beta", "0", "--format", "csv", "--out", str(out)])

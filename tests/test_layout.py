@@ -15,7 +15,7 @@ def test_no_module_imports_another_modules_private_names():
     found = []
     for path in sorted(SOURCE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            # "from . import _tails" binds a whole private module, which is allowed
+            # "from . import _module" binds a whole private module, which is allowed
             if isinstance(node, ast.ImportFrom) and node.level and node.module:
                 found += [
                     f"{path.name}:{node.lineno} from .{node.module} import {alias.name}"
@@ -35,3 +35,13 @@ def test_import_leaves_scipy_unloaded():
         env={**os.environ, "PYTHONPATH": str(SOURCE.parent)},
     )
     assert out.stdout.strip() == "False"
+
+
+def test_evaluation_leaves_mpmath_unloaded():
+    out = subprocess.run(
+        [sys.executable, str(Path(__file__).with_name("smoke.py"))],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SOURCE.parent)},
+    )
+    assert (out.returncode, out.stdout.strip()) == (0, "ok"), out.stderr

@@ -1,4 +1,7 @@
+import cmath
+import logging
 import math
+import re
 from math import comb
 
 import mpmath as mp
@@ -258,9 +261,11 @@ def test_boundary_rounding_slack_accepted():
 
 
 def test_no_convergence_when_capped():
-    tight = spec(A, 5, abs_tol=1e-12, max_terms=200)
-    with pytest.raises(NoConvergence):
-        eval_series(tight, 0.99999)
+    # past the capped direct sum, a tolerance the quadrature pair cannot reach
+    tight = spec(A, 5, abs_tol=1e-19, max_terms=200)
+    for z in (0.99999, complex(np.exp(1j * 0.37))):
+        with pytest.raises(NoConvergence):
+            eval_series(tight, z)
     absurd = spec(A, 5, abs_tol=1e-19)
     with pytest.raises(NoConvergence):
         eval_series(absurd, 1.0)
@@ -273,3 +278,71 @@ def test_tail_telescoping_consistency():
         s_hi = SeriesSpec(kind, 4, TruncationPolicy(max_terms=2_000_000))
         for z in (1.0, -1.0, complex(np.exp(1j * 0.37))):
             assert abs(eval_series(s_lo, z) - eval_series(s_hi, z)) < 5e-13
+
+
+# --- the anchored integral: oracle property, handover, observability -------------
+
+
+def _on_closed_disk(w):
+    # the evaluator projects rounding overshoot onto the circle; so does the oracle point
+    return w / abs(w) if abs(w) > 1.0 else w
+
+
+circle_points = st.floats(min_value=-math.pi, max_value=math.pi).map(cmath.exp)
+cusp_points = st.tuples(
+    st.integers(min_value=0, max_value=10**6), st.floats(min_value=-1e-9, max_value=1e-9)
+)  # (j, delta): w = e^{2 i n t} at t = j pi/n + delta, drawn with n below
+near_one_points = st.tuples(
+    st.sampled_from([-1.0, 1.0]),
+    st.floats(min_value=0.0, max_value=16.0),  # |arg w| = 10^-x
+    st.one_of(st.just(math.inf), st.floats(min_value=3.0, max_value=16.0)),  # 1 - |w| = 10^-y
+).map(lambda p: (1.0 - 10.0 ** -p[2]) * cmath.exp(1j * p[0] * 10.0 ** -p[1]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([A, C]),
+    st.integers(min_value=3, max_value=1000),
+    st.one_of(circle_points, near_one_points, cusp_points),
+)
+def test_matches_oracle_on_and_just_inside_the_circle(kind, n, point):
+    if isinstance(point, tuple):
+        j, delta = point
+        point = cmath.exp(2j * n * ((j % (2 * n)) * math.pi / n + delta))
+    w = _on_closed_disk(point)
+    got = eval_series(spec(kind, n), w)
+    assert abs(got - mp_reference(kind, n, w)) <= 1e-12, (kind, n, w)
+
+
+def test_points_within_underflow_of_one_take_the_endpoint_value():
+    # the nodes of the anchored integral would underflow to zeta = 1 here
+    ev = endpoint_values(6)
+    for z in (1 + 1e-320j, 1 - 1e-250j):
+        assert eval_series(spec(A, 6), z) == ev.analytic_at_one
+        assert eval_series(spec(C, 6), z) == ev.coanalytic_at_one
+
+
+def test_direct_sum_hands_over_to_the_anchored_integral_seamlessly():
+    # 1 - |w| from 5e-2 to 1e-3 crosses the direct-sum cap of max_terms=1500
+    # (near 2e-2) and of the default policy (near 1.7e-3)
+    gaps = np.array([5e-2, 3e-2, 2.2e-2, 2e-2, 1.5e-2, 1e-2, 2e-3, 1.8e-3, 1.6e-3, 1e-3])
+    w = ((1.0 - gaps)[:, None] * np.exp(1j * np.array([0.0, 0.4, 2.0, math.pi]))).ravel()
+    for kind in (A, C):
+        for n in (4, 9):
+            lo = eval_series_many(SeriesSpec(kind, n, TruncationPolicy(max_terms=1500)), w)
+            hi = eval_series_many(SeriesSpec(kind, n), w)
+            assert np.abs(lo - hi).max() <= 5e-13
+
+
+def test_each_evaluation_logs_its_regimes(caplog):
+    assert any(isinstance(h, logging.NullHandler) for h in logging.getLogger("rosette").handlers)
+    w = np.array([0.5, 0.99999, complex(np.exp(1j * 0.37)), 1.0])
+    with caplog.at_level(logging.DEBUG, logger="rosette"):
+        eval_series_many(spec(C, 5), w)
+    (record,) = [r for r in caplog.records if r.name == "rosette.series"]
+    msg = record.getMessage()
+    assert record.levelno == logging.DEBUG
+    assert "1 direct (<= 64 terms)" in msg and "2 anchored (31 nodes each)" in msg
+    assert "1 at w = 1" in msg
+    worst = float(re.search(r"max error estimate (\S+)", msg).group(1))
+    assert 0.0 < worst <= 1e-12
