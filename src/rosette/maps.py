@@ -81,12 +81,18 @@ class MapValue:
         return self.h + self.gbar
 
 
-def _clip_disk(z: np.ndarray) -> np.ndarray:
-    """Project points within EPS_DOMAIN outside the disk back onto the circle."""
+def _check_disk(z: np.ndarray) -> np.ndarray:
+    """|z|, after raising DomainError for points more than EPS_DOMAIN outside the disk."""
     az = np.abs(z)
     if (az > 1.0 + EPS_DOMAIN).any():
         worst = z.ravel()[int(np.argmax(az))]
         raise DomainError(f"point {worst} lies outside the closed unit disk")
+    return az
+
+
+def _clip_disk(z: np.ndarray) -> np.ndarray:
+    """Project points within EPS_DOMAIN outside the disk back onto the circle."""
+    az = _check_disk(z)
     over = az > 1.0
     if over.any():
         z = np.array(z, copy=True)
@@ -132,7 +138,12 @@ def f(params: RosetteParams, z: complex) -> MapValue:
 
 
 def _root_factor(params: RosetteParams, z: np.ndarray) -> np.ndarray:
-    """Principal-branch 1/sqrt(1 - z^{2n}) with a singularity guard."""
+    """Principal-branch 1/sqrt(1 - z^{2n}) with domain and singularity guards.
+
+    Points within EPS_DOMAIN outside the disk are accepted as they are, not
+    projected onto the circle.
+    """
+    _check_disk(z)
     rad = 1.0 - z ** (2 * params.n)
     if (np.abs(rad) < SINGULAR_TOL).any():
         raise SingularPoint(
@@ -167,6 +178,7 @@ def dilatation(params: RosetteParams, z: complex) -> complex:
 def jacobian(params: RosetteParams, z: complex) -> float:
     """|h'|^2 - |g'|^2 in the simplified form (1 - |z|^{2(n-2)})/|1 - z^{2n}|."""
     z = complex(z)
+    _check_disk(np.asarray(z))
     rad = 1.0 - z ** (2 * params.n)
     if abs(rad) < SINGULAR_TOL:
         raise SingularPoint(

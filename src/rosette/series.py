@@ -243,11 +243,19 @@ def tail_bound(spec: SeriesSpec, m: int, abs_z: float) -> float:
 
 
 def _partial_sums(cofs: np.ndarray, w: np.ndarray, m_last: int) -> np.ndarray:
-    """sum_{m=0}^{m_last} cofs[m] w^m for each w, blocked GEMM + Kahan recombination."""
+    """sum_{m=0}^{m_last} cofs[m] w^m for each w, blocked GEMM + Kahan recombination.
+
+    The terms go in blocks of min(512, m_last + 1), so the (points, block)
+    table of w^0 .. w^{block-1} is only as wide as the terms the bucket sums.
+    One cumulative product builds it; times the coefficient matrix it gives
+    the block subtotals, which are scaled by the powers of w^block and added
+    with Kahan summation across blocks.  Points go in chunks that keep the
+    table modest.
+    """
     nterms = m_last + 1
-    nblocks = -(-nterms // _BLOCK)
-    # chunk the points so the (Q, nblocks) intermediate stays modest
-    max_q = max(1, int(4_000_000 // max(nblocks, _BLOCK)))
+    block = min(_BLOCK, nterms)
+    nblocks = -(-nterms // block)
+    max_q = max(1, int(4_000_000 // max(nblocks, block)))
     if w.size > max_q:
         out = np.empty(w.size, dtype=complex)
         for i in range(0, w.size, max_q):
@@ -255,20 +263,18 @@ def _partial_sums(cofs: np.ndarray, w: np.ndarray, m_last: int) -> np.ndarray:
         return out
 
     q = w.size
-    powers = np.empty((q, _BLOCK), dtype=complex)
+    powers = np.empty((q, block), dtype=complex)
     powers[:, 0] = 1.0
-    if _BLOCK > 1:
-        np.cumprod(np.repeat(w[:, None], _BLOCK - 1, axis=1), axis=1, out=powers[:, 1:])
-    padded = np.zeros(nblocks * _BLOCK)
+    np.cumprod(np.broadcast_to(w[:, None], (q, block - 1)), axis=1, out=powers[:, 1:])
+    padded = np.zeros(nblocks * block)
     padded[:nterms] = cofs[:nterms]
-    cmat = padded.reshape(nblocks, _BLOCK).T
+    cmat = padded.reshape(nblocks, block).T
     block_sums = powers.real @ cmat + 1j * (powers.imag @ cmat)  # (q, nblocks)
 
-    w_block = powers[:, -1] * w  # w^_BLOCK
+    w_block = powers[:, -1] * w  # w^block
     factors = np.empty((q, nblocks), dtype=complex)
     factors[:, 0] = 1.0
-    if nblocks > 1:
-        np.cumprod(np.repeat(w_block[:, None], nblocks - 1, axis=1), axis=1, out=factors[:, 1:])
+    np.cumprod(np.broadcast_to(w_block[:, None], (q, nblocks - 1)), axis=1, out=factors[:, 1:])
     terms = block_sums * factors
 
     acc = np.zeros(q, dtype=complex)

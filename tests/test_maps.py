@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rosette import (
+    DomainError,
     MapValue,
     RosetteParams,
     SingularPoint,
@@ -25,6 +26,7 @@ from rosette import (
     reduce_beta,
     scale_constant,
 )
+from rosette.maps import EPS_DOMAIN, dg_many, dh_many
 
 PI = math.pi
 
@@ -129,6 +131,27 @@ def test_jacobian_vanishes_toward_circle():
     vals = [jacobian(p, r * ray) for r in (0.9, 0.99, 0.999, 0.9999)]
     assert all(a > b for a, b in zip(vals, vals[1:]))
     assert vals[-1] < 1e-3
+
+
+def test_derivatives_refuse_points_outside_the_disk():
+    p = RosetteParams(5, 0.3)
+    for z in (2.0, 1.0 + 2 * EPS_DOMAIN, 1j * (1.0 + 2 * EPS_DOMAIN)):
+        for batch in (dh_many, dg_many):
+            with pytest.raises(DomainError):
+                batch(p, [0.5, z])
+        for scalar in (dh, dg, jacobian):
+            with pytest.raises(DomainError):
+                scalar(p, z)
+
+
+def test_derivatives_take_points_within_the_slack_as_they_are():
+    # no projection onto the circle: the closed forms at the given point
+    p = RosetteParams(5, 0.3)
+    z = (1.0 + 0.5 * EPS_DOMAIN) * cmath.exp(0.4j)
+    root = 1.0 / np.sqrt(1.0 - np.array([z]) ** 10)
+    assert dh_many(p, [z])[0] == root[0]
+    assert dg(p, z) == (z**3 * root)[0]
+    assert jacobian(p, z) == (1.0 - abs(z) ** 6) / abs(1.0 - z**10)
 
 
 def test_singular_point_guard():
@@ -278,3 +301,35 @@ def test_full_map_against_arbitrary_precision_twin():
         for z in pts:
             got = f(p, complex(z)).f
             assert abs(got - reference(n, beta, complex(z))) < 5e-12
+
+
+def test_batched_map_and_derivatives_against_arbitrary_precision_twin():
+    # 2048-point batches through the direct sum, checked at the largest |z|
+    # (most terms) and at random indices; dh and dg through the contiguous
+    # relation F'(w) = (ab/c) 2F1(a+1, b+1; c+1; w), independent of the closed forms
+    import mpmath as mp
+
+    def factor_and_slope(a, b, c, w):
+        return mp.hyp2f1(a, b, c, w), a * b / c * mp.hyp2f1(a + 1, b + 1, c + 1, w)
+
+    def reference(n, beta, z):
+        with mp.workdps(30):
+            z = mp.mpmathify(z)
+            w = z ** (2 * n)
+            fa, dfa = factor_and_slope(0.5, 1 / (2 * n), 1 + 1 / (2 * n), w)
+            fc, dfc = factor_and_slope(0.5, 0.5 - 1 / (2 * n), 1.5 - 1 / (2 * n), w)
+            hv, gv = z * fa, z ** (n - 1) / (n - 1) * fc
+            val = mp.exp(0.5j * beta) * hv + mp.exp(-0.5j * beta) * mp.conj(gv)
+            dhv = fa + 2 * n * w * dfa
+            dgv = z ** (n - 2) * (fc + 2 * n * w / (n - 1) * dfc)
+            return complex(val), complex(dhv), complex(dgv)
+
+    rng = np.random.default_rng(23)
+    for n in (3, 6, 24, 96, 500):
+        p = RosetteParams(n, 0.7)
+        z = 0.99 * np.sqrt(rng.uniform(0, 1, 2048)) * np.exp(1j * rng.uniform(0, 2 * PI, 2048))
+        got = f_many(p, z), dh_many(p, z), dg_many(p, z)
+        picks = np.concatenate([np.argsort(np.abs(z))[-4:], rng.choice(2048, 6, replace=False)])
+        for i in picks:
+            for value, ref in zip((part[i] for part in got), reference(n, 0.7, complex(z[i]))):
+                assert abs(value - ref) < 5e-12, (n, z[i])

@@ -2,6 +2,7 @@ import cmath
 import logging
 import math
 import re
+import tracemalloc
 from math import comb
 
 import mpmath as mp
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import rosette.series as series
 from rosette import (
     DomainError,
     NoConvergence,
@@ -278,6 +280,58 @@ def test_tail_telescoping_consistency():
         s_hi = SeriesSpec(kind, 4, TruncationPolicy(max_terms=2_000_000))
         for z in (1.0, -1.0, complex(np.exp(1j * 0.37))):
             assert abs(eval_series(s_lo, z) - eval_series(s_hi, z)) < 5e-13
+
+
+# --- the direct sum: block widths, point chunks, memory --------------------------
+
+
+def test_capped_direct_sums_match_the_oracle():
+    # caps that are not powers of two give blocks of 101 and 301 terms, and
+    # buckets of 513 and 701 terms leave a partial second block of 512; 1 - |w|
+    # spreads geometrically down to 0.03, so evenly spaced picks need from 0 to
+    # about 1000 terms and hit every bucket
+    rng = np.random.default_rng(7)
+    w = (1.0 - np.geomspace(1.0, 0.03, 2048)) * np.exp(1j * rng.uniform(0, 2 * math.pi, 2048))
+    picks = np.linspace(0, w.size - 1, 16).astype(int)
+    for kind in (A, C):
+        uncapped = eval_series_many(spec(kind, 5), w)
+        for k in (100, 300, 700):
+            got = eval_series_many(spec(kind, 5, max_terms=k), w)
+            assert np.abs(got - uncapped).max() <= 5e-13, (kind, k)
+            for i in picks:
+                assert abs(got[i] - mp_reference(kind, 5, w[i])) < 1e-12, (kind, k, w[i])
+
+
+def test_batches_larger_than_a_point_chunk(monkeypatch):
+    # 8192 points needing the 513-term bucket exceed one chunk of its 512-wide table
+    calls = []
+    partial_sums = series._partial_sums
+
+    def counted(cofs, w, m_last):
+        calls.append(w.size)
+        return partial_sums(cofs, w, m_last)
+
+    monkeypatch.setattr(series, "_partial_sums", counted)
+    rng = np.random.default_rng(9)
+    w = 0.9 * np.exp(1j * rng.uniform(0, 2 * math.pi, 8192))
+    got = eval_series_many(spec(C, 6), w)
+    assert calls[0] == w.size and len(calls) > 2 and sum(calls[1:]) == w.size
+    for i in (0, 1, calls[1] - 1, calls[1], w.size - 1):
+        assert abs(got[i] - mp_reference(C, 6, w[i])) < 1e-12, w[i]
+
+
+def test_direct_sum_memory_follows_the_terms_it_sums():
+    # 2048 points at |w| = 0.5 need a 65-term table (2 MB); a fixed 512-wide one is 16 MB
+    w = 0.5 * np.exp(1j * np.linspace(0.0, 2 * math.pi, 2048, endpoint=False))
+    s = spec(A, 6)
+    eval_series_many(s, w)  # coefficient cache filled outside the measurement
+    tracemalloc.start()
+    try:
+        eval_series_many(s, w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
 
 
 # --- the anchored integral: oracle property, handover, observability -------------

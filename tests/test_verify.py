@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from rosette import (
     OpenCurve,
@@ -168,10 +168,15 @@ lattice_probes = st.lists(
 
 @st.composite
 def star_polygons(draw):
-    """Simple polygons: vertices at sorted angles around the origin."""
+    """Simple counter-clockwise polygons: vertices at sorted angles around the origin.
+
+    Every angular gap stays below pi, so the origin is inside and the polygon
+    is star-shaped about it (with a wider gap it would run clockwise).
+    """
     m = draw(st.integers(3, 40))
     angles = sorted(draw(st.lists(st.floats(0.0, 2 * PI, exclude_max=True), min_size=m,
                                   max_size=m, unique=True)))
+    assume(max(np.diff(angles, append=angles[0] + 2 * PI)) < PI)
     radii = draw(st.lists(st.floats(0.2, 3.0), min_size=m, max_size=m))
     poly = np.array([r * cmath.exp(1j * t) for r, t in zip(radii, angles)])
     return np.append(poly, poly[0])
