@@ -108,20 +108,11 @@ def _reduce_t(t: float) -> float:
     return t + TWO_PI if t < 0.0 else t
 
 
-def interval_index(n: int, t: float) -> int:
-    """Index j (1-based, 1..2n) with t in ((j-1)pi/n, jpi/n), after 2pi-reduction."""
-    t = _reduce_t(t)
-    j = int(math.floor(t * n / math.pi)) + 1
-    return min(j, 2 * n)
-
-
-def distance_to_singular(n: int, t: float) -> float:
-    """Distance from t to the nearest multiple of pi/n."""
+def distance_to_singular(n: int, t):
+    """Distance from t (a number or an array) to the nearest multiple of pi/n."""
     step = math.pi / n
-    r = math.fmod(t, step)
-    if r < 0.0:
-        r += step
-    return min(r, step - r)
+    r = np.mod(t, step)
+    return np.minimum(r, step - r)
 
 
 def boundary_points(params: RosetteParams, ts) -> np.ndarray:
@@ -160,6 +151,21 @@ def is_half_pi(beta: float) -> bool:
     return half_pi_shift(beta) == 0
 
 
+def _derivative_fields(params: RosetteParams, ts: np.ndarray):
+    """d_value, d_arg (NaN where undefined) and d_mag at parameters already 2pi-reduced."""
+    n, beta = params.n, params.beta
+    d_value = _derivative_values(params, ts)
+    x = 1.0 / np.abs(np.sqrt(1.0 - np.exp(1j * (2 * n * ts))))
+    first_half = np.minimum(np.floor(ts * n / math.pi) + 1, 2 * n) % 2 == 1
+    sin_term = np.where(first_half, math.sin(beta), -math.sin(beta))
+    d_mag = math.sqrt(2.0) * np.sqrt(np.maximum(1.0 + sin_term, 0.0)) * x
+    d_arg = np.ceil(ts * n / TWO_PI) * math.pi - (n / 2.0 - 1.0) * ts
+    if is_half_pi(beta):
+        d_arg[~first_half] = np.nan
+        d_mag[~first_half] = 0.0
+    return d_value, d_arg, d_mag
+
+
 def boundary_derivative(params: RosetteParams, t: float) -> BoundaryDerivative:
     """Derivative of the boundary curve at t, with closed-form magnitude and argument.
 
@@ -169,35 +175,31 @@ def boundary_derivative(params: RosetteParams, t: float) -> BoundaryDerivative:
     test-suite.  Raises SingularParameter within T_SINGULAR_TOL of a
     multiple of pi/n.
     """
-    n, beta = params.n, params.beta
     t = _reduce_t(float(t))
-    if distance_to_singular(n, t) < T_SINGULAR_TOL:
-        raise SingularParameter(f"t={t} is within tolerance of a multiple of pi/{n}")
-    j = interval_index(n, t)
-    first_half = j % 2 == 1
-    d_value = complex(_derivative_values(params, np.array([t]))[0])
-    x = 1.0 / abs(cmath.sqrt(1.0 - cmath.exp(2j * n * t)))
-    sin_term = math.sin(beta) if first_half else -math.sin(beta)
-    d_mag = math.sqrt(2.0) * math.sqrt(max(1.0 + sin_term, 0.0)) * x
-    if is_half_pi(beta) and not first_half:
-        return BoundaryDerivative(d_value, None, 0.0)
-    k = int(math.ceil(t * n / TWO_PI))
-    d_arg = k * math.pi - (n / 2.0 - 1.0) * t
-    return BoundaryDerivative(d_value, d_arg, d_mag)
+    if distance_to_singular(params.n, t) < T_SINGULAR_TOL:
+        raise SingularParameter(f"t={t} is within tolerance of a multiple of pi/{params.n}")
+    d_value, d_arg, d_mag = (a[0] for a in _derivative_fields(params, np.array([t])))
+    d_arg = None if math.isnan(d_arg) else float(d_arg)
+    return BoundaryDerivative(complex(d_value), d_arg, float(d_mag))
 
 
 def curve_samples(params: RosetteParams, ts: Sequence[float]) -> list[CurveSample]:
     """Boundary samples for dumping; derivative fields are None at singular t."""
     ts = np.asarray(ts, dtype=float)
-    values = boundary_points(params, ts)
-    out = []
-    for t, v in zip(ts, values):
-        if distance_to_singular(params.n, _reduce_t(float(t))) < T_SINGULAR_TOL:
-            out.append(CurveSample(float(t), complex(v), None, None, 0.0))
-        else:
-            d = boundary_derivative(params, float(t))
-            out.append(CurveSample(float(t), complex(v), d.d_value, d.d_arg, d.d_mag))
-    return out
+    values = boundary_points(params, ts).tolist()
+    red = np.mod(ts, TWO_PI)
+    ok = distance_to_singular(params.n, red) >= T_SINGULAR_TOL
+    d_value = np.full(ts.shape, np.nan, dtype=complex)
+    d_arg = np.full(ts.shape, np.nan)
+    d_mag = np.zeros(ts.shape)
+    d_value[ok], d_arg[ok], d_mag[ok] = _derivative_fields(params, red[ok])
+    return [
+        CurveSample(t, v, None, None, 0.0) if not good
+        else CurveSample(t, v, dv, None if math.isnan(da) else da, dm)
+        for t, v, good, dv, da, dm in zip(
+            ts.tolist(), values, ok.tolist(), d_value.tolist(), d_arg.tolist(), d_mag.tolist()
+        )
+    ]
 
 
 # --- features ----------------------------------------------------------------
@@ -387,8 +389,7 @@ def total_curvature_numeric(
     a = t0 + eps if distance_to_singular(params.n, t0) < eps else t0
     b = t1 - eps if distance_to_singular(params.n, t1) < eps else t1
     ts = np.linspace(a, b, samples)
-    keep = np.array([distance_to_singular(params.n, t) > T_SINGULAR_TOL for t in ts])
-    ts = ts[keep]
+    ts = ts[distance_to_singular(params.n, ts) > T_SINGULAR_TOL]
     d = _derivative_values(params, ts)
     args = np.angle(d)
     diffs = np.diff(args)
@@ -417,9 +418,8 @@ def halfspeed_points(params: RosetteParams, ts) -> np.ndarray:
     j_near = np.rint(mapped / step).astype(int)
     snap = np.abs(mapped - j_near * step) < 1e-9
     if snap.any():
-        exact = feature_values(params)
-        for i in np.flatnonzero(snap):
-            out[i] = exact[int(j_near[i]) % (2 * n)]
+        exact = np.array(list(feature_values(params).values()))
+        out[snap] = exact[j_near[snap] % (2 * n)]
     return out
 
 

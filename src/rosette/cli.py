@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -402,6 +403,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser main() uses: built once per process, since parse_args keeps no state in it."""
+    return build_parser()
+
+
 def _merge_negative_angles(argv: list[str]) -> list[str]:
     """Join ``--beta -pi/3`` into ``--beta=-pi/3`` so argparse accepts it."""
     out = []
@@ -420,7 +427,7 @@ def _merge_negative_angles(argv: list[str]) -> list[str]:
 def main(argv: Optional[list[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser().parse_args(_merge_negative_angles(list(argv)))
+    args = _parser().parse_args(_merge_negative_angles(list(argv)))
     return args.func(args)
 
 

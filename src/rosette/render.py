@@ -16,7 +16,7 @@ import numpy as np
 
 from .boundary import boundary_points, bounding_radius, extract_features, feature_vertices
 from .maps import RosetteParams, f_many, half_turn_rotation, hypocycloid
-from .svgout import SvgCanvas, axis_segment, flatten_curve
+from .svgout import SvgCanvas, axis_segment, flatten_curve, flatten_curves
 from .verify import curve_distances, rotated_copies
 
 TWO_PI = 2.0 * math.pi
@@ -77,18 +77,25 @@ def _boundary_vertices(spec: RenderSpec) -> np.ndarray:
     return np.append(out, out[0])
 
 
-def _radial_curve(spec: RenderSpec, theta: float, tol_world: float) -> np.ndarray:
-    params = spec.params
-    ray = cmath.exp(1j * theta)
-    inner = flatten_curve(
-        lambda rs: f_many(params, rs * ray),
-        0.0,
-        1.0 - 1e-4,
-        max(spec.samples_per_curve // 4, 16),
-        tol_world,
-    )
-    endpoint = boundary_points(params, np.array([theta]))  # exact boundary value
-    return np.append(inner, endpoint)
+def _grid_paths(spec: RenderSpec) -> list:
+    """flatten_curves paths of the polar grid: circles |z| = rho, then rays arg z = theta.
+
+    Rays stop at |z| = 1 - 1e-4; render_svg appends their exact boundary values.
+    """
+    circles = [
+        (lambda ts, r=i / spec.circles: r * np.exp(1j * ts), 0.0, TWO_PI, spec.samples_per_curve)
+        for i in range(1, spec.circles)
+    ]
+    rays = [
+        (lambda rs, ray=cmath.exp(1j * theta): rs * ray, 0.0, 1.0 - 1e-4,
+         max(spec.samples_per_curve // 4, 16))
+        for theta in _ray_angles(spec)
+    ]
+    return circles + rays
+
+
+def _ray_angles(spec: RenderSpec) -> list[float]:
+    return [TWO_PI * j / spec.radial_lines for j in range(spec.radial_lines)]
 
 
 def render_svg(spec: RenderSpec) -> str:
@@ -99,22 +106,12 @@ def render_svg(spec: RenderSpec) -> str:
     canvas = SvgCanvas(width_px=spec.width_px, world_half=half)
     tol_world = 0.1 * (2.0 * half / spec.width_px)
 
-    # images of the interior circles of the polar grid
-    for i in range(1, spec.circles):
-        rho = i / spec.circles
-        curve = flatten_curve(
-            lambda ts, r=rho: f_many(params, r * np.exp(1j * ts)),
-            0.0,
-            TWO_PI,
-            spec.samples_per_curve,
-            tol_world,
-        )
+    # images of the polar grid: circles, then radial lines ending on the exact boundary
+    curves = flatten_curves(lambda z: f_many(params, z), _grid_paths(spec), tol_world)
+    ends = boundary_points(params, np.array(_ray_angles(spec)))
+    rays = [np.append(c, e) for c, e in zip(curves[spec.circles - 1 :], ends)]
+    for curve in curves[: spec.circles - 1] + rays:
         canvas.polyline(curve, stroke="#9db7d2", width=0.8)
-
-    # images of the radial lines
-    for j in range(spec.radial_lines):
-        theta = TWO_PI * j / spec.radial_lines
-        canvas.polyline(_radial_curve(spec, theta, tol_world), stroke="#9db7d2", width=0.8)
 
     if Overlay.HYPOCYCLOID in spec.overlay:
         curve = flatten_curve(

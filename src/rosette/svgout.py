@@ -34,8 +34,11 @@ class SvgCanvas:
         pts = np.asarray(points, dtype=complex)
         if pts.size < 2:
             return
-        coords = [self.to_px(complex(p)) for p in pts]
-        d = "M" + "L".join(f"{self._fmt(x)} {self._fmt(y)}" for x, y in coords)
+        # the expressions of to_px, on arrays
+        s = self.width_px / (2.0 * self.world_half)
+        xs = ((pts.real + self.world_half) * s).tolist()
+        ys = ((self.world_half - pts.imag) * s).tolist()
+        d = "M" + "L".join(f"{x:.3f} {y:.3f}" for x, y in zip(xs, ys))
         self.elements.append(
             f'<path d="{d}" fill="none" stroke="{stroke}" '
             f'stroke-width="{self._fmt(width)}"/>'
@@ -70,28 +73,56 @@ class SvgCanvas:
         return head + "\n".join(self.elements) + "\n</svg>\n"
 
 
-def flatten_curve(
-    curve_fn, t0: float, t1: float, initial: int, tol_world: float, max_rounds: int = 12
-) -> np.ndarray:
-    """Adaptively sample curve_fn on [t0, t1] until chords deviate < tol_world.
+def flatten_curves(value_fn, paths, tol_world: float, max_rounds: int = 12) -> list[np.ndarray]:
+    """Adaptively sample several curves until their chords deviate < tol_world.
 
-    curve_fn must accept an ndarray of parameters and return complex values.
-    Subdivision inserts parameter midpoints wherever the curve midpoint is
-    farther than tol_world from the chord midpoint.
+    Each path is ``(point_fn, t0, t1, initial)``: the curve is
+    ``value_fn(point_fn(t))`` for t in [t0, t1], started on ``initial``
+    equally spaced parameters.  A chord is split at its parameter midpoint
+    when the curve midpoint is farther than tol_world from the chord
+    midpoint; only the two halves of a split chord are tested again, for at
+    most ``max_rounds`` rounds.  ``point_fn`` maps a parameter array to
+    value_fn's input elementwise, and each round makes one ``value_fn`` call
+    for the midpoints of every path.  Returns the values of each path, in
+    parameter order.
     """
-    ts = np.linspace(t0, t1, max(int(initial), 2))
-    vals = curve_fn(ts)
-    for _ in range(max_rounds):
-        mid_ts = 0.5 * (ts[:-1] + ts[1:])
-        mid_vals = curve_fn(mid_ts)
-        chord_mid = 0.5 * (vals[:-1] + vals[1:])
+    point_fns = [path[0] for path in paths]
+    ts = [np.linspace(t0, t1, max(int(initial), 2)) for _, t0, t1, initial in paths]
+    owner = np.repeat(np.arange(len(paths)), [t.size for t in ts])
+    ts = np.concatenate(ts)
+
+    def points(params, who):  # who is non-decreasing: parameters come grouped by path
+        bounds = np.searchsorted(who, np.arange(1, len(paths)))
+        return np.concatenate(
+            [fn(part) for fn, part in zip(point_fns, np.split(params, bounds)) if part.size]
+        )
+
+    pending = np.flatnonzero(owner[:-1] == owner[1:])  # left ends of the chords to test
+    mid_ts = 0.5 * (ts[pending] + ts[pending + 1])
+    both = value_fn(np.concatenate([points(ts, owner), points(mid_ts, owner[pending])]))
+    vals, mid_vals = both[: ts.size], both[ts.size :]
+    for round_ in range(max_rounds):
+        if round_:
+            mid_ts = 0.5 * (ts[pending] + ts[pending + 1])
+            mid_vals = value_fn(points(mid_ts, owner[pending]))
+        chord_mid = 0.5 * (vals[pending] + vals[pending + 1])
         bad = np.abs(mid_vals - chord_mid) > tol_world
         if not bad.any():
             break
-        idx = np.flatnonzero(bad)
-        ts = np.insert(ts, idx + 1, mid_ts[idx])
-        vals = np.insert(vals, idx + 1, mid_vals[idx])
-    return vals
+        idx = pending[bad]
+        ts = np.insert(ts, idx + 1, mid_ts[bad])
+        vals = np.insert(vals, idx + 1, mid_vals[bad])
+        owner = np.insert(owner, idx + 1, owner[idx])
+        left = idx + np.arange(idx.size)  # where the split chords' left ends moved
+        pending = np.stack([left, left + 1], axis=1).ravel()
+    return np.split(vals, np.searchsorted(owner, np.arange(1, len(paths))))
+
+
+def flatten_curve(
+    curve_fn, t0: float, t1: float, initial: int, tol_world: float, max_rounds: int = 12
+) -> np.ndarray:
+    """flatten_curves for one curve given directly as ``curve_fn(t)``."""
+    return flatten_curves(curve_fn, [(lambda t: t, t0, t1, initial)], tol_world, max_rounds)[0]
 
 
 def axis_segment(center: complex, direction_arg: float, half_length: float) -> tuple[complex, complex]:

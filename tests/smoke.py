@@ -1,19 +1,24 @@
 """Smoke check that the library runs without mpmath installed or imported.
 
 Imports rosette, evaluates the boundary on the cusp and node directions
-(series arguments that round to w = 1), extracts the features and evaluates
-f, h' and g' on a 2048-point interior batch at n = 96 (the direct sum);
-exits non-zero if a value is not finite or mpmath ended up in sys.modules.
+(series arguments that round to w = 1), extracts the features, evaluates
+f, h' and g' on a 2048-point interior batch at n = 96 (the direct sum), and
+runs a small `render` and a 64-row boundary `dump` through the command line;
+exits non-zero if a value is not finite, a command fails or mpmath ended up
+in sys.modules.
 Needs only the runtime dependencies:
 
     python tests/smoke.py
 """
 
+import os
 import sys
+import tempfile
 
 import numpy as np
 
 import rosette
+from rosette.cli import main
 from rosette.maps import dg_many, dh_many
 
 params = rosette.RosetteParams(5, 0.3)
@@ -25,6 +30,19 @@ z = 0.99 * np.sqrt(rng.uniform(0, 1, 2048)) * np.exp(2j * np.pi * rng.uniform(0,
 for values in (rosette.f_many(inner, z), dh_many(inner, z), dg_many(inner, z)):
     if not np.isfinite(values).all():
         sys.exit("an interior value is not finite")
+with tempfile.TemporaryDirectory() as tmp:
+    svg, csv = os.path.join(tmp, "r.svg"), os.path.join(tmp, "b.csv")
+    if main(["render", "--n", "6", "--beta", "pi/2", "--samples", "64", "--grid", "6x4",
+             "--out", svg]) != 0:
+        sys.exit("render failed")
+    if main(["dump", "--n", "5", "--beta", "0.3", "--count", "64", "--out", csv]) != 0:
+        sys.exit("dump failed")
+    with open(svg, encoding="utf-8") as fh:
+        if fh.read().count("<path") != 6 + 3 + 1:  # rays, inner circles, boundary
+            sys.exit("render drew the wrong number of curves")
+    with open(csv, encoding="utf-8") as fh:
+        if len(fh.read().splitlines()) != 65:
+            sys.exit("dump wrote the wrong number of rows")
 if "mpmath" in sys.modules:
     sys.exit("mpmath was imported")
 print("ok")

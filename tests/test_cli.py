@@ -350,3 +350,54 @@ def test_decompose_out_stays_optional():
 
     args = build_parser().parse_args(["decompose", "--n", "5", "--beta", "0"])
     assert args.out is None
+
+
+SUCCESSIVE_CALLS = [
+    ["features", "--n", "5", "--beta", "pi/4"],
+    ["dump", "--n", "6", "--beta", "-pi/3", "--what", "boundary", "--count", "16"],
+    ["render", "--n", "5", "--beta", "pi/2", "--samples", "32", "--grid", "4x3",
+     "--overlay", "features"],
+    ["features", "--n", "7", "--beta", "-0.7", "--format", "csv"],
+    ["dump", "--n", "5", "--beta", "0", "--what", "radial", "--count", "8"],
+    ["decompose", "--n", "4", "--beta", "2.5", "--samples", "32", "--grid", "4x3",
+     "--probe-grid", "12"],
+]
+
+
+def test_successive_main_calls_give_the_outputs_of_fresh_parsers(tmp_path):
+    from rosette.cli import _merge_negative_angles, build_parser
+
+    for i, argv in enumerate(SUCCESSIVE_CALLS):
+        outs = []
+        for how in ("main", "fresh"):
+            out = tmp_path / f"{i}-{how}.out"
+            full = argv + ["--out", str(out)]
+            if argv[0] == "decompose":
+                full += ["--report", str(tmp_path / f"{i}-{how}.json")]
+            if how == "main":
+                assert main(full) == 0
+            else:
+                args = build_parser().parse_args(_merge_negative_angles(full))
+                assert args.func(args) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1], argv
+        if argv[0] == "decompose":
+            assert (tmp_path / f"{i}-main.json").read_bytes() == (
+                tmp_path / f"{i}-fresh.json"
+            ).read_bytes()
+
+
+def test_bad_input_after_a_good_call_is_still_a_one_line_usage_error(tmp_path, capsys):
+    good = ["features", "--n", "5", "--beta", "0", "--out", str(tmp_path / "good.json")]
+    assert main(good) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["dump", "--n", "5", "--beta", "0", "--count", "0"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert err[-1].startswith("rosette dump: error: argument --count:")
+    assert not any("Traceback" in line for line in err)
+    # the failed parse left nothing behind for the next call
+    assert main(good) == 0
+    assert json.loads((tmp_path / "good.json").read_text())["n"] == 5
