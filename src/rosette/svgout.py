@@ -82,9 +82,9 @@ def flatten_curves(value_fn, paths, tol_world: float, max_rounds: int = 12) -> l
     when the curve midpoint is farther than tol_world from the chord
     midpoint; only the two halves of a split chord are tested again, for at
     most ``max_rounds`` rounds.  ``point_fn`` maps a parameter array to
-    value_fn's input elementwise, and each round makes one ``value_fn`` call
-    for the midpoints of every path.  Returns the values of each path, in
-    parameter order.
+    value_fn's input elementwise.  One ``value_fn`` call covers the initial
+    parameters of every path, and one per round the midpoints of every
+    path.  Returns the values of each path, in parameter order.
     """
     point_fns = [path[0] for path in paths]
     ts = [np.linspace(t0, t1, max(int(initial), 2)) for _, t0, t1, initial in paths]
@@ -97,14 +97,11 @@ def flatten_curves(value_fn, paths, tol_world: float, max_rounds: int = 12) -> l
             [fn(part) for fn, part in zip(point_fns, np.split(params, bounds)) if part.size]
         )
 
+    vals = value_fn(points(ts, owner))
     pending = np.flatnonzero(owner[:-1] == owner[1:])  # left ends of the chords to test
-    mid_ts = 0.5 * (ts[pending] + ts[pending + 1])
-    both = value_fn(np.concatenate([points(ts, owner), points(mid_ts, owner[pending])]))
-    vals, mid_vals = both[: ts.size], both[ts.size :]
-    for round_ in range(max_rounds):
-        if round_:
-            mid_ts = 0.5 * (ts[pending] + ts[pending + 1])
-            mid_vals = value_fn(points(mid_ts, owner[pending]))
+    for _ in range(max_rounds):
+        mid_ts = 0.5 * (ts[pending] + ts[pending + 1])
+        mid_vals = value_fn(points(mid_ts, owner[pending]))
         chord_mid = 0.5 * (vals[pending] + vals[pending + 1])
         bad = np.abs(mid_vals - chord_mid) > tol_world
         if not bad.any():

@@ -55,7 +55,7 @@ def test_grid_curves_match_the_per_curve_loop(n, beta):
     value_fn = Counting(lambda z: f_many(params, z))
     got = flatten_curves(value_fn, paths, tol)
     assert len(got) == len(paths) == spec.circles - 1 + spec.radial_lines
-    assert value_fn.calls <= 12
+    assert value_fn.calls <= 1 + 12
     for (point_fn, t0, t1, initial), curve in zip(paths, got):
         want = flatten_one(lambda t: f_many(params, point_fn(t)), t0, t1, initial, tol)
         assert curve.size == want.size
@@ -84,7 +84,7 @@ def line(t):
 def test_straight_segment_needs_no_split():
     value_fn = Counting(lambda z: z)
     (got,) = flatten_curves(value_fn, [(line, 0.0, 1.0, 17)], 1e-9)
-    assert value_fn.calls == 1
+    assert value_fn.calls == 2  # the vertices, then the midpoints of one round
     assert np.array_equal(got, line(np.linspace(0.0, 1.0, 17)))
 
 
@@ -93,7 +93,7 @@ def test_curve_that_hits_max_rounds(max_rounds):
     value_fn = Counting(lambda z: z)
     (got,) = flatten_curves(value_fn, [(kink, -1.0, 1.0, 3)], 1e-6, max_rounds)
     want = flatten_one(kink, -1.0, 1.0, 3, 1e-6, max_rounds)
-    assert value_fn.calls == max_rounds
+    assert value_fn.calls == 1 + max_rounds
     assert got.size == want.size > 3
     assert np.array_equal(got, want)
 
@@ -102,7 +102,7 @@ def test_paths_that_stop_in_different_rounds_keep_their_own_vertices():
     paths = [(line, 0.0, 1.0, 5), (kink, -1.0, 1.0, 3), (line, -2.0, 3.0, 2), (kink, 0.0, 1.0, 8)]
     value_fn = Counting(lambda z: z)
     got = flatten_curves(value_fn, paths, 1e-4, 6)
-    assert value_fn.calls == 6
+    assert value_fn.calls == 1 + 6
     for (point_fn, t0, t1, initial), curve in zip(paths, got):
         assert np.array_equal(curve, flatten_one(point_fn, t0, t1, initial, 1e-4, 6))
 
