@@ -91,10 +91,12 @@ def flatten_curves(value_fn, paths, tol_world: float, max_rounds: int = 12) -> l
     owner = np.repeat(np.arange(len(paths)), [t.size for t in ts])
     ts = np.concatenate(ts)
 
-    def points(params, who):  # who is non-decreasing: parameters come grouped by path
-        bounds = np.searchsorted(who, np.arange(1, len(paths)))
+    def by_path(arr, who):  # who is non-decreasing: entries come grouped by path
+        return np.split(arr, np.searchsorted(who, np.arange(1, len(paths))))
+
+    def points(params, who):
         return np.concatenate(
-            [fn(part) for fn, part in zip(point_fns, np.split(params, bounds)) if part.size]
+            [fn(part) for fn, part in zip(point_fns, by_path(params, who)) if part.size]
         )
 
     vals = value_fn(points(ts, owner))
@@ -112,7 +114,7 @@ def flatten_curves(value_fn, paths, tol_world: float, max_rounds: int = 12) -> l
         owner = np.insert(owner, idx + 1, owner[idx])
         left = idx + np.arange(idx.size)  # where the split chords' left ends moved
         pending = np.stack([left, left + 1], axis=1).ravel()
-    return np.split(vals, np.searchsorted(owner, np.arange(1, len(paths))))
+    return by_path(vals, owner)
 
 
 def flatten_curve(

@@ -31,16 +31,16 @@ for values in (rosette.f_many(inner, z), dh_many(inner, z), dg_many(inner, z)):
     if not np.isfinite(values).all():
         sys.exit("an interior value is not finite")
 with tempfile.TemporaryDirectory() as tmp:
-    svg, csv = os.path.join(tmp, "r.svg"), os.path.join(tmp, "b.csv")
+    svg, table = os.path.join(tmp, "r.svg"), os.path.join(tmp, "b.csv")
     if main(["render", "--n", "6", "--beta", "pi/2", "--samples", "64", "--grid", "6x4",
              "--out", svg]) != 0:
         sys.exit("render failed")
-    if main(["dump", "--n", "5", "--beta", "0.3", "--count", "64", "--out", csv]) != 0:
+    if main(["dump", "--n", "5", "--beta", "0.3", "--count", "64", "--out", table]) != 0:
         sys.exit("dump failed")
     with open(svg, encoding="utf-8") as fh:
         if fh.read().count("<path") != 6 + 3 + 1:  # rays, inner circles, boundary
             sys.exit("render drew the wrong number of curves")
-    with open(csv, encoding="utf-8") as fh:
+    with open(table, encoding="utf-8") as fh:
         if len(fh.read().splitlines()) != 65:
             sys.exit("dump wrote the wrong number of rows")
 if "mpmath" in sys.modules:
