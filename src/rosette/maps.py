@@ -117,7 +117,9 @@ def g_many(params: RosetteParams, z) -> np.ndarray:
 def f_many(params: RosetteParams, z) -> np.ndarray:
     """Values f(z) of the rosette map, vectorized."""
     rot = cmath.exp(0.5j * params.beta)
-    return rot * h_many(params, z) + np.conj(g_many(params, z)) / rot
+    # np.multiply keeps the operand order that ``rot * temporary`` loses on large
+    # batches (see series._anchored), so a value does not depend on its batch
+    return np.multiply(rot, h_many(params, z)) + np.conj(g_many(params, z)) / rot
 
 
 def h(params: RosetteParams, z: complex) -> complex:

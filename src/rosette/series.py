@@ -16,10 +16,11 @@ decreasing coefficients of size O(m^{-3/2}), so they converge absolutely on
 |w| <= 1 but only at rate O(M^{-1/2}) on the circle itself.  The evaluator
 therefore works in two regimes:
 
-* a direct compensated sum with a rigorous geometric tail bound (the
-  coefficients decrease, so the tail after M terms is at most
-  coeff(M+1) |w|^{M+1} / (1 - |w|)) wherever that bound certifies the
-  tolerance within min(20000, max_terms) terms;
+* a direct sum of the first M = min(64, max_terms) terms by Horner's rule,
+  wherever the geometric tail bound certifies the tolerance: the coefficients
+  are at most 1 and decrease, so the tail after M terms is at most
+  coeff(M) |w|^M / (1 - |w|) <= |w|^M / (1 - |w|), and the latter is at most
+  abs_tol for |w| up to about 0.64 at M = 64 and the default tolerance;
 * everywhere else, the circle and w = 1 included, an integral anchored at
   w = 1.  With z = w^{1/(2n)} (principal root) the families are h(z)/z and
   (n-1) z^{1-n} g(z) for the incomplete-beta integrals (DLMF 8.17)
@@ -36,7 +37,8 @@ therefore works in two regimes:
 The achieved absolute accuracy is a few 1e-15 everywhere on the closed disk
 (against mpmath's hyp2f1 for n = 3..1000, down to |1 - w| = 1e-16); the
 evaluator raises ``NoConvergence`` whenever its own error estimate exceeds
-the policy tolerance instead of returning a silently degraded value.  Each
+the policy tolerance instead of returning a silently degraded value.  The
+value at a point is the same bit for bit whatever batch it is evaluated in.  Each
 call logs one DEBUG record on the package logger: the points in each regime,
 the direct-sum terms and quadrature nodes used, and the largest error
 estimate.
@@ -61,10 +63,10 @@ _log = logging.getLogger(__name__)
 # Slack on |w| <= 1 absorbing rounding of boundary points exp(i t).
 DOMAIN_SLACK = 1e-7
 
-# Most terms of the direct sum; points it cannot certify go to the anchored integral.
-_DIRECT_MAX_TERMS = 20_000
-
-_BLOCK = 512
+# Terms of the direct sum.  It takes the points with |w|^64 / (1 - |w|) <= abs_tol,
+# so the tail it drops, at most coeff(64) < 6e-4 times that, stays at the rounding
+# level of the anchored integral, which takes the other points.
+_DIRECT_TERMS = 64
 
 # Gauss-Kronrod pair on [-1, 1] (Kronrod 1965; the 31-point table of QUADPACK's
 # qk31): the 16 non-negative Kronrod abscissae, descending, with the 15-point
@@ -92,18 +94,18 @@ _WG = (
 )
 
 
-def _rule_on_unit_interval() -> tuple[np.ndarray, np.ndarray]:
-    """Nodes u in (0, 1) and a (31, 2) matrix of Kronrod and Gauss weights there."""
+def _rule_on_unit_interval() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes u in (0, 1) and the Kronrod and Gauss weights there."""
     x = np.array(_XGK)
     x = np.concatenate([-x, x[-2::-1]])
     wk = np.array(_WGK)
     wg = np.zeros(16)
     wg[1::2] = _WG
-    weights = np.stack([np.concatenate([wk, wk[-2::-1]]), np.concatenate([wg, wg[-2::-1]])])
-    return 0.5 * (1.0 + x), 0.5 * weights.T
+    kronrod, gauss = (0.5 * np.concatenate([v, v[-2::-1]]) for v in (wk, wg))
+    return 0.5 * (1.0 + x), kronrod, gauss
 
 
-_U, _RULES = _rule_on_unit_interval()
+_U, _KRONROD, _GAUSS = _rule_on_unit_interval()
 _NODES = _U.size
 _U2, _TWO_U = _U * _U, 2.0 * _U
 
@@ -132,10 +134,9 @@ class SeriesKind(Enum):
 class TruncationPolicy:
     """Absolute-tolerance truncation control for the series evaluator.
 
-    ``max_terms`` caps only the direct sum (which never takes more than
-    20000 terms, rounded up to a power of two); points it cannot certify
-    within the cap go to the anchored integral, which ``max_terms`` does not
-    limit.
+    ``max_terms`` caps only the direct sum (which never takes more than 64
+    terms); points it cannot certify within min(64, max_terms) terms go to
+    the anchored integral, which ``max_terms`` does not limit.
     """
 
     abs_tol: float = 1e-12
@@ -186,20 +187,20 @@ _A_CACHE = np.array([1.0])  # A_0 .. A_{len-1}; replaced wholesale on growth
 
 
 def central_binomials(count: int) -> np.ndarray:
-    """A_0 .. A_{count-1} by the stable multiplicative recurrence (read-only view)."""
+    """A_0 .. A_{count-1} by the stable multiplicative recurrence (read-only view).
+
+    The table is rebuilt from A_0 whenever it grows, so its values do not depend
+    on the counts asked for before.
+    """
     global _A_CACHE
     buf = _A_CACHE
     if buf.size < count:
         with _A_LOCK:
             buf = _A_CACHE
             if buf.size < count:
-                newsize = max(count, 2 * buf.size)
-                grown = np.empty(newsize)
-                grown[: buf.size] = buf
-                m = np.arange(buf.size, newsize, dtype=float)
-                grown[buf.size :] = buf[-1] * np.cumprod((2.0 * m - 1.0) / (2.0 * m))
-                _A_CACHE = grown
-                buf = grown
+                m = np.arange(1, max(count, 2 * buf.size), dtype=float)
+                buf = np.concatenate([[1.0], np.cumprod((2.0 * m - 1.0) / (2.0 * m))])
+                _A_CACHE = buf
     view = buf[:count]
     view.flags.writeable = False
     return view
@@ -218,10 +219,7 @@ def coeff(spec: SeriesSpec, m: int) -> float:
     """Taylor coefficient of index m (m >= 0)."""
     if m < 0:
         raise ValueError("coefficient index must be non-negative")
-    a = central_binomials(m + 1)[m]
-    if spec.kind is SeriesKind.ANALYTIC:
-        return a / (2.0 * m * spec.n + 1.0)
-    return a * (spec.n - 1.0) / (spec.n * (2.0 * m + 1.0) - 1.0)
+    return coeff_values(spec, m + 1)[m]
 
 
 def coeff_triple(spec: SeriesSpec, m: int) -> CoeffTriple:
@@ -240,51 +238,6 @@ def tail_bound(spec: SeriesSpec, m: int, abs_z: float) -> float:
 
 
 # --- evaluation --------------------------------------------------------------
-
-
-def _partial_sums(cofs: np.ndarray, w: np.ndarray, m_last: int) -> np.ndarray:
-    """sum_{m=0}^{m_last} cofs[m] w^m for each w, blocked GEMM + Kahan recombination.
-
-    The terms go in blocks of min(512, m_last + 1), so the (points, block)
-    table of w^0 .. w^{block-1} is only as wide as the terms the bucket sums.
-    One cumulative product builds it; times the coefficient matrix it gives
-    the block subtotals, which are scaled by the powers of w^block and added
-    with Kahan summation across blocks.  Points go in chunks that keep the
-    table modest.
-    """
-    nterms = m_last + 1
-    block = min(_BLOCK, nterms)
-    nblocks = -(-nterms // block)
-    max_q = max(1, int(4_000_000 // max(nblocks, block)))
-    if w.size > max_q:
-        out = np.empty(w.size, dtype=complex)
-        for i in range(0, w.size, max_q):
-            out[i : i + max_q] = _partial_sums(cofs, w[i : i + max_q], m_last)
-        return out
-
-    q = w.size
-    powers = np.empty((q, block), dtype=complex)
-    powers[:, 0] = 1.0
-    np.cumprod(np.broadcast_to(w[:, None], (q, block - 1)), axis=1, out=powers[:, 1:])
-    padded = np.zeros(nblocks * block)
-    padded[:nterms] = cofs[:nterms]
-    cmat = padded.reshape(nblocks, block).T
-    block_sums = powers.real @ cmat + 1j * (powers.imag @ cmat)  # (q, nblocks)
-
-    w_block = powers[:, -1] * w  # w^block
-    factors = np.empty((q, nblocks), dtype=complex)
-    factors[:, 0] = 1.0
-    np.cumprod(np.broadcast_to(w_block[:, None], (q, nblocks - 1)), axis=1, out=factors[:, 1:])
-    terms = block_sums * factors
-
-    acc = np.zeros(q, dtype=complex)
-    comp = np.zeros(q, dtype=complex)
-    for b in range(nblocks):  # Kahan over block subtotals
-        y = terms[:, b] - comp
-        t = acc + y
-        comp = (t - acc) - y
-        acc = t
-    return acc
 
 
 def _log1p(x: np.ndarray) -> np.ndarray:
@@ -321,14 +274,20 @@ def _anchored(spec: SeriesSpec, w: np.ndarray, anchor: float) -> tuple[np.ndarra
         z_minus_1 = _expm1(log_z)
         log_zeta = _log1p(z_minus_1[:, None] * _U2)  # zeta = 1 + u^2 (z - 1) at each node
         integrand = _TWO_U / np.sqrt(-_expm1(2 * n * log_zeta))
+        # No value may depend on the batch it sits in.  So np.multiply, not ``*``: numpy
+        # evaluates ``x * temporary`` as ``temporary * x`` in place once the temporary
+        # exceeds 256 KiB, and a complex product rounds differently with its operands
+        # swapped.  And row sums, not a BLAS product, whose order of addition depends
+        # on the batch shape.
         if analytic:
             pre, start = np.exp(-log_z), anchor
         else:
-            integrand *= np.exp((n - 2) * log_zeta)
+            integrand = np.multiply(integrand, np.exp((n - 2) * log_zeta))
             pre, start = (n - 1) * np.exp((1 - n) * log_z), anchor / (n - 1)
-        rules = (integrand @ _RULES) * z_minus_1[:, None]  # Kronrod and Gauss
-        out[part] = pre * (start + rules[:, 0])
-        err[part] = np.abs(pre) * (start * _ENDPOINT_REL_ERR + np.abs(rules[:, 0] - rules[:, 1]))
+        kronrod = (integrand * _KRONROD).sum(axis=1) * z_minus_1
+        gauss = (integrand * _GAUSS).sum(axis=1) * z_minus_1
+        out[part] = np.multiply(pre, start + kronrod)
+        err[part] = np.abs(pre) * (start * _ENDPOINT_REL_ERR + np.abs(kronrod - gauss))
     return out, err
 
 
@@ -352,30 +311,23 @@ def eval_series_many(spec: SeriesSpec, z) -> np.ndarray:
 
     pol = spec.policy
     tol = pol.abs_tol
-    direct_cap = min(_DIRECT_MAX_TERMS, pol.max_terms)
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        m_geo = np.ceil(np.log(tol * (1.0 - aw)) / np.log(aw))
-    m_geo = np.where(aw == 0.0, 1.0, m_geo)
-    m_geo = np.clip(m_geo, 1.0, np.inf)
-    direct = np.flatnonzero((aw < 1.0) & (m_geo <= direct_cap))
-
-    # bucket required term counts to powers of two to limit distinct sum lengths
-    m_req = m_geo[direct].astype(np.int64)
-    buckets = (2 ** np.ceil(np.log2(np.maximum(m_req, 64)))).astype(np.int64)
-    buckets = np.minimum(buckets, pol.max_terms)
+    terms = min(_DIRECT_TERMS, pol.max_terms)
+    certified = aw**terms <= tol * (1.0 - aw)
+    direct, rest = np.flatnonzero(certified), np.flatnonzero(~certified)
 
     out = np.empty(w.size, dtype=complex)
     err = np.empty(w.size)
-    for m_last in np.unique(buckets):
-        sel = direct[buckets == m_last]
-        cofs = coeff_values(spec, int(m_last) + 1)
-        out[sel] = _partial_sums(cofs, w[sel], int(m_last))
-        err[sel] = cofs[-1] * aw[sel] ** float(m_last) / (1.0 - aw[sel])
+    if direct.size:
+        cofs = coeff_values(spec, terms + 1)
+        wd, awd = w[direct], aw[direct]
+        acc = np.zeros(direct.size, dtype=complex)
+        for c in cofs[:terms][::-1].tolist():
+            # out of place: numpy's in-place complex product rounds a one-point array
+            # differently from a long one
+            acc = acc * wd + c
+        out[direct] = acc
+        err[direct] = cofs[terms] * awd**terms / (1.0 - awd)
 
-    rest = np.ones(w.size, dtype=bool)
-    rest[direct] = False
-    rest = np.flatnonzero(rest)
     dist_one = np.abs(w[rest] - 1.0)
     near = dist_one <= _AT_ONE_RADIUS
     at_one, anchored = rest[near], rest[~near]
@@ -391,7 +343,7 @@ def eval_series_many(spec: SeriesSpec, z) -> np.ndarray:
         _log.debug(
             "series %s n=%d: %d direct (<= %d terms), %d anchored (%d nodes each), "
             "%d at w = 1, max error estimate %.3e",
-            spec.kind.value, spec.n, direct.size, buckets.max(initial=0),
+            spec.kind.value, spec.n, direct.size, terms,
             anchored.size, _NODES, at_one.size, worst,
         )
     if worst > tol:

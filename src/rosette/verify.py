@@ -103,6 +103,13 @@ class IntegralCheck(NamedTuple):
 _ORIENT_ERR = (3.0 + 16.0 * 2.0**-53) * 2.0**-53
 _BLOCK = 1 << 18  # element budget of one vectorised block of pairs
 
+# Element budget of one block of curve_distances, whose complex temporaries then
+# take 1 MiB each.  glibc serves a block above its dynamic mmap threshold (the
+# largest mapped block freed so far, 2 MiB once series._anchored has run on 4096
+# points) with a fresh mmap that page-faults on every touch: with 4 MiB temporaries
+# a call at n = 12 (10777 vertices, 441 probes) took twice as long.
+_DISTANCE_BLOCK = 1 << 16
+
 
 def _orientation(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Exact sign of cross(a - p, b - p): +1 when p lies left of a -> b, 0 on the line."""
@@ -161,21 +168,21 @@ def _windings(pts: np.ndarray, probes: np.ndarray) -> np.ndarray:
 def curve_distances(curve, points, chunk: int = 64) -> np.ndarray:
     """Distance from each point to the nearest segment of the polyline ``curve``.
 
-    Blocks of ``chunk`` points hold at most chunk x segments values, and at most _BLOCK.
+    Blocks of ``chunk`` points hold at most chunk x segments values, and at most
+    _DISTANCE_BLOCK.
     """
     pts = np.asarray(curve, dtype=complex)
     probes = np.asarray(points, dtype=complex).ravel()
     a = pts[:-1]
     ab = pts[1:] - a
     denom = np.abs(ab) ** 2
+    denom[denom == 0.0] = np.inf  # a zero-length segment's nearest point is its start
     conj_ab = np.conj(ab)
-    rows = max(1, min(chunk, _BLOCK // max(a.size, 1)))
+    rows = max(1, min(chunk, _DISTANCE_BLOCK // max(a.size, 1)))
     out = np.empty(probes.size)
     for i0 in range(0, probes.size, rows):
         w0 = probes[i0 : i0 + rows, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = ((w0 - a) * conj_ab).real / denom
-        t = np.clip(np.nan_to_num(t, nan=0.0), 0.0, 1.0)
+        t = np.clip(((w0 - a) * conj_ab).real / denom, 0.0, 1.0)
         out[i0 : i0 + rows] = np.abs(w0 - (a + t * ab)).min(axis=1)
     return out
 

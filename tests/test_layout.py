@@ -25,6 +25,19 @@ def test_no_module_imports_another_modules_private_names():
     assert found == []
 
 
+def test_series_uses_no_matrix_product():
+    # a BLAS product adds in an order that depends on the batch shape, so the value
+    # at a point would depend on the batch it is evaluated in
+    tree = ast.parse((SOURCE / "series.py").read_text(encoding="utf-8"))
+    found = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+        or isinstance(node, ast.Attribute) and node.attr in {"dot", "matmul", "einsum", "inner"}
+    ]
+    assert found == []
+
+
 def test_import_leaves_scipy_unloaded():
     code = "import sys, rosette; print('scipy' in sys.modules)"
     out = subprocess.run(

@@ -262,6 +262,20 @@ def test_vectorized_parts_match_scalars():
         assert gs[i] == pytest.approx(g(p, complex(zi)), abs=1e-14)
 
 
+@pytest.mark.parametrize("n", [3, 6, 96, 500])
+def test_batched_map_equals_one_point_calls_bit_for_bit(n):
+    # 20000 points, interior (|z| < 1) and on the circle alternately: a batch this
+    # large makes numpy reuse its temporaries in place, which one-point calls never do
+    rng = np.random.default_rng(n)
+    r = np.where(np.arange(20000) % 2 == 0, 0.999 * np.sqrt(rng.uniform(0, 1, 20000)), 1.0)
+    z = r * np.exp(1j * rng.uniform(0, 2 * PI, 20000))
+    p = RosetteParams(n, 0.7)
+    batch = f_many(p, z)
+    picks = 2 * rng.choice(10000, 300, replace=False) + np.arange(300) % 2  # 150 of each
+    singles = np.array([f_many(p, z[i : i + 1])[0] for i in picks])
+    assert np.array_equal(batch[picks], singles)
+
+
 def test_endpoint_helper_matches_parts():
     ev = endpoint_values(9)
     p = RosetteParams(9, 0.0)

@@ -57,6 +57,16 @@ def test_binomial_factor_recurrence_matches_closed_form():
         assert a[m] == pytest.approx(comb(2 * m, m) / 4.0**m, rel=1e-15)
 
 
+def test_central_binomials_do_not_depend_on_earlier_calls(monkeypatch):
+    # a table grown in steps must hold the same values as one built at once
+    monkeypatch.setattr(series, "_A_CACHE", np.array([1.0]))
+    for count in (3, 7, 30, 100):
+        central_binomials(count)
+    m = np.arange(1, 200, dtype=float)
+    at_once = np.concatenate([[1.0], np.cumprod((2.0 * m - 1.0) / (2.0 * m))])
+    assert np.array_equal(central_binomials(200), at_once)
+
+
 def test_coefficient_examples():
     assert coeff(spec(A, 7), 0) == 1.0
     assert coeff(spec(A, 6), 1) == pytest.approx(1.0 / 26.0, rel=1e-15)
@@ -222,6 +232,7 @@ def test_matches_arbitrary_precision_oracle():
         complex(np.exp(1j * (math.pi - 0.01))),
     ]
     pts += list(0.99 * np.sqrt(rng.uniform(0, 1, 8)) * np.exp(1j * rng.uniform(0, 2 * math.pi, 8)))
+    pts += list(0.9 * np.exp(1j * np.random.default_rng(9).uniform(0, 2 * math.pi, 3)))
     for n in (3, 6, 12):
         for kind in (A, C):
             s = spec(kind, n)
@@ -282,42 +293,23 @@ def test_tail_telescoping_consistency():
             assert abs(eval_series(s_lo, z) - eval_series(s_hi, z)) < 5e-13
 
 
-# --- the direct sum: block widths, point chunks, memory --------------------------
+# --- the direct sum: term caps, memory, batch independence ----------------------
 
 
 def test_capped_direct_sums_match_the_oracle():
-    # caps that are not powers of two give blocks of 101 and 301 terms, and
-    # buckets of 513 and 701 terms leave a partial second block of 512; 1 - |w|
-    # spreads geometrically down to 0.03, so evenly spaced picks need from 0 to
-    # about 1000 terms and hit every bucket
+    # caps below the 64 direct terms move the direct/anchored seam from |w| ~ 0.64
+    # down to ~0.63 (63 terms), ~0.18 (16) and w = 0 (1 term); 1 - |w| spreads
+    # geometrically down to 0.03, so evenly spaced picks land on both sides of each
     rng = np.random.default_rng(7)
     w = (1.0 - np.geomspace(1.0, 0.03, 2048)) * np.exp(1j * rng.uniform(0, 2 * math.pi, 2048))
     picks = np.linspace(0, w.size - 1, 16).astype(int)
     for kind in (A, C):
         uncapped = eval_series_many(spec(kind, 5), w)
-        for k in (100, 300, 700):
+        for k in (1, 16, 63):
             got = eval_series_many(spec(kind, 5, max_terms=k), w)
             assert np.abs(got - uncapped).max() <= 5e-13, (kind, k)
             for i in picks:
                 assert abs(got[i] - mp_reference(kind, 5, w[i])) < 1e-12, (kind, k, w[i])
-
-
-def test_batches_larger_than_a_point_chunk(monkeypatch):
-    # 8192 points needing the 513-term bucket exceed one chunk of its 512-wide table
-    calls = []
-    partial_sums = series._partial_sums
-
-    def counted(cofs, w, m_last):
-        calls.append(w.size)
-        return partial_sums(cofs, w, m_last)
-
-    monkeypatch.setattr(series, "_partial_sums", counted)
-    rng = np.random.default_rng(9)
-    w = 0.9 * np.exp(1j * rng.uniform(0, 2 * math.pi, 8192))
-    got = eval_series_many(spec(C, 6), w)
-    assert calls[0] == w.size and len(calls) > 2 and sum(calls[1:]) == w.size
-    for i in (0, 1, calls[1] - 1, calls[1], w.size - 1):
-        assert abs(got[i] - mp_reference(C, 6, w[i])) < 1e-12, w[i]
 
 
 def test_direct_sum_memory_follows_the_terms_it_sums():
@@ -332,6 +324,22 @@ def test_direct_sum_memory_follows_the_terms_it_sums():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20, peak
+
+
+def test_values_do_not_depend_on_the_batch():
+    # 4096 points, half of them direct (|w| < 0.6) and half anchored (|w| >= 0.7):
+    # large enough that numpy reuses the (points, nodes) temporaries of the anchored
+    # integral in place, which one-point calls never do
+    rng = np.random.default_rng(13)
+    r = np.concatenate([rng.uniform(0.0, 0.6, 2048), rng.uniform(0.7, 1.0, 2048)])
+    w = r * np.exp(1j * rng.uniform(0, 2 * math.pi, r.size))
+    picks = np.concatenate([rng.choice(2048, 50, replace=False), 2048 + rng.choice(2048, 50, replace=False)])
+    for kind in (A, C):
+        for n in (3, 6, 96, 500):
+            s = spec(kind, n)
+            batch = eval_series_many(s, w)
+            singles = np.array([eval_series_many(s, w[i : i + 1])[0] for i in picks])
+            assert np.array_equal(batch[picks], singles), (kind, n)
 
 
 # --- the anchored integral: oracle property, handover, observability -------------
@@ -377,15 +385,17 @@ def test_points_within_underflow_of_one_take_the_endpoint_value():
 
 
 def test_direct_sum_hands_over_to_the_anchored_integral_seamlessly():
-    # 1 - |w| from 5e-2 to 1e-3 crosses the direct-sum cap of max_terms=1500
-    # (near 2e-2) and of the default policy (near 1.7e-3)
-    gaps = np.array([5e-2, 3e-2, 2.2e-2, 2e-2, 1.5e-2, 1e-2, 2e-3, 1.8e-3, 1.6e-3, 1e-3])
-    w = ((1.0 - gaps)[:, None] * np.exp(1j * np.array([0.0, 0.4, 2.0, math.pi]))).ravel()
+    # |w| straddles the direct-sum seam of max_terms=32 (near 0.415) and of the
+    # default policy's 64 terms (near 0.639); max_terms=1 sends every point here
+    # to the anchored integral
+    radii = np.array([0.40, 0.41, 0.415, 0.42, 0.43, 0.62, 0.635, 0.638, 0.64, 0.645, 0.66])
+    w = (radii[:, None] * np.exp(1j * np.array([0.0, 0.4, 2.0, math.pi]))).ravel()
     for kind in (A, C):
         for n in (4, 9):
-            lo = eval_series_many(SeriesSpec(kind, n, TruncationPolicy(max_terms=1500)), w)
             hi = eval_series_many(SeriesSpec(kind, n), w)
-            assert np.abs(lo - hi).max() <= 5e-13
+            for cap in (1, 32):
+                lo = eval_series_many(SeriesSpec(kind, n, TruncationPolicy(max_terms=cap)), w)
+                assert np.abs(lo - hi).max() <= 5e-13, (kind, n, cap)
 
 
 def test_each_evaluation_logs_its_regimes(caplog):
