@@ -36,7 +36,7 @@ from .errors import (
     SingularParameter,
     WrongBeta,
 )
-from .maps import RosetteParams, f_many, g, h, half_turn_rotation
+from .maps import RosetteParams, f_many, g, g_many, h, h_many, half_turn_rotation
 from .series import scale_constant
 
 TWO_PI = 2.0 * math.pi
@@ -427,21 +427,37 @@ def halfspeed_reparam(params: RosetteParams, t: float) -> complex:
     return complex(halfspeed_points(params, np.array([t]))[0])
 
 
-def boundary_parameter_grid(
-    n: int, per_interval: int = 512, refine: int = 4, band_frac: float = 0.1
-) -> np.ndarray:
-    """Sampling parameters on [0, 2pi): midpoint-uniform per basic interval,
-    with ``refine``-times denser coverage in a band near each feature parameter."""
-    step = math.pi / n
-    cells = []
+def interval_offsets(per_interval: int, refine: int = 4, band_frac: float = 0.1) -> np.ndarray:
+    """Sorted sampling offsets s in (0, 1) of one basic interval: midpoint-uniform,
+    with ``refine``-times denser coverage in a band at either end (the features)."""
     base = (np.arange(per_interval) + 0.5) / per_interval
     band_count = max(1, int(per_interval * band_frac * refine))
     extra_lo = band_frac * (np.arange(band_count) + 0.5) / band_count
     extra_hi = 1.0 - band_frac + extra_lo
-    local = np.unique(np.concatenate([base, extra_lo, extra_hi]))
-    for j in range(2 * n):
-        cells.append((j + local) * step)
-    return np.concatenate(cells)
+    return np.unique(np.concatenate([base, extra_lo, extra_hi]))
+
+
+def interval_points(params: RosetteParams, offsets) -> np.ndarray:
+    """a((j + s) pi/n) for every basic interval j = 0..2n-1 (rows) and offset s (columns).
+
+    h and g are evaluated once, at z = e^{i s pi/n}, and carried onto every
+    interval by the summand rotation laws h(w_j z) = w_j h(z) and
+    g(w_j z) = (-1)^j conj(w_j) g(z), w_j = e^{ij pi/n}:
+
+        a((j + s) pi/n) = w_j (e^{i beta/2} h(z) + (-1)^j e^{-i beta/2} conj(g(z))).
+
+    Column k equals the one-offset call at offsets[k] bit for bit.
+    """
+    n = params.n
+    z = np.exp(1j * (np.asarray(offsets, dtype=float) * (math.pi / n)))
+    rot = cmath.exp(0.5j * params.beta)
+    hz = np.multiply(rot, h_many(params, z))
+    gz = np.conj(g_many(params, z)) / rot
+    omega = np.exp(1j * (np.arange(2 * n) * math.pi / n))[:, None]
+    out = np.empty((2 * n, z.size), dtype=complex)
+    out[0::2] = np.multiply(omega[0::2], hz + gz)
+    out[1::2] = np.multiply(omega[1::2], hz - gz)
+    return out
 
 
 def detect_arg_nonmonotonicity(
@@ -454,8 +470,9 @@ def detect_arg_nonmonotonicity(
     """
     if not params.is_canonical():
         raise NonCanonicalBeta(f"beta={params.beta} outside (-pi/2, pi/2]; reduce it first")
-    ts = boundary_parameter_grid(params.n, per_interval, refine=2)
-    vals = boundary_points(params, ts)
+    offsets = interval_offsets(per_interval, refine=2)
+    ts = ((np.arange(2 * params.n)[:, None] + offsets) * (math.pi / params.n)).ravel()
+    vals = interval_points(params, offsets).ravel()
     args = np.unwrap(np.angle(vals))
     diffs = np.diff(args)
     dec = np.flatnonzero(diffs < -1e-6)

@@ -14,7 +14,13 @@ from enum import Enum
 
 import numpy as np
 
-from .boundary import boundary_points, bounding_radius, extract_features, feature_vertices
+from .boundary import (
+    boundary_points,
+    bounding_radius,
+    extract_features,
+    feature_vertices,
+    interval_points,
+)
 from .maps import RosetteParams, f_many, half_turn_rotation, hypocycloid
 from .svgout import SvgCanvas, axis_segment, flatten_curve, flatten_curves
 from .verify import curve_distances, rotated_copies
@@ -70,10 +76,10 @@ def _boundary_vertices(spec: RenderSpec) -> np.ndarray:
     params = spec.params
     n = params.n
     per = max(spec.samples_per_curve, 64)
-    ts = ((np.arange(2 * n)[:, None] + (np.arange(per) + 0.5) / per) * math.pi / n).ravel()
-    vals = boundary_points(params, ts)
+    vals = interval_points(params, (np.arange(per) + 0.5) / per)
     ft_ts, ft_vals = feature_vertices(params)
-    out = np.concatenate([vals, ft_vals])[np.argsort(np.concatenate([ts, ft_ts]))]
+    # the feature at j pi/n goes before the vertices of interval j
+    out = np.insert(vals.ravel(), np.rint(ft_ts * (n / math.pi)).astype(int) * per, ft_vals)
     return np.append(out, out[0])
 
 

@@ -134,13 +134,14 @@ class SeriesKind(Enum):
 class TruncationPolicy:
     """Absolute-tolerance truncation control for the series evaluator.
 
-    ``max_terms`` caps only the direct sum (which never takes more than 64
-    terms); points it cannot certify within min(64, max_terms) terms go to
-    the anchored integral, which ``max_terms`` does not limit.
+    ``max_terms`` caps only the direct sum, which takes min(64, max_terms)
+    terms, so the default of 64 and every larger value behave alike; points
+    it cannot certify within those terms go to the anchored integral, which
+    ``max_terms`` does not limit.
     """
 
     abs_tol: float = 1e-12
-    max_terms: int = 2_000_000
+    max_terms: int = _DIRECT_TERMS
 
     def __post_init__(self):
         if not self.abs_tol > 0.0:

@@ -22,16 +22,15 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .boundary import (
-    boundary_parameter_grid,
-    boundary_points,
     bounding_radius,
     feature_values,
     feature_vertices,
-    halfspeed_points,
+    interval_offsets,
+    interval_points,
     is_half_pi,
     wrap_angle,
 )
-from .errors import OpenCurve, QuadratureFailure, TooCloseToCurve
+from .errors import OpenCurve, QuadratureFailure, TooCloseToCurve, WrongBeta
 from .maps import (
     RosetteParams,
     dg_many,
@@ -299,20 +298,29 @@ def boundary_polyline(
 ) -> np.ndarray:
     """Closed polyline through the boundary curve (half-speed at beta = pi/2).
 
-    Samples every basic interval at offset grid points plus the exact
-    feature parameters of ``feature_vertices``, so cusps and nodes are
-    vertices of the polyline, their values taken from the rotation laws
+    Samples every basic interval at the offsets of ``interval_offsets`` plus
+    the exact feature parameters of ``feature_vertices``, so cusps and nodes
+    are vertices of the polyline, their values taken from the rotation laws
     (series evaluated at argument exactly 1), never from near-singular
-    parameters.
+    parameters.  The half-speed curve (beta = pi/2 only, else WrongBeta)
+    visits the grid parameters (j + s) pi/n at a((2k + s/2) pi/n) for j = 2k
+    and at a((2k + (1 + s)/2) pi/n) for j = 2k + 1, as ``halfspeed_points``
+    maps them: the even intervals at the offsets s/2 and (1 + s)/2.
     """
     n = params.n
     if halfspeed is None:
         halfspeed = is_half_pi(params.beta)
     ft_ts, ft_vals = feature_vertices(params)
-    grid = boundary_parameter_grid(n, per_interval, refine=2)
-    vals = halfspeed_points(params, grid) if halfspeed else boundary_points(params, grid)
-    order = np.argsort(np.concatenate([grid, ft_ts]))
-    out = _dedupe(np.concatenate([vals, ft_vals])[order], 1e-13 * scale_constant(n))
+    offsets = interval_offsets(per_interval, refine=2)
+    if not halfspeed:
+        vals = interval_points(params, offsets)
+    elif is_half_pi(params.beta):
+        vals = interval_points(params, np.concatenate([offsets / 2, (1 + offsets) / 2]))[0::2]
+    else:
+        raise WrongBeta("half-speed reparametrization requires beta = pi/2")
+    # the feature at j pi/n goes before the vertices of interval j
+    at = np.rint(ft_ts * (n / math.pi)).astype(int) * offsets.size
+    out = _dedupe(np.insert(vals.ravel(), at, ft_vals), 1e-13 * scale_constant(n))
     return np.append(out, out[0])
 
 
@@ -600,16 +608,8 @@ def fundamental_set(params: RosetteParams, per_interval: int = 768, radial: int 
     r = np.sin(0.5 * math.pi * u) ** 2  # clustered toward r = 1
     side1 = f_many(canonical, r[:-1])  # endpoint a(0) appended exactly below
     exact = feature_values(canonical)
-    mids = (np.arange(per_interval) + 0.5) / per_interval * math.pi / n
-    arc = np.concatenate(
-        [
-            [exact[0]],
-            boundary_points(canonical, mids),
-            [exact[1]],
-            boundary_points(canonical, mids + math.pi / n),
-            [exact[2 % (2 * n)]],
-        ]
-    )
+    rows = interval_points(canonical, (np.arange(per_interval) + 0.5) / per_interval)
+    arc = np.concatenate([[exact[0]], rows[0], [exact[1]], rows[1], [exact[2 % (2 * n)]]])
     side2 = (np.append(side1, exact[0]) * cmath.exp(2j * math.pi / n))[::-1]
     poly = np.concatenate([side1, arc, side2[1:]])
     poly = _dedupe(poly, 1e-13 * scale_constant(n))

@@ -35,6 +35,8 @@ from rosette.boundary import (
     _confirm_offsets,
     feature_values,
     feature_vertices,
+    interval_offsets,
+    interval_points,
     is_half_pi,
     one_sided_tangents,
     wrap_angle,
@@ -535,3 +537,74 @@ def test_features_just_above_minus_half_pi_are_the_carried_nodes(n):
     rot = half_turn_rotation(n, -1)
     for k, ft in enumerate(rep.features):
         assert abs(ft.location - rot * canon[(k + 1) % n].location) < 1e-8
+
+
+# --- one basic interval rotated onto all 2n ---------------------------------------------
+
+INTERVAL_ORDERS = (3, 5, 12, 96, 500)
+INTERVAL_PHASES = (0.0, 0.3, -1.2, PI / 2, 2.5)
+# Both ends of an interval (next to a cusp or node), its middle and the grid's band.
+# Within d of the far end the rounding of s pi/n alone, times |a'| ~ d^{-1/2}, moves
+# a value by ~1e-16 / sqrt(d): 1.4e-13 at d = 1e-6, so the offsets stop at 1 - 1e-4.
+INTERVAL_OFFSETS = np.array([1e-6, 1e-4, 1e-3, 0.04, 0.37, 0.5, 0.81, 0.999, 1 - 1e-4])
+
+
+def _oracle_rows(n):
+    """Rows j checked against the oracle: all of them up to n = 12, else the ends and the middle."""
+    if n <= 12:
+        return list(range(2 * n))
+    return [0, 1, 2, n - 1, n, n + 1, 2 * n - 2, 2 * n - 1]
+
+
+@pytest.mark.parametrize("n", INTERVAL_ORDERS)
+def test_interval_points_match_the_oracle_at_the_exact_parameter(n):
+    # a(t) at t = (j + s) pi/n exactly, from mpmath's general 2F1 with 30 digits;
+    # z^{2n} = e^{2 i s pi} for every j, so each offset needs one pair of 2F1 values
+    import mpmath as mp
+
+    rows = _oracle_rows(n)
+    with mp.workdps(30):
+        x = mp.mpf(1) / (2 * n)
+        parts = {}
+        for s in INTERVAL_OFFSETS.tolist():
+            w = mp.expjpi(2 * mp.mpf(s))
+            fa = mp.hyp2f1(0.5, x, 1 + x, w)
+            fc = mp.hyp2f1(0.5, 0.5 - x, 1.5 - x, w)
+            for j in rows:
+                z = mp.expjpi((j + mp.mpf(s)) / n)
+                parts[j, s] = z * fa, z ** (n - 1) / (n - 1) * fc
+        for beta in INTERVAL_PHASES:
+            got = interval_points(RosetteParams(n, beta), INTERVAL_OFFSETS)
+            rot = mp.expj(mp.mpf(beta) / 2)
+            for j in rows:
+                for k, s in enumerate(INTERVAL_OFFSETS.tolist()):
+                    hv, gv = parts[j, s]
+                    want = rot * hv + mp.conj(gv) / rot
+                    assert abs(got[j, k] - want) < 2e-14, (beta, j, s)
+
+
+@pytest.mark.parametrize("n", INTERVAL_ORDERS)
+def test_interval_points_agree_with_boundary_points(n):
+    offsets = np.concatenate([INTERVAL_OFFSETS, interval_offsets(16)])
+    ts = (np.arange(2 * n)[:, None] + offsets) * (PI / n)
+    for beta in INTERVAL_PHASES:
+        p = RosetteParams(n, beta)
+        got = interval_points(p, offsets)
+        assert got.shape == (2 * n, offsets.size)
+        assert np.abs(got - boundary_points(p, ts.ravel()).reshape(ts.shape)).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", INTERVAL_ORDERS)
+def test_interval_points_columns_do_not_depend_on_the_batch(n):
+    offsets = np.concatenate([INTERVAL_OFFSETS, interval_offsets(64)])
+    for beta in INTERVAL_PHASES:
+        p = RosetteParams(n, beta)
+        full = interval_points(p, offsets)
+        for k in range(0, offsets.size, 7):
+            assert np.array_equal(full[:, k], interval_points(p, offsets[k : k + 1])[:, 0])
+
+
+def test_interval_offsets_are_sorted_and_inside_the_interval():
+    s = interval_offsets(512, refine=2)
+    assert s.size == 512 + 2 * 102
+    assert np.all(np.diff(s) > 0) and 0.0 < s[0] and s[-1] < 1.0

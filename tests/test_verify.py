@@ -8,9 +8,11 @@ from hypothesis import assume, given, settings, strategies as st
 
 from rosette import (
     OpenCurve,
+    RenderSpec,
     RosetteParams,
     SeriesKind,
     TooCloseToCurve,
+    WrongBeta,
     boundary_points,
     boundary_polyline,
     count_self_intersections,
@@ -26,9 +28,10 @@ from rosette import (
     winding_number,
     winding_numbers,
 )
-from rosette import verify
-from rosette.boundary import wrap_angle
+from rosette import maps, verify
+from rosette.boundary import feature_vertices, halfspeed_points, interval_offsets, wrap_angle
 from rosette.maps import dg_many, dh_many
+from rosette.render import _boundary_vertices
 
 PI = math.pi
 
@@ -317,6 +320,56 @@ def test_passing_checks_carry_no_witness():
     report = univalence_scan(RosetteParams(5, 0.0), grid_resolution=8, per_interval=64)
     assert all("first_crossing" not in (c.details or {}) and "worst_probe" not in (c.details or {})
                for c in report.checks)
+
+
+# --- boundary polylines ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n,beta", [(5, 0.3), (12, -1.2), (5, PI / 2), (12, PI / 2)])
+def test_boundary_polylines_follow_the_sorted_parameter_grid(n, beta):
+    # vertex by vertex, the curve on the grid (j + s) pi/n with the feature parameters
+    # merged in: half-speed at pi/2 in verify, always the plain curve in render
+    p = RosetteParams(n, beta)
+    ft_ts, ft_vals = feature_vertices(p)
+
+    def merged(part, offsets):
+        grid = ((np.arange(2 * n)[:, None] + offsets) * (PI / n)).ravel()
+        order = np.argsort(np.concatenate([grid, ft_ts]))
+        return np.concatenate([part(p, grid), ft_vals])[order]
+
+    want = merged(halfspeed_points if beta == PI / 2 else boundary_points,
+                  interval_offsets(64, refine=2))
+    drawn = merged(boundary_points, (np.arange(64) + 0.5) / 64)
+    for poly, ref in ((boundary_polyline(p, per_interval=64), want),
+                      (_boundary_vertices(RenderSpec(p, samples_per_curve=64)), drawn)):
+        assert poly.size == ref.size + 1 and poly[-1] == poly[0]
+        assert np.abs(poly[:-1] - ref).max() < 1e-12
+
+
+def test_halfspeed_polyline_requires_half_pi():
+    with pytest.raises(WrongBeta):
+        boundary_polyline(RosetteParams(5, 0.3), halfspeed=True)
+
+
+@pytest.mark.parametrize("n", [5, 96])
+@pytest.mark.parametrize("beta", [0.3, PI / 2])
+def test_boundary_polylines_evaluate_the_series_on_one_interval(monkeypatch, n, beta):
+    # k offsets of one basic interval (2m on the half-speed curve) and the two
+    # feature values h(1), g(1): 2k + 2 series points, not 2 * 2n * k + 2
+    real, sizes = maps.eval_series_many, []
+
+    def counted(spec, w):
+        sizes.append(np.size(w))
+        return real(spec, w)
+
+    monkeypatch.setattr(maps, "eval_series_many", counted)
+    p = RosetteParams(n, beta)
+    boundary_polyline(p)
+    k = interval_offsets(512, refine=2).size * (2 if beta == PI / 2 else 1)
+    assert sum(sizes) <= 2 * k + 2
+    sizes.clear()
+    _boundary_vertices(RenderSpec(p))
+    assert sum(sizes) <= 2 * RenderSpec(p).samples_per_curve + 2
 
 
 # --- univalence -----------------------------------------------------------------------
