@@ -437,8 +437,8 @@ def interval_offsets(per_interval: int, refine: int = 4, band_frac: float = 0.1)
     return np.unique(np.concatenate([base, extra_lo, extra_hi]))
 
 
-def interval_points(params: RosetteParams, offsets) -> np.ndarray:
-    """a((j + s) pi/n) for every basic interval j = 0..2n-1 (rows) and offset s (columns).
+def interval_points(params: RosetteParams, offsets, rows=slice(None)) -> np.ndarray:
+    """a((j + s) pi/n) for the basic intervals j = 0..2n-1 (rows) and offsets s (columns).
 
     h and g are evaluated once, at z = e^{i s pi/n}, and carried onto every
     interval by the summand rotation laws h(w_j z) = w_j h(z) and
@@ -446,17 +446,21 @@ def interval_points(params: RosetteParams, offsets) -> np.ndarray:
 
         a((j + s) pi/n) = w_j (e^{i beta/2} h(z) + (-1)^j e^{-i beta/2} conj(g(z))).
 
-    Column k equals the one-offset call at offsets[k] bit for bit.
+    ``rows`` (a slice or index array into 0..2n-1) picks the intervals j that
+    are built.  Column k equals the one-offset call at offsets[k], and each row
+    the full array's row j, bit for bit.
     """
     n = params.n
     z = np.exp(1j * (np.asarray(offsets, dtype=float) * (math.pi / n)))
     rot = cmath.exp(0.5j * params.beta)
     hz = np.multiply(rot, h_many(params, z))
     gz = np.conj(g_many(params, z)) / rot
-    omega = np.exp(1j * (np.arange(2 * n) * math.pi / n))[:, None]
-    out = np.empty((2 * n, z.size), dtype=complex)
-    out[0::2] = np.multiply(omega[0::2], hz + gz)
-    out[1::2] = np.multiply(omega[1::2], hz - gz)
+    j = np.arange(2 * n)[rows]
+    omega = np.exp(1j * (j * math.pi / n))[:, None]
+    odd = j % 2 == 1
+    out = np.empty((j.size, z.size), dtype=complex)
+    out[~odd] = np.multiply(omega[~odd], hz + gz)
+    out[odd] = np.multiply(omega[odd], hz - gz)
     return out
 
 

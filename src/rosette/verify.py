@@ -102,12 +102,19 @@ class IntegralCheck(NamedTuple):
 _ORIENT_ERR = (3.0 + 16.0 * 2.0**-53) * 2.0**-53
 _BLOCK = 1 << 18  # element budget of one vectorised block of pairs
 
-# Element budget of one block of curve_distances, whose complex temporaries then
-# take 1 MiB each.  glibc serves a block above its dynamic mmap threshold (the
-# largest mapped block freed so far, 2 MiB once series._anchored has run on 4096
-# points) with a fresh mmap that page-faults on every touch: with 4 MiB temporaries
-# a call at n = 12 (10777 vertices, 441 probes) took twice as long.
+# Element budget of one block of curve_distances: probes x chunks for the disc
+# bounds, (probe, chunk) pairs x chunk size for the exact distances, so that no
+# complex temporary exceeds 1 MiB.  glibc serves a block above its dynamic mmap
+# threshold (the largest mapped block freed so far, 2 MiB once series._anchored
+# has run on 4096 points) with a fresh mmap that page-faults on every touch: with
+# 4 MiB temporaries the brute-force query at n = 12 (10777 vertices, 441 probes)
+# took twice as long.
 _DISTANCE_BLOCK = 1 << 16
+# Relative slack of the chunk-disc lower bounds.  The float bound |p - c| - r and
+# the float segment distances each err by a few ulps of |p - c| + r + |c|; taking
+# 1e-12 of that off the bound keeps it below every computed distance in the
+# chunk, so rounding never prunes the chunk that holds the minimum.
+_DISC_SLACK = 1e-12
 
 
 def _orientation(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -167,22 +174,53 @@ def _windings(pts: np.ndarray, probes: np.ndarray) -> np.ndarray:
 def curve_distances(curve, points, chunk: int = 64) -> np.ndarray:
     """Distance from each point to the nearest segment of the polyline ``curve``.
 
-    Blocks of ``chunk`` points hold at most chunk x segments values, and at most
-    _DISTANCE_BLOCK.
+    The segments are cut into consecutive chunks of ``chunk`` (the last one
+    padded with copies of the final segment), each inside a disc about the
+    centre c of its vertices' bounding box with radius r, the largest vertex
+    distance from c.  For each probe p, |p - c| - r bounds a chunk's distances
+    from below; the exact minimum over the chunk with the smallest bound is an
+    upper bound, and only the chunks whose lower bound does not exceed it are
+    evaluated exactly.  Every segment distance is |p - (a + t ab)| with
+    t = clip(Re((p - a) conj(ab)) / |ab|^2, 0, 1), so the result is the
+    brute-force minimum bit for bit, at the cost of P x chunks bounds plus the
+    segments of the chunks that survive.
     """
     pts = np.asarray(curve, dtype=complex)
     probes = np.asarray(points, dtype=complex).ravel()
-    a = pts[:-1]
-    ab = pts[1:] - a
+    a, ab = pts[:-1], pts[1:] - pts[:-1]
+    k = max(1, min(chunk, a.size))
+    pad = -a.size % k
+    a = np.append(a, np.repeat(a[-1:], pad)).reshape(-1, k)
+    ab = np.append(ab, np.repeat(ab[-1:], pad)).reshape(-1, k)
     denom = np.abs(ab) ** 2
     denom[denom == 0.0] = np.inf  # a zero-length segment's nearest point is its start
     conj_ab = np.conj(ab)
-    rows = max(1, min(chunk, _DISTANCE_BLOCK // max(a.size, 1)))
+    verts = np.concatenate([a, a[:, -1:] + ab[:, -1:]], axis=1)
+    centre = (0.5 * (verts.real.min(axis=1) + verts.real.max(axis=1))
+              + 0.5j * (verts.imag.min(axis=1) + verts.imag.max(axis=1)))
+    radius = np.abs(verts - centre[:, None]).max(axis=1)
+    reach = radius * (1.0 + _DISC_SLACK) + _DISC_SLACK * np.abs(centre)
+
+    def nearest(w: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """Exact distance from each probe w[i] to chunk c[i]."""
+        w0 = w[:, None]
+        t = np.clip(((w0 - a[c]) * conj_ab[c]).real / denom[c], 0.0, 1.0)
+        return np.abs(w0 - (a[c] + t * ab[c])).min(axis=1)
+
+    rows = max(1, _DISTANCE_BLOCK // max(centre.size, k))
+    pairs = max(1, _DISTANCE_BLOCK // k)
     out = np.empty(probes.size)
     for i0 in range(0, probes.size, rows):
-        w0 = probes[i0 : i0 + rows, None]
-        t = np.clip(((w0 - a) * conj_ab).real / denom, 0.0, 1.0)
-        out[i0 : i0 + rows] = np.abs(w0 - (a + t * ab)).min(axis=1)
+        w = probes[i0 : i0 + rows]
+        lower = np.abs(w[:, None] - centre) * (1.0 - _DISC_SLACK) - reach
+        best = lower.argmin(axis=1)
+        upper = nearest(w, best)
+        lower[np.arange(w.size), best] = np.inf
+        i, c = np.nonzero(lower <= upper[:, None])
+        for j in range(0, i.size, pairs):
+            part = slice(j, j + pairs)
+            np.minimum.at(upper, i[part], nearest(w[i[part]], c[part]))
+        out[i0 : i0 + rows] = upper
     return out
 
 
@@ -216,7 +254,11 @@ def winding_number(
 def winding_numbers(
     curve, points, exclusion_radius: float, chunk: int = 64
 ) -> list[WindingResult]:
-    """Batch winding numbers for many probes against one closed polyline."""
+    """Batch winding numbers for many probes against one closed polyline.
+
+    ``chunk`` is the number of consecutive segments per bounding disc of the
+    nearest-segment query (``curve_distances``) that gates each probe.
+    """
     pts = _ensure_closed(np.asarray(curve, dtype=complex))
     return _winding_results(pts, np.asarray(points, dtype=complex).ravel(), exclusion_radius, chunk)
 
@@ -315,7 +357,8 @@ def boundary_polyline(
     if not halfspeed:
         vals = interval_points(params, offsets)
     elif is_half_pi(params.beta):
-        vals = interval_points(params, np.concatenate([offsets / 2, (1 + offsets) / 2]))[0::2]
+        vals = interval_points(params, np.concatenate([offsets / 2, (1 + offsets) / 2]),
+                               rows=slice(0, None, 2))
     else:
         raise WrongBeta("half-speed reparametrization requires beta = pi/2")
     # the feature at j pi/n goes before the vertices of interval j
@@ -608,7 +651,8 @@ def fundamental_set(params: RosetteParams, per_interval: int = 768, radial: int 
     r = np.sin(0.5 * math.pi * u) ** 2  # clustered toward r = 1
     side1 = f_many(canonical, r[:-1])  # endpoint a(0) appended exactly below
     exact = feature_values(canonical)
-    rows = interval_points(canonical, (np.arange(per_interval) + 0.5) / per_interval)
+    rows = interval_points(canonical, (np.arange(per_interval) + 0.5) / per_interval,
+                           rows=slice(0, 2))
     arc = np.concatenate([[exact[0]], rows[0], [exact[1]], rows[1], [exact[2 % (2 * n)]]])
     side2 = (np.append(side1, exact[0]) * cmath.exp(2j * math.pi / n))[::-1]
     poly = np.concatenate([side1, arc, side2[1:]])

@@ -4,9 +4,11 @@ Imports rosette, evaluates the boundary on the cusp and node directions
 (series arguments that round to w = 1), extracts the features, evaluates
 f, h' and g' on a 2048-point interior batch at n = 96 (the direct sum), builds
 the boundary polylines at n = 96 for beta = 0.3 and pi/2 (the half-speed
-curve), and runs a small `render` and a 64-row boundary `dump` through the
-command line; exits non-zero if a value is not finite, a polyline is not
-closed or crosses itself, a command fails or mpmath ended up in sys.modules.
+curve), runs a univalence scan at n = 96 (the pruned nearest-segment query
+gates its winding probes), and runs a small `render` and a 64-row boundary
+`dump` through the command line; exits non-zero if a value is not finite, a
+polyline is not closed or crosses itself, a univalence check fails, a command
+fails or mpmath ended up in sys.modules.
 Needs only the runtime dependencies:
 
     python tests/smoke.py
@@ -21,7 +23,7 @@ import numpy as np
 import rosette
 from rosette.cli import main
 from rosette.maps import dg_many, dh_many
-from rosette.verify import boundary_polyline, count_self_intersections
+from rosette.verify import boundary_polyline, count_self_intersections, univalence_scan
 
 params = rosette.RosetteParams(5, 0.3)
 rosette.f_many(params, np.exp(1j * np.pi / params.n * np.arange(2 * params.n)))
@@ -38,6 +40,10 @@ for beta in (0.3, np.pi / 2):
         sys.exit(f"the boundary polyline at beta = {beta} is not finite and closed")
     if count_self_intersections(poly) != 0:
         sys.exit(f"the boundary polyline at beta = {beta} crosses itself")
+report = univalence_scan(rosette.RosetteParams(96, 0.3), grid_resolution=12, per_interval=96)
+failed = [c.name for c in report.checks if not c.passed]
+if failed:
+    sys.exit(f"the univalence scan at n = 96 failed {failed}")
 with tempfile.TemporaryDirectory() as tmp:
     svg, table = os.path.join(tmp, "r.svg"), os.path.join(tmp, "b.csv")
     if main(["render", "--n", "6", "--beta", "pi/2", "--samples", "64", "--grid", "6x4",

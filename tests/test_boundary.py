@@ -604,6 +604,19 @@ def test_interval_points_columns_do_not_depend_on_the_batch(n):
             assert np.array_equal(full[:, k], interval_points(p, offsets[k : k + 1])[:, 0])
 
 
+@pytest.mark.parametrize("n", INTERVAL_ORDERS)
+def test_interval_points_selected_rows_are_the_full_arrays_rows(n):
+    offsets = np.concatenate([INTERVAL_OFFSETS, interval_offsets(64)])
+    picks = (slice(0, None, 2), slice(1, None, 2), slice(0, 2), [2 * n - 1, 0, n], [])
+    for beta in INTERVAL_PHASES:
+        p = RosetteParams(n, beta)
+        full = interval_points(p, offsets)
+        for rows in picks:
+            got = interval_points(p, offsets, rows=rows)
+            assert got.shape == full[rows].shape
+            assert np.array_equal(got, full[rows])
+
+
 def test_interval_offsets_are_sorted_and_inside_the_interval():
     s = interval_offsets(512, refine=2)
     assert s.size == 512 + 2 * 102

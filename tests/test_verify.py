@@ -29,7 +29,13 @@ from rosette import (
     winding_numbers,
 )
 from rosette import maps, verify
-from rosette.boundary import feature_vertices, halfspeed_points, interval_offsets, wrap_angle
+from rosette.boundary import (
+    bounding_radius,
+    feature_vertices,
+    halfspeed_points,
+    interval_offsets,
+    wrap_angle,
+)
 from rosette.maps import dg_many, dh_many
 from rosette.render import _boundary_vertices
 
@@ -160,6 +166,22 @@ def on_polyline(poly, w0):
     return False
 
 
+def brute_force_distances(curve, probes):
+    """Nearest-segment distance of each probe over every segment, by the formula of
+    ``curve_distances``: t = clip(Re((p - a) conj(ab)) / |ab|^2, 0, 1), |p - (a + t ab)|."""
+    curve = np.asarray(curve, dtype=complex)
+    a = curve[:-1]
+    ab = curve[1:] - a
+    denom = np.abs(ab) ** 2
+    denom[denom == 0.0] = np.inf
+    conj_ab = np.conj(ab)
+    out = np.empty(len(probes))
+    for i, w0 in enumerate(np.asarray(probes, dtype=complex)):
+        t = np.clip(((w0 - a) * conj_ab).real / denom, 0.0, 1.0)
+        out[i] = np.abs(w0 - (a + t * ab)).min()
+    return out
+
+
 lattice_polygons = st.lists(
     st.tuples(st.integers(-6, 6), st.integers(-6, 6)), min_size=3, max_size=12
 ).map(lambda vs: np.array([complex(x, y) for x, y in vs + vs[:1]]))
@@ -268,6 +290,62 @@ def test_curve_distances_match_the_scalar_query():
     assert [r.min_distance_to_curve for r in res] == batch.tolist()
     with pytest.raises(TooCloseToCurve, match=r"probe \(1\.5"):
         winding_numbers(c, [0.0, 1.5, 1.0], exclusion_radius=0.6)
+
+
+@pytest.mark.parametrize("n", [3, 12, 96, 500])
+@pytest.mark.parametrize("beta", [0.3, PI / 2])
+def test_pruned_distances_are_the_brute_force_ones_on_rosette_polylines(n, beta):
+    # the polyline of univalence_scan, probed at grid images, on the exterior ring, on
+    # vertices and segment midpoints, and at the origin, nearly equidistant from all n arcs
+    p = RosetteParams(n, beta)
+    poly = boundary_polyline(p, max(320, -(-4096 // (2 * n))))
+    radius = bounding_radius(n) + 0.25 * scale_constant(n)
+    ring = radius * np.exp(2j * PI * (np.arange(16) + 0.37) / 16)
+    at = np.linspace(0, poly.size - 2, 9).astype(int)
+    probes = np.concatenate([f_many(p, verify._interior_grid(6)), ring, poly[at],
+                             0.5 * (poly[at] + poly[at + 1]), [0.0]])
+    got = verify.curve_distances(poly, probes)
+    assert np.array_equal(got, brute_force_distances(poly, probes))
+    assert np.all(got[36 + 16 : 36 + 16 + at.size] == 0.0)
+
+
+def test_pruned_distances_on_short_padded_and_degenerate_curves():
+    rng = np.random.default_rng(3)
+    walk = np.cumsum(rng.normal(size=3 * 64 + 17) + 1j * rng.normal(size=3 * 64 + 17))
+    stalled = np.repeat(walk[:80], 3)  # zero-length segments, also at chunk ends
+    flat = np.concatenate([walk[:10], np.full(70, walk[10]), walk[10:20]])  # a chunk of one point
+    near = walk[::7] + 0.3 * rng.normal(size=walk[::7].size)
+    probes = np.concatenate([near, walk[:5], [0.0, 1e3]])
+    for curve in (walk[:6], walk, stalled, flat):  # fewer segments than a chunk; a partial chunk
+        for chunk in (1, 3, 64, 1000):
+            want = brute_force_distances(curve, probes)
+            assert np.array_equal(verify.curve_distances(curve, probes, chunk), want)
+            assert verify.curve_distances(curve, probes[3:4], chunk).tolist() == [want[3]]
+            assert verify.curve_distances(curve, [], chunk).shape == (0,)
+
+
+def test_pruned_distances_keep_a_chunk_whose_float_bound_rounds_above_its_distance():
+    # two radial segments whose near ends lie one unit from the probe, one chunk each:
+    # the first holds the minimum, but its float |p - c| - r rounds above that minimum
+    # and above the second's distance, so without the slack it would be pruned
+    p = 1000.0 + 1000.0j
+    curve = np.array([1000.9990766377427 + 1000.0429636115424j,
+                      1002.997229913228 + 1000.1288908346271j,
+                      1002.95351838846 + 1000.526050500455j,
+                      1000.9845061294867 + 1000.1753501668184j])
+    got = verify.curve_distances(curve, [p], chunk=1)
+    assert np.array_equal(got, brute_force_distances(curve, [p]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.complex_numbers(max_magnitude=10.0), min_size=2, max_size=200),
+       st.lists(st.complex_numbers(max_magnitude=1e3), min_size=1, max_size=20),
+       st.sampled_from([1, 2, 5, 64]))
+def test_pruned_distances_match_brute_force_on_random_polylines(vertices, probes, chunk):
+    curve = np.array(vertices, dtype=complex)
+    probes = np.concatenate([np.array(probes, dtype=complex), curve[:2]])
+    assert np.array_equal(verify.curve_distances(curve, probes, chunk),
+                          brute_force_distances(curve, probes))
 
 
 # --- failure witnesses -----------------------------------------------------------------
@@ -383,6 +461,18 @@ def test_univalence_scan_passes(n, beta):
     assert by_name["boundary_simple"].max_residual == 0.0
     assert by_name["interior_winding_one"].samples_used == 100
     assert by_name["grid_images_distinct"].details["min_separation"] > 0.0
+
+
+def test_univalence_scan_passes_at_large_order():
+    report = univalence_scan(RosetteParams(500, 0.3))
+    assert report.passed
+    assert [c.name for c in report.checks] == [
+        "boundary_simple", "interior_winding_one", "exterior_winding_zero", "grid_images_distinct"]
+    assert all("first_crossing" not in (c.details or {}) and "worst_probe" not in (c.details or {})
+               for c in report.checks)
+    by_name = {c.name: c for c in report.checks}
+    gap = by_name["interior_winding_one"].details["min_curve_distance"]
+    assert gap > 1e-6 * scale_constant(500)
 
 
 # --- integral identities ------------------------------------------------------------------
