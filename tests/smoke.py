@@ -1,14 +1,15 @@
-"""Smoke check that the library runs without mpmath installed or imported.
+"""Smoke check that the library runs without mpmath or scipy installed or imported.
 
 Imports rosette, evaluates the boundary on the cusp and node directions
 (series arguments that round to w = 1), extracts the features, evaluates
 f, h' and g' on a 2048-point interior batch at n = 96 (the direct sum), builds
 the boundary polylines at n = 96 for beta = 0.3 and pi/2 (the half-speed
 curve), runs a univalence scan at n = 96 (the pruned nearest-segment query
-gates its winding probes), and runs a small `render` and a 64-row boundary
-`dump` through the command line; exits non-zero if a value is not finite, a
+gates its winding probes), and runs a small `render`, a 64-row boundary
+`dump` and a quick `verify` (whose integral check uses the tanh-sinh rule)
+through the command line; exits non-zero if a value is not finite, a
 polyline is not closed or crosses itself, a univalence check fails, a command
-fails or mpmath ended up in sys.modules.
+fails or mpmath or scipy ended up in sys.modules.
 Needs only the runtime dependencies:
 
     python tests/smoke.py
@@ -51,12 +52,16 @@ with tempfile.TemporaryDirectory() as tmp:
         sys.exit("render failed")
     if main(["dump", "--n", "5", "--beta", "0.3", "--count", "64", "--out", table]) != 0:
         sys.exit("dump failed")
+    if main(["verify", "--n", "5", "--beta", "pi/2", "--level", "quick",
+             "--out", os.path.join(tmp, "v.json")]) != 0:
+        sys.exit("verify failed")
     with open(svg, encoding="utf-8") as fh:
         if fh.read().count("<path") != 6 + 3 + 1:  # rays, inner circles, boundary
             sys.exit("render drew the wrong number of curves")
     with open(table, encoding="utf-8") as fh:
         if len(fh.read().splitlines()) != 65:
             sys.exit("dump wrote the wrong number of rows")
-if "mpmath" in sys.modules:
-    sys.exit("mpmath was imported")
+for name in ("mpmath", "scipy"):
+    if name in sys.modules:
+        sys.exit(f"{name} was imported")
 print("ok")

@@ -170,6 +170,31 @@ def test_verify_full_includes_tiling(tmp_path):
     assert any(c["name"] == "fundamental_tiling" for c in payload["checks"])
 
 
+def test_verify_integral_identities_witness_stays_out_of_the_report(tmp_path, monkeypatch):
+    from rosette import cli
+
+    seen = {}
+    payload_of = cli._checks_payload
+
+    def capture(checks):
+        seen.update((c.name, c) for c in checks)
+        return payload_of(checks)
+
+    monkeypatch.setattr(cli, "_checks_payload", capture)
+    out = tmp_path / "verify.json"
+    assert run_cli(["verify", "--n", "5", "--beta", "pi/2", "--level", "quick",
+                    "--out", str(out)]) == 0
+    check = seen["integral_identities"]
+    witness = check.details["worst_point"]
+    assert witness["kind"] in ("analytic", "coanalytic")
+    assert abs(complex(*witness["point"])) <= 1.0
+    lhs, rhs = complex(*witness["lhs"]), complex(*witness["rhs"])
+    assert abs(lhs - rhs) == check.max_residual
+    reported = next(c for c in json.loads(out.read_text())["checks"]
+                    if c["name"] == "integral_identities")
+    assert set(reported) == {"name", "passed", "max_residual", "samples_used"}
+
+
 # --- dump ----------------------------------------------------------------------------
 
 

@@ -39,7 +39,16 @@ def test_series_uses_no_matrix_product():
 
 
 def test_import_leaves_scipy_unloaded():
-    code = "import sys, rosette; print('scipy' in sys.modules)"
+    # scipy is no dependency: neither the import nor any command may load it,
+    # including verify's integral check and decompose
+    code = (
+        "import contextlib, io, sys\n"
+        "from rosette.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(['verify', '--n', '4', '--beta', '0.3', '--level', 'full']),\n"
+        "             main(['decompose', '--n', '5', '--beta', 'pi/2'])]\n"
+        "print(codes, 'scipy' in sys.modules)"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
@@ -47,7 +56,7 @@ def test_import_leaves_scipy_unloaded():
         check=True,
         env={**os.environ, "PYTHONPATH": str(SOURCE.parent)},
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[0, 0] False"
 
 
 def test_evaluation_leaves_mpmath_unloaded():

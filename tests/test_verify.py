@@ -7,7 +7,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from rosette import (
+    DomainError,
     OpenCurve,
+    QuadratureFailure,
     RenderSpec,
     RosetteParams,
     SeriesKind,
@@ -500,6 +502,72 @@ def test_integral_oracle_near_circle():
     for kind in SeriesKind:
         chk = integral_oracle(RosetteParams(3, 0.0), z, kind)
         assert chk.residual < 1e-9
+
+
+def _closed_form(n: int, z: complex, kind: SeriesKind) -> complex:
+    """h(z) or g(z) from mpmath's general 2F1 with 30 digits."""
+    import mpmath as mp
+
+    with mp.workdps(30):
+        z, x = mp.mpmathify(z), mp.mpf(1) / (2 * n)
+        if kind is SeriesKind.ANALYTIC:
+            return complex(z * mp.hyp2f1(0.5, x, 1 + x, z ** (2 * n)))
+        return complex(z ** (n - 1) / (n - 1) * mp.hyp2f1(0.5, 0.5 - x, 1.5 - x, z ** (2 * n)))
+
+
+@pytest.mark.parametrize("n", [3, 12, 96, 500])
+def test_integral_oracle_next_to_singular_points(n):
+    # Adaptive Gauss-Kronrod from 0 missed the series by 2.6e-8 (n = 3) at 1 - 1e-15
+    # and did not converge at e^{i pi/n}(1 - 1e-12).  Against mpmath the bound is
+    # looser because the float z is itself off by up to 1.1e-16 per part, which
+    # |h'(z)| = |1 - z^{2n}|^{-1/2} (4e5 at n = 3, 1e-12 from the root) magnifies.
+    params = RosetteParams(n, 0.0)
+    for z in (1 - 1e-15, cmath.exp(1j * PI / n) * (1 - 1e-12)):
+        for kind in SeriesKind:
+            chk = integral_oracle(params, z, kind)
+            assert chk.residual < 1e-14
+            assert abs(chk.lhs - _closed_form(n, z, kind)) < 1e-10
+
+
+@pytest.mark.parametrize("n", [3, 12, 96, 500])
+def test_integral_oracle_is_the_batched_row(n):
+    params = RosetteParams(n, 0.3)
+    rng = np.random.default_rng(n)
+    z = 0.99 * np.sqrt(rng.uniform(0, 1, 40)) * np.exp(2j * PI * rng.uniform(0, 1, 40))
+    z = np.concatenate([z, [0.0, 1.0, 1 - 1e-15, cmath.exp(1j * PI / n) * (1 - 1e-12)]])
+    filler = 0.9 * np.exp(2j * PI * rng.uniform(0, 1, 300))  # moves z across a block boundary
+    for kind in SeriesKind:
+        lhs, rhs = verify.integral_oracle_many(params, z, kind)
+        for zk, lk, rk in zip(z, lhs, rhs):
+            chk = integral_oracle(params, complex(zk), kind)
+            assert (chk.lhs, chk.rhs, chk.residual) == (lk, rk, abs(lk - rk))
+        long_lhs, _ = verify.integral_oracle_many(params, np.concatenate([filler, z]), kind)
+        assert np.array_equal(long_lhs[filler.size :], lhs)
+
+
+def test_integral_oracle_outside_the_disk_is_a_domain_error():
+    params = RosetteParams(5, 0.0)
+    with pytest.raises(DomainError):
+        integral_oracle(params, 1.2)
+    with pytest.raises(DomainError):
+        verify.integral_oracle_many(params, [0.5, 1.2j], SeriesKind.COANALYTIC)
+
+
+def test_tanh_sinh_raises_when_its_level_cap_is_too_low():
+    params = RosetteParams(3, 0.0)
+    z = np.array([cmath.exp(1j * PI / 3) * (1 - 1e-12)])  # needs level 4
+    verify._tanh_sinh(params, z, SeriesKind.ANALYTIC, max_level=4)
+    with pytest.raises(QuadratureFailure):
+        verify._tanh_sinh(params, z, SeriesKind.ANALYTIC, max_level=3)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(math.nan, 0.5)])
+def test_tanh_sinh_never_accepts_a_non_finite_estimate(bad):
+    params = RosetteParams(4, 0.0)
+    for kind in SeriesKind:
+        verify._tanh_sinh(params, np.array([0.5]), kind, max_level=3)
+        with np.errstate(invalid="ignore"), pytest.raises(QuadratureFailure):
+            verify._tanh_sinh(params, np.array([0.5, bad]), kind, max_level=3)
 
 
 # --- symmetry suite ---------------------------------------------------------------------
