@@ -36,7 +36,7 @@ from .errors import (
     SingularParameter,
     WrongBeta,
 )
-from .maps import RosetteParams, f_many, g, g_many, h, h_many, half_turn_rotation
+from .maps import RosetteParams, f_many, half_turn_rotation, parts_many
 from .series import scale_constant
 
 TWO_PI = 2.0 * math.pi
@@ -215,8 +215,7 @@ def feature_values(params: RosetteParams) -> dict[int, complex]:
     curve is only Hoelder-1/2 there.
     """
     n, beta = params.n, params.beta
-    h1 = h(params, 1.0)  # real positive
-    g1 = g(params, 1.0)
+    h1, g1 = (complex(v[0]) for v in parts_many(params, np.array([1.0])))  # h1 real positive
     rot = cmath.exp(0.5j * beta)
     base_even = rot * h1 + g1.conjugate() / rot
     base_odd = rot * h1 - g1.conjugate() / rot
@@ -453,8 +452,8 @@ def interval_points(params: RosetteParams, offsets, rows=slice(None)) -> np.ndar
     n = params.n
     z = np.exp(1j * (np.asarray(offsets, dtype=float) * (math.pi / n)))
     rot = cmath.exp(0.5j * params.beta)
-    hz = np.multiply(rot, h_many(params, z))
-    gz = np.conj(g_many(params, z)) / rot
+    hz, gz = parts_many(params, z)
+    hz, gz = np.multiply(rot, hz), np.conj(gz) / rot
     j = np.arange(2 * n)[rows]
     omega = np.exp(1j * (j * math.pi / n))[:, None]
     odd = j % 2 == 1

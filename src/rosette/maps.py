@@ -15,6 +15,9 @@ COANALYTIC).  Their derivatives have the closed forms
 
 with the principal square root, so the dilatation g'/h' is exactly z^{n-2}
 and the Jacobian |h'|^2 - |g'|^2 simplifies to (1 - |z|^{2(n-2)})/|1 - z^{2n}|.
+
+``parts_many`` gives h and g from one series pass over their shared argument
+z^{2n}; ``combine_parts`` forms f of any phase from them, as ``f_many`` does.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .series import (
     SeriesKind,
     SeriesSpec,
     TruncationPolicy,
+    eval_families_many,
     eval_series_many,
 )
 
@@ -114,12 +118,26 @@ def g_many(params: RosetteParams, z) -> np.ndarray:
     return z ** (params.n - 1) / (params.n - 1) * factor
 
 
+def parts_many(params: RosetteParams, z) -> tuple[np.ndarray, np.ndarray]:
+    """h(z) and g(z) from one series pass, each bit for bit as h_many/g_many give it."""
+    z = _clip_disk(np.asarray(z, dtype=complex))
+    fa, fc = eval_families_many([params._spec(k) for k in SeriesKind], z ** (2 * params.n))
+    return z * fa, z ** (params.n - 1) / (params.n - 1) * fc
+
+
+def combine_parts(beta: float, hz, gz) -> np.ndarray:
+    """e^{i beta/2} h + e^{-i beta/2} conj(g): the map of phase beta from its parts."""
+    rot = cmath.exp(0.5j * beta)
+    # np.multiply keeps the operand order that ``rot * temporary`` loses on large
+    # batches (see series.eval_families_many), so a value does not depend on its batch
+    return np.multiply(rot, hz) + np.conj(gz) / rot
+
+
 def f_many(params: RosetteParams, z) -> np.ndarray:
     """Values f(z) of the rosette map, vectorized."""
-    rot = cmath.exp(0.5j * params.beta)
-    # np.multiply keeps the operand order that ``rot * temporary`` loses on large
-    # batches (see series._anchored), so a value does not depend on its batch
-    return np.multiply(rot, h_many(params, z)) + np.conj(g_many(params, z)) / rot
+    # Not parts_many: the benchmark's span list (bench/test_bench.py LAYERS) requires
+    # the maps.h_many and maps.g_many spans on interior-eval until ROADMAP item 1.
+    return combine_parts(params.beta, h_many(params, z), g_many(params, z))
 
 
 def h(params: RosetteParams, z: complex) -> complex:

@@ -34,14 +34,19 @@ therefore works in two regimes:
   circle the integrand's nearest singularity in u stays at |u| >= ~sqrt(2)
   (reached at w = -1, for every n), where the 15-point rule is still within ~4e-16.
 
+One core, ``eval_families_many``, evaluates several families of one order and
+policy in one pass: they share the domain check, |w|^M, and the anchored nodes,
+log z, z - 1, log zeta and root 2u/sqrt(1 - zeta^{2n}), on which the co-analytic
+family multiplies in zeta^{n-2}.  ``eval_series_many`` is its one-family case.
+
 The achieved absolute accuracy is a few 1e-15 everywhere on the closed disk
 (against mpmath's hyp2f1 for n = 3..1000, down to |1 - w| = 1e-16); the
 evaluator raises ``NoConvergence`` whenever its own error estimate exceeds
 the policy tolerance instead of returning a silently degraded value.  The
 value at a point is the same bit for bit whatever batch it is evaluated in.  Each
-call logs one DEBUG record on the package logger: the points in each regime,
-the direct-sum terms and quadrature nodes used, and the largest error
-estimate.
+call logs one DEBUG record on the package logger: the families evaluated, the
+points in each regime, the direct-sum terms and quadrature nodes used, and the
+largest error estimate.
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ import math
 import threading
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -258,46 +263,17 @@ def _expm1(y: np.ndarray) -> np.ndarray:
     return (np.expm1(a) * np.cos(b) - 2.0 * s * s) + 1j * (np.exp(a) * np.sin(b))
 
 
-def _anchored(spec: SeriesSpec, w: np.ndarray, anchor: float) -> tuple[np.ndarray, np.ndarray]:
-    """Values and error estimates at w != 1 from the integral anchored at w = 1.
+def eval_families_many(specs: Sequence[SeriesSpec], z) -> list[np.ndarray]:
+    """Evaluate families of one order and policy at every point of ``z`` (any array-like).
 
-    ``anchor`` is the family's value at 1.  See the module docstring for the
-    integral; z - 1 and 1 - zeta^{2n} come from log1p/expm1 so that they keep
-    their relative accuracy however close w is to 1.
+    Returns one array per spec, each the same bit for bit as in a call of its own.
+    Result error is at most policy.abs_tol in absolute value everywhere on the
+    closed unit disk; NoConvergence is raised, for the first family that misses
+    it, if that cannot be certified.
     """
-    n = spec.n
-    analytic = spec.kind is SeriesKind.ANALYTIC
-    out = np.empty(w.size, dtype=complex)
-    err = np.empty(w.size)
-    for i in range(0, w.size, _ANCHOR_BLOCK):
-        part = slice(i, i + _ANCHOR_BLOCK)
-        log_z = _log1p(w[part] - 1.0) / (2 * n)  # z = w^{1/(2n)}
-        z_minus_1 = _expm1(log_z)
-        log_zeta = _log1p(z_minus_1[:, None] * _U2)  # zeta = 1 + u^2 (z - 1) at each node
-        integrand = _TWO_U / np.sqrt(-_expm1(2 * n * log_zeta))
-        # No value may depend on the batch it sits in.  So np.multiply, not ``*``: numpy
-        # evaluates ``x * temporary`` as ``temporary * x`` in place once the temporary
-        # exceeds 256 KiB, and a complex product rounds differently with its operands
-        # swapped.  And row sums, not a BLAS product, whose order of addition depends
-        # on the batch shape.
-        if analytic:
-            pre, start = np.exp(-log_z), anchor
-        else:
-            integrand = np.multiply(integrand, np.exp((n - 2) * log_zeta))
-            pre, start = (n - 1) * np.exp((1 - n) * log_z), anchor / (n - 1)
-        kronrod = (integrand * _KRONROD).sum(axis=1) * z_minus_1
-        gauss = (integrand * _GAUSS).sum(axis=1) * z_minus_1
-        out[part] = np.multiply(pre, start + kronrod)
-        err[part] = np.abs(pre) * (start * _ENDPOINT_REL_ERR + np.abs(kronrod - gauss))
-    return out, err
-
-
-def eval_series_many(spec: SeriesSpec, z) -> np.ndarray:
-    """Evaluate the series at every point of ``z`` (any array-like of complex).
-
-    Result error is at most policy.abs_tol in absolute value everywhere on
-    the closed unit disk; NoConvergence is raised if that cannot be certified.
-    """
+    n, pol = specs[0].n, specs[0].policy
+    if any(s.n != n or s.policy != pol for s in specs):
+        raise ValueError("families evaluated together must share n and policy")
     w = np.asarray(z, dtype=complex)
     shape = w.shape
     w = np.array(w.ravel(), copy=True)
@@ -310,48 +286,75 @@ def eval_series_many(spec: SeriesSpec, z) -> np.ndarray:
         w[over] /= aw[over]
         aw[over] = 1.0
 
-    pol = spec.policy
     tol = pol.abs_tol
     terms = min(_DIRECT_TERMS, pol.max_terms)
-    certified = aw**terms <= tol * (1.0 - aw)
+    power = aw**terms
+    certified = power <= tol * (1.0 - aw)
     direct, rest = np.flatnonzero(certified), np.flatnonzero(~certified)
 
-    out = np.empty(w.size, dtype=complex)
-    err = np.empty(w.size)
+    out = np.empty((len(specs), w.size), dtype=complex)
+    err = np.empty((len(specs), w.size))
     if direct.size:
-        cofs = coeff_values(spec, terms + 1)
         wd, awd = w[direct], aw[direct]
-        acc = np.zeros(direct.size, dtype=complex)
-        for c in cofs[:terms][::-1].tolist():
-            # out of place: numpy's in-place complex product rounds a one-point array
-            # differently from a long one
-            acc = acc * wd + c
-        out[direct] = acc
-        err[direct] = cofs[terms] * awd**terms / (1.0 - awd)
+        for k, spec in enumerate(specs):
+            cofs = coeff_values(spec, terms + 1)
+            acc = np.zeros(direct.size, dtype=complex)
+            for c in cofs[:terms][::-1].tolist():
+                # out of place: numpy's in-place complex product rounds a one-point array
+                # differently from a long one
+                acc = acc * wd + c
+            out[k, direct] = acc
+            err[k, direct] = cofs[terms] * power[direct] / (1.0 - awd)
 
     dist_one = np.abs(w[rest] - 1.0)
     near = dist_one <= _AT_ONE_RADIUS
     at_one, anchored = rest[near], rest[~near]
     if rest.size:
-        ends = endpoint_values(spec.n)
-        anchor = ends.analytic_at_one if spec.kind is SeriesKind.ANALYTIC else ends.coanalytic_at_one
-        out[at_one] = anchor
-        err[at_one] = anchor * _ENDPOINT_REL_ERR + 2.0 * np.sqrt(dist_one[near])
-        out[anchored], err[anchored] = _anchored(spec, w[anchored], anchor)
+        ends = endpoint_values(n)
+        anchors = np.array([getattr(ends, f"{s.kind.value}_at_one") for s in specs])
+        out[:, at_one] = anchors[:, None]
+        err[:, at_one] = anchors[:, None] * _ENDPOINT_REL_ERR + 2.0 * np.sqrt(dist_one[near])
+    # The integral anchored at w = 1 (module docstring).  z - 1 and 1 - zeta^{2n} come from
+    # log1p/expm1 so that they keep their relative accuracy however close w is to 1.
+    for i in range(0, anchored.size, _ANCHOR_BLOCK):
+        part = anchored[i : i + _ANCHOR_BLOCK]
+        log_z = _log1p(w[part] - 1.0) / (2 * n)  # z = w^{1/(2n)}
+        z_minus_1 = _expm1(log_z)
+        log_zeta = _log1p(z_minus_1[:, None] * _U2)  # zeta = 1 + u^2 (z - 1) at each node
+        root = _TWO_U / np.sqrt(-_expm1(2 * n * log_zeta))
+        for k, (spec, anchor) in enumerate(zip(specs, anchors)):
+            # No value may depend on the batch it sits in.  So np.multiply, not ``*``:
+            # numpy evaluates ``x * temporary`` as ``temporary * x`` in place once the
+            # temporary exceeds 256 KiB, and a complex product rounds differently with
+            # its operands swapped.  And row sums, not a BLAS product, whose order of
+            # addition depends on the batch shape.
+            if spec.kind is SeriesKind.ANALYTIC:
+                integrand, pre, start = root, np.exp(-log_z), anchor
+            else:
+                integrand = np.multiply(root, np.exp((n - 2) * log_zeta))
+                pre, start = (n - 1) * np.exp((1 - n) * log_z), anchor / (n - 1)
+            kronrod = (integrand * _KRONROD).sum(axis=1) * z_minus_1
+            gauss = (integrand * _GAUSS).sum(axis=1) * z_minus_1
+            out[k, part] = np.multiply(pre, start + kronrod)
+            err[k, part] = np.abs(pre) * (start * _ENDPOINT_REL_ERR + np.abs(kronrod - gauss))
 
-    worst = float(err.max()) if err.size else 0.0
+    worsts = err.max(axis=1).tolist() if w.size else [0.0] * len(specs)
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug(
             "series %s n=%d: %d direct (<= %d terms), %d anchored (%d nodes each), "
             "%d at w = 1, max error estimate %.3e",
-            spec.kind.value, spec.n, direct.size, terms,
-            anchored.size, _NODES, at_one.size, worst,
+            "+".join(s.kind.value for s in specs), n, direct.size, terms,
+            anchored.size, _NODES, at_one.size, max(worsts),
         )
-    if worst > tol:
-        raise NoConvergence(
-            f"series error estimate {worst:.3e} exceeds abs_tol {tol:.3e}"
-        )
-    return out.reshape(shape)
+    for worst in worsts:
+        if worst > tol:
+            raise NoConvergence(f"series error estimate {worst:.3e} exceeds abs_tol {tol:.3e}")
+    return [row.reshape(shape) for row in out]
+
+
+def eval_series_many(spec: SeriesSpec, z) -> np.ndarray:
+    """The series at every point of ``z``: the one-family case of ``eval_families_many``."""
+    return eval_families_many((spec,), z)[0]
 
 
 def eval_series(spec: SeriesSpec, z: complex) -> complex:

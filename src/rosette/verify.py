@@ -32,12 +32,14 @@ from .boundary import (
 from .errors import OpenCurve, QuadratureFailure, TooCloseToCurve, WrongBeta
 from .maps import (
     RosetteParams,
+    combine_parts,
     dg_many,
     dh_many,
     f_many,
     g_many,
     h_many,
     half_turn_rotation,
+    parts_many,
     transit_identity,
 )
 from .series import SeriesKind, scale_constant
@@ -104,8 +106,8 @@ _BLOCK = 1 << 18  # element budget of one vectorised block of pairs
 # Element budget of one block of curve_distances: probes x chunks for the disc
 # bounds, (probe, chunk) pairs x chunk size for the exact distances, so that no
 # complex temporary exceeds 1 MiB.  glibc serves a block above its dynamic mmap
-# threshold (the largest mapped block freed so far, 2 MiB once series._anchored
-# has run on 4096 points) with a fresh mmap that page-faults on every touch: with
+# threshold (the largest mapped block freed so far, 2 MiB once the series' anchored
+# integral has run on 4096 points) with a fresh mmap that page-faults on every touch: with
 # 4 MiB temporaries the brute-force query at n = 12 (10777 vertices, 441 probes)
 # took twice as long.
 _DISTANCE_BLOCK = 1 << 16
@@ -576,31 +578,32 @@ def symmetry_suite(
     def add(name: str, residual: float, samples: int, threshold: float, details=None):
         checks.append(CheckResult(name, residual <= threshold, residual, samples, details))
 
+    hz, gz = parts_many(params, z)
+    fz = combine_parts(beta, hz, gz)
+
     # n-fold rotational symmetry with random k
     k = rng.integers(1, n, sample_count)
     rot = np.exp(2j * math.pi * k / n)
-    res = np.abs(f_many(params, rot * z) - rot * f_many(params, z)).max()
+    res = np.abs(f_many(params, rot * z) - rot * fz).max()
     add("rotational_symmetry", float(res), sample_count, 1e-10)
 
     # 2n-fold summand rotation laws with random j
     j = rng.integers(1, 2 * n, sample_count)
     rot_j = np.exp(1j * math.pi * j / n)
-    res_h = np.abs(h_many(params, rot_j * z) - rot_j * h_many(params, z)).max()
+    hj, gj = parts_many(params, rot_j * z)
+    res_h = np.abs(hj - rot_j * hz).max()
     sign = (-1.0) ** j
-    res_g = np.abs(g_many(params, rot_j * z) - sign / rot_j * g_many(params, z)).max()
+    res_g = np.abs(gj - sign / rot_j * gz).max()
     add("summand_rotation", float(max(res_h, res_g)), sample_count, 1e-10)
 
     # reflection: f_beta(conj z) = conj(f_{-beta}(z))
-    mirrored = RosetteParams(n, -beta, params.policy)
-    res = np.abs(f_many(params, np.conj(z)) - np.conj(f_many(mirrored, z))).max()
+    res = np.abs(f_many(params, np.conj(z)) - np.conj(combine_parts(-beta, hz, gz))).max()
     add("reflection_conjugation", float(res), sample_count, 1e-10)
 
     # half-turn law with l = -1, read from beta + pi back to beta
     shifted = RosetteParams(n, beta + math.pi, params.policy)
     pre = half_turn_rotation(n, -1)
-    res = np.abs(
-        f_many(params, z) - pre * f_many(shifted, np.exp(1j * math.pi / n) * z)
-    ).max()
+    res = np.abs(fz - pre * f_many(shifted, np.exp(1j * math.pi / n) * z)).max()
     add("half_turn_shift", float(res), sample_count, 1e-10)
 
     # beta = pi/2 reflection axis law
@@ -613,16 +616,18 @@ def symmetry_suite(
 
     # reduction to canonical beta through the phase-shift law
     canonical, shifts = params.canonical()
-    res = np.abs(f_many(params, z) - transit_identity(canonical, z, shifts)).max()
+    res = np.abs(fz - transit_identity(canonical, z, shifts)).max()
     add("phase_reduction", float(res), sample_count, 1e-10, {"shifts": shifts})
 
-    # dilatation is exactly z^(n-2)
+    # dilatation is exactly z^(n-2), compared where |z|^(n-2) >= 2^-969, 2^53 above the least
+    # normal float: there z^(n-2) and dg = z^(n-2)/sqrt(1 - z^(2n)) lose no bits to underflow
     zs = z[np.abs(1.0 - z ** (2 * n)) > 1e-6]
-    quot = dg_many(params, zs) / dh_many(params, zs)
-    res = np.abs(quot / zs ** (n - 2) - 1.0)[zs != 0].max() if zs.size else 0.0
-    add("dilatation_quotient", float(res), zs.size, 1e-12)
+    zd = zs[np.abs(zs) ** (n - 2) >= 2.0**-969]
+    quot = dg_many(params, zd) / dh_many(params, zd)
+    res = np.abs(quot / zd ** (n - 2) - 1.0).max() if zd.size else 0.0
+    add("dilatation_quotient", float(res), zd.size, 1e-12, {"dropped": zs.size - zd.size})
 
-    # Jacobian positivity on the same samples
+    # Jacobian positivity on every sample away from the singular points
     jac = (1.0 - np.abs(zs) ** (2 * (n - 2))) / np.abs(1.0 - zs ** (2 * n))
     worst = float(-(jac.min())) if jac.size else -1.0
     add("jacobian_positive", max(worst, 0.0), zs.size, 0.0)

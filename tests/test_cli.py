@@ -170,6 +170,19 @@ def test_verify_full_includes_tiling(tmp_path):
     assert any(c["name"] == "fundamental_tiling" for c in payload["checks"])
 
 
+@pytest.mark.parametrize("n", [200, 500])
+@pytest.mark.parametrize("beta", ["0.3", "pi/2", "-1.2"])
+def test_verify_full_passes_at_large_order(n, beta, tmp_path):
+    # dilatation_quotient was NaN here: z^(n-2) underflowed to 0 in its 0/0
+    out = tmp_path / "verify.json"
+    assert run_cli(["verify", "--n", str(n), "--beta", beta, "--level", "full",
+                    "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["passed"] is True
+    check = next(c for c in payload["checks"] if c["name"] == "dilatation_quotient")
+    assert 900 < check["samples_used"] <= 1000 and check["max_residual"] <= 1e-12
+
+
 def test_verify_integral_identities_witness_stays_out_of_the_report(tmp_path, monkeypatch):
     from rosette import cli
 

@@ -10,6 +10,7 @@ from rosette import (
     MapValue,
     RosetteParams,
     SingularPoint,
+    TruncationPolicy,
     canonical_rotation,
     dg,
     dh,
@@ -26,7 +27,7 @@ from rosette import (
     reduce_beta,
     scale_constant,
 )
-from rosette.maps import EPS_DOMAIN, dg_many, dh_many
+from rosette.maps import EPS_DOMAIN, combine_parts, dg_many, dh_many, parts_many
 
 PI = math.pi
 
@@ -274,6 +275,38 @@ def test_batched_map_equals_one_point_calls_bit_for_bit(n):
     picks = 2 * rng.choice(10000, 300, replace=False) + np.arange(300) % 2  # 150 of each
     singles = np.array([f_many(p, z[i : i + 1])[0] for i in picks])
     assert np.array_equal(batch[picks], singles)
+
+
+def closed_disk_points(n, seed=0):
+    """z in the disk, on the circle, within 1e-9 of the 2n singular parameters j pi/n,
+    and exactly 1."""
+    rng = np.random.default_rng(seed + n)
+    t = rng.uniform(0, 2 * PI, 300)
+    seams = np.arange(2 * n) * (PI / n)
+    return np.concatenate([
+        0.999 * np.sqrt(rng.uniform(0, 1, 300)) * np.exp(1j * t),
+        np.exp(1j * t),
+        np.exp(1j * (seams[:, None] + np.array([-1e-9, -1e-13, 0.0, 1e-13, 1e-9]))).ravel(),
+        (1 - 1e-9) * np.exp(1j * seams),
+        [1.0],
+    ])
+
+
+@pytest.mark.parametrize("n", [3, 4, 7, 96, 500])
+@pytest.mark.parametrize("policy", [TruncationPolicy(), TruncationPolicy(max_terms=8)])
+def test_shared_parts_match_the_separate_calls_bit_for_bit(n, policy):
+    z = closed_disk_points(n)
+    p = RosetteParams(n, 0.7, policy)
+    hz, gz = parts_many(p, z)
+    assert hz.tobytes() == h_many(p, z).tobytes()
+    assert gz.tobytes() == g_many(p, z).tobytes()
+    for beta in (0.7, -0.7, 0.0, PI / 2, 0.7 + 3 * PI):
+        q = RosetteParams(n, beta, policy)
+        assert f_many(q, z).tobytes() == combine_parts(beta, hz, gz).tobytes(), beta
+    picks = np.random.default_rng(n).choice(z.size, 40, replace=False).tolist() + [z.size - 1]
+    for i in picks:
+        h1, g1 = parts_many(p, z[i : i + 1])
+        assert (h1[0], g1[0]) == (hz[i], gz[i]), i
 
 
 def test_endpoint_helper_matches_parts():

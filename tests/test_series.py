@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rosette.series as series
+from rosette.series import eval_families_many
 from rosette import (
     DomainError,
     NoConvergence,
@@ -342,6 +343,61 @@ def test_values_do_not_depend_on_the_batch():
             assert np.array_equal(batch[picks], singles), (kind, n)
 
 
+def shared_core_points(n, seed=0):
+    """z in the disk, on the circle, within 1e-9 of the 2n singular parameters j pi/n,
+    and exactly 1 (w = 1)."""
+    rng = np.random.default_rng(seed + n)
+    t = rng.uniform(0, 2 * math.pi, 300)
+    seams = np.arange(2 * n) * (math.pi / n)
+    return np.concatenate([
+        0.999 * np.sqrt(rng.uniform(0, 1, 300)) * np.exp(1j * t),
+        np.exp(1j * t),
+        np.exp(1j * (seams[:, None] + np.array([-1e-9, -1e-13, 0.0, 1e-13, 1e-9]))).ravel(),
+        (1 - 1e-9) * np.exp(1j * seams),
+        [1.0],
+    ])
+
+
+@pytest.mark.parametrize("n", [3, 4, 7, 96, 500])
+@pytest.mark.parametrize("policy", [TruncationPolicy(), TruncationPolicy(max_terms=8)])
+def test_one_pass_for_both_families_matches_the_one_kind_calls_bit_for_bit(n, policy):
+    w = shared_core_points(n) ** (2 * n)
+    specs = (SeriesSpec(A, n, policy), SeriesSpec(C, n, policy))
+    pair = eval_families_many(specs, w)
+    for s, values in zip(specs, pair):
+        assert values.tobytes() == eval_series_many(s, w).tobytes(), s.kind
+    swapped = eval_families_many(specs[::-1], w)
+    assert [v.tobytes() for v in swapped] == [v.tobytes() for v in pair[::-1]]
+    # and the pair's values do not depend on the batch: one-point calls, and two halves
+    rng = np.random.default_rng(n)
+    for i in rng.choice(w.size, 40, replace=False).tolist() + [w.size - 1]:
+        one = eval_families_many(specs, w[i : i + 1])
+        assert [v[0] for v in one] == [v[i] for v in pair], i
+    half = w.size // 2
+    for k in range(2):
+        joined = np.concatenate([eval_families_many(specs, w[:half])[k],
+                                 eval_families_many(specs, w[half:])[k]])
+        assert joined.tobytes() == pair[k].tobytes()
+
+
+def test_families_evaluated_together_share_order_and_policy():
+    with pytest.raises(ValueError):
+        eval_families_many((spec(A, 5), spec(C, 6)), [0.5])
+    with pytest.raises(ValueError):
+        eval_families_many((spec(A, 5), spec(C, 5, max_terms=8)), [0.5])
+
+
+def test_one_pass_raises_as_its_first_failing_family():
+    # at w = 1 both estimates exceed 1e-19; the one-kind message of the first family
+    tight = TruncationPolicy(abs_tol=1e-19)
+    for first, second in ((A, C), (C, A)):
+        with pytest.raises(NoConvergence) as one:
+            eval_series_many(SeriesSpec(first, 5, tight), [1.0])
+        with pytest.raises(NoConvergence) as both:
+            eval_families_many((SeriesSpec(first, 5, tight), SeriesSpec(second, 5, tight)), [1.0])
+        assert str(both.value) == str(one.value)
+
+
 # --- the anchored integral: oracle property, handover, observability -------------
 
 
@@ -410,3 +466,18 @@ def test_each_evaluation_logs_its_regimes(caplog):
     assert "1 at w = 1" in msg
     worst = float(re.search(r"max error estimate (\S+)", msg).group(1))
     assert 0.0 < worst <= 1e-12
+
+
+def test_one_pass_logs_one_record_naming_both_families(caplog):
+    w = np.array([0.5, 0.99999, complex(np.exp(1j * 0.37)), 1.0])
+    with caplog.at_level(logging.DEBUG, logger="rosette"):
+        eval_series_many(spec(A, 5), w)
+        eval_series_many(spec(C, 5), w)
+        eval_families_many((spec(A, 5), spec(C, 5)), w)
+    records = [r.getMessage() for r in caplog.records if r.name == "rosette.series"]
+    assert len(records) == 3
+    single_a, single_c, pair = records
+    assert pair.startswith("series analytic+coanalytic n=5: ")
+    assert "1 direct (<= 64 terms), 2 anchored (31 nodes each), 1 at w = 1" in pair
+    worst = [float(re.search(r"max error estimate (\S+)", m).group(1)) for m in records]
+    assert worst[2] == max(worst[:2])

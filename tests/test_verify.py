@@ -598,6 +598,64 @@ def test_identity_residuals_tight():
         assert by_name[name].max_residual < 1e-10
 
 
+def separate_call_residuals(params, sample_count=1000, seed=42):
+    """The symmetry suite's shared-pair identities as separate f/h/g calls, the oracle."""
+    n, beta = params.n, params.beta
+    rng = np.random.default_rng(seed)
+    z = verify._disk_samples(rng, sample_count)
+    k = rng.integers(1, n, sample_count)
+    rot = np.exp(2j * PI * k / n)
+    out = {"rotational_symmetry": np.abs(f_many(params, rot * z) - rot * f_many(params, z)).max()}
+    j = rng.integers(1, 2 * n, sample_count)
+    rot_j = np.exp(1j * PI * j / n)
+    res_h = np.abs(maps.h_many(params, rot_j * z) - rot_j * maps.h_many(params, z)).max()
+    sign = (-1.0) ** j
+    res_g = np.abs(maps.g_many(params, rot_j * z) - sign / rot_j * maps.g_many(params, z)).max()
+    out["summand_rotation"] = max(res_h, res_g)
+    mirrored = RosetteParams(n, -beta, params.policy)
+    out["reflection_conjugation"] = np.abs(
+        f_many(params, np.conj(z)) - np.conj(f_many(mirrored, z))).max()
+    shifted = RosetteParams(n, beta + PI, params.policy)
+    out["half_turn_shift"] = np.abs(
+        f_many(params, z) - maps.half_turn_rotation(n, -1) * f_many(shifted, np.exp(1j * PI / n) * z)
+    ).max()
+    canonical, shifts = params.canonical()
+    out["phase_reduction"] = np.abs(
+        f_many(params, z) - maps.transit_identity(canonical, z, shifts)).max()
+    zs = z[np.abs(1.0 - z ** (2 * n)) > 1e-6]
+    quot = dg_many(params, zs) / dh_many(params, zs)
+    out["dilatation_quotient"] = np.abs(quot / zs ** (n - 2) - 1.0)[zs != 0].max()
+    return {name: float(v) for name, v in out.items()}
+
+
+@pytest.mark.parametrize("n", [3, 7, 12])
+@pytest.mark.parametrize("beta", [0.0, PI / 2, -1.2, 0.3 + PI, -1.2 - 2 * PI, PI / 2 + 3 * PI])
+def test_shared_symmetry_residuals_equal_the_separate_calls(n, beta):
+    params = RosetteParams(n, beta)
+    by_name = {c.name: c for c in symmetry_suite(params).checks}
+    for name, residual in separate_call_residuals(params).items():
+        assert by_name[name].max_residual == residual, name
+    assert by_name["dilatation_quotient"].details == {"dropped": 0}
+
+
+@pytest.mark.parametrize("n,dropped", [(200, 0), (500, 70)])
+def test_dilatation_quotient_compares_only_where_the_power_stays_normal(n, dropped):
+    # |z|^(n-2) underflows for |z| < 0.97 at these n; the parent divided 0 by 0 here
+    check = next(c for c in symmetry_suite(RosetteParams(n, 0.3)).checks
+                 if c.name == "dilatation_quotient")
+    assert check.passed and check.max_residual <= 1e-15
+    assert check.details == {"dropped": dropped}
+    assert check.samples_used + dropped == 1000
+
+
+def test_dilatation_quotient_still_fails_on_a_nan(monkeypatch):
+    real = verify.dg_many
+    monkeypatch.setattr(verify, "dg_many", lambda p, z: np.where(np.arange(z.size) == 3, np.nan, real(p, z)))
+    check = next(c for c in symmetry_suite(RosetteParams(6, 0.3), sample_count=50).checks
+                 if c.name == "dilatation_quotient")
+    assert math.isnan(check.max_residual) and not check.passed
+
+
 # --- fundamental sets -------------------------------------------------------------------
 
 
