@@ -61,7 +61,6 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DomainError, NoConvergence
-from .gammafn import gamma_real
 
 _log = logging.getLogger(__name__)
 
@@ -122,9 +121,9 @@ _ANCHOR_BLOCK = 4096
 # (its nodes would underflow to zeta = 1).
 _AT_ONE_RADIUS = 1e-200
 
-# Relative error allowed for the gamma closed forms of endpoint_values: gamma_real is
-# good to ~2e-15 relative and each endpoint value is a ratio of two (1.7e-15 measured
-# against mpmath for n = 2..1e8).
+# Relative error allowed for the gamma closed forms of endpoint_values: each endpoint
+# value is a ratio of two math.gamma values (1.0e-15 measured against 40-digit mpmath
+# for n = 2..400 and 10^3..10^8).
 _ENDPOINT_REL_ERR = 5e-15
 
 
@@ -360,6 +359,18 @@ def eval_series_many(spec: SeriesSpec, z) -> np.ndarray:
 def eval_series(spec: SeriesSpec, z: complex) -> complex:
     """Evaluate the series at one point of the closed unit disk."""
     return complex(eval_series_many(spec, np.array([z]))[0])
+
+
+def gamma_real(x: float) -> float:
+    """Gamma(x) for real x > 0 (math.gamma).
+
+    Raises DomainError for x <= 0, NaN and inf: the poles and the left half line
+    are not needed by any caller and are rejected outright.
+    """
+    x = float(x)
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"gamma_real requires a finite x > 0, got {x!r}")
+    return math.gamma(x)
 
 
 def endpoint_values(n: int) -> EndpointValues:
