@@ -239,6 +239,17 @@ def feature_vertices(params: RosetteParams) -> tuple[np.ndarray, np.ndarray]:
     return np.array([j * math.pi / n for j in js]), np.array([values[j] for j in js])
 
 
+def with_feature_vertices(params: RosetteParams, grid: np.ndarray) -> np.ndarray:
+    """The boundary grid ``grid`` flattened, with the feature_vertices inserted in order.
+
+    ``grid`` holds its curve's vertices in parameter order from 0, the same number per
+    pi/n, and the feature at j pi/n goes before the vertices of interval j.
+    """
+    ft_ts, ft_vals = feature_vertices(params)
+    at = np.rint(ft_ts * (params.n / math.pi)).astype(int) * (grid.size // (2 * params.n))
+    return np.insert(grid.ravel(), at, ft_vals)
+
+
 def extract_features(params: RosetteParams, confirm: bool = True) -> FeatureReport:
     """Locate and classify every boundary feature of a canonical-beta rosette.
 
@@ -420,10 +431,6 @@ def halfspeed_points(params: RosetteParams, ts) -> np.ndarray:
         exact = np.array(list(feature_values(params).values()))
         out[snap] = exact[j_near[snap] % (2 * n)]
     return out
-
-
-def halfspeed_reparam(params: RosetteParams, t: float) -> complex:
-    return complex(halfspeed_points(params, np.array([t]))[0])
 
 
 def interval_offsets(per_interval: int, refine: int = 4, band_frac: float = 0.1) -> np.ndarray:

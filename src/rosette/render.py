@@ -18,8 +18,8 @@ from .boundary import (
     boundary_points,
     bounding_radius,
     extract_features,
-    feature_vertices,
     interval_points,
+    with_feature_vertices,
 )
 from .maps import RosetteParams, f_many, half_turn_rotation, hypocycloid
 from .svgout import SvgCanvas, axis_segment, flatten_curve, flatten_curves
@@ -73,13 +73,9 @@ def _rotated_features(params: RosetteParams):
 
 def _boundary_vertices(spec: RenderSpec) -> np.ndarray:
     """Boundary polyline with the exact feature points as vertices."""
-    params = spec.params
-    n = params.n
     per = max(spec.samples_per_curve, 64)
-    vals = interval_points(params, (np.arange(per) + 0.5) / per)
-    ft_ts, ft_vals = feature_vertices(params)
-    # the feature at j pi/n goes before the vertices of interval j
-    out = np.insert(vals.ravel(), np.rint(ft_ts * (n / math.pi)).astype(int) * per, ft_vals)
+    grid = interval_points(spec.params, (np.arange(per) + 0.5) / per)
+    out = with_feature_vertices(spec.params, grid)
     return np.append(out, out[0])
 
 

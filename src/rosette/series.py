@@ -16,7 +16,7 @@ decreasing coefficients of size O(m^{-3/2}), so they converge absolutely on
 |w| <= 1 but only at rate O(M^{-1/2}) on the circle itself.  The evaluator
 therefore works in two regimes:
 
-* a direct sum of the first M = min(64, max_terms) terms by Horner's rule,
+* a direct sum of the first M = 64 terms by Horner's rule,
   wherever the geometric tail bound certifies the tolerance: the coefficients
   are at most 1 and decrease, so the tail after M terms is at most
   coeff(M) |w|^M / (1 - |w|) <= |w|^M / (1 - |w|), and the latter is at most
@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import logging
 import math
-import threading
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple, Sequence
@@ -136,22 +135,13 @@ class SeriesKind(Enum):
 
 @dataclass(frozen=True)
 class TruncationPolicy:
-    """Absolute-tolerance truncation control for the series evaluator.
-
-    ``max_terms`` caps only the direct sum, which takes min(64, max_terms)
-    terms, so the default of 64 and every larger value behave alike; points
-    it cannot certify within those terms go to the anchored integral, which
-    ``max_terms`` does not limit.
-    """
+    """Absolute-tolerance truncation control for the series evaluator."""
 
     abs_tol: float = 1e-12
-    max_terms: int = _DIRECT_TERMS
 
     def __post_init__(self):
         if not self.abs_tol > 0.0:
             raise ValueError("abs_tol must be positive")
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be at least 1")
 
 
 DEFAULT_POLICY = TruncationPolicy()
@@ -172,12 +162,6 @@ class SeriesSpec:
             raise TypeError("kind must be a SeriesKind")
 
 
-class CoeffTriple(NamedTuple):
-    m: int
-    central_binomial: float  # A_m
-    value: float             # the Taylor coefficient itself
-
-
 class EndpointValues(NamedTuple):
     """Values of the two families at argument 1, from the gamma closed forms."""
 
@@ -185,30 +169,16 @@ class EndpointValues(NamedTuple):
     coanalytic_at_one: float
 
 
-# --- coefficient cache -------------------------------------------------------
-
-_A_LOCK = threading.Lock()
-_A_CACHE = np.array([1.0])  # A_0 .. A_{len-1}; replaced wholesale on growth
+# --- coefficients -------------------------------------------------------------
 
 
 def central_binomials(count: int) -> np.ndarray:
-    """A_0 .. A_{count-1} by the stable multiplicative recurrence (read-only view).
+    """A_0 .. A_{count-1} by the stable multiplicative recurrence.
 
-    The table is rebuilt from A_0 whenever it grows, so its values do not depend
-    on the counts asked for before.
+    The cumprod multiplies in sequence, so a prefix does not depend on the count.
     """
-    global _A_CACHE
-    buf = _A_CACHE
-    if buf.size < count:
-        with _A_LOCK:
-            buf = _A_CACHE
-            if buf.size < count:
-                m = np.arange(1, max(count, 2 * buf.size), dtype=float)
-                buf = np.concatenate([[1.0], np.cumprod((2.0 * m - 1.0) / (2.0 * m))])
-                _A_CACHE = buf
-    view = buf[:count]
-    view.flags.writeable = False
-    return view
+    m = np.arange(1, count, dtype=float)
+    return np.concatenate([[1.0], np.cumprod((2.0 * m - 1.0) / (2.0 * m))])[:count]
 
 
 def coeff_values(spec: SeriesSpec, count: int) -> np.ndarray:
@@ -225,10 +195,6 @@ def coeff(spec: SeriesSpec, m: int) -> float:
     if m < 0:
         raise ValueError("coefficient index must be non-negative")
     return coeff_values(spec, m + 1)[m]
-
-
-def coeff_triple(spec: SeriesSpec, m: int) -> CoeffTriple:
-    return CoeffTriple(m, central_binomials(m + 1)[m], coeff(spec, m))
 
 
 def tail_bound(spec: SeriesSpec, m: int, abs_z: float) -> float:
@@ -286,7 +252,7 @@ def eval_families_many(specs: Sequence[SeriesSpec], z) -> list[np.ndarray]:
         aw[over] = 1.0
 
     tol = pol.abs_tol
-    terms = min(_DIRECT_TERMS, pol.max_terms)
+    terms = _DIRECT_TERMS
     power = aw**terms
     certified = power <= tol * (1.0 - aw)
     direct, rest = np.flatnonzero(certified), np.flatnonzero(~certified)
@@ -362,11 +328,7 @@ def eval_series(spec: SeriesSpec, z: complex) -> complex:
 
 
 def gamma_real(x: float) -> float:
-    """Gamma(x) for real x > 0 (math.gamma).
-
-    Raises DomainError for x <= 0, NaN and inf: the poles and the left half line
-    are not needed by any caller and are rejected outright.
-    """
+    """Gamma(x) by math.gamma for finite x > 0; DomainError for x <= 0, NaN and inf."""
     x = float(x)
     if not 0.0 < x < math.inf:
         raise DomainError(f"gamma_real requires a finite x > 0, got {x!r}")

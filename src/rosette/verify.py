@@ -23,13 +23,13 @@ import numpy as np
 from .boundary import (
     bounding_radius,
     feature_values,
-    feature_vertices,
     interval_offsets,
     interval_points,
     is_half_pi,
+    with_feature_vertices,
     wrap_angle,
 )
-from .errors import OpenCurve, QuadratureFailure, TooCloseToCurve, WrongBeta
+from .errors import OpenCurve, QuadratureFailure, TooCloseToCurve
 from .maps import (
     RosetteParams,
     combine_parts,
@@ -225,10 +225,6 @@ def curve_distances(curve, points, chunk: int = 64) -> np.ndarray:
     return out
 
 
-def min_distance_to_curve(curve, w0: complex) -> float:
-    return float(curve_distances(curve, [w0])[0])
-
-
 def _ensure_closed(pts: np.ndarray) -> np.ndarray:
     scale = float(np.abs(pts).max()) or 1.0
     if abs(pts[0] - pts[-1]) > 1e-9 * scale:
@@ -252,20 +248,14 @@ def winding_number(
     return _winding_results(pts, np.array([w0], dtype=complex), exclusion_radius)[0]
 
 
-def winding_numbers(
-    curve, points, exclusion_radius: float, chunk: int = 64
-) -> list[WindingResult]:
-    """Batch winding numbers for many probes against one closed polyline.
-
-    ``chunk`` is the number of consecutive segments per bounding disc of the
-    nearest-segment query (``curve_distances``) that gates each probe.
-    """
+def winding_numbers(curve, points, exclusion_radius: float) -> list[WindingResult]:
+    """Batch winding numbers for many probes against one closed polyline."""
     pts = _ensure_closed(np.asarray(curve, dtype=complex))
-    return _winding_results(pts, np.asarray(points, dtype=complex).ravel(), exclusion_radius, chunk)
+    return _winding_results(pts, np.asarray(points, dtype=complex).ravel(), exclusion_radius)
 
 
-def _winding_results(pts, probes, exclusion_radius, chunk=64) -> list[WindingResult]:
-    dist = curve_distances(pts, probes, chunk)
+def _winding_results(pts, probes, exclusion_radius) -> list[WindingResult]:
+    dist = curve_distances(pts, probes)
     close = np.flatnonzero(dist <= exclusion_radius)
     if close.size:
         k = close[0]
@@ -309,10 +299,10 @@ def _crossing_pairs(pts: np.ndarray, block: int) -> np.ndarray:
     return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
 
 
-def count_self_intersections(pts: np.ndarray, chunk: int = 1024) -> int:
+def count_self_intersections(pts: np.ndarray) -> int:
     """Number of properly crossing non-adjacent segment pairs of a closed polyline."""
     pts = _ensure_closed(np.asarray(pts, dtype=complex))
-    return len(_crossing_pairs(pts, chunk * chunk))
+    return len(_crossing_pairs(pts, _BLOCK))
 
 
 def _crossing_witness(pts: np.ndarray) -> dict:
@@ -336,35 +326,25 @@ def _dedupe(pts: np.ndarray, tol: float) -> np.ndarray:
 # --- boundary polylines -------------------------------------------------------
 
 
-def boundary_polyline(
-    params: RosetteParams, per_interval: int = 512, halfspeed: Optional[bool] = None
-) -> np.ndarray:
+def boundary_polyline(params: RosetteParams, per_interval: int = 512) -> np.ndarray:
     """Closed polyline through the boundary curve (half-speed at beta = pi/2).
 
     Samples every basic interval at the offsets of ``interval_offsets`` plus
     the exact feature parameters of ``feature_vertices``, so cusps and nodes
     are vertices of the polyline, their values taken from the rotation laws
     (series evaluated at argument exactly 1), never from near-singular
-    parameters.  The half-speed curve (beta = pi/2 only, else WrongBeta)
-    visits the grid parameters (j + s) pi/n at a((2k + s/2) pi/n) for j = 2k
-    and at a((2k + (1 + s)/2) pi/n) for j = 2k + 1, as ``halfspeed_points``
-    maps them: the even intervals at the offsets s/2 and (1 + s)/2.
+    parameters.  At beta = pi/2 the half-speed curve visits the grid
+    parameters (j + s) pi/n at a((2k + s/2) pi/n) for j = 2k and at
+    a((2k + (1 + s)/2) pi/n) for j = 2k + 1, as ``halfspeed_points`` maps
+    them: the even intervals at the offsets s/2 and (1 + s)/2.
     """
-    n = params.n
-    if halfspeed is None:
-        halfspeed = is_half_pi(params.beta)
-    ft_ts, ft_vals = feature_vertices(params)
     offsets = interval_offsets(per_interval, refine=2)
-    if not halfspeed:
-        vals = interval_points(params, offsets)
-    elif is_half_pi(params.beta):
-        vals = interval_points(params, np.concatenate([offsets / 2, (1 + offsets) / 2]),
+    if is_half_pi(params.beta):
+        grid = interval_points(params, np.concatenate([offsets / 2, (1 + offsets) / 2]),
                                rows=slice(0, None, 2))
     else:
-        raise WrongBeta("half-speed reparametrization requires beta = pi/2")
-    # the feature at j pi/n goes before the vertices of interval j
-    at = np.rint(ft_ts * (n / math.pi)).astype(int) * offsets.size
-    out = _dedupe(np.insert(vals.ravel(), at, ft_vals), 1e-13 * scale_constant(n))
+        grid = interval_points(params, offsets)
+    out = _dedupe(with_feature_vertices(params, grid), 1e-13 * scale_constant(params.n))
     return np.append(out, out[0])
 
 

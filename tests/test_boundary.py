@@ -22,7 +22,6 @@ from rosette import (
     g_many,
     h_many,
     halfspeed_points,
-    halfspeed_reparam,
     hypocycloid,
     scale_constant,
     separation_angle,
@@ -317,10 +316,10 @@ def test_total_curvature_interval_validation():
 def test_halfspeed_examples():
     n = 5
     p = RosetteParams(n, PI / 2)
-    assert halfspeed_reparam(p, 0.0) == pytest.approx(boundary_point(p, 0.0), abs=1e-12)
+    assert halfspeed_points(p, [0.0])[0] == pytest.approx(boundary_point(p, 0.0), abs=1e-12)
     nodes = feature_values(p)
     for k in (1, 2, 4):
-        got = halfspeed_reparam(p, 2 * k * PI / n)
+        got = halfspeed_points(p, [2 * k * PI / n])[0]
         assert got == pytest.approx(nodes[(2 * k) % (2 * n)], abs=1e-11)
 
 
@@ -328,8 +327,8 @@ def test_halfspeed_continuity_at_seams():
     p = RosetteParams(4, PI / 2)
     for k in (1, 2, 3):
         t0 = 2 * k * PI / 4
-        left = halfspeed_reparam(p, t0 - 1e-9)
-        right = halfspeed_reparam(p, t0 + 1e-9)
+        left = halfspeed_points(p, [t0 - 1e-9])[0]
+        right = halfspeed_points(p, [t0 + 1e-9])[0]
         assert abs(left - right) < 1e-4  # continuous seam (sqrt-type modulus)
 
 
@@ -337,7 +336,7 @@ def test_halfspeed_tangent_jump_is_node_angle():
     n = 5
     p = RosetteParams(n, PI / 2)
     t0 = 2 * PI / n
-    node = halfspeed_reparam(p, t0)
+    node = halfspeed_points(p, [t0])[0]
     est = classify_singular_point(
         lambda ts: halfspeed_points(p, ts), t0, location=node
     )
@@ -348,7 +347,7 @@ def test_halfspeed_tangent_jump_is_node_angle():
 
 def test_halfspeed_requires_half_pi():
     with pytest.raises(WrongBeta):
-        halfspeed_reparam(RosetteParams(5, 0.3), 0.1)
+        halfspeed_points(RosetteParams(5, 0.3), [0.1])
 
 
 # --- argument monotonicity ------------------------------------------------------------

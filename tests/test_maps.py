@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import rosette.series as series
 from rosette import (
     DomainError,
     MapValue,
     RosetteParams,
     SingularPoint,
-    TruncationPolicy,
     canonical_rotation,
     dg,
     dh,
@@ -293,15 +293,17 @@ def closed_disk_points(n, seed=0):
 
 
 @pytest.mark.parametrize("n", [3, 4, 7, 96, 500])
-@pytest.mark.parametrize("policy", [TruncationPolicy(), TruncationPolicy(max_terms=8)])
-def test_shared_parts_match_the_separate_calls_bit_for_bit(n, policy):
+# the direct sum's 64 terms, and 8 to move its seam; the ids name the two cases
+@pytest.mark.parametrize("direct_terms", [64, 8], ids=["policy0", "policy1"])
+def test_shared_parts_match_the_separate_calls_bit_for_bit(n, direct_terms, monkeypatch):
+    monkeypatch.setattr(series, "_DIRECT_TERMS", direct_terms)
     z = closed_disk_points(n)
-    p = RosetteParams(n, 0.7, policy)
+    p = RosetteParams(n, 0.7)
     hz, gz = parts_many(p, z)
     assert hz.tobytes() == h_many(p, z).tobytes()
     assert gz.tobytes() == g_many(p, z).tobytes()
     for beta in (0.7, -0.7, 0.0, PI / 2, 0.7 + 3 * PI):
-        q = RosetteParams(n, beta, policy)
+        q = RosetteParams(n, beta)
         assert f_many(q, z).tobytes() == combine_parts(beta, hz, gz).tobytes(), beta
     picks = np.random.default_rng(n).choice(z.size, 40, replace=False).tolist() + [z.size - 1]
     for i in picks:

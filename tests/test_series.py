@@ -20,7 +20,6 @@ from rosette import (
     TruncationPolicy,
     central_binomials,
     coeff,
-    coeff_triple,
     endpoint_values,
     eval_series,
     eval_series_many,
@@ -58,9 +57,8 @@ def test_binomial_factor_recurrence_matches_closed_form():
         assert a[m] == pytest.approx(comb(2 * m, m) / 4.0**m, rel=1e-15)
 
 
-def test_central_binomials_do_not_depend_on_earlier_calls(monkeypatch):
+def test_central_binomials_do_not_depend_on_earlier_calls():
     # a table grown in steps must hold the same values as one built at once
-    monkeypatch.setattr(series, "_A_CACHE", np.array([1.0]))
     for count in (3, 7, 30, 100):
         central_binomials(count)
     m = np.arange(1, 200, dtype=float)
@@ -97,20 +95,11 @@ def test_coefficients_coincide_at_n2():
         assert coeff(spec(A, 2), m) == pytest.approx(coeff(spec(C, 2), m), rel=1e-15)
 
 
-def test_coeff_triple_fields():
-    t = coeff_triple(spec(A, 6), 3)
-    assert t.m == 3
-    assert t.central_binomial == pytest.approx(comb(6, 3) / 64.0, rel=1e-15)
-    assert t.value == pytest.approx(t.central_binomial / 37.0, rel=1e-15)
-
-
 def test_rejects_bad_parameters():
     with pytest.raises(ValueError):
         SeriesSpec(A, 1)
     with pytest.raises(ValueError):
         TruncationPolicy(abs_tol=0.0)
-    with pytest.raises(ValueError):
-        TruncationPolicy(max_terms=0)
     with pytest.raises(ValueError):
         coeff(spec(A, 4), -1)
 
@@ -291,8 +280,8 @@ def test_boundary_rounding_slack_accepted():
 
 
 def test_no_convergence_when_capped():
-    # past the capped direct sum, a tolerance the quadrature pair cannot reach
-    tight = spec(A, 5, abs_tol=1e-19, max_terms=200)
+    # past the direct sum, a tolerance the quadrature pair cannot reach
+    tight = spec(A, 5, abs_tol=1e-19)
     for z in (0.99999, complex(np.exp(1j * 0.37))):
         with pytest.raises(NoConvergence):
             eval_series(tight, z)
@@ -301,30 +290,22 @@ def test_no_convergence_when_capped():
         eval_series(absurd, 1.0)
 
 
-def test_tail_telescoping_consistency():
-    # the boundary-regime value must not depend on where the tail takes over
-    for kind in (A, C):
-        s_lo = SeriesSpec(kind, 4, TruncationPolicy(max_terms=1500))
-        s_hi = SeriesSpec(kind, 4, TruncationPolicy(max_terms=2_000_000))
-        for z in (1.0, -1.0, complex(np.exp(1j * 0.37))):
-            assert abs(eval_series(s_lo, z) - eval_series(s_hi, z)) < 5e-13
-
-
 # --- the direct sum: term caps, memory, batch independence ----------------------
 
 
-def test_capped_direct_sums_match_the_oracle():
+def test_capped_direct_sums_match_the_oracle(monkeypatch):
     # caps below the 64 direct terms move the direct/anchored seam from |w| ~ 0.64
     # down to ~0.63 (63 terms), ~0.18 (16) and w = 0 (1 term); 1 - |w| spreads
     # geometrically down to 0.03, so evenly spaced picks land on both sides of each
     rng = np.random.default_rng(7)
     w = (1.0 - np.geomspace(1.0, 0.03, 2048)) * np.exp(1j * rng.uniform(0, 2 * math.pi, 2048))
     picks = np.linspace(0, w.size - 1, 16).astype(int)
-    for kind in (A, C):
-        uncapped = eval_series_many(spec(kind, 5), w)
-        for k in (1, 16, 63):
-            got = eval_series_many(spec(kind, 5, max_terms=k), w)
-            assert np.abs(got - uncapped).max() <= 5e-13, (kind, k)
+    uncapped = {kind: eval_series_many(spec(kind, 5), w) for kind in (A, C)}
+    for k in (1, 16, 63):
+        monkeypatch.setattr(series, "_DIRECT_TERMS", k)
+        for kind in (A, C):
+            got = eval_series_many(spec(kind, 5), w)
+            assert np.abs(got - uncapped[kind]).max() <= 5e-13, (kind, k)
             for i in picks:
                 assert abs(got[i] - mp_reference(kind, 5, w[i])) < 1e-12, (kind, k, w[i])
 
@@ -375,10 +356,14 @@ def shared_core_points(n, seed=0):
 
 
 @pytest.mark.parametrize("n", [3, 4, 7, 96, 500])
-@pytest.mark.parametrize("policy", [TruncationPolicy(), TruncationPolicy(max_terms=8)])
-def test_one_pass_for_both_families_matches_the_one_kind_calls_bit_for_bit(n, policy):
+# the direct sum's 64 terms, and 8 to move its seam; the ids name the two cases
+@pytest.mark.parametrize("direct_terms", [64, 8], ids=["policy0", "policy1"])
+def test_one_pass_for_both_families_matches_the_one_kind_calls_bit_for_bit(
+    n, direct_terms, monkeypatch
+):
+    monkeypatch.setattr(series, "_DIRECT_TERMS", direct_terms)
     w = shared_core_points(n) ** (2 * n)
-    specs = (SeriesSpec(A, n, policy), SeriesSpec(C, n, policy))
+    specs = (SeriesSpec(A, n), SeriesSpec(C, n))
     pair = eval_families_many(specs, w)
     for s, values in zip(specs, pair):
         assert values.tobytes() == eval_series_many(s, w).tobytes(), s.kind
@@ -400,7 +385,7 @@ def test_families_evaluated_together_share_order_and_policy():
     with pytest.raises(ValueError):
         eval_families_many((spec(A, 5), spec(C, 6)), [0.5])
     with pytest.raises(ValueError):
-        eval_families_many((spec(A, 5), spec(C, 5, max_terms=8)), [0.5])
+        eval_families_many((spec(A, 5), spec(C, 5, abs_tol=1e-10)), [0.5])
 
 
 def test_one_pass_raises_as_its_first_failing_family():
@@ -456,17 +441,19 @@ def test_points_within_underflow_of_one_take_the_endpoint_value():
         assert eval_series(spec(C, 6), z) == ev.coanalytic_at_one
 
 
-def test_direct_sum_hands_over_to_the_anchored_integral_seamlessly():
-    # |w| straddles the direct-sum seam of max_terms=32 (near 0.415) and of the
-    # default policy's 64 terms (near 0.639); max_terms=1 sends every point here
-    # to the anchored integral
+def test_direct_sum_hands_over_to_the_anchored_integral_seamlessly(monkeypatch):
+    # |w| straddles the direct-sum seam of 32 terms (near 0.415) and of the
+    # default 64 terms (near 0.639); 1 term sends every point here to the
+    # anchored integral
     radii = np.array([0.40, 0.41, 0.415, 0.42, 0.43, 0.62, 0.635, 0.638, 0.64, 0.645, 0.66])
     w = (radii[:, None] * np.exp(1j * np.array([0.0, 0.4, 2.0, math.pi]))).ravel()
     for kind in (A, C):
         for n in (4, 9):
             hi = eval_series_many(SeriesSpec(kind, n), w)
             for cap in (1, 32):
-                lo = eval_series_many(SeriesSpec(kind, n, TruncationPolicy(max_terms=cap)), w)
+                monkeypatch.setattr(series, "_DIRECT_TERMS", cap)
+                lo = eval_series_many(SeriesSpec(kind, n), w)
+                monkeypatch.undo()
                 assert np.abs(lo - hi).max() <= 5e-13, (kind, n, cap)
 
 

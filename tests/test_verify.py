@@ -14,7 +14,6 @@ from rosette import (
     RosetteParams,
     SeriesKind,
     TooCloseToCurve,
-    WrongBeta,
     boundary_points,
     boundary_polyline,
     count_self_intersections,
@@ -23,7 +22,6 @@ from rosette import (
     fundamental_decomposition,
     fundamental_set,
     integral_oracle,
-    min_distance_to_curve,
     scale_constant,
     symmetry_suite,
     univalence_scan,
@@ -101,8 +99,8 @@ def test_interior_image_point_is_wound_once():
 
 def test_min_distance_to_curve():
     square = np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j, 1 + 1j])
-    assert min_distance_to_curve(square, 0.0) == pytest.approx(1.0)
-    assert min_distance_to_curve(square, 0.5 + 0.25j) == pytest.approx(0.5)
+    assert verify.curve_distances(square, [0.0])[0] == pytest.approx(1.0)
+    assert verify.curve_distances(square, [0.5 + 0.25j])[0] == pytest.approx(0.5)
 
 
 # --- simplicity ---------------------------------------------------------------------
@@ -239,7 +237,9 @@ def test_crossing_kernel_matches_angle_sum_on_simple_polygons(poly, probes):
 def test_self_intersections_match_brute_force(poly):
     assert count_self_intersections(poly) == brute_force_crossings(poly)
     assert count_self_intersections(poly[::-1]) == brute_force_crossings(poly)
-    assert count_self_intersections(poly, chunk=2) == brute_force_crossings(poly)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verify, "_BLOCK", 4)  # pairs built four at a time
+        assert count_self_intersections(poly) == brute_force_crossings(poly)
 
 
 @settings(max_examples=60, deadline=None)
@@ -287,7 +287,7 @@ def test_curve_distances_match_the_scalar_query():
     c = unit_circle(64)
     probes = np.array([0.0, 0.5 + 0.1j, 1.5, -2.0j, 0.9])
     batch = verify.curve_distances(c, probes, chunk=2)
-    assert batch.tolist() == [min_distance_to_curve(c, w) for w in probes]
+    assert batch.tolist() == [verify.curve_distances(c, [w])[0] for w in probes]
     res = winding_numbers(c, probes, exclusion_radius=1e-6)
     assert [r.min_distance_to_curve for r in res] == batch.tolist()
     with pytest.raises(TooCloseToCurve, match=r"probe \(1\.5"):
@@ -367,8 +367,8 @@ def test_univalence_failure_witnesses(monkeypatch):
     point = complex(*crossing["point"])
     i, j = crossing["segments"]
     assert i < j and abs(point) < 1e-6
-    assert min_distance_to_curve(eight[i : i + 2], point) < 1e-15
-    assert min_distance_to_curve(eight[j : j + 2], point) < 1e-15
+    assert verify.curve_distances(eight[i : i + 2], [point])[0] < 1e-15
+    assert verify.curve_distances(eight[j : j + 2], [point])[0] < 1e-15
     interior = by_name["interior_winding_one"]
     assert not interior.passed
     worst = interior.details["worst_probe"]
@@ -424,11 +424,6 @@ def test_boundary_polylines_follow_the_sorted_parameter_grid(n, beta):
                       (_boundary_vertices(RenderSpec(p, samples_per_curve=64)), drawn)):
         assert poly.size == ref.size + 1 and poly[-1] == poly[0]
         assert np.abs(poly[:-1] - ref).max() < 1e-12
-
-
-def test_halfspeed_polyline_requires_half_pi():
-    with pytest.raises(WrongBeta):
-        boundary_polyline(RosetteParams(5, 0.3), halfspeed=True)
 
 
 @pytest.mark.parametrize("n", [5, 96])
