@@ -75,16 +75,16 @@ def parse_beta(text: str) -> float:
     return val
 
 
-def _int_at_least(name: str, low: int):
-    """An argparse type: an integer no smaller than ``low``."""
+def _at_least(name: str, low, cast=int):
+    """An argparse type: a finite ``cast`` (int or float) no smaller than ``low``."""
 
-    def parse(text: str) -> int:
-        value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"{name} >= {low} is required, got {value}")
+    def parse(text: str):
+        value = cast(text)
+        if not low <= value < math.inf:  # also false for NaN
+            raise argparse.ArgumentTypeError(f"a finite {name} >= {low} is required, got {value}")
         return value
 
-    parse.__name__ = "int"  # argparse names the type in "invalid int value: 'x'"
+    parse.__name__ = cast.__name__  # argparse names the type in "invalid int value: 'x'"
     return parse
 
 
@@ -357,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--n", type=_int_at_least("n", 3), required=True, help="order, n >= 3")
+        p.add_argument("--n", type=_at_least("n", 3), required=True, help="order, n >= 3")
         p.add_argument(
             "--beta",
             type=parse_beta,
@@ -374,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="numerical certification suite")
     common(p)
     p.add_argument("--level", choices=["quick", "full"], default="quick")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least("seed", 0), default=0)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify)
@@ -382,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dump", help="CSV stream of curve samples")
     common(p)
     p.add_argument("--what", choices=["boundary", "radial"], default="boundary")
-    p.add_argument("--count", type=_int_at_least("count", 1), default=64)
+    p.add_argument("--count", type=_at_least("count", 1), default=64)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_dump)
 
@@ -391,9 +391,9 @@ def build_parser() -> argparse.ArgumentParser:
         common(p)
         p.add_argument("--out", required=name == "render", help="output SVG path")
         p.add_argument("--grid", type=_grid, default=(24, 16), help="RxC polar grid")
-        p.add_argument("--samples", type=_int_at_least("samples", 16), default=256)
-        p.add_argument("--width", type=_int_at_least("width", 1), default=900)
-        p.add_argument("--margin", type=float, default=0.08)
+        p.add_argument("--samples", type=_at_least("samples", 16), default=256)
+        p.add_argument("--width", type=_at_least("width", 1), default=900)
+        p.add_argument("--margin", type=_at_least("margin", 0, float), default=0.08)
         p.add_argument(
             "--overlay",
             type=_overlays,
@@ -402,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         if name == "decompose":
             p.add_argument("--report", default=None, help="coverage report path (JSON)")
-            p.add_argument("--probe-grid", type=_int_at_least("probe-grid", 1), default=60)
+            p.add_argument("--probe-grid", type=_at_least("probe-grid", 1), default=60)
         p.set_defaults(func=fn)
 
     return parser

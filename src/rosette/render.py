@@ -50,6 +50,8 @@ class RenderSpec:
             raise ValueError("grid must have at least one radial line and one circle")
         if self.samples_per_curve < 16:
             raise ValueError("samples_per_curve must be at least 16")
+        if not 0.0 <= self.margin_frac < math.inf:
+            raise ValueError("margin_frac must be a finite number >= 0")
 
 
 def _rotated_features(params: RosetteParams):

@@ -341,9 +341,18 @@ def test_negative_beta_value_on_command_line(tmp_path):
         (["verify", "--n", "5", "--beta", "1e300", "--level", "quick"], "--beta"),
         (["features", "--n", "5", "--beta", "-1e5"], "--beta"),
         (["dump", "--n", "5", "--beta", "40000pi"], "--beta"),
+        (["render", "--n", "5", "--beta", "0", "--margin", "-1"], "--margin"),
+        (["render", "--n", "5", "--beta", "0", "--margin", "nan"], "--margin"),
+        (["render", "--n", "5", "--beta", "0", "--margin", "inf"], "--margin"),
+        (["decompose", "--n", "5", "--beta", "0", "--margin", "-1"], "--margin"),
+        (["decompose", "--n", "5", "--beta", "0", "--margin", "nan"], "--margin"),
+        (["decompose", "--n", "5", "--beta", "0", "--margin", "inf"], "--margin"),
+        (["verify", "--n", "5", "--beta", "0", "--seed", "-1"], "--seed"),
     ],
     ids=["count-0", "count-neg", "render-width-0", "decompose-width-0", "samples-4",
-         "beta-nan", "beta-inf", "beta-neg-inf", "beta-1e300", "beta-neg-1e5", "beta-40000pi"],
+         "beta-nan", "beta-inf", "beta-neg-inf", "beta-1e300", "beta-neg-1e5", "beta-40000pi",
+         "render-margin-neg", "render-margin-nan", "render-margin-inf", "decompose-margin-neg",
+         "decompose-margin-nan", "decompose-margin-inf", "seed-neg"],
 )
 def test_bad_input_is_a_one_line_usage_error(argv, option, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -36,6 +36,12 @@ def render_tolerance(spec):
     return 0.1 * (2.0 * half / spec.width_px)
 
 
+@pytest.mark.parametrize("margin", [-1.0, -2.0, math.nan, math.inf])
+def test_render_spec_rejects_a_margin_that_is_not_finite_and_non_negative(margin):
+    with pytest.raises(ValueError, match="margin_frac"):
+        RenderSpec(RosetteParams(5, 0.0), margin_frac=margin)
+
+
 class Counting:
     def __init__(self, fn):
         self.fn, self.calls = fn, 0
