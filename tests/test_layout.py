@@ -1,6 +1,7 @@
 """Package layout rules: module boundaries and import cost."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -67,3 +68,17 @@ def test_evaluation_leaves_mpmath_unloaded():
         env={**os.environ, "PYTHONPATH": str(SOURCE.parent)},
     )
     assert (out.returncode, out.stdout.strip()) == (0, "ok"), out.stderr
+
+
+def test_public_names_and_the_benchmarks_traced_functions_resolve():
+    # a deletion that breaks the benchmark's tracer would otherwise show only in `pytest bench`
+    missing = [name for name in rosette.__all__ if not hasattr(rosette, name)]
+    tracer = SOURCE.parents[1] / "bench" / "tracer.py"
+    traced = []
+    for node in ast.walk(ast.parse(tracer.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.AnnAssign) and getattr(node.target, "id", None) == "TRACED":
+            traced = [tuple(ast.literal_eval(e) for e in entry.elts[:2]) for entry in node.value.elts]
+    pairs = [(module, attr) for module, attr in traced if module.startswith("rosette.")]
+    assert len(pairs) > 10
+    missing += [f"{m}.{a}" for m, a in pairs if not hasattr(importlib.import_module(m), a)]
+    assert missing == []
