@@ -356,7 +356,7 @@ def shared_core_points(n, seed=0):
 
 
 @pytest.mark.parametrize("n", [3, 4, 7, 96, 500])
-# the direct sum's 64 terms, and 8 to move its seam; the ids name the two cases
+# the direct sum's 64 terms, and 8, which moves its seam; the ids keep the test names stable
 @pytest.mark.parametrize("direct_terms", [64, 8], ids=["policy0", "policy1"])
 def test_one_pass_for_both_families_matches_the_one_kind_calls_bit_for_bit(
     n, direct_terms, monkeypatch
