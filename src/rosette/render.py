@@ -48,6 +48,8 @@ class RenderSpec:
     def __post_init__(self):
         if self.radial_lines < 1 or self.circles < 1:
             raise ValueError("grid must have at least one radial line and one circle")
+        if self.width_px < 1:
+            raise ValueError("width_px must be at least 1")
         if self.samples_per_curve < 16:
             raise ValueError("samples_per_curve must be at least 16")
         if not 0.0 <= self.margin_frac < math.inf:

@@ -35,7 +35,6 @@ from .maps import (
     combine_parts,
     dg_many,
     dh_many,
-    f_many,
     g_many,
     h_many,
     half_turn_rotation,
@@ -348,6 +347,14 @@ def boundary_polyline(params: RosetteParams, per_interval: int = 512) -> np.ndar
     return np.append(out, out[0])
 
 
+def _parts_at(params: RosetteParams, *sets) -> list[tuple[np.ndarray, np.ndarray]]:
+    """h and g at each 1-D point set from one series pass; a series value does not depend on
+    its batch, so each pair (and f of any phase from it) is what the set alone would give."""
+    hz, gz = parts_many(params, np.concatenate(sets))
+    cuts = np.cumsum([np.size(s) for s in sets[:-1]])
+    return list(zip(np.split(hz, cuts), np.split(gz, cuts)))
+
+
 # --- univalence ----------------------------------------------------------------
 
 
@@ -389,8 +396,7 @@ def univalence_scan(
 
     scale = scale_constant(n)
     exclusion = 1e-6 * scale
-    zgrid = _interior_grid(grid_resolution)
-    probes = f_many(params, zgrid)
+    probes = combine_parts(params.beta, *_parts_at(params, _interior_grid(grid_resolution))[0])
     res = winding_numbers(poly, probes, exclusion)
     worst, witness = _worst_probe(res, 1)
     details = {"min_curve_distance": min(r.min_distance_to_curve for r in res)}
@@ -558,40 +564,45 @@ def symmetry_suite(
     def add(name: str, residual: float, samples: int, threshold: float, details=None):
         checks.append(CheckResult(name, residual <= threshold, residual, samples, details))
 
-    hz, gz = parts_many(params, z)
+    # every set's values at this n, from one series pass, drawing the rng as each check did
+    k = rng.integers(1, n, sample_count)
+    rot = np.exp(2j * math.pi * k / n)
+    j = rng.integers(1, 2 * n, sample_count)
+    rot_j = np.exp(1j * math.pi * j / n)
+    gam = cmath.exp(-1j * math.pi / (2 * n))
+    sub = z[: min(100, z.size)] * 0.9
+    delta = 1e-5
+    r = np.linspace(1e-3, 0.999, 400)
+    ray = cmath.exp(1j * math.pi / n)
+    (hz, gz), at_rot, (hj, gj), at_conj, at_turn, at_gam_conj, at_gam, *at_offsets, at_r, at_ray = (
+        _parts_at(params, z, rot * z, rot_j * z, np.conj(z), np.exp(1j * math.pi / n) * z,
+                  gam * np.conj(z), gam * z, sub + delta, sub - delta, sub + 1j * delta,
+                  sub - 1j * delta, r, r * ray))
     fz = combine_parts(beta, hz, gz)
 
     # n-fold rotational symmetry with random k
-    k = rng.integers(1, n, sample_count)
-    rot = np.exp(2j * math.pi * k / n)
-    res = np.abs(f_many(params, rot * z) - rot * fz).max()
+    res = np.abs(combine_parts(beta, *at_rot) - rot * fz).max()
     add("rotational_symmetry", float(res), sample_count, 1e-10)
 
     # 2n-fold summand rotation laws with random j
-    j = rng.integers(1, 2 * n, sample_count)
-    rot_j = np.exp(1j * math.pi * j / n)
-    hj, gj = parts_many(params, rot_j * z)
     res_h = np.abs(hj - rot_j * hz).max()
     sign = (-1.0) ** j
     res_g = np.abs(gj - sign / rot_j * gz).max()
     add("summand_rotation", float(max(res_h, res_g)), sample_count, 1e-10)
 
     # reflection: f_beta(conj z) = conj(f_{-beta}(z))
-    res = np.abs(f_many(params, np.conj(z)) - np.conj(combine_parts(-beta, hz, gz))).max()
+    res = np.abs(combine_parts(beta, *at_conj) - np.conj(combine_parts(-beta, hz, gz))).max()
     add("reflection_conjugation", float(res), sample_count, 1e-10)
 
     # half-turn law with l = -1, read from beta + pi back to beta
-    shifted = RosetteParams(n, beta + math.pi, params.policy)
     pre = half_turn_rotation(n, -1)
-    res = np.abs(fz - pre * f_many(shifted, np.exp(1j * math.pi / n) * z)).max()
+    res = np.abs(fz - pre * combine_parts(beta + math.pi, *at_turn)).max()
     add("half_turn_shift", float(res), sample_count, 1e-10)
 
     # beta = pi/2 reflection axis law
-    half = RosetteParams(n, math.pi / 2, params.policy)
     eta = math.pi / (2 * n) - math.pi / 4
-    gam = cmath.exp(-1j * math.pi / (2 * n))
-    lhs = cmath.exp(1j * eta) * f_many(half, gam * np.conj(z))
-    rhs = np.conj(cmath.exp(1j * eta) * f_many(half, gam * z))
+    lhs = cmath.exp(1j * eta) * combine_parts(math.pi / 2, *at_gam_conj)
+    rhs = np.conj(cmath.exp(1j * eta) * combine_parts(math.pi / 2, *at_gam))
     add("half_pi_reflection", float(np.abs(lhs - rhs).max()), sample_count, 1e-10)
 
     # reduction to canonical beta through the phase-shift law
@@ -613,30 +624,22 @@ def symmetry_suite(
     add("jacobian_positive", max(worst, 0.0), zs.size, 0.0)
 
     # Wirtinger reconstruction vs symmetric finite differences
-    sub = z[: min(100, z.size)] * 0.9
-    delta = 1e-5
     rot_b = cmath.exp(0.5j * beta)
-    fx = (f_many(params, sub + delta) - f_many(params, sub - delta)) / (2 * delta)
-    fy = (f_many(params, sub + 1j * delta) - f_many(params, sub - 1j * delta)) / (
-        2 * delta
-    )
+    east, west, north, south = (combine_parts(beta, *p) for p in at_offsets)
+    fx, fy = (east - west) / (2 * delta), (north - south) / (2 * delta)
     hp = rot_b * dh_many(params, sub)
     gp = np.conj(dg_many(params, sub)) / rot_b
     res = max(np.abs(fx - (hp + gp)).max(), np.abs(fy - 1j * (hp - gp)).max())
     add("wirtinger_consistency", float(res), sub.size, 1e-6)
 
     # radial behavior along the two distinguished rays
-    r = np.linspace(1e-3, 0.999, 400)
     canon_beta = canonical.beta
     if 0.0 < canon_beta <= math.pi / 2:
-        p = canonical
-        rays = [1.0, cmath.exp(1j * math.pi / n)]
         worst = 0.0
-        for ray, arg_increases in zip(rays, (False, True)):
-            vals = f_many(p, r * ray)
-            mono = np.diff(np.abs(vals))
+        for ray_k, at_k, arg_increases in ((1.0, at_r, False), (ray, at_ray, True)):
+            mono = np.diff(np.abs(combine_parts(canon_beta, *at_k)))
             worst = max(worst, float(max(0.0, -(mono.min()))))
-            dr = _radial_derivative(p, r, ray)
+            dr = _radial_derivative(canonical, r, ray_k)
             dargs = np.diff(np.unwrap(np.angle(dr)))
             # the tangent argument falls along ray 1 and rises along ray e^{i pi/n}
             violation = max(0.0, dargs.max() if not arg_increases else -dargs.min())
@@ -644,9 +647,7 @@ def symmetry_suite(
         add("radial_monotonicity", worst, r.size, 1e-12)
 
     # straight rays of the beta = 0 mapping
-    flat = RosetteParams(n, 0.0, params.policy)
-    v0 = f_many(flat, r)
-    v1 = f_many(flat, r * cmath.exp(1j * math.pi / n))
+    v0, v1 = combine_parts(0.0, *at_r), combine_parts(0.0, *at_ray)
     res = max(
         np.abs(np.angle(v0)).max(),
         np.abs(np.angle(v1 * cmath.exp(-1j * math.pi / n))).max(),
@@ -689,7 +690,7 @@ def fundamental_set(params: RosetteParams, per_interval: int = 768, radial: int 
     n = canonical.n
     u = np.linspace(0.0, 1.0, radial)
     r = np.sin(0.5 * math.pi * u) ** 2  # clustered toward r = 1
-    side1 = f_many(canonical, r[:-1])  # endpoint a(0) appended exactly below
+    side1 = combine_parts(canonical.beta, *_parts_at(canonical, r[:-1])[0])  # a(0) appended below
     exact = feature_values(canonical)
     rows = interval_points(canonical, (np.arange(per_interval) + 0.5) / per_interval,
                            rows=slice(0, 2))
@@ -741,8 +742,12 @@ def fundamental_decomposition(
     scale = scale_constant(n)
     tol = 1e-6 * scale
 
+    # the probe images and the vertex secants of the origin (below) from one series pass
+    r0 = 1e-6
     zgrid = _interior_grid(probe_grid, r_max)
-    probes = f_many(params, zgrid)
+    at_grid, at_side = _parts_at(params, zgrid, np.array(
+        [r0, r0 * cmath.exp(1j * math.pi / n), r0 * cmath.exp(2j * math.pi / n)]))
+    probes = combine_parts(params.beta, *at_grid)
 
     counts = np.zeros(probes.size, dtype=int)
     for copy in copies:
@@ -762,10 +767,7 @@ def fundamental_decomposition(
     hist = {int(c): int((counts == c).sum()) for c in np.unique(counts)}
 
     # vertex geometry at the origin from tiny-radius secants
-    r0 = 1e-6
-    canonical = base.params
-    v_side = f_many(canonical, np.array([r0, r0 * cmath.exp(1j * math.pi / n), r0 * cmath.exp(2j * math.pi / n)]))
-    a0, a1, a2 = (cmath.phase(complex(v)) for v in v_side)
+    a0, a1, a2 = (cmath.phase(complex(v)) for v in combine_parts(base.params.beta, *at_side))
     vertex_angle = (a2 - a0) % TWO_PI
     half_angles = ((a1 - a0) % TWO_PI, (a2 - a1) % TWO_PI)
 

@@ -6,16 +6,19 @@ f, h' and g' on a 2048-point interior batch at n = 96 (the direct sum), builds
 the boundary polylines at n = 96 for beta = 0.3 and pi/2 (the half-speed
 curve), runs a univalence scan at n = 96 (the pruned nearest-segment query
 gates its winding probes), and runs a small `render`, a 64-row boundary
-`dump`, a quick `verify` (whose integral check uses the tanh-sinh rule) and a
+`dump`, a quick `verify` (whose integral check uses the tanh-sinh rule), a
 full `verify` at n = 200 (whose dilatation check skips the samples where
-z^(n-2) underflows) through the command line; exits non-zero if a value is
-not finite, a polyline is not closed or crosses itself, a univalence check
-fails, a command fails or mpmath or scipy ended up in sys.modules.
+z^(n-2) underflows) and a `decompose` with a coverage report (the tiling of
+the image by fundamental-set copies) through the command line; exits non-zero
+if a value is not finite, a polyline is not closed or crosses itself, a
+univalence check fails, a command fails, the coverage report does not say it
+passed, or mpmath or scipy ended up in sys.modules.
 Needs only the runtime dependencies:
 
     python tests/smoke.py
 """
 
+import json
 import os
 import sys
 import tempfile
@@ -59,6 +62,13 @@ with tempfile.TemporaryDirectory() as tmp:
     if main(["verify", "--n", "200", "--beta", "0.3", "--level", "full",
              "--out", os.path.join(tmp, "v200.json")]) != 0:
         sys.exit("verify at n = 200 failed")
+    report_path = os.path.join(tmp, "coverage.json")
+    if main(["decompose", "--n", "5", "--beta", "-0.7", "--probe-grid", "24",
+             "--report", report_path]) != 0:
+        sys.exit("decompose failed")
+    with open(report_path, encoding="utf-8") as fh:
+        if json.load(fh)["passed"] is not True:
+            sys.exit("the coverage report did not pass")
     with open(svg, encoding="utf-8") as fh:
         if fh.read().count("<path") != 6 + 3 + 1:  # rays, inner circles, boundary
             sys.exit("render drew the wrong number of curves")

@@ -42,6 +42,13 @@ def test_render_spec_rejects_a_margin_that_is_not_finite_and_non_negative(margin
         RenderSpec(RosetteParams(5, 0.0), margin_frac=margin)
 
 
+@pytest.mark.parametrize("width", [0, -1])
+def test_render_spec_rejects_a_width_below_one_pixel(width):
+    # render_svg divided by the width and raised ZeroDivisionError at 0
+    with pytest.raises(ValueError, match="width_px"):
+        RenderSpec(RosetteParams(5, 0.3), width_px=width)
+
+
 class Counting:
     def __init__(self, fn):
         self.fn, self.calls = fn, 0

@@ -28,7 +28,7 @@ from rosette import (
     winding_number,
     winding_numbers,
 )
-from rosette import maps, verify
+from rosette import maps, series, verify
 from rosette.boundary import (
     bounding_radius,
     feature_vertices,
@@ -36,6 +36,7 @@ from rosette.boundary import (
     interval_offsets,
     wrap_angle,
 )
+from rosette.cli import main
 from rosette.maps import dg_many, dh_many
 from rosette.render import _boundary_vertices
 
@@ -620,6 +621,26 @@ def separate_call_residuals(params, sample_count=1000, seed=42):
     zs = z[np.abs(1.0 - z ** (2 * n)) > 1e-6]
     quot = dg_many(params, zs) / dh_many(params, zs)
     out["dilatation_quotient"] = np.abs(quot / zs ** (n - 2) - 1.0)[zs != 0].max()
+    half = RosetteParams(n, PI / 2, params.policy)
+    turn, gam = cmath.exp(1j * (PI / (2 * n) - PI / 4)), cmath.exp(-1j * PI / (2 * n))
+    out["half_pi_reflection"] = np.abs(
+        turn * f_many(half, gam * np.conj(z)) - np.conj(turn * f_many(half, gam * z))).max()
+    sub, delta, rot_b = z[:100] * 0.9, 1e-5, cmath.exp(0.5j * beta)
+    fx = (f_many(params, sub + delta) - f_many(params, sub - delta)) / (2 * delta)
+    fy = (f_many(params, sub + 1j * delta) - f_many(params, sub - 1j * delta)) / (2 * delta)
+    hp, gp = rot_b * dh_many(params, sub), np.conj(dg_many(params, sub)) / rot_b
+    out["wirtinger_consistency"] = max(np.abs(fx - (hp + gp)).max(), np.abs(fy - 1j * (hp - gp)).max())
+    r, ray = np.linspace(1e-3, 0.999, 400), cmath.exp(1j * PI / n)
+    if 0.0 < canonical.beta <= PI / 2:  # the suite checks the rays only at these phases
+        worst = 0.0
+        for through, rises in ((1.0, False), (ray, True)):
+            mono = np.diff(np.abs(f_many(canonical, r * through)))
+            dargs = np.diff(np.unwrap(np.angle(verify._radial_derivative(canonical, r, through))))
+            worst = max(worst, -mono.min(), -dargs.min() if rises else dargs.max())
+        out["radial_monotonicity"] = worst
+    flat = RosetteParams(n, 0.0, params.policy)
+    out["ray_straightness"] = max(np.abs(np.angle(f_many(flat, r))).max(), np.abs(
+        np.angle(f_many(flat, r * ray) * cmath.exp(-1j * PI / n))).max())
     return {name: float(v) for name, v in out.items()}
 
 
@@ -628,9 +649,39 @@ def separate_call_residuals(params, sample_count=1000, seed=42):
 def test_shared_symmetry_residuals_equal_the_separate_calls(n, beta):
     params = RosetteParams(n, beta)
     by_name = {c.name: c for c in symmetry_suite(params).checks}
-    for name, residual in separate_call_residuals(params).items():
+    separate = separate_call_residuals(params)
+    # every check that evaluates f, h or g; jacobian_positive uses the closed form only
+    assert set(separate) == set(by_name) - {"jacobian_positive"}
+    for name, residual in separate.items():
         assert by_name[name].max_residual == residual, name
     assert by_name["dilatation_quotient"].details == {"dropped": 0}
+
+
+@pytest.fixture
+def series_passes(monkeypatch):
+    """The spec count of every series pass made while the fixture is active."""
+    real, passes = series.eval_families_many, []
+
+    def counted(specs, z):
+        passes.append(len(specs))
+        return real(specs, z)
+
+    monkeypatch.setattr(series, "eval_families_many", counted)
+    monkeypatch.setattr(maps, "eval_families_many", counted)
+    return passes
+
+
+def test_symmetry_suite_makes_one_fused_series_pass(series_passes):
+    # one pass over every point set at both kinds, then transit_identity's f_many (h and g)
+    symmetry_suite(RosetteParams(5, 0.3))
+    assert series_passes == [2, 1, 1]
+
+
+def test_full_verify_makes_twelve_series_passes(series_passes, tmp_path):
+    # symmetry 3, univalence 3, integral identities 2, decomposition 4
+    argv = ["verify", "--n", "5", "--beta", "0.3", "--level", "full"]
+    assert main(argv + ["--out", str(tmp_path / "v.json")]) == 0
+    assert len(series_passes) == 12
 
 
 @pytest.mark.parametrize("n,dropped", [(200, 0), (500, 70)])
@@ -679,6 +730,30 @@ def test_fundamental_decomposition_noncanonical_beta():
     pre = cmath.exp(1j * (shifts * PI / 2 + (2 + shifts) * PI / 4))
     assert copies[0].prefactor == pytest.approx(pre, abs=1e-14)
     _ = beta
+
+
+def per_set_parts(params, *sets):
+    """verify._parts_at as separate calls: the h_many and g_many passes f_many makes, per set."""
+    return [(maps.h_many(params, s), maps.g_many(params, s)) for s in sets]
+
+
+@pytest.mark.parametrize("n", [3, 5, 12])
+@pytest.mark.parametrize("beta", [0.0, PI / 2, -1.2, 0.3 + PI])
+def test_fused_stages_equal_the_per_call_path(monkeypatch, n, beta):
+    params = RosetteParams(n, beta)
+    real, probes = verify._windings, []  # the winding probes of both stages, as bytes
+    monkeypatch.setattr(verify, "_windings", lambda pts, w: probes.append(w.tobytes()) or real(pts, w))
+    scan = univalence_scan(params)
+    copies, coverage = fundamental_decomposition(params, probe_grid=60)
+    fused_probes, probes[:] = probes[:], []
+    monkeypatch.setattr(verify, "_parts_at", per_set_parts)
+    assert univalence_scan(params) == scan
+    per_call_copies, per_call_coverage = fundamental_decomposition(params, probe_grid=60)
+    assert per_call_coverage == coverage
+    assert probes == fused_probes
+    for got, want in zip(copies, per_call_copies, strict=True):
+        assert got.prefactor == want.prefactor
+        assert got.polyline.tobytes() == want.polyline.tobytes()
 
 
 def test_bigon_tangency_angle_at_half_pi_node():
