@@ -20,6 +20,7 @@ import functools
 import io
 import json
 import math
+import os
 import re
 import sys
 from typing import Optional
@@ -29,11 +30,11 @@ import numpy as np
 from .boundary import curve_samples, extract_features
 from .maps import RosetteParams, f_many, reduce_beta
 from .render import Overlay, RenderSpec, render_svg
-from .series import SeriesKind
 from .verify import (
     CheckResult,
     fundamental_decomposition,
-    integral_oracle_many,
+    fundamental_tiling,
+    integral_identities,
     symmetry_suite,
     univalence_scan,
 )
@@ -96,12 +97,7 @@ def _grid(text: str) -> tuple[int, int]:
 
 
 def _overlays(text: str) -> frozenset:
-    names = {
-        "features": Overlay.FEATURES,
-        "axes": Overlay.CUSP_AXES,
-        "fundamental": Overlay.FUNDAMENTAL_SET,
-        "hypocycloid": Overlay.HYPOCYCLOID,
-    }
+    names = {overlay.value: overlay for overlay in Overlay}
     out = set()
     for part in text.split(","):
         part = part.strip().lower()
@@ -115,6 +111,15 @@ def _overlays(text: str) -> frozenset:
     return frozenset(out)
 
 
+def _output(text: str) -> str:
+    """An argparse type: ``-`` for stdout, or a file path that is no directory and lies in one."""
+    folder = os.path.dirname(text) or "."
+    if text != "-" and (os.path.isdir(text) or not os.path.isdir(folder)):
+        problem = "is a directory" if os.path.isdir(text) else "lies in a missing directory"
+        raise argparse.ArgumentTypeError(f"cannot write {text!r}: it {problem}")
+    return text
+
+
 def _write_text(path: Optional[str], text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
@@ -123,9 +128,15 @@ def _write_text(path: Optional[str], text: str) -> None:
             fh.write(text)
 
 
-def _num(x) -> str:
-    """Shortest round-trip decimal form of a float, for CSV cells."""
-    return repr(float(x))
+def _csv(header: list[str], rows) -> str:
+    """CSV text with RFC 4180 line endings.  A None cell is empty, a float is written in its
+    shortest round-trip decimal form, and any other value as the csv module writes it."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(["" if v is None else repr(float(v)) if isinstance(v, float) else v
+                      for v in row] for row in rows)
+    return buf.getvalue()
 
 
 # --- features ------------------------------------------------------------------
@@ -161,34 +172,13 @@ def _feature_payload(n: int, beta_input: float) -> dict:
     }
 
 
-def _features_csv(payload: dict) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)  # RFC 4180 line endings
-    writer.writerow(
-        ["kind", "t", "re", "im", "magnitude", "argument", "axis_arg", "interior_angle"]
-    )
-    for ft in payload["features"]:
-        writer.writerow(
-            [
-                ft["kind"],
-                _num(ft["t"]),
-                _num(ft["re"]),
-                _num(ft["im"]),
-                _num(ft["magnitude"]),
-                _num(ft["argument"]),
-                "" if ft["axis_arg"] is None else _num(ft["axis_arg"]),
-                "" if ft["interior_angle"] is None else _num(ft["interior_angle"]),
-            ]
-        )
-    return buf.getvalue()
-
-
 def cmd_features(args) -> int:
     payload = _feature_payload(args.n, args.beta)
     if args.format == "json":
         _write_text(args.out, json.dumps(payload, indent=2) + "\n")
     else:
-        _write_text(args.out, _features_csv(payload))
+        header = ["kind", "t", "re", "im", "magnitude", "argument", "axis_arg", "interior_angle"]
+        _write_text(args.out, _csv(header, [list(ft.values()) for ft in payload["features"]]))
     return 0
 
 
@@ -209,38 +199,12 @@ def cmd_verify(args) -> int:
     quick = args.level == "quick"
 
     suite = symmetry_suite(params, sample_count=200 if quick else 1000, seed=args.seed)
-    scan = univalence_scan(
-        params,
-        grid_resolution=12 if quick else 21,
-        per_interval=None if not quick else 96,
-        seed=args.seed,
-    )
+    scan = univalence_scan(params, grid_resolution=12 if quick else 21,
+                           per_interval=96 if quick else None, seed=args.seed)
     results = suite.checks + scan.checks
-
-    rng = np.random.default_rng(args.seed)
-    count = 10 if quick else 50
-    pts = 0.95 * np.sqrt(rng.uniform(0, 1, count)) * np.exp(
-        1j * rng.uniform(0, 2 * math.pi, count)
-    )
-    pts = np.append(pts, 1.0)
-    kinds = (SeriesKind.ANALYTIC, SeriesKind.COANALYTIC)
-    pairs = [integral_oracle_many(params, pts, kind) for kind in kinds]
-    residual = np.array([np.abs(lhs - rhs) for lhs, rhs in pairs])
-    i, k = np.unravel_index(np.argmax(residual), residual.shape)  # a NaN wins, and fails
-    worst = float(residual[i, k])
-    z, lhs, rhs = complex(pts[k]), complex(pairs[i][0][k]), complex(pairs[i][1][k])
-    worst_point = {"point": [z.real, z.imag], "kind": kinds[i].value,
-                   "lhs": [lhs.real, lhs.imag], "rhs": [rhs.real, rhs.imag]}
-    results.append(CheckResult("integral_identities", worst < 1e-9, worst, 2 * (count + 1),
-                               {"worst_point": worst_point}))
-
+    results.append(integral_identities(params, 10 if quick else 50, args.seed))
     if not quick:
-        original = RosetteParams(args.n, args.beta)
-        _, coverage = fundamental_decomposition(original, probe_grid=60)
-        witness = coverage.first_violation
-        details = {"first_violation": witness} if witness else None
-        results.append(CheckResult("fundamental_tiling", coverage.passed,
-                                   float(coverage.violations), coverage.probes, details))
+        results.append(fundamental_tiling(RosetteParams(args.n, args.beta), probe_grid=60))
 
     checks = _checks_payload(results)
     passed = all(c["passed"] for c in checks)
@@ -257,14 +221,8 @@ def cmd_verify(args) -> int:
         "checks": checks,
     }
     if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["name", "passed", "max_residual", "samples_used"])
-        for c in checks:
-            writer.writerow(
-                [c["name"], c["passed"], _num(c["max_residual"]), c["samples_used"]]
-            )
-        _write_text(args.out, buf.getvalue())
+        header = ["name", "passed", "max_residual", "samples_used"]
+        _write_text(args.out, _csv(header, [list(c.values()) for c in checks]))
     else:
         _write_text(args.out, json.dumps(payload, indent=2) + "\n")
     return 0 if passed else 1
@@ -275,29 +233,19 @@ def cmd_verify(args) -> int:
 
 def cmd_dump(args) -> int:
     params = RosetteParams(args.n, args.beta)
-    buf = io.StringIO()
-    writer = csv.writer(buf)
     if args.what == "boundary":
-        writer.writerow(["t", "re", "im", "d_arg", "d_mag"])
         ts = (np.arange(args.count) + 0.5) * 2.0 * math.pi / args.count
-        for s in curve_samples(params, ts):
-            writer.writerow(
-                [
-                    _num(s.t),
-                    _num(s.value.real),
-                    _num(s.value.imag),
-                    "" if s.d_arg is None else _num(s.d_arg),
-                    _num(s.d_mag),
-                ]
-            )
+        rows = [[s.t, s.value.real, s.value.imag, s.d_arg, s.d_mag]
+                for s in curve_samples(params, ts)]
+        text = _csv(["t", "re", "im", "d_arg", "d_mag"], rows)
     else:
-        writer.writerow(["ray_arg", "r", "re", "im"])
         rs = (np.arange(args.count) + 0.5) / args.count
+        rows = []
         for ray_arg in (0.0, math.pi / args.n, 2.0 * math.pi / args.n):
             vals = f_many(params, rs * np.exp(1j * ray_arg))
-            for r, v in zip(rs, vals):
-                writer.writerow([_num(ray_arg), _num(r), _num(v.real), _num(v.imag)])
-    _write_text(args.out, buf.getvalue())
+            rows += [[ray_arg, r, v.real, v.imag] for r, v in zip(rs, vals)]
+        text = _csv(["ray_arg", "r", "re", "im"], rows)
+    _write_text(args.out, text)
     return 0
 
 
@@ -368,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("features", help="cusp/node feature report")
     common(p)
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", type=_output, default=None)
     p.set_defaults(func=cmd_features)
 
     p = sub.add_parser("verify", help="numerical certification suite")
@@ -376,20 +324,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", choices=["quick", "full"], default="quick")
     p.add_argument("--seed", type=_at_least("seed", 0), default=0)
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", type=_output, default=None)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("dump", help="CSV stream of curve samples")
     common(p)
     p.add_argument("--what", choices=["boundary", "radial"], default="boundary")
     p.add_argument("--count", type=_at_least("count", 1), default=64)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", type=_output, default=None)
     p.set_defaults(func=cmd_dump)
 
     for name, fn in (("render", cmd_render), ("decompose", cmd_decompose)):
         p = sub.add_parser(name, help=f"{name} a figure")
         common(p)
-        p.add_argument("--out", required=name == "render", help="output SVG path")
+        p.add_argument("--out", type=_output, required=name == "render", help="output SVG path")
         p.add_argument("--grid", type=_grid, default=(24, 16), help="RxC polar grid")
         p.add_argument("--samples", type=_at_least("samples", 16), default=256)
         p.add_argument("--width", type=_at_least("width", 1), default=900)
@@ -401,7 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
             help="comma list: features,axes,fundamental,hypocycloid",
         )
         if name == "decompose":
-            p.add_argument("--report", default=None, help="coverage report path (JSON)")
+            p.add_argument("--report", type=_output, default=None,
+                           help="coverage report path (JSON)")
             p.add_argument("--probe-grid", type=_at_least("probe-grid", 1), default=60)
         p.set_defaults(func=fn)
 

@@ -20,7 +20,8 @@ class SvgCanvas:
     world_half: float
     elements: list[str] = field(default_factory=list)
 
-    def to_px(self, z: complex) -> tuple[float, float]:
+    def to_px(self, z):
+        """Pixel coordinates (x, y) of a point, or of each point of an array."""
         s = self.width_px / (2.0 * self.world_half)
         return (
             (z.real + self.world_half) * s,
@@ -34,11 +35,8 @@ class SvgCanvas:
         pts = np.asarray(points, dtype=complex)
         if pts.size < 2:
             return
-        # the expressions of to_px, on arrays
-        s = self.width_px / (2.0 * self.world_half)
-        xs = ((pts.real + self.world_half) * s).tolist()
-        ys = ((self.world_half - pts.imag) * s).tolist()
-        d = "M" + "L".join(f"{x:.3f} {y:.3f}" for x, y in zip(xs, ys))
+        xs, ys = self.to_px(pts)
+        d = "M" + "L".join(f"{x:.3f} {y:.3f}" for x, y in zip(xs.tolist(), ys.tolist()))
         self.elements.append(
             f'<path d="{d}" fill="none" stroke="{stroke}" '
             f'stroke-width="{self._fmt(width)}"/>'

@@ -244,16 +244,13 @@ def winding_number(
     pts = _ensure_closed(np.asarray(curve, dtype=complex))
     if exclusion_radius is None:
         exclusion_radius = 1e-9 * float(np.abs(pts - w0).max())
-    return _winding_results(pts, np.array([w0], dtype=complex), exclusion_radius)[0]
+    return winding_numbers(pts, [w0], exclusion_radius)[0]
 
 
 def winding_numbers(curve, points, exclusion_radius: float) -> list[WindingResult]:
     """Batch winding numbers for many probes against one closed polyline."""
     pts = _ensure_closed(np.asarray(curve, dtype=complex))
-    return _winding_results(pts, np.asarray(points, dtype=complex).ravel(), exclusion_radius)
-
-
-def _winding_results(pts, probes, exclusion_radius) -> list[WindingResult]:
+    probes = np.asarray(points, dtype=complex).ravel()
     dist = curve_distances(pts, probes)
     close = np.flatnonzero(dist <= exclusion_radius)
     if close.size:
@@ -449,7 +446,7 @@ _TS_STEP = 0.5  # step of level 0; every level halves it
 _TS_MIN_LEVEL = 3
 _TS_MAX_LEVEL = 10
 _TS_TOL = 1e-10  # largest accepted level-halving error estimate
-# Points per call of the rule: level 4 adds 128 nodes, so each complex
+# Points per block of the rule: level 4 adds 128 nodes, so each complex
 # temporary of a block stays at 512 KiB (see _DISTANCE_BLOCK).
 _TS_BLOCK = 256
 
@@ -480,6 +477,9 @@ def _tanh_sinh(
     Every operation acts on one point's row, so a value does not depend on the
     batch it is computed in.
     """
+    if z.size > _TS_BLOCK:
+        return np.concatenate([_tanh_sinh(params, z[i : i + _TS_BLOCK], kind, max_level)
+                               for i in range(0, z.size, _TS_BLOCK)])
     n = params.n
     analytic = kind is SeriesKind.ANALYTIC
     w = z ** (2 * n)
@@ -528,10 +528,7 @@ def integral_oracle_many(
     """
     z = np.asarray(z, dtype=complex).ravel()
     rhs = h_many(params, z) if kind is SeriesKind.ANALYTIC else g_many(params, z)
-    lhs = np.empty(z.size, dtype=complex)
-    for i in range(0, z.size, _TS_BLOCK):
-        lhs[i : i + _TS_BLOCK] = _tanh_sinh(params, z[i : i + _TS_BLOCK], kind)
-    return lhs, rhs
+    return _tanh_sinh(params, z, kind), rhs
 
 
 def integral_oracle(
@@ -540,6 +537,25 @@ def integral_oracle(
     """integral_oracle_many at one point, with the residual |lhs - rhs|."""
     lhs, rhs = (complex(v[0]) for v in integral_oracle_many(params, [z], kind))
     return IntegralCheck(lhs=lhs, rhs=rhs, residual=abs(lhs - rhs))
+
+
+def integral_identities(params: RosetteParams, count: int, seed: int) -> CheckResult:
+    """The identities of integral_oracle_many for both kinds, at ``count`` seeded points of
+    |z| <= 0.95 and at z = 1, both right-hand sides from one series pass.
+
+    Passes when every residual is below 1e-9; the details name the worst point.
+    """
+    z = np.append(_disk_samples(np.random.default_rng(seed), count, 0.95), 1.0)
+    kinds = (SeriesKind.ANALYTIC, SeriesKind.COANALYTIC)
+    sides = [(_tanh_sinh(params, z, kind), rhs) for kind, rhs in zip(kinds, parts_many(params, z))]
+    residual = np.array([np.abs(lhs - rhs) for lhs, rhs in sides])
+    i, k = np.unravel_index(np.argmax(residual), residual.shape)  # a NaN wins, and fails
+    worst = float(residual[i, k])
+    p, lhs, rhs = complex(z[k]), complex(sides[i][0][k]), complex(sides[i][1][k])
+    worst_point = {"point": [p.real, p.imag], "kind": kinds[i].value,
+                   "lhs": [lhs.real, lhs.imag], "rhs": [rhs.real, rhs.imag]}
+    return CheckResult("integral_identities", worst < 1e-9, worst, 2 * z.size,
+                       {"worst_point": worst_point})
 
 
 # --- symmetry and pointwise identities ------------------------------------------
@@ -697,11 +713,7 @@ def fundamental_set(params: RosetteParams, per_interval: int = 768, radial: int 
     arc = np.concatenate([[exact[0]], rows[0], [exact[1]], rows[1], [exact[2 % (2 * n)]]])
     side2 = (np.append(side1, exact[0]) * cmath.exp(2j * math.pi / n))[::-1]
     poly = np.concatenate([side1, arc, side2[1:]])
-    poly = _dedupe(poly, 1e-13 * scale_constant(n))
-    if abs(poly[0] - poly[-1]) > 1e-13 * scale_constant(n):
-        poly = np.append(poly, poly[0])
-    else:
-        poly[-1] = poly[0]
+    poly = _dedupe(poly, 1e-13 * scale_constant(n))  # closed: from f(0) = 0 back to 0
     return FundamentalSet(
         params=canonical, sector=(0.0, TWO_PI / n), boundary_polyline=poly
     )
@@ -785,3 +797,12 @@ def fundamental_decomposition(
         first_violation=witness,
     )
     return copies, report
+
+
+def fundamental_tiling(params: RosetteParams, probe_grid: int) -> CheckResult:
+    """fundamental_decomposition as a check: its residual is the violation count, and the
+    details name the first violating probe."""
+    _, coverage = fundamental_decomposition(params, probe_grid=probe_grid)
+    witness = coverage.first_violation
+    return CheckResult("fundamental_tiling", coverage.passed, float(coverage.violations),
+                       coverage.probes, {"first_violation": witness} if witness else None)

@@ -7,18 +7,22 @@ the boundary polylines at n = 96 for beta = 0.3 and pi/2 (the half-speed
 curve), runs a univalence scan at n = 96 (the pruned nearest-segment query
 gates its winding probes), and runs a small `render`, a 64-row boundary
 `dump`, a quick `verify` (whose integral check uses the tanh-sinh rule), a
-full `verify` at n = 200 (whose dilatation check skips the samples where
-z^(n-2) underflows) and a `decompose` with a coverage report (the tiling of
-the image by fundamental-set copies) through the command line; exits non-zero
-if a value is not finite, a polyline is not closed or crosses itself, a
-univalence check fails, a command fails, the coverage report does not say it
-passed, or mpmath or scipy ended up in sys.modules.
+full `verify` at n = 5 (all four stages, the fundamental tiling included) and
+at n = 200 (whose dilatation check skips the samples where z^(n-2)
+underflows), a CSV `features` report and a `decompose` with a coverage report
+(the tiling of the image by fundamental-set copies) through the command line;
+exits non-zero if a value is not finite, a polyline is not closed or crosses
+itself, a univalence check fails, a command fails, a report does not say it
+passed, the CSV report does not parse back, or mpmath or scipy ended up in
+sys.modules.
 Needs only the runtime dependencies:
 
     python tests/smoke.py
 """
 
+import csv
 import json
+import math
 import os
 import sys
 import tempfile
@@ -59,6 +63,19 @@ with tempfile.TemporaryDirectory() as tmp:
     if main(["verify", "--n", "5", "--beta", "pi/2", "--level", "quick",
              "--out", os.path.join(tmp, "v.json")]) != 0:
         sys.exit("verify failed")
+    full = os.path.join(tmp, "v5.json")
+    if main(["verify", "--n", "5", "--beta", "0.3", "--level", "full", "--out", full]) != 0:
+        sys.exit("full verify at n = 5 failed")
+    with open(full, encoding="utf-8") as fh:
+        if json.load(fh)["passed"] is not True:
+            sys.exit("the full verify report at n = 5 did not pass")
+    features = os.path.join(tmp, "f.csv")
+    if main(["features", "--n", "5", "--beta", "0.3", "--format", "csv", "--out", features]) != 0:
+        sys.exit("features failed")
+    with open(features, encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    if len(rows) != 10 or not all(math.isfinite(float(row["magnitude"])) for row in rows):
+        sys.exit("the features CSV did not parse back to 10 finite rows")
     if main(["verify", "--n", "200", "--beta", "0.3", "--level", "full",
              "--out", os.path.join(tmp, "v200.json")]) != 0:
         sys.exit("verify at n = 200 failed")

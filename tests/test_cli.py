@@ -348,11 +348,14 @@ def test_negative_beta_value_on_command_line(tmp_path):
         (["decompose", "--n", "5", "--beta", "0", "--margin", "nan"], "--margin"),
         (["decompose", "--n", "5", "--beta", "0", "--margin", "inf"], "--margin"),
         (["verify", "--n", "5", "--beta", "0", "--seed", "-1"], "--seed"),
+        (["decompose", "--n", "5", "--beta", "0", "--report", "."], "--report"),
+        (["decompose", "--n", "5", "--beta", "0", "--report", "no-such-dir/r.json"], "--report"),
     ],
     ids=["count-0", "count-neg", "render-width-0", "decompose-width-0", "samples-4",
          "beta-nan", "beta-inf", "beta-neg-inf", "beta-1e300", "beta-neg-1e5", "beta-40000pi",
          "render-margin-neg", "render-margin-nan", "render-margin-inf", "decompose-margin-neg",
-         "decompose-margin-nan", "decompose-margin-inf", "seed-neg"],
+         "decompose-margin-nan", "decompose-margin-inf", "seed-neg", "report-directory",
+         "report-missing-directory"],
 )
 def test_bad_input_is_a_one_line_usage_error(argv, option, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -363,6 +366,34 @@ def test_bad_input_is_a_one_line_usage_error(argv, option, tmp_path, capsys):
     err = captured.err.strip().splitlines()
     assert err[-1].startswith(f"rosette {argv[0]}: error: argument {option}:")
     assert not any("Traceback" in line for line in err)
+
+
+@pytest.mark.parametrize("command", ["features", "verify", "dump", "render", "decompose"])
+@pytest.mark.parametrize("where", ["directory", "missing-directory"])
+def test_an_unusable_out_path_is_a_one_line_usage_error_before_any_work(
+    command, where, tmp_path, monkeypatch, capsys
+):
+    import rosette.cli as cli
+
+    def fail(*args, **kwargs):
+        raise AssertionError("work ran before the output path was checked")
+
+    for name in ("extract_features", "symmetry_suite", "curve_samples", "render_svg"):
+        monkeypatch.setattr(cli, name, fail)
+    out = tmp_path if where == "directory" else tmp_path / "missing" / "x.out"
+    with pytest.raises(SystemExit) as exc:
+        run_cli([command, "--n", "5", "--beta", "0", "--out", str(out)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert err[-1].startswith(f"rosette {command}: error: argument --out: cannot write")
+    assert not any("Traceback" in line for line in err)
+
+
+def test_out_dash_writes_to_stdout(capsys):
+    assert run_cli(["features", "--n", "5", "--beta", "0", "--out", "-"]) == 0
+    assert json.loads(capsys.readouterr().out)["n"] == 5
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e999"])

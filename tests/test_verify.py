@@ -393,11 +393,16 @@ def test_tiling_failure_witness(monkeypatch):
     z = complex(*witness["z"])
     image = f_many(RosetteParams(5, PI / 5), z)
     assert complex(*witness["point"]) == pytest.approx(image, abs=1e-12)
+    check = verify.fundamental_tiling(RosetteParams(5, PI / 5), probe_grid=20)
+    assert (check.name, check.passed, check.samples_used) == ("fundamental_tiling", False, 400)
+    assert check.max_residual == cov.violations and check.details == {"first_violation": witness}
 
 
 def test_passing_checks_carry_no_witness():
     _, cov = fundamental_decomposition(RosetteParams(5, PI / 5), probe_grid=20)
     assert cov.passed and cov.first_violation is None
+    check = verify.fundamental_tiling(RosetteParams(5, PI / 5), probe_grid=20)
+    assert check.passed and check.max_residual == 0.0 and check.details is None
     report = univalence_scan(RosetteParams(5, 0.0), grid_resolution=8, per_interval=64)
     assert all("first_crossing" not in (c.details or {}) and "worst_probe" not in (c.details or {})
                for c in report.checks)
@@ -429,23 +434,16 @@ def test_boundary_polylines_follow_the_sorted_parameter_grid(n, beta):
 
 @pytest.mark.parametrize("n", [5, 96])
 @pytest.mark.parametrize("beta", [0.3, PI / 2])
-def test_boundary_polylines_evaluate_the_series_on_one_interval(monkeypatch, n, beta):
-    # k offsets of one basic interval (2m on the half-speed curve) and the two
-    # feature values h(1), g(1): 2k + 2 series points, not 2 * 2n * k + 2
-    real, sizes = maps.eval_series_many, []
-
-    def counted(spec, w):
-        sizes.append(np.size(w))
-        return real(spec, w)
-
-    monkeypatch.setattr(maps, "eval_series_many", counted)
+def test_boundary_polylines_evaluate_the_series_on_one_interval(series_points, n, beta):
+    # one pass over the k offsets of one basic interval (2k on the half-speed curve) and
+    # one over the feature argument w = 1: k + 1 series points, not 2n * k + 1
     p = RosetteParams(n, beta)
     boundary_polyline(p)
     k = interval_offsets(512, refine=2).size * (2 if beta == PI / 2 else 1)
-    assert sum(sizes) <= 2 * k + 2
-    sizes.clear()
+    assert series_points == [k, 1]
+    series_points.clear()
     _boundary_vertices(RenderSpec(p))
-    assert sum(sizes) <= 2 * RenderSpec(p).samples_per_curve + 2
+    assert sum(series_points) <= RenderSpec(p).samples_per_curve + 1
 
 
 # --- univalence -----------------------------------------------------------------------
@@ -539,6 +537,23 @@ def test_integral_oracle_is_the_batched_row(n):
             assert (chk.lhs, chk.rhs, chk.residual) == (lk, rk, abs(lk - rk))
         long_lhs, _ = verify.integral_oracle_many(params, np.concatenate([filler, z]), kind)
         assert np.array_equal(long_lhs[filler.size :], lhs)
+
+
+@pytest.mark.parametrize("n,beta,count,seed", [(3, 0.0, 10, 0), (5, PI / 2, 50, 3), (12, -2.9, 10, 7)])
+def test_integral_identities_equal_the_per_kind_oracle(series_passes, n, beta, count, seed):
+    params = RosetteParams(n, beta)
+    check = verify.integral_identities(params, count, seed)
+    assert series_passes == [2]  # h and g at every point, in one pass
+    z = np.append(verify._disk_samples(np.random.default_rng(seed), count, 0.95), 1.0)
+    sides = [verify.integral_oracle_many(params, z, kind) for kind in SeriesKind]
+    residual = np.array([np.abs(lhs - rhs) for lhs, rhs in sides])
+    i, k = np.unravel_index(np.argmax(residual), residual.shape)
+    lhs, rhs = complex(sides[i][0][k]), complex(sides[i][1][k])
+    assert (check.name, check.passed, check.samples_used) == ("integral_identities", True, 2 * z.size)
+    assert check.max_residual == residual.max()
+    assert check.details == {"worst_point": {
+        "point": [z[k].real, z[k].imag], "kind": list(SeriesKind)[i].value,
+        "lhs": [lhs.real, lhs.imag], "rhs": [rhs.real, rhs.imag]}}
 
 
 def test_integral_oracle_outside_the_disk_is_a_domain_error():
@@ -657,18 +672,29 @@ def test_shared_symmetry_residuals_equal_the_separate_calls(n, beta):
     assert by_name["dilatation_quotient"].details == {"dropped": 0}
 
 
-@pytest.fixture
-def series_passes(monkeypatch):
-    """The spec count of every series pass made while the fixture is active."""
+def _spy_series_passes(monkeypatch, measure) -> list:
+    """measure(specs, z) of every series pass, spied where series and maps look it up."""
     real, passes = series.eval_families_many, []
 
     def counted(specs, z):
-        passes.append(len(specs))
+        passes.append(measure(specs, z))
         return real(specs, z)
 
     monkeypatch.setattr(series, "eval_families_many", counted)
     monkeypatch.setattr(maps, "eval_families_many", counted)
     return passes
+
+
+@pytest.fixture
+def series_passes(monkeypatch):
+    """The spec count of every series pass made while the fixture is active."""
+    return _spy_series_passes(monkeypatch, lambda specs, z: len(specs))
+
+
+@pytest.fixture
+def series_points(monkeypatch):
+    """The point count of every series pass made while the fixture is active."""
+    return _spy_series_passes(monkeypatch, lambda specs, z: np.size(z))
 
 
 def test_symmetry_suite_makes_one_fused_series_pass(series_passes):
@@ -677,11 +703,34 @@ def test_symmetry_suite_makes_one_fused_series_pass(series_passes):
     assert series_passes == [2, 1, 1]
 
 
-def test_full_verify_makes_twelve_series_passes(series_passes, tmp_path):
-    # symmetry 3, univalence 3, integral identities 2, decomposition 4
+def test_full_verify_makes_eleven_series_passes(series_passes, tmp_path):
+    # symmetry 3, univalence 3, integral identities 1, decomposition 4
     argv = ["verify", "--n", "5", "--beta", "0.3", "--level", "full"]
     assert main(argv + ["--out", str(tmp_path / "v.json")]) == 0
-    assert len(series_passes) == 12
+    assert len(series_passes) == 11
+
+
+@pytest.mark.parametrize("n", [3, 7, 12])
+@pytest.mark.parametrize("beta", [0.3, PI / 2, 0.3 + PI, 1.2 - 2 * PI])
+def test_radial_monotonicity_reads_f_along_both_rays(monkeypatch, n, beta):
+    # the check's residual is 0 whenever |f| rises and the tangent turns the right way, so
+    # a wrong point set could pass unseen: pin the values it forms at the canonical phase
+    real, formed = verify.combine_parts, []
+
+    def spy(phase, hz, gz):
+        out = real(phase, hz, gz)
+        formed.append((phase, out))
+        return out
+
+    monkeypatch.setattr(verify, "combine_parts", spy)
+    params = RosetteParams(n, beta)
+    assert "radial_monotonicity" in {c.name for c in symmetry_suite(params).checks}
+    canonical, _ = params.canonical()
+    r = np.linspace(1e-3, 0.999, 400)
+    for ray in (1.0, cmath.exp(1j * PI / n)):
+        want = f_many(canonical, r * ray)
+        assert any(phase == canonical.beta and np.array_equal(values, want)
+                   for phase, values in formed), ray
 
 
 @pytest.mark.parametrize("n,dropped", [(200, 0), (500, 70)])
