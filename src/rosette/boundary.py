@@ -311,7 +311,7 @@ def _confirm_features(params: RosetteParams, features: list[BoundaryFeature]) ->
         def curve(ts):
             return boundary_points(params, ts)
     else:
-        base = RosetteParams(params.n, params.beta - shifts * math.pi, params.policy)
+        base = RosetteParams(params.n, params.beta - shifts * math.pi)
         rot, lag = half_turn_rotation(params.n, shifts), shifts * math.pi / params.n
 
         def curve(ts):
@@ -386,10 +386,8 @@ def total_curvature(params: RosetteParams, t0: float, t1: float) -> float:
     return (params.n / 2.0 - 1.0) * (t1 - t0)
 
 
-def total_curvature_numeric(
-    params: RosetteParams, t0: float, t1: float, samples: int = 4096
-) -> float:
-    """Accumulated turning of sampled tangent directions (wrap-aware diffs).
+def total_curvature_numeric(params: RosetteParams, t0: float, t1: float) -> float:
+    """Accumulated turning of 4096 sampled tangent directions (wrap-aware diffs).
 
     Independent of the linear-argument law: uses only the complex derivative
     values.  Endpoints are nudged off singular parameters by 1e-9.
@@ -398,7 +396,7 @@ def total_curvature_numeric(
     eps = 1e-9
     a = t0 + eps if distance_to_singular(params.n, t0) < eps else t0
     b = t1 - eps if distance_to_singular(params.n, t1) < eps else t1
-    ts = np.linspace(a, b, samples)
+    ts = np.linspace(a, b, 4096)
     ts = ts[distance_to_singular(params.n, ts) > T_SINGULAR_TOL]
     d = _derivative_values(params, ts)
     args = np.angle(d)
@@ -433,13 +431,13 @@ def halfspeed_points(params: RosetteParams, ts) -> np.ndarray:
     return out
 
 
-def interval_offsets(per_interval: int, refine: int = 4, band_frac: float = 0.1) -> np.ndarray:
+def interval_offsets(per_interval: int) -> np.ndarray:
     """Sorted sampling offsets s in (0, 1) of one basic interval: midpoint-uniform,
-    with ``refine``-times denser coverage in a band at either end (the features)."""
+    with twice denser coverage in a band of width 0.1 at either end (the features)."""
     base = (np.arange(per_interval) + 0.5) / per_interval
-    band_count = max(1, int(per_interval * band_frac * refine))
-    extra_lo = band_frac * (np.arange(band_count) + 0.5) / band_count
-    extra_hi = 1.0 - band_frac + extra_lo
+    band_count = max(1, int(0.2 * per_interval))
+    extra_lo = 0.1 * (np.arange(band_count) + 0.5) / band_count
+    extra_hi = 0.9 + extra_lo
     return np.unique(np.concatenate([base, extra_lo, extra_hi]))
 
 
@@ -470,17 +468,15 @@ def interval_points(params: RosetteParams, offsets, rows=slice(None)) -> np.ndar
     return out
 
 
-def detect_arg_nonmonotonicity(
-    params: RosetteParams, per_interval: int = 512
-) -> tuple[bool, Optional[float]]:
-    """Scan arg a(t) on a fine grid for an interval of strict decrease.
+def detect_arg_nonmonotonicity(params: RosetteParams) -> tuple[bool, Optional[float]]:
+    """Scan arg a(t) on a fine grid (512 offsets per basic interval) for strict decrease.
 
     Returns (found, witness_t) with the witness at the midpoint of a grid
     step on which the unwrapped argument decreases by more than 1e-6 rad.
     """
     if not params.is_canonical():
         raise NonCanonicalBeta(f"beta={params.beta} outside (-pi/2, pi/2]; reduce it first")
-    offsets = interval_offsets(per_interval, refine=2)
+    offsets = interval_offsets(512)
     ts = ((np.arange(2 * params.n)[:, None] + offsets) * (math.pi / params.n)).ravel()
     vals = interval_points(params, offsets).ravel()
     args = np.unwrap(np.angle(vals))
@@ -532,7 +528,6 @@ def classify_singular_point(
     curve_fn: Callable[[np.ndarray], np.ndarray],
     t0: float,
     location: Optional[complex] = None,
-    offsets: Sequence[float] = CONFIRM_OFFSETS,
 ) -> SingularPointEstimate:
     """Classify an isolated singular point of any closed curve numerically.
 
@@ -541,7 +536,7 @@ def classify_singular_point(
     they agree, and a node otherwise.
     """
     base = complex(curve_fn(np.array([t0]))[0]) if location is None else location
-    left, right = (float(x[0]) for x in one_sided_tangents(curve_fn, [t0], [base], offsets))
+    left, right = (float(x[0]) for x in one_sided_tangents(curve_fn, [t0], [base]))
     jump = abs(wrap_angle(right - left))
     if abs(jump - math.pi) < CONFIRM_TOL:
         kind = FeatureKind.CUSP

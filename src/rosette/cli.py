@@ -58,6 +58,8 @@ def parse_beta(text: str) -> float:
     if m:
         mult = float(m.group("mult")) if m.group("mult") else 1.0
         den = float(m.group("den")) if m.group("den") else 1.0
+        if den == 0.0:
+            raise argparse.ArgumentTypeError(f"angle {text!r} divides by zero")
         val = mult * math.pi / den
         val = -val if m.group("sign") == "-" else val
     else:
@@ -200,7 +202,7 @@ def cmd_verify(args) -> int:
 
     suite = symmetry_suite(params, sample_count=200 if quick else 1000, seed=args.seed)
     scan = univalence_scan(params, grid_resolution=12 if quick else 21,
-                           per_interval=96 if quick else None, seed=args.seed)
+                           per_interval=96 if quick else None)
     results = suite.checks + scan.checks
     results.append(integral_identities(params, 10 if quick else 50, args.seed))
     if not quick:

@@ -24,19 +24,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, SingularPoint
-from .series import (
-    DEFAULT_POLICY,
-    SeriesKind,
-    SeriesSpec,
-    TruncationPolicy,
-    eval_families_many,
-    eval_series_many,
-)
+from .series import SeriesKind, SeriesSpec, eval_families_many, eval_series_many
 
 # Proximity of 1 - z^{2n} to zero below which derivative closed forms are refused.
 SINGULAR_TOL = 1e-12
@@ -51,7 +44,6 @@ class RosetteParams:
 
     n: int
     beta: float
-    policy: TruncationPolicy = field(default=DEFAULT_POLICY)
 
     def __post_init__(self):
         if self.n < 3:
@@ -60,13 +52,13 @@ class RosetteParams:
     def canonical(self) -> tuple["RosetteParams", int]:
         """Equivalent parameters with beta in (-pi/2, pi/2] and the shift count l."""
         beta, shifts = reduce_beta(self.beta)
-        return RosetteParams(self.n, beta, self.policy), shifts
+        return RosetteParams(self.n, beta), shifts
 
-    def is_canonical(self, tol: float = 1e-12) -> bool:
-        return -math.pi / 2 - tol < self.beta <= math.pi / 2 + tol
+    def is_canonical(self) -> bool:
+        return -math.pi / 2 - 1e-12 < self.beta <= math.pi / 2 + 1e-12
 
     def _spec(self, kind: SeriesKind) -> SeriesSpec:
-        return SeriesSpec(kind, self.n, self.policy)
+        return SeriesSpec(kind, self.n)
 
 
 @dataclass(frozen=True)
@@ -86,11 +78,11 @@ class MapValue:
 
 
 def _check_disk(z: np.ndarray) -> np.ndarray:
-    """|z|, after raising DomainError for points more than EPS_DOMAIN outside the disk."""
+    """|z|, after raising DomainError for points more than EPS_DOMAIN outside the disk or NaN."""
     az = np.abs(z)
-    if (az > 1.0 + EPS_DOMAIN).any():
-        worst = z.ravel()[int(np.argmax(az))]
-        raise DomainError(f"point {worst} lies outside the closed unit disk")
+    if not (az <= 1.0 + EPS_DOMAIN).all():
+        worst = z.ravel()[int(np.argmax(az))]  # np.argmax picks a NaN first
+        raise DomainError(f"point {worst} is not in the closed unit disk")
     return az
 
 

@@ -130,7 +130,7 @@ def render_svg(spec: RenderSpec) -> str:
         canvas.polyline(curve, stroke="#c08030", width=1.0)
 
     if Overlay.FUNDAMENTAL_SET in spec.overlay:
-        copies, _, _ = rotated_copies(params)
+        copies = rotated_copies(params)
         for copy in copies[:-1]:
             canvas.polyline(copy.polyline, stroke="#bbbbbb", width=0.6)
         canvas.polyline(copies[-1].polyline, stroke="#207020", width=1.6)

@@ -20,7 +20,7 @@ therefore works in two regimes:
   wherever the geometric tail bound certifies the tolerance: the coefficients
   are at most 1 and decrease, so the tail after M terms is at most
   coeff(M) |w|^M / (1 - |w|) <= |w|^M / (1 - |w|), and the latter is at most
-  abs_tol for |w| up to about 0.64 at M = 64 and the default tolerance;
+  the tolerance ABS_TOL = 1e-12 for |w| up to about 0.64 at M = 64;
 * everywhere else, the circle and w = 1 included, an integral anchored at
   w = 1.  With z = w^{1/(2n)} (principal root) the families are h(z)/z and
   (n-1) z^{1-n} g(z) for the incomplete-beta integrals (DLMF 8.17)
@@ -34,15 +34,15 @@ therefore works in two regimes:
   circle the integrand's nearest singularity in u stays at |u| >= ~sqrt(2)
   (reached at w = -1, for every n), where the 15-point rule is still within ~4e-16.
 
-One core, ``eval_families_many``, evaluates several families of one order and
-policy in one pass: they share the domain check, |w|^M, and the anchored nodes,
+One core, ``eval_families_many``, evaluates several families of one order
+in one pass: they share the domain check, |w|^M, and the anchored nodes,
 log z, z - 1, log zeta and root 2u/sqrt(1 - zeta^{2n}), on which the co-analytic
 family multiplies in zeta^{n-2}.  ``eval_series_many`` is its one-family case.
 
 The achieved absolute accuracy is a few 1e-15 everywhere on the closed disk
 (against mpmath's hyp2f1 for n = 3..1000, down to |1 - w| = 1e-16); the
 evaluator raises ``NoConvergence`` whenever its own error estimate exceeds
-the policy tolerance instead of returning a silently degraded value.  The
+ABS_TOL instead of returning a silently degraded value.  The
 value at a point is the same bit for bit whatever batch it is evaluated in.  Each
 call logs one DEBUG record on the package logger: the families evaluated, the
 points in each regime, the direct-sum terms and quadrature nodes used, and the
@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Sequence
 
@@ -66,7 +66,10 @@ _log = logging.getLogger(__name__)
 # Slack on |w| <= 1 absorbing rounding of boundary points exp(i t).
 DOMAIN_SLACK = 1e-7
 
-# Terms of the direct sum.  It takes the points with |w|^64 / (1 - |w|) <= abs_tol,
+# Absolute error every value is certified to; NoConvergence where it cannot be.
+ABS_TOL = 1e-12
+
+# Terms of the direct sum.  It takes the points with |w|^64 / (1 - |w|) <= ABS_TOL,
 # so the tail it drops, at most coeff(64) < 6e-4 times that, stays at the rounding
 # level of the anchored integral, which takes the other points.
 _DIRECT_TERMS = 64
@@ -134,26 +137,11 @@ class SeriesKind(Enum):
 
 
 @dataclass(frozen=True)
-class TruncationPolicy:
-    """Absolute-tolerance truncation control for the series evaluator."""
-
-    abs_tol: float = 1e-12
-
-    def __post_init__(self):
-        if not self.abs_tol > 0.0:
-            raise ValueError("abs_tol must be positive")
-
-
-DEFAULT_POLICY = TruncationPolicy()
-
-
-@dataclass(frozen=True)
 class SeriesSpec:
-    """One hypergeometric family: kind, order n and truncation policy."""
+    """One hypergeometric family: kind and order n."""
 
     kind: SeriesKind
     n: int
-    policy: TruncationPolicy = field(default=DEFAULT_POLICY)
 
     def __post_init__(self):
         if self.n < 2:
@@ -229,32 +217,31 @@ def _expm1(y: np.ndarray) -> np.ndarray:
 
 
 def eval_families_many(specs: Sequence[SeriesSpec], z) -> list[np.ndarray]:
-    """Evaluate families of one order and policy at every point of ``z`` (any array-like).
+    """Evaluate families of one order at every point of ``z`` (any array-like).
 
     Returns one array per spec, each the same bit for bit as in a call of its own.
-    Result error is at most policy.abs_tol in absolute value everywhere on the
-    closed unit disk; NoConvergence is raised, for the first family that misses
-    it, if that cannot be certified.
+    Result error is at most ABS_TOL in absolute value everywhere on the closed unit
+    disk; NoConvergence is raised, for the first family that misses it, if that
+    cannot be certified.  A point off the disk, NaN included, raises DomainError.
     """
-    n, pol = specs[0].n, specs[0].policy
-    if any(s.n != n or s.policy != pol for s in specs):
-        raise ValueError("families evaluated together must share n and policy")
+    n = specs[0].n
+    if any(s.n != n for s in specs):
+        raise ValueError("families evaluated together must share n")
     w = np.asarray(z, dtype=complex)
     shape = w.shape
     w = np.array(w.ravel(), copy=True)
     aw = np.abs(w)
-    if (aw > 1.0 + DOMAIN_SLACK).any():
-        worst = w[np.argmax(aw)]
-        raise DomainError(f"series argument {worst} lies outside the closed unit disk")
+    if not (aw <= 1.0 + DOMAIN_SLACK).all():  # also true for a NaN
+        worst = w[np.argmax(aw)]  # np.argmax picks a NaN first
+        raise DomainError(f"series argument {worst} is not in the closed unit disk")
     over = aw > 1.0
     if over.any():
         w[over] /= aw[over]
         aw[over] = 1.0
 
-    tol = pol.abs_tol
     terms = _DIRECT_TERMS
     power = aw**terms
-    certified = power <= tol * (1.0 - aw)
+    certified = power <= ABS_TOL * (1.0 - aw)
     direct, rest = np.flatnonzero(certified), np.flatnonzero(~certified)
 
     out = np.empty((len(specs), w.size), dtype=complex)
@@ -312,8 +299,8 @@ def eval_families_many(specs: Sequence[SeriesSpec], z) -> list[np.ndarray]:
             anchored.size, _NODES, at_one.size, max(worsts),
         )
     for worst in worsts:
-        if worst > tol:
-            raise NoConvergence(f"series error estimate {worst:.3e} exceeds abs_tol {tol:.3e}")
+        if not worst <= ABS_TOL:  # also true for a NaN estimate
+            raise NoConvergence(f"series error estimate {worst:.3e} exceeds ABS_TOL {ABS_TOL:.3e}")
     return [row.reshape(shape) for row in out]
 
 

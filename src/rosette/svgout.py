@@ -115,11 +115,9 @@ def flatten_curves(value_fn, paths, tol_world: float, max_rounds: int = 12) -> l
     return by_path(vals, owner)
 
 
-def flatten_curve(
-    curve_fn, t0: float, t1: float, initial: int, tol_world: float, max_rounds: int = 12
-) -> np.ndarray:
+def flatten_curve(curve_fn, t0: float, t1: float, initial: int, tol_world: float) -> np.ndarray:
     """flatten_curves for one curve given directly as ``curve_fn(t)``."""
-    return flatten_curves(curve_fn, [(lambda t: t, t0, t1, initial)], tol_world, max_rounds)[0]
+    return flatten_curves(curve_fn, [(lambda t: t, t0, t1, initial)], tol_world)[0]
 
 
 def axis_segment(center: complex, direction_arg: float, half_length: float) -> tuple[complex, complex]:

@@ -66,7 +66,6 @@ class CheckResult:
 class VerificationReport:
     params: RosetteParams
     checks: list[CheckResult]
-    seed: int
 
     @property
     def passed(self) -> bool:
@@ -78,7 +77,6 @@ class FundamentalSet:
     """Image of the closed sector arg z in [0, 2pi/n); its boundary polyline is closed."""
 
     params: RosetteParams
-    sector: tuple[float, float]
     boundary_polyline: np.ndarray
 
 
@@ -252,7 +250,7 @@ def winding_numbers(curve, points, exclusion_radius: float) -> list[WindingResul
     pts = _ensure_closed(np.asarray(curve, dtype=complex))
     probes = np.asarray(points, dtype=complex).ravel()
     dist = curve_distances(pts, probes)
-    close = np.flatnonzero(dist <= exclusion_radius)
+    close = np.flatnonzero(~(dist > exclusion_radius))  # a NaN probe is too close, too
     if close.size:
         k = close[0]
         raise TooCloseToCurve(
@@ -334,7 +332,7 @@ def boundary_polyline(params: RosetteParams, per_interval: int = 512) -> np.ndar
     a((2k + (1 + s)/2) pi/n) for j = 2k + 1, as ``halfspeed_points`` maps
     them: the even intervals at the offsets s/2 and (1 + s)/2.
     """
-    offsets = interval_offsets(per_interval, refine=2)
+    offsets = interval_offsets(per_interval)
     if is_half_pi(params.beta):
         grid = interval_points(params, np.concatenate([offsets / 2, (1 + offsets) / 2]),
                                rows=slice(0, None, 2))
@@ -363,19 +361,14 @@ def _interior_grid(resolution: int, r_max: float = 0.95) -> np.ndarray:
 
 
 def univalence_scan(
-    params: RosetteParams,
-    grid_resolution: int = 24,
-    per_interval: Optional[int] = None,
-    exterior_probes: int = 64,
-    margin: float = 0.25,
-    seed: int = 0,
+    params: RosetteParams, grid_resolution: int = 24, per_interval: Optional[int] = None
 ) -> VerificationReport:
     """Certify injectivity numerically for one canonical-beta rosette.
 
     (a) the sampled boundary polyline has no self-intersections; (b) images
-    of an interior z-grid have winding number 1 and probes beyond the
-    bounding circle have winding 0; (c) the grid images are pairwise
-    distinct (pigeonhole injectivity), with the minimum separation reported.
+    of an interior z-grid have winding number 1 and 64 probes a quarter of the
+    scale beyond the bounding circle have winding 0; (c) the grid images are
+    pairwise distinct (pigeonhole injectivity), with the minimum separation reported.
     """
     n = params.n
     if per_interval is None:
@@ -403,8 +396,8 @@ def univalence_scan(
         CheckResult("interior_winding_one", worst == 0, float(worst), len(res), details)
     )
 
-    radius = bounding_radius(n) + margin * scale
-    ring = radius * np.exp(1j * TWO_PI * (np.arange(exterior_probes) + 0.37) / exterior_probes)
+    radius = bounding_radius(n) + 0.25 * scale
+    ring = radius * np.exp(1j * TWO_PI * (np.arange(64) + 0.37) / 64)
     res_out = winding_numbers(poly, ring, exclusion)
     worst_out, witness = _worst_probe(res_out, 0)
     details = {"worst_probe": witness} if witness else None
@@ -414,7 +407,7 @@ def univalence_scan(
     min_sep = _min_pairwise_distance(probes)
     checks.append(CheckResult("grid_images_distinct", min_sep > 0.0, 0.0 if min_sep > 0.0 else 1.0,
                               probes.size, {"min_separation": min_sep}))
-    return VerificationReport(params=params, checks=checks, seed=seed)
+    return VerificationReport(params=params, checks=checks)
 
 
 def _worst_probe(res: list[WindingResult], target: int) -> tuple[int, Optional[dict]]:
@@ -425,10 +418,10 @@ def _worst_probe(res: list[WindingResult], target: int) -> tuple[int, Optional[d
     return errors[k], {"index": k, "point": [p.real, p.imag], "winding": w} if errors[k] else None
 
 
-def _min_pairwise_distance(pts: np.ndarray, chunk: int = 512) -> float:
+def _min_pairwise_distance(pts: np.ndarray) -> float:
     best = math.inf
-    for i0 in range(0, pts.size, chunk):
-        d = np.abs(pts[i0 : i0 + chunk, None] - pts[None, :])
+    for i0 in range(0, pts.size, 512):
+        d = np.abs(pts[i0 : i0 + 512, None] - pts[None, :])
         d[np.arange(d.shape[0]), np.arange(i0, i0 + d.shape[0])] = math.inf  # self-pairs
         best = min(best, float(d.min(initial=math.inf)))
     return best
@@ -670,7 +663,7 @@ def symmetry_suite(
     )
     add("ray_straightness", float(res), 2 * r.size, 1e-10)
 
-    return VerificationReport(params=params, checks=checks, seed=seed)
+    return VerificationReport(params=params, checks=checks)
 
 
 def _radial_derivative(params: RosetteParams, r: np.ndarray, ray: complex) -> np.ndarray:
@@ -691,56 +684,47 @@ class CoverageReport:
     count_histogram: dict
     vertex_angle: float
     half_sector_angles: tuple[float, float]
-    min_separation_scale: float
     first_violation: Optional[dict] = None  # probe index, z, image point, copies containing it
 
 
-def fundamental_set(params: RosetteParams, per_interval: int = 768, radial: int = 600) -> FundamentalSet:
+def fundamental_set(params: RosetteParams) -> FundamentalSet:
     """Boundary polyline of the image of the sector arg z in [0, 2pi/n).
 
-    Three sides: the radial image f(r), the boundary arc over [0, 2pi/n]
-    (its endpoints and midpoint taken exactly from the rotation laws), and
-    the rotated radial image f(r e^{2 pi i/n}) traversed back to the origin.
+    Three sides: the radial image f(r) at 600 radii, the boundary arc over [0, 2pi/n]
+    at 768 offsets per basic interval (its endpoints and midpoint taken exactly from
+    the rotation laws), and the rotated radial image f(r e^{2 pi i/n}) traversed back
+    to the origin.
     """
     canonical, _ = params.canonical()
     n = canonical.n
-    u = np.linspace(0.0, 1.0, radial)
+    u = np.linspace(0.0, 1.0, 600)
     r = np.sin(0.5 * math.pi * u) ** 2  # clustered toward r = 1
     side1 = combine_parts(canonical.beta, *_parts_at(canonical, r[:-1])[0])  # a(0) appended below
     exact = feature_values(canonical)
-    rows = interval_points(canonical, (np.arange(per_interval) + 0.5) / per_interval,
-                           rows=slice(0, 2))
+    rows = interval_points(canonical, (np.arange(768) + 0.5) / 768, rows=slice(0, 2))
     arc = np.concatenate([[exact[0]], rows[0], [exact[1]], rows[1], [exact[2 % (2 * n)]]])
     side2 = (np.append(side1, exact[0]) * cmath.exp(2j * math.pi / n))[::-1]
     poly = np.concatenate([side1, arc, side2[1:]])
     poly = _dedupe(poly, 1e-13 * scale_constant(n))  # closed: from f(0) = 0 back to 0
-    return FundamentalSet(
-        params=canonical, sector=(0.0, TWO_PI / n), boundary_polyline=poly
-    )
+    return FundamentalSet(params=canonical, boundary_polyline=poly)
 
 
-def rotated_copies(params: RosetteParams) -> tuple[list[RotatedCopy], FundamentalSet, int]:
+def rotated_copies(params: RosetteParams) -> list[RotatedCopy]:
     """The n rotated copies whose union reconstructs the full image.
 
     For params with arbitrary beta = canonical + l*pi the copies are the
     canonical fundamental set turned by e^{2ik pi/n}, k = 1..n, and then by
     the image rotation of the half-turn law, ``half_turn_rotation(n, l)``.
     """
-    base = fundamental_set(params)
+    base = fundamental_set(params).boundary_polyline
     _, shifts = params.canonical()
-    n = params.n
-    turn = half_turn_rotation(n, shifts)
-    copies = []
-    for k in range(1, n + 1):
-        pref = turn * cmath.exp(2j * k * math.pi / n)
-        copies.append(RotatedCopy(prefactor=pref, polyline=pref * base.boundary_polyline))
-    return copies, base, shifts
+    turn = half_turn_rotation(params.n, shifts)
+    prefactors = (turn * cmath.exp(2j * k * math.pi / params.n) for k in range(1, params.n + 1))
+    return [RotatedCopy(prefactor=pref, polyline=pref * base) for pref in prefactors]
 
 
 def fundamental_decomposition(
-    params: RosetteParams,
-    probe_grid: int = 100,
-    r_max: float = 0.98,
+    params: RosetteParams, probe_grid: int = 100
 ) -> tuple[list[RotatedCopy], CoverageReport]:
     """Tile the image of the full map by the n rotated fundamental-set copies.
 
@@ -749,14 +733,14 @@ def fundamental_decomposition(
     boundary arcs).  Also reports the angle subtended at the origin by the
     set (2pi/n) and by its two half-sector pieces (pi/n each).
     """
-    copies, base, _ = rotated_copies(params)
+    copies = rotated_copies(params)
     n = params.n
     scale = scale_constant(n)
     tol = 1e-6 * scale
 
     # the probe images and the vertex secants of the origin (below) from one series pass
     r0 = 1e-6
-    zgrid = _interior_grid(probe_grid, r_max)
+    zgrid = _interior_grid(probe_grid, 0.98)
     at_grid, at_side = _parts_at(params, zgrid, np.array(
         [r0, r0 * cmath.exp(1j * math.pi / n), r0 * cmath.exp(2j * math.pi / n)]))
     probes = combine_parts(params.beta, *at_grid)
@@ -778,8 +762,9 @@ def fundamental_decomposition(
 
     hist = {int(c): int((counts == c).sum()) for c in np.unique(counts)}
 
-    # vertex geometry at the origin from tiny-radius secants
-    a0, a1, a2 = (cmath.phase(complex(v)) for v in combine_parts(base.params.beta, *at_side))
+    # vertex geometry at the origin from tiny-radius secants, at the canonical phase
+    canonical_beta = params.canonical()[0].beta
+    a0, a1, a2 = (cmath.phase(complex(v)) for v in combine_parts(canonical_beta, *at_side))
     vertex_angle = (a2 - a0) % TWO_PI
     half_angles = ((a1 - a0) % TWO_PI, (a2 - a1) % TWO_PI)
 
@@ -793,7 +778,6 @@ def fundamental_decomposition(
         count_histogram=hist,
         vertex_angle=float(vertex_angle),
         half_sector_angles=(float(half_angles[0]), float(half_angles[1])),
-        min_separation_scale=float(scale),
         first_violation=witness,
     )
     return copies, report

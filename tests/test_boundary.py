@@ -617,6 +617,6 @@ def test_interval_points_selected_rows_are_the_full_arrays_rows(n):
 
 
 def test_interval_offsets_are_sorted_and_inside_the_interval():
-    s = interval_offsets(512, refine=2)
+    s = interval_offsets(512)
     assert s.size == 512 + 2 * 102
     assert np.all(np.diff(s) > 0) and 0.0 < s[0] and s[-1] < 1.0

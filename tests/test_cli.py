@@ -6,8 +6,9 @@ import math
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, strategies as st
 
-from rosette.cli import main, parse_beta
+from rosette.cli import BETA_LIMIT, main, parse_beta
 
 PI = math.pi
 
@@ -42,6 +43,23 @@ def test_parse_beta(text, expect):
 def test_parse_beta_rejects(bad):
     with pytest.raises(argparse.ArgumentTypeError):
         parse_beta(bad)
+
+
+# a multiplier or a denominator as _BETA_RE takes them: digits, maybe a decimal part
+_DECIMAL = st.sampled_from(["0", "0.0", "000", "1", "2.5"]) | st.from_regex(
+    r"\d{1,400}(\.\d{1,20})?", fullmatch=True)
+
+
+@given(sign=st.sampled_from(["", "+", "-"]), mult=st.none() | _DECIMAL,
+       pi=st.sampled_from(["pi", "PI", "Pi"]), den=st.none() | _DECIMAL,
+       gap=st.sampled_from(["", " "]))
+def test_parse_beta_gives_a_bounded_angle_or_a_usage_error(sign, mult, pi, den, gap):
+    text = sign + (mult or "") + gap + pi + ("" if den is None else f"{gap}/{gap}{den}")
+    try:
+        value = parse_beta(text)
+    except argparse.ArgumentTypeError:
+        return
+    assert math.isfinite(value) and abs(value) <= BETA_LIMIT
 
 
 def test_rejects_small_order(capsys):
@@ -350,12 +368,17 @@ def test_negative_beta_value_on_command_line(tmp_path):
         (["verify", "--n", "5", "--beta", "0", "--seed", "-1"], "--seed"),
         (["decompose", "--n", "5", "--beta", "0", "--report", "."], "--report"),
         (["decompose", "--n", "5", "--beta", "0", "--report", "no-such-dir/r.json"], "--report"),
+        (["features", "--n", "3", "--beta", "pi/0"], "--beta"),
+        (["features", "--n", "3", "--beta", "0pi/0"], "--beta"),
+        (["features", "--n", "3", "--beta", "-pi/0"], "--beta"),
+        (["features", "--n", "3", "--beta", "pi/0.0"], "--beta"),
     ],
     ids=["count-0", "count-neg", "render-width-0", "decompose-width-0", "samples-4",
          "beta-nan", "beta-inf", "beta-neg-inf", "beta-1e300", "beta-neg-1e5", "beta-40000pi",
          "render-margin-neg", "render-margin-nan", "render-margin-inf", "decompose-margin-neg",
          "decompose-margin-nan", "decompose-margin-inf", "seed-neg", "report-directory",
-         "report-missing-directory"],
+         "report-missing-directory", "beta-pi-over-0", "beta-0pi-over-0", "beta-neg-pi-over-0",
+         "beta-pi-over-0.0"],
 )
 def test_bad_input_is_a_one_line_usage_error(argv, option, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:

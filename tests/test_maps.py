@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -143,6 +144,20 @@ def test_derivatives_refuse_points_outside_the_disk():
         for scalar in (dh, dg, jacobian):
             with pytest.raises(DomainError):
                 scalar(p, z)
+
+
+NAN_POINTS = (complex(math.nan, 0.0), complex(0.5, math.nan))
+
+
+@pytest.mark.parametrize("z", NAN_POINTS, ids=["nan", "half-plus-nan-j"])
+@pytest.mark.parametrize("evaluate", [f_many, h_many, g_many, parts_many, dh_many, dg_many,
+                                      f, h, g, dh, dg, jacobian], ids=lambda fn: fn.__name__)
+def test_a_nan_argument_is_a_domain_error(evaluate, z):
+    # a NaN value would break the contract: within the tolerance, or an exception
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            evaluate(RosetteParams(5, 0.3), [0.5, z] if evaluate.__name__.endswith("_many") else z)
 
 
 def test_derivatives_take_points_within_the_slack_as_they_are():

@@ -3,6 +3,7 @@ import logging
 import math
 import re
 import tracemalloc
+import warnings
 from math import comb
 
 import mpmath as mp
@@ -17,7 +18,6 @@ from rosette import (
     NoConvergence,
     SeriesKind,
     SeriesSpec,
-    TruncationPolicy,
     central_binomials,
     coeff,
     endpoint_values,
@@ -30,10 +30,7 @@ A = SeriesKind.ANALYTIC
 C = SeriesKind.COANALYTIC
 
 
-def spec(kind, n, **kw):
-    if kw:
-        return SeriesSpec(kind, n, TruncationPolicy(**kw))
-    return SeriesSpec(kind, n)
+spec = SeriesSpec
 
 
 def mp_reference(kind, n, z):
@@ -98,8 +95,6 @@ def test_coefficients_coincide_at_n2():
 def test_rejects_bad_parameters():
     with pytest.raises(ValueError):
         SeriesSpec(A, 1)
-    with pytest.raises(ValueError):
-        TruncationPolicy(abs_tol=0.0)
     with pytest.raises(ValueError):
         coeff(spec(A, 4), -1)
 
@@ -274,20 +269,40 @@ def test_domain_error_outside_disk():
         eval_series(spec(A, 5), 1.2)
 
 
+@pytest.mark.parametrize("z", [complex(math.nan, 0.0), complex(0.5, math.nan)],
+                         ids=["nan", "half-plus-nan-j"])
+def test_a_nan_argument_is_a_domain_error(z):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kind in (A, C):
+            with pytest.raises(DomainError):
+                eval_series(spec(kind, 5), z)
+            with pytest.raises(DomainError):
+                eval_series_many(spec(kind, 5), [0.5, z])
+        with pytest.raises(DomainError):
+            eval_families_many((spec(A, 5), spec(C, 5)), [z, 0.5])
+
+
+def test_a_nan_error_estimate_does_not_pass_the_gate(monkeypatch):
+    # a NaN endpoint error makes the anchored estimate NaN; "worst > ABS_TOL" let it through
+    monkeypatch.setattr(series, "_ENDPOINT_REL_ERR", math.nan)
+    assert np.isfinite(eval_series(spec(A, 5), 0.1))  # the direct sum has no endpoint term
+    for z in (0.9, 1.0):
+        with pytest.raises(NoConvergence):
+            eval_series(spec(A, 5), z)
+
+
 def test_boundary_rounding_slack_accepted():
     val = eval_series(spec(A, 5), 1.0 + 1e-9)
     assert abs(val - eval_series(spec(A, 5), 1.0)) < 1e-3  # projected onto the circle
 
 
-def test_no_convergence_when_capped():
+def test_no_convergence_when_capped(monkeypatch):
     # past the direct sum, a tolerance the quadrature pair cannot reach
-    tight = spec(A, 5, abs_tol=1e-19)
-    for z in (0.99999, complex(np.exp(1j * 0.37))):
+    monkeypatch.setattr(series, "ABS_TOL", 1e-19)
+    for z in (0.99999, complex(np.exp(1j * 0.37)), 1.0):
         with pytest.raises(NoConvergence):
-            eval_series(tight, z)
-    absurd = spec(A, 5, abs_tol=1e-19)
-    with pytest.raises(NoConvergence):
-        eval_series(absurd, 1.0)
+            eval_series(spec(A, 5), z)
 
 
 # --- the direct sum: term caps, memory, batch independence ----------------------
@@ -381,21 +396,19 @@ def test_one_pass_for_both_families_matches_the_one_kind_calls_bit_for_bit(
         assert joined.tobytes() == pair[k].tobytes()
 
 
-def test_families_evaluated_together_share_order_and_policy():
+def test_families_evaluated_together_share_order():
     with pytest.raises(ValueError):
         eval_families_many((spec(A, 5), spec(C, 6)), [0.5])
-    with pytest.raises(ValueError):
-        eval_families_many((spec(A, 5), spec(C, 5, abs_tol=1e-10)), [0.5])
 
 
-def test_one_pass_raises_as_its_first_failing_family():
+def test_one_pass_raises_as_its_first_failing_family(monkeypatch):
     # at w = 1 both estimates exceed 1e-19; the one-kind message of the first family
-    tight = TruncationPolicy(abs_tol=1e-19)
+    monkeypatch.setattr(series, "ABS_TOL", 1e-19)
     for first, second in ((A, C), (C, A)):
         with pytest.raises(NoConvergence) as one:
-            eval_series_many(SeriesSpec(first, 5, tight), [1.0])
+            eval_series_many(spec(first, 5), [1.0])
         with pytest.raises(NoConvergence) as both:
-            eval_families_many((SeriesSpec(first, 5, tight), SeriesSpec(second, 5, tight)), [1.0])
+            eval_families_many((spec(first, 5), spec(second, 5)), [1.0])
         assert str(both.value) == str(one.value)
 
 

@@ -81,6 +81,17 @@ def test_winding_errors():
         winding_number(c, 1.0, exclusion_radius=1e-3)
 
 
+@pytest.mark.parametrize("probe", [complex(math.nan, 0.0), complex(0.5, math.nan)],
+                         ids=["nan", "half-plus-nan-j"])
+def test_a_nan_probe_is_too_close_to_the_curve(probe):
+    # its distance is NaN, which no exclusion radius clears: no garbage winding number
+    c = unit_circle()
+    with pytest.raises(TooCloseToCurve):
+        winding_numbers(c, [0.0, probe], 1e-9)
+    with pytest.raises(TooCloseToCurve):
+        winding_number(c, probe)
+
+
 def test_winding_batch_matches_scalar():
     c = unit_circle(128)
     probes = np.array([0.0, 0.5 + 0.1j, 1.5, -2.0j, 0.9])
@@ -382,8 +393,8 @@ def test_tiling_failure_witness(monkeypatch):
     real = verify.rotated_copies
 
     def doubled(params):
-        copies, base, shifts = real(params)
-        return copies + copies[:1], base, shifts
+        copies = real(params)
+        return copies + copies[:1]
 
     monkeypatch.setattr(verify, "rotated_copies", doubled)
     _, cov = fundamental_decomposition(RosetteParams(5, PI / 5), probe_grid=20)
@@ -424,7 +435,7 @@ def test_boundary_polylines_follow_the_sorted_parameter_grid(n, beta):
         return np.concatenate([part(p, grid), ft_vals])[order]
 
     want = merged(halfspeed_points if beta == PI / 2 else boundary_points,
-                  interval_offsets(64, refine=2))
+                  interval_offsets(64))
     drawn = merged(boundary_points, (np.arange(64) + 0.5) / 64)
     for poly, ref in ((boundary_polyline(p, per_interval=64), want),
                       (_boundary_vertices(RenderSpec(p, samples_per_curve=64)), drawn)):
@@ -439,7 +450,7 @@ def test_boundary_polylines_evaluate_the_series_on_one_interval(series_points, n
     # one over the feature argument w = 1: k + 1 series points, not 2n * k + 1
     p = RosetteParams(n, beta)
     boundary_polyline(p)
-    k = interval_offsets(512, refine=2).size * (2 if beta == PI / 2 else 1)
+    k = interval_offsets(512).size * (2 if beta == PI / 2 else 1)
     assert series_points == [k, 1]
     series_points.clear()
     _boundary_vertices(RenderSpec(p))
@@ -623,10 +634,10 @@ def separate_call_residuals(params, sample_count=1000, seed=42):
     sign = (-1.0) ** j
     res_g = np.abs(maps.g_many(params, rot_j * z) - sign / rot_j * maps.g_many(params, z)).max()
     out["summand_rotation"] = max(res_h, res_g)
-    mirrored = RosetteParams(n, -beta, params.policy)
+    mirrored = RosetteParams(n, -beta)
     out["reflection_conjugation"] = np.abs(
         f_many(params, np.conj(z)) - np.conj(f_many(mirrored, z))).max()
-    shifted = RosetteParams(n, beta + PI, params.policy)
+    shifted = RosetteParams(n, beta + PI)
     out["half_turn_shift"] = np.abs(
         f_many(params, z) - maps.half_turn_rotation(n, -1) * f_many(shifted, np.exp(1j * PI / n) * z)
     ).max()
@@ -636,7 +647,7 @@ def separate_call_residuals(params, sample_count=1000, seed=42):
     zs = z[np.abs(1.0 - z ** (2 * n)) > 1e-6]
     quot = dg_many(params, zs) / dh_many(params, zs)
     out["dilatation_quotient"] = np.abs(quot / zs ** (n - 2) - 1.0)[zs != 0].max()
-    half = RosetteParams(n, PI / 2, params.policy)
+    half = RosetteParams(n, PI / 2)
     turn, gam = cmath.exp(1j * (PI / (2 * n) - PI / 4)), cmath.exp(-1j * PI / (2 * n))
     out["half_pi_reflection"] = np.abs(
         turn * f_many(half, gam * np.conj(z)) - np.conj(turn * f_many(half, gam * z))).max()
@@ -653,7 +664,7 @@ def separate_call_residuals(params, sample_count=1000, seed=42):
             dargs = np.diff(np.unwrap(np.angle(verify._radial_derivative(canonical, r, through))))
             worst = max(worst, -mono.min(), -dargs.min() if rises else dargs.max())
         out["radial_monotonicity"] = worst
-    flat = RosetteParams(n, 0.0, params.policy)
+    flat = RosetteParams(n, 0.0)
     out["ray_straightness"] = max(np.abs(np.angle(f_many(flat, r))).max(), np.abs(
         np.angle(f_many(flat, r * ray) * cmath.exp(-1j * PI / n))).max())
     return {name: float(v) for name, v in out.items()}
