@@ -30,6 +30,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import (
+    DomainError,
     FeatureMismatch,
     IntervalCrossesCusp,
     NonCanonicalBeta,
@@ -104,6 +105,8 @@ def wrap_angle(x: float) -> float:
 
 
 def _reduce_t(t: float) -> float:
+    if not math.isfinite(t):
+        raise DomainError(f"boundary parameter t={t} is not finite")
     t = math.fmod(t, TWO_PI)
     return t + TWO_PI if t < 0.0 else t
 
@@ -173,7 +176,7 @@ def boundary_derivative(params: RosetteParams, t: float) -> BoundaryDerivative:
     docstring, the argument from the linear turning law with branch
     k = ceil(t n / (2 pi)); both are cross-checked against d_value by the
     test-suite.  Raises SingularParameter within T_SINGULAR_TOL of a
-    multiple of pi/n.
+    multiple of pi/n, and DomainError at a non-finite t.
     """
     t = _reduce_t(float(t))
     if distance_to_singular(params.n, t) < T_SINGULAR_TOL:
@@ -358,6 +361,8 @@ def separation_angle(params: RosetteParams, side: SeparationSide) -> float:
 
 def _check_within_petal(params: RosetteParams, t0: float, t1: float) -> None:
     n = params.n
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise DomainError(f"interval [{t0}, {t1}] is not finite")
     if t1 < t0:
         raise IntervalCrossesCusp("need t0 <= t1")
     petal = TWO_PI / n

@@ -6,7 +6,7 @@ class RosetteError(Exception):
 
 
 class DomainError(RosetteError):
-    """Argument lies outside the closed unit disk (or the positive reals for the gamma function)."""
+    """Argument outside its domain: the closed unit disk, x > 0 for gamma, finite beta and t."""
 
 
 class NoConvergence(RosetteError):

@@ -48,6 +48,8 @@ class RosetteParams:
     def __post_init__(self):
         if self.n < 3:
             raise ValueError(f"rosette order must satisfy n >= 3, got {self.n}")
+        if not math.isfinite(self.beta):
+            raise DomainError(f"rosette phase beta must be finite, got {self.beta}")
 
     def canonical(self) -> tuple["RosetteParams", int]:
         """Equivalent parameters with beta in (-pi/2, pi/2] and the shift count l."""
@@ -215,8 +217,10 @@ def reduce_beta(beta_tilde: float) -> tuple[float, int]:
     """Write beta_tilde = beta + l*pi with beta in the canonical (-pi/2, pi/2].
 
     The interval is half open at -pi/2: an input of exactly -pi/2 maps to
-    (pi/2, -1).
+    (pi/2, -1).  A non-finite beta_tilde raises DomainError.
     """
+    if not math.isfinite(beta_tilde):
+        raise DomainError(f"phase must be finite, got {beta_tilde}")
     shifts = math.ceil((beta_tilde - math.pi / 2) / math.pi)
     beta = beta_tilde - shifts * math.pi
     if beta <= -math.pi / 2:  # float rounding at the open endpoint

@@ -21,9 +21,10 @@ from .boundary import (
     interval_points,
     with_feature_vertices,
 )
+from .geometry import curve_distances
 from .maps import RosetteParams, f_many, half_turn_rotation, hypocycloid
 from .svgout import SvgCanvas, axis_segment, flatten_curve, flatten_curves
-from .verify import curve_distances, rotated_copies
+from .verify import rotated_copies
 
 TWO_PI = 2.0 * math.pi
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -29,7 +28,16 @@ from .boundary import (
     with_feature_vertices,
     wrap_angle,
 )
-from .errors import OpenCurve, QuadratureFailure, TooCloseToCurve
+from .errors import QuadratureFailure, TooCloseToCurve
+from .geometry import (
+    count_self_intersections,
+    crossing_witness,
+    curve_distances,
+    dedupe,
+    ensure_closed,
+    min_pairwise_distance,
+    windings,
+)
 from .maps import (
     RosetteParams,
     combine_parts,
@@ -92,143 +100,7 @@ class IntegralCheck(NamedTuple):
     residual: float
 
 
-# --- geometry kernels ----------------------------------------------------------
-
-# |det - exact| <= _ORIENT_ERR * (|left| + |right|) for the float determinant below
-# (Shewchuk, "Adaptive precision floating-point arithmetic and fast robust geometric
-# predicates", 1997); inside that bound the sign is decided in exact arithmetic.
-_ORIENT_ERR = (3.0 + 16.0 * 2.0**-53) * 2.0**-53
-_BLOCK = 1 << 18  # element budget of one vectorised block of pairs
-
-# Element budget of one block of curve_distances: probes x chunks for the disc
-# bounds, (probe, chunk) pairs x chunk size for the exact distances, so that no
-# complex temporary exceeds 1 MiB.  glibc serves a block above its dynamic mmap
-# threshold (the largest mapped block freed so far, 2 MiB once the series' anchored
-# integral has run on 4096 points) with a fresh mmap that page-faults on every touch: with
-# 4 MiB temporaries the brute-force query at n = 12 (10777 vertices, 441 probes)
-# took twice as long.
-_DISTANCE_BLOCK = 1 << 16
-# Relative slack of the chunk-disc lower bounds.  The float bound |p - c| - r and
-# the float segment distances each err by a few ulps of |p - c| + r + |c|; taking
-# 1e-12 of that off the bound keeps it below every computed distance in the
-# chunk, so rounding never prunes the chunk that holds the minimum.
-_DISC_SLACK = 1e-12
-
-
-def _orientation(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Exact sign of cross(a - p, b - p): +1 when p lies left of a -> b, 0 on the line."""
-    u, v = a - p, b - p
-    left, right = u.real * v.imag, u.imag * v.real
-    det = left - right
-    sign = np.sign(det).astype(int)
-    unsure = np.abs(det) <= _ORIENT_ERR * (np.abs(left) + np.abs(right)) + np.finfo(float).tiny
-    for k in np.flatnonzero(unsure):
-        corners = (a[k], b[k], p[k])
-        (ax, ay), (bx, by), (px, py) = ((Fraction(w.real), Fraction(w.imag)) for w in corners)
-        exact = (ax - px) * (by - py) - (ay - py) * (bx - px)
-        sign[k] = (exact > 0) - (exact < 0)
-    return sign
-
-
-def _ranges(starts: np.ndarray, stops: np.ndarray, block: int):
-    """Yield (k, position) arrays over all positions in [starts[k], stops[k]), ~block at once."""
-    counts = np.maximum(stops - starts, 0)
-    cum = np.concatenate([[0], np.cumsum(counts)])
-    k0 = 0
-    while k0 < counts.size:
-        k1 = int(np.searchsorted(cum, cum[k0] + block, "right")) - 1
-        k1 = min(max(k1, k0 + 1), counts.size)
-        c = counts[k0:k1]
-        owner = np.repeat(np.arange(k0, k1), c)
-        pos = np.arange(cum[k0], cum[k1]) - np.repeat(cum[k0:k1] - starts[k0:k1], c)
-        yield owner, pos
-        k0 = k1
-
-
-def _windings(pts: np.ndarray, probes: np.ndarray) -> np.ndarray:
-    """Winding number of the closed polyline ``pts`` around each probe, exact off the curve.
-
-    Signed crossing-number rule (Hormann & Agathos, Comput. Geom. 2001): an edge
-    whose half-open y-range [min, max) holds the probe's y adds +1 when it runs up
-    with the probe on its left, -1 when it runs down with the probe on its right.
-    With the probes sorted by y, each edge meets only the slice inside its y-range:
-    O((V + P) log P + K) for K such pairs, about P times the edges a line crosses.
-    """
-    a, b = pts[:-1], pts[1:]
-    order = np.argsort(probes.imag, kind="stable")
-    ys = probes.imag[order]
-    lo = np.searchsorted(ys, np.minimum(a.imag, b.imag), "left")
-    hi = np.searchsorted(ys, np.maximum(a.imag, b.imag), "left")
-    up = a.imag < b.imag
-    total = np.zeros(probes.size)
-    for edge, slot in _ranges(lo, hi, _BLOCK):
-        probe = order[slot]
-        side = _orientation(a[edge], b[edge], probes[probe])
-        step = np.where(up[edge], np.maximum(side, 0), np.minimum(side, 0))
-        total += np.bincount(probe, weights=step, minlength=probes.size)
-    return total.astype(int)
-
-
-def curve_distances(curve, points, chunk: int = 64) -> np.ndarray:
-    """Distance from each point to the nearest segment of the polyline ``curve``.
-
-    The segments are cut into consecutive chunks of ``chunk`` (the last one
-    padded with copies of the final segment), each inside a disc about the
-    centre c of its vertices' bounding box with radius r, the largest vertex
-    distance from c.  For each probe p, |p - c| - r bounds a chunk's distances
-    from below; the exact minimum over the chunk with the smallest bound is an
-    upper bound, and only the chunks whose lower bound does not exceed it are
-    evaluated exactly.  Every segment distance is |p - (a + t ab)| with
-    t = clip(Re((p - a) conj(ab)) / |ab|^2, 0, 1), so the result is the
-    brute-force minimum bit for bit, at the cost of P x chunks bounds plus the
-    segments of the chunks that survive.
-    """
-    pts = np.asarray(curve, dtype=complex)
-    probes = np.asarray(points, dtype=complex).ravel()
-    a, ab = pts[:-1], pts[1:] - pts[:-1]
-    k = max(1, min(chunk, a.size))
-    pad = -a.size % k
-    a = np.append(a, np.repeat(a[-1:], pad)).reshape(-1, k)
-    ab = np.append(ab, np.repeat(ab[-1:], pad)).reshape(-1, k)
-    denom = np.abs(ab) ** 2
-    denom[denom == 0.0] = np.inf  # a zero-length segment's nearest point is its start
-    conj_ab = np.conj(ab)
-    verts = np.concatenate([a, a[:, -1:] + ab[:, -1:]], axis=1)
-    centre = (0.5 * (verts.real.min(axis=1) + verts.real.max(axis=1))
-              + 0.5j * (verts.imag.min(axis=1) + verts.imag.max(axis=1)))
-    radius = np.abs(verts - centre[:, None]).max(axis=1)
-    reach = radius * (1.0 + _DISC_SLACK) + _DISC_SLACK * np.abs(centre)
-
-    def nearest(w: np.ndarray, c: np.ndarray) -> np.ndarray:
-        """Exact distance from each probe w[i] to chunk c[i]."""
-        w0 = w[:, None]
-        t = np.clip(((w0 - a[c]) * conj_ab[c]).real / denom[c], 0.0, 1.0)
-        return np.abs(w0 - (a[c] + t * ab[c])).min(axis=1)
-
-    rows = max(1, _DISTANCE_BLOCK // max(centre.size, k))
-    pairs = max(1, _DISTANCE_BLOCK // k)
-    out = np.empty(probes.size)
-    for i0 in range(0, probes.size, rows):
-        w = probes[i0 : i0 + rows]
-        lower = np.abs(w[:, None] - centre) * (1.0 - _DISC_SLACK) - reach
-        best = lower.argmin(axis=1)
-        upper = nearest(w, best)
-        lower[np.arange(w.size), best] = np.inf
-        i, c = np.nonzero(lower <= upper[:, None])
-        for j in range(0, i.size, pairs):
-            part = slice(j, j + pairs)
-            np.minimum.at(upper, i[part], nearest(w[i[part]], c[part]))
-        out[i0 : i0 + rows] = upper
-    return out
-
-
-def _ensure_closed(pts: np.ndarray) -> np.ndarray:
-    scale = float(np.abs(pts).max()) or 1.0
-    if abs(pts[0] - pts[-1]) > 1e-9 * scale:
-        raise OpenCurve("curve endpoints do not coincide")
-    pts = np.array(pts, copy=True)
-    pts[-1] = pts[0]
-    return pts
+# --- winding numbers ------------------------------------------------------------
 
 
 def winding_number(
@@ -239,7 +111,7 @@ def winding_number(
     Raises TooCloseToCurve when w0 is within the exclusion radius of a
     segment, and OpenCurve when the polyline is not closed.
     """
-    pts = _ensure_closed(np.asarray(curve, dtype=complex))
+    pts = ensure_closed(np.asarray(curve, dtype=complex))
     if exclusion_radius is None:
         exclusion_radius = 1e-9 * float(np.abs(pts - w0).max())
     return winding_numbers(pts, [w0], exclusion_radius)[0]
@@ -247,7 +119,7 @@ def winding_number(
 
 def winding_numbers(curve, points, exclusion_radius: float) -> list[WindingResult]:
     """Batch winding numbers for many probes against one closed polyline."""
-    pts = _ensure_closed(np.asarray(curve, dtype=complex))
+    pts = ensure_closed(np.asarray(curve, dtype=complex))
     probes = np.asarray(points, dtype=complex).ravel()
     dist = curve_distances(pts, probes)
     close = np.flatnonzero(~(dist > exclusion_radius))  # a NaN probe is too close, too
@@ -256,65 +128,8 @@ def winding_numbers(curve, points, exclusion_radius: float) -> list[WindingResul
         raise TooCloseToCurve(
             f"probe {probes[k]} at distance {dist[k]:.3e} <= exclusion {exclusion_radius:.3e}"
         )
-    wind = _windings(pts, probes)
+    wind = windings(pts, probes)
     return [WindingResult(complex(p), int(w), float(d)) for p, w, d in zip(probes, wind, dist)]
-
-
-# --- polyline simplicity ------------------------------------------------------
-
-
-def _crossing_pairs(pts: np.ndarray, block: int) -> np.ndarray:
-    """Index pairs (i, j), i < j, of properly crossing non-adjacent segments, sorted.
-
-    An x-sorted sweep (after Shamos & Hoey, 1976): with the segments sorted by
-    left end, those whose x-ranges overlap a segment's are a contiguous run after
-    it, so only pairs with overlapping bounding boxes are built, ``block`` at a time.
-    """
-    a, b = pts[:-1], pts[1:]
-    n = a.size
-    lo_x, hi_x = np.minimum(a.real, b.real), np.maximum(a.real, b.real)
-    lo_y, hi_y = np.minimum(a.imag, b.imag), np.maximum(a.imag, b.imag)
-    order = np.argsort(lo_x, kind="stable")
-    stop = np.searchsorted(lo_x[order], hi_x[order], "right")
-    found = [np.empty((0, 2), dtype=int)]
-    for p, q in _ranges(np.arange(1, n + 1), stop, block):
-        i = np.minimum(order[p], order[q])
-        j = np.maximum(order[p], order[q])
-        keep = (j > i + 1) & ~((i == 0) & (j == n - 1))  # wrap adjacency
-        keep &= (lo_y[i] <= hi_y[j]) & (lo_y[j] <= hi_y[i])
-        i, j = i[keep], j[keep]
-        d1 = _cross(b[i] - a[i], a[j] - a[i])
-        d2 = _cross(b[i] - a[i], b[j] - a[i])
-        d3 = _cross(b[j] - a[j], a[i] - a[j])
-        d4 = _cross(b[j] - a[j], b[i] - a[j])
-        hit = (d1 * d2 < 0.0) & (d3 * d4 < 0.0)
-        found.append(np.stack([i[hit], j[hit]], axis=1))
-    pairs = np.concatenate(found)
-    return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
-
-
-def count_self_intersections(pts: np.ndarray) -> int:
-    """Number of properly crossing non-adjacent segment pairs of a closed polyline."""
-    pts = _ensure_closed(np.asarray(pts, dtype=complex))
-    return len(_crossing_pairs(pts, _BLOCK))
-
-
-def _crossing_witness(pts: np.ndarray) -> dict:
-    """The first crossing segment pair of a closed polyline and its crossing point."""
-    i, j = (int(k) for k in _crossing_pairs(pts, _BLOCK)[0])
-    u, v = pts[i + 1] - pts[i], pts[j + 1] - pts[j]
-    point = pts[i] + u * (_cross(pts[j] - pts[i], v) / _cross(u, v))
-    return {"segments": [i, j], "point": [float(point.real), float(point.imag)]}
-
-
-def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return u.real * v.imag - u.imag * v.real
-
-
-def _dedupe(pts: np.ndarray, tol: float) -> np.ndarray:
-    keep = np.ones(pts.size, dtype=bool)
-    keep[1:] = np.abs(np.diff(pts)) > tol
-    return pts[keep]
 
 
 # --- boundary polylines -------------------------------------------------------
@@ -338,7 +153,7 @@ def boundary_polyline(params: RosetteParams, per_interval: int = 512) -> np.ndar
                                rows=slice(0, None, 2))
     else:
         grid = interval_points(params, offsets)
-    out = _dedupe(with_feature_vertices(params, grid), 1e-13 * scale_constant(params.n))
+    out = dedupe(with_feature_vertices(params, grid), 1e-13 * scale_constant(params.n))
     return np.append(out, out[0])
 
 
@@ -379,7 +194,7 @@ def univalence_scan(
     crossings = count_self_intersections(poly)
     simple = {"segments": poly.size - 1}
     if crossings:
-        simple["first_crossing"] = _crossing_witness(poly)
+        simple["first_crossing"] = crossing_witness(poly)
     checks.append(
         CheckResult("boundary_simple", crossings == 0, float(crossings), poly.size - 1, simple)
     )
@@ -404,7 +219,7 @@ def univalence_scan(
     checks.append(CheckResult("exterior_winding_zero", worst_out == 0, float(worst_out),
                               len(res_out), details))
 
-    min_sep = _min_pairwise_distance(probes)
+    min_sep = min_pairwise_distance(probes)
     checks.append(CheckResult("grid_images_distinct", min_sep > 0.0, 0.0 if min_sep > 0.0 else 1.0,
                               probes.size, {"min_separation": min_sep}))
     return VerificationReport(params=params, checks=checks)
@@ -416,15 +231,6 @@ def _worst_probe(res: list[WindingResult], target: int) -> tuple[int, Optional[d
     k = int(np.argmax(errors))
     p, w = res[k].point, res[k].winding
     return errors[k], {"index": k, "point": [p.real, p.imag], "winding": w} if errors[k] else None
-
-
-def _min_pairwise_distance(pts: np.ndarray) -> float:
-    best = math.inf
-    for i0 in range(0, pts.size, 512):
-        d = np.abs(pts[i0 : i0 + 512, None] - pts[None, :])
-        d[np.arange(d.shape[0]), np.arange(i0, i0 + d.shape[0])] = math.inf  # self-pairs
-        best = min(best, float(d.min(initial=math.inf)))
-    return best
 
 
 # --- integral identities --------------------------------------------------------
@@ -705,7 +511,7 @@ def fundamental_set(params: RosetteParams) -> FundamentalSet:
     arc = np.concatenate([[exact[0]], rows[0], [exact[1]], rows[1], [exact[2 % (2 * n)]]])
     side2 = (np.append(side1, exact[0]) * cmath.exp(2j * math.pi / n))[::-1]
     poly = np.concatenate([side1, arc, side2[1:]])
-    poly = _dedupe(poly, 1e-13 * scale_constant(n))  # closed: from f(0) = 0 back to 0
+    poly = dedupe(poly, 1e-13 * scale_constant(n))  # closed: from f(0) = 0 back to 0
     return FundamentalSet(params=canonical, boundary_polyline=poly)
 
 
@@ -747,7 +553,7 @@ def fundamental_decomposition(
 
     counts = np.zeros(probes.size, dtype=int)
     for copy in copies:
-        counts += _windings(_ensure_closed(copy.polyline), probes) != 0
+        counts += windings(ensure_closed(copy.polyline), probes) != 0
 
     suspect = np.flatnonzero(counts != 1)
     dist = np.min([curve_distances(c.polyline, probes[suspect]) for c in copies], axis=0)

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from rosette import (
     total_curvature,
     total_curvature_numeric,
 )
-from rosette import FeatureMismatch, RosetteError
+from rosette import DomainError, FeatureMismatch, RosetteError
 from rosette.boundary import (
     CONFIRM_OFFSETS,
     _confirm_offsets,
@@ -308,6 +309,19 @@ def test_total_curvature_interval_validation():
     assert total_curvature(half_pi, 0.0, PI / 5) == pytest.approx(
         (5 / 2 - 1) * PI / 5
     )
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_boundary_parameter_is_a_domain_error(t):
+    p = RosetteParams(5, 0.3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            boundary_derivative(p, t)
+        for curvature in (total_curvature, total_curvature_numeric):
+            for t0, t1 in ((t, 1.0), (0.1, t), (t, t)):
+                with pytest.raises(DomainError):
+                    curvature(p, t0, t1)
 
 
 # --- half-speed reparametrization ---------------------------------------------------

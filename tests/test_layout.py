@@ -26,6 +26,21 @@ def test_no_module_imports_another_modules_private_names():
     assert found == []
 
 
+def test_exact_arithmetic_lives_in_the_geometry_kernels_alone():
+    # geometry depends on nothing in the package but its errors, and it is the one
+    # module that imports fractions, so the exact sign fallback sits in one place
+    imports = {}
+    for path in sorted(SOURCE.glob("*.py")):
+        found = imports[path.name] = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                found |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                found |= {"." * node.level + (node.module or alias.name) for alias in node.names}
+    assert {m for m in imports["geometry.py"] if m.startswith(".")} == {".errors"}
+    assert [name for name, found in imports.items() if "fractions" in found] == ["geometry.py"]
+
+
 def test_series_uses_no_matrix_product():
     # a BLAS product adds in an order that depends on the batch shape, so the value
     # at a point would depend on the batch it is evaluated in

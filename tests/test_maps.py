@@ -160,6 +160,17 @@ def test_a_nan_argument_is_a_domain_error(evaluate, z):
             evaluate(RosetteParams(5, 0.3), [0.5, z] if evaluate.__name__.endswith("_many") else z)
 
 
+@pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_phase_is_a_domain_error(beta):
+    # refused where it enters, before any evaluation could return NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            RosetteParams(5, beta)
+        with pytest.raises(DomainError):
+            reduce_beta(beta)
+
+
 def test_derivatives_take_points_within_the_slack_as_they_are():
     # no projection onto the circle: the closed forms at the given point
     p = RosetteParams(5, 0.3)

@@ -28,7 +28,7 @@ from rosette import (
     winding_number,
     winding_numbers,
 )
-from rosette import maps, series, verify
+from rosette import geometry, maps, series, verify
 from rosette.boundary import (
     bounding_radius,
     feature_vertices,
@@ -250,16 +250,32 @@ def test_self_intersections_match_brute_force(poly):
     assert count_self_intersections(poly) == brute_force_crossings(poly)
     assert count_self_intersections(poly[::-1]) == brute_force_crossings(poly)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(verify, "_BLOCK", 4)  # pairs built four at a time
+        patch.setattr(geometry, "_BLOCK", 4)  # pairs built four at a time
         assert count_self_intersections(poly) == brute_force_crossings(poly)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.complex_numbers(max_magnitude=10.0), min_size=3, max_size=40))
 def test_self_intersections_match_brute_force_on_random_polygons(vertices):
-    # on a 2**-20 grid the float crossing predicate is exact, like the reference
-    poly = np.round(np.array(vertices + vertices[:1], dtype=complex) * 2**20) / 2**20
+    poly = np.array(vertices + vertices[:1], dtype=complex)
     assert count_self_intersections(poly) == brute_force_crossings(poly)
+
+
+def test_crossing_signs_are_exact_past_underflow_and_overflow_and_within_one_ulp():
+    # a bow-tie whose float cross products underflow to zero or below the least normal
+    tiny = np.array([0, 1 + 1j, 1, 1j, 0]) * 1e-160
+    # a lattice polygon scaled so far that the cross products overflow to inf - inf
+    huge = np.array([1 + 3j, 2j, -3 + 2j, -3, 1 + 3j]) * 2.0**600
+    # p lies less than an ulp left of the line a-b, where the float cross product
+    # (b - a) x (p - a) rounds to 0, and q lies right of it: p-q crosses a-b
+    a, b = complex(0.1, 0.3), complex(17.3, 11.9)
+    p = complex(8.821999166906648, 6.182278507913787)
+    q = complex(10.499424171739994, 3.6950621214367576)
+    near = np.array([a, b, b + 20j, p, q, a - 20j, a])
+    for poly in (tiny, huge, near):
+        assert brute_force_crossings(poly) == 1
+        assert count_self_intersections(poly) == 1
+        assert count_self_intersections(poly[::-1]) == 1
 
 
 def test_winding_half_open_rule_degenerate_cases():
@@ -298,8 +314,10 @@ def test_winding_exact_sign_within_one_ulp_of_an_edge():
 def test_curve_distances_match_the_scalar_query():
     c = unit_circle(64)
     probes = np.array([0.0, 0.5 + 0.1j, 1.5, -2.0j, 0.9])
-    batch = verify.curve_distances(c, probes, chunk=2)
-    assert batch.tolist() == [verify.curve_distances(c, [w])[0] for w in probes]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geometry, "_CHUNK", 2)
+        batch = geometry.curve_distances(c, probes)
+    assert batch.tolist() == [geometry.curve_distances(c, [w])[0] for w in probes]
     res = winding_numbers(c, probes, exclusion_radius=1e-6)
     assert [r.min_distance_to_curve for r in res] == batch.tolist()
     with pytest.raises(TooCloseToCurve, match=r"probe \(1\.5"):
@@ -323,7 +341,7 @@ def test_pruned_distances_are_the_brute_force_ones_on_rosette_polylines(n, beta)
     assert np.all(got[36 + 16 : 36 + 16 + at.size] == 0.0)
 
 
-def test_pruned_distances_on_short_padded_and_degenerate_curves():
+def test_pruned_distances_on_short_padded_and_degenerate_curves(monkeypatch):
     rng = np.random.default_rng(3)
     walk = np.cumsum(rng.normal(size=3 * 64 + 17) + 1j * rng.normal(size=3 * 64 + 17))
     stalled = np.repeat(walk[:80], 3)  # zero-length segments, also at chunk ends
@@ -332,13 +350,14 @@ def test_pruned_distances_on_short_padded_and_degenerate_curves():
     probes = np.concatenate([near, walk[:5], [0.0, 1e3]])
     for curve in (walk[:6], walk, stalled, flat):  # fewer segments than a chunk; a partial chunk
         for chunk in (1, 3, 64, 1000):
+            monkeypatch.setattr(geometry, "_CHUNK", chunk)
             want = brute_force_distances(curve, probes)
-            assert np.array_equal(verify.curve_distances(curve, probes, chunk), want)
-            assert verify.curve_distances(curve, probes[3:4], chunk).tolist() == [want[3]]
-            assert verify.curve_distances(curve, [], chunk).shape == (0,)
+            assert np.array_equal(geometry.curve_distances(curve, probes), want)
+            assert geometry.curve_distances(curve, probes[3:4]).tolist() == [want[3]]
+            assert geometry.curve_distances(curve, []).shape == (0,)
 
 
-def test_pruned_distances_keep_a_chunk_whose_float_bound_rounds_above_its_distance():
+def test_pruned_distances_keep_a_chunk_whose_float_bound_rounds_above_its_distance(monkeypatch):
     # two radial segments whose near ends lie one unit from the probe, one chunk each:
     # the first holds the minimum, but its float |p - c| - r rounds above that minimum
     # and above the second's distance, so without the slack it would be pruned
@@ -347,7 +366,8 @@ def test_pruned_distances_keep_a_chunk_whose_float_bound_rounds_above_its_distan
                       1002.997229913228 + 1000.1288908346271j,
                       1002.95351838846 + 1000.526050500455j,
                       1000.9845061294867 + 1000.1753501668184j])
-    got = verify.curve_distances(curve, [p], chunk=1)
+    monkeypatch.setattr(geometry, "_CHUNK", 1)
+    got = geometry.curve_distances(curve, [p])
     assert np.array_equal(got, brute_force_distances(curve, [p]))
 
 
@@ -358,8 +378,10 @@ def test_pruned_distances_keep_a_chunk_whose_float_bound_rounds_above_its_distan
 def test_pruned_distances_match_brute_force_on_random_polylines(vertices, probes, chunk):
     curve = np.array(vertices, dtype=complex)
     probes = np.concatenate([np.array(probes, dtype=complex), curve[:2]])
-    assert np.array_equal(verify.curve_distances(curve, probes, chunk),
-                          brute_force_distances(curve, probes))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geometry, "_CHUNK", chunk)
+        assert np.array_equal(geometry.curve_distances(curve, probes),
+                              brute_force_distances(curve, probes))
 
 
 # --- failure witnesses -----------------------------------------------------------------
@@ -801,8 +823,8 @@ def per_set_parts(params, *sets):
 @pytest.mark.parametrize("beta", [0.0, PI / 2, -1.2, 0.3 + PI])
 def test_fused_stages_equal_the_per_call_path(monkeypatch, n, beta):
     params = RosetteParams(n, beta)
-    real, probes = verify._windings, []  # the winding probes of both stages, as bytes
-    monkeypatch.setattr(verify, "_windings", lambda pts, w: probes.append(w.tobytes()) or real(pts, w))
+    real, probes = verify.windings, []  # the winding probes of both stages, as bytes
+    monkeypatch.setattr(verify, "windings", lambda pts, w: probes.append(w.tobytes()) or real(pts, w))
     scan = univalence_scan(params)
     copies, coverage = fundamental_decomposition(params, probe_grid=60)
     fused_probes, probes[:] = probes[:], []
