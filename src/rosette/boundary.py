@@ -1,4 +1,4 @@
-"""Boundary-curve geometry: derivatives, cusps, nodes, curvature.
+"""Boundary-curve geometry: derivatives, cusps, nodes, curvature, image polylines.
 
 The boundary curve of a rosette map is a(t) = f(e^{it}).  Its derivative
 exists and is continuous except at the 2n multiples of pi/n, where the
@@ -17,6 +17,10 @@ Where the derivative is non-zero its argument follows the linear law
 
 so the boundary turns at the constant rate n/2 - 1 and the total curvature
 between consecutive cusps is pi - 2pi/n.
+
+The image polylines (``boundary_polyline``, ``fundamental_set``,
+``rotated_copies``) are built on the per-interval grid of ``interval_points``,
+with the exact feature values put in by ``with_feature_vertices``.
 """
 
 from __future__ import annotations
@@ -37,7 +41,8 @@ from .errors import (
     SingularParameter,
     WrongBeta,
 )
-from .maps import RosetteParams, f_many, half_turn_rotation, parts_many
+from .geometry import dedupe
+from .maps import RosetteParams, combine_parts, f_many, half_turn_rotation, parts_many
 from .series import scale_constant
 
 TWO_PI = 2.0 * math.pi
@@ -243,14 +248,16 @@ def feature_vertices(params: RosetteParams) -> tuple[np.ndarray, np.ndarray]:
 
 
 def with_feature_vertices(params: RosetteParams, grid: np.ndarray) -> np.ndarray:
-    """The boundary grid ``grid`` flattened, with the feature_vertices inserted in order.
+    """The closed polyline through the boundary grid ``grid`` and the feature_vertices.
 
     ``grid`` holds its curve's vertices in parameter order from 0, the same number per
-    pi/n, and the feature at j pi/n goes before the vertices of interval j.
+    pi/n, and the feature at j pi/n goes before the vertices of interval j; the last
+    vertex repeats the first.
     """
     ft_ts, ft_vals = feature_vertices(params)
     at = np.rint(ft_ts * (params.n / math.pi)).astype(int) * (grid.size // (2 * params.n))
-    return np.insert(grid.ravel(), at, ft_vals)
+    out = np.insert(grid.ravel(), at, ft_vals)
+    return np.append(out, out[0])
 
 
 def extract_features(params: RosetteParams, confirm: bool = True) -> FeatureReport:
@@ -491,6 +498,80 @@ def detect_arg_nonmonotonicity(params: RosetteParams) -> tuple[bool, Optional[fl
         return False, None
     i = int(dec[np.argmin(diffs[dec])])
     return True, float(0.5 * (ts[i] + ts[i + 1]))
+
+
+# --- image polylines -----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class FundamentalSet:
+    """Image of the closed sector arg z in [0, 2pi/n); its boundary polyline is closed."""
+
+    params: RosetteParams
+    boundary_polyline: np.ndarray
+
+
+@dataclass(frozen=True)
+class RotatedCopy:
+    prefactor: complex
+    polyline: np.ndarray
+
+
+def boundary_polyline(params: RosetteParams, per_interval: int = 512) -> np.ndarray:
+    """Closed polyline through the boundary curve (half-speed at beta = pi/2).
+
+    Samples every basic interval at the offsets of ``interval_offsets`` plus
+    the exact feature parameters of ``feature_vertices``, so cusps and nodes
+    are vertices of the polyline, their values taken from the rotation laws
+    (series evaluated at argument exactly 1), never from near-singular
+    parameters.  At beta = pi/2 the half-speed curve visits the grid
+    parameters (j + s) pi/n at a((2k + s/2) pi/n) for j = 2k and at
+    a((2k + (1 + s)/2) pi/n) for j = 2k + 1, as ``halfspeed_points`` maps
+    them: the even intervals at the offsets s/2 and (1 + s)/2.
+    """
+    offsets = interval_offsets(per_interval)
+    if is_half_pi(params.beta):
+        grid = interval_points(params, np.concatenate([offsets / 2, (1 + offsets) / 2]),
+                               rows=slice(0, None, 2))
+    else:
+        grid = interval_points(params, offsets)
+    return dedupe(with_feature_vertices(params, grid), 1e-13 * scale_constant(params.n))
+
+
+def fundamental_set(params: RosetteParams) -> FundamentalSet:
+    """Boundary polyline of the image of the sector arg z in [0, 2pi/n).
+
+    Three sides: the radial image f(r) at 600 radii, the boundary arc over [0, 2pi/n]
+    at 768 offsets per basic interval (its endpoints and midpoint taken exactly from
+    the rotation laws), and the rotated radial image f(r e^{2 pi i/n}) traversed back
+    to the origin.
+    """
+    canonical, _ = params.canonical()
+    n = canonical.n
+    u = np.linspace(0.0, 1.0, 600)
+    r = np.sin(0.5 * math.pi * u) ** 2  # clustered toward r = 1
+    side1 = combine_parts(canonical.beta, *parts_many(canonical, r[:-1]))  # a(0) appended below
+    exact = feature_values(canonical)
+    rows = interval_points(canonical, (np.arange(768) + 0.5) / 768, rows=slice(0, 2))
+    arc = np.concatenate([[exact[0]], rows[0], [exact[1]], rows[1], [exact[2 % (2 * n)]]])
+    side2 = (np.append(side1, exact[0]) * cmath.exp(2j * math.pi / n))[::-1]
+    poly = np.concatenate([side1, arc, side2[1:]])
+    poly = dedupe(poly, 1e-13 * scale_constant(n))  # closed: from f(0) = 0 back to 0
+    return FundamentalSet(params=canonical, boundary_polyline=poly)
+
+
+def rotated_copies(params: RosetteParams) -> list[RotatedCopy]:
+    """The n rotated copies whose union reconstructs the full image.
+
+    For params with arbitrary beta = canonical + l*pi the copies are the
+    canonical fundamental set turned by e^{2ik pi/n}, k = 1..n, and then by
+    the image rotation of the half-turn law, ``half_turn_rotation(n, l)``.
+    """
+    base = fundamental_set(params).boundary_polyline
+    _, shifts = params.canonical()
+    turn = half_turn_rotation(params.n, shifts)
+    prefactors = (turn * cmath.exp(2j * k * math.pi / params.n) for k in range(1, params.n + 1))
+    return [RotatedCopy(prefactor=pref, polyline=pref * base) for pref in prefactors]
 
 
 # --- generic singular-point classification -----------------------------------

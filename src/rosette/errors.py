@@ -5,8 +5,12 @@ class RosetteError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class DomainError(RosetteError):
-    """Argument outside its domain: the closed unit disk, x > 0 for gamma, finite beta and t."""
+class DomainError(RosetteError, ValueError):
+    """Argument outside its domain: the closed unit disk, x > 0 for gamma, finite beta and t,
+    an integer order of the stated minimum, a closed polyline of 2 or more finite vertices.
+
+    Also a ValueError, so that ``except ValueError`` callers keep catching bad orders.
+    """
 
 
 class NoConvergence(RosetteError):

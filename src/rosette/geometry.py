@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import OpenCurve
+from .errors import DomainError, OpenCurve
 
 # |det - exact| <= _ORIENT_ERR * (|left| + |right|) for the float determinant below
 # (Shewchuk, "Adaptive precision floating-point arithmetic and fast robust geometric
@@ -36,6 +36,10 @@ _CHUNK = 64  # consecutive segments per bounding disc of curve_distances
 # 1e-12 of that off the bound keeps it below every computed distance in the
 # chunk, so rounding never prunes the chunk that holds the minimum.
 _DISC_SLACK = 1e-12
+# curve_distances measures in place where the largest coordinate lies in this band:
+# there |ab|^2 and Re((p - a) conj(ab)) neither overflow nor underflow for the
+# segments that decide a distance.  Outside it the input is scaled by a power of two.
+_PLAIN_SCALES = (2.0**-500, 2.0**500)
 
 
 def _orientation(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -70,7 +74,16 @@ def _ranges(starts: np.ndarray, stops: np.ndarray):
 
 
 def ensure_closed(pts: np.ndarray) -> np.ndarray:
-    """A copy of ``pts`` whose last vertex is exactly the first; OpenCurve if they are apart."""
+    """A copy of ``pts`` whose last vertex is exactly the first; OpenCurve if they are apart.
+
+    Raises DomainError for fewer than 2 vertices or a non-finite vertex, which no
+    verdict on the polyline could account for.
+    """
+    if pts.size < 2:
+        raise DomainError(f"a closed polyline needs at least 2 vertices, got {pts.size}")
+    bad = np.flatnonzero(~np.isfinite(pts))
+    if bad.size:
+        raise DomainError(f"polyline vertex {bad[0]} is {pts[bad[0]]}, not finite")
     scale = float(np.abs(pts).max()) or 1.0
     if abs(pts[0] - pts[-1]) > 1e-9 * scale:
         raise OpenCurve("curve endpoints do not coincide")
@@ -116,9 +129,24 @@ def curve_distances(curve, points) -> np.ndarray:
     t = clip(Re((p - a) conj(ab)) / |ab|^2, 0, 1), so the result is the
     brute-force minimum bit for bit, at the cost of P x chunks bounds plus the
     segments of the chunks that survive.
+
+    When the largest coordinate of the curve and the probes lies outside
+    ``_PLAIN_SCALES``, both are scaled by the power of two that brings it to
+    [1/2, 1) and the distances are scaled back, both steps exact; so the result
+    is 2^k times that of the input scaled by 2^-k, bit for bit.
     """
-    pts = np.asarray(curve, dtype=complex)
+    pts = np.ascontiguousarray(curve, dtype=complex)
     probes = np.asarray(points, dtype=complex).ravel()
+    top = max(np.abs(x.view(float)).max(initial=0.0) for x in (pts, probes))
+    if 0.0 < top < _PLAIN_SCALES[0] or _PLAIN_SCALES[1] < top < math.inf:
+        k = math.frexp(top)[1]
+        scaled = (np.ldexp(x.view(float), -k).view(complex) for x in (pts, probes))
+        return np.ldexp(_distances(*scaled), k)
+    return _distances(pts, probes)
+
+
+def _distances(pts: np.ndarray, probes: np.ndarray) -> np.ndarray:
+    """curve_distances on a curve and probes whose coordinates need no scaling."""
     a, ab = pts[:-1], pts[1:] - pts[:-1]
     k = max(1, min(_CHUNK, a.size))
     pad = -a.size % k

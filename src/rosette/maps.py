@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SingularPoint
-from .series import SeriesKind, SeriesSpec, eval_families_many, eval_series_many
+from .series import SeriesKind, SeriesSpec, eval_families_many, eval_series_many, require_order
 
 # Proximity of 1 - z^{2n} to zero below which derivative closed forms are refused.
 SINGULAR_TOL = 1e-12
@@ -46,8 +46,7 @@ class RosetteParams:
     beta: float
 
     def __post_init__(self):
-        if self.n < 3:
-            raise ValueError(f"rosette order must satisfy n >= 3, got {self.n}")
+        require_order(self.n, 3, "rosette")
         if not math.isfinite(self.beta):
             raise DomainError(f"rosette phase beta must be finite, got {self.beta}")
 
@@ -203,8 +202,7 @@ def jacobian(params: RosetteParams, z: complex) -> float:
 
 def hypocycloid(n: int, z) -> np.ndarray | complex:
     """The n-cusped hypocycloid map z + conj(z)^{n-1}/(n-1), the rosettes' baseline."""
-    if n < 3:
-        raise ValueError(f"hypocycloid order must satisfy n >= 3, got {n}")
+    require_order(n, 3, "hypocycloid")
     arr = np.asarray(z, dtype=complex)
     out = arr + np.conj(arr) ** (n - 1) / (n - 1)
     return complex(out) if np.isscalar(z) or arr.shape == () else out

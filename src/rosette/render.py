@@ -19,12 +19,12 @@ from .boundary import (
     bounding_radius,
     extract_features,
     interval_points,
+    rotated_copies,
     with_feature_vertices,
 )
 from .geometry import curve_distances
 from .maps import RosetteParams, f_many, half_turn_rotation, hypocycloid
 from .svgout import SvgCanvas, axis_segment, flatten_curve, flatten_curves
-from .verify import rotated_copies
 
 TWO_PI = 2.0 * math.pi
 
@@ -80,8 +80,7 @@ def _boundary_vertices(spec: RenderSpec) -> np.ndarray:
     """Boundary polyline with the exact feature points as vertices."""
     per = max(spec.samples_per_curve, 64)
     grid = interval_points(spec.params, (np.arange(per) + 0.5) / per)
-    out = with_feature_vertices(spec.params, grid)
-    return np.append(out, out[0])
+    return with_feature_vertices(spec.params, grid)
 
 
 def _grid_paths(spec: RenderSpec) -> list:

@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Sequence
@@ -136,6 +137,16 @@ class SeriesKind(Enum):
     COANALYTIC = "coanalytic"  # factor multiplying z^(n-1)/(n-1) in the co-analytic part
 
 
+def require_order(n, minimum: int, what: str) -> None:
+    """Raise DomainError unless ``n`` is an integer (what operator.index accepts) >= ``minimum``."""
+    try:
+        small = operator.index(n) < minimum
+    except TypeError:
+        raise DomainError(f"{what} order must be an integer, got {n!r}") from None
+    if small:
+        raise DomainError(f"{what} order must satisfy n >= {minimum}, got {n}")
+
+
 @dataclass(frozen=True)
 class SeriesSpec:
     """One hypergeometric family: kind and order n."""
@@ -144,8 +155,7 @@ class SeriesSpec:
     n: int
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"series order must satisfy n >= 2, got {self.n}")
+        require_order(self.n, 2, "series")
         if not isinstance(self.kind, SeriesKind):
             raise TypeError("kind must be a SeriesKind")
 
@@ -226,7 +236,7 @@ def eval_families_many(specs: Sequence[SeriesSpec], z) -> list[np.ndarray]:
     """
     n = specs[0].n
     if any(s.n != n for s in specs):
-        raise ValueError("families evaluated together must share n")
+        raise DomainError("families evaluated together must share n")
     w = np.asarray(z, dtype=complex)
     shape = w.shape
     w = np.array(w.ravel(), copy=True)
@@ -330,8 +340,7 @@ def endpoint_values(n: int) -> EndpointValues:
 
     and the pair satisfies coanalytic/analytic = (n-1) tan(pi/(2n)).
     """
-    if n < 2:
-        raise ValueError(f"order must satisfy n >= 2, got {n}")
+    require_order(n, 2, "series")
     x = 1.0 / (2.0 * n)
     root_pi = math.sqrt(math.pi)
     analytic = root_pi * gamma_real(1.0 + x) / gamma_real(0.5 + x)

@@ -19,21 +19,19 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .boundary import (
+from .boundary import (  # fundamental_set too: the image polylines stay importable from here
+    RotatedCopy,
+    boundary_polyline,
     bounding_radius,
-    feature_values,
-    interval_offsets,
-    interval_points,
-    is_half_pi,
-    with_feature_vertices,
+    fundamental_set,
+    rotated_copies,
     wrap_angle,
 )
-from .errors import QuadratureFailure, TooCloseToCurve
+from .errors import TooCloseToCurve
 from .geometry import (
     count_self_intersections,
     crossing_witness,
     curve_distances,
-    dedupe,
     ensure_closed,
     min_pairwise_distance,
     windings,
@@ -49,6 +47,7 @@ from .maps import (
     parts_many,
     transit_identity,
 )
+from .quadrature import tanh_sinh
 from .series import SeriesKind, scale_constant
 
 TWO_PI = 2.0 * math.pi
@@ -78,20 +77,6 @@ class VerificationReport:
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-
-@dataclass(frozen=True)
-class FundamentalSet:
-    """Image of the closed sector arg z in [0, 2pi/n); its boundary polyline is closed."""
-
-    params: RosetteParams
-    boundary_polyline: np.ndarray
-
-
-@dataclass(frozen=True)
-class RotatedCopy:
-    prefactor: complex
-    polyline: np.ndarray
 
 
 class IntegralCheck(NamedTuple):
@@ -130,31 +115,6 @@ def winding_numbers(curve, points, exclusion_radius: float) -> list[WindingResul
         )
     wind = windings(pts, probes)
     return [WindingResult(complex(p), int(w), float(d)) for p, w, d in zip(probes, wind, dist)]
-
-
-# --- boundary polylines -------------------------------------------------------
-
-
-def boundary_polyline(params: RosetteParams, per_interval: int = 512) -> np.ndarray:
-    """Closed polyline through the boundary curve (half-speed at beta = pi/2).
-
-    Samples every basic interval at the offsets of ``interval_offsets`` plus
-    the exact feature parameters of ``feature_vertices``, so cusps and nodes
-    are vertices of the polyline, their values taken from the rotation laws
-    (series evaluated at argument exactly 1), never from near-singular
-    parameters.  At beta = pi/2 the half-speed curve visits the grid
-    parameters (j + s) pi/n at a((2k + s/2) pi/n) for j = 2k and at
-    a((2k + (1 + s)/2) pi/n) for j = 2k + 1, as ``halfspeed_points`` maps
-    them: the even intervals at the offsets s/2 and (1 + s)/2.
-    """
-    offsets = interval_offsets(per_interval)
-    if is_half_pi(params.beta):
-        grid = interval_points(params, np.concatenate([offsets / 2, (1 + offsets) / 2]),
-                               rows=slice(0, None, 2))
-    else:
-        grid = interval_points(params, offsets)
-    out = dedupe(with_feature_vertices(params, grid), 1e-13 * scale_constant(params.n))
-    return np.append(out, out[0])
 
 
 def _parts_at(params: RosetteParams, *sets) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -235,79 +195,6 @@ def _worst_probe(res: list[WindingResult], target: int) -> tuple[int, Optional[d
 
 # --- integral identities --------------------------------------------------------
 
-# Tanh-sinh rule on [0, 1] (Takahasi & Mori, Publ. RIMS 9, 1974): the nodes
-# tau = 1/(1 + e^{-pi sinh t}) with complement c = 1 - tau = 1/(1 + e^{pi sinh t})
-# and weight dtau/dt = pi cosh t tau c, summed on the grid t = j h, |t| <= 4.
-# At |t| = 4 even the c^{-1/2} end of the integrand at z = 1 adds less than
-# 1e-16; a window of 3.2 cut that end short by about 3e-9.
-_TS_WINDOW = 4.0
-_TS_STEP = 0.5  # step of level 0; every level halves it
-_TS_MIN_LEVEL = 3
-_TS_MAX_LEVEL = 10
-_TS_TOL = 1e-10  # largest accepted level-halving error estimate
-# Points per block of the rule: level 4 adds 128 nodes, so each complex
-# temporary of a block stays at 512 KiB (see _DISTANCE_BLOCK).
-_TS_BLOCK = 256
-
-
-def _tanh_sinh_nodes(level: int) -> tuple[float, np.ndarray, np.ndarray]:
-    """Step, weights and log(tau) of the nodes that ``level`` adds to the levels below it."""
-    step = _TS_STEP / 2**level
-    half = int(round(_TS_WINDOW / step))
-    j = np.arange(-half, half + 1) if level == 0 else np.arange(1 - half, half, 2)
-    t = j * step
-    s = math.pi * np.sinh(t)
-    tau, c = 1.0 / (1.0 + np.exp(-s)), 1.0 / (1.0 + np.exp(s))
-    # log(tau) = log1p(-c), taken as -log1p(e^{-s}), which stays finite where c rounds to 1
-    return step, math.pi * np.cosh(t) * tau * c, -np.log1p(np.exp(-s))
-
-
-def _tanh_sinh(
-    params: RosetteParams, z: np.ndarray, kind: SeriesKind, max_level: int = _TS_MAX_LEVEL
-) -> np.ndarray:
-    """z int_0^1 phi(z tau) dtau at every point of the 1-D array ``z``.
-
-    phi(zeta) = (1 - zeta^{2n})^{-1/2}, times zeta^{n-2} for the co-analytic kind.
-    1 - zeta^{2n} is formed as (1 - z^{2n}) + z^{2n} (1 - tau^{2n}) with
-    1 - tau^{2n} = -expm1(2n log tau), so that the end tau = 1 keeps its relative
-    accuracy however close z^{2n} is to 1.  Each point stops at the first
-    level >= _TS_MIN_LEVEL whose change from the level below is at most _TS_TOL;
-    a point that reaches ``max_level`` without that raises QuadratureFailure.
-    Every operation acts on one point's row, so a value does not depend on the
-    batch it is computed in.
-    """
-    if z.size > _TS_BLOCK:
-        return np.concatenate([_tanh_sinh(params, z[i : i + _TS_BLOCK], kind, max_level)
-                               for i in range(0, z.size, _TS_BLOCK)])
-    n = params.n
-    analytic = kind is SeriesKind.ANALYTIC
-    w = z ** (2 * n)
-    lead = z if analytic else z ** (n - 1)  # z, times z^{n-2} for the co-analytic kind
-    out = np.empty(z.size, dtype=complex)
-    active = np.arange(z.size)
-    sums = np.zeros(z.size, dtype=complex)
-    previous = np.zeros(z.size, dtype=complex)
-    estimate = np.full(z.size, math.inf)
-    for level in range(max_level + 1):
-        step, weight, log_tau = _tanh_sinh_nodes(level)
-        if not analytic:
-            weight = weight * np.exp((n - 2) * log_tau)
-        rad = (1.0 - w[active])[:, None] + np.multiply(w[active, None], -np.expm1(2 * n * log_tau))
-        sums = sums + (weight / np.sqrt(rad)).sum(axis=1)
-        value = np.multiply(lead[active], step * sums)
-        if level >= _TS_MIN_LEVEL:
-            estimate = np.abs(value - previous)
-            done = estimate <= _TS_TOL  # False for a NaN estimate
-            out[active[done]] = value[done]
-            active, sums, value, estimate = (a[~done] for a in (active, sums, value, estimate))
-            if not active.size:
-                return out
-        previous = value
-    raise QuadratureFailure(
-        f"tanh-sinh estimate {estimate.max():.3e} above {_TS_TOL:.0e} at level {max_level} "
-        f"for {active.size} point(s), e.g. z = {complex(z[active[0]])}"
-    )
-
 
 def integral_oracle_many(
     params: RosetteParams, z, kind: SeriesKind = SeriesKind.ANALYTIC
@@ -316,8 +203,8 @@ def integral_oracle_many(
 
     Returns (lhs, rhs), flat arrays.  lhs integrates h' = (1 - zeta^{2n})^{-1/2}
     (analytic) or g' = zeta^{n-2}(1 - zeta^{2n})^{-1/2} (co-analytic) along the
-    straight segment from 0 to z with a vectorised tanh-sinh rule, refined by
-    halving its step until two levels agree to 1e-10; rhs is h(z) or g(z) from
+    straight segment from 0 to z with the tanh-sinh rule of ``quadrature``, refined
+    by halving its step until two levels agree to 1e-10; rhs is h(z) or g(z) from
     the series.  The check is independent of the series it checks: the series
     integrates from w = 1 with a 15/31-point Gauss-Kronrod pair and adds the
     gamma closed forms at 1, while the oracle integrates from 0, where both
@@ -326,8 +213,9 @@ def integral_oracle_many(
     not converge.
     """
     z = np.asarray(z, dtype=complex).ravel()
-    rhs = h_many(params, z) if kind is SeriesKind.ANALYTIC else g_many(params, z)
-    return _tanh_sinh(params, z, kind), rhs
+    analytic = kind is SeriesKind.ANALYTIC
+    rhs = h_many(params, z) if analytic else g_many(params, z)
+    return tanh_sinh(params.n, z, 0 if analytic else params.n - 2), rhs
 
 
 def integral_oracle(
@@ -346,7 +234,8 @@ def integral_identities(params: RosetteParams, count: int, seed: int) -> CheckRe
     """
     z = np.append(_disk_samples(np.random.default_rng(seed), count, 0.95), 1.0)
     kinds = (SeriesKind.ANALYTIC, SeriesKind.COANALYTIC)
-    sides = [(_tanh_sinh(params, z, kind), rhs) for kind, rhs in zip(kinds, parts_many(params, z))]
+    powers = (0, params.n - 2)  # h' and g' = z^(n-2) h'
+    sides = [(tanh_sinh(params.n, z, p), rhs) for p, rhs in zip(powers, parts_many(params, z))]
     residual = np.array([np.abs(lhs - rhs) for lhs, rhs in sides])
     i, k = np.unravel_index(np.argmax(residual), residual.shape)  # a NaN wins, and fails
     worst = float(residual[i, k])
@@ -491,42 +380,6 @@ class CoverageReport:
     vertex_angle: float
     half_sector_angles: tuple[float, float]
     first_violation: Optional[dict] = None  # probe index, z, image point, copies containing it
-
-
-def fundamental_set(params: RosetteParams) -> FundamentalSet:
-    """Boundary polyline of the image of the sector arg z in [0, 2pi/n).
-
-    Three sides: the radial image f(r) at 600 radii, the boundary arc over [0, 2pi/n]
-    at 768 offsets per basic interval (its endpoints and midpoint taken exactly from
-    the rotation laws), and the rotated radial image f(r e^{2 pi i/n}) traversed back
-    to the origin.
-    """
-    canonical, _ = params.canonical()
-    n = canonical.n
-    u = np.linspace(0.0, 1.0, 600)
-    r = np.sin(0.5 * math.pi * u) ** 2  # clustered toward r = 1
-    side1 = combine_parts(canonical.beta, *_parts_at(canonical, r[:-1])[0])  # a(0) appended below
-    exact = feature_values(canonical)
-    rows = interval_points(canonical, (np.arange(768) + 0.5) / 768, rows=slice(0, 2))
-    arc = np.concatenate([[exact[0]], rows[0], [exact[1]], rows[1], [exact[2 % (2 * n)]]])
-    side2 = (np.append(side1, exact[0]) * cmath.exp(2j * math.pi / n))[::-1]
-    poly = np.concatenate([side1, arc, side2[1:]])
-    poly = dedupe(poly, 1e-13 * scale_constant(n))  # closed: from f(0) = 0 back to 0
-    return FundamentalSet(params=canonical, boundary_polyline=poly)
-
-
-def rotated_copies(params: RosetteParams) -> list[RotatedCopy]:
-    """The n rotated copies whose union reconstructs the full image.
-
-    For params with arbitrary beta = canonical + l*pi the copies are the
-    canonical fundamental set turned by e^{2ik pi/n}, k = 1..n, and then by
-    the image rotation of the half-turn law, ``half_turn_rotation(n, l)``.
-    """
-    base = fundamental_set(params).boundary_polyline
-    _, shifts = params.canonical()
-    turn = half_turn_rotation(params.n, shifts)
-    prefactors = (turn * cmath.exp(2j * k * math.pi / params.n) for k in range(1, params.n + 1))
-    return [RotatedCopy(prefactor=pref, polyline=pref * base) for pref in prefactors]
 
 
 def fundamental_decomposition(

@@ -26,19 +26,51 @@ def test_no_module_imports_another_modules_private_names():
     assert found == []
 
 
-def test_exact_arithmetic_lives_in_the_geometry_kernels_alone():
-    # geometry depends on nothing in the package but its errors, and it is the one
-    # module that imports fractions, so the exact sign fallback sits in one place
+# The package modules that each module imports, exactly.  The integral oracle
+# (quadrature) and the planar kernels (geometry) borrow nothing from the code they
+# check; render draws the image polylines from boundary, so only the command line
+# and the package itself import verify.
+IMPORT_GRAPH = {
+    "__init__": {"boundary", "errors", "maps", "render", "series", "verify"},
+    "boundary": {"errors", "geometry", "maps", "series"},
+    "cli": {"boundary", "maps", "render", "verify"},
+    "errors": set(),
+    "geometry": {"errors"},
+    "maps": {"errors", "series"},
+    "quadrature": {"errors"},
+    "render": {"boundary", "geometry", "maps", "svgout"},
+    "series": {"errors"},
+    "svgout": set(),
+    "verify": {"boundary", "errors", "geometry", "maps", "quadrature", "series"},
+}
+
+
+def _imports() -> dict[str, set[str]]:
+    """Every module each source file imports, package modules as ".name"."""
     imports = {}
     for path in sorted(SOURCE.glob("*.py")):
-        found = imports[path.name] = set()
+        found = imports[path.stem] = set()
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
                 found |= {alias.name for alias in node.names}
             elif isinstance(node, ast.ImportFrom):
                 found |= {"." * node.level + (node.module or alias.name) for alias in node.names}
-    assert {m for m in imports["geometry.py"] if m.startswith(".")} == {".errors"}
-    assert [name for name, found in imports.items() if "fractions" in found] == ["geometry.py"]
+    return imports
+
+
+def test_the_package_import_graph_is_pinned():
+    graph = {
+        name: {m.lstrip(".") for m in found if m.startswith(".")}
+        | {m.removeprefix("rosette.") for m in found if m.startswith("rosette.")}
+        for name, found in _imports().items()
+    }
+    assert graph == IMPORT_GRAPH
+
+
+def test_exact_arithmetic_lives_in_the_geometry_kernels_alone():
+    # geometry is the one module that imports fractions, so the exact sign fallback
+    # sits in one place (its package imports are pinned in IMPORT_GRAPH)
+    assert [name for name, found in _imports().items() if "fractions" in found] == ["geometry"]
 
 
 def test_series_uses_no_matrix_product():

@@ -11,6 +11,8 @@ from rosette import (
     DomainError,
     MapValue,
     RosetteParams,
+    SeriesKind,
+    SeriesSpec,
     SingularPoint,
     canonical_rotation,
     dg,
@@ -29,6 +31,7 @@ from rosette import (
     scale_constant,
 )
 from rosette.maps import EPS_DOMAIN, combine_parts, dg_many, dh_many, parts_many
+from rosette.series import eval_families_many
 
 PI = math.pi
 
@@ -273,10 +276,20 @@ def test_beta_zero_real_axis_reflection():
 
 
 def test_order_validation():
-    with pytest.raises(ValueError):
-        RosetteParams(2, 0.0)
-    with pytest.raises(ValueError):
-        hypocycloid(2, 0.5)
+    # an order is an integer (what operator.index accepts) of the stated minimum, checked
+    # where it enters; the parent took RosetteParams(3.5, 0.3) and evaluated f for it
+    bad = [lambda: RosetteParams(2, 0.0), lambda: RosetteParams(3.5, 0.3),
+           lambda: RosetteParams(5.0, 0.3), lambda: RosetteParams("5", 0.3),
+           lambda: hypocycloid(2, 0.5), lambda: hypocycloid(4.5, 0.5),
+           lambda: endpoint_values(1), lambda: endpoint_values(2.5),
+           lambda: SeriesSpec(SeriesKind.ANALYTIC, 1), lambda: SeriesSpec(SeriesKind.COANALYTIC, 6.0),
+           lambda: eval_families_many([SeriesSpec(k, n) for k, n in zip(SeriesKind, (5, 6))], [0.5])]
+    for build in bad:
+        with pytest.raises(DomainError):
+            build()
+    assert issubclass(DomainError, ValueError)  # for callers that catch ValueError
+    assert RosetteParams(np.int64(5), 0.3) == RosetteParams(5, 0.3)
+    assert endpoint_values(np.int32(2)) == endpoint_values(2)
 
 
 def test_vectorized_parts_match_scalars():

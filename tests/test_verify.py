@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -28,7 +29,7 @@ from rosette import (
     winding_number,
     winding_numbers,
 )
-from rosette import geometry, maps, series, verify
+from rosette import geometry, maps, quadrature, series, verify
 from rosette.boundary import (
     bounding_radius,
     feature_vertices,
@@ -92,6 +93,17 @@ def test_a_nan_probe_is_too_close_to_the_curve(probe):
         winding_number(c, probe)
 
 
+@pytest.mark.parametrize("curve", [[0, 1 + 1j, math.nan, 1, 1j, 0], [0, 1, complex(1, math.inf), 0],
+                                   [], [1j]], ids=["nan-vertex", "inf-vertex", "empty", "one-vertex"])
+def test_polylines_without_two_finite_vertices_are_domain_errors(curve):
+    # no verdict can account for such a vertex: the parent skipped a NaN one silently
+    pts = np.array(curve, dtype=complex)
+    with pytest.raises(DomainError):
+        count_self_intersections(pts)
+    with pytest.raises(DomainError):
+        winding_numbers(pts, [0.2 + 0.2j], 1e-9)
+
+
 def test_winding_batch_matches_scalar():
     c = unit_circle(128)
     probes = np.array([0.0, 0.5 + 0.1j, 1.5, -2.0j, 0.9])
@@ -113,6 +125,26 @@ def test_min_distance_to_curve():
     square = np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j, 1 + 1j])
     assert verify.curve_distances(square, [0.0])[0] == pytest.approx(1.0)
     assert verify.curve_distances(square, [0.5 + 0.25j])[0] == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("k", [-600, -540, 540, 600])
+def test_curve_distances_scale_exactly_past_underflow_and_overflow(k):
+    # |ab|^2 underflows below about 2^-537 and overflows above 2^512; such input is
+    # measured scaled by a power of two, so the distances scale with it bit for bit
+    square = np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j, 1 + 1j])
+    probes = np.array([0.0, 0.5 + 0.25j, 0.9j, 3 - 2j, 1 + 1j, 0.999 + 0.3j])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = geometry.curve_distances(square * 2.0**k, probes * 2.0**k)
+    assert np.array_equal(got, 2.0**k * geometry.curve_distances(square, probes))
+
+
+def test_a_probe_near_a_tiny_curve_is_too_close():
+    # 0.1 * 2^-540 from the middle of an edge; measured from the edge's start vertex,
+    # 1.005 * 2^-540 away, it cleared the exclusion radius
+    square = np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j, 1 + 1j]) * 2.0**-540
+    with pytest.raises(TooCloseToCurve):
+        winding_numbers(square, [0.9j * 2.0**-540], 0.5 * 2.0**-540)
 
 
 # --- simplicity ---------------------------------------------------------------------
@@ -180,8 +212,16 @@ def on_polyline(poly, w0):
 
 def brute_force_distances(curve, probes):
     """Nearest-segment distance of each probe over every segment, by the formula of
-    ``curve_distances``: t = clip(Re((p - a) conj(ab)) / |ab|^2, 0, 1), |p - (a + t ab)|."""
-    curve = np.asarray(curve, dtype=complex)
+    ``curve_distances``: t = clip(Re((p - a) conj(ab)) / |ab|^2, 0, 1), |p - (a + t ab)|,
+    evaluated, as there, on input scaled by a power of two when its largest coordinate
+    lies outside ``_PLAIN_SCALES``."""
+    curve = np.ascontiguousarray(curve, dtype=complex)
+    probes = np.ascontiguousarray(probes, dtype=complex).ravel()
+    top = max(np.abs(x.view(float)).max(initial=0.0) for x in (curve, probes))
+    if 0.0 < top < geometry._PLAIN_SCALES[0] or geometry._PLAIN_SCALES[1] < top < math.inf:
+        k = math.frexp(top)[1]
+        curve, probes = (np.ldexp(x.view(float), -k).view(complex) for x in (curve, probes))
+        return np.ldexp(brute_force_distances(curve, probes), k)
     a = curve[:-1]
     ab = curve[1:] - a
     denom = np.abs(ab) ** 2
@@ -597,21 +637,22 @@ def test_integral_oracle_outside_the_disk_is_a_domain_error():
         verify.integral_oracle_many(params, [0.5, 1.2j], SeriesKind.COANALYTIC)
 
 
-def test_tanh_sinh_raises_when_its_level_cap_is_too_low():
-    params = RosetteParams(3, 0.0)
+def test_tanh_sinh_raises_when_its_level_cap_is_too_low(monkeypatch):
     z = np.array([cmath.exp(1j * PI / 3) * (1 - 1e-12)])  # needs level 4
-    verify._tanh_sinh(params, z, SeriesKind.ANALYTIC, max_level=4)
+    monkeypatch.setattr(quadrature, "_TS_MAX_LEVEL", 4)
+    quadrature.tanh_sinh(3, z, 0)
+    monkeypatch.setattr(quadrature, "_TS_MAX_LEVEL", 3)
     with pytest.raises(QuadratureFailure):
-        verify._tanh_sinh(params, z, SeriesKind.ANALYTIC, max_level=3)
+        quadrature.tanh_sinh(3, z, 0)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(math.nan, 0.5)])
-def test_tanh_sinh_never_accepts_a_non_finite_estimate(bad):
-    params = RosetteParams(4, 0.0)
-    for kind in SeriesKind:
-        verify._tanh_sinh(params, np.array([0.5]), kind, max_level=3)
+def test_tanh_sinh_never_accepts_a_non_finite_estimate(monkeypatch, bad):
+    monkeypatch.setattr(quadrature, "_TS_MAX_LEVEL", 3)
+    for power in (0, 2):  # h and g at n = 4
+        quadrature.tanh_sinh(4, np.array([0.5]), power)
         with np.errstate(invalid="ignore"), pytest.raises(QuadratureFailure):
-            verify._tanh_sinh(params, np.array([0.5, bad]), kind, max_level=3)
+            quadrature.tanh_sinh(4, np.array([0.5, bad]), power)
 
 
 # --- symmetry suite ---------------------------------------------------------------------
