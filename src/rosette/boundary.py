@@ -18,6 +18,10 @@ Where the derivative is non-zero its argument follows the linear law
 so the boundary turns at the constant rate n/2 - 1 and the total curvature
 between consecutive cusps is pi - 2pi/n.
 
+These closed forms hold for beta in (-pi/2, pi/2].  Every function here takes
+any beta = canonical + l pi and carries them by the half-turn law: t moves by
+l pi/n, and every point and direction turns by ``half_turn_rotation(n, l)``.
+
 The image polylines (``boundary_polyline``, ``fundamental_set``,
 ``rotated_copies``) are built on the per-interval grid of ``interval_points``,
 with the exact feature values put in by ``with_feature_vertices``.
@@ -27,7 +31,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -43,7 +47,7 @@ from .errors import (
 )
 from .geometry import dedupe
 from .maps import RosetteParams, combine_parts, f_many, half_turn_rotation, parts_many
-from .series import scale_constant
+from .series import require_integer, scale_constant
 
 TWO_PI = 2.0 * math.pi
 
@@ -161,13 +165,17 @@ def is_half_pi(beta: float) -> bool:
 
 def _derivative_fields(params: RosetteParams, ts: np.ndarray):
     """d_value, d_arg (NaN where undefined) and d_mag at parameters already 2pi-reduced."""
-    n, beta = params.n, params.beta
     d_value = _derivative_values(params, ts)
+    canonical, shifts = params.canonical()
+    n, beta = canonical.n, canonical.beta
+    if shifts:
+        ts = np.mod(ts - shifts * math.pi / n, TWO_PI)
     x = 1.0 / np.abs(np.sqrt(1.0 - np.exp(1j * (2 * n * ts))))
     first_half = np.minimum(np.floor(ts * n / math.pi) + 1, 2 * n) % 2 == 1
     sin_term = np.where(first_half, math.sin(beta), -math.sin(beta))
     d_mag = math.sqrt(2.0) * np.sqrt(np.maximum(1.0 + sin_term, 0.0)) * x
     d_arg = np.ceil(ts * n / TWO_PI) * math.pi - (n / 2.0 - 1.0) * ts
+    d_arg += cmath.phase(half_turn_rotation(n, shifts))
     if is_half_pi(beta):
         d_arg[~first_half] = np.nan
         d_mag[~first_half] = 0.0
@@ -261,9 +269,9 @@ def with_feature_vertices(params: RosetteParams, grid: np.ndarray) -> np.ndarray
 
 
 def extract_features(params: RosetteParams, confirm: bool = True) -> FeatureReport:
-    """Locate and classify every boundary feature of a canonical-beta rosette.
+    """Locate and classify every boundary feature of a rosette.
 
-    For |beta| < pi/2: n cusps at t = 2k pi/n with axis argument 2k pi/n,
+    For canonical |beta| < pi/2: n cusps at t = 2k pi/n with axis argument 2k pi/n,
     interleaved with n removable nodes at odd multiples of pi/n whose common
     tangent direction is pi/2 + (2k-1)pi/n.  For beta = pi/2: n nodes at
     t = 2k pi/n with interior angle pi/2 - pi/n (within BETA_HALF_PI_TOL
@@ -272,12 +280,12 @@ def extract_features(params: RosetteParams, confirm: bool = True) -> FeatureRepo
     rotation laws.  With
     ``confirm`` the one-sided tangent directions are re-estimated from
     Richardson-extrapolated secants of the curve itself and checked against
-    the closed forms.
+    the closed forms.  Any other beta gets the features of its canonical phase,
+    in the same order, carried by the half-turn law.
     """
-    if not params.is_canonical():
-        raise NonCanonicalBeta(f"beta={params.beta} outside (-pi/2, pi/2]; reduce it first")
+    canonical, shifts = params.canonical()
     n = params.n
-    ts, locations = feature_vertices(params)
+    ts, locations = feature_vertices(canonical)
     nodes = ts.size == n  # beta = pi/2: n nodes replace the cusps
     features: list[BoundaryFeature] = []
     for j, (t, loc) in enumerate(zip(ts.tolist(), locations.tolist())):
@@ -291,7 +299,14 @@ def extract_features(params: RosetteParams, confirm: bool = True) -> FeatureRepo
             BoundaryFeature(kind, t, loc, abs(loc), _reduce_t(cmath.phase(loc)), axis, angle)
         )
     if confirm:
-        _confirm_features(params, features)
+        _confirm_features(canonical, features)
+    if shifts:
+        turn = half_turn_rotation(n, shifts)
+        spin = cmath.phase(turn)
+        features = [replace(ft, t=_reduce_t(ft.t + shifts * math.pi / n),
+                            location=turn * ft.location, argument=(ft.argument + spin) % TWO_PI,
+                            axis_arg=None if ft.axis_arg is None else ft.axis_arg + spin)
+                    for ft in features]
     args = [ft.argument for ft in features]
     seps = tuple(
         (args[(i + 1) % len(args)] - args[i]) % TWO_PI for i in range(len(args))
@@ -313,21 +328,12 @@ def _confirm_offsets(n: int) -> tuple[float, ...]:
 def _confirm_features(params: RosetteParams, features: list[BoundaryFeature]) -> None:
     """Check the measured one-sided tangent directions at every feature against the closed forms.
 
-    The nodes of beta = pi/2 + l pi are measured on the half-speed curve of
-    pi/2 carried through the half-turn law, which skips the constancy arcs.
+    The nodes of beta = pi/2 + l pi are measured on the half-speed curve,
+    which skips the constancy arcs.
     """
-    shifts = half_pi_shift(params.beta)
-    if shifts is None:
-        def curve(ts):
-            return boundary_points(params, ts)
-    else:
-        base = RosetteParams(params.n, params.beta - shifts * math.pi)
-        rot, lag = half_turn_rotation(params.n, shifts), shifts * math.pi / params.n
-
-        def curve(ts):
-            return rot * halfspeed_points(base, np.asarray(ts) - lag)
+    part = boundary_points if half_pi_shift(params.beta) is None else halfspeed_points
     left, right = one_sided_tangents(
-        curve,
+        lambda ts: part(params, ts),
         [ft.t for ft in features],
         [ft.location for ft in features],
         _confirm_offsets(params.n),
@@ -354,13 +360,15 @@ def separation_angle(params: RosetteParams, side: SeparationSide) -> float:
 
     pi/n + arctan(2 tan(pi/2n) sin beta / (1 - tan^2(pi/2n))) when the node
     has the larger argument, the minus-branch otherwise; the two branches
-    sum to 2pi/n.
+    sum to 2pi/n.  beta is the canonical phase, since the half-turn law keeps every
+    separation; the class of pi/2, which has no cusps, raises NonCanonicalBeta.
     """
-    if not abs(params.beta) < math.pi / 2:
-        raise NonCanonicalBeta("separation angles require |beta| < pi/2")
+    canonical, _ = params.canonical()
+    if not abs(canonical.beta) < math.pi / 2:
+        raise NonCanonicalBeta("separation angles require beta off pi/2 + l pi")
     n = params.n
     tn = math.tan(math.pi / (2 * n))
-    delta = math.atan(2.0 * tn * math.sin(params.beta) / (1.0 - tn * tn))
+    delta = math.atan(2.0 * tn * math.sin(canonical.beta) / (1.0 - tn * tn))
     if side is SeparationSide.NODE_AFTER_CUSP:
         return math.pi / n + delta
     return math.pi / n - delta
@@ -372,19 +380,21 @@ def _check_within_petal(params: RosetteParams, t0: float, t1: float) -> None:
         raise DomainError(f"interval [{t0}, {t1}] is not finite")
     if t1 < t0:
         raise IntervalCrossesCusp("need t0 <= t1")
+    canonical, shifts = params.canonical()
+    s0, s1 = t0 - shifts * math.pi / n, t1 - shifts * math.pi / n  # at the canonical phase
     petal = TWO_PI / n
-    k0 = math.floor((t0 + 1e-12) / petal)
-    k1 = math.ceil((t1 - 1e-12) / petal) - 1
+    k0 = math.floor((s0 + 1e-12) / petal)
+    k1 = math.ceil((s1 - 1e-12) / petal) - 1
     if k1 > k0:
         raise IntervalCrossesCusp(
-            f"[{t0}, {t1}] crosses a cusp parameter (multiple of 2pi/{n})"
+            f"[{t0}, {t1}] crosses a cusp parameter ({shifts}pi/{n} + a multiple of 2pi/{n})"
         )
-    if is_half_pi(params.beta):
+    if is_half_pi(canonical.beta):
         # only the first half of each inter-cusp interval carries the curve
-        if t1 - k0 * petal > math.pi / n + 1e-12:
+        if s1 - k0 * petal > math.pi / n + 1e-12:
             raise IntervalCrossesCusp(
-                "for beta = pi/2 the interval must lie in the active half "
-                "[(2k-2)pi/n, (2k-1)pi/n]"
+                "for beta = pi/2 + l pi the interval must lie in an active half "
+                "[(2k-2+l)pi/n, (2k-1+l)pi/n]"
             )
 
 
@@ -419,16 +429,21 @@ def total_curvature_numeric(params: RosetteParams, t0: float, t1: float) -> floa
 
 
 def halfspeed_points(params: RosetteParams, ts) -> np.ndarray:
-    """The continuous half-speed reparametrization of the beta = pi/2 boundary.
+    """The continuous half-speed reparametrization of the boundary for beta = pi/2 + l pi.
 
-    On [(2k-2)pi/n, 2k pi/n) the curve equals a((k-1)pi/n + t/2): it traverses
-    each active half-interval at half speed and skips the constancy arcs,
-    visiting the node exactly at t = 2k pi/n.
+    At beta = pi/2, on [(2k-2)pi/n, 2k pi/n) the curve equals a((k-1)pi/n + t/2): it
+    traverses each active half-interval at half speed and skips the constancy arcs,
+    visiting the node exactly at t = 2k pi/n.  At l != 0 it is that curve of pi/2
+    carried by the half-turn law.  Any other beta raises WrongBeta.
     """
-    if not is_half_pi(params.beta):
-        raise WrongBeta("half-speed reparametrization requires beta = pi/2")
+    shifts = half_pi_shift(params.beta)
+    if shifts is None:
+        raise WrongBeta("half-speed reparametrization requires beta = pi/2 + l pi")
     n = params.n
     ts = np.asarray(ts, dtype=float)
+    if shifts:
+        base = RosetteParams(n, params.beta - shifts * math.pi)
+        return half_turn_rotation(n, shifts) * halfspeed_points(base, ts - shifts * math.pi / n)
     red = np.mod(ts, TWO_PI)
     k = np.floor(red * n / TWO_PI)  # zero-based inter-cusp interval counter
     mapped = k * math.pi / n + red / 2.0
@@ -486,8 +501,6 @@ def detect_arg_nonmonotonicity(params: RosetteParams) -> tuple[bool, Optional[fl
     Returns (found, witness_t) with the witness at the midpoint of a grid
     step on which the unwrapped argument decreases by more than 1e-6 rad.
     """
-    if not params.is_canonical():
-        raise NonCanonicalBeta(f"beta={params.beta} outside (-pi/2, pi/2]; reduce it first")
     offsets = interval_offsets(512)
     ts = ((np.arange(2 * params.n)[:, None] + offsets) * (math.pi / params.n)).ravel()
     vals = interval_points(params, offsets).ravel()
@@ -529,6 +542,7 @@ def boundary_polyline(params: RosetteParams, per_interval: int = 512) -> np.ndar
     a((2k + (1 + s)/2) pi/n) for j = 2k + 1, as ``halfspeed_points`` maps
     them: the even intervals at the offsets s/2 and (1 + s)/2.
     """
+    require_integer(per_interval, 1, "per_interval")
     offsets = interval_offsets(per_interval)
     if is_half_pi(params.beta):
         grid = interval_points(params, np.concatenate([offsets / 2, (1 + offsets) / 2]),

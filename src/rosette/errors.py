@@ -26,11 +26,11 @@ class SingularParameter(RosetteError):
 
 
 class NonCanonicalBeta(RosetteError):
-    """Operation requires beta in the canonical interval (-pi/2, pi/2]."""
+    """Operation undefined in the class beta = pi/2 + l pi (separation angles: no cusps)."""
 
 
 class WrongBeta(RosetteError):
-    """Operation is only defined for beta = pi/2."""
+    """Operation is only defined in the class beta = pi/2 + l pi."""
 
 
 class IntervalCrossesCusp(RosetteError):

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SingularPoint
-from .series import SeriesKind, SeriesSpec, eval_families_many, eval_series_many, require_order
+from .series import SeriesKind, SeriesSpec, eval_families_many, eval_series_many, require_integer
 
 # Proximity of 1 - z^{2n} to zero below which derivative closed forms are refused.
 SINGULAR_TOL = 1e-12
@@ -46,7 +46,7 @@ class RosetteParams:
     beta: float
 
     def __post_init__(self):
-        require_order(self.n, 3, "rosette")
+        require_integer(self.n, 3, "rosette order n")
         if not math.isfinite(self.beta):
             raise DomainError(f"rosette phase beta must be finite, got {self.beta}")
 
@@ -54,9 +54,6 @@ class RosetteParams:
         """Equivalent parameters with beta in (-pi/2, pi/2] and the shift count l."""
         beta, shifts = reduce_beta(self.beta)
         return RosetteParams(self.n, beta), shifts
-
-    def is_canonical(self) -> bool:
-        return -math.pi / 2 - 1e-12 < self.beta <= math.pi / 2 + 1e-12
 
     def _spec(self, kind: SeriesKind) -> SeriesSpec:
         return SeriesSpec(kind, self.n)
@@ -185,6 +182,8 @@ def dg(params: RosetteParams, z: complex) -> complex:
 
 def dilatation(params: RosetteParams, z: complex) -> complex:
     """g'/h' computed directly as z^{n-2}; independent of beta, total on the disk."""
+    if not cmath.isfinite(z):
+        raise DomainError(f"dilatation needs a finite point, got {z}")
     return complex(z) ** (params.n - 2)
 
 
@@ -202,8 +201,10 @@ def jacobian(params: RosetteParams, z: complex) -> float:
 
 def hypocycloid(n: int, z) -> np.ndarray | complex:
     """The n-cusped hypocycloid map z + conj(z)^{n-1}/(n-1), the rosettes' baseline."""
-    require_order(n, 3, "hypocycloid")
+    require_integer(n, 3, "hypocycloid order n")
     arr = np.asarray(z, dtype=complex)
+    if not np.isfinite(arr).all():
+        raise DomainError(f"hypocycloid needs finite points, got {z}")
     out = arr + np.conj(arr) ** (n - 1) / (n - 1)
     return complex(out) if np.isscalar(z) or arr.shape == () else out
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -22,8 +22,9 @@ from .boundary import (
     rotated_copies,
     with_feature_vertices,
 )
+from .errors import DomainError
 from .geometry import curve_distances
-from .maps import RosetteParams, f_many, half_turn_rotation, hypocycloid
+from .maps import RosetteParams, f_many, hypocycloid
 from .svgout import SvgCanvas, axis_segment, flatten_curve, flatten_curves
 
 TWO_PI = 2.0 * math.pi
@@ -48,32 +49,13 @@ class RenderSpec:
 
     def __post_init__(self):
         if self.radial_lines < 1 or self.circles < 1:
-            raise ValueError("grid must have at least one radial line and one circle")
+            raise DomainError("grid must have at least one radial line and one circle")
         if self.width_px < 1:
-            raise ValueError("width_px must be at least 1")
+            raise DomainError("width_px must be at least 1")
         if self.samples_per_curve < 16:
-            raise ValueError("samples_per_curve must be at least 16")
+            raise DomainError("samples_per_curve must be at least 16")
         if not 0.0 <= self.margin_frac < math.inf:
-            raise ValueError("margin_frac must be a finite number >= 0")
-
-
-def _rotated_features(params: RosetteParams):
-    """Features of f for any beta: canonical features carried through the half-turn law."""
-    canonical, shifts = params.canonical()
-    report = extract_features(canonical, confirm=False)
-    if shifts == 0:
-        return report.features
-    pre = half_turn_rotation(params.n, shifts)
-    return tuple(
-        replace(
-            ft,
-            t=ft.t + shifts * math.pi / params.n,
-            location=pre * ft.location,
-            argument=(ft.argument + cmath.phase(pre)) % TWO_PI,
-            axis_arg=None if ft.axis_arg is None else ft.axis_arg + cmath.phase(pre),
-        )
-        for ft in report.features
-    )
+            raise DomainError("margin_frac must be a finite number >= 0")
 
 
 def _boundary_vertices(spec: RenderSpec) -> np.ndarray:
@@ -139,7 +121,7 @@ def render_svg(spec: RenderSpec) -> str:
     boundary = _boundary_vertices(spec)
     canvas.polyline(boundary, stroke="#123a66", width=1.6)
 
-    feats = _rotated_features(params)
+    feats = extract_features(params, confirm=False).features
     if Overlay.CUSP_AXES in spec.overlay:
         for ft in feats:
             if ft.axis_arg is not None and ft.kind.value == "cusp":
@@ -165,5 +147,6 @@ def feature_overlay_deviation_px(spec: RenderSpec) -> float:
     half = bounding_radius(spec.params.n) * (1.0 + spec.margin_frac)
     scale = spec.width_px / (2.0 * half)
     boundary = _boundary_vertices(spec) * scale
-    dots = np.array([complex(ft.location) * scale for ft in _rotated_features(spec.params)])
+    feats = extract_features(spec.params, confirm=False).features
+    dots = np.array([complex(ft.location) * scale for ft in feats])
     return float(curve_distances(boundary, dots).max(initial=0.0))

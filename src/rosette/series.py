@@ -137,14 +137,14 @@ class SeriesKind(Enum):
     COANALYTIC = "coanalytic"  # factor multiplying z^(n-1)/(n-1) in the co-analytic part
 
 
-def require_order(n, minimum: int, what: str) -> None:
-    """Raise DomainError unless ``n`` is an integer (what operator.index accepts) >= ``minimum``."""
+def require_integer(value, minimum: int, what: str) -> None:
+    """Raise DomainError unless ``value`` is an integer (for operator.index) >= ``minimum``."""
     try:
-        small = operator.index(n) < minimum
+        small = operator.index(value) < minimum
     except TypeError:
-        raise DomainError(f"{what} order must be an integer, got {n!r}") from None
+        raise DomainError(f"{what} must be an integer, got {value!r}") from None
     if small:
-        raise DomainError(f"{what} order must satisfy n >= {minimum}, got {n}")
+        raise DomainError(f"{what} must be >= {minimum}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -155,7 +155,7 @@ class SeriesSpec:
     n: int
 
     def __post_init__(self):
-        require_order(self.n, 2, "series")
+        require_integer(self.n, 2, "series order n")
         if not isinstance(self.kind, SeriesKind):
             raise TypeError("kind must be a SeriesKind")
 
@@ -190,8 +190,7 @@ def coeff_values(spec: SeriesSpec, count: int) -> np.ndarray:
 
 def coeff(spec: SeriesSpec, m: int) -> float:
     """Taylor coefficient of index m (m >= 0)."""
-    if m < 0:
-        raise ValueError("coefficient index must be non-negative")
+    require_integer(m, 0, "coefficient index m")
     return coeff_values(spec, m + 1)[m]
 
 
@@ -201,6 +200,8 @@ def tail_bound(spec: SeriesSpec, m: int, abs_z: float) -> float:
     Valid because the coefficients are positive and decreasing.  Returns
     inf for abs_z >= 1 where no geometric bound exists.
     """
+    if not abs_z >= 0.0:  # also true for NaN
+        raise DomainError(f"tail_bound needs abs_z >= 0, got {abs_z}")
     if abs_z >= 1.0:
         return math.inf
     return coeff(spec, m + 1) * abs_z ** (m + 1) / (1.0 - abs_z)
@@ -340,7 +341,7 @@ def endpoint_values(n: int) -> EndpointValues:
 
     and the pair satisfies coanalytic/analytic = (n-1) tan(pi/(2n)).
     """
-    require_order(n, 2, "series")
+    require_integer(n, 2, "series order n")
     x = 1.0 / (2.0 * n)
     root_pi = math.sqrt(math.pi)
     analytic = root_pi * gamma_real(1.0 + x) / gamma_real(0.5 + x)

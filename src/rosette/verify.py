@@ -48,7 +48,7 @@ from .maps import (
     transit_identity,
 )
 from .quadrature import tanh_sinh
-from .series import SeriesKind, scale_constant
+from .series import SeriesKind, require_integer, scale_constant
 
 TWO_PI = 2.0 * math.pi
 
@@ -145,6 +145,7 @@ def univalence_scan(
     scale beyond the bounding circle have winding 0; (c) the grid images are
     pairwise distinct (pigeonhole injectivity), with the minimum separation reported.
     """
+    require_integer(grid_resolution, 1, "grid_resolution")
     n = params.n
     if per_interval is None:
         per_interval = max(320, -(-4096 // (2 * n)))
@@ -232,6 +233,7 @@ def integral_identities(params: RosetteParams, count: int, seed: int) -> CheckRe
 
     Passes when every residual is below 1e-9; the details name the worst point.
     """
+    require_integer(count, 0, "count")
     z = np.append(_disk_samples(np.random.default_rng(seed), count, 0.95), 1.0)
     kinds = (SeriesKind.ANALYTIC, SeriesKind.COANALYTIC)
     powers = (0, params.n - 2)  # h' and g' = z^(n-2) h'
@@ -259,6 +261,7 @@ def symmetry_suite(
     params: RosetteParams, sample_count: int = 1000, seed: int = 42
 ) -> VerificationReport:
     """Evaluate every pointwise identity of the mapping layer at seeded samples."""
+    require_integer(sample_count, 1, "sample_count")
     n = params.n
     beta = params.beta
     rng = np.random.default_rng(seed)
@@ -392,6 +395,7 @@ def fundamental_decomposition(
     boundary arcs).  Also reports the angle subtended at the origin by the
     set (2pi/n) and by its two half-sector pieces (pi/n each).
     """
+    require_integer(probe_grid, 1, "probe_grid")
     copies = rotated_copies(params)
     n = params.n
     scale = scale_constant(n)

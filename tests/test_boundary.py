@@ -33,6 +33,7 @@ from rosette import DomainError, FeatureMismatch, RosetteError
 from rosette.boundary import (
     CONFIRM_OFFSETS,
     _confirm_offsets,
+    distance_to_singular,
     feature_values,
     feature_vertices,
     interval_offsets,
@@ -218,9 +219,36 @@ def test_features_at_half_pi():
     assert rep.features[0].argument == pytest.approx(PI / 4 - PI / (2 * n), abs=1e-12)
 
 
-def test_features_reject_noncanonical_beta():
+def test_features_of_a_noncanonical_beta_are_the_carried_canonical_features():
+    n, params = 5, RosetteParams(5, 2.0)
+    canonical, shifts = params.canonical()
+    rep, base = extract_features(params), extract_features(canonical)
+    turn = half_turn_rotation(n, shifts)
+    assert rep.params == params and len(rep.features) == len(base.features) == 2 * n
+    for ft, b in zip(rep.features, base.features):  # canonical order, carried
+        assert (ft.kind, ft.magnitude) == (b.kind, b.magnitude)
+        assert ft.interior_angle == b.interior_angle
+        assert ft.t == pytest.approx((b.t + shifts * PI / n) % (2 * PI), abs=1e-12)
+        assert 0.0 <= ft.t < 2 * PI
+        assert ft.location == turn * b.location
+        assert abs(wrap_angle(ft.argument - b.argument - cmath.phase(turn))) < 1e-12
+        assert abs(wrap_angle(ft.argument - cmath.phase(ft.location))) < 1e-12
+        if b.axis_arg is not None:
+            assert abs(wrap_angle(ft.axis_arg - b.axis_arg - cmath.phase(turn))) < 1e-12
+    assert rep.separations == pytest.approx(base.separations, abs=1e-12)
+
+
+@pytest.mark.parametrize("beta", [0.3 + PI, 0.3 - 2 * PI, -2.9, 7.5])
+def test_separation_angles_are_those_of_the_canonical_phase(beta):
+    canonical, _ = RosetteParams(5, beta).canonical()
+    for side in SeparationSide:
+        assert separation_angle(RosetteParams(5, beta), side) == separation_angle(canonical, side)
+
+
+@pytest.mark.parametrize("beta", [PI / 2, -PI / 2, 3 * PI / 2])
+def test_separation_angles_refuse_the_half_pi_class(beta):
     with pytest.raises(NonCanonicalBeta):
-        extract_features(RosetteParams(5, 2.0))
+        separation_angle(RosetteParams(5, beta), SeparationSide.NODE_AFTER_CUSP)
 
 
 def test_separation_examples():
@@ -275,6 +303,40 @@ def test_monotone_feature_drift():
     assert node_mags[0] == pytest.approx(k * (1 - tn), abs=1e-12)
     assert k * (1 + tn) > k * sec  # the two limits are ordered as implemented
     assert abs(extract_features(RosetteParams(n, PI / 2)).features[0].magnitude - k * sec) < 1e-12
+
+
+# --- closed forms carried by the half-turn law ------------------------------------------
+
+CARRIED_PHASES = (2.5, -2.0, -2.9, 0.3 + PI, 0.3 - PI, PI / 2, -PI / 2, 3 * PI / 2, 7.5, 1e4)
+
+
+@pytest.mark.parametrize("n", [3, 5, 12])
+@pytest.mark.parametrize("beta", CARRIED_PHASES)
+def test_sampled_derivative_fields_agree_with_the_derivative_value(n, beta):
+    ts = np.linspace(-7.0, 13.0, 401)
+    ts = ts[distance_to_singular(n, ts) > 1e-6]
+    for s in curve_samples(RosetteParams(n, beta), ts):
+        assert s.d_mag == pytest.approx(abs(s.d_value), rel=1e-9, abs=1e-12)
+        assert (s.d_arg is None) == (s.d_mag == 0.0), s.t
+        if s.d_mag > 0.0:
+            assert abs(wrap_angle(s.d_arg - cmath.phase(s.d_value))) < 1e-9, s.t
+
+
+@pytest.mark.parametrize("beta, t0, t1", [(0.3 + PI, PI / 10, 3 * PI / 10),
+                                           (3 * PI / 2, 0.04 * PI, 0.16 * PI)])
+def test_carried_curvature_intervals_are_checked_at_the_canonical_phase(beta, t0, t1):
+    # [pi/10, 3pi/10] crosses the cusp carried to pi/5; at 3pi/2 the interval lies
+    # on a constancy arc
+    for curvature in (total_curvature, total_curvature_numeric):
+        with pytest.raises(IntervalCrossesCusp):
+            curvature(RosetteParams(5, beta), t0, t1)
+
+
+def test_carried_curvature_matches_its_numeric_cross_check():
+    p = RosetteParams(5, 0.3 + PI)  # cusps at the odd multiples of pi/5
+    assert total_curvature(p, 0.25 * PI, 0.55 * PI) == pytest.approx(
+        total_curvature_numeric(p, 0.25 * PI, 0.55 * PI), abs=1e-4
+    )
 
 
 # --- curvature --------------------------------------------------------------------
@@ -359,12 +421,26 @@ def test_halfspeed_tangent_jump_is_node_angle():
     assert PI - exterior == pytest.approx(PI / 2 - PI / n, abs=1e-3)
 
 
+@pytest.mark.parametrize("shifts", [-1, 1, 2])
+def test_halfspeed_points_of_the_half_pi_class_are_the_carried_curve(shifts):
+    n = 5
+    ts = np.linspace(-1.0, 7.0, 161)
+    got = halfspeed_points(RosetteParams(n, PI / 2 + shifts * PI), ts)
+    base = halfspeed_points(RosetteParams(n, PI / 2), ts - shifts * PI / n)
+    assert np.abs(got - half_turn_rotation(n, shifts) * base).max() < 1e-12
+
+
 def test_halfspeed_requires_half_pi():
     with pytest.raises(WrongBeta):
         halfspeed_points(RosetteParams(5, 0.3), [0.1])
 
 
 # --- argument monotonicity ------------------------------------------------------------
+
+
+def test_arg_nonmonotonicity_is_scanned_at_any_phase():
+    for beta, found in ((PI / 4 + PI, True), (PI / 3 - 2 * PI, True), (0.0 + PI, False)):
+        assert detect_arg_nonmonotonicity(RosetteParams(5, beta))[0] is found
 
 
 def test_arg_nonmonotonicity_detection():

@@ -38,7 +38,7 @@ IMPORT_GRAPH = {
     "geometry": {"errors"},
     "maps": {"errors", "series"},
     "quadrature": {"errors"},
-    "render": {"boundary", "geometry", "maps", "svgout"},
+    "render": {"boundary", "errors", "geometry", "maps", "svgout"},
     "series": {"errors"},
     "svgout": set(),
     "verify": {"boundary", "errors", "geometry", "maps", "quadrature", "series"},
@@ -65,6 +65,14 @@ def test_the_package_import_graph_is_pinned():
         for name, found in _imports().items()
     }
     assert graph == IMPORT_GRAPH
+
+
+def test_the_half_turn_law_is_carried_in_boundary_alone():
+    # maps defines the law, boundary carries every boundary quantity by it and verify's
+    # half_turn_shift check tests it; every other module takes any beta through boundary
+    users = {path.stem for path in SOURCE.glob("*.py")
+             if "half_turn_rotation" in path.read_text(encoding="utf-8")}
+    assert users - {"maps", "boundary", "verify"} == set()
 
 
 def test_exact_arithmetic_lives_in_the_geometry_kernels_alone():

@@ -421,3 +421,25 @@ def test_batched_map_and_derivatives_against_arbitrary_precision_twin():
         for i in picks:
             for value, ref in zip((part[i] for part in got), reference(n, 0.7, complex(z[i]))):
                 assert abs(value - ref) < 5e-12, (n, z[i])
+
+
+# --- arguments outside the domain --------------------------------------------------
+
+
+@pytest.mark.parametrize("call", [
+    lambda: series.coeff(SeriesSpec(SeriesKind.ANALYTIC, 5), -1),
+    lambda: series.coeff(SeriesSpec(SeriesKind.ANALYTIC, 5), 1.5),
+    lambda: series.tail_bound(SeriesSpec(SeriesKind.ANALYTIC, 5), 3, math.nan),
+    lambda: series.tail_bound(SeriesSpec(SeriesKind.ANALYTIC, 5), 3, -0.5),
+    lambda: dilatation(RosetteParams(5, 0.3), math.nan),
+    lambda: dilatation(RosetteParams(5, 0.3), complex(0.5, math.nan)),
+    lambda: hypocycloid(5, math.nan),
+    lambda: hypocycloid(5, np.array([0.5, complex(math.nan, 0.0)])),
+], ids=["coeff-negative", "coeff-float", "tail-nan", "tail-negative", "dilatation-nan",
+        "dilatation-complex-nan", "hypocycloid-nan", "hypocycloid-array-nan"])
+def test_an_argument_outside_the_domain_is_a_domain_error(call):
+    # coeff raised a plain ValueError or a TypeError, the others returned NaN silently
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            call()

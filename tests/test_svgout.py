@@ -1,10 +1,12 @@
 """The batched adaptive flattener and the SVG path writer."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from rosette import DomainError
 from rosette.boundary import bounding_radius
 from rosette.maps import RosetteParams, f_many, hypocycloid
 from rosette.render import RenderSpec, _grid_paths
@@ -140,3 +142,12 @@ def test_polyline_skips_fewer_than_two_points():
     canvas.polyline([0.5 + 0.5j])
     canvas.polyline([])
     assert canvas.elements == []
+
+
+@pytest.mark.parametrize("bad", [{"radial_lines": 0}, {"circles": 0}, {"width_px": 0},
+                                 {"samples_per_curve": 15}, {"margin_frac": math.nan}])
+def test_render_spec_refuses_with_a_domain_error(bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            RenderSpec(RosetteParams(5, 0.3), **bad)

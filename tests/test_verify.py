@@ -912,3 +912,33 @@ def test_jacobian_closed_form_vs_derivatives():
     direct = np.abs(dh_many(p, z)) ** 2 - np.abs(dg_many(p, z)) ** 2
     closed = (1.0 - np.abs(z) ** (2 * (5 - 2))) / np.abs(1.0 - z**10)
     assert np.abs(direct - closed).max() < 1e-12
+
+
+# --- sample counts are checked where they enter --------------------------------
+
+
+@pytest.mark.parametrize("call", [
+    lambda p: verify.fundamental_tiling(p, 0),
+    lambda p: fundamental_decomposition(p, probe_grid=0),
+    lambda p: univalence_scan(p, grid_resolution=0),
+    lambda p: univalence_scan(p, per_interval=0),
+    lambda p: symmetry_suite(p, sample_count=0),
+    lambda p: symmetry_suite(p, sample_count=2.5),
+    lambda p: verify.integral_identities(p, -1, 0),
+    lambda p: verify.integral_identities(p, 1.5, 0),
+    lambda p: boundary_polyline(p, 0),
+    lambda p: boundary_polyline(p, -3),
+], ids=["tiling", "decomposition", "univalence-grid", "univalence-per-interval",
+        "symmetry", "symmetry-float", "integral", "integral-float", "polyline",
+        "polyline-negative"])
+def test_a_sample_count_out_of_range_is_a_domain_error(call):
+    # before, the tiling passed with 0 probes and the others raised numpy errors
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            call(RosetteParams(5, 0.3))
+
+
+def test_integral_identities_accept_zero_random_points():
+    check = verify.integral_identities(RosetteParams(5, 0.3), 0, 0)
+    assert check.passed and check.samples_used == 2  # z = 1 alone, both kinds
