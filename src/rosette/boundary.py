@@ -19,8 +19,8 @@ so the boundary turns at the constant rate n/2 - 1 and the total curvature
 between consecutive cusps is pi - 2pi/n.
 
 These closed forms hold for beta in (-pi/2, pi/2].  Every function here takes
-any beta = canonical + l pi and carries them by the half-turn law: t moves by
-l pi/n, and every point and direction turns by ``half_turn_rotation(n, l)``.
+any beta = base + l pi (see ``_reduce``) and carries them by the half-turn law: t
+moves by l pi/n, and every point and direction turns by ``half_turn_rotation(n, l)``.
 
 The image polylines (``boundary_polyline``, ``fundamental_set``,
 ``rotated_copies``) are built on the per-interval grid of ``interval_points``,
@@ -163,19 +163,33 @@ def is_half_pi(beta: float) -> bool:
     return half_pi_shift(beta) == 0
 
 
+def _carry(base: RosetteParams, shifts: int) -> tuple[RosetteParams, float, complex]:
+    return base, shifts * math.pi / base.n, half_turn_rotation(base.n, shifts)
+
+
+def _reduce(params: RosetteParams) -> tuple[RosetteParams, float, complex]:
+    """(base, l pi/n, half_turn_rotation(n, l)) for beta = base + l pi, where the base is
+    pi/2 within BETA_HALF_PI_TOL in the class of pi/2 (l = half_pi_shift), so that the
+    closed forms see its constancy arcs, and the canonical phase otherwise."""
+    shifts = half_pi_shift(params.beta)
+    if shifts is None:
+        return _carry(*params.canonical())
+    return _carry(RosetteParams(params.n, params.beta - shifts * math.pi), shifts)
+
+
 def _derivative_fields(params: RosetteParams, ts: np.ndarray):
     """d_value, d_arg (NaN where undefined) and d_mag at parameters already 2pi-reduced."""
     d_value = _derivative_values(params, ts)
-    canonical, shifts = params.canonical()
-    n, beta = canonical.n, canonical.beta
-    if shifts:
-        ts = np.mod(ts - shifts * math.pi / n, TWO_PI)
+    base, lag, turn = _reduce(params)
+    n, beta = base.n, base.beta
+    if lag:
+        ts = np.mod(ts - lag, TWO_PI)
     x = 1.0 / np.abs(np.sqrt(1.0 - np.exp(1j * (2 * n * ts))))
     first_half = np.minimum(np.floor(ts * n / math.pi) + 1, 2 * n) % 2 == 1
     sin_term = np.where(first_half, math.sin(beta), -math.sin(beta))
     d_mag = math.sqrt(2.0) * np.sqrt(np.maximum(1.0 + sin_term, 0.0)) * x
     d_arg = np.ceil(ts * n / TWO_PI) * math.pi - (n / 2.0 - 1.0) * ts
-    d_arg += cmath.phase(half_turn_rotation(n, shifts))
+    d_arg += cmath.phase(turn)
     if is_half_pi(beta):
         d_arg[~first_half] = np.nan
         d_mag[~first_half] = 0.0
@@ -277,13 +291,12 @@ def extract_features(params: RosetteParams, confirm: bool = True) -> FeatureRepo
     t = 2k pi/n with interior angle pi/2 - pi/n (within BETA_HALF_PI_TOL
     above -pi/2, the same nodes carried to the odd multiples).  Feature
     locations come from the series evaluated exactly at argument 1 plus the
-    rotation laws.  With
-    ``confirm`` the one-sided tangent directions are re-estimated from
-    Richardson-extrapolated secants of the curve itself and checked against
-    the closed forms.  Any other beta gets the features of its canonical phase,
-    in the same order, carried by the half-turn law.
+    rotation laws.  With ``confirm`` the one-sided tangent directions are
+    re-estimated from Richardson-extrapolated secants of the curve itself and
+    checked against the closed forms.  Any other beta gets the features of its
+    canonical phase (not ``_reduce``'s base), in the same order, carried by the law.
     """
-    canonical, shifts = params.canonical()
+    canonical, lag, turn = _carry(*params.canonical())
     n = params.n
     ts, locations = feature_vertices(canonical)
     nodes = ts.size == n  # beta = pi/2: n nodes replace the cusps
@@ -300,12 +313,11 @@ def extract_features(params: RosetteParams, confirm: bool = True) -> FeatureRepo
         )
     if confirm:
         _confirm_features(canonical, features)
-    if shifts:
-        turn = half_turn_rotation(n, shifts)
+    if lag:
         spin = cmath.phase(turn)
-        features = [replace(ft, t=_reduce_t(ft.t + shifts * math.pi / n),
-                            location=turn * ft.location, argument=(ft.argument + spin) % TWO_PI,
-                            axis_arg=None if ft.axis_arg is None else ft.axis_arg + spin)
+        features = [replace(ft, t=_reduce_t(ft.t + lag), location=turn * ft.location,
+                            argument=_reduce_t(ft.argument + spin),
+                            axis_arg=None if ft.axis_arg is None else _reduce_t(ft.axis_arg + spin))
                     for ft in features]
     args = [ft.argument for ft in features]
     seps = tuple(
@@ -360,15 +372,15 @@ def separation_angle(params: RosetteParams, side: SeparationSide) -> float:
 
     pi/n + arctan(2 tan(pi/2n) sin beta / (1 - tan^2(pi/2n))) when the node
     has the larger argument, the minus-branch otherwise; the two branches
-    sum to 2pi/n.  beta is the canonical phase, since the half-turn law keeps every
+    sum to 2pi/n.  beta is the base phase, since the half-turn law keeps every
     separation; the class of pi/2, which has no cusps, raises NonCanonicalBeta.
     """
-    canonical, _ = params.canonical()
-    if not abs(canonical.beta) < math.pi / 2:
+    base = _reduce(params)[0]
+    if is_half_pi(base.beta):
         raise NonCanonicalBeta("separation angles require beta off pi/2 + l pi")
     n = params.n
     tn = math.tan(math.pi / (2 * n))
-    delta = math.atan(2.0 * tn * math.sin(canonical.beta) / (1.0 - tn * tn))
+    delta = math.atan(2.0 * tn * math.sin(base.beta) / (1.0 - tn * tn))
     if side is SeparationSide.NODE_AFTER_CUSP:
         return math.pi / n + delta
     return math.pi / n - delta
@@ -380,22 +392,21 @@ def _check_within_petal(params: RosetteParams, t0: float, t1: float) -> None:
         raise DomainError(f"interval [{t0}, {t1}] is not finite")
     if t1 < t0:
         raise IntervalCrossesCusp("need t0 <= t1")
-    canonical, shifts = params.canonical()
-    s0, s1 = t0 - shifts * math.pi / n, t1 - shifts * math.pi / n  # at the canonical phase
+    base, lag, _ = _reduce(params)
+    s0, s1 = t0 - lag, t1 - lag  # at the base phase
     petal = TWO_PI / n
     k0 = math.floor((s0 + 1e-12) / petal)
     k1 = math.ceil((s1 - 1e-12) / petal) - 1
     if k1 > k0:
         raise IntervalCrossesCusp(
-            f"[{t0}, {t1}] crosses a cusp parameter ({shifts}pi/{n} + a multiple of 2pi/{n})"
+            f"[{t0}, {t1}] crosses a cusp parameter ({lag} + a multiple of 2pi/{n})"
         )
-    if is_half_pi(canonical.beta):
+    if is_half_pi(base.beta) and s1 - k0 * petal > math.pi / n + 1e-12:
         # only the first half of each inter-cusp interval carries the curve
-        if s1 - k0 * petal > math.pi / n + 1e-12:
-            raise IntervalCrossesCusp(
-                "for beta = pi/2 + l pi the interval must lie in an active half "
-                "[(2k-2+l)pi/n, (2k-1+l)pi/n]"
-            )
+        raise IntervalCrossesCusp(
+            "for beta = pi/2 + l pi the interval must lie in an active half "
+            "[(2k-2+l)pi/n, (2k-1+l)pi/n]"
+        )
 
 
 def total_curvature(params: RosetteParams, t0: float, t1: float) -> float:
@@ -436,26 +447,22 @@ def halfspeed_points(params: RosetteParams, ts) -> np.ndarray:
     visiting the node exactly at t = 2k pi/n.  At l != 0 it is that curve of pi/2
     carried by the half-turn law.  Any other beta raises WrongBeta.
     """
-    shifts = half_pi_shift(params.beta)
-    if shifts is None:
+    if half_pi_shift(params.beta) is None:
         raise WrongBeta("half-speed reparametrization requires beta = pi/2 + l pi")
-    n = params.n
-    ts = np.asarray(ts, dtype=float)
-    if shifts:
-        base = RosetteParams(n, params.beta - shifts * math.pi)
-        return half_turn_rotation(n, shifts) * halfspeed_points(base, ts - shifts * math.pi / n)
-    red = np.mod(ts, TWO_PI)
+    base, lag, turn = _reduce(params)
+    n = base.n
+    red = np.mod(np.asarray(ts, dtype=float) - lag, TWO_PI)
     k = np.floor(red * n / TWO_PI)  # zero-based inter-cusp interval counter
     mapped = k * math.pi / n + red / 2.0
-    out = boundary_points(params, mapped)
+    out = boundary_points(base, mapped)
     # parameters that round onto a multiple of pi/n get the exact feature value
     step = math.pi / n
     j_near = np.rint(mapped / step).astype(int)
     snap = np.abs(mapped - j_near * step) < 1e-9
     if snap.any():
-        exact = np.array(list(feature_values(params).values()))
+        exact = np.array(list(feature_values(base).values()))
         out[snap] = exact[j_near[snap] % (2 * n)]
-    return out
+    return turn * out if lag else out
 
 
 def interval_offsets(per_interval: int) -> np.ndarray:
@@ -560,30 +567,29 @@ def fundamental_set(params: RosetteParams) -> FundamentalSet:
     the rotation laws), and the rotated radial image f(r e^{2 pi i/n}) traversed back
     to the origin.
     """
-    canonical, _ = params.canonical()
-    n = canonical.n
+    base = _reduce(params)[0]
+    n = base.n
     u = np.linspace(0.0, 1.0, 600)
     r = np.sin(0.5 * math.pi * u) ** 2  # clustered toward r = 1
-    side1 = combine_parts(canonical.beta, *parts_many(canonical, r[:-1]))  # a(0) appended below
-    exact = feature_values(canonical)
-    rows = interval_points(canonical, (np.arange(768) + 0.5) / 768, rows=slice(0, 2))
+    side1 = combine_parts(base.beta, *parts_many(base, r[:-1]))  # a(0) appended below
+    exact = feature_values(base)
+    rows = interval_points(base, (np.arange(768) + 0.5) / 768, rows=slice(0, 2))
     arc = np.concatenate([[exact[0]], rows[0], [exact[1]], rows[1], [exact[2 % (2 * n)]]])
     side2 = (np.append(side1, exact[0]) * cmath.exp(2j * math.pi / n))[::-1]
     poly = np.concatenate([side1, arc, side2[1:]])
     poly = dedupe(poly, 1e-13 * scale_constant(n))  # closed: from f(0) = 0 back to 0
-    return FundamentalSet(params=canonical, boundary_polyline=poly)
+    return FundamentalSet(params=base, boundary_polyline=poly)
 
 
 def rotated_copies(params: RosetteParams) -> list[RotatedCopy]:
     """The n rotated copies whose union reconstructs the full image.
 
-    For params with arbitrary beta = canonical + l*pi the copies are the
-    canonical fundamental set turned by e^{2ik pi/n}, k = 1..n, and then by
-    the image rotation of the half-turn law, ``half_turn_rotation(n, l)``.
+    For params with arbitrary beta = base + l*pi the copies are the fundamental
+    set of the base phase (see ``_reduce``) turned by e^{2ik pi/n}, k = 1..n, and
+    then by the image rotation of the half-turn law, ``half_turn_rotation(n, l)``.
     """
     base = fundamental_set(params).boundary_polyline
-    _, shifts = params.canonical()
-    turn = half_turn_rotation(params.n, shifts)
+    turn = _reduce(params)[2]
     prefactors = (turn * cmath.exp(2j * k * math.pi / params.n) for k in range(1, params.n + 1))
     return [RotatedCopy(prefactor=pref, polyline=pref * base) for pref in prefactors]
 

@@ -35,6 +35,7 @@ from rosette.boundary import (
     _confirm_offsets,
     distance_to_singular,
     feature_values,
+    half_pi_shift,
     feature_vertices,
     interval_offsets,
     interval_points,
@@ -245,7 +246,12 @@ def test_separation_angles_are_those_of_the_canonical_phase(beta):
         assert separation_angle(RosetteParams(5, beta), side) == separation_angle(canonical, side)
 
 
-@pytest.mark.parametrize("beta", [PI / 2, -PI / 2, 3 * PI / 2])
+# Phases within BETA_HALF_PI_TOL above pi/2 + l pi, the first one pi/2 to ten digits;
+# reduce_beta takes each of them to -pi/2 + delta, off the class of pi/2.
+NEAR_HALF_PI = (PI / 2 + 1e-10, 1.5707963268, -PI / 2 + 1e-10, 3 * PI / 2 + 1e-10)
+
+
+@pytest.mark.parametrize("beta", (PI / 2, -PI / 2, 3 * PI / 2) + NEAR_HALF_PI)
 def test_separation_angles_refuse_the_half_pi_class(beta):
     with pytest.raises(NonCanonicalBeta):
         separation_angle(RosetteParams(5, beta), SeparationSide.NODE_AFTER_CUSP)
@@ -322,11 +328,29 @@ def test_sampled_derivative_fields_agree_with_the_derivative_value(n, beta):
             assert abs(wrap_angle(s.d_arg - cmath.phase(s.d_value))) < 1e-9, s.t
 
 
+@pytest.mark.parametrize("n", [3, 5, 12])
+@pytest.mark.parametrize("beta", NEAR_HALF_PI)
+def test_phases_near_the_half_pi_class_have_its_constancy_arcs(n, beta):
+    ts = np.linspace(-7.0, 13.0, 401)
+    ts = ts[distance_to_singular(n, ts) > 1e-6]
+    exact = curve_samples(RosetteParams(n, PI / 2 + half_pi_shift(beta) * PI), ts)
+    for s, e in zip(curve_samples(RosetteParams(n, beta), ts), exact):
+        assert (s.d_arg is None) == (e.d_arg is None) == (s.d_mag == 0.0), s.t
+        if s.d_mag > 0.0:
+            assert s.d_mag == pytest.approx(abs(s.d_value), rel=1e-9)
+            assert abs(wrap_angle(s.d_arg - cmath.phase(s.d_value))) < 1e-9, s.t
+        else:  # the curve moves at a speed of order beta's distance to the class
+            assert abs(s.d_value) < 1e-7, s.t
+
+
 @pytest.mark.parametrize("beta, t0, t1", [(0.3 + PI, PI / 10, 3 * PI / 10),
-                                           (3 * PI / 2, 0.04 * PI, 0.16 * PI)])
+                                           (3 * PI / 2, 0.04 * PI, 0.16 * PI),
+                                           (PI / 2 + 1e-10, 0.24 * PI, 0.36 * PI),
+                                           (1.5707963268, 0.24 * PI, 0.36 * PI),
+                                           (-PI / 2 + 1e-10, 0.04 * PI, 0.16 * PI)])
 def test_carried_curvature_intervals_are_checked_at_the_canonical_phase(beta, t0, t1):
-    # [pi/10, 3pi/10] crosses the cusp carried to pi/5; at 3pi/2 the interval lies
-    # on a constancy arc
+    # [pi/10, 3pi/10] crosses the cusp carried to pi/5; in the class of pi/2 the
+    # interval lies on a constancy arc
     for curvature in (total_curvature, total_curvature_numeric):
         with pytest.raises(IntervalCrossesCusp):
             curvature(RosetteParams(5, beta), t0, t1)
