@@ -46,7 +46,14 @@ from .errors import (
     WrongBeta,
 )
 from .geometry import dedupe
-from .maps import RosetteParams, combine_parts, f_many, half_turn_rotation, parts_many
+from .maps import (
+    RosetteParams,
+    combine_parts,
+    f_many,
+    half_turn_rotation,
+    integer_power,
+    parts_many,
+)
 from .series import require_integer, scale_constant
 
 TWO_PI = 2.0 * math.pi
@@ -141,9 +148,9 @@ def _derivative_values(params: RosetteParams, ts: np.ndarray) -> np.ndarray:
     """a'(t) from the closed-form part derivatives (no series needed)."""
     n, beta = params.n, params.beta
     z = np.exp(1j * ts)
-    root = np.sqrt(1.0 - z ** (2 * n))  # principal branch
+    root = np.sqrt(1.0 - integer_power(z, 2 * n))  # principal branch
     dh_dt = 1j * z / root
-    dg_dt = 1j * z ** (n - 1) / root
+    dg_dt = 1j * integer_power(z, n - 1) / root
     return cmath.exp(0.5j * beta) * dh_dt + np.conj(dg_dt) * cmath.exp(-0.5j * beta)
 
 
@@ -538,7 +545,7 @@ class RotatedCopy:
 
 
 def boundary_polyline(params: RosetteParams, per_interval: int = 512) -> np.ndarray:
-    """Closed polyline through the boundary curve (half-speed at beta = pi/2).
+    """Closed polyline through the boundary curve (half-speed at beta = pi/2 + l pi).
 
     Samples every basic interval at the offsets of ``interval_offsets`` plus
     the exact feature parameters of ``feature_vertices``, so cusps and nodes
@@ -547,16 +554,20 @@ def boundary_polyline(params: RosetteParams, per_interval: int = 512) -> np.ndar
     parameters.  At beta = pi/2 the half-speed curve visits the grid
     parameters (j + s) pi/n at a((2k + s/2) pi/n) for j = 2k and at
     a((2k + (1 + s)/2) pi/n) for j = 2k + 1, as ``halfspeed_points`` maps
-    them: the even intervals at the offsets s/2 and (1 + s)/2.
+    them: the even intervals at the offsets s/2 and (1 + s)/2.  At
+    beta = pi/2 + l pi it is that polyline of ``_reduce``'s base turned by
+    the half-turn law, so every l has the vertices of l = 0.
     """
     require_integer(per_interval, 1, "per_interval")
     offsets = interval_offsets(per_interval)
-    if is_half_pi(params.beta):
-        grid = interval_points(params, np.concatenate([offsets / 2, (1 + offsets) / 2]),
-                               rows=slice(0, None, 2))
-    else:
-        grid = interval_points(params, offsets)
-    return dedupe(with_feature_vertices(params, grid), 1e-13 * scale_constant(params.n))
+    tol = 1e-13 * scale_constant(params.n)
+    if half_pi_shift(params.beta) is None:
+        return dedupe(with_feature_vertices(params, interval_points(params, offsets)), tol)
+    base, lag, turn = _reduce(params)
+    grid = interval_points(base, np.concatenate([offsets / 2, (1 + offsets) / 2]),
+                           rows=slice(0, None, 2))
+    poly = dedupe(with_feature_vertices(base, grid), tol)
+    return turn * poly if lag else poly
 
 
 def fundamental_set(params: RosetteParams) -> FundamentalSet:

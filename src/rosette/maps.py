@@ -18,6 +18,10 @@ and the Jacobian |h'|^2 - |g'|^2 simplifies to (1 - |z|^{2(n-2)})/|1 - z^{2n}|.
 
 ``parts_many`` gives h and g from one series pass over their shared argument
 z^{2n}; ``combine_parts`` forms f of any phase from them, as ``f_many`` does.
+
+Every power of z whose exponent grows with n comes from ``integer_power``: numpy's own
+z ** k below k = 100, and above it binary exponentiation, with libm's cpow kept for
+the results of modulus above 1/2, next to the singular points.
 """
 
 from __future__ import annotations
@@ -36,6 +40,10 @@ SINGULAR_TOL = 1e-12
 
 # Slack on |z| <= 1 absorbing rounding of boundary points.
 EPS_DOMAIN = 1e-9
+
+# numpy computes z ** k by binary exponentiation below this exponent and by libm's cpow
+# (about 0.25 us a point) from it on.
+_BINARY_POWER_LIMIT = 100
 
 
 @dataclass(frozen=True)
@@ -94,25 +102,53 @@ def _clip_disk(z: np.ndarray) -> np.ndarray:
     return z
 
 
+def integer_power(z: np.ndarray, k: int) -> np.ndarray:
+    """z ** k for a complex array z and an integer k >= 0, the same bit for bit in any batch.
+
+    Below k = 100 this is numpy's z ** k itself, whose scalar-loop binary exponentiation
+    no sequence of np.multiply calls reproduces bit for bit.  From k = 100 on, numpy calls
+    cpow per point; here binary exponentiation by out-of-place products does the work, to
+    within a relative error of about k ulp, and the results of modulus above 1/2 are
+    recomputed by cpow (z ** k again).  Near w = 1 cpow holds |w| to about an ulp, which
+    the anchored integral and 1/sqrt(1 - w) need; binary exponentiation would amplify
+    its O(k ulp) error there.
+    """
+    if k < _BINARY_POWER_LIMIT:
+        return z ** k
+    flat = np.ravel(z)
+    out, base, rest = None, flat, k
+    while True:
+        if rest & 1:
+            out = base if out is None else np.multiply(out, base)
+        rest >>= 1
+        if not rest:
+            break
+        base = np.multiply(base, base)
+    far = np.flatnonzero(np.abs(out) > 0.5)  # out is a new array: k >= 100 has two factors
+    out[far] = flat[far] ** k
+    return out.reshape(np.shape(z))
+
+
 def h_many(params: RosetteParams, z) -> np.ndarray:
     """Analytic part h(z) = z * F_a(z^{2n}), vectorized."""
     z = _clip_disk(np.asarray(z, dtype=complex))
-    factor = eval_series_many(params._spec(SeriesKind.ANALYTIC), z ** (2 * params.n))
+    factor = eval_series_many(params._spec(SeriesKind.ANALYTIC), integer_power(z, 2 * params.n))
     return z * factor
 
 
 def g_many(params: RosetteParams, z) -> np.ndarray:
     """Co-analytic part g(z) = z^{n-1}/(n-1) * F_c(z^{2n}), vectorized."""
     z = _clip_disk(np.asarray(z, dtype=complex))
-    factor = eval_series_many(params._spec(SeriesKind.COANALYTIC), z ** (2 * params.n))
-    return z ** (params.n - 1) / (params.n - 1) * factor
+    factor = eval_series_many(params._spec(SeriesKind.COANALYTIC), integer_power(z, 2 * params.n))
+    return integer_power(z, params.n - 1) / (params.n - 1) * factor
 
 
 def parts_many(params: RosetteParams, z) -> tuple[np.ndarray, np.ndarray]:
     """h(z) and g(z) from one series pass, each bit for bit as h_many/g_many give it."""
     z = _clip_disk(np.asarray(z, dtype=complex))
-    fa, fc = eval_families_many([params._spec(k) for k in SeriesKind], z ** (2 * params.n))
-    return z * fa, z ** (params.n - 1) / (params.n - 1) * fc
+    w = integer_power(z, 2 * params.n)
+    fa, fc = eval_families_many([params._spec(k) for k in SeriesKind], w)
+    return z * fa, integer_power(z, params.n - 1) / (params.n - 1) * fc
 
 
 def combine_parts(beta: float, hz, gz) -> np.ndarray:
@@ -154,7 +190,7 @@ def _root_factor(params: RosetteParams, z: np.ndarray) -> np.ndarray:
     projected onto the circle.
     """
     _check_disk(z)
-    rad = 1.0 - z ** (2 * params.n)
+    rad = 1.0 - integer_power(z, 2 * params.n)
     if (np.abs(rad) < SINGULAR_TOL).any():
         raise SingularPoint(
             "derivative evaluated within singular_tol of a 2n-th root of unity"
@@ -169,7 +205,7 @@ def dh_many(params: RosetteParams, z) -> np.ndarray:
 
 def dg_many(params: RosetteParams, z) -> np.ndarray:
     z = np.asarray(z, dtype=complex)
-    return z ** (params.n - 2) * _root_factor(params, z)
+    return integer_power(z, params.n - 2) * _root_factor(params, z)
 
 
 def dh(params: RosetteParams, z: complex) -> complex:

@@ -20,7 +20,10 @@ therefore works in two regimes:
   wherever the geometric tail bound certifies the tolerance: the coefficients
   are at most 1 and decrease, so the tail after M terms is at most
   coeff(M) |w|^M / (1 - |w|) <= |w|^M / (1 - |w|), and the latter is at most
-  the tolerance ABS_TOL = 1e-12 for |w| up to about 0.64 at M = 64;
+  the tolerance ABS_TOL = 1e-12 for |w| up to the direct radius, the largest
+  double that passes |w|^M <= ABS_TOL (1 - |w|) (0.6391219844991737 at M = 64).
+  Both sides of that test are monotone in |w|, so the radius is found once, by
+  bisection over the doubles, and each point only compares |w| with it;
 * everywhere else, the circle and w = 1 included, an integral anchored at
   w = 1.  With z = w^{1/(2n)} (principal root) the families are h(z)/z and
   (n-1) z^{1-n} g(z) for the incomplete-beta integrals (DLMF 8.17)
@@ -35,9 +38,11 @@ therefore works in two regimes:
   (reached at w = -1, for every n), where the 15-point rule is still within ~4e-16.
 
 One core, ``eval_families_many``, evaluates several families of one order
-in one pass: they share the domain check, |w|^M, and the anchored nodes,
-log z, z - 1, log zeta and root 2u/sqrt(1 - zeta^{2n}), on which the co-analytic
-family multiplies in zeta^{n-2}.  ``eval_series_many`` is its one-family case.
+in one pass: they share the domain check, the split at the direct radius, and
+the anchored nodes, log z, z - 1, log zeta and root 2u/sqrt(1 - zeta^{2n}), on
+which the co-analytic family multiplies in zeta^{n-2}.  The direct sum's
+coefficient tables are cached per (family, n, M).  ``eval_series_many`` is its
+one-family case.
 
 The achieved absolute accuracy is a few 1e-15 everywhere on the closed disk
 (against mpmath's hyp2f1 for n = 3..1000, down to |1 - w| = 1e-16); the
@@ -51,6 +56,7 @@ largest error estimate.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import operator
@@ -70,9 +76,9 @@ DOMAIN_SLACK = 1e-7
 # Absolute error every value is certified to; NoConvergence where it cannot be.
 ABS_TOL = 1e-12
 
-# Terms of the direct sum.  It takes the points with |w|^64 / (1 - |w|) <= ABS_TOL,
-# so the tail it drops, at most coeff(64) < 6e-4 times that, stays at the rounding
-# level of the anchored integral, which takes the other points.
+# Terms of the direct sum.  It takes the points with |w|^64 / (1 - |w|) <= ABS_TOL
+# (|w| up to _direct_radius), so the tail it drops, at most coeff(64) < 6e-4 times
+# that, stays at the rounding level of the anchored integral, which takes the others.
 _DIRECT_TERMS = 64
 
 # Gauss-Kronrod pair on [-1, 1] (Kronrod 1965; the 31-point table of QUADPACK's
@@ -188,6 +194,35 @@ def coeff_values(spec: SeriesSpec, count: int) -> np.ndarray:
     return a * (spec.n - 1.0) / (spec.n * (2.0 * m + 1.0) - 1.0)
 
 
+@functools.lru_cache(maxsize=256)
+def _direct_table(kind: SeriesKind, n: int, terms: int) -> tuple[tuple[float, ...], float]:
+    """The direct sum's Horner table, coefficients terms-1 down to 0 as Python floats,
+    and coefficient ``terms``, which scales its tail bound."""
+    cofs = coeff_values(SeriesSpec(kind, n), terms + 1)
+    return tuple(cofs[terms - 1 :: -1].tolist()), float(cofs[terms])
+
+
+@functools.cache
+def _direct_radius(terms: int, tol: float) -> float:
+    """The largest double a in [0, 1) with a**terms <= tol * (1 - a), for terms >= 1.
+
+    The direct sum takes exactly the points with |w| <= this radius (0.6391219844991737
+    for 64 terms and tol 1e-12).  Both sides of the predicate are monotone in a, so a
+    bisection over the doubles of [0, 1], ordered as their bit patterns, finds the last
+    one that passes; each probe is the same numpy expression as a per-point test.
+    """
+
+    def passes(bits: int) -> bool:
+        a = np.array([bits], dtype=np.int64).view(float)
+        return bool((a**terms <= tol * (1.0 - a))[0])
+
+    lo, hi = 0, int(np.array(1.0).view(np.int64))  # 0.0 passes, 1.0 fails
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if passes(mid) else (lo, mid)
+    return float(np.array(lo, dtype=np.int64).view(float))
+
+
 def coeff(spec: SeriesSpec, m: int) -> float:
     """Taylor coefficient of index m (m >= 0)."""
     require_integer(m, 0, "coefficient index m")
@@ -251,23 +286,27 @@ def eval_families_many(specs: Sequence[SeriesSpec], z) -> list[np.ndarray]:
         aw[over] = 1.0
 
     terms = _DIRECT_TERMS
-    power = aw**terms
-    certified = power <= ABS_TOL * (1.0 - aw)
+    certified = aw <= _direct_radius(terms, ABS_TOL)
     direct, rest = np.flatnonzero(certified), np.flatnonzero(~certified)
 
     out = np.empty((len(specs), w.size), dtype=complex)
-    err = np.empty((len(specs), w.size))
+    err = np.zeros((len(specs), w.size))
+    direct_err = [0.0] * len(specs)
     if direct.size:
-        wd, awd = w[direct], aw[direct]
+        wd = w[direct]
+        # the tail bound grows with |w|, so the largest direct |w| has the largest estimate
+        top = float(aw[direct].max())
+        acc, tmp = np.empty(direct.size, dtype=complex), np.empty(direct.size, dtype=complex)
         for k, spec in enumerate(specs):
-            cofs = coeff_values(spec, terms + 1)
-            acc = np.zeros(direct.size, dtype=complex)
-            for c in cofs[:terms][::-1].tolist():
-                # out of place: numpy's in-place complex product rounds a one-point array
-                # differently from a long one
-                acc = acc * wd + c
+            table, next_coeff = _direct_table(spec.kind, n, terms)
+            acc.fill(0.0)
+            for c in table:
+                # acc = acc * wd + c, out of place: numpy's in-place complex product
+                # (acc *= wd) rounds a one-point array differently from a long one
+                np.multiply(acc, wd, out=tmp)
+                np.add(tmp, c, out=acc)
             out[k, direct] = acc
-            err[k, direct] = cofs[terms] * power[direct] / (1.0 - awd)
+            direct_err[k] = next_coeff * top**terms / (1.0 - top)
 
     dist_one = np.abs(w[rest] - 1.0)
     near = dist_one <= _AT_ONE_RADIUS
@@ -301,7 +340,7 @@ def eval_families_many(specs: Sequence[SeriesSpec], z) -> list[np.ndarray]:
             out[k, part] = np.multiply(pre, start + kronrod)
             err[k, part] = np.abs(pre) * (start * _ENDPOINT_REL_ERR + np.abs(kronrod - gauss))
 
-    worsts = err.max(axis=1).tolist() if w.size else [0.0] * len(specs)
+    worsts = np.maximum(err.max(axis=1, initial=0.0), direct_err).tolist()  # keeps a NaN
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug(
             "series %s n=%d: %d direct (<= %d terms), %d anchored (%d nodes each), "

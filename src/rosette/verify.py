@@ -44,6 +44,7 @@ from .maps import (
     g_many,
     h_many,
     half_turn_rotation,
+    integer_power,
     parts_many,
     transit_identity,
 )
@@ -319,14 +320,14 @@ def symmetry_suite(
 
     # dilatation is exactly z^(n-2), compared where |z|^(n-2) >= 2^-969, 2^53 above the least
     # normal float: there z^(n-2) and dg = z^(n-2)/sqrt(1 - z^(2n)) lose no bits to underflow
-    zs = z[np.abs(1.0 - z ** (2 * n)) > 1e-6]
+    zs = z[np.abs(1.0 - integer_power(z, 2 * n)) > 1e-6]
     zd = zs[np.abs(zs) ** (n - 2) >= 2.0**-969]
     quot = dg_many(params, zd) / dh_many(params, zd)
-    res = np.abs(quot / zd ** (n - 2) - 1.0).max() if zd.size else 0.0
+    res = np.abs(quot / integer_power(zd, n - 2) - 1.0).max() if zd.size else 0.0
     add("dilatation_quotient", float(res), zd.size, 1e-12, {"dropped": zs.size - zd.size})
 
     # Jacobian positivity on every sample away from the singular points
-    jac = (1.0 - np.abs(zs) ** (2 * (n - 2))) / np.abs(1.0 - zs ** (2 * n))
+    jac = (1.0 - np.abs(zs) ** (2 * (n - 2))) / np.abs(1.0 - integer_power(zs, 2 * n))
     worst = float(-(jac.min())) if jac.size else -1.0
     add("jacobian_positive", max(worst, 0.0), zs.size, 0.0)
 

@@ -30,7 +30,7 @@ from rosette import (
     reduce_beta,
     scale_constant,
 )
-from rosette.maps import EPS_DOMAIN, combine_parts, dg_many, dh_many, parts_many
+from rosette.maps import EPS_DOMAIN, combine_parts, dg_many, dh_many, integer_power, parts_many
 from rosette.series import eval_families_many
 
 PI = math.pi
@@ -421,6 +421,61 @@ def test_batched_map_and_derivatives_against_arbitrary_precision_twin():
         for i in picks:
             for value, ref in zip((part[i] for part in got), reference(n, 0.7, complex(z[i]))):
                 assert abs(value - ref) < 5e-12, (n, z[i])
+
+
+# --- integer powers ------------------------------------------------------------------
+
+
+def power_points(seed=0):
+    """z in the disk, on the circle, within 1e-12 of it and tiny, 4096 in all."""
+    rng = np.random.default_rng(seed)
+    t = rng.uniform(0, 2 * PI, 4096)
+    r = np.concatenate([np.sqrt(rng.uniform(0, 1, 2048)), np.ones(1024),
+                        1.0 - 1e-12 * rng.uniform(0, 1, 512), 1e-3 * rng.uniform(0, 1, 512)])
+    return r * np.exp(1j * t)
+
+
+def test_integer_power_is_numpys_power_below_100_bit_for_bit():
+    z = power_points()
+    for k in range(100):
+        assert integer_power(z, k).tobytes() == (z**k).tobytes(), k
+
+
+@pytest.mark.parametrize("k", [100, 101, 127, 128, 192, 1000, 4000, 100001])
+def test_integer_power_is_numpys_power_where_its_modulus_exceeds_half(k):
+    # there both are libm's cpow, which holds |w| to about an ulp next to w = 1
+    z = power_points(k)
+    got, want = integer_power(z, k), z**k
+    far = (np.abs(got) > 0.5) | (np.abs(want) > 0.5)
+    assert far.sum() >= 1024
+    assert got[far].tobytes() == want[far].tobytes()
+
+
+@pytest.mark.parametrize("k", [100, 192, 1000, 4000])
+def test_integer_power_does_not_depend_on_the_batch(k):
+    z = power_points(k)[::2]  # 2048 points of every kind
+    batch = integer_power(z, k)
+    singles = np.array([integer_power(z[i : i + 1], k)[0] for i in range(z.size)])
+    assert batch.tobytes() == singles.tobytes()
+    assert integer_power(np.asarray(z[0]), k).shape == ()
+
+
+@pytest.mark.parametrize("k", [100, 192, 1000, 4000])
+def test_integer_power_is_within_k_ulp_of_the_exact_power(k):
+    # binary exponentiation makes about 2 log2(k) complex products, whose relative errors
+    # of at most sqrt(5) 2^-53 each compound to at most (k - 1) sqrt(5) 2^-53 < 2 k eps;
+    # checked where |z^k| lies between 2^-900 (no underflow on the way) and 1/2
+    import mpmath as mp
+
+    rng = np.random.default_rng(k)
+    log_mod = rng.uniform(-900 * math.log(2), math.log(0.5), 200)
+    z = np.exp(log_mod / k) * np.exp(1j * rng.uniform(0, 2 * PI, 200))
+    got = integer_power(z, k)
+    bound = 2 * k * np.finfo(float).eps
+    with mp.workdps(40):
+        for zi, gi in zip(z.tolist(), got.tolist()):
+            exact = mp.mpc(zi) ** k
+            assert abs(mp.mpc(gi) - exact) <= bound * abs(exact), (k, zi)
 
 
 # --- arguments outside the domain --------------------------------------------------

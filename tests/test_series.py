@@ -355,6 +355,54 @@ def test_values_do_not_depend_on_the_batch():
             assert np.array_equal(batch[picks], singles), (kind, n)
 
 
+@pytest.mark.parametrize("terms", [1, 8, 32, 64])
+def test_direct_radius_certifies_exactly_the_points_the_tail_test_does(terms):
+    # the per-point test |w|^M <= ABS_TOL (1 - |w|) that the radius replaces, at the
+    # radius, the next double above it, 2000 doubles around it and 10^6 random |w|
+    def tail_test(aw):
+        return aw**terms <= series.ABS_TOL * (1.0 - aw)
+
+    radius = series._direct_radius(terms, series.ABS_TOL)
+    above = np.nextafter(radius, 1.0)
+    assert tail_test(np.array([radius]))[0] and not tail_test(np.array([above]))[0]
+    near = radius + np.arange(-1000, 1000) * (above - radius)
+    aw = np.concatenate([near, np.random.default_rng(terms).uniform(0.0, 1.0, 10**6), [0.0, 1.0]])
+    assert np.array_equal(aw <= radius, tail_test(aw))
+    if terms == 64:
+        assert radius == 0.6391219844991737
+
+
+def test_the_split_at_the_direct_radius_follows_the_live_terms_and_tolerance(monkeypatch, caplog):
+    # tests move the seam through series._DIRECT_TERMS and series.ABS_TOL; the radius is
+    # cached per (terms, tolerance), so a patched value takes effect at the next call
+    w = np.linspace(0.0, 0.99, 1000)
+
+    def direct_count():
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="rosette"):
+            eval_series_many(spec(A, 5), w)
+        (record,) = [r for r in caplog.records if r.name == "rosette.series"]
+        return int(re.search(r"(\d+) direct", record.getMessage()).group(1))
+
+    for terms, tol in ((64, 1e-12), (8, 1e-12), (64, 1e-13)):
+        monkeypatch.setattr(series, "_DIRECT_TERMS", terms)
+        monkeypatch.setattr(series, "ABS_TOL", tol)
+        assert direct_count() == int((w**terms <= tol * (1.0 - w)).sum()), (terms, tol)
+
+
+@pytest.mark.parametrize("kind", [A, C])
+def test_direct_sum_is_the_plain_horner_loop_bit_for_bit(kind):
+    # the reference: the loop with fresh arrays and the coefficients computed afresh
+    rng = np.random.default_rng(3)
+    for size in (1, 2, 3, 7, 8, 9, 16, 17, 100, 1000, 4099, 5000):
+        w = 0.639 * np.sqrt(rng.uniform(0, 1, size)) * np.exp(1j * rng.uniform(0, 2 * math.pi, size))
+        cofs = series.coeff_values(spec(kind, 7), 64)
+        acc = np.zeros(size, dtype=complex)
+        for c in cofs[::-1].tolist():
+            acc = acc * w + c
+        assert eval_series_many(spec(kind, 7), w).tobytes() == acc.tobytes(), size
+
+
 def shared_core_points(n, seed=0):
     """z in the disk, on the circle, within 1e-9 of the 2n singular parameters j pi/n,
     and exactly 1 (w = 1)."""

@@ -505,6 +505,19 @@ def test_boundary_polylines_follow_the_sorted_parameter_grid(n, beta):
         assert np.abs(poly[:-1] - ref).max() < 1e-12
 
 
+@pytest.mark.parametrize("shifts", [-1, 1, 2])
+def test_half_pi_class_polylines_are_the_half_pi_polyline_carried_by_the_law(shifts):
+    # the half-speed grid at every l, not only at l = 0: at n = 5 the plain grid of
+    # 3pi/2, -pi/2 and 5pi/2 collapsed to 3586 vertices against 7166 at pi/2
+    p0, p = RosetteParams(5, PI / 2), RosetteParams(5, PI / 2 + shifts * PI)
+    poly0, poly = boundary_polyline(p0), boundary_polyline(p)
+    assert poly.size == poly0.size == 7166
+    assert np.array_equal(poly, maps.half_turn_rotation(5, shifts) * poly0)
+    verdicts = [[(c.name, c.passed, c.samples_used) for c in univalence_scan(q, 12).checks]
+                for q in (p0, p)]
+    assert verdicts[0] == verdicts[1] and all(passed for _, passed, _ in verdicts[1])
+
+
 @pytest.mark.parametrize("n", [5, 96])
 @pytest.mark.parametrize("beta", [0.3, PI / 2])
 def test_boundary_polylines_evaluate_the_series_on_one_interval(series_points, n, beta):
