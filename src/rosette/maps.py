@@ -124,7 +124,7 @@ def integer_power(z: np.ndarray, k: int) -> np.ndarray:
         if not rest:
             break
         base = np.multiply(base, base)
-    far = np.flatnonzero(np.abs(out) > 0.5)  # out is a new array: k >= 100 has two factors
+    far = np.flatnonzero(np.abs(out) > 0.5)  # out never aliases z: k >= 100 takes a product
     out[far] = flat[far] ** k
     return out.reshape(np.shape(z))
 
@@ -132,14 +132,16 @@ def integer_power(z: np.ndarray, k: int) -> np.ndarray:
 def h_many(params: RosetteParams, z) -> np.ndarray:
     """Analytic part h(z) = z * F_a(z^{2n}), vectorized."""
     z = _clip_disk(np.asarray(z, dtype=complex))
-    factor = eval_series_many(params._spec(SeriesKind.ANALYTIC), integer_power(z, 2 * params.n))
+    w = integer_power(z, 2 * params.n)
+    factor = eval_series_many(params._spec(SeriesKind.ANALYTIC), w)
     return z * factor
 
 
 def g_many(params: RosetteParams, z) -> np.ndarray:
     """Co-analytic part g(z) = z^{n-1}/(n-1) * F_c(z^{2n}), vectorized."""
     z = _clip_disk(np.asarray(z, dtype=complex))
-    factor = eval_series_many(params._spec(SeriesKind.COANALYTIC), integer_power(z, 2 * params.n))
+    w = integer_power(z, 2 * params.n)
+    factor = eval_series_many(params._spec(SeriesKind.COANALYTIC), w)
     return integer_power(z, params.n - 1) / (params.n - 1) * factor
 
 

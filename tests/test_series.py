@@ -395,7 +395,8 @@ def test_direct_sum_is_the_plain_horner_loop_bit_for_bit(kind):
     # the reference: the loop with fresh arrays and the coefficients computed afresh
     rng = np.random.default_rng(3)
     for size in (1, 2, 3, 7, 8, 9, 16, 17, 100, 1000, 4099, 5000):
-        w = 0.639 * np.sqrt(rng.uniform(0, 1, size)) * np.exp(1j * rng.uniform(0, 2 * math.pi, size))
+        r = 0.639 * np.sqrt(rng.uniform(0, 1, size))  # all inside the direct radius
+        w = r * np.exp(1j * rng.uniform(0, 2 * math.pi, size))
         cofs = series.coeff_values(spec(kind, 7), 64)
         acc = np.zeros(size, dtype=complex)
         for c in cofs[::-1].tolist():
