@@ -49,9 +49,10 @@ from .geometry import dedupe
 from .maps import (
     RosetteParams,
     combine_parts,
+    derivative_parts,
+    f,
     f_many,
     half_turn_rotation,
-    integer_power,
     parts_many,
 )
 from .series import require_integer, scale_constant
@@ -145,13 +146,9 @@ def boundary_point(params: RosetteParams, t: float) -> complex:
 
 
 def _derivative_values(params: RosetteParams, ts: np.ndarray) -> np.ndarray:
-    """a'(t) from the closed-form part derivatives (no series needed)."""
-    n, beta = params.n, params.beta
+    """a'(t) from the closed-form part derivatives (no series needed): dz/dt = iz."""
     z = np.exp(1j * ts)
-    root = np.sqrt(1.0 - integer_power(z, 2 * n))  # principal branch
-    dh_dt = 1j * z / root
-    dg_dt = 1j * integer_power(z, n - 1) / root
-    return cmath.exp(0.5j * beta) * dh_dt + np.conj(dg_dt) * cmath.exp(-0.5j * beta)
+    return combine_parts(params.beta, *(1j * z * d for d in derivative_parts(params, z)))
 
 
 def half_pi_shift(beta: float) -> Optional[int]:
@@ -251,11 +248,9 @@ def feature_values(params: RosetteParams) -> dict[int, complex]:
     at a parameter off by rounding, about 1e-8 away in value, because the
     curve is only Hoelder-1/2 there.
     """
-    n, beta = params.n, params.beta
-    h1, g1 = (complex(v[0]) for v in parts_many(params, np.array([1.0])))  # h1 real positive
-    rot = cmath.exp(0.5j * beta)
-    base_even = rot * h1 + g1.conjugate() / rot
-    base_odd = rot * h1 - g1.conjugate() / rot
+    n = params.n
+    at_one = f(params, 1.0)
+    base_even, base_odd = at_one.h + at_one.gbar, at_one.h - at_one.gbar
     return {
         j: cmath.exp(1j * j * math.pi / n) * (base_even if j % 2 == 0 else base_odd)
         for j in range(2 * n)
@@ -497,15 +492,13 @@ def interval_points(params: RosetteParams, offsets, rows=slice(None)) -> np.ndar
     """
     n = params.n
     z = np.exp(1j * (np.asarray(offsets, dtype=float) * (math.pi / n)))
-    rot = cmath.exp(0.5j * params.beta)
     hz, gz = parts_many(params, z)
-    hz, gz = np.multiply(rot, hz), np.conj(gz) / rot
     j = np.arange(2 * n)[rows]
     omega = np.exp(1j * (j * math.pi / n))[:, None]
     odd = j % 2 == 1
     out = np.empty((j.size, z.size), dtype=complex)
-    out[~odd] = np.multiply(omega[~odd], hz + gz)
-    out[odd] = np.multiply(omega[odd], hz - gz)
+    out[~odd] = np.multiply(omega[~odd], combine_parts(params.beta, hz, gz))
+    out[odd] = np.multiply(omega[odd], combine_parts(params.beta, hz, -gz))  # negation is exact
     return out
 
 

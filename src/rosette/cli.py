@@ -273,10 +273,9 @@ def cmd_render(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    spec = _render_spec(args, extra_overlays=frozenset({Overlay.FUNDAMENTAL_SET}))
-    doc = render_svg(spec)
     if args.out is not None:
-        _write_text(args.out, doc)
+        spec = _render_spec(args, extra_overlays=frozenset({Overlay.FUNDAMENTAL_SET}))
+        _write_text(args.out, render_svg(spec))
     params = RosetteParams(args.n, args.beta)
     _, coverage = fundamental_decomposition(params, probe_grid=args.probe_grid)
     payload = {

@@ -16,8 +16,10 @@ COANALYTIC).  Their derivatives have the closed forms
 with the principal square root, so the dilatation g'/h' is exactly z^{n-2}
 and the Jacobian |h'|^2 - |g'|^2 simplifies to (1 - |z|^{2(n-2)})/|1 - z^{2n}|.
 
-``parts_many`` gives h and g from one series pass over their shared argument
-z^{2n}; ``combine_parts`` forms f of any phase from them, as ``f_many`` does.
+This module alone forms the phase split e^{+-i beta/2}: ``combine_parts`` (arrays)
+and ``f`` (one point, as Python scalars) build f of any phase from its parts.
+``parts_many`` gives h and g from one series pass over their shared argument z^{2n},
+and ``derivative_parts`` gives h' and g' from one root factor 1/sqrt(1 - z^{2n}).
 
 Every power of z whose exponent grows with n comes from ``integer_power``: numpy's own
 z ** k below k = 100, and above it binary exponentiation, with libm's cpow kept for
@@ -177,9 +179,10 @@ def g(params: RosetteParams, z: complex) -> complex:
 
 
 def f(params: RosetteParams, z: complex) -> MapValue:
-    """The rosette map at z, as the pair of its summands."""
+    """The rosette map at z, as the pair of its summands, from one series pass."""
+    hz, gz = (complex(v[0]) for v in parts_many(params, np.array([z])))
     rot = cmath.exp(0.5j * params.beta)
-    return MapValue(h=rot * h(params, z), gbar=(g(params, z).conjugate()) / rot)
+    return MapValue(h=rot * hz, gbar=gz.conjugate() / rot)
 
 
 # --- derivatives -------------------------------------------------------------
@@ -205,9 +208,15 @@ def dh_many(params: RosetteParams, z) -> np.ndarray:
     return _root_factor(params, z)
 
 
-def dg_many(params: RosetteParams, z) -> np.ndarray:
+def derivative_parts(params: RosetteParams, z) -> tuple[np.ndarray, np.ndarray]:
+    """h'(z) and g'(z) = z^{n-2} h'(z) from one root factor; dh_many and dg_many are its halves."""
     z = np.asarray(z, dtype=complex)
-    return integer_power(z, params.n - 2) * _root_factor(params, z)
+    dh_z = _root_factor(params, z)
+    return dh_z, integer_power(z, params.n - 2) * dh_z
+
+
+def dg_many(params: RosetteParams, z) -> np.ndarray:
+    return derivative_parts(params, z)[1]
 
 
 def dh(params: RosetteParams, z: complex) -> complex:
@@ -292,4 +301,5 @@ def half_turn_rotation(n: int, shifts: int) -> complex:
 def transit_identity(params: RosetteParams, z, shifts: int) -> np.ndarray:
     """Right-hand side of the half-turn law: f_{beta+l pi}(z) expressed through f_beta."""
     z = np.asarray(z, dtype=complex) * cmath.exp(-1j * shifts * math.pi / params.n)
-    return half_turn_rotation(params.n, shifts) * f_many(params, z)
+    # np.multiply, not ``rotation * temporary``: see combine_parts
+    return np.multiply(half_turn_rotation(params.n, shifts), f_many(params, z))

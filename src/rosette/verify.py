@@ -39,8 +39,7 @@ from .geometry import (
 from .maps import (
     RosetteParams,
     combine_parts,
-    dg_many,
-    dh_many,
+    derivative_parts,
     g_many,
     h_many,
     half_turn_rotation,
@@ -322,7 +321,8 @@ def symmetry_suite(
     # normal float: there z^(n-2) and dg = z^(n-2)/sqrt(1 - z^(2n)) lose no bits to underflow
     zs = z[np.abs(1.0 - integer_power(z, 2 * n)) > 1e-6]
     zd = zs[np.abs(zs) ** (n - 2) >= 2.0**-969]
-    quot = dg_many(params, zd) / dh_many(params, zd)
+    dh_zd, dg_zd = derivative_parts(params, zd)
+    quot = dg_zd / dh_zd
     res = np.abs(quot / integer_power(zd, n - 2) - 1.0).max() if zd.size else 0.0
     add("dilatation_quotient", float(res), zd.size, 1e-12, {"dropped": zs.size - zd.size})
 
@@ -332,12 +332,11 @@ def symmetry_suite(
     add("jacobian_positive", max(worst, 0.0), zs.size, 0.0)
 
     # Wirtinger reconstruction vs symmetric finite differences
-    rot_b = cmath.exp(0.5j * beta)
     east, west, north, south = (combine_parts(beta, *p) for p in at_offsets)
     fx, fy = (east - west) / (2 * delta), (north - south) / (2 * delta)
-    hp = rot_b * dh_many(params, sub)
-    gp = np.conj(dg_many(params, sub)) / rot_b
-    res = max(np.abs(fx - (hp + gp)).max(), np.abs(fy - 1j * (hp - gp)).max())
+    dh_sub, dg_sub = derivative_parts(params, sub)  # f_x = f_z + f_zbar, f_y = i (f_z - f_zbar)
+    res = max(np.abs(fx - combine_parts(beta, dh_sub, dg_sub)).max(),
+              np.abs(fy - 1j * combine_parts(beta, dh_sub, -dg_sub)).max())
     add("wirtinger_consistency", float(res), sub.size, 1e-6)
 
     # radial behavior along the two distinguished rays
@@ -347,7 +346,8 @@ def symmetry_suite(
         for ray_k, at_k, arg_increases in ((1.0, at_r, False), (ray, at_ray, True)):
             mono = np.diff(np.abs(combine_parts(canon_beta, *at_k)))
             worst = max(worst, float(max(0.0, -(mono.min()))))
-            dr = _radial_derivative(canonical, r, ray_k)
+            dr = combine_parts(canon_beta,
+                               *(ray_k * d for d in derivative_parts(canonical, r * ray_k)))
             dargs = np.diff(np.unwrap(np.angle(dr)))
             # the tangent argument falls along ray 1 and rises along ray e^{i pi/n}
             violation = max(0.0, dargs.max() if not arg_increases else -dargs.min())
@@ -363,12 +363,6 @@ def symmetry_suite(
     add("ray_straightness", float(res), 2 * r.size, 1e-10)
 
     return VerificationReport(params=params, checks=checks)
-
-
-def _radial_derivative(params: RosetteParams, r: np.ndarray, ray: complex) -> np.ndarray:
-    z = r * ray
-    rot = cmath.exp(0.5j * params.beta)
-    return ray * rot * dh_many(params, z) + np.conj(ray * dg_many(params, z)) / rot
 
 
 # --- fundamental sets -----------------------------------------------------------

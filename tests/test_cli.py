@@ -453,6 +453,22 @@ def test_decompose_out_stays_optional():
     assert args.out is None
 
 
+def test_decompose_renders_only_for_out(tmp_path, monkeypatch):
+    import rosette.cli as cli
+
+    calls = []
+    real = cli.render_svg
+    monkeypatch.setattr(cli, "render_svg", lambda spec: calls.append(spec) or real(spec))
+    argv = ["decompose", "--n", "5", "--beta", "0.3", "--probe-grid", "12"]
+    reports = []
+    for extra, renders in (([], 0), (["--out", str(tmp_path / "dec.svg")], 1)):
+        report = tmp_path / f"report-{renders}.json"
+        assert run_cli(argv + extra + ["--report", str(report)]) == 0
+        reports.append(report.read_bytes())
+        assert len(calls) == renders
+    assert reports[0] == reports[1]
+
+
 SUCCESSIVE_CALLS = [
     ["features", "--n", "5", "--beta", "pi/4"],
     ["dump", "--n", "6", "--beta", "-pi/3", "--what", "boundary", "--count", "16"],

@@ -75,6 +75,37 @@ def test_the_half_turn_law_is_carried_in_boundary_alone():
     assert users - {"maps", "boundary", "verify"} == set()
 
 
+def test_the_phase_split_is_formed_in_maps_alone():
+    # f = e^{i beta/2} h + e^{-i beta/2} conj(g): every other module goes through
+    # maps.combine_parts or maps.f, and takes h' and g' from maps.derivative_parts
+    users = {path.stem for path in SOURCE.glob("*.py")
+             if any(s in path.read_text(encoding="utf-8") for s in ("exp(0.5j", "exp(-0.5j"))}
+    assert users - {"maps"} == set()
+
+
+# Names a module imports only so that callers can import them from it.
+RE_EXPORTS = {("verify", "fundamental_set")}
+
+
+def test_every_imported_name_is_used():
+    unused = []
+    for path in sorted(SOURCE.glob("*.py")):
+        if path.stem == "__init__":  # the package imports to export
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                unused += [
+                    f"{path.stem}.{name}"
+                    for name in (alias.asname or alias.name.split(".")[0] for alias in node.names)
+                    if name not in used and (path.stem, name) not in RE_EXPORTS
+                ]
+    assert unused == []
+
+
 def test_exact_arithmetic_lives_in_the_geometry_kernels_alone():
     # geometry is the one module that imports fractions, so the exact sign fallback
     # sits in one place (its package imports are pinned in IMPORT_GRAPH)

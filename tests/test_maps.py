@@ -10,6 +10,7 @@ import rosette.series as series
 from rosette import (
     DomainError,
     MapValue,
+    RosetteError,
     RosetteParams,
     SeriesKind,
     SeriesSpec,
@@ -30,7 +31,17 @@ from rosette import (
     reduce_beta,
     scale_constant,
 )
-from rosette.maps import EPS_DOMAIN, combine_parts, dg_many, dh_many, integer_power, parts_many
+import rosette.maps as maps
+from rosette.maps import (
+    EPS_DOMAIN,
+    combine_parts,
+    derivative_parts,
+    dg_many,
+    dh_many,
+    integer_power,
+    parts_many,
+    transit_identity,
+)
 from rosette.series import eval_families_many
 
 PI = math.pi
@@ -348,6 +359,60 @@ def test_shared_parts_match_the_separate_calls_bit_for_bit(n, direct_terms, monk
     for i in picks:
         h1, g1 = parts_many(p, z[i : i + 1])
         assert (h1[0], g1[0]) == (hz[i], gz[i]), i
+
+
+def test_f_takes_both_summands_from_one_series_pass(monkeypatch):
+    passes = []
+    for name in ("eval_families_many", "eval_series_many"):
+        real = getattr(maps, name)
+        monkeypatch.setattr(maps, name, lambda *a, real=real: passes.append(a) or real(*a))
+    for z in (0.0, 1.0, 0.3 - 0.8j, cmath.exp(0.4j), *disk_points(seed=9, count=8)):
+        for n, beta in ((3, 0.7), (5, -1.2), (96, PI / 2), (7, 0.3 + 2 * PI)):
+            p = RosetteParams(n, beta)
+            passes.clear()
+            got = f(p, z)
+            assert len(passes) == 1
+            # the summands as the one-part-a-pass form gave them, bit for bit
+            rot = cmath.exp(0.5j * beta)
+            assert (got.h, got.gbar) == (rot * h(p, z), g(p, z).conjugate() / rot), (n, z)
+
+
+@pytest.mark.parametrize("n", [3, 5, 96, 500])
+def test_derivative_parts_match_the_separate_calls_bit_for_bit(n):
+    # 20000 points, interior and on the circle alternately, as for f_many above; before
+    # 0.9.0, dg_many changed bits past 16384 points from n = 102 on (numpy reused its
+    # root factor's temporary with the operands swapped)
+    rng = np.random.default_rng(n)
+    r = np.where(np.arange(20000) % 2 == 0, 0.999 * np.sqrt(rng.uniform(0, 1, 20000)), 1.0)
+    z = r * np.exp(1j * rng.uniform(0, 2 * PI, 20000))
+    p = RosetteParams(n, 0.7)
+    dh_z, dg_z = derivative_parts(p, z)
+    assert dh_z.tobytes() == dh_many(p, z).tobytes()
+    assert dg_z.tobytes() == dg_many(p, z).tobytes()
+    chunks = [derivative_parts(p, z[i : i + 100]) for i in range(0, z.size, 100)]
+    for k, part in enumerate((dh_z, dg_z)):
+        assert part.tobytes() == np.concatenate([c[k] for c in chunks]).tobytes()
+
+
+@pytest.mark.parametrize("z", [2.0, 1.0 + 2 * EPS_DOMAIN, *NAN_POINTS, 1.0, cmath.exp(1j * PI / 5)],
+                         ids=["outside", "past-slack", "nan", "half-plus-nan-j", "one", "root"])
+def test_derivative_parts_refuse_what_dh_many_refuses(z):
+    p = RosetteParams(5, 0.3)
+    with pytest.raises(RosetteError) as want:
+        dh_many(p, [0.5, z])
+    with pytest.raises(RosetteError) as got:
+        derivative_parts(p, [0.5, z])
+    assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+
+
+def test_transit_identity_does_not_depend_on_the_batch():
+    # before 0.9.0, past 16384 points, numpy reused the product's temporary with the
+    # operands swapped
+    z = disk_points(seed=10, count=20000, r_max=0.999)
+    p = RosetteParams(5, 0.3)
+    batch = transit_identity(p, z, 3)
+    chunks = np.concatenate([transit_identity(p, z[i : i + 100], 3) for i in range(0, z.size, 100)])
+    assert batch.tobytes() == chunks.tobytes()
 
 
 def test_endpoint_helper_matches_parts():
