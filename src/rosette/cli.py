@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .boundary import curve_samples, extract_features
+from .boundary import FIGURE_PER_INTERVAL, curve_samples, extract_features
 from .maps import RosetteParams, f_many, reduce_beta
 from .render import Overlay, RenderSpec, render_svg
 from .verify import (
@@ -196,17 +196,18 @@ def _checks_payload(checks: list[CheckResult]) -> list[dict]:
 
 
 def cmd_verify(args) -> int:
+    # every stage checks the phase as given; its canonical twin is only reported
+    params = RosetteParams(args.n, args.beta)
     beta, shifts = reduce_beta(args.beta)
-    params = RosetteParams(args.n, beta)
     quick = args.level == "quick"
 
     suite = symmetry_suite(params, sample_count=200 if quick else 1000, seed=args.seed)
     scan = univalence_scan(params, grid_resolution=12 if quick else 21,
-                           per_interval=96 if quick else None)
+                           per_interval=FIGURE_PER_INTERVAL if quick else None)
     results = suite.checks + scan.checks
     results.append(integral_identities(params, 10 if quick else 50, args.seed))
     if not quick:
-        results.append(fundamental_tiling(RosetteParams(args.n, args.beta), probe_grid=60))
+        results.append(fundamental_tiling(params, probe_grid=60))
 
     checks = _checks_payload(results)
     passed = all(c["passed"] for c in checks)

@@ -3,6 +3,12 @@
 The viewport is the square of side 2 * bounding_radius(n) * (1 + margin_frac)
 centered at the origin, identical for every beta at fixed n, so figures for
 different beta are directly size-comparable.
+
+The bold boundary is ``boundary_polyline(params, FIGURE_PER_INTERVAL)`` at the
+phase of the spec, the polyline that ``verify --level quick`` certifies: its
+cusps and nodes are vertices, and at beta = pi/2 + l pi it is the half-speed
+curve, which skips the arcs of constancy.  ``samples_per_curve`` seeds the
+adaptive sampling of the grid curves and of the hypocycloid overlay only.
 """
 
 from __future__ import annotations
@@ -15,12 +21,12 @@ from enum import Enum
 import numpy as np
 
 from .boundary import (
+    FIGURE_PER_INTERVAL,
     boundary_points,
+    boundary_polyline,
     bounding_radius,
     extract_features,
-    interval_points,
     rotated_copies,
-    with_feature_vertices,
 )
 from .errors import DomainError
 from .geometry import curve_distances
@@ -56,13 +62,6 @@ class RenderSpec:
             raise DomainError("samples_per_curve must be at least 16")
         if not 0.0 <= self.margin_frac < math.inf:
             raise DomainError("margin_frac must be a finite number >= 0")
-
-
-def _boundary_vertices(spec: RenderSpec) -> np.ndarray:
-    """Boundary polyline with the exact feature points as vertices."""
-    per = max(spec.samples_per_curve, 64)
-    grid = interval_points(spec.params, (np.arange(per) + 0.5) / per)
-    return with_feature_vertices(spec.params, grid)
 
 
 def _grid_paths(spec: RenderSpec) -> list:
@@ -118,8 +117,7 @@ def render_svg(spec: RenderSpec) -> str:
         canvas.polyline(copies[-1].polyline, stroke="#207020", width=1.6)
 
     # boundary curve, bold, passing exactly through the features
-    boundary = _boundary_vertices(spec)
-    canvas.polyline(boundary, stroke="#123a66", width=1.6)
+    canvas.polyline(boundary_polyline(params, FIGURE_PER_INTERVAL), stroke="#123a66", width=1.6)
 
     feats = extract_features(params, confirm=False).features
     if Overlay.CUSP_AXES in spec.overlay:
@@ -135,18 +133,11 @@ def render_svg(spec: RenderSpec) -> str:
     return canvas.document()
 
 
-def render(spec: RenderSpec, out_path: str) -> None:
-    """Write the figure to ``out_path``; byte output is deterministic."""
-    doc = render_svg(spec)
-    with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(doc)
-
-
 def feature_overlay_deviation_px(spec: RenderSpec) -> float:
     """Largest pixel distance from any feature dot to the rendered boundary."""
     half = bounding_radius(spec.params.n) * (1.0 + spec.margin_frac)
     scale = spec.width_px / (2.0 * half)
-    boundary = _boundary_vertices(spec) * scale
+    boundary = boundary_polyline(spec.params, FIGURE_PER_INTERVAL) * scale
     feats = extract_features(spec.params, confirm=False).features
     dots = np.array([complex(ft.location) * scale for ft in feats])
     return float(curve_distances(boundary, dots).max(initial=0.0))

@@ -138,7 +138,7 @@ def _interior_grid(resolution: int, r_max: float = 0.95) -> np.ndarray:
 def univalence_scan(
     params: RosetteParams, grid_resolution: int = 24, per_interval: Optional[int] = None
 ) -> VerificationReport:
-    """Certify injectivity numerically for one canonical-beta rosette.
+    """Certify injectivity numerically for one rosette, at any beta.
 
     (a) the sampled boundary polyline has no self-intersections; (b) images
     of an interior z-grid have winding number 1 and 64 probes a quarter of the
@@ -418,7 +418,7 @@ def fundamental_decomposition(
         witness = {"index": k, "z": [z.real, z.imag], "point": [w.real, w.imag],
                    "copies_containing": int(counts[k])}
 
-    hist = {int(c): int((counts == c).sum()) for c in np.unique(counts)}
+    hist = {c: int(m) for c, m in enumerate(np.bincount(counts)) if m}
 
     # vertex geometry at the origin from tiny-radius secants, at the canonical phase
     canonical_beta = params.canonical()[0].beta

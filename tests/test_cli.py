@@ -226,6 +226,57 @@ def test_verify_integral_identities_witness_stays_out_of_the_report(tmp_path, mo
     assert set(reported) == {"name", "passed", "max_residual", "samples_used"}
 
 
+def test_verify_hands_every_stage_one_params_at_the_phase_given(tmp_path, monkeypatch):
+    from rosette import cli
+    from rosette.maps import RosetteParams, reduce_beta
+    from rosette.verify import CheckResult, VerificationReport
+
+    seen = {}
+    ok = CheckResult("stub", True, 0.0, 1)
+
+    def recorder(name, report):
+        def stage(params, *args, **kwargs):
+            seen[name] = params
+            return VerificationReport(params, [ok]) if report else ok
+        return stage
+
+    stages = {"symmetry_suite": True, "univalence_scan": True,
+              "integral_identities": False, "fundamental_tiling": False}
+    for name, report in stages.items():
+        monkeypatch.setattr(cli, name, recorder(name, report))
+    out = tmp_path / "verify.json"
+    for beta in ("3pi/2", "-2.9", "7.5", "0.3", "pi/2"):
+        seen.clear()
+        assert run_cli(["verify", "--n", "5", "--beta", beta, "--level", "full",
+                        "--out", str(out)]) == 0
+        assert set(seen) == set(stages) and len({id(p) for p in seen.values()}) == 1
+        assert seen["symmetry_suite"] == RosetteParams(5, parse_beta(beta))
+        payload = json.loads(out.read_text())
+        assert (payload["beta_canonical"], payload["half_turn_shifts"]) == reduce_beta(
+            parse_beta(beta))
+
+
+def test_verify_phase_reduction_reads_the_half_turns_of_the_phase_given(tmp_path, monkeypatch):
+    # at 3pi/2 the suite compares f at 3pi/2 with its canonical twin carried by the law,
+    # not f at pi/2 with itself
+    from rosette import cli
+
+    seen = {}
+    payload_of = cli._checks_payload
+
+    def capture(checks):
+        seen.update((c.name, c) for c in checks)
+        return payload_of(checks)
+
+    monkeypatch.setattr(cli, "_checks_payload", capture)
+    out = tmp_path / "verify.json"
+    for beta, shifts in (("3pi/2", 1), ("-2.9", -1), ("0.3", 0)):
+        assert run_cli(["verify", "--n", "5", "--beta", beta, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["half_turn_shifts"] == shifts
+        check = seen["phase_reduction"]
+        assert check.passed and check.details == {"shifts": shifts}
+
+
 # --- dump ----------------------------------------------------------------------------
 
 

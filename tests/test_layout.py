@@ -146,6 +146,42 @@ def test_import_leaves_scipy_unloaded():
     assert out.stdout.strip() == "[0, 0] False"
 
 
+def test_commands_leave_numpy_ma_unloaded():
+    # np.unique imports numpy.ma on its first call (about 10 ms and 1 MB), so the
+    # boundary grid and the coverage histogram make their sets without it
+    code = (
+        "import contextlib, io, sys\n"
+        "from rosette.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(['render', '--n', '5', '--beta', 'pi/2', '--out', '-']),\n"
+        "             main(['features', '--n', '5', '--beta', '0.3']),\n"
+        "             main(['dump', '--n', '5', '--beta', '0.3']),\n"
+        "             main(['verify', '--n', '4', '--beta', '0.3', '--level', 'full']),\n"
+        "             main(['decompose', '--n', '5', '--beta', 'pi/2'])]\n"
+        "print(codes, 'numpy.ma' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(SOURCE.parent)},
+    )
+    assert out.stdout.strip() == "[0, 0, 0, 0, 0] False"
+
+
+def test_every_submodule_is_the_package_attribute_of_its_name():
+    # a re-export under a submodule's name would shadow the submodule: then
+    # "import rosette.render as m" would bind the function
+    for path in SOURCE.glob("*.py"):
+        if path.stem != "__init__":
+            importlib.import_module(f"rosette.{path.stem}")
+    loaded = {name.removeprefix("rosette."): module for name, module in sys.modules.items()
+              if name.startswith("rosette.")}
+    assert sorted(loaded) == sorted(p.stem for p in SOURCE.glob("*.py") if p.stem != "__init__")
+    assert [name for name, module in loaded.items() if getattr(rosette, name) is not module] == []
+
+
 def test_evaluation_leaves_mpmath_unloaded():
     out = subprocess.run(
         [sys.executable, str(Path(__file__).with_name("smoke.py"))],

@@ -23,6 +23,7 @@ from rosette import (
     fundamental_decomposition,
     fundamental_set,
     integral_oracle,
+    render_svg,
     scale_constant,
     symmetry_suite,
     univalence_scan,
@@ -31,6 +32,7 @@ from rosette import (
 )
 from rosette import geometry, maps, quadrature, series, verify
 from rosette.boundary import (
+    FIGURE_PER_INTERVAL,
     bounding_radius,
     feature_vertices,
     halfspeed_points,
@@ -39,7 +41,7 @@ from rosette.boundary import (
 )
 from rosette.cli import main
 from rosette.maps import dg_many, dh_many
-from rosette.render import _boundary_vertices
+from rosette.svgout import SvgCanvas
 
 PI = math.pi
 
@@ -487,7 +489,7 @@ def test_passing_checks_carry_no_witness():
 @pytest.mark.parametrize("n,beta", [(5, 0.3), (12, -1.2), (5, PI / 2), (12, PI / 2)])
 def test_boundary_polylines_follow_the_sorted_parameter_grid(n, beta):
     # vertex by vertex, the curve on the grid (j + s) pi/n with the feature parameters
-    # merged in: half-speed at pi/2 in verify, always the plain curve in render
+    # merged in: half-speed at pi/2
     p = RosetteParams(n, beta)
     ft_ts, ft_vals = feature_vertices(p)
 
@@ -498,11 +500,9 @@ def test_boundary_polylines_follow_the_sorted_parameter_grid(n, beta):
 
     want = merged(halfspeed_points if beta == PI / 2 else boundary_points,
                   interval_offsets(64))
-    drawn = merged(boundary_points, (np.arange(64) + 0.5) / 64)
-    for poly, ref in ((boundary_polyline(p, per_interval=64), want),
-                      (_boundary_vertices(RenderSpec(p, samples_per_curve=64)), drawn)):
-        assert poly.size == ref.size + 1 and poly[-1] == poly[0]
-        assert np.abs(poly[:-1] - ref).max() < 1e-12
+    poly = boundary_polyline(p, per_interval=64)
+    assert poly.size == want.size + 1 and poly[-1] == poly[0]
+    assert np.abs(poly[:-1] - want).max() < 1e-12
 
 
 @pytest.mark.parametrize("shifts", [-1, 1, 2])
@@ -527,9 +527,27 @@ def test_boundary_polylines_evaluate_the_series_on_one_interval(series_points, n
     boundary_polyline(p)
     k = interval_offsets(512).size * (2 if beta == PI / 2 else 1)
     assert series_points == [k, 1]
-    series_points.clear()
-    _boundary_vertices(RenderSpec(p))
-    assert sum(series_points) <= RenderSpec(p).samples_per_curve + 1
+
+
+@pytest.mark.parametrize("n", [5, 6])
+@pytest.mark.parametrize("beta", [0.3, PI / 2, 3 * PI / 2, 2.5])
+def test_the_figure_draws_the_polyline_that_quick_verify_certifies(n, beta, monkeypatch, tmp_path):
+    # at the phase given, 3pi/2 too: a quick verify hands univalence_scan the figure's params
+    # and density, and the figure's bold path is SvgCanvas's printing of that polyline
+    seen = []
+    real = verify.boundary_polyline
+    monkeypatch.setattr(verify, "boundary_polyline",
+                        lambda params, per_interval: seen.append((params, per_interval))
+                        or real(params, per_interval))
+    argv = ["verify", "--n", str(n), "--beta", repr(beta), "--level", "quick"]
+    assert main(argv + ["--out", str(tmp_path / "v.json")]) == 0
+    p = RosetteParams(n, beta)
+    assert seen == [(p, FIGURE_PER_INTERVAL)]
+    spec = RenderSpec(p, radial_lines=4, circles=2, samples_per_curve=16)
+    canvas = SvgCanvas(spec.width_px, bounding_radius(n) * (1.0 + spec.margin_frac))
+    canvas.polyline(real(p, FIGURE_PER_INTERVAL), stroke="#123a66", width=1.6)
+    bold = [line for line in render_svg(spec).splitlines() if 'stroke="#123a66"' in line]
+    assert bold == canvas.elements
 
 
 # --- univalence -----------------------------------------------------------------------
