@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .boundary import FIGURE_PER_INTERVAL, curve_samples, extract_features
-from .maps import RosetteParams, f_many, reduce_beta
+from .maps import RosetteParams, combine_parts, parts_many, reduce_beta
 from .render import Overlay, RenderSpec, render_svg
 from .verify import (
     CheckResult,
@@ -245,7 +245,7 @@ def cmd_dump(args) -> int:
         rs = (np.arange(args.count) + 0.5) / args.count
         rows = []
         for ray_arg in (0.0, math.pi / args.n, 2.0 * math.pi / args.n):
-            vals = f_many(params, rs * np.exp(1j * ray_arg))
+            vals = combine_parts(params.beta, *parts_many(params, rs * np.exp(1j * ray_arg)))
             rows += [[ray_arg, r, v.real, v.imag] for r, v in zip(rs, vals)]
         text = _csv(["ray_arg", "r", "re", "im"], rows)
     _write_text(args.out, text)
@@ -274,11 +274,11 @@ def cmd_render(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    if args.out is not None:
-        spec = _render_spec(args, extra_overlays=frozenset({Overlay.FUNDAMENTAL_SET}))
-        _write_text(args.out, render_svg(spec))
     params = RosetteParams(args.n, args.beta)
-    _, coverage = fundamental_decomposition(params, probe_grid=args.probe_grid)
+    copies, coverage = fundamental_decomposition(params, probe_grid=args.probe_grid)
+    if args.out is not None:  # the overlay draws the copies that the coverage tiled
+        spec = _render_spec(args, extra_overlays=frozenset({Overlay.FUNDAMENTAL_SET}))
+        _write_text(args.out, render_svg(spec, copies=copies))
     payload = {
         "schema_version": SCHEMA_VERSION,
         "kind": "coverage_report",

@@ -165,8 +165,9 @@ def combine_parts(beta: float, hz, gz) -> np.ndarray:
 
 def f_many(params: RosetteParams, z) -> np.ndarray:
     """Values f(z) of the rosette map, vectorized."""
-    # Not parts_many: the benchmark's span list (bench/test_bench.py LAYERS) requires
-    # the maps.h_many and maps.g_many spans on interior-eval until ROADMAP item 1.
+    # Not parts_many, for two benchmark pins until ROADMAP item 1: bench/test_bench.py
+    # LAYERS requires the maps.h_many and maps.g_many spans on interior-eval, and its
+    # test_uninstall_restores_every_binding reads boundary.f_many (boundary_points).
     return combine_parts(params.beta, h_many(params, z), g_many(params, z))
 
 
@@ -301,5 +302,6 @@ def half_turn_rotation(n: int, shifts: int) -> complex:
 def transit_identity(params: RosetteParams, z, shifts: int) -> np.ndarray:
     """Right-hand side of the half-turn law: f_{beta+l pi}(z) expressed through f_beta."""
     z = np.asarray(z, dtype=complex) * cmath.exp(-1j * shifts * math.pi / params.n)
+    fz = combine_parts(params.beta, *parts_many(params, z))
     # np.multiply, not ``rotation * temporary``: see combine_parts
-    return np.multiply(half_turn_rotation(params.n, shifts), f_many(params, z))
+    return np.multiply(half_turn_rotation(params.n, shifts), fz)

@@ -30,7 +30,7 @@ from .boundary import (
 )
 from .errors import DomainError
 from .geometry import curve_distances
-from .maps import RosetteParams, f_many, hypocycloid
+from .maps import RosetteParams, combine_parts, hypocycloid, parts_many
 from .svgout import SvgCanvas, axis_segment, flatten_curve, flatten_curves
 
 TWO_PI = 2.0 * math.pi
@@ -85,8 +85,11 @@ def _ray_angles(spec: RenderSpec) -> list[float]:
     return [TWO_PI * j / spec.radial_lines for j in range(spec.radial_lines)]
 
 
-def render_svg(spec: RenderSpec) -> str:
-    """Build the SVG document for one rosette figure."""
+def render_svg(spec: RenderSpec, *, copies: list | None = None) -> str:
+    """Build the SVG document for one rosette figure.
+
+    The FUNDAMENTAL_SET overlay draws ``copies``, else ``rotated_copies(spec.params)``.
+    """
     params = spec.params
     n = params.n
     half = bounding_radius(n) * (1.0 + spec.margin_frac)
@@ -94,7 +97,9 @@ def render_svg(spec: RenderSpec) -> str:
     tol_world = 0.1 * (2.0 * half / spec.width_px)
 
     # images of the polar grid: circles, then radial lines ending on the exact boundary
-    curves = flatten_curves(lambda z: f_many(params, z), _grid_paths(spec), tol_world)
+    curves = flatten_curves(
+        lambda z: combine_parts(params.beta, *parts_many(params, z)), _grid_paths(spec), tol_world
+    )
     ends = boundary_points(params, np.array(_ray_angles(spec)))
     rays = [np.append(c, e) for c, e in zip(curves[spec.circles - 1 :], ends)]
     for curve in curves[: spec.circles - 1] + rays:
@@ -111,7 +116,7 @@ def render_svg(spec: RenderSpec) -> str:
         canvas.polyline(curve, stroke="#c08030", width=1.0)
 
     if Overlay.FUNDAMENTAL_SET in spec.overlay:
-        copies = rotated_copies(params)
+        copies = rotated_copies(params) if copies is None else copies
         for copy in copies[:-1]:
             canvas.polyline(copy.polyline, stroke="#bbbbbb", width=0.6)
         canvas.polyline(copies[-1].polyline, stroke="#207020", width=1.6)

@@ -35,8 +35,9 @@ class SvgCanvas:
         pts = np.asarray(points, dtype=complex)
         if pts.size < 2:
             return
-        xs, ys = self.to_px(pts)
-        d = "M" + "L".join(f"{x:.3f} {y:.3f}" for x, y in zip(xs.tolist(), ys.tolist()))
+        xy = np.stack(self.to_px(pts), axis=1).ravel()  # x0, y0, x1, y1, ...
+        # one %-format call; "%.3f" and f"{v:.3f}" print a float alike
+        d = "M" + "L".join(["%.3f %.3f"] * pts.size) % tuple(xy.tolist())
         self.elements.append(
             f'<path d="{d}" fill="none" stroke="{stroke}" '
             f'stroke-width="{self._fmt(width)}"/>'

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rosette.cli import BETA_LIMIT, main, parse_beta
+from rosette.render import Overlay
 
 PI = math.pi
 
@@ -509,7 +510,7 @@ def test_decompose_renders_only_for_out(tmp_path, monkeypatch):
 
     calls = []
     real = cli.render_svg
-    monkeypatch.setattr(cli, "render_svg", lambda spec: calls.append(spec) or real(spec))
+    monkeypatch.setattr(cli, "render_svg", lambda spec, **kw: calls.append(spec) or real(spec, **kw))
     argv = ["decompose", "--n", "5", "--beta", "0.3", "--probe-grid", "12"]
     reports = []
     for extra, renders in (([], 0), (["--out", str(tmp_path / "dec.svg")], 1)):
@@ -518,6 +519,28 @@ def test_decompose_renders_only_for_out(tmp_path, monkeypatch):
         reports.append(report.read_bytes())
         assert len(calls) == renders
     assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("beta", ["0.3", "3pi/2"])
+def test_decompose_draws_the_copies_it_tiled_from_one_fundamental_set(beta, tmp_path, monkeypatch):
+    import rosette.boundary as boundary
+    import rosette.cli as cli
+
+    built, tiled, drawn = [], [], []
+    real_set, real_tiling, real_render = (
+        boundary.fundamental_set, cli.fundamental_decomposition, cli.render_svg)
+    monkeypatch.setattr(boundary, "fundamental_set", lambda p: built.append(p) or real_set(p))
+    monkeypatch.setattr(cli, "fundamental_decomposition",
+                        lambda *a, **kw: tiled.append(real_tiling(*a, **kw)) or tiled[-1])
+    monkeypatch.setattr(cli, "render_svg",
+                        lambda spec, **kw: drawn.append(kw["copies"]) or real_render(spec, **kw))
+    out = tmp_path / "dec.svg"
+    argv = ["decompose", "--n", "5", "--beta", beta, "--probe-grid", "12", "--out", str(out)]
+    assert run_cli(argv + ["--report", str(tmp_path / "report.json")]) == 0
+    assert len(built) == 1 and len(tiled) == len(drawn) == 1 and drawn[0] is tiled[0][0]
+    # the overlay is the same figure that render_svg draws from copies it builds itself
+    spec = cli._render_spec(cli.build_parser().parse_args(argv), frozenset({Overlay.FUNDAMENTAL_SET}))
+    assert out.read_text(encoding="utf-8") == real_render(spec)
 
 
 SUCCESSIVE_CALLS = [

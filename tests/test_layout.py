@@ -83,6 +83,21 @@ def test_the_phase_split_is_formed_in_maps_alone():
     assert users - {"maps"} == set()
 
 
+def test_only_maps_and_boundary_call_f_many():
+    # f_many makes one series pass for h and one for g; everywhere else f is formed by
+    # combine_parts(beta, *parts_many(params, z)), one pass for both.  The benchmark pins
+    # these two modules (bench/test_bench.py): maps.f_many must reach the maps.h_many and
+    # maps.g_many spans on interior-eval, and the tracer must patch boundary.f_many
+    callers = set()
+    for path in SOURCE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                fn = node.func
+                if getattr(fn, "id", None) == "f_many" or getattr(fn, "attr", None) == "f_many":
+                    callers.add(path.stem)
+    assert callers - {"maps", "boundary"} == set()
+
+
 # Names a module imports only so that callers can import them from it.
 RE_EXPORTS = {("verify", "fundamental_set")}
 

@@ -6,10 +6,10 @@ import warnings
 import numpy as np
 import pytest
 
-from rosette import DomainError
+from rosette import DomainError, render
 from rosette.boundary import bounding_radius
 from rosette.maps import RosetteParams, f_many, hypocycloid
-from rosette.render import RenderSpec, _grid_paths
+from rosette.render import Overlay, RenderSpec, _grid_paths, render_svg
 from rosette.svgout import SvgCanvas, flatten_curve, flatten_curves
 
 PI = math.pi
@@ -120,6 +120,21 @@ def test_paths_that_stop_in_different_rounds_keep_their_own_vertices():
     assert value_fn.calls == 1 + 6
     for (point_fn, t0, t1, initial), curve in zip(paths, got):
         assert np.array_equal(curve, flatten_one(point_fn, t0, t1, initial, 1e-4, 6))
+
+
+def test_render_takes_each_flatten_round_from_one_series_pass(series_passes, monkeypatch):
+    rounds, real = [], render.flatten_curves
+
+    def counting(value_fn, paths, tol_world):
+        return real(lambda z: rounds.append(np.size(z)) or value_fn(z), paths, tol_world)
+
+    monkeypatch.setattr(render, "flatten_curves", counting)
+    overlay = frozenset({Overlay.FEATURES, Overlay.CUSP_AXES})
+    render_svg(RenderSpec(RosetteParams(6, 0.3), overlay=overlay))
+    assert rounds[0] == 15 * 256 + 24 * 64 and len(rounds) == 9  # the initial grid, 8 splits
+    # h and g of every round in one pass; then the ray ends' f_many (h, then g), the
+    # boundary polyline's interval points and feature values, and the dots' feature values
+    assert series_passes == [2] * 9 + [1, 1, 2, 2, 2]
 
 
 def test_polyline_matches_the_per_point_format():

@@ -30,7 +30,7 @@ from rosette import (
     winding_number,
     winding_numbers,
 )
-from rosette import geometry, maps, quadrature, series, verify
+from rosette import geometry, maps, quadrature, verify
 from rosette.boundary import (
     FIGURE_PER_INTERVAL,
     bounding_radius,
@@ -780,42 +780,17 @@ def test_shared_symmetry_residuals_equal_the_separate_calls(n, beta):
     assert by_name["dilatation_quotient"].details == {"dropped": 0}
 
 
-def _spy_series_passes(monkeypatch, measure) -> list:
-    """measure(specs, z) of every series pass, spied where series and maps look it up."""
-    real, passes = series.eval_families_many, []
-
-    def counted(specs, z):
-        passes.append(measure(specs, z))
-        return real(specs, z)
-
-    monkeypatch.setattr(series, "eval_families_many", counted)
-    monkeypatch.setattr(maps, "eval_families_many", counted)
-    return passes
-
-
-@pytest.fixture
-def series_passes(monkeypatch):
-    """The spec count of every series pass made while the fixture is active."""
-    return _spy_series_passes(monkeypatch, lambda specs, z: len(specs))
-
-
-@pytest.fixture
-def series_points(monkeypatch):
-    """The point count of every series pass made while the fixture is active."""
-    return _spy_series_passes(monkeypatch, lambda specs, z: np.size(z))
-
-
 def test_symmetry_suite_makes_one_fused_series_pass(series_passes):
-    # one pass over every point set at both kinds, then transit_identity's f_many (h and g)
+    # one pass over every point set at both kinds, then one for transit_identity's h and g
     symmetry_suite(RosetteParams(5, 0.3))
-    assert series_passes == [2, 1, 1]
+    assert series_passes == [2, 2]
 
 
-def test_full_verify_makes_eleven_series_passes(series_passes, tmp_path):
-    # symmetry 3, univalence 3, integral identities 1, decomposition 4
+def test_full_verify_makes_ten_series_passes(series_passes, tmp_path):
+    # symmetry 2, univalence 3, integral identities 1, decomposition 4
     argv = ["verify", "--n", "5", "--beta", "0.3", "--level", "full"]
     assert main(argv + ["--out", str(tmp_path / "v.json")]) == 0
-    assert len(series_passes) == 11
+    assert len(series_passes) == 10
 
 
 @pytest.mark.parametrize("n", [3, 7, 12])
