@@ -27,6 +27,13 @@ The image polylines (``boundary_polyline``, ``fundamental_set``,
 with the exact feature values of ``feature_vertices`` put in.  One boundary
 polyline, ``boundary_polyline(params, FIGURE_PER_INTERVAL)``, is both the
 figure that ``render`` draws and the curve that ``verify --level quick`` certifies.
+
+Every sample set of the curve (``curve_samples``, the feature confirmation,
+``halfspeed_points``, ``boundary_point``) takes h and g from one two-family series
+pass.  ``boundary_points`` alone keeps the two passes of ``maps.f_many``, one for h
+and one for g, until ROADMAP item 1: the benchmark's self-tests read
+``boundary.f_many`` and want the ``boundary_points`` span, which render's ray ends
+now reach alone.
 """
 
 from __future__ import annotations
@@ -142,14 +149,31 @@ def distance_to_singular(n: int, t):
     return np.minimum(r, step - r)
 
 
-def boundary_points(params: RosetteParams, ts) -> np.ndarray:
-    """Boundary values f(e^{it}) for an array of parameters."""
+def _finite_parameters(ts) -> np.ndarray:
+    """ts as a float array, after raising DomainError that names its first non-finite t."""
     ts = np.asarray(ts, dtype=float)
-    return f_many(params, np.exp(1j * ts))
+    bad = ts[~np.isfinite(ts)]
+    if bad.size:
+        raise DomainError(f"boundary parameter t={bad[0]} is not finite")
+    return ts
+
+
+def _boundary_values(params: RosetteParams, ts: np.ndarray) -> np.ndarray:
+    """a(t) = f(e^{it}) at finite parameters from one two-family series pass, bit for bit
+    the values of ``boundary_points``."""
+    return combine_parts(params.beta, *parts_many(params, np.exp(1j * ts)))
+
+
+def boundary_points(params: RosetteParams, ts) -> np.ndarray:
+    """Boundary values f(e^{it}) for an array of parameters; a non-finite t raises DomainError."""
+    # f_many's two series passes, not _boundary_values, for two benchmark pins until ROADMAP
+    # item 1: bench/test_bench.py reads boundary.f_many and wants this function's span on
+    # boundary-render, where render's ray ends are now its only caller
+    return f_many(params, np.exp(1j * _finite_parameters(ts)))
 
 
 def boundary_point(params: RosetteParams, t: float) -> complex:
-    return complex(boundary_points(params, np.array([t]))[0])
+    return complex(_boundary_values(params, _finite_parameters([t]))[0])
 
 
 def _derivative_values(params: RosetteParams, ts: np.ndarray) -> np.ndarray:
@@ -225,9 +249,10 @@ def boundary_derivative(params: RosetteParams, t: float) -> BoundaryDerivative:
 
 
 def curve_samples(params: RosetteParams, ts: Sequence[float]) -> list[CurveSample]:
-    """Boundary samples for dumping; derivative fields are None at singular t."""
-    ts = np.asarray(ts, dtype=float)
-    values = boundary_points(params, ts).tolist()
+    """Boundary samples for dumping, in the order of ts raveled; derivative fields are None
+    at singular t, and a non-finite t raises DomainError."""
+    ts = np.ravel(_finite_parameters(ts))
+    values = _boundary_values(params, ts).tolist()
     red = np.mod(ts, TWO_PI)
     ok = distance_to_singular(params.n, red) >= T_SINGULAR_TOL
     d_value = np.full(ts.shape, np.nan, dtype=complex)
@@ -339,7 +364,7 @@ def _confirm_features(params: RosetteParams, features: list[BoundaryFeature]) ->
     The nodes of beta = pi/2 + l pi are measured on the half-speed curve,
     which skips the constancy arcs.
     """
-    part = boundary_points if half_pi_shift(params.beta) is None else halfspeed_points
+    part = _boundary_values if half_pi_shift(params.beta) is None else halfspeed_points
     left, right = one_sided_tangents(
         lambda ts: part(params, ts),
         [ft.t for ft in features],
@@ -441,16 +466,16 @@ def halfspeed_points(params: RosetteParams, ts) -> np.ndarray:
     At beta = pi/2, on [(2k-2)pi/n, 2k pi/n) the curve equals a((k-1)pi/n + t/2): it
     traverses each active half-interval at half speed and skips the constancy arcs,
     visiting the node exactly at t = 2k pi/n.  At l != 0 it is that curve of pi/2
-    carried by the half-turn law.  Any other beta raises WrongBeta.
+    carried by the half-turn law.  Any other beta raises WrongBeta, a non-finite t DomainError.
     """
     if half_pi_shift(params.beta) is None:
         raise WrongBeta("half-speed reparametrization requires beta = pi/2 + l pi")
     base, lag, turn = _reduce(params)
     n = base.n
-    red = np.mod(np.asarray(ts, dtype=float) - lag, TWO_PI)
+    red = np.mod(_finite_parameters(ts) - lag, TWO_PI)
     k = np.floor(red * n / TWO_PI)  # zero-based inter-cusp interval counter
     mapped = k * math.pi / n + red / 2.0
-    out = boundary_points(base, mapped)
+    out = _boundary_values(base, mapped)
     # parameters that round onto a multiple of pi/n get the exact feature value
     step = math.pi / n
     j_near = np.rint(mapped / step).astype(int)

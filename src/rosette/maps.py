@@ -167,7 +167,9 @@ def f_many(params: RosetteParams, z) -> np.ndarray:
     """Values f(z) of the rosette map, vectorized."""
     # Not parts_many, for two benchmark pins until ROADMAP item 1: bench/test_bench.py
     # LAYERS requires the maps.h_many and maps.g_many spans on interior-eval, and its
-    # test_uninstall_restores_every_binding reads boundary.f_many (boundary_points).
+    # test_uninstall_restores_every_binding reads boundary.f_many.  So the two passes
+    # remain for interior-eval's library calls and for boundary.boundary_points (render's
+    # ray ends, the one CLI caller left); every other caller makes one parts_many pass.
     return combine_parts(params.beta, h_many(params, z), g_many(params, z))
 
 

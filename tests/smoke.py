@@ -6,15 +6,17 @@ f, h' and g' on a 2048-point interior batch at n = 96 (the direct sum), builds
 the boundary polylines at n = 96 for beta = 0.3 and pi/2 (the half-speed
 curve), runs a univalence scan at n = 96 (the pruned nearest-segment query
 gates its winding probes), and runs a small `render`, a 64-row boundary
-`dump`, a quick `verify` (whose integral check uses the tanh-sinh rule), a
-full `verify` at n = 5 (all four stages, the fundamental tiling included) and
-at n = 200 (whose dilatation check skips the samples where z^(n-2)
-underflows), a CSV `features` report and a `decompose` with a coverage report
-(the tiling of the image by fundamental-set copies) through the command line;
-exits non-zero if a value is not finite, a polyline is not closed or crosses
-itself, a univalence check fails, a command fails, a report does not say it
-passed, the CSV report does not parse back, or mpmath or scipy ended up in
-sys.modules.
+`dump`, a 2048-row boundary `dump` at n = 6, a quick `verify` (whose integral
+check uses the tanh-sinh rule), a full `verify` at n = 5 (all four stages, the
+fundamental tiling included) and at n = 200 (whose dilatation check skips the
+samples where z^(n-2) underflows), CSV `features` reports at beta = 0.3 and
+pi/2 (whose nodes are confirmed on the half-speed curve) and a `decompose`
+with a coverage report (the tiling of the image by fundamental-set copies)
+through the command line; exits non-zero if a value is not finite, a polyline
+is not closed or crosses itself, a univalence check fails, a command fails, a
+report does not say it passed, a CSV report does not parse back, the large
+dump's values differ from `boundary_points` at its parameters, or mpmath or
+scipy ended up in sys.modules.
 Needs only the runtime dependencies:
 
     python tests/smoke.py
@@ -70,12 +72,24 @@ with tempfile.TemporaryDirectory() as tmp:
         if json.load(fh)["passed"] is not True:
             sys.exit("the full verify report at n = 5 did not pass")
     features = os.path.join(tmp, "f.csv")
-    if main(["features", "--n", "5", "--beta", "0.3", "--format", "csv", "--out", features]) != 0:
-        sys.exit("features failed")
-    with open(features, encoding="utf-8", newline="") as fh:
+    for beta, count in (("0.3", 10), ("pi/2", 5)):  # cusps and removable nodes, or nodes
+        if main(["features", "--n", "5", "--beta", beta, "--format", "csv",
+                 "--out", features]) != 0:
+            sys.exit(f"features at beta = {beta} failed")
+        with open(features, encoding="utf-8", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        if len(rows) != count or not all(math.isfinite(float(row["magnitude"])) for row in rows):
+            sys.exit(f"the features CSV at beta = {beta} did not parse back to {count} finite rows")
+    large = os.path.join(tmp, "b6.csv")
+    if main(["dump", "--n", "6", "--beta", "0.3", "--count", "2048", "--out", large]) != 0:
+        sys.exit("dump at n = 6 failed")
+    with open(large, encoding="utf-8", newline="") as fh:
         rows = list(csv.DictReader(fh))
-    if len(rows) != 10 or not all(math.isfinite(float(row["magnitude"])) for row in rows):
-        sys.exit("the features CSV did not parse back to 10 finite rows")
+    ts = np.array([float(row["t"]) for row in rows])
+    values = [complex(float(row["re"]), float(row["im"])) for row in rows]
+    if len(rows) != 2048 or values != rosette.boundary_points(rosette.RosetteParams(6, 0.3),
+                                                              ts).tolist():
+        sys.exit("the 2048-row dump did not parse back to boundary_points")
     if main(["verify", "--n", "200", "--beta", "0.3", "--level", "full",
              "--out", os.path.join(tmp, "v200.json")]) != 0:
         sys.exit("verify at n = 200 failed")

@@ -29,7 +29,7 @@ from rosette import (
     total_curvature,
     total_curvature_numeric,
 )
-from rosette import DomainError, FeatureMismatch, RosetteError
+from rosette import DomainError, FeatureMismatch, RosetteError, boundary, f_many
 from rosette.boundary import (
     CONFIRM_OFFSETS,
     _confirm_offsets,
@@ -408,6 +408,53 @@ def test_a_non_finite_boundary_parameter_is_a_domain_error(t):
             for t0, t1 in ((t, 1.0), (0.1, t), (t, t)):
                 with pytest.raises(DomainError):
                     curvature(p, t0, t1)
+        # the sample sets refuse t before e^{it} is formed: no numpy warning, and the
+        # message names t, not a NaN point
+        ts = [0.1, t, 0.2]
+        for fn, params, arg in [
+            (boundary_points, p, ts),
+            (boundary_point, p, t),
+            (curve_samples, p, ts),
+            (halfspeed_points, RosetteParams(5, PI / 2), ts),
+            (halfspeed_points, RosetteParams(5, PI / 2 + 2 * PI), ts),
+        ]:
+            with pytest.raises(DomainError, match=f"^boundary parameter t={t} is not finite$"):
+                fn(params, arg)
+
+
+def test_curve_samples_take_parameters_of_any_shape_in_raveled_order():
+    p = RosetteParams(5, 0.3)
+    ts = np.array([[0.1, 0.2], [PI / 5, 2.0]])
+    assert curve_samples(p, ts) == curve_samples(p, ts.ravel().tolist())
+    assert curve_samples(p, 0.1) == curve_samples(p, [0.1])
+
+
+@pytest.mark.parametrize("beta", [0.3, -1.2, 2.5, 3 * PI / 2, PI / 2, 5 * PI / 2])
+def test_each_sample_set_takes_one_two_family_series_pass(series_passes, monkeypatch, beta):
+    # f_many would make [1, 1] per set, one pass for h and one for g; each set must also
+    # be bit for bit what f_many gives at its parameters
+    p = RosetteParams(6, beta)
+    ts = np.linspace(-1.0, 7.0, 203)
+    sets, real = [], boundary._boundary_values
+
+    def recorded(params, at):
+        sets.append((params, at, real(params, at)))
+        return sets[-1][2]
+
+    monkeypatch.setattr(boundary, "_boundary_values", recorded)
+    values = [s.value for s in curve_samples(p, ts)]
+    assert series_passes == [2]
+    extract_features(p)
+    assert series_passes == [2, 2, 2]  # the feature values at w = 1, then the confirmation
+    if half_pi_shift(beta) is not None:
+        halfspeed = halfspeed_points(p, ts)
+        assert series_passes == [2, 2, 2, 2]
+        monkeypatch.setattr(boundary, "_boundary_values",
+                            lambda params, at: f_many(params, np.exp(1j * at)))
+        assert np.array_equal(halfspeed, halfspeed_points(p, ts))
+    assert values == boundary_points(p, ts).tolist()
+    for params, at, got in sets:
+        assert np.array_equal(got, f_many(params, np.exp(1j * at)))
 
 
 # --- half-speed reparametrization ---------------------------------------------------
@@ -620,8 +667,6 @@ def test_features_confirm_at_large_order(beta):
 
 
 def test_feature_mismatch_carries_its_witness(monkeypatch):
-    import rosette.boundary as boundary
-
     real = boundary.one_sided_tangents
 
     def skewed(*args, **kwargs):

@@ -83,19 +83,41 @@ def test_the_phase_split_is_formed_in_maps_alone():
     assert users - {"maps"} == set()
 
 
+class _NameUses(ast.NodeVisitor):
+    """The innermost enclosing function, as "module.function", of every use of one name."""
+
+    def __init__(self, module: str, name: str):
+        self.scope, self.name, self.found = [module], name, set()
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Name(self, node):
+        if node.id == self.name:
+            self.found.add(".".join(self.scope))
+
+    def visit_Attribute(self, node):
+        if node.attr == self.name:
+            self.found.add(".".join(self.scope))
+        self.generic_visit(node)
+
+
 def test_only_maps_and_boundary_call_f_many():
     # f_many makes one series pass for h and one for g; everywhere else f is formed by
     # combine_parts(beta, *parts_many(params, z)), one pass for both.  The benchmark pins
-    # these two modules (bench/test_bench.py): maps.f_many must reach the maps.h_many and
-    # maps.g_many spans on interior-eval, and the tracer must patch boundary.f_many
-    callers = set()
+    # boundary_points alone (bench/test_bench.py): the tracer must patch boundary.f_many
+    # and reach the boundary.boundary_points span, and maps.f_many must reach the
+    # maps.h_many and maps.g_many spans on interior-eval.  A call or a reference counts.
+    users = set()
     for path in SOURCE.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Call):
-                fn = node.func
-                if getattr(fn, "id", None) == "f_many" or getattr(fn, "attr", None) == "f_many":
-                    callers.add(path.stem)
-    assert callers - {"maps", "boundary"} == set()
+        uses = _NameUses(path.stem, "f_many")
+        uses.visit(ast.parse(path.read_text(encoding="utf-8")))
+        users |= uses.found
+    assert users - {"boundary.boundary_points"} == set()
 
 
 # Names a module imports only so that callers can import them from it.
