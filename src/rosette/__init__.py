@@ -6,184 +6,64 @@ phase, n nodes joined by arcs of constancy): specialized hypergeometric
 series evaluation, exact boundary geometry, and numerical verification of
 the family's symmetry, univalence and tiling properties.
 
+Each public name is imported from its home module on first use, so
+``import rosette`` loads none of the submodules and ``import rosette.maps``
+loads only ``errors``, ``series`` and ``maps``.
+
 Diagnostics (for instance the regime counts of every series evaluation) go
 to the ``rosette`` logger at DEBUG level; it has a ``NullHandler`` and emits
 nothing unless the application configures logging.
 """
 
 import logging
+import sys
 
-from .errors import (
-    DomainError,
-    FeatureMismatch,
-    IntervalCrossesCusp,
-    NoConvergence,
-    NonCanonicalBeta,
-    OpenCurve,
-    QuadratureFailure,
-    RosetteError,
-    SingularParameter,
-    SingularPoint,
-    TooCloseToCurve,
-    WrongBeta,
-)
-from .series import (
-    EndpointValues,
-    SeriesKind,
-    SeriesSpec,
-    central_binomials,
-    coeff,
-    endpoint_values,
-    eval_series,
-    eval_series_many,
-    gamma_real,
-    scale_constant,
-    tail_bound,
-)
-from .maps import (
-    MapValue,
-    RosetteParams,
-    canonical_rotation,
-    dg,
-    dh,
-    dilatation,
-    f,
-    f_many,
-    g,
-    g_many,
-    h,
-    h_many,
-    hypocycloid,
-    jacobian,
-    reduce_beta,
-)
-from .boundary import (
-    BoundaryDerivative,
-    BoundaryFeature,
-    CurveSample,
-    FeatureKind,
-    FeatureReport,
-    FundamentalSet,
-    RotatedCopy,
-    SeparationSide,
-    boundary_derivative,
-    boundary_point,
-    boundary_points,
-    boundary_polyline,
-    bounding_radius,
-    classify_singular_point,
-    curve_samples,
-    detect_arg_nonmonotonicity,
-    extract_features,
-    fundamental_set,
-    halfspeed_points,
-    rotated_copies,
-    separation_angle,
-    total_curvature,
-    total_curvature_numeric,
-)
-from .verify import (
-    CheckResult,
-    CoverageReport,
-    IntegralCheck,
-    VerificationReport,
-    WindingResult,
-    count_self_intersections,
-    fundamental_decomposition,
-    fundamental_tiling,
-    integral_identities,
-    integral_oracle,
-    integral_oracle_many,
-    symmetry_suite,
-    univalence_scan,
-    winding_number,
-    winding_numbers,
-)
-from .render import Overlay, RenderSpec, feature_overlay_deviation_px, render_svg
-
-__version__ = "0.12.0"
+__version__ = "0.13.0"
 
 logging.getLogger(__name__).addHandler(logging.NullHandler())
 
-__all__ = [
-    "BoundaryDerivative",
-    "BoundaryFeature",
-    "CheckResult",
-    "CoverageReport",
-    "CurveSample",
-    "DomainError",
-    "EndpointValues",
-    "FeatureKind",
-    "FeatureMismatch",
-    "FeatureReport",
-    "FundamentalSet",
-    "IntegralCheck",
-    "IntervalCrossesCusp",
-    "MapValue",
-    "NoConvergence",
-    "NonCanonicalBeta",
-    "OpenCurve",
-    "Overlay",
-    "QuadratureFailure",
-    "RenderSpec",
-    "RosetteError",
-    "RosetteParams",
-    "RotatedCopy",
-    "SeparationSide",
-    "SeriesKind",
-    "SeriesSpec",
-    "SingularParameter",
-    "SingularPoint",
-    "TooCloseToCurve",
-    "VerificationReport",
-    "WindingResult",
-    "WrongBeta",
-    "boundary_derivative",
-    "boundary_point",
-    "boundary_points",
-    "boundary_polyline",
-    "bounding_radius",
-    "canonical_rotation",
-    "central_binomials",
-    "classify_singular_point",
-    "coeff",
-    "count_self_intersections",
-    "curve_samples",
-    "detect_arg_nonmonotonicity",
-    "dg",
-    "dh",
-    "dilatation",
-    "endpoint_values",
-    "eval_series",
-    "eval_series_many",
-    "extract_features",
-    "f",
-    "f_many",
-    "feature_overlay_deviation_px",
-    "fundamental_decomposition",
-    "fundamental_set",
-    "fundamental_tiling",
-    "g",
-    "g_many",
-    "gamma_real",
-    "h",
-    "h_many",
-    "halfspeed_points",
-    "hypocycloid",
-    "integral_identities",
-    "integral_oracle",
-    "integral_oracle_many",
-    "jacobian",
-    "reduce_beta",
-    "render_svg",
-    "rotated_copies",
-    "scale_constant",
-    "separation_angle",
-    "symmetry_suite",
-    "tail_bound",
-    "total_curvature",
-    "total_curvature_numeric",
-    "univalence_scan",
-    "winding_number",
-    "winding_numbers",
-]
+# The public names, under the module that defines them.
+_HOMES = {
+    "errors": "DomainError FeatureMismatch IntervalCrossesCusp NoConvergence NonCanonicalBeta"
+              " OpenCurve QuadratureFailure RosetteError SingularParameter SingularPoint"
+              " TooCloseToCurve WrongBeta",
+    "series": "EndpointValues SeriesKind SeriesSpec central_binomials coeff endpoint_values"
+              " eval_series eval_series_many gamma_real scale_constant tail_bound",
+    "maps": "MapValue RosetteParams canonical_rotation dg dh dilatation f f_many g g_many h"
+            " h_many hypocycloid jacobian reduce_beta",
+    "boundary": "BoundaryDerivative BoundaryFeature CurveSample FeatureKind FeatureReport"
+                " FundamentalSet RotatedCopy SeparationSide boundary_derivative boundary_point"
+                " boundary_points boundary_polyline bounding_radius classify_singular_point"
+                " curve_samples detect_arg_nonmonotonicity extract_features fundamental_set"
+                " halfspeed_points rotated_copies separation_angle total_curvature"
+                " total_curvature_numeric",
+    "geometry": "count_self_intersections",
+    "verify": "CheckResult CoverageReport IntegralCheck VerificationReport WindingResult"
+              " fundamental_decomposition fundamental_tiling integral_identities"
+              " integral_oracle integral_oracle_many symmetry_suite univalence_scan"
+              " winding_number winding_numbers",
+    "render": "Overlay RenderSpec feature_overlay_deviation_px render_svg",
+}
+_HOME_OF = {name: home for home, names in _HOMES.items() for name in names.split()}
+_SUBMODULES = {*_HOMES, "cli", "quadrature", "svgout"}
+
+__all__ = sorted(_HOME_OF)
+
+
+def _submodule(name: str):
+    # __import__ is the import statement's own path, which -X importtime reports;
+    # importlib.import_module is not
+    __import__(f"{__name__}.{name}")
+    return sys.modules[f"{__name__}.{name}"]
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return _submodule(name)
+    if name in _HOME_OF:
+        return getattr(_submodule(_HOME_OF[name]), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -15,29 +15,23 @@ decompose  render with the fundamental-set overlay and report tiling coverage
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import math
 import os
 import re
 import sys
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .boundary import FIGURE_PER_INTERVAL, curve_samples, extract_features
 from .maps import RosetteParams, combine_parts, parts_many, reduce_beta
-from .render import Overlay, RenderSpec, render_svg
-from .verify import (
-    CheckResult,
-    fundamental_decomposition,
-    fundamental_tiling,
-    integral_identities,
-    symmetry_suite,
-    univalence_scan,
-)
+
+# boundary, render and verify are imported by the commands that use them, so that a
+# command loads only what it runs and a usage error loads none of them
+if TYPE_CHECKING:
+    from .render import RenderSpec
+    from .verify import CheckResult
 
 SCHEMA_VERSION = 1
 
@@ -99,6 +93,8 @@ def _grid(text: str) -> tuple[int, int]:
 
 
 def _overlays(text: str) -> frozenset:
+    from .render import Overlay
+
     names = {overlay.value: overlay for overlay in Overlay}
     out = set()
     for part in text.split(","):
@@ -130,21 +126,26 @@ def _write_text(path: Optional[str], text: str) -> None:
             fh.write(text)
 
 
+def _quote(text: str) -> str:
+    """A CSV cell: the text, quoted with its quotes doubled if it holds , " or a line break."""
+    return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\r\n') else text
+
+
 def _csv(header: list[str], rows) -> str:
-    """CSV text with RFC 4180 line endings.  A None cell is empty, a float is written in its
-    shortest round-trip decimal form, and any other value as the csv module writes it."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(["" if v is None else repr(float(v)) if isinstance(v, float) else v
-                      for v in row] for row in rows)
-    return buf.getvalue()
+    """CSV text with RFC 4180 line endings, each line joined in one call.  A None cell is
+    empty, a float is written in its shortest round-trip decimal form, and any other value
+    as str() writes it, quoted as RFC 4180 asks."""
+    lines = (["" if v is None else repr(float(v)) if isinstance(v, float) else _quote(str(v))
+              for v in row] for row in [header, *rows])
+    return "".join([",".join(cells) + "\r\n" for cells in lines])
 
 
 # --- features ------------------------------------------------------------------
 
 
 def _feature_payload(n: int, beta_input: float) -> dict:
+    from .boundary import extract_features
+
     beta, shifts = reduce_beta(beta_input)
     params = RosetteParams(n, beta)
     report = extract_features(params)
@@ -196,6 +197,9 @@ def _checks_payload(checks: list[CheckResult]) -> list[dict]:
 
 
 def cmd_verify(args) -> int:
+    from .boundary import FIGURE_PER_INTERVAL
+    from .verify import fundamental_tiling, integral_identities, symmetry_suite, univalence_scan
+
     # every stage checks the phase as given; its canonical twin is only reported
     params = RosetteParams(args.n, args.beta)
     beta, shifts = reduce_beta(args.beta)
@@ -237,6 +241,8 @@ def cmd_verify(args) -> int:
 def cmd_dump(args) -> int:
     params = RosetteParams(args.n, args.beta)
     if args.what == "boundary":
+        from .boundary import curve_samples
+
         ts = (np.arange(args.count) + 0.5) * 2.0 * math.pi / args.count
         rows = [[s.t, s.value.real, s.value.imag, s.d_arg, s.d_mag]
                 for s in curve_samples(params, ts)]
@@ -256,6 +262,8 @@ def cmd_dump(args) -> int:
 
 
 def _render_spec(args, extra_overlays: frozenset = frozenset()) -> RenderSpec:
+    from .render import RenderSpec
+
     radial, circles = args.grid
     return RenderSpec(
         params=RosetteParams(args.n, args.beta),
@@ -269,14 +277,20 @@ def _render_spec(args, extra_overlays: frozenset = frozenset()) -> RenderSpec:
 
 
 def cmd_render(args) -> int:
+    from .render import render_svg
+
     _write_text(args.out, render_svg(_render_spec(args)))
     return 0
 
 
 def cmd_decompose(args) -> int:
+    from .verify import fundamental_decomposition
+
     params = RosetteParams(args.n, args.beta)
     copies, coverage = fundamental_decomposition(params, probe_grid=args.probe_grid)
     if args.out is not None:  # the overlay draws the copies that the coverage tiled
+        from .render import Overlay, render_svg
+
         spec = _render_spec(args, extra_overlays=frozenset({Overlay.FUNDAMENTAL_SET}))
         _write_text(args.out, render_svg(spec, copies=copies))
     payload = {

@@ -10,7 +10,6 @@ in floats and decides nothing by itself.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -51,6 +50,8 @@ def _orientation(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
         sign = np.sign(det).astype(int)
         unsure = ~(np.abs(det) > _ORIENT_ERR * (np.abs(left) + np.abs(right)) + np.finfo(float).tiny)
     for k in np.flatnonzero(unsure):
+        from fractions import Fraction  # imported at the first unsure sign; most runs meet none
+
         corners = (a[k], b[k], p[k])
         (ax, ay), (bx, by), (px, py) = ((Fraction(w.real), Fraction(w.imag)) for w in corners)
         exact = (ax - px) * (by - py) - (ay - py) * (bx - px)

@@ -3,7 +3,11 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -63,11 +67,12 @@ def test_parse_beta_gives_a_bounded_angle_or_a_usage_error(sign, mult, pi, den, 
     assert math.isfinite(value) and abs(value) <= BETA_LIMIT
 
 
-def test_rejects_small_order(capsys):
+def test_rejects_small_order(capsys, usage_error_modules):
     with pytest.raises(SystemExit) as exc:
         run_cli(["features", "--n", "2", "--beta", "0"])
     assert exc.value.code == 2
     assert "n >= 3" in capsys.readouterr().err
+    assert usage_error_modules["small-order"] == [2, []]
 
 
 # --- features ----------------------------------------------------------------------
@@ -228,7 +233,7 @@ def test_verify_integral_identities_witness_stays_out_of_the_report(tmp_path, mo
 
 
 def test_verify_hands_every_stage_one_params_at_the_phase_given(tmp_path, monkeypatch):
-    from rosette import cli
+    from rosette import verify
     from rosette.maps import RosetteParams, reduce_beta
     from rosette.verify import CheckResult, VerificationReport
 
@@ -244,7 +249,7 @@ def test_verify_hands_every_stage_one_params_at_the_phase_given(tmp_path, monkey
     stages = {"symmetry_suite": True, "univalence_scan": True,
               "integral_identities": False, "fundamental_tiling": False}
     for name, report in stages.items():
-        monkeypatch.setattr(cli, name, recorder(name, report))
+        monkeypatch.setattr(verify, name, recorder(name, report))
     out = tmp_path / "verify.json"
     for beta in ("3pi/2", "-2.9", "7.5", "0.3", "pi/2"):
         seen.clear()
@@ -397,42 +402,84 @@ def test_negative_beta_value_on_command_line(tmp_path):
 # --- input validation --------------------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "argv,option",
-    [
-        (["dump", "--n", "5", "--beta", "0", "--count", "0"], "--count"),
-        (["dump", "--n", "5", "--beta", "0", "--count", "-3"], "--count"),
-        (["render", "--n", "5", "--beta", "0", "--width", "0"], "--width"),
-        (["decompose", "--n", "5", "--beta", "0", "--width", "0"], "--width"),
-        (["render", "--n", "5", "--beta", "0", "--samples", "4"], "--samples"),
-        (["features", "--n", "5", "--beta", "nan"], "--beta"),
-        (["features", "--n", "5", "--beta", "inf"], "--beta"),
-        (["features", "--n", "5", "--beta", "-inf"], "--beta"),
-        (["verify", "--n", "5", "--beta", "1e300", "--level", "quick"], "--beta"),
-        (["features", "--n", "5", "--beta", "-1e5"], "--beta"),
-        (["dump", "--n", "5", "--beta", "40000pi"], "--beta"),
-        (["render", "--n", "5", "--beta", "0", "--margin", "-1"], "--margin"),
-        (["render", "--n", "5", "--beta", "0", "--margin", "nan"], "--margin"),
-        (["render", "--n", "5", "--beta", "0", "--margin", "inf"], "--margin"),
-        (["decompose", "--n", "5", "--beta", "0", "--margin", "-1"], "--margin"),
-        (["decompose", "--n", "5", "--beta", "0", "--margin", "nan"], "--margin"),
-        (["decompose", "--n", "5", "--beta", "0", "--margin", "inf"], "--margin"),
-        (["verify", "--n", "5", "--beta", "0", "--seed", "-1"], "--seed"),
-        (["decompose", "--n", "5", "--beta", "0", "--report", "."], "--report"),
-        (["decompose", "--n", "5", "--beta", "0", "--report", "no-such-dir/r.json"], "--report"),
-        (["features", "--n", "3", "--beta", "pi/0"], "--beta"),
-        (["features", "--n", "3", "--beta", "0pi/0"], "--beta"),
-        (["features", "--n", "3", "--beta", "-pi/0"], "--beta"),
-        (["features", "--n", "3", "--beta", "pi/0.0"], "--beta"),
-    ],
-    ids=["count-0", "count-neg", "render-width-0", "decompose-width-0", "samples-4",
-         "beta-nan", "beta-inf", "beta-neg-inf", "beta-1e300", "beta-neg-1e5", "beta-40000pi",
-         "render-margin-neg", "render-margin-nan", "render-margin-inf", "decompose-margin-neg",
-         "decompose-margin-nan", "decompose-margin-inf", "seed-neg", "report-directory",
-         "report-missing-directory", "beta-pi-over-0", "beta-0pi-over-0", "beta-neg-pi-over-0",
-         "beta-pi-over-0.0"],
-)
-def test_bad_input_is_a_one_line_usage_error(argv, option, tmp_path, capsys):
+BAD_INPUT = [
+    (["dump", "--n", "5", "--beta", "0", "--count", "0"], "--count"),
+    (["dump", "--n", "5", "--beta", "0", "--count", "-3"], "--count"),
+    (["render", "--n", "5", "--beta", "0", "--width", "0"], "--width"),
+    (["decompose", "--n", "5", "--beta", "0", "--width", "0"], "--width"),
+    (["render", "--n", "5", "--beta", "0", "--samples", "4"], "--samples"),
+    (["features", "--n", "5", "--beta", "nan"], "--beta"),
+    (["features", "--n", "5", "--beta", "inf"], "--beta"),
+    (["features", "--n", "5", "--beta", "-inf"], "--beta"),
+    (["verify", "--n", "5", "--beta", "1e300", "--level", "quick"], "--beta"),
+    (["features", "--n", "5", "--beta", "-1e5"], "--beta"),
+    (["dump", "--n", "5", "--beta", "40000pi"], "--beta"),
+    (["render", "--n", "5", "--beta", "0", "--margin", "-1"], "--margin"),
+    (["render", "--n", "5", "--beta", "0", "--margin", "nan"], "--margin"),
+    (["render", "--n", "5", "--beta", "0", "--margin", "inf"], "--margin"),
+    (["decompose", "--n", "5", "--beta", "0", "--margin", "-1"], "--margin"),
+    (["decompose", "--n", "5", "--beta", "0", "--margin", "nan"], "--margin"),
+    (["decompose", "--n", "5", "--beta", "0", "--margin", "inf"], "--margin"),
+    (["verify", "--n", "5", "--beta", "0", "--seed", "-1"], "--seed"),
+    (["decompose", "--n", "5", "--beta", "0", "--report", "."], "--report"),
+    (["decompose", "--n", "5", "--beta", "0", "--report", "no-such-dir/r.json"], "--report"),
+    (["features", "--n", "3", "--beta", "pi/0"], "--beta"),
+    (["features", "--n", "3", "--beta", "0pi/0"], "--beta"),
+    (["features", "--n", "3", "--beta", "-pi/0"], "--beta"),
+    (["features", "--n", "3", "--beta", "pi/0.0"], "--beta"),
+]
+
+BAD_INPUT_IDS = [
+    "count-0", "count-neg", "render-width-0", "decompose-width-0", "samples-4",
+    "beta-nan", "beta-inf", "beta-neg-inf", "beta-1e300", "beta-neg-1e5", "beta-40000pi",
+    "render-margin-neg", "render-margin-nan", "render-margin-inf", "decompose-margin-neg",
+    "decompose-margin-nan", "decompose-margin-inf", "seed-neg", "report-directory",
+    "report-missing-directory", "beta-pi-over-0", "beta-0pi-over-0", "beta-neg-pi-over-0",
+    "beta-pi-over-0.0",
+]
+
+
+OUT_PATH_COMMANDS = ["features", "verify", "dump", "render", "decompose"]
+UNUSABLE_OUT_PATHS = ["directory", "missing-directory"]
+
+
+@pytest.fixture(scope="module")
+def usage_error_modules(tmp_path_factory):
+    """For each usage error of this section, by test id: its exit code and which of verify
+    and render it loaded, from one fresh interpreter that runs them all in turn."""
+    root = tmp_path_factory.mktemp("usage")
+    cases = {"small-order": ["features", "--n", "2", "--beta", "0"],
+             "render-without-out": ["render", "--n", "5", "--beta", "0", "--samples", "16",
+                                    "--grid", "2x2"]}
+    cases.update((key, argv + ["--out", str(root / "out")])
+                 for key, (argv, _) in zip(BAD_INPUT_IDS, BAD_INPUT))
+    for command in OUT_PATH_COMMANDS:
+        for where in UNUSABLE_OUT_PATHS:
+            out = root if where == "directory" else root / "missing" / "x.out"
+            cases[f"{command}-{where}"] = [command, "--n", "5", "--beta", "0", "--out", str(out)]
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from rosette.cli import main\n"
+        "found = {}\n"
+        "for key, argv in json.load(sys.stdin).items():\n"
+        "    try:\n"
+        "        with contextlib.redirect_stderr(io.StringIO()):\n"
+        "            main(argv)\n"
+        "    except SystemExit as exc:\n"
+        "        found[key] = [exc.code, sorted(m for m in ('rosette.verify', 'rosette.render')\n"
+        "                                       if m in sys.modules)]\n"
+        "print(json.dumps(found))"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", code], input=json.dumps(cases),
+                         capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    return json.loads(out.stdout)
+
+
+@pytest.mark.parametrize("argv,option", BAD_INPUT, ids=BAD_INPUT_IDS)
+def test_bad_input_is_a_one_line_usage_error(argv, option, tmp_path, capsys, request,
+                                             usage_error_modules):
     with pytest.raises(SystemExit) as exc:
         run_cli(argv + ["--out", str(tmp_path / "out")])
     assert exc.value.code == 2
@@ -441,20 +488,22 @@ def test_bad_input_is_a_one_line_usage_error(argv, option, tmp_path, capsys):
     err = captured.err.strip().splitlines()
     assert err[-1].startswith(f"rosette {argv[0]}: error: argument {option}:")
     assert not any("Traceback" in line for line in err)
+    assert usage_error_modules[request.node.callspec.id] == [2, []]
 
 
-@pytest.mark.parametrize("command", ["features", "verify", "dump", "render", "decompose"])
-@pytest.mark.parametrize("where", ["directory", "missing-directory"])
+@pytest.mark.parametrize("command", OUT_PATH_COMMANDS)
+@pytest.mark.parametrize("where", UNUSABLE_OUT_PATHS)
 def test_an_unusable_out_path_is_a_one_line_usage_error_before_any_work(
-    command, where, tmp_path, monkeypatch, capsys
+    command, where, tmp_path, monkeypatch, capsys, usage_error_modules
 ):
-    import rosette.cli as cli
+    from rosette import boundary, render, verify
 
     def fail(*args, **kwargs):
         raise AssertionError("work ran before the output path was checked")
 
-    for name in ("extract_features", "symmetry_suite", "curve_samples", "render_svg"):
-        monkeypatch.setattr(cli, name, fail)
+    for module, name in ((boundary, "extract_features"), (verify, "symmetry_suite"),
+                         (boundary, "curve_samples"), (render, "render_svg")):
+        monkeypatch.setattr(module, name, fail)
     out = tmp_path if where == "directory" else tmp_path / "missing" / "x.out"
     with pytest.raises(SystemExit) as exc:
         run_cli([command, "--n", "5", "--beta", "0", "--out", str(out)])
@@ -464,6 +513,7 @@ def test_an_unusable_out_path_is_a_one_line_usage_error_before_any_work(
     err = captured.err.strip().splitlines()
     assert err[-1].startswith(f"rosette {command}: error: argument --out: cannot write")
     assert not any("Traceback" in line for line in err)
+    assert usage_error_modules[f"{command}-{where}"] == [2, []]
 
 
 def test_out_dash_writes_to_stdout(capsys):
@@ -484,18 +534,20 @@ def test_parse_beta_accepts_phases_up_to_1e4():
         parse_beta("10000.001")
 
 
-def test_render_without_out_is_a_usage_error_before_any_work(monkeypatch, capsys):
-    import rosette.cli as cli
+def test_render_without_out_is_a_usage_error_before_any_work(monkeypatch, capsys,
+                                                            usage_error_modules):
+    from rosette import render
 
     def fail(spec):
         raise AssertionError("render_svg ran before the arguments were checked")
 
-    monkeypatch.setattr(cli, "render_svg", fail)
+    monkeypatch.setattr(render, "render_svg", fail)
     with pytest.raises(SystemExit) as exc:
         run_cli(["render", "--n", "5", "--beta", "0", "--samples", "16", "--grid", "2x2"])
     assert exc.value.code == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert err[-1] == "rosette render: error: the following arguments are required: --out"
+    assert usage_error_modules["render-without-out"] == [2, []]
 
 
 def test_decompose_out_stays_optional():
@@ -506,11 +558,11 @@ def test_decompose_out_stays_optional():
 
 
 def test_decompose_renders_only_for_out(tmp_path, monkeypatch):
-    import rosette.cli as cli
+    from rosette import render
 
     calls = []
-    real = cli.render_svg
-    monkeypatch.setattr(cli, "render_svg", lambda spec, **kw: calls.append(spec) or real(spec, **kw))
+    real = render.render_svg
+    monkeypatch.setattr(render, "render_svg", lambda spec, **kw: calls.append(spec) or real(spec, **kw))
     argv = ["decompose", "--n", "5", "--beta", "0.3", "--probe-grid", "12"]
     reports = []
     for extra, renders in (([], 0), (["--out", str(tmp_path / "dec.svg")], 1)):
@@ -523,16 +575,15 @@ def test_decompose_renders_only_for_out(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("beta", ["0.3", "3pi/2"])
 def test_decompose_draws_the_copies_it_tiled_from_one_fundamental_set(beta, tmp_path, monkeypatch):
-    import rosette.boundary as boundary
-    import rosette.cli as cli
+    from rosette import boundary, cli, render, verify
 
     built, tiled, drawn = [], [], []
     real_set, real_tiling, real_render = (
-        boundary.fundamental_set, cli.fundamental_decomposition, cli.render_svg)
+        boundary.fundamental_set, verify.fundamental_decomposition, render.render_svg)
     monkeypatch.setattr(boundary, "fundamental_set", lambda p: built.append(p) or real_set(p))
-    monkeypatch.setattr(cli, "fundamental_decomposition",
+    monkeypatch.setattr(verify, "fundamental_decomposition",
                         lambda *a, **kw: tiled.append(real_tiling(*a, **kw)) or tiled[-1])
-    monkeypatch.setattr(cli, "render_svg",
+    monkeypatch.setattr(render, "render_svg",
                         lambda spec, **kw: drawn.append(kw["copies"]) or real_render(spec, **kw))
     out = tmp_path / "dec.svg"
     argv = ["decompose", "--n", "5", "--beta", beta, "--probe-grid", "12", "--out", str(out)]

@@ -2,10 +2,13 @@
 
 import ast
 import importlib
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import rosette
 
@@ -29,9 +32,10 @@ def test_no_module_imports_another_modules_private_names():
 # The package modules that each module imports, exactly.  The integral oracle
 # (quadrature) and the planar kernels (geometry) borrow nothing from the code they
 # check; render draws the image polylines from boundary, so only the command line
-# and the package itself import verify.
+# imports verify.  The package itself imports no module: it resolves its public
+# names on first use.
 IMPORT_GRAPH = {
-    "__init__": {"boundary", "errors", "maps", "render", "series", "verify"},
+    "__init__": set(),
     "boundary": {"errors", "geometry", "maps", "series"},
     "cli": {"boundary", "maps", "render", "verify"},
     "errors": set(),
@@ -162,6 +166,18 @@ def test_series_uses_no_matrix_product():
     assert found == []
 
 
+def _fresh(code: str) -> str:
+    """The stripped stdout of ``code`` run in a fresh interpreter on this source tree."""
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(SOURCE.parent)},
+    )
+    return out.stdout.strip()
+
+
 def test_import_leaves_scipy_unloaded():
     # scipy is no dependency: neither the import nor any command may load it,
     # including verify's integral check and decompose
@@ -173,14 +189,7 @@ def test_import_leaves_scipy_unloaded():
         "             main(['decompose', '--n', '5', '--beta', 'pi/2'])]\n"
         "print(codes, 'scipy' in sys.modules)"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        check=True,
-        env={**os.environ, "PYTHONPATH": str(SOURCE.parent)},
-    )
-    assert out.stdout.strip() == "[0, 0] False"
+    assert _fresh(code) == "[0, 0] False"
 
 
 def test_commands_leave_numpy_ma_unloaded():
@@ -197,14 +206,7 @@ def test_commands_leave_numpy_ma_unloaded():
         "             main(['decompose', '--n', '5', '--beta', 'pi/2'])]\n"
         "print(codes, 'numpy.ma' in sys.modules)"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        check=True,
-        env={**os.environ, "PYTHONPATH": str(SOURCE.parent)},
-    )
-    assert out.stdout.strip() == "[0, 0, 0, 0, 0] False"
+    assert _fresh(code) == "[0, 0, 0, 0, 0] False"
 
 
 def test_every_submodule_is_the_package_attribute_of_its_name():
@@ -217,6 +219,62 @@ def test_every_submodule_is_the_package_attribute_of_its_name():
               if name.startswith("rosette.")}
     assert sorted(loaded) == sorted(p.stem for p in SOURCE.glob("*.py") if p.stem != "__init__")
     assert [name for name, module in loaded.items() if getattr(rosette, name) is not module] == []
+
+
+def test_each_entry_point_loads_only_the_modules_it_uses():
+    # one interpreter, each step loading more: what a step adds is what a fresh
+    # interpreter would load for it, since every step starts with "import rosette"
+    code = (
+        "import contextlib, io, json, sys\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules\n"
+        "                  if m.startswith('rosette.') or m in ('numpy', 'fractions'))\n"
+        "steps = {}\n"
+        "import rosette\n"
+        "steps['rosette'] = loaded()\n"
+        "import rosette.maps\n"
+        "steps['rosette.maps'] = loaded()\n"
+        "import rosette.cli\n"
+        "steps['rosette.cli'] = loaded()\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [rosette.cli.main(argv) for argv in (\n"
+        "        ['features', '--n', '5', '--beta', '0.3'],\n"
+        "        ['features', '--n', '5', '--beta', 'pi/2', '--format', 'csv'],\n"
+        "        ['dump', '--n', '5', '--beta', '0.3'],\n"
+        "        ['dump', '--n', '5', '--beta', '-pi/2', '--what', 'radial'])]\n"
+        "steps['features and dump'] = loaded()\n"
+        "print(json.dumps([codes, steps]))"
+    )
+    codes, steps = json.loads(_fresh(code))
+    assert codes == [0, 0, 0, 0]
+    assert steps["rosette"] == []
+    assert steps["rosette.maps"] == ["numpy", "rosette.errors", "rosette.maps", "rosette.series"]
+    heavy = {f"rosette.{m}" for m in ("boundary", "geometry", "render", "svgout", "verify",
+                                       "quadrature")}
+    assert heavy & set(steps["rosette.cli"]) == set()
+    assert {"rosette.render", "rosette.verify", "fractions"} & set(steps["features and dump"]) \
+        == set()
+
+
+def test_every_public_name_resolves_to_its_home_modules_object():
+    # the package binds no public name eagerly: each comes from the module that defines it
+    homes = {name: getattr(rosette, name).__module__ for name in rosette.__all__}
+    assert [name for name, home in homes.items()
+            if getattr(rosette, name) is not getattr(sys.modules[home], name)] == []
+    assert set(homes.values()) <= {f"rosette.{p.stem}" for p in SOURCE.glob("*.py")}
+    star = {}
+    exec("from rosette import *", star)
+    assert sorted(set(star) - {"__builtins__"}) == sorted(rosette.__all__)
+    assert all(star[name] is getattr(rosette, name) for name in rosette.__all__)
+    assert set(rosette.__all__) <= set(dir(rosette))
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        getattr(rosette, "no_such_name")
+
+
+def test_the_version_is_the_one_pyproject_gives():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    with open(SOURCE.parents[1] / "pyproject.toml", "rb") as fh:
+        assert rosette.__version__ == tomllib.load(fh)["project"]["version"]
 
 
 def test_evaluation_leaves_mpmath_unloaded():
