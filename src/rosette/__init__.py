@@ -18,31 +18,28 @@ nothing unless the application configures logging.
 import logging
 import sys
 
-__version__ = "0.13.0"
+__version__ = "0.14.0"
 
 logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 # The public names, under the module that defines them.
 _HOMES = {
     "errors": "DomainError FeatureMismatch IntervalCrossesCusp NoConvergence NonCanonicalBeta"
-              " OpenCurve QuadratureFailure RosetteError SingularParameter SingularPoint"
-              " TooCloseToCurve WrongBeta",
+              " OpenCurve QuadratureFailure RosetteError SingularPoint TooCloseToCurve WrongBeta",
     "series": "EndpointValues SeriesKind SeriesSpec central_binomials coeff endpoint_values"
-              " eval_series eval_series_many gamma_real scale_constant tail_bound",
-    "maps": "MapValue RosetteParams canonical_rotation dg dh dilatation f f_many g g_many h"
-            " h_many hypocycloid jacobian reduce_beta",
-    "boundary": "BoundaryDerivative BoundaryFeature CurveSample FeatureKind FeatureReport"
-                " FundamentalSet RotatedCopy SeparationSide boundary_derivative boundary_point"
-                " boundary_points boundary_polyline bounding_radius classify_singular_point"
-                " curve_samples detect_arg_nonmonotonicity extract_features fundamental_set"
-                " halfspeed_points rotated_copies separation_angle total_curvature"
-                " total_curvature_numeric",
+              " eval_series_many gamma_real scale_constant tail_bound",
+    "maps": "MapValue RosetteParams canonical_rotation dilatation f f_many g_many h_many"
+            " hypocycloid jacobian reduce_beta",
+    "boundary": "BoundaryFeature CurveSample FeatureKind FeatureReport FundamentalSet"
+                " RotatedCopy SeparationSide boundary_points boundary_polyline bounding_radius"
+                " classify_singular_point curve_samples detect_arg_nonmonotonicity"
+                " extract_features fundamental_set halfspeed_points rotated_copies"
+                " separation_angle total_curvature total_curvature_numeric",
     "geometry": "count_self_intersections",
     "verify": "CheckResult CoverageReport IntegralCheck VerificationReport WindingResult"
               " fundamental_decomposition fundamental_tiling integral_identities"
-              " integral_oracle integral_oracle_many symmetry_suite univalence_scan"
-              " winding_number winding_numbers",
-    "render": "Overlay RenderSpec feature_overlay_deviation_px render_svg",
+              " integral_oracle symmetry_suite univalence_scan winding_number winding_numbers",
+    "render": "Overlay RenderSpec render_svg",
 }
 _HOME_OF = {name: home for home, names in _HOMES.items() for name in names.split()}
 _SUBMODULES = {*_HOMES, "cli", "quadrature", "svgout"}

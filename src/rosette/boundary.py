@@ -29,11 +29,10 @@ polyline, ``boundary_polyline(params, FIGURE_PER_INTERVAL)``, is both the
 figure that ``render`` draws and the curve that ``verify --level quick`` certifies.
 
 Every sample set of the curve (``curve_samples``, the feature confirmation,
-``halfspeed_points``, ``boundary_point``) takes h and g from one two-family series
-pass.  ``boundary_points`` alone keeps the two passes of ``maps.f_many``, one for h
-and one for g, until ROADMAP item 1: the benchmark's self-tests read
-``boundary.f_many`` and want the ``boundary_points`` span, which render's ray ends
-now reach alone.
+``halfspeed_points``) takes h and g from one two-family series pass.
+``boundary_points`` alone keeps the two passes of ``maps.f_many``, one for h and one
+for g, until ROADMAP item 1: the benchmark's self-tests read ``boundary.f_many`` and
+want the ``boundary_points`` span, which render's ray ends now reach alone.
 """
 
 from __future__ import annotations
@@ -51,7 +50,6 @@ from .errors import (
     FeatureMismatch,
     IntervalCrossesCusp,
     NonCanonicalBeta,
-    SingularParameter,
     WrongBeta,
 )
 from .geometry import dedupe
@@ -119,12 +117,6 @@ class FeatureReport:
     total_curvature_per_petal: float
 
 
-class BoundaryDerivative(NamedTuple):
-    d_value: complex
-    d_arg: Optional[float]
-    d_mag: float
-
-
 def wrap_angle(x: float) -> float:
     """Reduce an angle to (-pi, pi]."""
     y = math.fmod(x, TWO_PI)
@@ -136,8 +128,7 @@ def wrap_angle(x: float) -> float:
 
 
 def _reduce_t(t: float) -> float:
-    if not math.isfinite(t):
-        raise DomainError(f"boundary parameter t={t} is not finite")
+    """A finite angle reduced to [0, 2pi)."""
     t = math.fmod(t, TWO_PI)
     return t + TWO_PI if t < 0.0 else t
 
@@ -170,10 +161,6 @@ def boundary_points(params: RosetteParams, ts) -> np.ndarray:
     # item 1: bench/test_bench.py reads boundary.f_many and wants this function's span on
     # boundary-render, where render's ray ends are now its only caller
     return f_many(params, np.exp(1j * _finite_parameters(ts)))
-
-
-def boundary_point(params: RosetteParams, t: float) -> complex:
-    return complex(_boundary_values(params, _finite_parameters([t]))[0])
 
 
 def _derivative_values(params: RosetteParams, ts: np.ndarray) -> np.ndarray:
@@ -229,23 +216,6 @@ def _derivative_fields(params: RosetteParams, ts: np.ndarray):
         d_arg[~first_half] = np.nan
         d_mag[~first_half] = 0.0
     return d_value, d_arg, d_mag
-
-
-def boundary_derivative(params: RosetteParams, t: float) -> BoundaryDerivative:
-    """Derivative of the boundary curve at t, with closed-form magnitude and argument.
-
-    The magnitude comes from the half-interval rule quoted in the module
-    docstring, the argument from the linear turning law with branch
-    k = ceil(t n / (2 pi)); both are cross-checked against d_value by the
-    test-suite.  Raises SingularParameter within T_SINGULAR_TOL of a
-    multiple of pi/n, and DomainError at a non-finite t.
-    """
-    t = _reduce_t(float(t))
-    if distance_to_singular(params.n, t) < T_SINGULAR_TOL:
-        raise SingularParameter(f"t={t} is within tolerance of a multiple of pi/{params.n}")
-    d_value, d_arg, d_mag = (a[0] for a in _derivative_fields(params, np.array([t])))
-    d_arg = None if math.isnan(d_arg) else float(d_arg)
-    return BoundaryDerivative(complex(d_value), d_arg, float(d_mag))
 
 
 def curve_samples(params: RosetteParams, ts: Sequence[float]) -> list[CurveSample]:

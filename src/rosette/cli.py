@@ -110,10 +110,12 @@ def _overlays(text: str) -> frozenset:
 
 
 def _output(text: str) -> str:
-    """An argparse type: ``-`` for stdout, or a file path that is no directory and lies in one."""
+    """An argparse type: ``-`` for stdout, or a nonempty file path that is no directory and
+    lies in one."""
     folder = os.path.dirname(text) or "."
-    if text != "-" and (os.path.isdir(text) or not os.path.isdir(folder)):
-        problem = "is a directory" if os.path.isdir(text) else "lies in a missing directory"
+    if text != "-" and (not text or os.path.isdir(text) or not os.path.isdir(folder)):
+        problem = ("is empty" if not text else "is a directory" if os.path.isdir(text)
+                   else "lies in a missing directory")
         raise argparse.ArgumentTypeError(f"cannot write {text!r}: it {problem}")
     return text
 
@@ -284,6 +286,9 @@ def cmd_render(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    if args.out == "-" and args.report in (None, "-"):
+        args.usage_error("argument --report: must name a file when --out is -, "
+                         "so that the SVG and the report do not share stdout")
     from .verify import fundamental_decomposition
 
     params = RosetteParams(args.n, args.beta)
@@ -368,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--report", type=_output, default=None,
                            help="coverage report path (JSON)")
             p.add_argument("--probe-grid", type=_at_least("probe-grid", 1), default=60)
-        p.set_defaults(func=fn)
+        p.set_defaults(func=fn, usage_error=p.error)
 
     return parser
 

@@ -21,10 +21,6 @@ class SingularPoint(RosetteError):
     """Derivative requested too close to a 2n-th root of unity."""
 
 
-class SingularParameter(RosetteError):
-    """Boundary derivative requested at (or too close to) a multiple of pi/n."""
-
-
 class NonCanonicalBeta(RosetteError):
     """Operation undefined in the class beta = pi/2 + l pi (separation angles: no cusps)."""
 

@@ -173,14 +173,6 @@ def f_many(params: RosetteParams, z) -> np.ndarray:
     return combine_parts(params.beta, h_many(params, z), g_many(params, z))
 
 
-def h(params: RosetteParams, z: complex) -> complex:
-    return complex(h_many(params, np.array([z]))[0])
-
-
-def g(params: RosetteParams, z: complex) -> complex:
-    return complex(g_many(params, np.array([z]))[0])
-
-
 def f(params: RosetteParams, z: complex) -> MapValue:
     """The rosette map at z, as the pair of its summands, from one series pass."""
     hz, gz = (complex(v[0]) for v in parts_many(params, np.array([z])))
@@ -220,14 +212,6 @@ def derivative_parts(params: RosetteParams, z) -> tuple[np.ndarray, np.ndarray]:
 
 def dg_many(params: RosetteParams, z) -> np.ndarray:
     return derivative_parts(params, z)[1]
-
-
-def dh(params: RosetteParams, z: complex) -> complex:
-    return complex(dh_many(params, np.array([z]))[0])
-
-
-def dg(params: RosetteParams, z: complex) -> complex:
-    return complex(dg_many(params, np.array([z]))[0])
 
 
 def dilatation(params: RosetteParams, z: complex) -> complex:

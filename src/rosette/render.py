@@ -29,8 +29,8 @@ from .boundary import (
     rotated_copies,
 )
 from .errors import DomainError
-from .geometry import curve_distances
 from .maps import RosetteParams, combine_parts, hypocycloid, parts_many
+from .series import require_integer
 from .svgout import SvgCanvas, axis_segment, flatten_curve, flatten_curves
 
 TWO_PI = 2.0 * math.pi
@@ -54,12 +54,10 @@ class RenderSpec:
     overlay: frozenset = field(default_factory=frozenset)
 
     def __post_init__(self):
-        if self.radial_lines < 1 or self.circles < 1:
-            raise DomainError("grid must have at least one radial line and one circle")
-        if self.width_px < 1:
-            raise DomainError("width_px must be at least 1")
-        if self.samples_per_curve < 16:
-            raise DomainError("samples_per_curve must be at least 16")
+        require_integer(self.radial_lines, 1, "radial_lines")
+        require_integer(self.circles, 1, "circles")
+        require_integer(self.width_px, 1, "width_px")
+        require_integer(self.samples_per_curve, 16, "samples_per_curve")
         if not 0.0 <= self.margin_frac < math.inf:
             raise DomainError("margin_frac must be a finite number >= 0")
 
@@ -136,13 +134,3 @@ def render_svg(spec: RenderSpec, *, copies: list | None = None) -> str:
             canvas.dot(ft.location, radius_px=3.0, fill=color)
 
     return canvas.document()
-
-
-def feature_overlay_deviation_px(spec: RenderSpec) -> float:
-    """Largest pixel distance from any feature dot to the rendered boundary."""
-    half = bounding_radius(spec.params.n) * (1.0 + spec.margin_frac)
-    scale = spec.width_px / (2.0 * half)
-    boundary = boundary_polyline(spec.params, FIGURE_PER_INTERVAL) * scale
-    feats = extract_features(spec.params, confirm=False).features
-    dots = np.array([complex(ft.location) * scale for ft in feats])
-    return float(curve_distances(boundary, dots).max(initial=0.0))

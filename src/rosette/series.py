@@ -359,11 +359,6 @@ def eval_series_many(spec: SeriesSpec, z) -> np.ndarray:
     return eval_families_many((spec,), z)[0]
 
 
-def eval_series(spec: SeriesSpec, z: complex) -> complex:
-    """Evaluate the series at one point of the closed unit disk."""
-    return complex(eval_series_many(spec, np.array([z]))[0])
-
-
 def gamma_real(x: float) -> float:
     """Gamma(x) by math.gamma for finite x > 0; DomainError for x <= 0, NaN and inf."""
     x = float(x)

@@ -19,14 +19,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .boundary import (  # fundamental_set too: the image polylines stay importable from here
-    RotatedCopy,
-    boundary_polyline,
-    bounding_radius,
-    fundamental_set,
-    rotated_copies,
-    wrap_angle,
-)
+from .boundary import RotatedCopy, boundary_polyline, bounding_radius, rotated_copies, wrap_angle
 from .errors import TooCloseToCurve
 from .geometry import (
     count_self_intersections,
@@ -197,43 +190,36 @@ def _worst_probe(res: list[WindingResult], target: int) -> tuple[int, Optional[d
 # --- integral identities --------------------------------------------------------
 
 
-def integral_oracle_many(
-    params: RosetteParams, z, kind: SeriesKind = SeriesKind.ANALYTIC
-) -> tuple[np.ndarray, np.ndarray]:
-    """The antiderivative integrals and the series closed forms at every point of ``z``.
-
-    Returns (lhs, rhs), flat arrays.  lhs integrates h' = (1 - zeta^{2n})^{-1/2}
-    (analytic) or g' = zeta^{n-2}(1 - zeta^{2n})^{-1/2} (co-analytic) along the
-    straight segment from 0 to z with the tanh-sinh rule of ``quadrature``, refined
-    by halving its step until two levels agree to 1e-10; rhs is h(z) or g(z) from
-    the series.  The check is independent of the series it checks: the series
-    integrates from w = 1 with a 15/31-point Gauss-Kronrod pair and adds the
-    gamma closed forms at 1, while the oracle integrates from 0, where both
-    maps vanish, with another rule.  Raises DomainError for a point outside the
-    closed disk (before any quadrature) and QuadratureFailure if the rule does
-    not converge.
-    """
-    z = np.asarray(z, dtype=complex).ravel()
-    analytic = kind is SeriesKind.ANALYTIC
-    rhs = h_many(params, z) if analytic else g_many(params, z)
-    return tanh_sinh(params.n, z, 0 if analytic else params.n - 2), rhs
-
-
 def integral_oracle(
     params: RosetteParams, z: complex, kind: SeriesKind = SeriesKind.ANALYTIC
 ) -> IntegralCheck:
-    """integral_oracle_many at one point, with the residual |lhs - rhs|."""
-    lhs, rhs = (complex(v[0]) for v in integral_oracle_many(params, [z], kind))
+    """The antiderivative integral and the series closed form at z, and their residual.
+
+    lhs integrates h' = (1 - zeta^{2n})^{-1/2} (analytic) or
+    g' = zeta^{n-2}(1 - zeta^{2n})^{-1/2} (co-analytic) along the straight segment
+    from 0 to z with the tanh-sinh rule of ``quadrature``, refined by halving its
+    step until two levels agree to 1e-10; rhs is h(z) or g(z) from the series.  The
+    check is independent of the series it checks: the series integrates from w = 1
+    with a 15/31-point Gauss-Kronrod pair and adds the gamma closed forms at 1, while
+    the oracle integrates from 0, where both maps vanish, with another rule.  Raises
+    DomainError for a point outside the closed disk (before any quadrature) and
+    QuadratureFailure if the rule does not converge.
+    """
+    z = np.array([z], dtype=complex)
+    analytic = kind is SeriesKind.ANALYTIC
+    rhs = complex((h_many if analytic else g_many)(params, z)[0])
+    lhs = complex(tanh_sinh(params.n, z, 0 if analytic else params.n - 2)[0])
     return IntegralCheck(lhs=lhs, rhs=rhs, residual=abs(lhs - rhs))
 
 
 def integral_identities(params: RosetteParams, count: int, seed: int) -> CheckResult:
-    """The identities of integral_oracle_many for both kinds, at ``count`` seeded points of
+    """The identities of integral_oracle for both kinds, at ``count`` seeded points of
     |z| <= 0.95 and at z = 1, both right-hand sides from one series pass.
 
     Passes when every residual is below 1e-9; the details name the worst point.
     """
     require_integer(count, 0, "count")
+    require_integer(seed, 0, "seed")
     z = np.append(_disk_samples(np.random.default_rng(seed), count, 0.95), 1.0)
     kinds = (SeriesKind.ANALYTIC, SeriesKind.COANALYTIC)
     powers = (0, params.n - 2)  # h' and g' = z^(n-2) h'
@@ -262,6 +248,7 @@ def symmetry_suite(
 ) -> VerificationReport:
     """Evaluate every pointwise identity of the mapping layer at seeded samples."""
     require_integer(sample_count, 1, "sample_count")
+    require_integer(seed, 0, "seed")
     n = params.n
     beta = params.beta
     rng = np.random.default_rng(seed)

@@ -17,9 +17,7 @@ from rosette import (
     SeriesSpec,
     boundary_points,
     classify_singular_point,
-    dg,
-    dh,
-    eval_series,
+    eval_series_many,
     extract_features,
     fundamental_decomposition,
     gamma_real,
@@ -34,8 +32,16 @@ from rosette import (
     total_curvature_numeric,
     univalence_scan,
 )
-from rosette.boundary import SeparationSide, wrap_angle
-from rosette.render import Overlay, RenderSpec, feature_overlay_deviation_px, render_svg
+from rosette.boundary import (
+    FIGURE_PER_INTERVAL,
+    SeparationSide,
+    boundary_polyline,
+    bounding_radius,
+    wrap_angle,
+)
+from rosette.geometry import curve_distances
+from rosette.maps import dg_many, dh_many
+from rosette.render import Overlay, RenderSpec, render_svg
 
 PI = math.pi
 
@@ -56,8 +62,8 @@ def test_criterion_1_endpoint_identity():
     worst_ratio = 0.0
     worst_value = 0.0
     for n in range(3, 13):
-        a = eval_series(SeriesSpec(SeriesKind.ANALYTIC, n), 1.0).real
-        c = eval_series(SeriesSpec(SeriesKind.COANALYTIC, n), 1.0).real
+        a = eval_series_many(SeriesSpec(SeriesKind.ANALYTIC, n), [1.0])[0].real
+        c = eval_series_many(SeriesSpec(SeriesKind.COANALYTIC, n), [1.0])[0].real
         ratio_expect = (n - 1) * math.tan(PI / (2 * n))
         worst_ratio = max(worst_ratio, abs(c / a / ratio_expect - 1.0))
         gamma_form = math.sqrt(PI) * gamma_real(1 + 0.5 / n) / gamma_real(0.5 + 0.5 / n)
@@ -75,10 +81,10 @@ def test_criterion_1_endpoint_identity():
 def test_criterion_2_bounds_chain():
     margin = math.inf
     for n in range(3, 51):
-        g_m = eval_series(SeriesSpec(SeriesKind.COANALYTIC, n), -1.0).real
-        h_m = eval_series(SeriesSpec(SeriesKind.ANALYTIC, n), -1.0).real
-        h_p = eval_series(SeriesSpec(SeriesKind.ANALYTIC, n), 1.0).real
-        g_p = eval_series(SeriesSpec(SeriesKind.COANALYTIC, n), 1.0).real
+        g_m = eval_series_many(SeriesSpec(SeriesKind.COANALYTIC, n), [-1.0])[0].real
+        h_m = eval_series_many(SeriesSpec(SeriesKind.ANALYTIC, n), [-1.0])[0].real
+        h_p = eval_series_many(SeriesSpec(SeriesKind.ANALYTIC, n), [1.0])[0].real
+        g_p = eval_series_many(SeriesSpec(SeriesKind.COANALYTIC, n), [1.0])[0].real
         gaps = (
             g_m - 5.0 / 6.0,
             h_m - g_m,
@@ -111,7 +117,7 @@ def test_criterion_4_dilatation_and_jacobian():
         pts = disk_samples(seed=4 * n, count=1000, r_max=0.99, r_min=0.02)
         for z in pts:
             z = complex(z)
-            quotient = dg(params, z) / dh(params, z)
+            quotient = dg_many(params, [z])[0] / dh_many(params, [z])[0]
             worst_rel = max(worst_rel, abs(quotient / z ** (n - 2) - 1.0))
             min_jac = min(min_jac, jacobian(params, z))
     ok = worst_rel < 1e-12 and min_jac > 0.0
@@ -259,6 +265,16 @@ def test_criterion_11_hypocycloid_baseline():
         ok and worst < 1e-10,
         f"hypocycloid baseline: n cusps detected, location err {worst:.2e}",
     )
+
+
+def feature_overlay_deviation_px(spec: RenderSpec) -> float:
+    """Largest pixel distance from any feature dot to the rendered boundary."""
+    half = bounding_radius(spec.params.n) * (1.0 + spec.margin_frac)
+    scale = spec.width_px / (2.0 * half)
+    boundary = boundary_polyline(spec.params, FIGURE_PER_INTERVAL) * scale
+    feats = extract_features(spec.params, confirm=False).features
+    dots = np.array([complex(ft.location) * scale for ft in feats])
+    return float(curve_distances(boundary, dots).max(initial=0.0))
 
 
 def test_criterion_12_figures_render():

@@ -11,10 +11,7 @@ from rosette import (
     NonCanonicalBeta,
     RosetteParams,
     SeparationSide,
-    SingularParameter,
     WrongBeta,
-    boundary_derivative,
-    boundary_point,
     boundary_points,
     classify_singular_point,
     curve_samples,
@@ -49,8 +46,8 @@ PI = math.pi
 
 
 def secant_derivative(params, t, delta=1e-6):
-    a = boundary_point(params, t + delta)
-    b = boundary_point(params, t - delta)
+    a = boundary_points(params, [t + delta])[0]
+    b = boundary_points(params, [t - delta])[0]
     return (a - b) / (2 * delta)
 
 
@@ -61,7 +58,7 @@ def test_boundary_point_at_zero_phase():
     for n in (3, 6):
         p = RosetteParams(n, 0.0)
         expect = scale_constant(n) * (1.0 + math.tan(PI / (2 * n)))
-        assert boundary_point(p, 0.0) == pytest.approx(expect, abs=1e-12)
+        assert boundary_points(p, [0.0])[0] == pytest.approx(expect, abs=1e-12)
 
 
 def test_boundary_argument_at_first_node():
@@ -76,8 +73,8 @@ def test_boundary_argument_at_first_node():
 def test_boundary_rotation_law():
     p = RosetteParams(5, 0.4)
     for t in (0.13, 1.0, 2.7):
-        lhs = boundary_point(p, t + 2 * PI / 5)
-        rhs = cmath.exp(2j * PI / 5) * boundary_point(p, t)
+        lhs = boundary_points(p, [t + 2 * PI / 5])[0]
+        rhs = cmath.exp(2j * PI / 5) * boundary_points(p, [t])[0]
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
@@ -98,7 +95,7 @@ def test_scaling_coherence():
 def test_derivative_magnitude_beta_zero():
     p = RosetteParams(6, 0.0)
     for t in (0.1, 0.4, 0.9, 2.0):
-        d = boundary_derivative(p, t)
+        d = curve_samples(p, [t])[0]
         expect = math.sqrt(2.0) / abs(cmath.sqrt(1.0 - cmath.exp(12j * t)))
         assert d.d_mag == pytest.approx(expect, rel=1e-12)
         assert abs(d.d_value) == pytest.approx(d.d_mag, rel=1e-10)
@@ -110,8 +107,8 @@ def test_derivative_magnitude_half_interval_rule():
     x = lambda t: 1.0 / abs(cmath.sqrt(1.0 - cmath.exp(2j * n * t)))  # noqa: E731
     t1 = 0.3 * PI / n  # first half: sin term added
     t2 = 1.7 * PI / n  # second half: sin term subtracted
-    d1 = boundary_derivative(p, t1)
-    d2 = boundary_derivative(p, t2)
+    d1 = curve_samples(p, [t1])[0]
+    d2 = curve_samples(p, [t2])[0]
     assert d1.d_mag == pytest.approx(math.sqrt(2 * (1 + math.sin(beta))) * x(t1), rel=1e-12)
     assert d2.d_mag == pytest.approx(math.sqrt(2 * (1 - math.sin(beta))) * x(t2), rel=1e-12)
     # and the closed-form d_value agrees with a secant of the curve itself
@@ -124,7 +121,7 @@ def test_derivative_argument_compass():
     for k in (1, 2, 4):
         for frac in (0.21, 0.9, 1.35, 1.8):
             t = (2 * (k - 1) + frac) * PI / n
-            d = boundary_derivative(p, t)
+            d = curve_samples(p, [t])[0]
             assert d.d_arg == pytest.approx(k * PI - (n / 2 - 1) * t, abs=1e-12)
             assert wrap_angle(cmath.phase(d.d_value) - d.d_arg) == pytest.approx(
                 0.0, abs=1e-9
@@ -136,7 +133,7 @@ def test_compass_against_numerical_tangent():
         p = RosetteParams(n, beta)
         for frac in (0.25, 0.55, 0.85):
             t = frac * PI / n  # first half-interval (valid for beta = pi/2 too)
-            d = boundary_derivative(p, t)
+            d = curve_samples(p, [t])[0]
             num = secant_derivative(p, t, delta=1e-7)
             assert wrap_angle(cmath.phase(num) - d.d_arg) == pytest.approx(0, abs=1e-6)
             assert abs(num) == pytest.approx(d.d_mag, rel=1e-8)
@@ -148,8 +145,8 @@ def test_cusp_one_sided_argument_limits():
     k = 2
     t0 = 2 * k * PI / n
     eps = 1e-7
-    left = boundary_derivative(p, t0 - eps)
-    right = boundary_derivative(p, t0 + eps)
+    left = curve_samples(p, [t0 - eps])[0]
+    right = curve_samples(p, [t0 + eps])[0]
     assert wrap_angle(left.d_arg - t0) == pytest.approx(0.0, abs=1e-5)
     assert wrap_angle(right.d_arg - (PI + t0)) == pytest.approx(0.0, abs=1e-5)
 
@@ -158,7 +155,7 @@ def test_constancy_arcs_at_half_pi():
     n = 5
     p = RosetteParams(n, PI / 2)
     t = 1.5 * PI / n  # second half-interval
-    d = boundary_derivative(p, t)
+    d = curve_samples(p, [t])[0]
     assert d.d_mag == 0.0
     assert d.d_arg is None
     assert abs(d.d_value) < 1e-10
@@ -169,8 +166,6 @@ def test_constancy_arcs_at_half_pi():
 
 def test_singular_parameter_guard():
     p = RosetteParams(4, 0.1)
-    with pytest.raises(SingularParameter):
-        boundary_derivative(p, PI / 4)
     samples = curve_samples(p, [PI / 4, 0.31])
     assert samples[0].d_value is None and samples[0].d_arg is None
     assert samples[1].d_value is not None
@@ -403,7 +398,7 @@ def test_a_non_finite_boundary_parameter_is_a_domain_error(t):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError):
-            boundary_derivative(p, t)
+            curve_samples(p, [t])
         for curvature in (total_curvature, total_curvature_numeric):
             for t0, t1 in ((t, 1.0), (0.1, t), (t, t)):
                 with pytest.raises(DomainError):
@@ -413,7 +408,7 @@ def test_a_non_finite_boundary_parameter_is_a_domain_error(t):
         ts = [0.1, t, 0.2]
         for fn, params, arg in [
             (boundary_points, p, ts),
-            (boundary_point, p, t),
+            (boundary_points, p, [t]),
             (curve_samples, p, ts),
             (halfspeed_points, RosetteParams(5, PI / 2), ts),
             (halfspeed_points, RosetteParams(5, PI / 2 + 2 * PI), ts),
@@ -463,7 +458,8 @@ def test_each_sample_set_takes_one_two_family_series_pass(series_passes, monkeyp
 def test_halfspeed_examples():
     n = 5
     p = RosetteParams(n, PI / 2)
-    assert halfspeed_points(p, [0.0])[0] == pytest.approx(boundary_point(p, 0.0), abs=1e-12)
+    assert halfspeed_points(p, [0.0])[0] == pytest.approx(boundary_points(p, [0.0])[0],
+                                                           abs=1e-12)
     nodes = feature_values(p)
     for k in (1, 2, 4):
         got = halfspeed_points(p, [2 * k * PI / n])[0]

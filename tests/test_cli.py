@@ -423,6 +423,7 @@ BAD_INPUT = [
     (["verify", "--n", "5", "--beta", "0", "--seed", "-1"], "--seed"),
     (["decompose", "--n", "5", "--beta", "0", "--report", "."], "--report"),
     (["decompose", "--n", "5", "--beta", "0", "--report", "no-such-dir/r.json"], "--report"),
+    (["decompose", "--n", "5", "--beta", "0", "--report", ""], "--report"),
     (["features", "--n", "3", "--beta", "pi/0"], "--beta"),
     (["features", "--n", "3", "--beta", "0pi/0"], "--beta"),
     (["features", "--n", "3", "--beta", "-pi/0"], "--beta"),
@@ -434,13 +435,21 @@ BAD_INPUT_IDS = [
     "beta-nan", "beta-inf", "beta-neg-inf", "beta-1e300", "beta-neg-1e5", "beta-40000pi",
     "render-margin-neg", "render-margin-nan", "render-margin-inf", "decompose-margin-neg",
     "decompose-margin-nan", "decompose-margin-inf", "seed-neg", "report-directory",
-    "report-missing-directory", "beta-pi-over-0", "beta-0pi-over-0", "beta-neg-pi-over-0",
-    "beta-pi-over-0.0",
+    "report-missing-directory", "report-empty", "beta-pi-over-0", "beta-0pi-over-0",
+    "beta-neg-pi-over-0", "beta-pi-over-0.0",
 ]
 
 
 OUT_PATH_COMMANDS = ["features", "verify", "dump", "render", "decompose"]
-UNUSABLE_OUT_PATHS = ["directory", "missing-directory"]
+UNUSABLE_OUT_PATHS = ["directory", "missing-directory", "empty"]
+
+# decompose's SVG and report both on stdout: --out - with --report absent or -
+SHARED_STDOUT = {"report-absent": ["--out", "-"], "report-dash": ["--out", "-", "--report", "-"]}
+
+
+def unusable_out(root: Path, where: str) -> str:
+    return {"directory": str(root), "missing-directory": str(root / "missing" / "x.out"),
+            "empty": ""}[where]
 
 
 @pytest.fixture(scope="module")
@@ -455,8 +464,10 @@ def usage_error_modules(tmp_path_factory):
                  for key, (argv, _) in zip(BAD_INPUT_IDS, BAD_INPUT))
     for command in OUT_PATH_COMMANDS:
         for where in UNUSABLE_OUT_PATHS:
-            out = root if where == "directory" else root / "missing" / "x.out"
-            cases[f"{command}-{where}"] = [command, "--n", "5", "--beta", "0", "--out", str(out)]
+            cases[f"{command}-{where}"] = [command, "--n", "5", "--beta", "0", "--out",
+                                           unusable_out(root, where)]
+    cases.update((f"shared-stdout-{key}", ["decompose", "--n", "5", "--beta", "0", *extra])
+                 for key, extra in SHARED_STDOUT.items())
     code = (
         "import contextlib, io, json, sys\n"
         "from rosette.cli import main\n"
@@ -504,9 +515,8 @@ def test_an_unusable_out_path_is_a_one_line_usage_error_before_any_work(
     for module, name in ((boundary, "extract_features"), (verify, "symmetry_suite"),
                          (boundary, "curve_samples"), (render, "render_svg")):
         monkeypatch.setattr(module, name, fail)
-    out = tmp_path if where == "directory" else tmp_path / "missing" / "x.out"
     with pytest.raises(SystemExit) as exc:
-        run_cli([command, "--n", "5", "--beta", "0", "--out", str(out)])
+        run_cli([command, "--n", "5", "--beta", "0", "--out", unusable_out(tmp_path, where)])
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -514,6 +524,29 @@ def test_an_unusable_out_path_is_a_one_line_usage_error_before_any_work(
     assert err[-1].startswith(f"rosette {command}: error: argument --out: cannot write")
     assert not any("Traceback" in line for line in err)
     assert usage_error_modules[f"{command}-{where}"] == [2, []]
+
+
+@pytest.mark.parametrize("key", SHARED_STDOUT)
+def test_decompose_with_both_outputs_on_stdout_is_a_usage_error_before_any_work(
+    key, monkeypatch, capsys, usage_error_modules
+):
+    # before, the SVG and then the JSON report went to stdout, so neither could be parsed
+    from rosette import render, verify
+
+    def fail(*args, **kwargs):
+        raise AssertionError("work ran before the outputs were checked")
+
+    monkeypatch.setattr(verify, "fundamental_decomposition", fail)
+    monkeypatch.setattr(render, "render_svg", fail)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["decompose", "--n", "5", "--beta", "0", *SHARED_STDOUT[key]])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert err[-1].startswith("rosette decompose: error: argument --report: must name a file")
+    assert not any("Traceback" in line for line in err)
+    assert usage_error_modules[f"shared-stdout-{key}"] == [2, []]
 
 
 def test_out_dash_writes_to_stdout(capsys):

@@ -5,6 +5,7 @@ import importlib
 import json
 import os
 import subprocess
+import symtable
 import sys
 from pathlib import Path
 
@@ -42,7 +43,7 @@ IMPORT_GRAPH = {
     "geometry": {"errors"},
     "maps": {"errors", "series"},
     "quadrature": {"errors"},
-    "render": {"boundary", "errors", "geometry", "maps", "svgout"},
+    "render": {"boundary", "errors", "maps", "series", "svgout"},
     "series": {"errors"},
     "svgout": set(),
     "verify": {"boundary", "errors", "geometry", "maps", "quadrature", "series"},
@@ -124,10 +125,6 @@ def test_only_maps_and_boundary_call_f_many():
     assert users - {"boundary.boundary_points"} == set()
 
 
-# Names a module imports only so that callers can import them from it.
-RE_EXPORTS = {("verify", "fundamental_set")}
-
-
 def test_every_imported_name_is_used():
     unused = []
     for path in sorted(SOURCE.glob("*.py")):
@@ -142,9 +139,53 @@ def test_every_imported_name_is_used():
                 unused += [
                     f"{path.stem}.{name}"
                     for name in (alias.asname or alias.name.split(".")[0] for alias in node.names)
-                    if name not in used and (path.stem, name) not in RE_EXPORTS
+                    if name not in used
                 ]
     assert unused == []
+
+
+# The public names that no package module uses, each with the reason it stays public.
+UNUSED_PUBLIC_NAMES = {
+    "canonical_rotation": "API: the paper's relative rotation of the two parts",
+    "dilatation": "API: the dilatation g'/h' = z^(n-2) behind univalence",
+    "jacobian": "API: the Jacobian |h'|^2 - |g'|^2, positive in the open disk",
+    "tail_bound": "API: the geometric tail bound of the direct series regime",
+    "classify_singular_point": "waits for the boundary-claims stage of ROADMAP item 12",
+    "detect_arg_nonmonotonicity": "waits for the boundary-claims stage of ROADMAP item 12",
+    "separation_angle": "waits for the boundary-claims stage of ROADMAP item 12",
+    "total_curvature": "waits for the boundary-claims stage of ROADMAP item 12",
+    "total_curvature_numeric": "waits for the boundary-claims stage of ROADMAP item 12",
+    "integral_oracle": "the benchmark traces it; waits for ROADMAP item 1's tracer change",
+    "winding_number": "the benchmark traces it; waits for ROADMAP item 1's tracer change",
+}
+
+
+def _package_uses() -> set[str]:
+    """Every name that some scope of a package module reads as a global or an import;
+    __init__ is left out, and so is a function's use of its own name."""
+    used = set()
+
+    def walk(table):
+        used.update(symbol.get_name() for symbol in table.get_symbols()
+                    if symbol.is_referenced() and symbol.get_name() != table.get_name()
+                    and (symbol.is_global() or symbol.is_imported()))
+        for child in table.get_children():
+            walk(child)
+
+    for path in SOURCE.glob("*.py"):
+        if path.stem != "__init__":
+            walk(symtable.symtable(path.read_text(encoding="utf-8"), path.name, "exec"))
+    return used
+
+
+def test_every_public_name_is_used_in_the_package_or_listed_with_its_reason():
+    # a public twin that only tests call is removed, not kept beside its batch call; a
+    # listed name that gains a use leaves the list
+    unused = set(rosette.__all__) - _package_uses()
+    unlisted = sorted(unused - UNUSED_PUBLIC_NAMES.keys())
+    stale = sorted(UNUSED_PUBLIC_NAMES.keys() - unused)
+    assert not unlisted, f"public names that no package module uses: {unlisted}"
+    assert not stale, f"listed as unused, but used or no longer public: {stale}"
 
 
 def test_exact_arithmetic_lives_in_the_geometry_kernels_alone():

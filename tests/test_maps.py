@@ -16,15 +16,11 @@ from rosette import (
     SeriesSpec,
     SingularPoint,
     canonical_rotation,
-    dg,
-    dh,
     dilatation,
     endpoint_values,
     f,
     f_many,
-    g,
     g_many,
-    h,
     h_many,
     hypocycloid,
     jacobian,
@@ -59,8 +55,8 @@ def disk_points(seed=0, count=50, r_max=0.95):
 
 def test_h_at_origin_and_one():
     p = RosetteParams(6, 0.0)
-    assert h(p, 0.0) == 0.0
-    assert h(p, 1.0).real == pytest.approx(scale_constant(6), abs=1e-12)
+    assert h_many(p, [0.0])[0] == 0.0
+    assert h_many(p, [1.0])[0].real == pytest.approx(scale_constant(6), abs=1e-12)
 
 
 def test_h_ray_collinearity():
@@ -68,17 +64,17 @@ def test_h_ray_collinearity():
     for j in (1, 2, 7):
         rot = cmath.exp(1j * j * PI / 5)
         for r in (0.3, 0.8, 0.99):
-            assert h(p, r * rot) == pytest.approx(rot * h(p, r), abs=1e-12)
-            assert cmath.phase(h(p, r * rot)) == pytest.approx(
+            assert h_many(p, [r * rot])[0] == pytest.approx(rot * h_many(p, [r])[0], abs=1e-12)
+            assert cmath.phase(h_many(p, [r * rot])[0]) == pytest.approx(
                 cmath.phase(rot), abs=1e-12
             )
 
 
 def test_g_values():
     p = RosetteParams(6, 0.0)
-    assert g(p, 0.0) == 0.0
+    assert g_many(p, [0.0])[0] == 0.0
     expect = math.tan(PI / 12) * scale_constant(6)
-    assert g(p, 1.0).real == pytest.approx(expect, abs=1e-12)
+    assert g_many(p, [1.0])[0].real == pytest.approx(expect, abs=1e-12)
 
 
 def test_g_rotation_law():
@@ -86,8 +82,8 @@ def test_g_rotation_law():
     for j in (1, 2, 3):
         rot = cmath.exp(1j * j * PI / 4)
         z = 0.7 * cmath.exp(0.3j)
-        expect = (-1) ** j / rot * g(p, z)
-        assert g(p, rot * z) == pytest.approx(expect, abs=1e-12)
+        expect = (-1) ** j / rot * g_many(p, [z])[0]
+        assert g_many(p, [rot * z])[0] == pytest.approx(expect, abs=1e-12)
 
 
 def test_f_structure_and_magnitude_at_one():
@@ -116,15 +112,15 @@ def test_f_reflection_pairs_with_negated_phase():
 
 def test_derivatives_at_origin():
     p = RosetteParams(6, 0.0)
-    assert dh(p, 0.0) == 1.0
-    assert dg(p, 0.0) == 0.0
+    assert dh_many(p, [0.0])[0] == 1.0
+    assert dg_many(p, [0.0])[0] == 0.0
 
 
 def test_dilatation_is_exact_power():
     z = 0.3 + 0.2j
     for n in (3, 5, 8):
         p = RosetteParams(n, 0.9)
-        assert dg(p, z) / dh(p, z) == pytest.approx(z ** (n - 2), rel=1e-13)
+        assert dg_many(p, [z])[0] / dh_many(p, [z])[0] == pytest.approx(z ** (n - 2), rel=1e-13)
         assert dilatation(p, z) == z ** (n - 2)
     assert dilatation(RosetteParams(3, 0.0), 0.0) == 0.0
     on_circle = cmath.exp(0.83j)
@@ -135,7 +131,7 @@ def test_dilatation_is_exact_power():
 def test_jacobian_values_and_positivity():
     p = RosetteParams(3, 0.0)
     assert jacobian(p, 0.0) == 1.0
-    direct = abs(dh(p, 0.5)) ** 2 - abs(dg(p, 0.5)) ** 2
+    direct = abs(dh_many(p, [0.5])[0]) ** 2 - abs(dg_many(p, [0.5])[0]) ** 2
     assert jacobian(p, 0.5) == pytest.approx(direct, rel=1e-13)
     for z in disk_points(seed=3, count=200, r_max=0.999):
         assert jacobian(p, complex(z)) > 0.0
@@ -155,9 +151,8 @@ def test_derivatives_refuse_points_outside_the_disk():
         for batch in (dh_many, dg_many):
             with pytest.raises(DomainError):
                 batch(p, [0.5, z])
-        for scalar in (dh, dg, jacobian):
-            with pytest.raises(DomainError):
-                scalar(p, z)
+        with pytest.raises(DomainError):
+            jacobian(p, z)
 
 
 NAN_POINTS = (complex(math.nan, 0.0), complex(0.5, math.nan))
@@ -165,7 +160,7 @@ NAN_POINTS = (complex(math.nan, 0.0), complex(0.5, math.nan))
 
 @pytest.mark.parametrize("z", NAN_POINTS, ids=["nan", "half-plus-nan-j"])
 @pytest.mark.parametrize("evaluate", [f_many, h_many, g_many, parts_many, dh_many, dg_many,
-                                      f, h, g, dh, dg, jacobian], ids=lambda fn: fn.__name__)
+                                      f, jacobian], ids=lambda fn: fn.__name__)
 def test_a_nan_argument_is_a_domain_error(evaluate, z):
     # a NaN value would break the contract: within the tolerance, or an exception
     with warnings.catch_warnings():
@@ -191,14 +186,14 @@ def test_derivatives_take_points_within_the_slack_as_they_are():
     z = (1.0 + 0.5 * EPS_DOMAIN) * cmath.exp(0.4j)
     root = 1.0 / np.sqrt(1.0 - np.array([z]) ** 10)
     assert dh_many(p, [z])[0] == root[0]
-    assert dg(p, z) == (z**3 * root)[0]
+    assert dg_many(p, [z])[0] == (z**3 * root)[0]
     assert jacobian(p, z) == (1.0 - abs(z) ** 6) / abs(1.0 - z**10)
 
 
 def test_singular_point_guard():
     p = RosetteParams(4, 0.0)
     with pytest.raises(SingularPoint):
-        dh(p, 1.0)
+        dh_many(p, [1.0])
     with pytest.raises(SingularPoint):
         jacobian(p, cmath.exp(1j * PI / 4))
 
@@ -252,8 +247,8 @@ def test_canonical_rotation_identity_pointwise():
     flat = RosetteParams(5, 0.0)
     for z in disk_points(seed=4, count=8):
         z = complex(z)
-        combo = cmath.exp(1j * theta) * h(flat, z) + (
-            cmath.exp(1j * theta_t) * g(flat, z)
+        combo = cmath.exp(1j * theta) * h_many(flat, [z])[0] + (
+            cmath.exp(1j * theta_t) * g_many(flat, [z])[0]
         ).conjugate()
         assert combo == pytest.approx(cmath.exp(1j * gamma) * f(p, z).f, abs=1e-12)
 
@@ -309,8 +304,8 @@ def test_vectorized_parts_match_scalars():
     hs = h_many(p, z)
     gs = g_many(p, z)
     for i, zi in enumerate(z):
-        assert hs[i] == pytest.approx(h(p, complex(zi)), abs=1e-14)
-        assert gs[i] == pytest.approx(g(p, complex(zi)), abs=1e-14)
+        assert hs[i] == pytest.approx(h_many(p, [complex(zi)])[0], abs=1e-14)
+        assert gs[i] == pytest.approx(g_many(p, [complex(zi)])[0], abs=1e-14)
 
 
 @pytest.mark.parametrize("n", [3, 6, 96, 500])
@@ -374,7 +369,8 @@ def test_f_takes_both_summands_from_one_series_pass(monkeypatch):
             assert len(passes) == 1
             # the summands as the one-part-a-pass form gave them, bit for bit
             rot = cmath.exp(0.5j * beta)
-            assert (got.h, got.gbar) == (rot * h(p, z), g(p, z).conjugate() / rot), (n, z)
+            hz, gz = complex(h_many(p, [z])[0]), complex(g_many(p, [z])[0])
+            assert (got.h, got.gbar) == (rot * hz, gz.conjugate() / rot), (n, z)
 
 
 @pytest.mark.parametrize("n", [3, 5, 96, 500])
@@ -418,8 +414,8 @@ def test_transit_identity_does_not_depend_on_the_batch():
 def test_endpoint_helper_matches_parts():
     ev = endpoint_values(9)
     p = RosetteParams(9, 0.0)
-    assert h(p, 1.0).real == pytest.approx(ev.analytic_at_one, abs=1e-12)
-    assert g(p, 1.0).real == pytest.approx(ev.coanalytic_at_one / 8.0, abs=1e-12)
+    assert h_many(p, [1.0])[0].real == pytest.approx(ev.analytic_at_one, abs=1e-12)
+    assert g_many(p, [1.0])[0].real == pytest.approx(ev.coanalytic_at_one / 8.0, abs=1e-12)
 
 
 def test_maps_domain_guard():
@@ -427,9 +423,9 @@ def test_maps_domain_guard():
     from rosette import DomainError
     p = RosetteParams(5, 0.0)
     with _pytest.raises(DomainError):
-        h(p, 1.5)
+        h_many(p, [1.5])
     # slack absorbs boundary-point rounding
-    assert abs(h(p, 1.0 + 5e-10) - h(p, 1.0)) < 1e-12
+    assert abs(h_many(p, [1.0 + 5e-10])[0] - h_many(p, [1.0])[0]) < 1e-12
 
 
 def test_full_map_against_arbitrary_precision_twin():

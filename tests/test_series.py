@@ -21,7 +21,6 @@ from rosette import (
     central_binomials,
     coeff,
     endpoint_values,
-    eval_series,
     eval_series_many,
     tail_bound,
 )
@@ -125,38 +124,38 @@ def test_tail_bound_infinite_on_circle():
 
 
 def test_value_at_zero_is_one():
-    assert eval_series(spec(A, 6), 0.0) == 1.0 + 0.0j
-    assert eval_series(spec(C, 4), 0.0) == 1.0 + 0.0j
+    assert eval_series_many(spec(A, 6), [0.0])[0] == 1.0 + 0.0j
+    assert eval_series_many(spec(C, 4), [0.0])[0] == 1.0 + 0.0j
 
 
 def test_endpoint_matches_gamma_closed_form():
     for n in range(3, 13):
         ev = endpoint_values(n)
-        got_a = eval_series(spec(A, n), 1.0)
-        got_c = eval_series(spec(C, n), 1.0)
+        got_a = eval_series_many(spec(A, n), [1.0])[0]
+        got_c = eval_series_many(spec(C, n), [1.0])[0]
         assert got_a.real == pytest.approx(ev.analytic_at_one, abs=5e-13)
         assert got_c.real == pytest.approx(ev.coanalytic_at_one, abs=5e-13)
         assert abs(got_a.imag) < 1e-15 and abs(got_c.imag) < 1e-15
 
 
 def test_value_at_minus_one_bounds():
-    got = eval_series(spec(C, 5), -1.0).real
-    upper = eval_series(spec(A, 5), -1.0).real
+    got = eval_series_many(spec(C, 5), [-1.0])[0].real
+    upper = eval_series_many(spec(A, 5), [-1.0])[0].real
     assert 5.0 / 6.0 < got < upper < 1.0
 
 
 def test_bounds_chain():
     for n in (3, 7, 20):
-        g_minus = eval_series(spec(C, n), -1.0).real
-        h_minus = eval_series(spec(A, n), -1.0).real
-        h_plus = eval_series(spec(A, n), 1.0).real
-        g_plus = eval_series(spec(C, n), 1.0).real
+        g_minus = eval_series_many(spec(C, n), [-1.0])[0].real
+        h_minus = eval_series_many(spec(A, n), [-1.0])[0].real
+        h_plus = eval_series_many(spec(A, n), [1.0])[0].real
+        g_plus = eval_series_many(spec(C, n), [1.0])[0].real
         assert 5.0 / 6.0 < g_minus < h_minus < 1.0 < h_plus < g_plus < 2.0
 
 
 def test_ratio_identity():
     for n in (3, 6, 12):
-        ra = eval_series(spec(C, n), 1.0).real / eval_series(spec(A, n), 1.0).real
+        ra = eval_series_many(spec(C, n), [1.0])[0].real / eval_series_many(spec(A, n), [1.0])[0].real
         assert ra == pytest.approx((n - 1) * math.tan(math.pi / (2 * n)), rel=1e-12)
 
 
@@ -194,8 +193,8 @@ def test_reflection_symmetry(r, th, n):
     z = r * complex(math.cos(th), math.sin(th))
     for kind in (A, C):
         s = spec(kind, n)
-        assert eval_series(s, z.conjugate()) == pytest.approx(
-            eval_series(s, z).conjugate(), abs=1e-12
+        assert eval_series_many(s, [z.conjugate()])[0] == pytest.approx(
+            eval_series_many(s, [z])[0].conjugate(), abs=1e-12
         )
 
 
@@ -213,8 +212,8 @@ def test_half_plane_image():
     )
     for kind in (A, C):
         s = spec(kind, 4)
-        lo = eval_series(s, -1.0).real
-        hi = eval_series(s, 1.0).real
+        lo = eval_series_many(s, [-1.0])[0].real
+        hi = eval_series_many(s, [1.0])[0].real
         vals = eval_series_many(s, z)
         assert (vals.real > lo).all() and (vals.real < hi).all()
 
@@ -238,14 +237,14 @@ def test_matches_arbitrary_precision_oracle():
         for kind in (A, C):
             s = spec(kind, n)
             for z in pts:
-                got = eval_series(s, z)
+                got = eval_series_many(s, [z])[0]
                 ref = mp_reference(kind, n, z)
                 assert abs(got - ref) < 1e-12, (kind, n, z)
 
 
 def test_extreme_sliver_falls_back_to_arbitrary_precision():
     z = complex(np.exp(1j * 3e-7))  # (M+1)*|1-z| stays below the expansion threshold
-    got = eval_series(spec(A, 5), z)
+    got = eval_series_many(spec(A, 5), [z])[0]
     assert abs(got - mp_reference(A, 5, z)) < 1e-12
 
 
@@ -260,13 +259,13 @@ def test_vector_scalar_consistency():
     )
     s = spec(C, 7)
     batch = eval_series_many(s, z)
-    singles = np.array([eval_series(s, za) for za in z])
+    singles = np.array([eval_series_many(s, [za])[0] for za in z])
     assert np.abs(batch - singles).max() < 1e-13
 
 
 def test_domain_error_outside_disk():
     with pytest.raises(DomainError):
-        eval_series(spec(A, 5), 1.2)
+        eval_series_many(spec(A, 5), [1.2])
 
 
 @pytest.mark.parametrize("z", [complex(math.nan, 0.0), complex(0.5, math.nan)],
@@ -276,7 +275,7 @@ def test_a_nan_argument_is_a_domain_error(z):
         warnings.simplefilter("error")
         for kind in (A, C):
             with pytest.raises(DomainError):
-                eval_series(spec(kind, 5), z)
+                eval_series_many(spec(kind, 5), [z])
             with pytest.raises(DomainError):
                 eval_series_many(spec(kind, 5), [0.5, z])
         with pytest.raises(DomainError):
@@ -286,15 +285,16 @@ def test_a_nan_argument_is_a_domain_error(z):
 def test_a_nan_error_estimate_does_not_pass_the_gate(monkeypatch):
     # a NaN endpoint error makes the anchored estimate NaN; "worst > ABS_TOL" let it through
     monkeypatch.setattr(series, "_ENDPOINT_REL_ERR", math.nan)
-    assert np.isfinite(eval_series(spec(A, 5), 0.1))  # the direct sum has no endpoint term
+    # the direct sum has no endpoint term
+    assert np.isfinite(eval_series_many(spec(A, 5), [0.1])[0])
     for z in (0.9, 1.0):
         with pytest.raises(NoConvergence):
-            eval_series(spec(A, 5), z)
+            eval_series_many(spec(A, 5), [z])
 
 
 def test_boundary_rounding_slack_accepted():
-    val = eval_series(spec(A, 5), 1.0 + 1e-9)
-    assert abs(val - eval_series(spec(A, 5), 1.0)) < 1e-3  # projected onto the circle
+    val = eval_series_many(spec(A, 5), [1.0 + 1e-9])[0]
+    assert abs(val - eval_series_many(spec(A, 5), [1.0])[0]) < 1e-3  # projected onto the circle
 
 
 def test_no_convergence_when_capped(monkeypatch):
@@ -302,7 +302,7 @@ def test_no_convergence_when_capped(monkeypatch):
     monkeypatch.setattr(series, "ABS_TOL", 1e-19)
     for z in (0.99999, complex(np.exp(1j * 0.37)), 1.0):
         with pytest.raises(NoConvergence):
-            eval_series(spec(A, 5), z)
+            eval_series_many(spec(A, 5), [z])
 
 
 # --- the direct sum: term caps, memory, batch independence ----------------------
@@ -491,7 +491,7 @@ def test_matches_oracle_on_and_just_inside_the_circle(kind, n, point):
         j, delta = point
         point = cmath.exp(2j * n * ((j % (2 * n)) * math.pi / n + delta))
     w = _on_closed_disk(point)
-    got = eval_series(spec(kind, n), w)
+    got = eval_series_many(spec(kind, n), [w])[0]
     assert abs(got - mp_reference(kind, n, w)) <= 1e-12, (kind, n, w)
 
 
@@ -499,8 +499,8 @@ def test_points_within_underflow_of_one_take_the_endpoint_value():
     # the nodes of the anchored integral would underflow to zeta = 1 here
     ev = endpoint_values(6)
     for z in (1 + 1e-320j, 1 - 1e-250j):
-        assert eval_series(spec(A, 6), z) == ev.analytic_at_one
-        assert eval_series(spec(C, 6), z) == ev.coanalytic_at_one
+        assert eval_series_many(spec(A, 6), [z])[0] == ev.analytic_at_one
+        assert eval_series_many(spec(C, 6), [z])[0] == ev.coanalytic_at_one
 
 
 def test_direct_sum_hands_over_to_the_anchored_integral_seamlessly(monkeypatch):

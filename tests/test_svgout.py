@@ -160,8 +160,11 @@ def test_polyline_skips_fewer_than_two_points():
 
 
 @pytest.mark.parametrize("bad", [{"radial_lines": 0}, {"circles": 0}, {"width_px": 0},
-                                 {"samples_per_curve": 15}, {"margin_frac": math.nan}])
+                                 {"samples_per_curve": 15}, {"margin_frac": math.nan},
+                                 {"radial_lines": 2.5}, {"circles": 1.5},
+                                 {"samples_per_curve": 16.5}, {"width_px": 10.5}])
 def test_render_spec_refuses_with_a_domain_error(bad):
+    # a fractional radial_lines raised TypeError, and the other fractional counts were taken
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError):

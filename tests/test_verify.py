@@ -21,7 +21,6 @@ from rosette import (
     f,
     f_many,
     fundamental_decomposition,
-    fundamental_set,
     integral_oracle,
     render_svg,
     scale_constant,
@@ -35,6 +34,7 @@ from rosette.boundary import (
     FIGURE_PER_INTERVAL,
     bounding_radius,
     feature_vertices,
+    fundamental_set,
     halfspeed_points,
     interval_offsets,
     wrap_angle,
@@ -634,12 +634,12 @@ def test_integral_oracle_is_the_batched_row(n):
     z = 0.99 * np.sqrt(rng.uniform(0, 1, 40)) * np.exp(2j * PI * rng.uniform(0, 1, 40))
     z = np.concatenate([z, [0.0, 1.0, 1 - 1e-15, cmath.exp(1j * PI / n) * (1 - 1e-12)]])
     filler = 0.9 * np.exp(2j * PI * rng.uniform(0, 1, 300))  # moves z across a block boundary
-    for kind in SeriesKind:
-        lhs, rhs = verify.integral_oracle_many(params, z, kind)
+    for kind, power, part in zip(SeriesKind, (0, n - 2), (maps.h_many, maps.g_many)):
+        lhs, rhs = quadrature.tanh_sinh(n, z, power), part(params, z)
         for zk, lk, rk in zip(z, lhs, rhs):
             chk = integral_oracle(params, complex(zk), kind)
             assert (chk.lhs, chk.rhs, chk.residual) == (lk, rk, abs(lk - rk))
-        long_lhs, _ = verify.integral_oracle_many(params, np.concatenate([filler, z]), kind)
+        long_lhs = quadrature.tanh_sinh(n, np.concatenate([filler, z]), power)
         assert np.array_equal(long_lhs[filler.size :], lhs)
 
 
@@ -649,7 +649,8 @@ def test_integral_identities_equal_the_per_kind_oracle(series_passes, n, beta, c
     check = verify.integral_identities(params, count, seed)
     assert series_passes == [2]  # h and g at every point, in one pass
     z = np.append(verify._disk_samples(np.random.default_rng(seed), count, 0.95), 1.0)
-    sides = [verify.integral_oracle_many(params, z, kind) for kind in SeriesKind]
+    sides = [(quadrature.tanh_sinh(n, z, power), part(params, z))
+             for power, part in ((0, maps.h_many), (n - 2, maps.g_many))]
     residual = np.array([np.abs(lhs - rhs) for lhs, rhs in sides])
     i, k = np.unravel_index(np.argmax(residual), residual.shape)
     lhs, rhs = complex(sides[i][0][k]), complex(sides[i][1][k])
@@ -665,7 +666,7 @@ def test_integral_oracle_outside_the_disk_is_a_domain_error():
     with pytest.raises(DomainError):
         integral_oracle(params, 1.2)
     with pytest.raises(DomainError):
-        verify.integral_oracle_many(params, [0.5, 1.2j], SeriesKind.COANALYTIC)
+        integral_oracle(params, 1.2j, SeriesKind.COANALYTIC)
 
 
 def test_tanh_sinh_raises_when_its_level_cap_is_too_low(monkeypatch):
@@ -928,7 +929,7 @@ def test_jacobian_closed_form_vs_derivatives():
     assert np.abs(direct - closed).max() < 1e-12
 
 
-# --- sample counts are checked where they enter --------------------------------
+# --- sample counts and seeds are checked where they enter -----------------------
 
 
 @pytest.mark.parametrize("call", [
@@ -942,11 +943,17 @@ def test_jacobian_closed_form_vs_derivatives():
     lambda p: verify.integral_identities(p, 1.5, 0),
     lambda p: boundary_polyline(p, 0),
     lambda p: boundary_polyline(p, -3),
+    lambda p: symmetry_suite(p, 10, seed=-1),
+    lambda p: symmetry_suite(p, 10, seed=1.5),
+    lambda p: verify.integral_identities(p, 3, -1),
+    lambda p: verify.integral_identities(p, 3, 1.5),
 ], ids=["tiling", "decomposition", "univalence-grid", "univalence-per-interval",
         "symmetry", "symmetry-float", "integral", "integral-float", "polyline",
-        "polyline-negative"])
+        "polyline-negative", "symmetry-seed-negative", "symmetry-seed-float",
+        "integral-seed-negative", "integral-seed-float"])
 def test_a_sample_count_out_of_range_is_a_domain_error(call):
-    # before, the tiling passed with 0 probes and the others raised numpy errors
+    # before, the tiling passed with 0 probes and the others raised numpy errors (for a
+    # seed, numpy's ValueError or TypeError)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError):
