@@ -22,9 +22,9 @@ These closed forms hold for beta in (-pi/2, pi/2].  Every function here takes
 any beta = base + l pi (see ``_reduce``) and carries them by the half-turn law: t
 moves by l pi/n, and every point and direction turns by ``half_turn_rotation(n, l)``.
 
-The image polylines (``boundary_polyline``, ``fundamental_set``,
-``rotated_copies``) are built on the per-interval grid of ``interval_points``,
-with the exact feature values of ``feature_vertices`` put in.  One boundary
+The image polylines (``boundary_polyline``, ``fundamental_set``) are rows of
+``interval_points``, which alone puts the exact feature values in, and the n
+``rotated_copies`` share the one fundamental polyline.  One boundary
 polyline, ``boundary_polyline(params, FIGURE_PER_INTERVAL)``, is both the
 figure that ``render`` draws and the curve that ``verify --level quick`` certifies.
 
@@ -62,7 +62,7 @@ from .maps import (
     half_turn_rotation,
     parts_many,
 )
-from .series import require_integer, scale_constant
+from .series import as_array, require_integer, scale_constant
 
 TWO_PI = 2.0 * math.pi
 
@@ -141,8 +141,8 @@ def distance_to_singular(n: int, t):
 
 
 def _finite_parameters(ts) -> np.ndarray:
-    """ts as a float array, after raising DomainError that names its first non-finite t."""
-    ts = np.asarray(ts, dtype=float)
+    """ts as a float array, after raising DomainError for a non-number or its first non-finite t."""
+    ts = as_array(ts, float, "boundary parameters")
     bad = ts[~np.isfinite(ts)]
     if bad.size:
         raise DomainError(f"boundary parameter t={bad[0]} is not finite")
@@ -241,8 +241,8 @@ def curve_samples(params: RosetteParams, ts: Sequence[float]) -> list[CurveSampl
 # --- features ----------------------------------------------------------------
 
 
-def feature_values(params: RosetteParams) -> dict[int, complex]:
-    """a(j pi/n) for j = 0..2n-1, through the exact rotation laws.
+def feature_values(params: RosetteParams) -> np.ndarray:
+    """a(j pi/n) for j = 0..2n-1 (the array's index), through the exact rotation laws.
 
     a(j pi/n) = e^{ij pi/n} (e^{i beta/2} h(1) + (-1)^j e^{-i beta/2} g(1)),
     so only the two series values at argument exactly 1, the gamma closed
@@ -253,24 +253,22 @@ def feature_values(params: RosetteParams) -> dict[int, complex]:
     n = params.n
     at_one = f(params, 1.0)
     base_even, base_odd = at_one.h + at_one.gbar, at_one.h - at_one.gbar
-    return {
-        j: cmath.exp(1j * j * math.pi / n) * (base_even if j % 2 == 0 else base_odd)
-        for j in range(2 * n)
-    }
+    return np.array([cmath.exp(1j * j * math.pi / n) * (base_even if j % 2 == 0 else base_odd)
+                     for j in range(2 * n)])
+
+
+def _feature_js(params: RosetteParams) -> slice:
+    """The j in 0..2n-1 (a slice) of the features t = j pi/n: all 2n, or at beta = pi/2 + l pi
+    the n nodes j = l (mod 2); the other multiples only end arcs of constancy there."""
+    shifts = half_pi_shift(params.beta)
+    return slice(None) if shifts is None else slice(shifts % 2, None, 2)
 
 
 def feature_vertices(params: RosetteParams) -> tuple[np.ndarray, np.ndarray]:
-    """Parameters t = j pi/n in [0, 2pi) of the boundary features and their values a(t).
-
-    At beta = pi/2 + l pi the n nodes j = l (mod 2) replace the cusps; the other
-    multiples of pi/n only end arcs of constancy and repeat the node values.  At
-    every other beta all 2n multiples are features.  Values from feature_values.
-    """
-    n = params.n
-    shifts = half_pi_shift(params.beta)
-    values = feature_values(params)
-    js = range(2 * n) if shifts is None else range(shifts % 2, 2 * n, 2)
-    return np.array([j * math.pi / n for j in js]), np.array([values[j] for j in js])
+    """Parameters t = j pi/n in [0, 2pi) of the boundary features (``_feature_js``) and
+    their values a(t) from feature_values."""
+    js = np.arange(2 * params.n)[_feature_js(params)]
+    return js * math.pi / params.n, feature_values(params)[js]
 
 
 def extract_features(params: RosetteParams, confirm: bool = True) -> FeatureReport:
@@ -285,7 +283,9 @@ def extract_features(params: RosetteParams, confirm: bool = True) -> FeatureRepo
     rotation laws.  With ``confirm`` the one-sided tangent directions are
     re-estimated from Richardson-extrapolated secants of the curve itself and
     checked against the closed forms.  Any other beta gets the features of its
-    canonical phase (not ``_reduce``'s base), in the same order, carried by the law.
+    canonical phase, in the same order, carried by the law; not those of ``_reduce``'s
+    base, which at beta = -pi/2 + 5e-10 and n = 5 would put the first feature at
+    t = 2pi - pi/n = 5.655, not pi/n = 0.628, and turn every location by the half turn.
     """
     canonical, lag, turn = _carry(*params.canonical())
     n = params.n
@@ -451,8 +451,7 @@ def halfspeed_points(params: RosetteParams, ts) -> np.ndarray:
     j_near = np.rint(mapped / step).astype(int)
     snap = np.abs(mapped - j_near * step) < 1e-9
     if snap.any():
-        exact = np.array(list(feature_values(base).values()))
-        out[snap] = exact[j_near[snap] % (2 * n)]
+        out[snap] = feature_values(base)[j_near[snap] % (2 * n)]
     return turn * out if lag else out
 
 
@@ -468,8 +467,9 @@ def interval_offsets(per_interval: int) -> np.ndarray:
     return offsets[np.append(True, offsets[1:] != offsets[:-1])]
 
 
-def interval_points(params: RosetteParams, offsets, rows=slice(None)) -> np.ndarray:
-    """a((j + s) pi/n) for the basic intervals j = 0..2n-1 (rows) and offsets s (columns).
+def interval_points(params: RosetteParams, offsets, js=slice(None)) -> np.ndarray:
+    """Rows a(j pi/n), a((j + s) pi/n) at the offsets s, for the basic intervals j in ``js``
+    (a slice or index array into 0..2n-1), a(j pi/n) being ``feature_values``' exact value.
 
     h and g are evaluated once, at z = e^{i s pi/n}, and carried onto every
     interval by the summand rotation laws h(w_j z) = w_j h(z) and
@@ -477,30 +477,32 @@ def interval_points(params: RosetteParams, offsets, rows=slice(None)) -> np.ndar
 
         a((j + s) pi/n) = w_j (e^{i beta/2} h(z) + (-1)^j e^{-i beta/2} conj(g(z))).
 
-    ``rows`` (a slice or index array into 0..2n-1) picks the intervals j that
-    are built.  Column k equals the one-offset call at offsets[k], and each row
-    the full array's row j, bit for bit.
+    The image polylines take their feature values from here alone.  Column k + 1 equals
+    the one-offset call's column 1 at offsets[k], and each row the full array's row j, bit
+    for bit.
     """
     n = params.n
     z = np.exp(1j * (np.asarray(offsets, dtype=float) * (math.pi / n)))
     hz, gz = parts_many(params, z)
-    j = np.arange(2 * n)[rows]
+    j = np.arange(2 * n)[js]
     omega = np.exp(1j * (j * math.pi / n))[:, None]
     odd = j % 2 == 1
-    out = np.empty((j.size, z.size), dtype=complex)
-    out[~odd] = np.multiply(omega[~odd], combine_parts(params.beta, hz, gz))
-    out[odd] = np.multiply(omega[odd], combine_parts(params.beta, hz, -gz))  # negation is exact
+    out = np.empty((j.size, z.size + 1), dtype=complex)
+    out[:, 0] = feature_values(params)[j]
+    out[~odd, 1:] = np.multiply(omega[~odd], combine_parts(params.beta, hz, gz))
+    out[odd, 1:] = np.multiply(omega[odd], combine_parts(params.beta, hz, -gz))  # negation is exact
     return out
 
 
 def detect_arg_nonmonotonicity(params: RosetteParams) -> tuple[bool, Optional[float]]:
-    """Scan arg a(t) on a fine grid (512 offsets per basic interval) for strict decrease.
+    """Scan arg a(t) on a fine grid (512 offsets per basic interval and the features) for
+    strict decrease.
 
     Returns (found, witness_t) with the witness at the midpoint of a grid
     step on which the unwrapped argument decreases by more than 1e-6 rad.
     """
-    offsets = interval_offsets(512)
-    ts = ((np.arange(2 * params.n)[:, None] + offsets) * (math.pi / params.n)).ravel()
+    n, offsets = params.n, interval_offsets(512)
+    ts = ((np.arange(2 * n)[:, None] + np.append(0.0, offsets)) * (math.pi / n)).ravel()
     vals = interval_points(params, offsets).ravel()
     args = np.unwrap(np.angle(vals))
     diffs = np.diff(args)
@@ -524,38 +526,37 @@ class FundamentalSet:
 
 @dataclass(frozen=True)
 class RotatedCopy:
+    """``fundamental``, the polyline that every copy of one call shares, turned by ``prefactor``."""
+
     prefactor: complex
-    polyline: np.ndarray
+    fundamental: np.ndarray
+
+    @property
+    def polyline(self) -> np.ndarray:
+        return self.prefactor * self.fundamental
 
 
 def boundary_polyline(params: RosetteParams, per_interval: int = 512) -> np.ndarray:
     """Closed polyline through the boundary curve (half-speed at beta = pi/2 + l pi).
 
-    Samples every basic interval at the offsets of ``interval_offsets`` plus
-    the exact feature parameters of ``feature_vertices``, so cusps and nodes
-    are vertices of the polyline, their values taken from the rotation laws
-    (series evaluated at argument exactly 1), never from near-singular
-    parameters.  At beta = pi/2 the half-speed curve visits the grid
-    parameters (j + s) pi/n at a((2k + s/2) pi/n) for j = 2k and at
-    a((2k + (1 + s)/2) pi/n) for j = 2k + 1, as ``halfspeed_points`` maps
-    them: the even intervals at the offsets s/2 and (1 + s)/2.  At
-    beta = pi/2 + l pi it is that polyline of ``_reduce``'s base turned by
-    the half-turn law, so every l has the vertices of l = 0.
+    The rows of ``interval_points`` raveled and closed: every basic interval at the offsets
+    of ``interval_offsets``, each after its exact feature value, so cusps and nodes are
+    vertices of the polyline, their values taken from the rotation laws (series evaluated at
+    argument exactly 1), never from near-singular parameters.  At beta = pi/2 the half-speed
+    curve visits the grid parameters (j + s) pi/n at a((2k + s/2) pi/n) for j = 2k and at
+    a((2k + (1 + s)/2) pi/n) for j = 2k + 1, as ``halfspeed_points`` maps them: the even
+    intervals, the nodes', at the offsets s/2 and (1 + s)/2.  At beta = pi/2 + l pi it is
+    that polyline of ``_reduce``'s base turned by the half-turn law, so every l has the
+    vertices of l = 0.
     """
     require_integer(per_interval, 1, "per_interval")
     offsets = interval_offsets(per_interval)
     if half_pi_shift(params.beta) is None:
         base, lag, turn = params, 0.0, 1.0
-        grid = interval_points(params, offsets)
     else:
         base, lag, turn = _reduce(params)
-        grid = interval_points(base, np.concatenate([offsets / 2, (1 + offsets) / 2]),
-                               rows=slice(0, None, 2))
-    # the feature at j pi/n goes before the vertices of interval j; the last vertex repeats
-    # the first
-    ft_ts, ft_vals = feature_vertices(base)
-    at = np.rint(ft_ts * (base.n / math.pi)).astype(int) * (grid.size // (2 * base.n))
-    poly = np.insert(grid.ravel(), at, ft_vals)
+        offsets = np.concatenate([offsets / 2, (1 + offsets) / 2])
+    poly = interval_points(base, offsets, js=_feature_js(base)).ravel()
     poly = dedupe(np.append(poly, poly[0]), 1e-13 * scale_constant(base.n))
     return turn * poly if lag else poly
 
@@ -569,16 +570,14 @@ def fundamental_set(params: RosetteParams) -> FundamentalSet:
     to the origin.
     """
     base = _reduce(params)[0]
-    n = base.n
     u = np.linspace(0.0, 1.0, 600)
     r = np.sin(0.5 * math.pi * u) ** 2  # clustered toward r = 1
     side1 = combine_parts(base.beta, *parts_many(base, r[:-1]))  # a(0) appended below
-    exact = feature_values(base)
-    rows = interval_points(base, (np.arange(768) + 0.5) / 768, rows=slice(0, 2))
-    arc = np.concatenate([[exact[0]], rows[0], [exact[1]], rows[1], [exact[2 % (2 * n)]]])
-    side2 = (np.append(side1, exact[0]) * cmath.exp(2j * math.pi / n))[::-1]
+    rows = interval_points(base, (np.arange(768) + 0.5) / 768, js=slice(0, 3))
+    arc = np.append(rows[:2], rows[2, 0])
+    side2 = (np.append(side1, rows[0, 0]) * cmath.exp(2j * math.pi / base.n))[::-1]
     poly = np.concatenate([side1, arc, side2[1:]])
-    poly = dedupe(poly, 1e-13 * scale_constant(n))  # closed: from f(0) = 0 back to 0
+    poly = dedupe(poly, 1e-13 * scale_constant(base.n))  # closed: from f(0) = 0 back to 0
     return FundamentalSet(params=base, boundary_polyline=poly)
 
 
@@ -591,8 +590,8 @@ def rotated_copies(params: RosetteParams) -> list[RotatedCopy]:
     """
     base = fundamental_set(params).boundary_polyline
     turn = _reduce(params)[2]
-    prefactors = (turn * cmath.exp(2j * k * math.pi / params.n) for k in range(1, params.n + 1))
-    return [RotatedCopy(prefactor=pref, polyline=pref * base) for pref in prefactors]
+    return [RotatedCopy(turn * cmath.exp(2j * k * math.pi / params.n), base)
+            for k in range(1, params.n + 1)]
 
 
 # --- generic singular-point classification -----------------------------------

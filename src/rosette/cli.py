@@ -144,6 +144,9 @@ def _csv(header: list[str], rows) -> str:
 
 # --- features ------------------------------------------------------------------
 
+# The fields of a feature: the keys of its JSON object and the columns of the CSV.
+_FEATURE_COLUMNS = ("kind", "t", "re", "im", "magnitude", "argument", "axis_arg", "interior_angle")
+
 
 def _feature_payload(n: int, beta_input: float) -> dict:
     from .boundary import extract_features
@@ -151,19 +154,9 @@ def _feature_payload(n: int, beta_input: float) -> dict:
     beta, shifts = reduce_beta(beta_input)
     params = RosetteParams(n, beta)
     report = extract_features(params)
-    features = [
-        {
-            "kind": ft.kind.value,
-            "t": ft.t,
-            "re": ft.location.real,
-            "im": ft.location.imag,
-            "magnitude": ft.magnitude,
-            "argument": ft.argument,
-            "axis_arg": ft.axis_arg,
-            "interior_angle": ft.interior_angle,
-        }
-        for ft in report.features
-    ]
+    features = [dict(zip(_FEATURE_COLUMNS, (
+        ft.kind.value, ft.t, ft.location.real, ft.location.imag, ft.magnitude, ft.argument,
+        ft.axis_arg, ft.interior_angle))) for ft in report.features]
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "feature_report",
@@ -182,8 +175,8 @@ def cmd_features(args) -> int:
     if args.format == "json":
         _write_text(args.out, json.dumps(payload, indent=2) + "\n")
     else:
-        header = ["kind", "t", "re", "im", "magnitude", "argument", "axis_arg", "interior_angle"]
-        _write_text(args.out, _csv(header, [list(ft.values()) for ft in payload["features"]]))
+        rows = [list(ft.values()) for ft in payload["features"]]
+        _write_text(args.out, _csv(list(_FEATURE_COLUMNS), rows))
     return 0
 
 
@@ -387,22 +380,16 @@ def _parser() -> argparse.ArgumentParser:
 def _merge_negative_angles(argv: list[str]) -> list[str]:
     """Join ``--beta -pi/3`` into ``--beta=-pi/3`` so argparse accepts it."""
     out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok == "--beta" and i + 1 < len(argv) and argv[i + 1].startswith("-"):
-            out.append(f"--beta={argv[i + 1]}")
-            i += 2
+    for tok in argv:
+        if out and out[-1] == "--beta" and tok.startswith("-"):
+            out[-1] = f"--beta={tok}"
         else:
             out.append(tok)
-            i += 1
     return out
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    args = _parser().parse_args(_merge_negative_angles(list(argv)))
+    args = _parser().parse_args(_merge_negative_angles(sys.argv[1:] if argv is None else argv))
     return args.func(args)
 
 

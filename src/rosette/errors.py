@@ -6,7 +6,7 @@ class RosetteError(Exception):
 
 
 class DomainError(RosetteError, ValueError):
-    """Argument outside its domain: the closed unit disk, x > 0 for gamma, finite beta and t,
+    """Argument outside its domain: the closed unit disk, x > 0 for gamma, real finite beta and t,
     an integer order of the stated minimum, a closed polyline of 2 or more finite vertices.
 
     Also a ValueError, so that ``except ValueError`` callers keep catching bad orders.

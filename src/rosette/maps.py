@@ -30,12 +30,14 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, SingularPoint
-from .series import SeriesKind, SeriesSpec, eval_families_many, eval_series_many, require_integer
+from .series import (SeriesKind, SeriesSpec, as_array, eval_families_many, eval_series_many,
+                     require_integer)
 
 # Proximity of 1 - z^{2n} to zero below which derivative closed forms are refused.
 SINGULAR_TOL = 1e-12
@@ -57,8 +59,8 @@ class RosetteParams:
 
     def __post_init__(self):
         require_integer(self.n, 3, "rosette order n")
-        if not math.isfinite(self.beta):
-            raise DomainError(f"rosette phase beta must be finite, got {self.beta}")
+        if not (isinstance(self.beta, numbers.Real) and math.isfinite(self.beta)):
+            raise DomainError(f"rosette phase beta must be a finite real number, got {self.beta!r}")
 
     def canonical(self) -> tuple["RosetteParams", int]:
         """Equivalent parameters with beta in (-pi/2, pi/2] and the shift count l."""
@@ -133,7 +135,7 @@ def integer_power(z: np.ndarray, k: int) -> np.ndarray:
 
 def h_many(params: RosetteParams, z) -> np.ndarray:
     """Analytic part h(z) = z * F_a(z^{2n}), vectorized."""
-    z = _clip_disk(np.asarray(z, dtype=complex))
+    z = _clip_disk(as_array(z, complex, "points"))
     w = integer_power(z, 2 * params.n)
     factor = eval_series_many(params._spec(SeriesKind.ANALYTIC), w)
     return z * factor
@@ -141,7 +143,7 @@ def h_many(params: RosetteParams, z) -> np.ndarray:
 
 def g_many(params: RosetteParams, z) -> np.ndarray:
     """Co-analytic part g(z) = z^{n-1}/(n-1) * F_c(z^{2n}), vectorized."""
-    z = _clip_disk(np.asarray(z, dtype=complex))
+    z = _clip_disk(as_array(z, complex, "points"))
     w = integer_power(z, 2 * params.n)
     factor = eval_series_many(params._spec(SeriesKind.COANALYTIC), w)
     return integer_power(z, params.n - 1) / (params.n - 1) * factor
@@ -149,7 +151,7 @@ def g_many(params: RosetteParams, z) -> np.ndarray:
 
 def parts_many(params: RosetteParams, z) -> tuple[np.ndarray, np.ndarray]:
     """h(z) and g(z) from one series pass, each bit for bit as h_many/g_many give it."""
-    z = _clip_disk(np.asarray(z, dtype=complex))
+    z = _clip_disk(as_array(z, complex, "points"))
     w = integer_power(z, 2 * params.n)
     fa, fc = eval_families_many([params._spec(k) for k in SeriesKind], w)
     return z * fa, integer_power(z, params.n - 1) / (params.n - 1) * fc
@@ -199,13 +201,13 @@ def _root_factor(params: RosetteParams, z: np.ndarray) -> np.ndarray:
 
 
 def dh_many(params: RosetteParams, z) -> np.ndarray:
-    z = np.asarray(z, dtype=complex)
+    z = as_array(z, complex, "points")
     return _root_factor(params, z)
 
 
 def derivative_parts(params: RosetteParams, z) -> tuple[np.ndarray, np.ndarray]:
     """h'(z) and g'(z) = z^{n-2} h'(z) from one root factor; dh_many and dg_many are its halves."""
-    z = np.asarray(z, dtype=complex)
+    z = as_array(z, complex, "points")
     dh_z = _root_factor(params, z)
     return dh_z, integer_power(z, params.n - 2) * dh_z
 
@@ -236,7 +238,7 @@ def jacobian(params: RosetteParams, z: complex) -> float:
 def hypocycloid(n: int, z) -> np.ndarray | complex:
     """The n-cusped hypocycloid map z + conj(z)^{n-1}/(n-1), the rosettes' baseline."""
     require_integer(n, 3, "hypocycloid order n")
-    arr = np.asarray(z, dtype=complex)
+    arr = as_array(z, complex, "points")
     if not np.isfinite(arr).all():
         raise DomainError(f"hypocycloid needs finite points, got {z}")
     out = arr + np.conj(arr) ** (n - 1) / (n - 1)
@@ -250,10 +252,10 @@ def reduce_beta(beta_tilde: float) -> tuple[float, int]:
     """Write beta_tilde = beta + l*pi with beta in the canonical (-pi/2, pi/2].
 
     The interval is half open at -pi/2: an input of exactly -pi/2 maps to
-    (pi/2, -1).  A non-finite beta_tilde raises DomainError.
+    (pi/2, -1).  A non-finite or non-real beta_tilde raises DomainError.
     """
-    if not math.isfinite(beta_tilde):
-        raise DomainError(f"phase must be finite, got {beta_tilde}")
+    if not (isinstance(beta_tilde, numbers.Real) and math.isfinite(beta_tilde)):
+        raise DomainError(f"phase must be a finite real number, got {beta_tilde!r}")
     shifts = math.ceil((beta_tilde - math.pi / 2) / math.pi)
     beta = beta_tilde - shifts * math.pi
     if beta <= -math.pi / 2:  # float rounding at the open endpoint

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -22,6 +23,7 @@ import numpy as np
 
 from .boundary import (
     FIGURE_PER_INTERVAL,
+    RotatedCopy,
     boundary_points,
     boundary_polyline,
     bounding_radius,
@@ -58,8 +60,10 @@ class RenderSpec:
         require_integer(self.circles, 1, "circles")
         require_integer(self.width_px, 1, "width_px")
         require_integer(self.samples_per_curve, 16, "samples_per_curve")
-        if not 0.0 <= self.margin_frac < math.inf:
-            raise DomainError("margin_frac must be a finite number >= 0")
+        if not (isinstance(self.margin_frac, numbers.Real) and 0.0 <= self.margin_frac < math.inf):
+            raise DomainError(f"margin_frac must be a finite real >= 0, got {self.margin_frac!r}")
+        if not all(isinstance(item, Overlay) for item in self.overlay):
+            raise DomainError(f"overlay items must be Overlay members, got {set(self.overlay)}")
 
 
 def _grid_paths(spec: RenderSpec) -> list:
@@ -86,7 +90,7 @@ def _ray_angles(spec: RenderSpec) -> list[float]:
 def render_svg(spec: RenderSpec, *, copies: list | None = None) -> str:
     """Build the SVG document for one rosette figure.
 
-    The FUNDAMENTAL_SET overlay draws ``copies``, else ``rotated_copies(spec.params)``.
+    The FUNDAMENTAL_SET overlay draws ``copies`` (n RotatedCopy) or ``rotated_copies(params)``.
     """
     params = spec.params
     n = params.n
@@ -104,17 +108,14 @@ def render_svg(spec: RenderSpec, *, copies: list | None = None) -> str:
         canvas.polyline(curve, stroke="#9db7d2", width=0.8)
 
     if Overlay.HYPOCYCLOID in spec.overlay:
-        curve = flatten_curve(
-            lambda ts: hypocycloid(n, np.exp(1j * ts)),
-            0.0,
-            TWO_PI,
-            spec.samples_per_curve,
-            tol_world,
-        )
+        curve = flatten_curve(lambda ts: hypocycloid(n, np.exp(1j * ts)), 0.0, TWO_PI,
+                              spec.samples_per_curve, tol_world)
         canvas.polyline(curve, stroke="#c08030", width=1.0)
 
     if Overlay.FUNDAMENTAL_SET in spec.overlay:
         copies = rotated_copies(params) if copies is None else copies
+        if len(copies) != n or not all(isinstance(c, RotatedCopy) for c in copies):
+            raise DomainError(f"copies must be {n} RotatedCopy, got {len(copies)} items")
         for copy in copies[:-1]:
             canvas.polyline(copy.polyline, stroke="#bbbbbb", width=0.6)
         canvas.polyline(copies[-1].polyline, stroke="#207020", width=1.6)

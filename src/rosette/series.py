@@ -59,6 +59,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from enum import Enum
@@ -153,6 +154,14 @@ def require_integer(value, minimum: int, what: str) -> None:
         raise DomainError(f"{what} must be >= {minimum}, got {value}")
 
 
+def as_array(values, dtype: type, what: str) -> np.ndarray:
+    """np.asarray(values, dtype=dtype); DomainError, naming ``what``, if they do not convert."""
+    try:
+        return np.asarray(values, dtype=dtype)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"{what} must be {dtype.__name__} numbers: {exc}") from None
+
+
 @dataclass(frozen=True)
 class SeriesSpec:
     """One hypergeometric family: kind and order n."""
@@ -163,7 +172,7 @@ class SeriesSpec:
     def __post_init__(self):
         require_integer(self.n, 2, "series order n")
         if not isinstance(self.kind, SeriesKind):
-            raise TypeError("kind must be a SeriesKind")
+            raise DomainError(f"kind must be a SeriesKind, got {self.kind!r}")
 
 
 class EndpointValues(NamedTuple):
@@ -235,8 +244,8 @@ def tail_bound(spec: SeriesSpec, m: int, abs_z: float) -> float:
     Valid because the coefficients are positive and decreasing.  Returns
     inf for abs_z >= 1 where no geometric bound exists.
     """
-    if not abs_z >= 0.0:  # also true for NaN
-        raise DomainError(f"tail_bound needs abs_z >= 0, got {abs_z}")
+    if not (isinstance(abs_z, numbers.Real) and abs_z >= 0.0):  # also true for NaN
+        raise DomainError(f"tail_bound needs a real abs_z >= 0, got {abs_z!r}")
     if abs_z >= 1.0:
         return math.inf
     return coeff(spec, m + 1) * abs_z ** (m + 1) / (1.0 - abs_z)
@@ -273,7 +282,7 @@ def eval_families_many(specs: Sequence[SeriesSpec], z) -> list[np.ndarray]:
     n = specs[0].n
     if any(s.n != n for s in specs):
         raise DomainError("families evaluated together must share n")
-    w = np.asarray(z, dtype=complex)
+    w = as_array(z, complex, "series arguments")
     shape = w.shape
     w = np.array(w.ravel(), copy=True)
     aw = np.abs(w)

@@ -125,6 +125,24 @@ def test_only_maps_and_boundary_call_f_many():
     assert users - {"boundary.boundary_points"} == set()
 
 
+def test_only_interval_points_puts_the_feature_values_into_a_polyline():
+    # the image polylines are rows of interval_points, whose column 0 is a(j pi/n) from the
+    # rotation laws; a builder that spliced the values in itself (with np.insert, say)
+    # would read feature_values or feature_vertices.  Besides interval_points they serve
+    # the feature report and the half-speed curve's snap only.
+    users = set()
+    for path in SOURCE.glob("*.py"):
+        for name in ("feature_values", "feature_vertices"):
+            uses = _NameUses(path.stem, name)
+            uses.visit(ast.parse(path.read_text(encoding="utf-8")))
+            users |= uses.found
+    assert users == {"boundary.interval_points", "boundary.feature_vertices",
+                     "boundary.extract_features", "boundary.halfspeed_points"}
+    inserts = _NameUses("boundary", "insert")
+    inserts.visit(ast.parse((SOURCE / "boundary.py").read_text(encoding="utf-8")))
+    assert inserts.found == set()
+
+
 def test_every_imported_name_is_used():
     unused = []
     for path in sorted(SOURCE.glob("*.py")):

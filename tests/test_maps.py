@@ -16,6 +16,7 @@ from rosette import (
     SeriesSpec,
     SingularPoint,
     canonical_rotation,
+    curve_samples,
     dilatation,
     endpoint_values,
     f,
@@ -551,10 +552,25 @@ def test_integer_power_is_within_k_ulp_of_the_exact_power(k):
     lambda: dilatation(RosetteParams(5, 0.3), complex(0.5, math.nan)),
     lambda: hypocycloid(5, math.nan),
     lambda: hypocycloid(5, np.array([0.5, complex(math.nan, 0.0)])),
+    lambda: RosetteParams(5, "0.3"),
+    lambda: RosetteParams(5, 0.3j),
+    lambda: reduce_beta("0.3"),
+    lambda: series.tail_bound(SeriesSpec(SeriesKind.ANALYTIC, 5), 3, "0.5"),
+    lambda: h_many(RosetteParams(5, 0.3), ["a"]),
+    lambda: dh_many(RosetteParams(5, 0.3), ["a"]),
+    lambda: series.eval_series_many(SeriesSpec(SeriesKind.ANALYTIC, 5), ["a"]),
+    lambda: curve_samples(RosetteParams(5, 0.3), ["a"]),
+    lambda: SeriesSpec("analytic", 5),
+    lambda: hypocycloid(5, ["a"]),
 ], ids=["coeff-negative", "coeff-float", "tail-nan", "tail-negative", "dilatation-nan",
-        "dilatation-complex-nan", "hypocycloid-nan", "hypocycloid-array-nan"])
+        "dilatation-complex-nan", "hypocycloid-nan", "hypocycloid-array-nan", "phase-string",
+        "phase-complex", "reduce-string", "tail-string", "h-string", "dh-string",
+        "series-string", "curve-samples-string", "spec-kind-string",
+        "hypocycloid-string"])
 def test_an_argument_outside_the_domain_is_a_domain_error(call):
-    # coeff raised a plain ValueError or a TypeError, the others returned NaN silently
+    # coeff raised a plain ValueError or a TypeError, the others returned NaN silently; the
+    # wrong types raised TypeError (the phases, tail_bound, the kind) or numpy's ValueError
+    # (the arrays)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError):

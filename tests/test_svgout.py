@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from rosette import DomainError, render
-from rosette.boundary import bounding_radius
+from rosette.boundary import bounding_radius, rotated_copies
 from rosette.maps import RosetteParams, f_many, hypocycloid
 from rosette.render import Overlay, RenderSpec, _grid_paths, render_svg
 from rosette.svgout import SvgCanvas, flatten_curve, flatten_curves
@@ -162,10 +162,24 @@ def test_polyline_skips_fewer_than_two_points():
 @pytest.mark.parametrize("bad", [{"radial_lines": 0}, {"circles": 0}, {"width_px": 0},
                                  {"samples_per_curve": 15}, {"margin_frac": math.nan},
                                  {"radial_lines": 2.5}, {"circles": 1.5},
-                                 {"samples_per_curve": 16.5}, {"width_px": 10.5}])
+                                 {"samples_per_curve": 16.5}, {"width_px": 10.5},
+                                 {"margin_frac": "0.1"}, {"overlay": frozenset({"features"})}])
 def test_render_spec_refuses_with_a_domain_error(bad):
-    # a fractional radial_lines raised TypeError, and the other fractional counts were taken
+    # a fractional radial_lines raised TypeError, and the other fractional counts were taken;
+    # a string margin raised TypeError, and an overlay named by its string drew nothing
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError):
             RenderSpec(RosetteParams(5, 0.3), **bad)
+
+
+def test_render_svg_refuses_copies_that_are_not_the_n_rotated_copies():
+    # copies=[] raised IndexError, and a list of the wrong length was drawn
+    p = RosetteParams(5, 0.3)
+    spec = RenderSpec(p, radial_lines=4, circles=2, samples_per_curve=16,
+                      overlay=frozenset({Overlay.FUNDAMENTAL_SET}))
+    copies = rotated_copies(p)
+    for bad in ([], copies[:4], copies + copies[:1], [c.polyline for c in copies]):
+        with pytest.raises(DomainError):
+            render_svg(spec, copies=bad)
+    assert render_svg(spec, copies=copies) == render_svg(spec)
