@@ -280,12 +280,15 @@ def extract_features(params: RosetteParams, confirm: bool = True) -> FeatureRepo
     t = 2k pi/n with interior angle pi/2 - pi/n (within BETA_HALF_PI_TOL
     above -pi/2, the same nodes carried to the odd multiples).  Feature
     locations come from the series evaluated exactly at argument 1 plus the
-    rotation laws.  With ``confirm`` the one-sided tangent directions are
-    re-estimated from Richardson-extrapolated secants of the curve itself and
-    checked against the closed forms.  Any other beta gets the features of its
-    canonical phase, in the same order, carried by the law; not those of ``_reduce``'s
-    base, which at beta = -pi/2 + 5e-10 and n = 5 would put the first feature at
-    t = 2pi - pi/n = 5.655, not pi/n = 0.628, and turn every location by the half turn.
+    rotation laws.  With ``confirm`` the one-sided tangent directions at every
+    feature are re-estimated from Richardson-extrapolated secants of the curve
+    itself and checked against the closed forms; only one orbit's secant points
+    go through the series, and the n-fold rotation law carries them to the other
+    features (``_confirm_features``), so that work does not grow with n.  Any
+    other beta gets the features of its canonical phase, in the same order, carried
+    by the law; not those of ``_reduce``'s base, which at beta = -pi/2 + 5e-10 and
+    n = 5 would put the first feature at t = 2pi - pi/n = 5.655, not pi/n = 0.628,
+    and turn every location by the half turn.
     """
     canonical, lag, turn = _carry(*params.canonical())
     n = params.n
@@ -331,12 +334,23 @@ def _confirm_offsets(n: int) -> tuple[float, ...]:
 def _confirm_features(params: RosetteParams, features: list[BoundaryFeature]) -> None:
     """Check the measured one-sided tangent directions at every feature against the closed forms.
 
-    The nodes of beta = pi/2 + l pi are measured on the half-speed curve,
-    which skips the constancy arcs.
+    The nodes of beta = pi/2 + l pi are measured on the half-speed curve, which skips
+    the constancy arcs.  Only one orbit's secant points go through the curve: those of
+    features 0 and 1 (node 0 alone in the class of pi/2), 12 points (6) at any n.  Feature
+    k = r m + q, r features per orbit, lies 2pi m/n past feature q, and the curve obeys
+    a(t + 2pi/n) = e^{2i pi/n} a(t), so its points are q's turned by e^{2i pi m/n}.  Each
+    secant still starts at the feature's own location from ``feature_values``, so a wrong
+    location at any feature fails the check.
     """
-    part = _boundary_values if half_pi_shift(params.beta) is None else halfspeed_points
+    nodes = half_pi_shift(params.beta) is not None
+    part, orbit = (halfspeed_points, 1) if nodes else (_boundary_values, 2)
+    spin = np.exp(1j * (TWO_PI / params.n) * np.arange(len(features) // orbit))[:, None]
+
+    def carried(ts: np.ndarray) -> np.ndarray:  # one_sided_tangents' feature-major grid
+        return np.multiply(spin, part(params, ts[: ts.size // spin.size])).ravel()
+
     left, right = one_sided_tangents(
-        lambda ts: part(params, ts),
+        carried,
         [ft.t for ft in features],
         [ft.location for ft in features],
         _confirm_offsets(params.n),
@@ -366,6 +380,8 @@ def separation_angle(params: RosetteParams, side: SeparationSide) -> float:
     sum to 2pi/n.  beta is the base phase, since the half-turn law keeps every
     separation; the class of pi/2, which has no cusps, raises NonCanonicalBeta.
     """
+    if not isinstance(side, SeparationSide):
+        raise DomainError(f"side must be a SeparationSide, got {side!r}")
     base = _reduce(params)[0]
     if is_half_pi(base.beta):
         raise NonCanonicalBeta("separation angles require beta off pi/2 + l pi")
@@ -377,8 +393,10 @@ def separation_angle(params: RosetteParams, side: SeparationSide) -> float:
     return math.pi / n - delta
 
 
-def _check_within_petal(params: RosetteParams, t0: float, t1: float) -> None:
+def _check_within_petal(params: RosetteParams, t0: float, t1: float) -> tuple[float, float]:
+    """(t0, t1) as floats, after raising unless they are finite and within one petal."""
     n = params.n
+    t0, t1 = as_array([t0, t1], float, "interval ends").tolist()
     if not (math.isfinite(t0) and math.isfinite(t1)):
         raise DomainError(f"interval [{t0}, {t1}] is not finite")
     if t1 < t0:
@@ -398,6 +416,7 @@ def _check_within_petal(params: RosetteParams, t0: float, t1: float) -> None:
             "for beta = pi/2 + l pi the interval must lie in an active half "
             "[(2k-2+l)pi/n, (2k-1+l)pi/n]"
         )
+    return t0, t1
 
 
 def total_curvature(params: RosetteParams, t0: float, t1: float) -> float:
@@ -406,7 +425,7 @@ def total_curvature(params: RosetteParams, t0: float, t1: float) -> float:
     Equal to (n/2 - 1)(t1 - t0) because the tangent argument is linear in t;
     left turns count positive.
     """
-    _check_within_petal(params, t0, t1)
+    t0, t1 = _check_within_petal(params, t0, t1)
     return (params.n / 2.0 - 1.0) * (t1 - t0)
 
 
@@ -416,7 +435,7 @@ def total_curvature_numeric(params: RosetteParams, t0: float, t1: float) -> floa
     Independent of the linear-argument law: uses only the complex derivative
     values.  Endpoints are nudged off singular parameters by 1e-9.
     """
-    _check_within_petal(params, t0, t1)
+    t0, t1 = _check_within_petal(params, t0, t1)
     eps = 1e-9
     a = t0 + eps if distance_to_singular(params.n, t0) < eps else t0
     b = t1 - eps if distance_to_singular(params.n, t1) < eps else t1
@@ -616,7 +635,8 @@ def one_sided_tangents(
     The secant directions arg(s (a(t0 + s d) - a(t0))), s = -1 and +1, are
     unwrapped around the one at the first offset and Richardson-extrapolated
     to d -> 0 for an O(d) error model; the offsets must form a geometric
-    sequence.  One call of ``curve_fn`` covers every parameter and both sides.
+    sequence.  One call of ``curve_fn`` covers every parameter and both sides: it gets
+    the t0 + s d raveled in the order (t0, s, d).
     """
     t0 = np.asarray(ts, dtype=float)
     d = np.asarray(offsets, dtype=float)

@@ -218,14 +218,15 @@ def dg_many(params: RosetteParams, z) -> np.ndarray:
 
 def dilatation(params: RosetteParams, z: complex) -> complex:
     """g'/h' computed directly as z^{n-2}; independent of beta, total on the disk."""
+    z = complex(as_array(z, complex, "point"))
     if not cmath.isfinite(z):
         raise DomainError(f"dilatation needs a finite point, got {z}")
-    return complex(z) ** (params.n - 2)
+    return z ** (params.n - 2)
 
 
 def jacobian(params: RosetteParams, z: complex) -> float:
     """|h'|^2 - |g'|^2 in the simplified form (1 - |z|^{2(n-2)})/|1 - z^{2n}|."""
-    z = complex(z)
+    z = complex(as_array(z, complex, "point"))
     _check_disk(np.asarray(z))
     rad = 1.0 - z ** (2 * params.n)
     if abs(rad) < SINGULAR_TOL:

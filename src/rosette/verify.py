@@ -41,7 +41,7 @@ from .maps import (
     transit_identity,
 )
 from .quadrature import tanh_sinh
-from .series import SeriesKind, require_integer, scale_constant
+from .series import SeriesKind, as_array, require_integer, scale_constant
 
 TWO_PI = 2.0 * math.pi
 
@@ -90,6 +90,7 @@ def winding_number(
     segment, and OpenCurve when the polyline is not closed.
     """
     pts = ensure_closed(np.asarray(curve, dtype=complex))
+    w0 = complex(as_array(w0, complex, "probe"))
     if exclusion_radius is None:
         exclusion_radius = 1e-9 * float(np.abs(pts - w0).max())
     return winding_numbers(pts, [w0], exclusion_radius)[0]
@@ -394,9 +395,10 @@ def fundamental_decomposition(
     for copy in copies:
         counts += windings(ensure_closed(copy.polyline), probes) != 0
 
-    suspect = np.flatnonzero(counts != 1)
-    dist = np.min([curve_distances(c.polyline, probes[suspect]) for c in copies], axis=0)
-    violating = suspect[dist > tol]
+    violating = np.flatnonzero(counts != 1)
+    if violating.size:  # exempt those near a copy boundary
+        dist = np.min([curve_distances(c.polyline, probes[violating]) for c in copies], axis=0)
+        violating = violating[dist > tol]
     violations = int(violating.size)
     witness = None
     if violations:

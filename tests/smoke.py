@@ -10,7 +10,8 @@ gates its winding probes), and runs a small `render`, a 64-row boundary
 check uses the tanh-sinh rule), a full `verify` at n = 5 (all four stages, the
 fundamental tiling included) and at n = 200 (whose dilatation check skips the
 samples where z^(n-2) underflows), CSV `features` reports at beta = 0.3 and
-pi/2 (whose nodes are confirmed on the half-speed curve) and a `decompose`
+pi/2 (whose nodes are confirmed on the half-speed curve), at n = 5 and at n = 5000
+(whose confirmation offsets are scaled down), and a `decompose`
 with a coverage report (the tiling of the image by fundamental-set copies)
 through the command line; exits non-zero if a value is not finite, a polyline
 is not closed or crosses itself, a univalence check fails, a command fails, a
@@ -72,14 +73,17 @@ with tempfile.TemporaryDirectory() as tmp:
         if json.load(fh)["passed"] is not True:
             sys.exit("the full verify report at n = 5 did not pass")
     features = os.path.join(tmp, "f.csv")
-    for beta, count in (("0.3", 10), ("pi/2", 5)):  # cusps and removable nodes, or nodes
-        if main(["features", "--n", "5", "--beta", beta, "--format", "csv",
+    # cusps and removable nodes, or nodes
+    for n, beta, count in (("5", "0.3", 10), ("5", "pi/2", 5),
+                           ("5000", "0.3", 10000), ("5000", "pi/2", 5000)):
+        if main(["features", "--n", n, "--beta", beta, "--format", "csv",
                  "--out", features]) != 0:
-            sys.exit(f"features at beta = {beta} failed")
+            sys.exit(f"features at n = {n}, beta = {beta} failed")
         with open(features, encoding="utf-8", newline="") as fh:
             rows = list(csv.DictReader(fh))
         if len(rows) != count or not all(math.isfinite(float(row["magnitude"])) for row in rows):
-            sys.exit(f"the features CSV at beta = {beta} did not parse back to {count} finite rows")
+            sys.exit(f"the features CSV at n = {n}, beta = {beta} did not parse back to {count}"
+                     " finite rows")
     large = os.path.join(tmp, "b6.csv")
     if main(["dump", "--n", "6", "--beta", "0.3", "--count", "2048", "--out", large]) != 0:
         sys.exit("dump at n = 6 failed")

@@ -32,6 +32,7 @@ from rosette import (
 from rosette import DomainError, FeatureMismatch, RosetteError, boundary, f_many
 from rosette.boundary import (
     CONFIRM_OFFSETS,
+    _boundary_values,
     _confirm_offsets,
     distance_to_singular,
     feature_values,
@@ -681,6 +682,60 @@ def test_feature_mismatch_carries_its_witness(monkeypatch):
     assert err.expected == 0.0
     assert wrap_angle(err.measured - err.expected) == pytest.approx(0.1, abs=1e-3)
     assert str(err).startswith("cusp at t=0.0: tangent direction")
+
+
+CARRY_ORDERS = (3, 4, 5, 7, 12, 48, 1001, 5000)
+CARRY_PHASES = (0.0, 0.3, -0.7, 1.5, -1.5, PI / 2, -PI / 2 + 1e-10, PI / 2 - 5e-10)
+
+
+@pytest.mark.parametrize("n", CARRY_ORDERS)
+def test_carried_tangents_match_the_per_point_evaluation(monkeypatch, n):
+    # the confirmation samples one orbit and carries it by a(t + 2pi/n) = e^{2i pi/n} a(t);
+    # the oracle sends every feature's secant points through the curve itself
+    real, calls = boundary.one_sided_tangents, []
+
+    def recorded(*args):
+        calls.append((args, real(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(boundary, "one_sided_tangents", recorded)
+    for beta in CARRY_PHASES:
+        canonical = RosetteParams(n, beta).canonical()[0]
+        nodes = half_pi_shift(beta) is not None
+        part = halfspeed_points if nodes else _boundary_values
+        extract_features(RosetteParams(n, beta))
+        (_, ts, locations, offsets), carried = calls.pop()
+        assert len(ts) == (n if nodes else 2 * n)
+        oracle = real(lambda at: part(canonical, at), ts, locations, offsets)
+        for got, want in zip(carried, oracle):
+            assert np.abs(np.angle(np.exp(1j * (got - want)))).max() < 1e-9, beta
+
+
+@pytest.mark.parametrize("beta, points", [(0.3, [1, 12]), (PI / 2, [1, 6]),
+                                          (-PI / 2 + 1e-10, [1, 6])])
+def test_features_send_one_orbit_through_the_series_at_any_order(series_points, beta, points):
+    # the values at w = 1, then features 0 and 1 (node 0 alone) at 2 sides x 3 offsets
+    extract_features(RosetteParams(5000, beta))
+    assert series_points == points
+
+
+@pytest.mark.parametrize("n, move", [(5, 1e-4), (12, 1e-4), (1001, 1e-6), (5000, 1e-6)])
+@pytest.mark.parametrize("beta", [0.3, -PI / 2 + 1e-10])
+def test_a_wrong_location_past_the_first_orbit_fails_the_confirmation(monkeypatch, n, move, beta):
+    # feature t = 3pi/n (a removable node, or the second node just above -pi/2) is carried
+    # from the first orbit; its secants start at its own location, so a move is caught.
+    # Up to n = 500 the unscaled offsets see moves of 1e-4 * scale, not 1e-6 * scale.
+    real = boundary.feature_values
+
+    def moved(params):
+        values = real(params)
+        values[3] += move * scale_constant(params.n)
+        return values
+
+    monkeypatch.setattr(boundary, "feature_values", moved)
+    with pytest.raises(FeatureMismatch) as exc:
+        extract_features(RosetteParams(n, beta))
+    assert exc.value.t == pytest.approx(3 * PI / n, abs=1e-15)
 
 
 @pytest.mark.parametrize("n", [3, 5, 8])

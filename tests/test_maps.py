@@ -27,6 +27,10 @@ from rosette import (
     jacobian,
     reduce_beta,
     scale_constant,
+    separation_angle,
+    total_curvature,
+    total_curvature_numeric,
+    winding_number,
 )
 import rosette.maps as maps
 from rosette.maps import (
@@ -562,15 +566,24 @@ def test_integer_power_is_within_k_ulp_of_the_exact_power(k):
     lambda: curve_samples(RosetteParams(5, 0.3), ["a"]),
     lambda: SeriesSpec("analytic", 5),
     lambda: hypocycloid(5, ["a"]),
+    lambda: total_curvature(RosetteParams(5, 0.3), "a", 1.0),
+    lambda: total_curvature_numeric(RosetteParams(5, 0.3), "a", 1.0),
+    lambda: dilatation(RosetteParams(5, 0.3), "a"),
+    lambda: jacobian(RosetteParams(5, 0.3), "a"),
+    lambda: winding_number([0, 1, 1j, 0], "a"),
+    lambda: separation_angle(RosetteParams(5, 0.3), "x"),
 ], ids=["coeff-negative", "coeff-float", "tail-nan", "tail-negative", "dilatation-nan",
         "dilatation-complex-nan", "hypocycloid-nan", "hypocycloid-array-nan", "phase-string",
         "phase-complex", "reduce-string", "tail-string", "h-string", "dh-string",
         "series-string", "curve-samples-string", "spec-kind-string",
-        "hypocycloid-string"])
+        "hypocycloid-string", "curvature-string", "curvature-numeric-string",
+        "dilatation-string", "jacobian-string", "winding-string", "separation-side-string"])
 def test_an_argument_outside_the_domain_is_a_domain_error(call):
     # coeff raised a plain ValueError or a TypeError, the others returned NaN silently; the
-    # wrong types raised TypeError (the phases, tail_bound, the kind) or numpy's ValueError
-    # (the arrays)
+    # wrong types raised TypeError (the phases, tail_bound, the kind, the curvature ends,
+    # dilatation), ValueError (jacobian), numpy's ValueError (the arrays) or UFuncTypeError
+    # (the winding probe); separation_angle gave the cusp-after-node gap for any side
+    # that is not NODE_AFTER_CUSP
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError):

@@ -860,6 +860,16 @@ def test_fundamental_decomposition_tiles():
     assert cov.half_sector_angles[1] == pytest.approx(PI / 5, abs=1e-9)
 
 
+def test_the_tiling_asks_no_boundary_distance_when_every_probe_is_in_one_copy(monkeypatch):
+    # the exemption near copy boundaries is only for probes not in exactly one copy
+    real, calls = verify.curve_distances, []
+    monkeypatch.setattr(verify, "curve_distances", lambda *a: calls.append(a) or real(*a))
+    _, cov = fundamental_decomposition(RosetteParams(5, PI / 5), probe_grid=40)
+    assert calls == []
+    assert cov.passed and cov.violations == 0 and cov.first_violation is None
+    assert cov.count_histogram == {1: 1600} and cov.probes == 1600
+
+
 def test_fundamental_decomposition_noncanonical_beta():
     copies, cov = fundamental_decomposition(RosetteParams(4, 1.9), probe_grid=30)
     assert cov.passed
