@@ -244,10 +244,10 @@ def cmd_dump(args) -> int:
         text = _csv(["t", "re", "im", "d_arg", "d_mag"], rows)
     else:
         rs = (np.arange(args.count) + 0.5) / args.count
-        rows = []
-        for ray_arg in (0.0, math.pi / args.n, 2.0 * math.pi / args.n):
-            vals = combine_parts(params.beta, *parts_many(params, rs * np.exp(1j * ray_arg)))
-            rows += [[ray_arg, r, v.real, v.imag] for r, v in zip(rs, vals)]
+        angles = (0.0, math.pi / args.n, 2.0 * math.pi / args.n)
+        rays = np.concatenate([rs * np.exp(1j * a) for a in angles])  # one series pass for all
+        vals = combine_parts(params.beta, *parts_many(params, rays)).reshape(len(angles), -1)
+        rows = [[a, r, v.real, v.imag] for a, ray in zip(angles, vals) for r, v in zip(rs, ray)]
         text = _csv(["ray_arg", "r", "re", "im"], rows)
     _write_text(args.out, text)
     return 0

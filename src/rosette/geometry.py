@@ -74,21 +74,25 @@ def _ranges(starts: np.ndarray, stops: np.ndarray):
         k0 = k1
 
 
-def ensure_closed(pts: np.ndarray) -> np.ndarray:
-    """A copy of ``pts`` whose last vertex is exactly the first; OpenCurve if they are apart.
+def ensure_closed(pts) -> np.ndarray:
+    """``pts`` as a complex copy whose last vertex is exactly the first; OpenCurve if apart.
 
-    Raises DomainError for fewer than 2 vertices or a non-finite vertex, which no
-    verdict on the polyline could account for.
+    Raises DomainError for anything but a 1-D array of 2 or more finite complex vertices,
+    which no verdict on the polyline could account for.
     """
-    if pts.size < 2:
-        raise DomainError(f"a closed polyline needs at least 2 vertices, got {pts.size}")
+    try:
+        pts = np.array(pts, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"polyline vertices must be complex numbers: {exc}") from None
+    if pts.ndim != 1 or pts.size < 2:
+        raise DomainError(f"a closed polyline needs a 1-D array of at least 2 vertices, "
+                          f"got shape {pts.shape}")
     bad = np.flatnonzero(~np.isfinite(pts))
     if bad.size:
         raise DomainError(f"polyline vertex {bad[0]} is {pts[bad[0]]}, not finite")
     scale = float(np.abs(pts).max()) or 1.0
     if abs(pts[0] - pts[-1]) > 1e-9 * scale:
         raise OpenCurve("curve endpoints do not coincide")
-    pts = np.array(pts, copy=True)
     pts[-1] = pts[0]
     return pts
 
@@ -219,8 +223,7 @@ def _crossing_pairs(pts: np.ndarray) -> np.ndarray:
 
 def count_self_intersections(pts: np.ndarray) -> int:
     """Number of properly crossing non-adjacent segment pairs of a closed polyline."""
-    pts = ensure_closed(np.asarray(pts, dtype=complex))
-    return len(_crossing_pairs(pts))
+    return len(_crossing_pairs(ensure_closed(pts)))
 
 
 def crossing_witness(pts: np.ndarray) -> dict:

@@ -50,6 +50,12 @@ EPS_DOMAIN = 1e-9
 _BINARY_POWER_LIMIT = 100
 
 
+def _require_angle(value, what: str) -> None:
+    """Raise DomainError, naming ``what``, unless ``value`` is a finite real number."""
+    if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+        raise DomainError(f"{what} must be a finite real number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class RosetteParams:
     """Order n >= 3 and phase beta (radians) of one rosette mapping."""
@@ -59,8 +65,7 @@ class RosetteParams:
 
     def __post_init__(self):
         require_integer(self.n, 3, "rosette order n")
-        if not (isinstance(self.beta, numbers.Real) and math.isfinite(self.beta)):
-            raise DomainError(f"rosette phase beta must be a finite real number, got {self.beta!r}")
+        _require_angle(self.beta, "rosette phase beta")
 
     def canonical(self) -> tuple["RosetteParams", int]:
         """Equivalent parameters with beta in (-pi/2, pi/2] and the shift count l."""
@@ -255,8 +260,7 @@ def reduce_beta(beta_tilde: float) -> tuple[float, int]:
     The interval is half open at -pi/2: an input of exactly -pi/2 maps to
     (pi/2, -1).  A non-finite or non-real beta_tilde raises DomainError.
     """
-    if not (isinstance(beta_tilde, numbers.Real) and math.isfinite(beta_tilde)):
-        raise DomainError(f"phase must be a finite real number, got {beta_tilde!r}")
+    _require_angle(beta_tilde, "phase")
     shifts = math.ceil((beta_tilde - math.pi / 2) / math.pi)
     beta = beta_tilde - shifts * math.pi
     if beta <= -math.pi / 2:  # float rounding at the open endpoint
@@ -276,6 +280,8 @@ def canonical_rotation(theta: float, theta_tilde: float) -> tuple[float, float]:
     matching coefficients forces gamma = (theta - theta_tilde)/2 and
     beta = theta + theta_tilde (the full relative phase of the two parts).
     """
+    _require_angle(theta, "theta")
+    _require_angle(theta_tilde, "theta_tilde")
     return (theta - theta_tilde) / 2.0, theta + theta_tilde
 
 
@@ -286,11 +292,3 @@ def half_turn_rotation(n: int, shifts: int) -> complex:
     phase by l half turns rotates the image and shifts the parameter by l pi/n.
     """
     return cmath.exp(1j * shifts * (math.pi / 2 + math.pi / n))
-
-
-def transit_identity(params: RosetteParams, z, shifts: int) -> np.ndarray:
-    """Right-hand side of the half-turn law: f_{beta+l pi}(z) expressed through f_beta."""
-    z = np.asarray(z, dtype=complex) * cmath.exp(-1j * shifts * math.pi / params.n)
-    fz = combine_parts(params.beta, *parts_many(params, z))
-    # np.multiply, not ``rotation * temporary``: see combine_parts
-    return np.multiply(half_turn_rotation(params.n, shifts), fz)

@@ -56,6 +56,8 @@ class RenderSpec:
     overlay: frozenset = field(default_factory=frozenset)
 
     def __post_init__(self):
+        if not isinstance(self.params, RosetteParams):
+            raise DomainError(f"params must be RosetteParams, got {self.params!r}")
         require_integer(self.radial_lines, 1, "radial_lines")
         require_integer(self.circles, 1, "circles")
         require_integer(self.width_px, 1, "width_px")
@@ -92,6 +94,8 @@ def render_svg(spec: RenderSpec, *, copies: list | None = None) -> str:
 
     The FUNDAMENTAL_SET overlay draws ``copies`` (n RotatedCopy) or ``rotated_copies(params)``.
     """
+    if not isinstance(spec, RenderSpec):
+        raise DomainError(f"spec must be a RenderSpec, got {spec!r}")
     params = spec.params
     n = params.n
     half = bounding_radius(n) * (1.0 + spec.margin_frac)

@@ -190,6 +190,7 @@ def central_binomials(count: int) -> np.ndarray:
 
     The cumprod multiplies in sequence, so a prefix does not depend on the count.
     """
+    require_integer(count, 0, "count")
     m = np.arange(1, count, dtype=float)
     return np.concatenate([[1.0], np.cumprod((2.0 * m - 1.0) / (2.0 * m))])[:count]
 
@@ -370,9 +371,8 @@ def eval_series_many(spec: SeriesSpec, z) -> np.ndarray:
 
 def gamma_real(x: float) -> float:
     """Gamma(x) by math.gamma for finite x > 0; DomainError for x <= 0, NaN and inf."""
-    x = float(x)
-    if not 0.0 < x < math.inf:
-        raise DomainError(f"gamma_real requires a finite x > 0, got {x!r}")
+    if not (isinstance(x, numbers.Real) and 0.0 < x < math.inf):
+        raise DomainError(f"gamma_real requires a finite real x > 0, got {x!r}")
     return math.gamma(x)
 
 

@@ -20,7 +20,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .boundary import RotatedCopy, boundary_polyline, bounding_radius, rotated_copies, wrap_angle
-from .errors import TooCloseToCurve
+from .errors import DomainError, TooCloseToCurve
 from .geometry import (
     count_self_intersections,
     crossing_witness,
@@ -33,12 +33,9 @@ from .maps import (
     RosetteParams,
     combine_parts,
     derivative_parts,
-    g_many,
-    h_many,
     half_turn_rotation,
     integer_power,
     parts_many,
-    transit_identity,
 )
 from .quadrature import tanh_sinh
 from .series import SeriesKind, as_array, require_integer, scale_constant
@@ -89,7 +86,7 @@ def winding_number(
     Raises TooCloseToCurve when w0 is within the exclusion radius of a
     segment, and OpenCurve when the polyline is not closed.
     """
-    pts = ensure_closed(np.asarray(curve, dtype=complex))
+    pts = ensure_closed(curve)
     w0 = complex(as_array(w0, complex, "probe"))
     if exclusion_radius is None:
         exclusion_radius = 1e-9 * float(np.abs(pts - w0).max())
@@ -98,8 +95,9 @@ def winding_number(
 
 def winding_numbers(curve, points, exclusion_radius: float) -> list[WindingResult]:
     """Batch winding numbers for many probes against one closed polyline."""
-    pts = ensure_closed(np.asarray(curve, dtype=complex))
-    probes = np.asarray(points, dtype=complex).ravel()
+    pts = ensure_closed(curve)
+    probes = as_array(points, complex, "probes").ravel()
+    exclusion_radius = float(as_array(exclusion_radius, float, "exclusion radius"))
     dist = curve_distances(pts, probes)
     close = np.flatnonzero(~(dist > exclusion_radius))  # a NaN probe is too close, too
     if close.size:
@@ -203,12 +201,14 @@ def integral_oracle(
     check is independent of the series it checks: the series integrates from w = 1
     with a 15/31-point Gauss-Kronrod pair and adds the gamma closed forms at 1, while
     the oracle integrates from 0, where both maps vanish, with another rule.  Raises
-    DomainError for a point outside the closed disk (before any quadrature) and
-    QuadratureFailure if the rule does not converge.
+    DomainError for a kind that is no SeriesKind or a point outside the closed disk
+    (before any quadrature) and QuadratureFailure if the rule does not converge.
     """
-    z = np.array([z], dtype=complex)
+    if not isinstance(kind, SeriesKind):
+        raise DomainError(f"kind must be a SeriesKind, got {kind!r}")
+    z = as_array([z], complex, "point")
     analytic = kind is SeriesKind.ANALYTIC
-    rhs = complex((h_many if analytic else g_many)(params, z)[0])
+    rhs = complex(parts_many(params, z)[0 if analytic else 1][0])
     lhs = complex(tanh_sinh(params.n, z, 0 if analytic else params.n - 2)[0])
     return IntegralCheck(lhs=lhs, rhs=rhs, residual=abs(lhs - rhs))
 
@@ -269,10 +269,12 @@ def symmetry_suite(
     delta = 1e-5
     r = np.linspace(1e-3, 0.999, 400)
     ray = cmath.exp(1j * math.pi / n)
-    (hz, gz), at_rot, (hj, gj), at_conj, at_turn, at_gam_conj, at_gam, *at_offsets, at_r, at_ray = (
-        _parts_at(params, z, rot * z, rot_j * z, np.conj(z), np.exp(1j * math.pi / n) * z,
-                  gam * np.conj(z), gam * z, sub + delta, sub - delta, sub + 1j * delta,
-                  sub - 1j * delta, r, r * ray))
+    canonical, shifts = params.canonical()  # h and g depend on n alone: one pass serves both
+    ((hz, gz), at_rot, (hj, gj), at_conj, at_turn, at_shift, at_gam_conj, at_gam, *at_offsets,
+     at_r, at_ray) = _parts_at(
+        params, z, rot * z, rot_j * z, np.conj(z), np.exp(1j * math.pi / n) * z,
+        z * cmath.exp(-1j * shifts * math.pi / n), gam * np.conj(z), gam * z, sub + delta,
+        sub - delta, sub + 1j * delta, sub - 1j * delta, r, r * ray)
     fz = combine_parts(beta, hz, gz)
 
     # n-fold rotational symmetry with random k
@@ -289,9 +291,9 @@ def symmetry_suite(
     res = np.abs(combine_parts(beta, *at_conj) - np.conj(combine_parts(-beta, hz, gz))).max()
     add("reflection_conjugation", float(res), sample_count, 1e-10)
 
-    # half-turn law with l = -1, read from beta + pi back to beta
-    pre = half_turn_rotation(n, -1)
-    res = np.abs(fz - pre * combine_parts(beta + math.pi, *at_turn)).max()
+    # half-turn law with l = -1, read from beta + pi back to beta (np.multiply: see combine_parts)
+    res = np.abs(fz - np.multiply(half_turn_rotation(n, -1),
+                                  combine_parts(beta + math.pi, *at_turn))).max()
     add("half_turn_shift", float(res), sample_count, 1e-10)
 
     # beta = pi/2 reflection axis law
@@ -300,9 +302,9 @@ def symmetry_suite(
     rhs = np.conj(cmath.exp(1j * eta) * combine_parts(math.pi / 2, *at_gam))
     add("half_pi_reflection", float(np.abs(lhs - rhs).max()), sample_count, 1e-10)
 
-    # reduction to canonical beta through the phase-shift law
-    canonical, shifts = params.canonical()
-    res = np.abs(fz - transit_identity(canonical, z, shifts)).max()
+    # reduction to canonical beta through the half-turn law with l = shifts
+    res = np.abs(fz - np.multiply(half_turn_rotation(n, shifts),
+                                  combine_parts(canonical.beta, *at_shift))).max()
     add("phase_reduction", float(res), sample_count, 1e-10, {"shifts": shifts})
 
     # dilatation is exactly z^(n-2), compared where |z|^(n-2) >= 2^-969, 2^53 above the least

@@ -6,18 +6,19 @@ f, h' and g' on a 2048-point interior batch at n = 96 (the direct sum), builds
 the boundary polylines at n = 96 for beta = 0.3 and pi/2 (the half-speed
 curve), runs a univalence scan at n = 96 (the pruned nearest-segment query
 gates its winding probes), and runs a small `render`, a 64-row boundary
-`dump`, a 2048-row boundary `dump` at n = 6, a quick `verify` (whose integral
-check uses the tanh-sinh rule), a full `verify` at n = 5 (all four stages, the
-fundamental tiling included) and at n = 200 (whose dilatation check skips the
-samples where z^(n-2) underflows), CSV `features` reports at beta = 0.3 and
-pi/2 (whose nodes are confirmed on the half-speed curve), at n = 5 and at n = 5000
-(whose confirmation offsets are scaled down), and a `decompose`
-with a coverage report (the tiling of the image by fundamental-set copies)
-through the command line; exits non-zero if a value is not finite, a polyline
-is not closed or crosses itself, a univalence check fails, a command fails, a
-report does not say it passed, a CSV report does not parse back, the large
-dump's values differ from `boundary_points` at its parameters, or mpmath or
-scipy ended up in sys.modules.
+`dump`, a 2048-row boundary `dump` at n = 6, a 192-row radial `dump` (three rays
+in one series pass), a quick `verify` (whose integral check uses the tanh-sinh
+rule), a full `verify` at n = 5 (all four stages, the fundamental tiling
+included) and at n = 200 (whose dilatation check skips the samples where
+z^(n-2) underflows), CSV `features` reports at beta = 0.3 and pi/2 (whose nodes
+are confirmed on the half-speed curve), at n = 5 and at n = 5000 (whose
+confirmation offsets are scaled down), and a `decompose` with a coverage report
+(the tiling of the image by fundamental-set copies) through the command line;
+exits non-zero if a value is not finite, a polyline is not closed or crosses
+itself, a univalence check fails, a command fails, a report does not say it
+passed, a CSV report does not parse back, the large dump's values differ from
+`boundary_points` at its parameters, the radial dump's values differ from
+`f_many` at its points, or mpmath or scipy ended up in sys.modules.
 Needs only the runtime dependencies:
 
     python tests/smoke.py
@@ -94,6 +95,17 @@ with tempfile.TemporaryDirectory() as tmp:
     if len(rows) != 2048 or values != rosette.boundary_points(rosette.RosetteParams(6, 0.3),
                                                               ts).tolist():
         sys.exit("the 2048-row dump did not parse back to boundary_points")
+    radial = os.path.join(tmp, "r5.csv")
+    if main(["dump", "--n", "5", "--beta", "0.3", "--what", "radial", "--count", "64",
+             "--out", radial]) != 0:
+        sys.exit("radial dump failed")
+    with open(radial, encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    z = np.array([float(row["r"]) for row in rows]) * np.exp(
+        1j * np.array([float(row["ray_arg"]) for row in rows]))
+    values = [complex(float(row["re"]), float(row["im"])) for row in rows]
+    if len(rows) != 192 or values != rosette.f_many(params, z).tolist():
+        sys.exit("the radial dump did not parse back to f_many at its points")
     if main(["verify", "--n", "200", "--beta", "0.3", "--level", "full",
              "--out", os.path.join(tmp, "v200.json")]) != 0:
         sys.exit("verify at n = 200 failed")

@@ -470,6 +470,25 @@ def test_halfspeed_examples():
         assert got == pytest.approx(nodes[(2 * k) % (2 * n)], abs=1e-11)
 
 
+@pytest.mark.parametrize("n", [3, 5, 12, 97, 1001])
+def test_halfspeed_points_snap_only_a_node_itself_to_its_feature_value(n):
+    # until 0.17.0 every mapped parameter within 1e-9 of j pi/n took the node's value; the
+    # curve is only Hoelder-1/2 there, so 1.9e-9 past the node at n = 5 that was 3.9e-5 off
+    p = RosetteParams(n, PI / 2)
+    nodes, ks = feature_values(p), range(0, n, max(1, n // 7))
+    for k in ks:  # the node ends the skipped constancy arc [(2k - 1) pi/n, 2k pi/n]
+        got = halfspeed_points(p, [2 * k * PI / n])[0]
+        assert got in (nodes[2 * k], nodes[2 * k - 1]), k
+    for d in (1e-12, 1e-10, 5e-10, 1.9e-9):
+        for k in ks:
+            after, before = 2 * k * PI / n + d, 2 * k * PI / n - d
+            mapped = [k * PI / n + after / 2]
+            if k:
+                mapped.append((k - 1) * PI / n + before / 2)
+            got = halfspeed_points(p, [after, before][: len(mapped)])
+            assert got.tobytes() == _boundary_values(p, np.array(mapped)).tobytes(), (k, d)
+
+
 def test_halfspeed_continuity_at_seams():
     p = RosetteParams(4, PI / 2)
     for k in (1, 2, 3):

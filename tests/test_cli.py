@@ -9,10 +9,12 @@ import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from rosette.cli import BETA_LIMIT, main, parse_beta
+from rosette.maps import RosetteParams, combine_parts, parts_many
 from rosette.render import Overlay
 
 PI = math.pi
@@ -322,6 +324,22 @@ def test_dump_radial_magnitude_increases_at_half_pi(tmp_path):
     rows = list(csv.reader(io.StringIO(out.read_text())))[1:]
     mags = [math.hypot(float(r[2]), float(r[3])) for r in rows if float(r[0]) == 0.0]
     assert all(b > a for a, b in zip(mags, mags[1:]))
+
+
+@pytest.mark.parametrize("n,beta", [(5, "0.3"), (12, "-pi/2"), (96, "3pi/2")])
+def test_dump_radial_makes_one_series_pass_and_writes_the_per_ray_rows(series_passes, tmp_path,
+                                                                       n, beta):
+    out = tmp_path / "radial.csv"
+    argv = ["dump", "--n", str(n), "--beta", beta, "--what", "radial", "--count", "40"]
+    assert run_cli(argv + ["--out", str(out)]) == 0
+    assert series_passes == [2]  # h and g on all three rays at once
+    params, rs, want = RosetteParams(n, parse_beta(beta)), (np.arange(40) + 0.5) / 40, []
+    for ray_arg in (0.0, PI / n, 2.0 * PI / n):  # the oracle: one pass per ray
+        vals = combine_parts(params.beta, *parts_many(params, rs * np.exp(1j * ray_arg)))
+        want += [[ray_arg, r, v.real, v.imag] for r, v in zip(rs, vals)]
+    rows = list(csv.reader(io.StringIO(out.read_text())))
+    assert rows[0] == ["ray_arg", "r", "re", "im"]
+    assert [[float(cell) for cell in row] for row in rows[1:]] == want
 
 
 # --- render / decompose ----------------------------------------------------------------

@@ -116,13 +116,27 @@ def test_only_maps_and_boundary_call_f_many():
     # combine_parts(beta, *parts_many(params, z)), one pass for both.  The benchmark pins
     # boundary_points alone (bench/test_bench.py): the tracer must patch boundary.f_many
     # and reach the boundary.boundary_points span, and maps.f_many must reach the
-    # maps.h_many and maps.g_many spans on interior-eval.  A call or a reference counts.
-    users = set()
-    for path in SOURCE.glob("*.py"):
-        uses = _NameUses(path.stem, "f_many")
-        uses.visit(ast.parse(path.read_text(encoding="utf-8")))
-        users |= uses.found
-    assert users - {"boundary.boundary_points"} == set()
+    # maps.h_many and maps.g_many spans on interior-eval.  So h and g have one way in:
+    # outside maps no module names h_many, g_many or the series passes (series' own
+    # one-family wrapper aside), and inside it only f_many takes the one-part passes and
+    # only parts_many the two-family pass.  A call or a reference counts.
+    allowed = {
+        "f_many": {"boundary.boundary_points"},
+        "h_many": {"maps.f_many"},
+        "g_many": {"maps.f_many"},
+        "eval_series_many": {"maps.h_many", "maps.g_many"},
+        "eval_families_many": {"maps.parts_many", "series.eval_series_many"},
+        "transit_identity": set(),
+    }
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCE.glob("*.py")}
+    found = {}
+    for name in allowed:
+        found[name] = set()
+        for module, tree in trees.items():
+            uses = _NameUses(module, name)
+            uses.visit(tree)
+            found[name] |= uses.found
+    assert found == allowed
 
 
 def test_only_interval_points_puts_the_feature_values_into_a_polyline():

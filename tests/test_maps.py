@@ -11,26 +11,34 @@ from rosette import (
     DomainError,
     MapValue,
     RosetteError,
+    RenderSpec,
     RosetteParams,
     SeriesKind,
     SeriesSpec,
     SingularPoint,
     canonical_rotation,
+    central_binomials,
+    classify_singular_point,
+    count_self_intersections,
     curve_samples,
     dilatation,
     endpoint_values,
     f,
     f_many,
     g_many,
+    gamma_real,
     h_many,
     hypocycloid,
+    integral_oracle,
     jacobian,
     reduce_beta,
+    render_svg,
     scale_constant,
     separation_angle,
     total_curvature,
     total_curvature_numeric,
     winding_number,
+    winding_numbers,
 )
 import rosette.maps as maps
 from rosette.maps import (
@@ -41,7 +49,6 @@ from rosette.maps import (
     dh_many,
     integer_power,
     parts_many,
-    transit_identity,
 )
 from rosette.series import eval_families_many
 
@@ -406,16 +413,6 @@ def test_derivative_parts_refuse_what_dh_many_refuses(z):
     assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
 
 
-def test_transit_identity_does_not_depend_on_the_batch():
-    # before 0.9.0, past 16384 points, numpy reused the product's temporary with the
-    # operands swapped
-    z = disk_points(seed=10, count=20000, r_max=0.999)
-    p = RosetteParams(5, 0.3)
-    batch = transit_identity(p, z, 3)
-    chunks = np.concatenate([transit_identity(p, z[i : i + 100], 3) for i in range(0, z.size, 100)])
-    assert batch.tobytes() == chunks.tobytes()
-
-
 def test_endpoint_helper_matches_parts():
     ev = endpoint_values(9)
     p = RosetteParams(9, 0.0)
@@ -572,18 +569,43 @@ def test_integer_power_is_within_k_ulp_of_the_exact_power(k):
     lambda: jacobian(RosetteParams(5, 0.3), "a"),
     lambda: winding_number([0, 1, 1j, 0], "a"),
     lambda: separation_angle(RosetteParams(5, 0.3), "x"),
+    lambda: winding_numbers([0, 1, 1j, 0], [0.2 + 0.2j], "a"),
+    lambda: winding_number([0, 1, 1j, 0], 0.2 + 0.2j, "a"),
+    lambda: winding_number([[0, 1], [1j, 0]], 0.2),
+    lambda: winding_number("abc", 0.2),
+    lambda: count_self_intersections("abc"),
+    lambda: integral_oracle(RosetteParams(5, 0.3), "a"),
+    lambda: integral_oracle(RosetteParams(5, 0.3), 0.5, "x"),
+    lambda: gamma_real("a"),
+    lambda: gamma_real(1j),
+    lambda: central_binomials(2.5),
+    lambda: canonical_rotation("a", 1.0),
+    lambda: canonical_rotation(math.nan, 1.0),
+    lambda: RenderSpec("x"),
+    lambda: render_svg("x"),
+    lambda: classify_singular_point(lambda t: "x", 0.0),
 ], ids=["coeff-negative", "coeff-float", "tail-nan", "tail-negative", "dilatation-nan",
         "dilatation-complex-nan", "hypocycloid-nan", "hypocycloid-array-nan", "phase-string",
         "phase-complex", "reduce-string", "tail-string", "h-string", "dh-string",
         "series-string", "curve-samples-string", "spec-kind-string",
         "hypocycloid-string", "curvature-string", "curvature-numeric-string",
-        "dilatation-string", "jacobian-string", "winding-string", "separation-side-string"])
+        "dilatation-string", "jacobian-string", "winding-string", "separation-side-string",
+        "windings-exclusion-string", "winding-exclusion-string", "winding-2d-curve",
+        "winding-curve-string", "crossings-curve-string", "oracle-point-string",
+        "oracle-kind-string", "gamma-string", "gamma-complex", "binomials-float",
+        "rotation-string", "rotation-nan", "render-spec-params-string", "render-string",
+        "classify-curve-string"])
 def test_an_argument_outside_the_domain_is_a_domain_error(call):
     # coeff raised a plain ValueError or a TypeError, the others returned NaN silently; the
     # wrong types raised TypeError (the phases, tail_bound, the kind, the curvature ends,
     # dilatation), ValueError (jacobian), numpy's ValueError (the arrays) or UFuncTypeError
     # (the winding probe); separation_angle gave the cusp-after-node gap for any side
-    # that is not NODE_AFTER_CUSP
+    # that is not NODE_AFTER_CUSP.  Before 0.17.0 an exclusion radius "a" raised
+    # UFuncTypeError, a 2-D curve ValueError ("truth value ... ambiguous"), a string curve,
+    # oracle point or classified curve ValueError from complex(), gamma_real ValueError or
+    # TypeError, central_binomials(2.5) and canonical_rotation("a", 1.0) TypeError,
+    # render_svg("x") AttributeError; canonical_rotation(nan, 1.0) returned NaNs, RenderSpec
+    # took any params, and integral_oracle took any kind but ANALYTIC as COANALYTIC
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError):

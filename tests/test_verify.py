@@ -627,12 +627,14 @@ def test_integral_oracle_next_to_singular_points(n):
             assert abs(chk.lhs - _closed_form(n, z, kind)) < 1e-10
 
 
-@pytest.mark.parametrize("n", [3, 12, 96, 500])
+@pytest.mark.parametrize("n", [3, 5, 12, 96, 500])
 def test_integral_oracle_is_the_batched_row(n):
+    # rhs is h_many's or g_many's row bit for bit, though the oracle takes it from parts_many
     params = RosetteParams(n, 0.3)
     rng = np.random.default_rng(n)
     z = 0.99 * np.sqrt(rng.uniform(0, 1, 40)) * np.exp(2j * PI * rng.uniform(0, 1, 40))
-    z = np.concatenate([z, [0.0, 1.0, 1 - 1e-15, cmath.exp(1j * PI / n) * (1 - 1e-12)]])
+    z = np.concatenate([z, [0.0, 1.0, 1 - 1e-15, cmath.exp(1j * PI / n) * (1 - 1e-12),
+                            0.3 + 0.2j, -1.0, cmath.exp(0.7j)]])
     filler = 0.9 * np.exp(2j * PI * rng.uniform(0, 1, 300))  # moves z across a block boundary
     for kind, power, part in zip(SeriesKind, (0, n - 2), (maps.h_many, maps.g_many)):
         lhs, rhs = quadrature.tanh_sinh(n, z, power), part(params, z)
@@ -737,8 +739,8 @@ def separate_call_residuals(params, sample_count=1000, seed=42):
         f_many(params, z) - maps.half_turn_rotation(n, -1) * f_many(shifted, np.exp(1j * PI / n) * z)
     ).max()
     canonical, shifts = params.canonical()
-    out["phase_reduction"] = np.abs(
-        f_many(params, z) - maps.transit_identity(canonical, z, shifts)).max()
+    out["phase_reduction"] = np.abs(f_many(params, z) - maps.half_turn_rotation(n, shifts)
+                                    * f_many(canonical, z * cmath.exp(-1j * shifts * PI / n))).max()
     zs = z[np.abs(1.0 - z ** (2 * n)) > 1e-6]
     quot = dg_many(params, zs) / dh_many(params, zs)
     out["dilatation_quotient"] = np.abs(quot / zs ** (n - 2) - 1.0)[zs != 0].max()
@@ -782,16 +784,18 @@ def test_shared_symmetry_residuals_equal_the_separate_calls(n, beta):
 
 
 def test_symmetry_suite_makes_one_fused_series_pass(series_passes):
-    # one pass over every point set at both kinds, then one for transit_identity's h and g
-    symmetry_suite(RosetteParams(5, 0.3))
-    assert series_passes == [2, 2]
+    # one pass over every point set at both kinds, the phase reduction's shifted set too
+    for beta in (0.3, 3 * PI / 2, -2.9):
+        series_passes.clear()
+        symmetry_suite(RosetteParams(5, beta))
+        assert series_passes == [2], beta
 
 
-def test_full_verify_makes_ten_series_passes(series_passes, tmp_path):
-    # symmetry 2, univalence 3, integral identities 1, decomposition 4
+def test_full_verify_makes_nine_series_passes(series_passes, tmp_path):
+    # symmetry 1, univalence 3, integral identities 1, decomposition 4
     argv = ["verify", "--n", "5", "--beta", "0.3", "--level", "full"]
     assert main(argv + ["--out", str(tmp_path / "v.json")]) == 0
-    assert len(series_passes) == 10
+    assert len(series_passes) == 9
 
 
 @pytest.mark.parametrize("n", [3, 7, 12])
