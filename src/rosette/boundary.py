@@ -45,13 +45,8 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    FeatureMismatch,
-    IntervalCrossesCusp,
-    NonCanonicalBeta,
-    WrongBeta,
-)
+from .errors import (DomainError, FeatureMismatch, IntervalCrossesCusp, NonCanonicalBeta, WrongBeta,
+                     as_array, as_number, require_integer)
 from .geometry import dedupe
 from .maps import (
     RosetteParams,
@@ -62,7 +57,7 @@ from .maps import (
     half_turn_rotation,
     parts_many,
 )
-from .series import as_array, require_integer, scale_constant
+from .series import scale_constant
 
 TWO_PI = 2.0 * math.pi
 
@@ -140,15 +135,6 @@ def distance_to_singular(n: int, t):
     return np.minimum(r, step - r)
 
 
-def _finite_parameters(ts) -> np.ndarray:
-    """ts as a float array, after raising DomainError for a non-number or its first non-finite t."""
-    ts = as_array(ts, float, "boundary parameters")
-    bad = ts[~np.isfinite(ts)]
-    if bad.size:
-        raise DomainError(f"boundary parameter t={bad[0]} is not finite")
-    return ts
-
-
 def _boundary_values(params: RosetteParams, ts: np.ndarray) -> np.ndarray:
     """a(t) = f(e^{it}) at finite parameters from one two-family series pass, bit for bit
     the values of ``boundary_points``."""
@@ -160,7 +146,7 @@ def boundary_points(params: RosetteParams, ts) -> np.ndarray:
     # f_many's two series passes, not _boundary_values, for two benchmark pins until ROADMAP
     # item 1: bench/test_bench.py reads boundary.f_many and wants this function's span on
     # boundary-render, where render's ray ends are now its only caller
-    return f_many(params, np.exp(1j * _finite_parameters(ts)))
+    return f_many(params, np.exp(1j * as_array(ts, float, "boundary parameter t")))
 
 
 def _derivative_values(params: RosetteParams, ts: np.ndarray) -> np.ndarray:
@@ -174,8 +160,6 @@ def half_pi_shift(beta: float) -> Optional[int]:
 
     These are the nodes-instead-of-cusps phases; l half turns carry pi/2 to them.
     """
-    if not math.isfinite(beta):
-        return None
     shifts = round((beta - math.pi / 2) / math.pi)
     return shifts if abs(beta - shifts * math.pi - math.pi / 2) <= BETA_HALF_PI_TOL else None
 
@@ -221,7 +205,7 @@ def _derivative_fields(params: RosetteParams, ts: np.ndarray):
 def curve_samples(params: RosetteParams, ts: Sequence[float]) -> list[CurveSample]:
     """Boundary samples for dumping, in the order of ts raveled; derivative fields are None
     at singular t, and a non-finite t raises DomainError."""
-    ts = np.ravel(_finite_parameters(ts))
+    ts = np.ravel(as_array(ts, float, "boundary parameter t"))
     values = _boundary_values(params, ts).tolist()
     red = np.mod(ts, TWO_PI)
     ok = distance_to_singular(params.n, red) >= T_SINGULAR_TOL
@@ -394,11 +378,9 @@ def separation_angle(params: RosetteParams, side: SeparationSide) -> float:
 
 
 def _check_within_petal(params: RosetteParams, t0: float, t1: float) -> tuple[float, float]:
-    """(t0, t1) as floats, after raising unless they are finite and within one petal."""
+    """(t0, t1) as floats, after raising unless they are real, finite and within one petal."""
     n = params.n
-    t0, t1 = as_array([t0, t1], float, "interval ends").tolist()
-    if not (math.isfinite(t0) and math.isfinite(t1)):
-        raise DomainError(f"interval [{t0}, {t1}] is not finite")
+    t0, t1 = as_number(t0, float, "interval end t0"), as_number(t1, float, "interval end t1")
     if t1 < t0:
         raise IntervalCrossesCusp("need t0 <= t1")
     base, lag, _ = _reduce(params)
@@ -461,17 +443,19 @@ def halfspeed_points(params: RosetteParams, ts) -> np.ndarray:
         raise WrongBeta("half-speed reparametrization requires beta = pi/2 + l pi")
     base, lag, turn = _reduce(params)
     n = base.n
-    red = np.mod(_finite_parameters(ts) - lag, TWO_PI)
+    ts = as_array(ts, float, "boundary parameter t")
+    red = np.mod(ts - lag, TWO_PI)
     k = np.floor(red * n / TWO_PI)  # zero-based inter-cusp interval counter
     mapped = k * math.pi / n + red / 2.0
     out = _boundary_values(base, mapped)
-    # a node's t maps to within 3 ulps of j pi/n and gets the exact feature value; any other t
-    # keeps its own: the curve is only Hoelder-1/2 there (at n = 5, 3.9e-5 off at 1.9e-9 past)
+    # a node's t maps to j pi/n up to the rounding of t, the lag and j pi/n (5e-324 at j = 0) and
+    # takes the exact feature value; any other t keeps its own: the curve is Hoelder-1/2 there
     step = math.pi / n
     j_near = np.rint(mapped / step).astype(int)
-    snap = np.abs(mapped - j_near * step) <= 4 * np.spacing(j_near * step)
-    if snap.any():
-        out[snap] = feature_values(base)[j_near[snap] % (2 * n)]
+    window = 4 * (np.spacing(np.abs(ts)) + np.spacing(abs(lag)) + np.spacing(j_near * step))
+    snap = np.abs(mapped - j_near * step) <= window
+    if snap.any():  # np.where, not item assignment: a scalar t gives a numpy scalar
+        out = np.where(snap, feature_values(base)[j_near % (2 * n)], out)
     return turn * out if lag else out
 
 
@@ -642,7 +626,7 @@ def one_sided_tangents(
     t0 = np.asarray(ts, dtype=float)
     d = np.asarray(offsets, dtype=float)
     side = np.array([-1.0, 1.0])[:, None]
-    vals = as_array(curve_fn((t0[:, None, None] + side * d).ravel()), complex, "curve values")
+    vals = _curve_values(curve_fn, (t0[:, None, None] + side * d).ravel())
     locs = as_array(locations, complex, "locations")[:, None, None]
     raw = np.angle(side * (vals.reshape(t0.size, 2, d.size) - locs))
     est = raw[..., :1] + (raw - raw[..., :1] + math.pi) % TWO_PI - math.pi
@@ -650,6 +634,14 @@ def one_sided_tangents(
     while est.shape[-1] > 1:
         est = (ratio * est[..., 1:] - est[..., :-1]) / (ratio - 1.0)
     return est[:, 0, 0], est[:, 1, 0]
+
+
+def _curve_values(curve_fn: Callable[[np.ndarray], np.ndarray], ts: np.ndarray) -> np.ndarray:
+    """curve_fn(ts) as a complex array; DomainError unless it is one finite number per t."""
+    vals = as_array(curve_fn(ts), complex, "curve values")
+    if vals.shape != ts.shape or not np.isfinite(vals).all():
+        raise DomainError(f"curve function gave {vals} for the {ts.size} parameters {ts}")
+    return vals
 
 
 def classify_singular_point(
@@ -663,8 +655,12 @@ def classify_singular_point(
     point is a cusp when they differ by pi (mod 2pi), a removable node when
     they agree, and a node otherwise.
     """
+    t0 = as_number(t0, float, "t0")
     if location is None:
-        location = complex(as_array(curve_fn(np.array([t0])), complex, "curve values")[0])
+        (location,) = _curve_values(curve_fn, np.array([t0])).tolist()
+    location = as_number(location, complex, "location")
+    if not cmath.isfinite(location):
+        raise DomainError(f"location {location} is not finite")
     left, right = (float(x[0]) for x in one_sided_tangents(curve_fn, [t0], [location]))
     jump = abs(wrap_angle(right - left))
     if abs(jump - math.pi) < CONFIRM_TOL:

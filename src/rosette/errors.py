@@ -1,4 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one rule for numeric arguments: a
+number is what numpy reads as bool, int or float, or complex where a complex value goes, and
+every real is finite.  ``as_array``, ``as_number`` (exactly one number) and ``require_integer``
+(an order or a count) apply it to every public argument; anything else raises DomainError.
+"""
+
+import operator
+
+import numpy as np
 
 
 class RosetteError(Exception):
@@ -6,8 +14,10 @@ class RosetteError(Exception):
 
 
 class DomainError(RosetteError, ValueError):
-    """Argument outside its domain: the closed unit disk, x > 0 for gamma, real finite beta and t,
-    an integer order of the stated minimum, a closed polyline of 2 or more finite vertices.
+    """Argument outside its domain: no number by this module's rule (text, None, an object,
+    ragged nesting, a complex where a real goes, a real that is not finite, a list where one
+    number goes), a point off the closed unit disk, an order below its minimum, a polyline
+    without 2 finite vertices.
 
     Also a ValueError, so that ``except ValueError`` callers keep catching bad orders.
     """
@@ -59,3 +69,35 @@ class FeatureMismatch(RosetteError):
     def __str__(self) -> str:
         return (f"{self.kind.value} at t={self.t}: tangent direction {self.measured} "
                 f"does not match expected {self.expected}")
+
+
+def require_integer(value, minimum: int, what: str) -> None:
+    """Raise DomainError unless ``value`` is an integer (for operator.index) >= ``minimum``."""
+    try:
+        small = operator.index(value) < minimum
+    except TypeError:
+        raise DomainError(f"{what} must be an integer, got {value!r}") from None
+    if small:
+        raise DomainError(f"{what} must be >= {minimum}, got {value}")
+
+
+def as_array(values, dtype: type, what: str) -> np.ndarray:
+    """``values`` as a float or complex (``dtype``) array, or DomainError naming ``what``."""
+    try:
+        arr = np.asarray(values)
+    except (TypeError, ValueError):  # ragged nesting
+        arr = np.asarray(None)
+    if arr.dtype.kind not in ("biufc" if dtype is complex else "biuf"):
+        raise DomainError(f"{what} must be {dtype.__name__} numbers, got {values!r}")
+    arr = arr.astype(dtype, copy=False)
+    if dtype is float and not np.isfinite(arr).all():
+        raise DomainError(f"{what}={arr[~np.isfinite(arr)][0]} is not finite")
+    return arr
+
+
+def as_number(value, dtype: type, what: str) -> float | complex:
+    """Exactly one number, as a Python ``dtype`` (float or complex), by the rule of ``as_array``."""
+    arr = as_array(value, dtype, what)
+    if arr.ndim:
+        raise DomainError(f"{what} must be one number, got {value!r}")
+    return dtype(arr)

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, OpenCurve
+from .errors import DomainError, OpenCurve, as_array
 
 # |det - exact| <= _ORIENT_ERR * (|left| + |right|) for the float determinant below
 # (Shewchuk, "Adaptive precision floating-point arithmetic and fast robust geometric
@@ -43,8 +43,8 @@ _PLAIN_SCALES = (2.0**-500, 2.0**500)
 
 def _orientation(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Exact sign of cross(a - p, b - p): +1 when p lies left of a -> b, 0 on the line."""
-    u, v = a - p, b - p
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves the sign unsure
+        u, v = a - p, b - p
         left, right = u.real * v.imag, u.imag * v.real
         det = left - right
         sign = np.sign(det).astype(int)
@@ -80,10 +80,7 @@ def ensure_closed(pts) -> np.ndarray:
     Raises DomainError for anything but a 1-D array of 2 or more finite complex vertices,
     which no verdict on the polyline could account for.
     """
-    try:
-        pts = np.array(pts, dtype=complex)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"polyline vertices must be complex numbers: {exc}") from None
+    pts = np.array(as_array(pts, complex, "polyline vertices"))
     if pts.ndim != 1 or pts.size < 2:
         raise DomainError(f"a closed polyline needs a 1-D array of at least 2 vertices, "
                           f"got shape {pts.shape}")

@@ -30,14 +30,12 @@ from __future__ import annotations
 
 import cmath
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SingularPoint
-from .series import (SeriesKind, SeriesSpec, as_array, eval_families_many, eval_series_many,
-                     require_integer)
+from .errors import SingularPoint, as_array, as_number, require_integer
+from .series import SeriesKind, SeriesSpec, clip_to_disk, eval_families_many, eval_series_many
 
 # Proximity of 1 - z^{2n} to zero below which derivative closed forms are refused.
 SINGULAR_TOL = 1e-12
@@ -50,12 +48,6 @@ EPS_DOMAIN = 1e-9
 _BINARY_POWER_LIMIT = 100
 
 
-def _require_angle(value, what: str) -> None:
-    """Raise DomainError, naming ``what``, unless ``value`` is a finite real number."""
-    if not (isinstance(value, numbers.Real) and math.isfinite(value)):
-        raise DomainError(f"{what} must be a finite real number, got {value!r}")
-
-
 @dataclass(frozen=True)
 class RosetteParams:
     """Order n >= 3 and phase beta (radians) of one rosette mapping."""
@@ -65,7 +57,7 @@ class RosetteParams:
 
     def __post_init__(self):
         require_integer(self.n, 3, "rosette order n")
-        _require_angle(self.beta, "rosette phase beta")
+        as_number(self.beta, float, "rosette phase beta")
 
     def canonical(self) -> tuple["RosetteParams", int]:
         """Equivalent parameters with beta in (-pi/2, pi/2] and the shift count l."""
@@ -90,25 +82,6 @@ class MapValue:
     @property
     def f(self) -> complex:
         return self.h + self.gbar
-
-
-def _check_disk(z: np.ndarray) -> np.ndarray:
-    """|z|, after raising DomainError for points more than EPS_DOMAIN outside the disk or NaN."""
-    az = np.abs(z)
-    if not (az <= 1.0 + EPS_DOMAIN).all():
-        worst = z.ravel()[int(np.argmax(az))]  # np.argmax picks a NaN first
-        raise DomainError(f"point {worst} is not in the closed unit disk")
-    return az
-
-
-def _clip_disk(z: np.ndarray) -> np.ndarray:
-    """Project points within EPS_DOMAIN outside the disk back onto the circle."""
-    az = _check_disk(z)
-    over = az > 1.0
-    if over.any():
-        z = np.array(z, copy=True)
-        z[over] /= az[over]
-    return z
 
 
 def integer_power(z: np.ndarray, k: int) -> np.ndarray:
@@ -140,7 +113,7 @@ def integer_power(z: np.ndarray, k: int) -> np.ndarray:
 
 def h_many(params: RosetteParams, z) -> np.ndarray:
     """Analytic part h(z) = z * F_a(z^{2n}), vectorized."""
-    z = _clip_disk(as_array(z, complex, "points"))
+    z = clip_to_disk(as_array(z, complex, "points"), EPS_DOMAIN)[0]
     w = integer_power(z, 2 * params.n)
     factor = eval_series_many(params._spec(SeriesKind.ANALYTIC), w)
     return z * factor
@@ -148,7 +121,7 @@ def h_many(params: RosetteParams, z) -> np.ndarray:
 
 def g_many(params: RosetteParams, z) -> np.ndarray:
     """Co-analytic part g(z) = z^{n-1}/(n-1) * F_c(z^{2n}), vectorized."""
-    z = _clip_disk(as_array(z, complex, "points"))
+    z = clip_to_disk(as_array(z, complex, "points"), EPS_DOMAIN)[0]
     w = integer_power(z, 2 * params.n)
     factor = eval_series_many(params._spec(SeriesKind.COANALYTIC), w)
     return integer_power(z, params.n - 1) / (params.n - 1) * factor
@@ -156,7 +129,7 @@ def g_many(params: RosetteParams, z) -> np.ndarray:
 
 def parts_many(params: RosetteParams, z) -> tuple[np.ndarray, np.ndarray]:
     """h(z) and g(z) from one series pass, each bit for bit as h_many/g_many give it."""
-    z = _clip_disk(as_array(z, complex, "points"))
+    z = clip_to_disk(as_array(z, complex, "points"), EPS_DOMAIN)[0]
     w = integer_power(z, 2 * params.n)
     fa, fc = eval_families_many([params._spec(k) for k in SeriesKind], w)
     return z * fa, integer_power(z, params.n - 1) / (params.n - 1) * fc
@@ -182,7 +155,7 @@ def f_many(params: RosetteParams, z) -> np.ndarray:
 
 def f(params: RosetteParams, z: complex) -> MapValue:
     """The rosette map at z, as the pair of its summands, from one series pass."""
-    hz, gz = (complex(v[0]) for v in parts_many(params, np.array([z])))
+    hz, gz = (complex(v[0]) for v in parts_many(params, [as_number(z, complex, "point")]))
     rot = cmath.exp(0.5j * params.beta)
     return MapValue(h=rot * hz, gbar=gz.conjugate() / rot)
 
@@ -196,7 +169,7 @@ def _root_factor(params: RosetteParams, z: np.ndarray) -> np.ndarray:
     Points within EPS_DOMAIN outside the disk are accepted as they are, not
     projected onto the circle.
     """
-    _check_disk(z)
+    clip_to_disk(z, EPS_DOMAIN)
     rad = 1.0 - integer_power(z, 2 * params.n)
     if (np.abs(rad) < SINGULAR_TOL).any():
         raise SingularPoint(
@@ -206,8 +179,7 @@ def _root_factor(params: RosetteParams, z: np.ndarray) -> np.ndarray:
 
 
 def dh_many(params: RosetteParams, z) -> np.ndarray:
-    z = as_array(z, complex, "points")
-    return _root_factor(params, z)
+    return _root_factor(params, as_array(z, complex, "points"))
 
 
 def derivative_parts(params: RosetteParams, z) -> tuple[np.ndarray, np.ndarray]:
@@ -222,17 +194,16 @@ def dg_many(params: RosetteParams, z) -> np.ndarray:
 
 
 def dilatation(params: RosetteParams, z: complex) -> complex:
-    """g'/h' computed directly as z^{n-2}; independent of beta, total on the disk."""
-    z = complex(as_array(z, complex, "point"))
-    if not cmath.isfinite(z):
-        raise DomainError(f"dilatation needs a finite point, got {z}")
+    """g'/h' computed directly as z^{n-2}; independent of beta, total on the closed disk."""
+    z = as_number(z, complex, "point")
+    clip_to_disk(np.asarray(z), EPS_DOMAIN)
     return z ** (params.n - 2)
 
 
 def jacobian(params: RosetteParams, z: complex) -> float:
     """|h'|^2 - |g'|^2 in the simplified form (1 - |z|^{2(n-2)})/|1 - z^{2n}|."""
-    z = complex(as_array(z, complex, "point"))
-    _check_disk(np.asarray(z))
+    z = as_number(z, complex, "point")
+    clip_to_disk(np.asarray(z), EPS_DOMAIN)
     rad = 1.0 - z ** (2 * params.n)
     if abs(rad) < SINGULAR_TOL:
         raise SingularPoint(
@@ -242,11 +213,11 @@ def jacobian(params: RosetteParams, z: complex) -> float:
 
 
 def hypocycloid(n: int, z) -> np.ndarray | complex:
-    """The n-cusped hypocycloid map z + conj(z)^{n-1}/(n-1), the rosettes' baseline."""
+    """The n-cusped hypocycloid map z + conj(z)^{n-1}/(n-1) on the closed disk, the rosettes'
+    baseline."""
     require_integer(n, 3, "hypocycloid order n")
     arr = as_array(z, complex, "points")
-    if not np.isfinite(arr).all():
-        raise DomainError(f"hypocycloid needs finite points, got {z}")
+    clip_to_disk(arr, EPS_DOMAIN)
     out = arr + np.conj(arr) ** (n - 1) / (n - 1)
     return complex(out) if np.isscalar(z) or arr.shape == () else out
 
@@ -260,7 +231,7 @@ def reduce_beta(beta_tilde: float) -> tuple[float, int]:
     The interval is half open at -pi/2: an input of exactly -pi/2 maps to
     (pi/2, -1).  A non-finite or non-real beta_tilde raises DomainError.
     """
-    _require_angle(beta_tilde, "phase")
+    beta_tilde = as_number(beta_tilde, float, "phase")
     shifts = math.ceil((beta_tilde - math.pi / 2) / math.pi)
     beta = beta_tilde - shifts * math.pi
     if beta <= -math.pi / 2:  # float rounding at the open endpoint
@@ -280,9 +251,10 @@ def canonical_rotation(theta: float, theta_tilde: float) -> tuple[float, float]:
     matching coefficients forces gamma = (theta - theta_tilde)/2 and
     beta = theta + theta_tilde (the full relative phase of the two parts).
     """
-    _require_angle(theta, "theta")
-    _require_angle(theta_tilde, "theta_tilde")
-    return (theta - theta_tilde) / 2.0, theta + theta_tilde
+    theta = as_number(theta, float, "theta")
+    theta_tilde = as_number(theta_tilde, float, "theta_tilde")
+    # halves first, so that gamma stays finite; a beta that overflows is refused
+    return 0.5 * theta - 0.5 * theta_tilde, as_number(theta + theta_tilde, float, "beta")
 
 
 def half_turn_rotation(n: int, shifts: int) -> complex:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -30,9 +29,8 @@ from .boundary import (
     extract_features,
     rotated_copies,
 )
-from .errors import DomainError
+from .errors import DomainError, as_number, require_integer
 from .maps import RosetteParams, combine_parts, hypocycloid, parts_many
-from .series import require_integer
 from .svgout import SvgCanvas, axis_segment, flatten_curve, flatten_curves
 
 TWO_PI = 2.0 * math.pi
@@ -62,8 +60,8 @@ class RenderSpec:
         require_integer(self.circles, 1, "circles")
         require_integer(self.width_px, 1, "width_px")
         require_integer(self.samples_per_curve, 16, "samples_per_curve")
-        if not (isinstance(self.margin_frac, numbers.Real) and 0.0 <= self.margin_frac < math.inf):
-            raise DomainError(f"margin_frac must be a finite real >= 0, got {self.margin_frac!r}")
+        if not as_number(self.margin_frac, float, "margin_frac") >= 0.0:
+            raise DomainError(f"margin_frac must be >= 0, got {self.margin_frac!r}")
         if not all(isinstance(item, Overlay) for item in self.overlay):
             raise DomainError(f"overlay items must be Overlay members, got {set(self.overlay)}")
 

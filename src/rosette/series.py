@@ -59,15 +59,13 @@ from __future__ import annotations
 import functools
 import logging
 import math
-import numbers
-import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DomainError, NoConvergence
+from .errors import DomainError, NoConvergence, as_array, as_number, require_integer
 
 _log = logging.getLogger(__name__)
 
@@ -142,24 +140,6 @@ class SeriesKind(Enum):
 
     ANALYTIC = "analytic"      # factor multiplying z in the analytic part
     COANALYTIC = "coanalytic"  # factor multiplying z^(n-1)/(n-1) in the co-analytic part
-
-
-def require_integer(value, minimum: int, what: str) -> None:
-    """Raise DomainError unless ``value`` is an integer (for operator.index) >= ``minimum``."""
-    try:
-        small = operator.index(value) < minimum
-    except TypeError:
-        raise DomainError(f"{what} must be an integer, got {value!r}") from None
-    if small:
-        raise DomainError(f"{what} must be >= {minimum}, got {value}")
-
-
-def as_array(values, dtype: type, what: str) -> np.ndarray:
-    """np.asarray(values, dtype=dtype); DomainError, naming ``what``, if they do not convert."""
-    try:
-        return np.asarray(values, dtype=dtype)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"{what} must be {dtype.__name__} numbers: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -245,8 +225,10 @@ def tail_bound(spec: SeriesSpec, m: int, abs_z: float) -> float:
     Valid because the coefficients are positive and decreasing.  Returns
     inf for abs_z >= 1 where no geometric bound exists.
     """
-    if not (isinstance(abs_z, numbers.Real) and abs_z >= 0.0):  # also true for NaN
-        raise DomainError(f"tail_bound needs a real abs_z >= 0, got {abs_z!r}")
+    require_integer(m, 0, "tail index m")
+    abs_z = as_number(abs_z, float, "tail_bound abs_z")
+    if abs_z < 0.0:
+        raise DomainError(f"tail_bound needs abs_z >= 0, got {abs_z!r}")
     if abs_z >= 1.0:
         return math.inf
     return coeff(spec, m + 1) * abs_z ** (m + 1) / (1.0 - abs_z)
@@ -272,6 +254,21 @@ def _expm1(y: np.ndarray) -> np.ndarray:
     return (np.expm1(a) * np.cos(b) - 2.0 * s * s) + 1j * (np.exp(a) * np.sin(b))
 
 
+def clip_to_disk(z: np.ndarray, slack: float) -> tuple[np.ndarray, np.ndarray]:
+    """z and |z| with the points up to ``slack`` outside the closed unit disk projected onto
+    the circle (in a copy); DomainError for a point farther out or NaN."""
+    az = np.abs(z)
+    if not (az <= 1.0 + slack).all():  # also true for a NaN
+        worst = z.ravel()[int(np.argmax(az))]  # np.argmax picks a NaN first
+        raise DomainError(f"point {worst} is not in the closed unit disk")
+    over = az > 1.0
+    if over.any():
+        z = np.array(z, copy=True)
+        z[over] /= az[over]
+        az = np.where(over, 1.0, az)
+    return z, az
+
+
 def eval_families_many(specs: Sequence[SeriesSpec], z) -> list[np.ndarray]:
     """Evaluate families of one order at every point of ``z`` (any array-like).
 
@@ -285,15 +282,7 @@ def eval_families_many(specs: Sequence[SeriesSpec], z) -> list[np.ndarray]:
         raise DomainError("families evaluated together must share n")
     w = as_array(z, complex, "series arguments")
     shape = w.shape
-    w = np.array(w.ravel(), copy=True)
-    aw = np.abs(w)
-    if not (aw <= 1.0 + DOMAIN_SLACK).all():  # also true for a NaN
-        worst = w[np.argmax(aw)]  # np.argmax picks a NaN first
-        raise DomainError(f"series argument {worst} is not in the closed unit disk")
-    over = aw > 1.0
-    if over.any():
-        w[over] /= aw[over]
-        aw[over] = 1.0
+    w, aw = clip_to_disk(w.ravel(), DOMAIN_SLACK)
 
     terms = _DIRECT_TERMS
     certified = aw <= _direct_radius(terms, ABS_TOL)
@@ -370,10 +359,14 @@ def eval_series_many(spec: SeriesSpec, z) -> np.ndarray:
 
 
 def gamma_real(x: float) -> float:
-    """Gamma(x) by math.gamma for finite x > 0; DomainError for x <= 0, NaN and inf."""
-    if not (isinstance(x, numbers.Real) and 0.0 < x < math.inf):
-        raise DomainError(f"gamma_real requires a finite real x > 0, got {x!r}")
-    return math.gamma(x)
+    """Gamma(x) by math.gamma; DomainError unless x > 0 and Gamma(x) is a finite double."""
+    x = as_number(x, float, "gamma_real x")
+    try:
+        if x > 0.0:
+            return math.gamma(x)
+    except OverflowError:
+        pass
+    raise DomainError(f"gamma_real takes x from about 5.6e-309 to 171.62, got {x!r}")
 
 
 def endpoint_values(n: int) -> EndpointValues:

@@ -20,7 +20,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .boundary import RotatedCopy, boundary_polyline, bounding_radius, rotated_copies, wrap_angle
-from .errors import DomainError, TooCloseToCurve
+from .errors import DomainError, TooCloseToCurve, as_array, as_number, require_integer
 from .geometry import (
     count_self_intersections,
     crossing_witness,
@@ -38,7 +38,7 @@ from .maps import (
     parts_many,
 )
 from .quadrature import tanh_sinh
-from .series import SeriesKind, as_array, require_integer, scale_constant
+from .series import SeriesKind, scale_constant
 
 TWO_PI = 2.0 * math.pi
 
@@ -87,9 +87,9 @@ def winding_number(
     segment, and OpenCurve when the polyline is not closed.
     """
     pts = ensure_closed(curve)
-    w0 = complex(as_array(w0, complex, "probe"))
-    if exclusion_radius is None:
-        exclusion_radius = 1e-9 * float(np.abs(pts - w0).max())
+    w0 = as_number(w0, complex, "probe")
+    if exclusion_radius is None:  # 0 for a NaN probe, which is then too close
+        exclusion_radius = 1e-9 * float(np.nan_to_num(np.abs(pts - w0).max()))
     return winding_numbers(pts, [w0], exclusion_radius)[0]
 
 
@@ -97,9 +97,9 @@ def winding_numbers(curve, points, exclusion_radius: float) -> list[WindingResul
     """Batch winding numbers for many probes against one closed polyline."""
     pts = ensure_closed(curve)
     probes = as_array(points, complex, "probes").ravel()
-    exclusion_radius = float(as_array(exclusion_radius, float, "exclusion radius"))
-    dist = curve_distances(pts, probes)
-    close = np.flatnonzero(~(dist > exclusion_radius))  # a NaN probe is too close, too
+    exclusion_radius = as_number(exclusion_radius, float, "exclusion radius")
+    dist = curve_distances(pts, np.where(np.isfinite(probes), probes, np.nan))
+    close = np.flatnonzero(~(dist > exclusion_radius))  # a NaN or inf probe is too close
     if close.size:
         k = close[0]
         raise TooCloseToCurve(
@@ -137,7 +137,7 @@ def univalence_scan(
     scale beyond the bounding circle have winding 0; (c) the grid images are
     pairwise distinct (pigeonhole injectivity), with the minimum separation reported.
     """
-    require_integer(grid_resolution, 1, "grid_resolution")
+    require_integer(grid_resolution, 2, "grid_resolution")  # (c) needs two images
     n = params.n
     if per_interval is None:
         per_interval = max(320, -(-4096 // (2 * n)))
@@ -206,7 +206,7 @@ def integral_oracle(
     """
     if not isinstance(kind, SeriesKind):
         raise DomainError(f"kind must be a SeriesKind, got {kind!r}")
-    z = as_array([z], complex, "point")
+    z = np.array([as_number(z, complex, "point")])
     analytic = kind is SeriesKind.ANALYTIC
     rhs = complex(parts_many(params, z)[0 if analytic else 1][0])
     lhs = complex(tanh_sinh(params.n, z, 0 if analytic else params.n - 2)[0])

@@ -489,6 +489,24 @@ def test_halfspeed_points_snap_only_a_node_itself_to_its_feature_value(n):
             assert got.tobytes() == _boundary_values(p, np.array(mapped)).tobytes(), (k, d)
 
 
+def test_every_node_of_the_half_pi_class_takes_its_feature_value():
+    # until 0.18.0 the snap window was 4 ulps of j pi/n, 5e-324 wide at j = 0: at l = 3 the
+    # node t = 3 * (pi/n) mapped to about 1e-17 and took the curve there, 3.0e-9 off at
+    # n = 25 (32 of these orders were off); every node at n = 10^5 would take 10 s, so its
+    # first and last 64 nodes stand for it
+    for n in [*range(3, 300), 1001, 5000, 10**5]:
+        nodes = feature_values(RosetteParams(n, PI / 2))[0::2]
+        ks = np.arange(n) if n <= 5000 else np.r_[0:64, n - 64 : n]
+        for shifts in range(-1, 4):
+            got = halfspeed_points(RosetteParams(n, PI / 2 + shifts * PI),
+                                   (2 * ks + shifts) * (PI / n))
+            want = half_turn_rotation(n, shifts) * nodes[ks]
+            assert np.abs(got - want).max() <= 1e-12, (n, shifts)
+    # one t, not a list: until 0.18.0 a node raised TypeError (item assignment to a scalar)
+    p = RosetteParams(5, PI / 2)
+    assert halfspeed_points(p, 0.0) == feature_values(p)[0]
+
+
 def test_halfspeed_continuity_at_seams():
     p = RosetteParams(4, PI / 2)
     for k in (1, 2, 3):

@@ -43,7 +43,7 @@ IMPORT_GRAPH = {
     "geometry": {"errors"},
     "maps": {"errors", "series"},
     "quadrature": {"errors"},
-    "render": {"boundary", "errors", "maps", "series", "svgout"},
+    "render": {"boundary", "errors", "maps", "svgout"},
     "series": {"errors"},
     "svgout": set(),
     "verify": {"boundary", "errors", "geometry", "maps", "quadrature", "series"},
@@ -218,6 +218,24 @@ def test_every_public_name_is_used_in_the_package_or_listed_with_its_reason():
     stale = sorted(UNUSED_PUBLIC_NAMES.keys() - unused)
     assert not unlisted, f"public names that no package module uses: {unlisted}"
     assert not stale, f"listed as unused, but used or no longer public: {stale}"
+
+
+def test_the_rule_for_numeric_arguments_has_one_home():
+    # errors defines as_array, as_number and require_integer, every module takes them from
+    # there, and no module asks isinstance(x, numbers.Real) beside them
+    rule = {"as_array", "as_number", "require_integer"}
+    defined, imported = {}, {}
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef) and node.name in rule:
+                defined.setdefault(node.name, []).append(path.stem)
+            elif isinstance(node, ast.ImportFrom):
+                for alias in node.names:
+                    if alias.name in rule:
+                        imported.setdefault(alias.name, set()).add(node.module)
+    assert defined == {name: ["errors"] for name in rule}
+    assert imported == {name: {"errors"} for name in rule}
+    assert [name for name, found in _imports().items() if "numbers" in found] == []
 
 
 def test_exact_arithmetic_lives_in_the_geometry_kernels_alone():

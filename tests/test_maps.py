@@ -1,6 +1,7 @@
 import cmath
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from rosette import (
     SeriesKind,
     SeriesSpec,
     SingularPoint,
+    boundary_points,
     canonical_rotation,
     central_binomials,
     classify_singular_point,
@@ -584,6 +586,41 @@ def test_integer_power_is_within_k_ulp_of_the_exact_power(k):
     lambda: RenderSpec("x"),
     lambda: render_svg("x"),
     lambda: classify_singular_point(lambda t: "x", 0.0),
+    # text where a number goes
+    lambda: h_many(RosetteParams(5, 0.3), ["0.5"]),
+    lambda: curve_samples(RosetteParams(5, 0.3), ["0.1"]),
+    lambda: dilatation(RosetteParams(5, 0.3), "0.5"),
+    lambda: winding_number(["0", "1", "1+1j", "1j", "0"], 0.5 + 0.5j),
+    lambda: series.tail_bound(SeriesSpec(SeriesKind.ANALYTIC, 5), "3", 0.5),
+    # a complex value where a real goes
+    lambda: curve_samples(RosetteParams(5, 0.3), np.array([0.1 + 1j])),
+    lambda: boundary_points(RosetteParams(5, 0.3), np.array([0.1 + 1j])),
+    lambda: total_curvature(RosetteParams(5, 0.3), np.complex128(0.1 + 1j), 0.2),
+    lambda: winding_numbers([0, 1, 1j, 0], [0.2 + 0.2j], np.complex128(1e-3 + 1j)),
+    # None and other objects
+    lambda: RosetteParams(5, Fraction(1, 3)),
+    lambda: gamma_real(Fraction(1, 2)),
+    # a list where one number goes
+    lambda: winding_number([0, 1, 1j, 0], [0.2 + 0.2j, 0.3]),
+    lambda: winding_numbers([0, 1, 1j, 0], [0.2 + 0.2j], [1e-3, 1e-3]),
+    lambda: integral_oracle(RosetteParams(5, 0.3), [0.1, 0.2]),
+    lambda: dilatation(RosetteParams(5, 0.3), [0.1, 0.2]),
+    lambda: jacobian(RosetteParams(5, 0.3), [0.1, 0.2]),
+    lambda: f(RosetteParams(5, 0.3), [0.1, 0.2]),
+    # a curve function that does not give one finite value per parameter, a location
+    # that is no finite point
+    lambda: classify_singular_point(lambda t: 1.0, 0.0),
+    lambda: classify_singular_point(lambda t: np.full(np.shape(t), np.nan), 0.0),
+    lambda: classify_singular_point(lambda t: np.exp(1j * t), 0.0, math.nan),
+    # a real that is not finite, or a result that overflows
+    lambda: winding_numbers([0, 1, 1j, 0], [0.2 + 0.2j], math.inf),
+    lambda: series.tail_bound(SeriesSpec(SeriesKind.ANALYTIC, 5), 3, math.inf),
+    lambda: gamma_real(171.7),
+    lambda: gamma_real(1e308),
+    lambda: canonical_rotation(1e308, 1e308),
+    # a point off the closed disk
+    lambda: dilatation(RosetteParams(5, 0.3), 2.0),
+    lambda: hypocycloid(5, 2.0),
 ], ids=["coeff-negative", "coeff-float", "tail-nan", "tail-negative", "dilatation-nan",
         "dilatation-complex-nan", "hypocycloid-nan", "hypocycloid-array-nan", "phase-string",
         "phase-complex", "reduce-string", "tail-string", "h-string", "dh-string",
@@ -594,7 +631,14 @@ def test_integer_power_is_within_k_ulp_of_the_exact_power(k):
         "winding-curve-string", "crossings-curve-string", "oracle-point-string",
         "oracle-kind-string", "gamma-string", "gamma-complex", "binomials-float",
         "rotation-string", "rotation-nan", "render-spec-params-string", "render-string",
-        "classify-curve-string"])
+        "classify-curve-string", "h-text", "curve-samples-text", "dilatation-text",
+        "winding-curve-text", "tail-index-text", "curve-samples-complex",
+        "boundary-points-complex", "curvature-complex", "windings-exclusion-complex",
+        "phase-fraction", "gamma-fraction", "winding-probe-list", "windings-exclusion-list",
+        "oracle-point-list", "dilatation-list", "jacobian-list", "f-list",
+        "classify-scalar-curve", "classify-nan-curve", "classify-nan-location",
+        "windings-exclusion-inf", "tail-inf", "gamma-overflow", "gamma-1e308",
+        "rotation-overflow", "dilatation-off-disk", "hypocycloid-off-disk"])
 def test_an_argument_outside_the_domain_is_a_domain_error(call):
     # coeff raised a plain ValueError or a TypeError, the others returned NaN silently; the
     # wrong types raised TypeError (the phases, tail_bound, the kind, the curvature ends,
@@ -605,7 +649,9 @@ def test_an_argument_outside_the_domain_is_a_domain_error(call):
     # oracle point or classified curve ValueError from complex(), gamma_real ValueError or
     # TypeError, central_binomials(2.5) and canonical_rotation("a", 1.0) TypeError,
     # render_svg("x") AttributeError; canonical_rotation(nan, 1.0) returned NaNs, RenderSpec
-    # took any params, and integral_oracle took any kind but ANALYTIC as COANALYTIC
+    # took any params, and integral_oracle took any kind but ANALYTIC as COANALYTIC.  Before
+    # 0.18.0 the rows from "h-text" on were taken as numbers or escaped: numpy's TypeError
+    # for a list, IndexError for a scalar curve function, OverflowError from gamma_real
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError):

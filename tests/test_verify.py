@@ -950,6 +950,7 @@ def test_jacobian_closed_form_vs_derivatives():
     lambda p: verify.fundamental_tiling(p, 0),
     lambda p: fundamental_decomposition(p, probe_grid=0),
     lambda p: univalence_scan(p, grid_resolution=0),
+    lambda p: univalence_scan(p, grid_resolution=1),
     lambda p: univalence_scan(p, per_interval=0),
     lambda p: symmetry_suite(p, sample_count=0),
     lambda p: symmetry_suite(p, sample_count=2.5),
@@ -961,7 +962,8 @@ def test_jacobian_closed_form_vs_derivatives():
     lambda p: symmetry_suite(p, 10, seed=1.5),
     lambda p: verify.integral_identities(p, 3, -1),
     lambda p: verify.integral_identities(p, 3, 1.5),
-], ids=["tiling", "decomposition", "univalence-grid", "univalence-per-interval",
+], ids=["tiling", "decomposition", "univalence-grid", "univalence-grid-one",
+        "univalence-per-interval",
         "symmetry", "symmetry-float", "integral", "integral-float", "polyline",
         "polyline-negative", "symmetry-seed-negative", "symmetry-seed-float",
         "integral-seed-negative", "integral-seed-float"])
