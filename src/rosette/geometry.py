@@ -5,11 +5,20 @@ a 2x2 determinant, exact in sign (a float filter with a static error bound, and
 rational arithmetic for the few signs it cannot certify).  The winding numbers and
 the crossing count take their verdicts from it alone; ``curve_distances`` measures
 in floats and decides nothing by itself.
+
+Two queries answer with one number what the brute force answers with many, bit for
+bit: ``min_curve_distance(curve, points)`` is ``np.min(curve_distances(curve,
+points))``, from one branch-and-bound over the chunk discs for all points at once, and
+``min_pairwise_distance(points)`` is the least of all |p_i - p_j|, i != j, from a sweep
+over the points sorted by x.  Each measures its pairs by the brute force's own formula
+and prunes only pairs that a float-safe bound shows to be no nearer than a pair it has
+measured, so its result is one of the brute force's numbers.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Optional
 
 import numpy as np
 
@@ -30,6 +39,7 @@ _BLOCK = 1 << 18  # element budget of one vectorised block of pairs
 # took twice as long.
 _DISTANCE_BLOCK = 1 << 16
 _CHUNK = 64  # consecutive segments per bounding disc of curve_distances
+_LEADS = 16  # points whose nearest chunk min_curve_distance measures first, for its bound
 # Relative slack of the chunk-disc lower bounds.  The float bound |p - c| - r and
 # the float segment distances each err by a few ulps of |p - c| + r + |c|; taking
 # 1e-12 of that off the bound keeps it below every computed distance in the
@@ -147,34 +157,56 @@ def curve_distances(curve, points) -> np.ndarray:
     return _distances(pts, probes)
 
 
-def _distances(pts: np.ndarray, probes: np.ndarray) -> np.ndarray:
-    """curve_distances on a curve and probes whose coordinates need no scaling."""
-    a, ab = pts[:-1], pts[1:] - pts[:-1]
-    k = max(1, min(_CHUNK, a.size))
-    pad = -a.size % k
-    a = np.append(a, np.repeat(a[-1:], pad)).reshape(-1, k)
-    ab = np.append(ab, np.repeat(ab[-1:], pad)).reshape(-1, k)
+def _chunks(pts: np.ndarray):
+    """The segments of ``pts`` in chunks of k = min(``_CHUNK``, segments) (the last padded
+    with copies of the final segment): k, each chunk's disc as its centre and its reach (the
+    radius with the ``_DISC_SLACK`` taken on), and ``nearest(w, c)``, the exact distance
+    from each probe w[i] to chunk c[i]."""
+    k = max(1, min(_CHUNK, pts.size - 1))
+    a, ab = _rows(pts[:-1], k), _rows(pts[1:] - pts[:-1], k)
     denom = np.abs(ab) ** 2
     denom[denom == 0.0] = np.inf  # a zero-length segment's nearest point is its start
     conj_ab = np.conj(ab)
-    verts = np.concatenate([a, a[:, -1:] + ab[:, -1:]], axis=1)
-    centre = (0.5 * (verts.real.min(axis=1) + verts.real.max(axis=1))
-              + 0.5j * (verts.imag.min(axis=1) + verts.imag.max(axis=1)))
-    radius = np.abs(verts - centre[:, None]).max(axis=1)
-    reach = radius * (1.0 + _DISC_SLACK) + _DISC_SLACK * np.abs(centre)
+    centre, reach = _discs(np.concatenate([a, a[:, -1:] + ab[:, -1:]], axis=1))
 
     def nearest(w: np.ndarray, c: np.ndarray) -> np.ndarray:
-        """Exact distance from each probe w[i] to chunk c[i]."""
         w0 = w[:, None]
         t = np.clip(((w0 - a[c]) * conj_ab[c]).real / denom[c], 0.0, 1.0)
         return np.abs(w0 - (a[c] + t * ab[c])).min(axis=1)
 
+    return k, centre, reach, nearest
+
+
+def _rows(x: np.ndarray, k: int) -> np.ndarray:
+    """``x`` in rows of k, the last row padded with copies of the last element."""
+    return np.append(x, np.repeat(x[-1:], -x.size % k)).reshape(-1, k)
+
+
+def _discs(rows: np.ndarray, reach: Optional[np.ndarray] = None):
+    """A disc about each row of points (of discs with the given reach, if any): the centre
+    of the row's bounding box, and its reach, the largest distance from it to a point (or
+    to a disc's far side) of the row, with the ``_DISC_SLACK`` taken on."""
+    centre = (0.5 * (rows.real.min(axis=1) + rows.real.max(axis=1))
+              + 0.5j * (rows.imag.min(axis=1) + rows.imag.max(axis=1)))
+    radius = np.abs(rows - centre[:, None])
+    radius = (radius if reach is None else radius + reach).max(axis=1)
+    return centre, radius * (1.0 + _DISC_SLACK) + _DISC_SLACK * np.abs(centre)
+
+
+def _lower(w: np.ndarray, centre: np.ndarray, reach: np.ndarray) -> np.ndarray:
+    """Lower bounds on the distance from each probe w to anything in its disc (broadcast)."""
+    return np.abs(w - centre) * (1.0 - _DISC_SLACK) - reach
+
+
+def _distances(pts: np.ndarray, probes: np.ndarray) -> np.ndarray:
+    """curve_distances on a curve and probes whose coordinates need no scaling."""
+    k, centre, reach, nearest = _chunks(pts)
     rows = max(1, _DISTANCE_BLOCK // max(centre.size, k))
     pairs = max(1, _DISTANCE_BLOCK // k)
     out = np.empty(probes.size)
     for i0 in range(0, probes.size, rows):
         w = probes[i0 : i0 + rows]
-        lower = np.abs(w[:, None] - centre) * (1.0 - _DISC_SLACK) - reach
+        lower = _lower(w[:, None], centre, reach)
         best = lower.argmin(axis=1)
         upper = nearest(w, best)
         lower[np.arange(w.size), best] = np.inf
@@ -184,6 +216,62 @@ def _distances(pts: np.ndarray, probes: np.ndarray) -> np.ndarray:
             np.minimum.at(upper, i[part], nearest(w[i[part]], c[part]))
         out[i0 : i0 + rows] = upper
     return out
+
+
+def min_curve_distance(curve, points) -> float:
+    """The least distance from any of the points to the polyline ``curve``:
+    ``np.min(curve_distances(curve, points))`` bit for bit, inf for no points and NaN when
+    a point is not finite (without the warning that an infinite one gives there).
+
+    One branch-and-bound over the chunk discs of ``curve_distances`` for all points at
+    once.  The chunks are grouped, ``_CHUNK`` groups or more, each group inside the disc
+    about its chunk centres that reaches past their discs.  The ``_LEADS`` points nearest
+    a group disc, each measured to the chunk of least bound in that group, give an upper
+    bound U on the minimum.  Only the chunks of the (point, group) pairs whose bound does
+    not exceed U, and of those only the chunks whose own bound does not exceed U, are
+    measured, by the formula of ``curve_distances``.  So the result is one of the
+    distances that ``curve_distances`` returns, and no pruned segment is nearer; where
+    ``curve_distances`` measures every point, this measures only the points that can hold
+    the minimum.  A vertex that is not finite, or coordinates outside ``_PLAIN_SCALES``,
+    take ``curve_distances`` itself.
+    """
+    pts = np.ascontiguousarray(curve, dtype=complex)
+    probes = np.asarray(points, dtype=complex).ravel()
+    if not np.isfinite(probes).all():
+        return math.nan
+    top = max(np.abs(x.view(float)).max(initial=0.0) for x in (pts, probes))
+    plain = top == 0.0 or _PLAIN_SCALES[0] <= top <= _PLAIN_SCALES[1]
+    if not (plain and np.isfinite(pts).all()) or probes.size == 0:
+        return float(np.min(curve_distances(pts, probes), initial=math.inf))
+    k, centre, reach, nearest = _chunks(pts)
+    size = min(_CHUNK, max(1, centre.size // _CHUNK))  # chunks per group: _CHUNK groups or more
+    group, spread = _discs(_rows(centre, size), _rows(reach, size))
+    step = max(1, _DISTANCE_BLOCK // group.size)
+    starts = range(0, probes.size, step)
+
+    def bounds(i0: int) -> np.ndarray:
+        return _lower(probes[i0 : i0 + step, None], group, spread)
+
+    first = bounds(0)  # kept: most calls have one block
+    least = np.concatenate([first.min(axis=1)] + [bounds(i0).min(axis=1) for i0 in starts[1:]])
+    leads = probes[np.argsort(least, kind="stable")[:_LEADS], None]
+    own = _lower(leads, group, spread).argmin(axis=1)[:, None] * size + np.arange(size)
+    own = np.minimum(own, centre.size - 1)
+    pick = own[np.arange(own.shape[0]), _lower(leads, centre[own], reach[own]).argmin(axis=1)]
+    upper = float(nearest(leads[:, 0], pick).min())
+    found = []
+    for i0 in starts:
+        i, g = np.nonzero((first if i0 == 0 else bounds(i0)) <= upper)
+        c = (g[:, None] * size + np.arange(size)).ravel()
+        i = np.repeat(i0 + i, size)[c < centre.size]
+        c = c[c < centre.size]
+        keep = _lower(probes[i], centre[c], reach[c]) <= upper
+        found.append((i[keep], c[keep]))
+    i, c = (np.concatenate(x) for x in zip(*found))
+    pairs = max(1, _DISTANCE_BLOCK // k)
+    for j in range(0, i.size, pairs):
+        upper = min(upper, float(nearest(probes[i[j : j + pairs]], c[j : j + pairs]).min()))
+    return upper
 
 
 # --- polyline simplicity ------------------------------------------------------
@@ -242,9 +330,21 @@ def dedupe(pts: np.ndarray, tol: float) -> np.ndarray:
 
 
 def min_pairwise_distance(pts: np.ndarray) -> float:
-    best = math.inf
-    for i0 in range(0, pts.size, 512):
-        d = np.abs(pts[i0 : i0 + 512, None] - pts[None, :])
-        d[np.arange(d.shape[0]), np.arange(i0, i0 + d.shape[0])] = math.inf  # self-pairs
-        best = min(best, float(d.min(initial=math.inf)))
+    """The least distance |p_i - p_j|, i != j, between the points (inf for fewer than two),
+    bit for bit the brute-force minimum.
+
+    A sweep over the points sorted by x, then y: the least distance d between neighbours in
+    that order bounds the minimum, and only the pairs whose x-gap is at most d are measured,
+    ``_BLOCK`` at a time.  A pair further apart in x is no nearer than d: the computed
+    |p_j - p_i| is never below its computed x-gap, which is at least d when x_j lies beyond
+    the float x_i + d.
+    """
+    pts = np.asarray(pts, dtype=complex).ravel()
+    if pts.size < 2:
+        return math.inf
+    p = pts[np.lexsort((pts.imag, pts.real))]
+    best = float(np.abs(np.diff(p)).min())
+    stop = np.searchsorted(p.real, p.real + best, "right")
+    for i, j in _ranges(np.arange(2, p.size + 2), stop):
+        best = min(best, float(np.abs(p[j] - p[i]).min(initial=math.inf)))
     return best

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -62,8 +63,9 @@ class RenderSpec:
         require_integer(self.samples_per_curve, 16, "samples_per_curve")
         if not as_number(self.margin_frac, float, "margin_frac") >= 0.0:
             raise DomainError(f"margin_frac must be >= 0, got {self.margin_frac!r}")
-        if not all(isinstance(item, Overlay) for item in self.overlay):
-            raise DomainError(f"overlay items must be Overlay members, got {set(self.overlay)}")
+        if not (isinstance(self.overlay, Iterable)
+                and all(isinstance(item, Overlay) for item in self.overlay)):
+            raise DomainError(f"overlay must be a set of Overlay members, got {self.overlay!r}")
 
 
 def _grid_paths(spec: RenderSpec) -> list:
@@ -116,8 +118,10 @@ def render_svg(spec: RenderSpec, *, copies: list | None = None) -> str:
 
     if Overlay.FUNDAMENTAL_SET in spec.overlay:
         copies = rotated_copies(params) if copies is None else copies
-        if len(copies) != n or not all(isinstance(c, RotatedCopy) for c in copies):
-            raise DomainError(f"copies must be {n} RotatedCopy, got {len(copies)} items")
+        if not (isinstance(copies, Sequence) and len(copies) == n
+                and all(isinstance(c, RotatedCopy) for c in copies)):
+            got = f"{len(copies)} items" if isinstance(copies, Sequence) else repr(copies)
+            raise DomainError(f"copies must be {n} RotatedCopy, got {got}")
         for copy in copies[:-1]:
             canvas.polyline(copy.polyline, stroke="#bbbbbb", width=0.6)
         canvas.polyline(copies[-1].polyline, stroke="#207020", width=1.6)

@@ -26,6 +26,7 @@ from .geometry import (
     crossing_witness,
     curve_distances,
     ensure_closed,
+    min_curve_distance,
     min_pairwise_distance,
     windings,
 )
@@ -155,19 +156,22 @@ def univalence_scan(
     scale = scale_constant(n)
     exclusion = 1e-6 * scale
     probes = combine_parts(params.beta, *_parts_at(params, _interior_grid(grid_resolution))[0])
-    res = winding_numbers(poly, probes, exclusion)
-    worst, witness = _worst_probe(res, 1)
-    details = {"min_curve_distance": min(r.min_distance_to_curve for r in res)}
+    poly = ensure_closed(poly)  # in place of the sampled one, which no stage below reads
+    near = min_curve_distance(poly, probes)
+    if not near > exclusion:  # some probe is too close, or not finite: winding_numbers names it
+        winding_numbers(poly, probes, exclusion)
+    worst, witness = _worst_probe(probes, windings(poly, probes), 1)
+    details = {"min_curve_distance": near}
     if witness:
         details["worst_probe"] = witness
     checks.append(
-        CheckResult("interior_winding_one", worst == 0, float(worst), len(res), details)
+        CheckResult("interior_winding_one", worst == 0, float(worst), probes.size, details)
     )
 
     radius = bounding_radius(n) + 0.25 * scale
     ring = radius * np.exp(1j * TWO_PI * (np.arange(64) + 0.37) / 64)
     res_out = winding_numbers(poly, ring, exclusion)
-    worst_out, witness = _worst_probe(res_out, 0)
+    worst_out, witness = _worst_probe(ring, np.array([r.winding for r in res_out]), 0)
     details = {"worst_probe": witness} if witness else None
     checks.append(CheckResult("exterior_winding_zero", worst_out == 0, float(worst_out),
                               len(res_out), details))
@@ -178,12 +182,12 @@ def univalence_scan(
     return VerificationReport(params=params, checks=checks)
 
 
-def _worst_probe(res: list[WindingResult], target: int) -> tuple[int, Optional[dict]]:
+def _worst_probe(points: np.ndarray, winds: np.ndarray, target: int) -> tuple[int, Optional[dict]]:
     """Largest |winding - target| over the probes, and the first probe reaching it if nonzero."""
-    errors = [abs(r.winding - target) for r in res]
+    errors = np.abs(winds - target)
     k = int(np.argmax(errors))
-    p, w = res[k].point, res[k].winding
-    return errors[k], {"index": k, "point": [p.real, p.imag], "winding": w} if errors[k] else None
+    p, w, worst = complex(points[k]), int(winds[k]), int(errors[k])
+    return worst, {"index": k, "point": [p.real, p.imag], "winding": w} if worst else None
 
 
 # --- integral identities --------------------------------------------------------
@@ -368,6 +372,12 @@ class CoverageReport:
     vertex_angle: float
     half_sector_angles: tuple[float, float]
     first_violation: Optional[dict] = None  # probe index, z, image point, copies containing it
+    exempt: int = 0  # probes not in exactly one copy but within the tolerance of a copy boundary
+
+
+# Angle, in radians, by which every cone of fundamental_decomposition is widened on either
+# side: far above the few ulps by which np.angle and the turned copies' vertices err.
+_CONE_MARGIN = 1e-9
 
 
 def fundamental_decomposition(
@@ -377,8 +387,35 @@ def fundamental_decomposition(
 
     Every image of a dense polar z-grid must lie in exactly one rotated copy;
     probes within 1e-6 * scale of some copy boundary are exempt (shared
-    boundary arcs).  Also reports the angle subtended at the origin by the
-    set (2pi/n) and by its two half-sector pieces (pi/n each).
+    boundary arcs), and their number is reported.  Also reports the angle
+    subtended at the origin by the set (2pi/n) and by its two half-sector
+    pieces (pi/n each).
+
+    Each probe is wound only around the copies whose cone it lies in.  The cone
+    lemma: a closed polyline whose vertices lie in a convex cone K at the origin
+    lies in K, so its winding number about any point p outside K is 0 (a ray from
+    p that avoids K reaches infinity), and every point of it lies at least
+    |p| sin(gap) from p, where gap is the angle between p and K, or |p| once the
+    gap passes pi/2.  The least cone at the origin that holds every vertex of the
+    shared fundamental polyline is found once (it measured at most 1.25 * 2pi/n
+    wide for n from 3 to 2000); when it spans pi or more, every probe is tested
+    against every copy.  Copy k's cone is that cone turned by the argument of its
+    prefactor, widened by ``_CONE_MARGIN`` on either side: the turned vertices and
+    the probe arguments err by a few ulps, so a probe found outside the widened cone
+    lies outside the cone that holds the copy's float vertices, and the exact
+    crossing rule would count it 0 times there.  With the probes sorted by argument
+    once, each copy takes its probes by binary search, and only the copies that
+    hold probes are wound: O((n + P) log P + K) for K probe-edge pairs, not O(nP).
+
+    A violating probe (not in exactly one copy) is exempt when the least distance
+    from it to a copy is at most the tolerance.  By the lemma, a copy whose cone
+    lies more than asin(tol/|p|) + ``_CONE_MARGIN`` from p is farther than the
+    tolerance, so only the other copies are measured, in one batch per copy.  When
+    |p| > 1e-3 * scale, the margin adds more than 1e-9 |p| cos(asin(1e-3)) > 9.9e-13
+    * scale to |p| sin(gap), far above the few ulps of scale by which a float distance
+    errs; a probe nearer the origin is measured against every copy.  So the counts,
+    the exemptions and the verdict are those of winding every probe around every
+    copy and measuring it against every copy.
     """
     require_integer(probe_grid, 1, "probe_grid")
     copies = rotated_copies(params)
@@ -393,13 +430,21 @@ def fundamental_decomposition(
         [r0, r0 * cmath.exp(1j * math.pi / n), r0 * cmath.exp(2j * math.pi / n)]))
     probes = combine_parts(params.beta, *at_grid)
 
+    cone = _cone(copies[0].fundamental)  # the copies share one fundamental polyline
     counts = np.zeros(probes.size, dtype=int)
-    for copy in copies:
-        counts += windings(ensure_closed(copy.polyline), probes) != 0
+    for copy, members in zip(copies, _cone_members(probes, copies, cone, 0.0)):
+        if members.size:
+            counts[members] += windings(ensure_closed(copy.polyline), probes[members]) != 0
 
     violating = np.flatnonzero(counts != 1)
     if violating.size:  # exempt those near a copy boundary
-        dist = np.min([curve_distances(c.polyline, probes[violating]) for c in copies], axis=0)
+        p = probes[violating]
+        mag = np.abs(p)  # nearer the origin than 1e-3 * scale, every copy is measured
+        reach = float(np.arcsin(tol / mag).max()) if (mag > 1e-3 * scale).all() else math.pi
+        dist = np.full(violating.size, np.inf)
+        for copy, members in zip(copies, _cone_members(p, copies, cone, reach)):
+            if members.size:
+                np.minimum.at(dist, members, curve_distances(copy.polyline, p[members]))
         violating = violating[dist > tol]
     violations = int(violating.size)
     witness = None
@@ -428,14 +473,47 @@ def fundamental_decomposition(
         vertex_angle=float(vertex_angle),
         half_sector_angles=(float(half_angles[0]), float(half_angles[1])),
         first_violation=witness,
+        exempt=int(np.count_nonzero(counts != 1)) - violations,
     )
     return copies, report
 
 
+def _cone(poly: np.ndarray) -> Optional[tuple[float, float]]:
+    """(start, span) of the least cone at the origin, the arguments from start to start + span,
+    that holds every vertex of ``poly``; None when it spans pi or more."""
+    args = np.sort(np.angle(poly[poly != 0]))
+    gaps = np.diff(np.append(args, args[0] + TWO_PI))
+    k = int(np.argmax(gaps))
+    span = TWO_PI - float(gaps[k])
+    return (float(args[(k + 1) % args.size]), span) if span < math.pi else None
+
+
+def _cone_members(probes: np.ndarray, copies: list[RotatedCopy], cone, reach: float):
+    """For each copy, the indices of the probes whose argument lies within ``reach`` +
+    ``_CONE_MARGIN`` of the copy's cone (``cone`` turned by the copy's prefactor), or of
+    all probes when there is no cone or the widened one spans 2pi.  The probes are finite
+    and off the origin, as the images of ``_interior_grid`` are."""
+    widen = reach + _CONE_MARGIN
+    if cone is None or cone[1] + 2.0 * widen >= TWO_PI:
+        yield from (np.arange(probes.size) for _ in copies)
+        return
+    args = np.angle(probes)
+    order = np.argsort(args, kind="stable")
+    args = args[order]
+    for copy in copies:
+        lo = (cone[0] + cmath.phase(copy.prefactor) - widen + math.pi) % TWO_PI - math.pi
+        hi = lo + cone[1] + 2.0 * widen
+        yield np.concatenate([
+            order[np.searchsorted(args, lo + s, "left") : np.searchsorted(args, hi + s, "right")]
+            for s in (-TWO_PI, 0.0, TWO_PI)])
+
+
 def fundamental_tiling(params: RosetteParams, probe_grid: int) -> CheckResult:
     """fundamental_decomposition as a check: its residual is the violation count, and the
-    details name the first violating probe."""
+    details give the exempt count and name the first violating probe."""
     _, coverage = fundamental_decomposition(params, probe_grid=probe_grid)
-    witness = coverage.first_violation
+    details = {"exempt": coverage.exempt}
+    if coverage.first_violation:
+        details["first_violation"] = coverage.first_violation
     return CheckResult("fundamental_tiling", coverage.passed, float(coverage.violations),
-                       coverage.probes, {"first_violation": witness} if witness else None)
+                       coverage.probes, details)

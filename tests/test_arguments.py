@@ -20,6 +20,7 @@ from hypothesis import HealthCheck, event, given, settings, strategies as st
 
 import rosette
 from rosette import (
+    DomainError,
     Overlay,
     RenderSpec,
     RosetteError,
@@ -29,6 +30,7 @@ from rosette import (
     SeriesSpec,
     boundary_points,
     hypocycloid,
+    render_svg,
 )
 from rosette.cli import BETA_LIMIT
 
@@ -263,3 +265,19 @@ def test_a_record_holds_exactly_what_it_is_given(name):
         assert all(getattr(record, f) is v for f, v in kwargs.items())
 
     check()
+
+
+@pytest.mark.parametrize("overlay", [None, 5, 2.5, object()])
+def test_an_overlay_that_is_no_collection_is_a_domain_error(overlay):
+    # None raised TypeError ("'NoneType' object is not iterable")
+    with pytest.raises(DomainError):
+        RenderSpec(RosetteParams(5, 0.3), overlay=overlay)
+
+
+@pytest.mark.parametrize("copies", [5, 2.5, object(), "abcde"])
+def test_copies_that_are_no_list_of_copies_are_a_domain_error(copies):
+    # 5 raised TypeError ("object of type 'int' has no len()")
+    spec = RenderSpec(RosetteParams(5, 0.3), radial_lines=1, circles=1, samples_per_curve=16,
+                      width_px=64, overlay=frozenset({Overlay.FUNDAMENTAL_SET}))
+    with pytest.raises(DomainError):
+        render_svg(spec, copies=copies)

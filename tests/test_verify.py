@@ -470,14 +470,15 @@ def test_tiling_failure_witness(monkeypatch):
     assert complex(*witness["point"]) == pytest.approx(image, abs=1e-12)
     check = verify.fundamental_tiling(RosetteParams(5, PI / 5), probe_grid=20)
     assert (check.name, check.passed, check.samples_used) == ("fundamental_tiling", False, 400)
-    assert check.max_residual == cov.violations and check.details == {"first_violation": witness}
+    assert check.max_residual == cov.violations
+    assert check.details == {"exempt": cov.exempt, "first_violation": witness}
 
 
 def test_passing_checks_carry_no_witness():
     _, cov = fundamental_decomposition(RosetteParams(5, PI / 5), probe_grid=20)
     assert cov.passed and cov.first_violation is None
     check = verify.fundamental_tiling(RosetteParams(5, PI / 5), probe_grid=20)
-    assert check.passed and check.max_residual == 0.0 and check.details is None
+    assert check.passed and check.max_residual == 0.0 and check.details == {"exempt": cov.exempt}
     report = univalence_scan(RosetteParams(5, 0.0), grid_resolution=8, per_interval=64)
     assert all("first_crossing" not in (c.details or {}) and "worst_probe" not in (c.details or {})
                for c in report.checks)
