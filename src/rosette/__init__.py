@@ -18,7 +18,7 @@ nothing unless the application configures logging.
 import logging
 import sys
 
-__version__ = "0.19.0"
+__version__ = "0.20.0"
 
 logging.getLogger(__name__).addHandler(logging.NullHandler())
 
@@ -30,11 +30,11 @@ _HOMES = {
               " eval_series_many gamma_real scale_constant tail_bound",
     "maps": "MapValue RosetteParams canonical_rotation dilatation f f_many g_many h_many"
             " hypocycloid jacobian reduce_beta",
-    "boundary": "BoundaryFeature CurveSample FeatureKind FeatureReport FundamentalSet"
-                " RotatedCopy SeparationSide boundary_points boundary_polyline bounding_radius"
+    "boundary": "BoundaryFeature CurveSample FeatureKind FeatureReport RotatedCopy"
+                " SeparationSide boundary_points boundary_polyline bounding_radius"
                 " classify_singular_point curve_samples detect_arg_nonmonotonicity"
-                " extract_features fundamental_set halfspeed_points rotated_copies"
-                " separation_angle total_curvature total_curvature_numeric",
+                " extract_features halfspeed_points rotated_copies separation_angle"
+                " total_curvature total_curvature_numeric",
     "geometry": "count_self_intersections",
     "verify": "CheckResult CoverageReport IntegralCheck VerificationReport WindingResult"
               " fundamental_decomposition fundamental_tiling integral_identities"

@@ -22,9 +22,9 @@ These closed forms hold for beta in (-pi/2, pi/2].  Every function here takes
 any beta = base + l pi (see ``_reduce``) and carries them by the half-turn law: t
 moves by l pi/n, and every point and direction turns by ``half_turn_rotation(n, l)``.
 
-The image polylines (``boundary_polyline``, ``fundamental_set``) are rows of
-``interval_points``, which alone puts the exact feature values in, and the n
-``rotated_copies`` share the one fundamental polyline.  One boundary
+The image polylines (``boundary_polyline``, the fundamental polyline of ``rotated_copies``)
+are rows of ``interval_points``, which alone puts the exact feature values in; each builder
+closes its polyline, bit for bit, and the n copies share the fundamental one.  One boundary
 polyline, ``boundary_polyline(params, FIGURE_PER_INTERVAL)``, is both the
 figure that ``render`` draws and the curve that ``verify --level quick`` certifies.
 
@@ -521,16 +521,8 @@ def detect_arg_nonmonotonicity(params: RosetteParams) -> tuple[bool, Optional[fl
 
 
 @dataclass(frozen=True)
-class FundamentalSet:
-    """Image of the closed sector arg z in [0, 2pi/n); its boundary polyline is closed."""
-
-    params: RosetteParams
-    boundary_polyline: np.ndarray
-
-
-@dataclass(frozen=True)
 class RotatedCopy:
-    """``fundamental``, the polyline that every copy of one call shares, turned by ``prefactor``."""
+    """``fundamental``, the fundamental set's polyline that one call's copies share, turned."""
 
     prefactor: complex
     fundamental: np.ndarray
@@ -565,36 +557,27 @@ def boundary_polyline(params: RosetteParams, per_interval: int = 512) -> np.ndar
     return turn * poly if lag else poly
 
 
-def fundamental_set(params: RosetteParams) -> FundamentalSet:
-    """Boundary polyline of the image of the sector arg z in [0, 2pi/n).
+def rotated_copies(params: RosetteParams) -> list[RotatedCopy]:
+    """The n rotated copies of the fundamental set, whose union reconstructs the full image.
 
-    Three sides: the radial image f(r) at 600 radii, the boundary arc over [0, 2pi/n]
-    at 768 offsets per basic interval (its endpoints and midpoint taken exactly from
-    the rotation laws), and the rotated radial image f(r e^{2 pi i/n}) traversed back
-    to the origin.
+    The fundamental set is the image of the closed sector arg z in [0, 2pi/n) at the base
+    phase of ``_reduce``.  Its boundary polyline, which every copy shares as ``fundamental``,
+    has three sides: the radial image f(r) at 600 radii, the boundary arc over [0, 2pi/n]
+    at 768 offsets per basic interval (its endpoints and midpoint taken exactly from the
+    rotation laws), and the rotated radial image f(r e^{2 pi i/n}) traversed back to the
+    origin, where it closes on its first vertex f(0) = 0, bit for bit.  Copy k turns it by
+    e^{2ik pi/n}, k = 1..n, and then by the image rotation of the half-turn law,
+    ``half_turn_rotation(n, l)`` for beta = base + l*pi.
     """
-    base = _reduce(params)[0]
-    u = np.linspace(0.0, 1.0, 600)
-    r = np.sin(0.5 * math.pi * u) ** 2  # clustered toward r = 1
+    base, _, turn = _reduce(params)
+    r = np.sin(0.5 * math.pi * np.linspace(0.0, 1.0, 600)) ** 2  # clustered toward r = 1
     side1 = combine_parts(base.beta, *parts_many(base, r[:-1]))  # a(0) appended below
     rows = interval_points(base, (np.arange(768) + 0.5) / 768, js=slice(0, 3))
     arc = np.append(rows[:2], rows[2, 0])
     side2 = (np.append(side1, rows[0, 0]) * cmath.exp(2j * math.pi / base.n))[::-1]
-    poly = np.concatenate([side1, arc, side2[1:]])
-    poly = dedupe(poly, 1e-13 * scale_constant(base.n))  # closed: from f(0) = 0 back to 0
-    return FundamentalSet(params=base, boundary_polyline=poly)
-
-
-def rotated_copies(params: RosetteParams) -> list[RotatedCopy]:
-    """The n rotated copies whose union reconstructs the full image.
-
-    For params with arbitrary beta = base + l*pi the copies are the fundamental
-    set of the base phase (see ``_reduce``) turned by e^{2ik pi/n}, k = 1..n, and
-    then by the image rotation of the half-turn law, ``half_turn_rotation(n, l)``.
-    """
-    base = fundamental_set(params).boundary_polyline
-    turn = _reduce(params)[2]
-    return [RotatedCopy(turn * cmath.exp(2j * k * math.pi / params.n), base)
+    poly = np.concatenate([side1, arc, side2[1:-1], side1[:1]])  # at n = 3 side2 ends on -0+0j
+    poly = dedupe(poly, 1e-13 * scale_constant(base.n))
+    return [RotatedCopy(turn * cmath.exp(2j * k * math.pi / params.n), poly)
             for k in range(1, params.n + 1)]
 
 
@@ -638,6 +621,8 @@ def one_sided_tangents(
 
 def _curve_values(curve_fn: Callable[[np.ndarray], np.ndarray], ts: np.ndarray) -> np.ndarray:
     """curve_fn(ts) as a complex array; DomainError unless it is one finite number per t."""
+    if not callable(curve_fn):
+        raise DomainError(f"curve function must be callable, got {curve_fn!r}")
     vals = as_array(curve_fn(ts), complex, "curve values")
     if vals.shape != ts.shape or not np.isfinite(vals).all():
         raise DomainError(f"curve function gave {vals} for the {ts.size} parameters {ts}")

@@ -175,8 +175,16 @@ def central_binomials(count: int) -> np.ndarray:
     return np.concatenate([[1.0], np.cumprod((2.0 * m - 1.0) / (2.0 * m))])[:count]
 
 
+def _require_spec(spec) -> SeriesSpec:
+    """``spec`` itself; DomainError unless it is a SeriesSpec, whose fields are checked."""
+    if not isinstance(spec, SeriesSpec):
+        raise DomainError(f"spec must be a SeriesSpec, got {spec!r}")
+    return spec
+
+
 def coeff_values(spec: SeriesSpec, count: int) -> np.ndarray:
     """The first ``count`` Taylor coefficients of the family."""
+    spec = _require_spec(spec)
     a = central_binomials(count)
     m = np.arange(count, dtype=float)
     if spec.kind is SeriesKind.ANALYTIC:
@@ -277,6 +285,7 @@ def eval_families_many(specs: Sequence[SeriesSpec], z) -> list[np.ndarray]:
     disk; NoConvergence is raised, for the first family that misses it, if that
     cannot be certified.  A point off the disk, NaN included, raises DomainError.
     """
+    specs = [_require_spec(s) for s in specs]
     n = specs[0].n
     if any(s.n != n for s in specs):
         raise DomainError("families evaluated together must share n")

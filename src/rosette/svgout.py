@@ -22,7 +22,8 @@ class SvgCanvas:
 
     def to_px(self, z):
         """Pixel coordinates (x, y) of a point, or of each point of an array."""
-        s = self.width_px / (2.0 * self.world_half)
+        # (w/2)/half is w/(2 half) wherever 2 half is finite, and 2 half overflows past 9e307
+        s = (0.5 * self.width_px) / self.world_half
         return (
             (z.real + self.world_half) * s,
             (self.world_half - z.imag) * s,  # y axis points down in SVG

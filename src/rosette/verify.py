@@ -43,6 +43,11 @@ from .series import SeriesKind, scale_constant
 
 TWO_PI = 2.0 * math.pi
 
+# Clearance, times scale_constant(n), within which a probe is taken to lie on a polyline: the
+# scan refuses it, the tiling exempts it.  Far above rounding (ulps of the scale, ABS_TOL 1e-12),
+# far below the >= 1.2e-3 * scale that the scan's grid images kept from the curve (n 3 to 2000).
+_CLEARANCE = 1e-6
+
 
 @dataclass(frozen=True)
 class WindingResult:
@@ -154,27 +159,16 @@ def univalence_scan(
     )
 
     scale = scale_constant(n)
-    exclusion = 1e-6 * scale
+    exclusion = _CLEARANCE * scale
     probes = combine_parts(params.beta, *_parts_at(params, _interior_grid(grid_resolution))[0])
-    poly = ensure_closed(poly)  # in place of the sampled one, which no stage below reads
-    near = min_curve_distance(poly, probes)
-    if not near > exclusion:  # some probe is too close, or not finite: winding_numbers names it
-        winding_numbers(poly, probes, exclusion)
-    worst, witness = _worst_probe(probes, windings(poly, probes), 1)
-    details = {"min_curve_distance": near}
-    if witness:
-        details["worst_probe"] = witness
-    checks.append(
-        CheckResult("interior_winding_one", worst == 0, float(worst), probes.size, details)
-    )
+    near, worst, found = _wound(poly, probes, exclusion, 1)
+    checks.append(CheckResult("interior_winding_one", worst == 0, float(worst), probes.size,
+                              {"min_curve_distance": near, **found}))
 
-    radius = bounding_radius(n) + 0.25 * scale
-    ring = radius * np.exp(1j * TWO_PI * (np.arange(64) + 0.37) / 64)
-    res_out = winding_numbers(poly, ring, exclusion)
-    worst_out, witness = _worst_probe(ring, np.array([r.winding for r in res_out]), 0)
-    details = {"worst_probe": witness} if witness else None
-    checks.append(CheckResult("exterior_winding_zero", worst_out == 0, float(worst_out),
-                              len(res_out), details))
+    ring = (bounding_radius(n) + 0.25 * scale) * np.exp(1j * TWO_PI * (np.arange(64) + 0.37) / 64)
+    _, worst, found = _wound(poly, ring, exclusion, 0)
+    checks.append(CheckResult("exterior_winding_zero", worst == 0, float(worst), ring.size,
+                              found or None))
 
     min_sep = min_pairwise_distance(probes)
     checks.append(CheckResult("grid_images_distinct", min_sep > 0.0, 0.0 if min_sep > 0.0 else 1.0,
@@ -182,12 +176,21 @@ def univalence_scan(
     return VerificationReport(params=params, checks=checks)
 
 
-def _worst_probe(points: np.ndarray, winds: np.ndarray, target: int) -> tuple[int, Optional[dict]]:
-    """Largest |winding - target| over the probes, and the first probe reaching it if nonzero."""
+def _wound(poly: np.ndarray, points: np.ndarray, exclusion: float,
+           target: int) -> tuple[float, int, dict]:
+    """The probes' least distance to the closed polyline (one nearest query), their largest
+    |winding - target| (the crossing rule), and {"worst_probe": the first probe reaching it}
+    if that is nonzero.  For a probe within the exclusion radius, or not finite,
+    winding_numbers raises TooCloseToCurve naming it."""
+    near = min_curve_distance(poly, points)
+    if not near > exclusion:
+        winding_numbers(poly, points, exclusion)
+    winds = windings(poly, points)
     errors = np.abs(winds - target)
     k = int(np.argmax(errors))
     p, w, worst = complex(points[k]), int(winds[k]), int(errors[k])
-    return worst, {"index": k, "point": [p.real, p.imag], "winding": w} if worst else None
+    witness = {"index": k, "point": [p.real, p.imag], "winding": w}
+    return near, worst, {"worst_probe": witness} if worst else {}
 
 
 # --- integral identities --------------------------------------------------------
@@ -386,7 +389,7 @@ def fundamental_decomposition(
     """Tile the image of the full map by the n rotated fundamental-set copies.
 
     Every image of a dense polar z-grid must lie in exactly one rotated copy;
-    probes within 1e-6 * scale of some copy boundary are exempt (shared
+    probes within ``_CLEARANCE`` * scale of some copy boundary are exempt (shared
     boundary arcs), and their number is reported.  Also reports the angle
     subtended at the origin by the set (2pi/n) and by its two half-sector
     pieces (pi/n each).
@@ -421,7 +424,7 @@ def fundamental_decomposition(
     copies = rotated_copies(params)
     n = params.n
     scale = scale_constant(n)
-    tol = 1e-6 * scale
+    tol = _CLEARANCE * scale
 
     # the probe images and the vertex secants of the origin (below) from one series pass
     r0 = 1e-6
@@ -434,7 +437,7 @@ def fundamental_decomposition(
     counts = np.zeros(probes.size, dtype=int)
     for copy, members in zip(copies, _cone_members(probes, copies, cone, 0.0)):
         if members.size:
-            counts[members] += windings(ensure_closed(copy.polyline), probes[members]) != 0
+            counts[members] += windings(copy.polyline, probes[members]) != 0
 
     violating = np.flatnonzero(counts != 1)
     if violating.size:  # exempt those near a copy boundary

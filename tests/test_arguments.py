@@ -172,7 +172,7 @@ NOT_NUMERIC = {"confirm", "copies", "curve_fn", "overlay", "params", "spec"}
 # Records hold what they are given, a failed check's NaN residual included, so they are
 # checked to compute nothing; the other classes validate their arguments.
 RECORDS = {"BoundaryFeature", "CheckResult", "CoverageReport", "CurveSample", "EndpointValues",
-           "FeatureReport", "FundamentalSet", "IntegralCheck", "MapValue", "RotatedCopy",
+           "FeatureReport", "IntegralCheck", "MapValue", "RotatedCopy",
            "VerificationReport", "WindingResult"}
 # Examples per callable; the verifications and the renderer take 10-100 ms an example.
 EXAMPLES = {"univalence_scan": 25, "fundamental_decomposition": 25, "fundamental_tiling": 25,

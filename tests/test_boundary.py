@@ -14,11 +14,11 @@ from rosette import (
     SeparationSide,
     WrongBeta,
     boundary_points,
+    boundary_polyline,
     classify_singular_point,
     curve_samples,
     detect_arg_nonmonotonicity,
     extract_features,
-    fundamental_set,
     g_many,
     h_many,
     halfspeed_points,
@@ -32,6 +32,7 @@ from rosette import (
 from rosette import DomainError, FeatureMismatch, RosetteError, boundary, f_many
 from rosette.boundary import (
     CONFIRM_OFFSETS,
+    FIGURE_PER_INTERVAL,
     _boundary_values,
     _confirm_offsets,
     distance_to_singular,
@@ -889,9 +890,21 @@ def test_rotated_copies_share_the_one_fundamental_polyline():
         tracemalloc.stop()
     assert len(copies) == 200 and held < 1 << 20
     for q in (p, RosetteParams(5, -1.2), RosetteParams(12, 3 * PI / 2)):
-        base = fundamental_set(q).boundary_polyline
+        base = rotated_copies(q)[0].fundamental
         for copy in rotated_copies(q) if q is not p else copies:
             assert copy.polyline.tobytes() == (copy.prefactor * base).tobytes()
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 12, 96])
+@pytest.mark.parametrize("beta", [0.0, 0.3, -1.2, PI / 2, -PI / 2 + 5e-10, 3 * PI / 2, 7.5])
+def test_builders_close_their_polylines_bit_for_bit(n, beta):
+    # verify winds probes around these polylines as built, with no ensure_closed: the last
+    # vertex is the first, bits and all (the fundamental polyline ended at -0+0j, not 0j)
+    p = RosetteParams(n, beta)
+    full = max(320, -(-4096 // (2 * n)))  # univalence_scan's default, the full level's
+    polys = [boundary_polyline(p, per) for per in (FIGURE_PER_INTERVAL, full)]
+    for poly in polys + [rotated_copies(p)[0].fundamental]:
+        assert poly[-1].tobytes() == poly[0].tobytes()
 
 
 def test_interval_offsets_are_sorted_and_inside_the_interval():

@@ -629,9 +629,10 @@ def test_decompose_draws_the_copies_it_tiled_from_one_fundamental_set(beta, tmp_
     from rosette import boundary, cli, render, verify
 
     built, tiled, drawn = [], [], []
-    real_set, real_tiling, real_render = (
-        boundary.fundamental_set, verify.fundamental_decomposition, render.render_svg)
-    monkeypatch.setattr(boundary, "fundamental_set", lambda p: built.append(p) or real_set(p))
+    real_copies, real_tiling, real_render = (
+        boundary.rotated_copies, verify.fundamental_decomposition, render.render_svg)
+    for module in (boundary, render, verify):  # every binding that could build the copies
+        monkeypatch.setattr(module, "rotated_copies", lambda p: built.append(p) or real_copies(p))
     monkeypatch.setattr(verify, "fundamental_decomposition",
                         lambda *a, **kw: tiled.append(real_tiling(*a, **kw)) or tiled[-1])
     monkeypatch.setattr(render, "render_svg",

@@ -621,6 +621,11 @@ def test_integer_power_is_within_k_ulp_of_the_exact_power(k):
     # a point off the closed disk
     lambda: dilatation(RosetteParams(5, 0.3), 2.0),
     lambda: hypocycloid(5, 2.0),
+    # a spec that is no SeriesSpec, a curve function that is not callable
+    lambda: series.coeff("0.5", 1),
+    lambda: series.tail_bound("0.5", 1, 0.5),
+    lambda: series.eval_series_many("0.5", [0.1]),
+    lambda: classify_singular_point("x", 0.0),
 ], ids=["coeff-negative", "coeff-float", "tail-nan", "tail-negative", "dilatation-nan",
         "dilatation-complex-nan", "hypocycloid-nan", "hypocycloid-array-nan", "phase-string",
         "phase-complex", "reduce-string", "tail-string", "h-string", "dh-string",
@@ -638,7 +643,8 @@ def test_integer_power_is_within_k_ulp_of_the_exact_power(k):
         "oracle-point-list", "dilatation-list", "jacobian-list", "f-list",
         "classify-scalar-curve", "classify-nan-curve", "classify-nan-location",
         "windings-exclusion-inf", "tail-inf", "gamma-overflow", "gamma-1e308",
-        "rotation-overflow", "dilatation-off-disk", "hypocycloid-off-disk"])
+        "rotation-overflow", "dilatation-off-disk", "hypocycloid-off-disk", "coeff-spec-string",
+        "tail-spec-string", "series-spec-string", "classify-curve-not-callable"])
 def test_an_argument_outside_the_domain_is_a_domain_error(call):
     # coeff raised a plain ValueError or a TypeError, the others returned NaN silently; the
     # wrong types raised TypeError (the phases, tail_bound, the kind, the curvature ends,
@@ -651,7 +657,9 @@ def test_an_argument_outside_the_domain_is_a_domain_error(call):
     # render_svg("x") AttributeError; canonical_rotation(nan, 1.0) returned NaNs, RenderSpec
     # took any params, and integral_oracle took any kind but ANALYTIC as COANALYTIC.  Before
     # 0.18.0 the rows from "h-text" on were taken as numbers or escaped: numpy's TypeError
-    # for a list, IndexError for a scalar curve function, OverflowError from gamma_real
+    # for a list, IndexError for a scalar curve function, OverflowError from gamma_real.
+    # Before 0.20.0 a spec that is no SeriesSpec raised AttributeError and a curve function
+    # that is not callable TypeError
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError):

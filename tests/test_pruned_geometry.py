@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from rosette import RosetteParams, TooCloseToCurve, geometry, verify
-from rosette.boundary import rotated_copies
+from rosette.boundary import bounding_radius, rotated_copies
 from rosette.geometry import curve_distances, ensure_closed, windings
 from rosette.maps import combine_parts, parts_many
 from rosette.series import scale_constant
@@ -180,18 +180,40 @@ def test_the_pairwise_sweep_on_a_column_and_on_duplicates():
 # --- univalence_scan ----------------------------------------------------------------
 
 
-@pytest.mark.parametrize("index", [0, 57, 143])
+@pytest.mark.parametrize("index", [0, 57, 143, 144])
 def test_a_probe_on_the_curve_raises_the_winding_numbers_message(monkeypatch, index):
     # the scan asks winding_numbers for the message whenever the nearest probe is too close,
-    # so it names the same probe and distance as when every probe went through it
+    # so it names the same probe and distance as when every probe went through it; index 144
+    # is the exterior ring's first probe, which leaves the curve near a(0)
     params = RosetteParams(5, 0.3)
     probes = combine_parts(params.beta, *parts_many(params, verify._interior_grid(12)))
+    ring = (bounding_radius(5) + 0.25 * scale_constant(5)) * np.exp(
+        2j * PI * (np.arange(64) + 0.37) / 64)
+    probes, point = (probes, probes[index]) if index < probes.size else (ring, ring[0])
     real = verify.boundary_polyline(params, 96)
-    poly = np.concatenate([real[:10], [probes[index]], real[10:]])
+    poly = np.concatenate([real[:10], [point], real[10:]])
     monkeypatch.setattr(verify, "boundary_polyline", lambda params, per_interval: poly)
     with pytest.raises(TooCloseToCurve) as want:
         verify.winding_numbers(poly, probes, 1e-6 * scale_constant(5))
     with pytest.raises(TooCloseToCurve) as got:
         verify.univalence_scan(params, grid_resolution=12, per_interval=96)
     assert str(got.value) == str(want.value)
-    assert str(got.value).startswith(f"probe {probes[index]} at distance 0.000e+00 <= exclusion ")
+    assert str(got.value).startswith(f"probe {point} at distance 0.000e+00 <= exclusion ")
+
+
+def test_a_passing_scan_winds_every_probe_set_by_one_route(monkeypatch):
+    # both probe sets: one nearest query each and the crossing rule, with winding_numbers
+    # only to name a probe that is too close; neither stage closes the builders' polylines
+    # again
+    calls = {"winding_numbers": 0, "min_curve_distance": 0, "ensure_closed": 0}
+    for name in calls:
+        def spy(*args, name=name, real=getattr(verify, name)):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(verify, name, spy)
+    params = RosetteParams(5, 0.3)
+    assert verify.univalence_scan(params, grid_resolution=12, per_interval=96).passed
+    assert calls == {"winding_numbers": 0, "min_curve_distance": 2, "ensure_closed": 0}
+    assert verify.fundamental_decomposition(params, probe_grid=12)[1].passed
+    assert calls == {"winding_numbers": 0, "min_curve_distance": 2, "ensure_closed": 0}

@@ -1,6 +1,7 @@
 """The batched adaptive flattener and the SVG path writer."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -150,6 +151,13 @@ def test_polyline_matches_the_per_point_format():
     assert canvas.elements == [
         f'<path d="{d}" fill="none" stroke="#123456" stroke-width="0.800"/>'
     ]
+
+
+def test_a_huge_margin_keeps_the_figure_at_the_centre():
+    # 2 * world_half overflowed, and every coordinate came out as 0.000, a corner of the canvas
+    svg = render_svg(RenderSpec(RosetteParams(5, 0.3), margin_frac=1e308))
+    paths = re.findall(r' d="([^"]*)"', svg)
+    assert paths and {v for d in paths for v in re.split("[ML ]", d) if v} == {"450.000"}
 
 
 def test_polyline_skips_fewer_than_two_points():

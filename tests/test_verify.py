@@ -34,9 +34,9 @@ from rosette.boundary import (
     FIGURE_PER_INTERVAL,
     bounding_radius,
     feature_vertices,
-    fundamental_set,
     halfspeed_points,
     interval_offsets,
+    rotated_copies,
     wrap_angle,
 )
 from rosette.cli import main
@@ -849,8 +849,7 @@ def test_dilatation_quotient_still_fails_on_a_nan(monkeypatch):
 
 
 def test_fundamental_set_polyline_closed():
-    fs = fundamental_set(RosetteParams(5, PI / 5))
-    poly = fs.boundary_polyline
+    poly = rotated_copies(RosetteParams(5, PI / 5))[0].fundamental
     assert abs(poly[0] - poly[-1]) == 0.0
     assert count_self_intersections(poly) == 0
 
