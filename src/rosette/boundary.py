@@ -28,6 +28,13 @@ closes its polyline, bit for bit, and the n copies share the fundamental one.  O
 polyline, ``boundary_polyline(params, FIGURE_PER_INTERVAL)``, is both the
 figure that ``render`` draws and the curve that ``verify --level quick`` certifies.
 
+h and g have real coefficients, so besides the rotation laws they obey the reflection law
+h(w_1 conj(z)) = w_1 conj(h(z)), g(w_1 conj(z)) = -conj(w_1) conj(g(z)), w_1 = e^{i pi/n}:
+the offset 1 - s of a basic interval is the mirror of s, and the first half of one interval
+fixes the whole boundary.  Every offset builder (``interval_offsets``, the copies' arc, the
+half-speed grid) emits exact pairs s, 1 - s, with s on the 2^-53 grid where 1 - s is exact,
+and ``interval_points`` sends one series point per pair.
+
 Every sample set of the curve (``curve_samples``, the feature confirmation,
 ``halfspeed_points``) takes h and g from one two-family series pass.
 ``boundary_points`` alone keeps the two passes of ``maps.f_many``, one for h and one
@@ -56,6 +63,7 @@ from .maps import (
     f_many,
     half_turn_rotation,
     parts_many,
+    reduce_beta,
 )
 from .series import scale_constant
 
@@ -158,10 +166,13 @@ def _derivative_values(params: RosetteParams, ts: np.ndarray) -> np.ndarray:
 def half_pi_shift(beta: float) -> Optional[int]:
     """The l with beta = pi/2 + l pi within BETA_HALF_PI_TOL, or None for any other beta.
 
-    These are the nodes-instead-of-cusps phases; l half turns carry pi/2 to them.
+    These are the nodes-instead-of-cusps phases; l half turns carry pi/2 to them.  The
+    phase is reduced by ``reduce_beta``, so past BETA_LIMIT it raises DomainError.
     """
-    shifts = round((beta - math.pi / 2) / math.pi)
-    return shifts if abs(beta - shifts * math.pi - math.pi / 2) <= BETA_HALF_PI_TOL else None
+    base, shifts = reduce_beta(beta)
+    if math.pi / 2 - base <= BETA_HALF_PI_TOL:
+        return shifts
+    return shifts - 1 if base + math.pi / 2 <= BETA_HALF_PI_TOL else None
 
 
 def is_half_pi(beta: float) -> bool:
@@ -461,14 +472,35 @@ def halfspeed_points(params: RosetteParams, ts) -> np.ndarray:
 
 def interval_offsets(per_interval: int) -> np.ndarray:
     """Sorted sampling offsets s in (0, 1) of one basic interval: midpoint-uniform,
-    with twice denser coverage in a band of width 0.1 at either end (the features)."""
-    base = (np.arange(per_interval) + 0.5) / per_interval
+    with twice denser coverage in a band of width 0.1 at either end (the features),
+    in exact mirror pairs s, 1 - s (``_mirror_pairs``)."""
+    base = (np.arange((per_interval + 1) // 2) + 0.5) / per_interval
     band_count = max(1, int(0.2 * per_interval))
-    extra_lo = 0.1 * (np.arange(band_count) + 0.5) / band_count
-    extra_hi = 0.9 + extra_lo
+    band = 0.1 * (np.arange(band_count) + 0.5) / band_count
+    return _mirror_pairs(np.concatenate([base, band]))
+
+
+def _mirror_pairs(lower: np.ndarray) -> np.ndarray:
+    """Sorted offsets in exact mirror pairs: the distinct ``lower`` (in (0, 1/2]) moved to
+    the nearest multiple of 2^-53, the ulp on [1/2, 1), where 1 - s is exact, then the
+    mirror 1 - s of each one below 1/2.  So ``interval_points`` evaluates the series once
+    per pair."""
+    s = np.sort(np.rint(lower * 2.0**53) * 2.0**-53)
     # np.unique's values, without the import of numpy.ma that its first call makes
-    offsets = np.sort(np.concatenate([base, extra_lo, extra_hi]))
-    return offsets[np.append(True, offsets[1:] != offsets[:-1])]
+    s = s[np.append(True, s[1:] != s[:-1])]
+    return np.concatenate([s, 1.0 - s[s < 0.5][::-1]])
+
+
+def _distinct(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(keys, inverse) with keys[inverse] == x bit for bit, one key per distinct bit
+    pattern (so -0.0 and 0.0 stay apart), without np.unique."""
+    bits = x.view(np.int64)
+    order = np.argsort(bits, kind="stable")
+    first = np.ones(x.size, dtype=bool)
+    first[1:] = bits[order[1:]] != bits[order[:-1]]
+    inverse = np.empty(x.size, dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return x[order[first]], inverse
 
 
 def interval_points(params: RosetteParams, offsets, js=slice(None)) -> np.ndarray:
@@ -481,17 +513,29 @@ def interval_points(params: RosetteParams, offsets, js=slice(None)) -> np.ndarra
 
         a((j + s) pi/n) = w_j (e^{i beta/2} h(z) + (-1)^j e^{-i beta/2} conj(g(z))).
 
-    The image polylines take their feature values from here alone.  Column k + 1 equals
+    An offset s in (1/2, 1] is carried from u = 1 - s, exact there, by the reflection law:
+    e^{i s pi/n} = w_1 conj(e^{i u pi/n}), and the real coefficients give
+
+        h(w_1 conj(z)) = w_1 conj(h(z)),    g(w_1 conj(z)) = -conj(w_1) conj(g(z)).
+
+    So the series runs once per distinct min(s, 1 - s) (any other s is evaluated as it is),
+    and an offset builder that emits exact pairs s, 1 - s (``_mirror_pairs``) pays one
+    series point per pair.  A value depends on its own offset alone: column k + 1 equals
     the one-offset call's column 1 at offsets[k], and each row the full array's row j, bit
-    for bit.
+    for bit.  The image polylines take their feature values from here alone.
     """
     n = params.n
-    z = np.exp(1j * (np.asarray(offsets, dtype=float) * (math.pi / n)))
-    hz, gz = parts_many(params, z)
+    s = np.ravel(np.asarray(offsets, dtype=float))
+    upper = (s > 0.5) & (s <= 1.0)
+    keys, inverse = _distinct(np.where(upper, 1.0 - s, s))
+    hz, gz = (part[inverse] for part in parts_many(params, np.exp(1j * (keys * (math.pi / n)))))
+    w1 = cmath.exp(1j * math.pi / n)
+    hz[upper] = np.multiply(w1, np.conj(hz[upper]))
+    gz[upper] = np.multiply(-w1.conjugate(), np.conj(gz[upper]))
     j = np.arange(2 * n)[js]
     omega = np.exp(1j * (j * math.pi / n))[:, None]
     odd = j % 2 == 1
-    out = np.empty((j.size, z.size + 1), dtype=complex)
+    out = np.empty((j.size, s.size + 1), dtype=complex)
     out[:, 0] = feature_values(params)[j]
     out[~odd, 1:] = np.multiply(omega[~odd], combine_parts(params.beta, hz, gz))
     out[odd, 1:] = np.multiply(omega[odd], combine_parts(params.beta, hz, -gz))  # negation is exact
@@ -541,9 +585,10 @@ def boundary_polyline(params: RosetteParams, per_interval: int = 512) -> np.ndar
     argument exactly 1), never from near-singular parameters.  At beta = pi/2 the half-speed
     curve visits the grid parameters (j + s) pi/n at a((2k + s/2) pi/n) for j = 2k and at
     a((2k + (1 + s)/2) pi/n) for j = 2k + 1, as ``halfspeed_points`` maps them: the even
-    intervals, the nodes', at the offsets s/2 and (1 + s)/2.  At beta = pi/2 + l pi it is
-    that polyline of ``_reduce``'s base turned by the half-turn law, so every l has the
-    vertices of l = 0.
+    intervals, the nodes', at the offsets s/2 and their mirrors 1 - s/2, which are the
+    (1 + s)/2 of the mirror offsets, in exact pairs.  At beta = pi/2 + l pi it is that
+    polyline of ``_reduce``'s base turned by the half-turn law, so every l has the vertices
+    of l = 0.
     """
     require_integer(per_interval, 1, "per_interval")
     offsets = interval_offsets(per_interval)
@@ -551,7 +596,7 @@ def boundary_polyline(params: RosetteParams, per_interval: int = 512) -> np.ndar
         base, lag, turn = params, 0.0, 1.0
     else:
         base, lag, turn = _reduce(params)
-        offsets = np.concatenate([offsets / 2, (1 + offsets) / 2])
+        offsets = _mirror_pairs(offsets / 2)
     poly = interval_points(base, offsets, js=_feature_js(base)).ravel()
     poly = dedupe(np.append(poly, poly[0]), 1e-13 * scale_constant(base.n))
     return turn * poly if lag else poly
@@ -563,16 +608,17 @@ def rotated_copies(params: RosetteParams) -> list[RotatedCopy]:
     The fundamental set is the image of the closed sector arg z in [0, 2pi/n) at the base
     phase of ``_reduce``.  Its boundary polyline, which every copy shares as ``fundamental``,
     has three sides: the radial image f(r) at 600 radii, the boundary arc over [0, 2pi/n]
-    at 768 offsets per basic interval (its endpoints and midpoint taken exactly from the
-    rotation laws), and the rotated radial image f(r e^{2 pi i/n}) traversed back to the
-    origin, where it closes on its first vertex f(0) = 0, bit for bit.  Copy k turns it by
+    at 768 offsets per basic interval in 384 exact mirror pairs (its endpoints and midpoint
+    taken exactly from the rotation laws), and the rotated radial image f(r e^{2 pi i/n})
+    traversed back to the origin, where it closes on its first vertex f(0) = 0, bit for
+    bit.  Copy k turns it by
     e^{2ik pi/n}, k = 1..n, and then by the image rotation of the half-turn law,
     ``half_turn_rotation(n, l)`` for beta = base + l*pi.
     """
     base, _, turn = _reduce(params)
     r = np.sin(0.5 * math.pi * np.linspace(0.0, 1.0, 600)) ** 2  # clustered toward r = 1
     side1 = combine_parts(base.beta, *parts_many(base, r[:-1]))  # a(0) appended below
-    rows = interval_points(base, (np.arange(768) + 0.5) / 768, js=slice(0, 3))
+    rows = interval_points(base, _mirror_pairs((np.arange(384) + 0.5) / 768), js=slice(0, 3))
     arc = np.append(rows[:2], rows[2, 0])
     side2 = (np.append(side1, rows[0, 0]) * cmath.exp(2j * math.pi / base.n))[::-1]
     poly = np.concatenate([side1, arc, side2[1:-1], side1[:1]])  # at n = 3 side2 ends on -0+0j

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .maps import RosetteParams, combine_parts, parts_many, reduce_beta
+from .maps import BETA_LIMIT, RosetteParams, combine_parts, parts_many, reduce_beta
 
 # boundary, render and verify are imported by the commands that use them, so that a
 # command loads only what it runs and a usage error loads none of them
@@ -34,10 +34,6 @@ if TYPE_CHECKING:
     from .verify import CheckResult
 
 SCHEMA_VERSION = 1
-
-# Largest |beta| accepted: reducing a float beta modulo pi loses about
-# |beta| * 1e-16 (1e-13 at 1e4, 2e-12 at 1e5), so larger phases mean nothing.
-BETA_LIMIT = 1e4
 
 _BETA_RE = re.compile(
     r"^(?P<sign>[+-]?)(?P<mult>\d+(?:\.\d+)?)?\s*pi(?:\s*/\s*(?P<den>\d+(?:\.\d+)?))?$",
@@ -257,18 +253,24 @@ def cmd_dump(args) -> int:
 
 
 def _render_spec(args, extra_overlays: frozenset = frozenset()) -> RenderSpec:
+    """The spec of the figure; a margin whose viewport overflows is a usage error, the one
+    refusal that the parser's types leave to RenderSpec."""
+    from .errors import DomainError
     from .render import RenderSpec
 
     radial, circles = args.grid
-    return RenderSpec(
-        params=RosetteParams(args.n, args.beta),
-        radial_lines=radial,
-        circles=circles,
-        samples_per_curve=args.samples,
-        width_px=args.width,
-        margin_frac=args.margin,
-        overlay=frozenset(args.overlay | extra_overlays),
-    )
+    try:
+        return RenderSpec(
+            params=RosetteParams(args.n, args.beta),
+            radial_lines=radial,
+            circles=circles,
+            samples_per_curve=args.samples,
+            width_px=args.width,
+            margin_frac=args.margin,
+            overlay=frozenset(args.overlay | extra_overlays),
+        )
+    except DomainError as exc:
+        args.usage_error(f"argument --margin: {exc}")
 
 
 def cmd_render(args) -> int:
@@ -282,14 +284,18 @@ def cmd_decompose(args) -> int:
     if args.out == "-" and args.report in (None, "-"):
         args.usage_error("argument --report: must name a file when --out is -, "
                          "so that the SVG and the report do not share stdout")
+    spec = None
+    if args.out is not None:  # before any work, so that a bad margin stops it
+        from .render import Overlay
+
+        spec = _render_spec(args, extra_overlays=frozenset({Overlay.FUNDAMENTAL_SET}))
     from .verify import fundamental_decomposition
 
     params = RosetteParams(args.n, args.beta)
     copies, coverage = fundamental_decomposition(params, probe_grid=args.probe_grid)
-    if args.out is not None:  # the overlay draws the copies that the coverage tiled
-        from .render import Overlay, render_svg
+    if spec is not None:  # the overlay draws the copies that the coverage tiled
+        from .render import render_svg
 
-        spec = _render_spec(args, extra_overlays=frozenset({Overlay.FUNDAMENTAL_SET}))
         _write_text(args.out, render_svg(spec, copies=copies))
     payload = {
         "schema_version": SCHEMA_VERSION,

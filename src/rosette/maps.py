@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularPoint, as_array, as_number, require_integer
+from .errors import DomainError, SingularPoint, as_array, as_number, require_integer
 from .series import SeriesKind, SeriesSpec, clip_to_disk, eval_families_many, eval_series_many
 
 # Proximity of 1 - z^{2n} to zero below which derivative closed forms are refused.
@@ -42,6 +42,10 @@ SINGULAR_TOL = 1e-12
 
 # Slack on |z| <= 1 absorbing rounding of boundary points.
 EPS_DOMAIN = 1e-9
+
+# Largest |beta| that reduce_beta takes: reducing a float beta modulo pi loses about
+# |beta| * 1e-16 (1e-13 at 1e4, 2e-12 at 1e5), and past |beta| ~ 1e16 it keeps nothing.
+BETA_LIMIT = 1e4
 
 # numpy computes z ** k by binary exponentiation below this exponent and by libm's cpow
 # (about 0.25 us a point) from it on.
@@ -229,9 +233,12 @@ def reduce_beta(beta_tilde: float) -> tuple[float, int]:
     """Write beta_tilde = beta + l*pi with beta in the canonical (-pi/2, pi/2].
 
     The interval is half open at -pi/2: an input of exactly -pi/2 maps to
-    (pi/2, -1).  A non-finite or non-real beta_tilde raises DomainError.
+    (pi/2, -1).  A non-finite or non-real beta_tilde, or one of modulus above
+    BETA_LIMIT, raises DomainError.
     """
     beta_tilde = as_number(beta_tilde, float, "phase")
+    if abs(beta_tilde) > BETA_LIMIT:
+        raise DomainError(f"phase {beta_tilde!r} is outside [-{BETA_LIMIT:g}, {BETA_LIMIT:g}]")
     shifts = math.ceil((beta_tilde - math.pi / 2) / math.pi)
     beta = beta_tilde - shifts * math.pi
     if beta <= -math.pi / 2:  # float rounding at the open endpoint

@@ -2,7 +2,8 @@
 
 The viewport is the square of side 2 * bounding_radius(n) * (1 + margin_frac)
 centered at the origin, identical for every beta at fixed n, so figures for
-different beta are directly size-comparable.
+different beta are directly size-comparable.  A margin for which that side
+overflows is a DomainError.
 
 The bold boundary is ``boundary_polyline(params, FIGURE_PER_INTERVAL)`` at the
 phase of the spec, the polyline that ``verify --level quick`` certifies: its
@@ -63,9 +64,17 @@ class RenderSpec:
         require_integer(self.samples_per_curve, 16, "samples_per_curve")
         if not as_number(self.margin_frac, float, "margin_frac") >= 0.0:
             raise DomainError(f"margin_frac must be >= 0, got {self.margin_frac!r}")
+        if not math.isfinite(self.half_width):
+            raise DomainError(f"margin_frac {self.margin_frac!r} overflows the viewport "
+                              f"half-width bounding_radius({self.params.n}) * (1 + margin_frac)")
         if not (isinstance(self.overlay, Iterable)
                 and all(isinstance(item, Overlay) for item in self.overlay)):
             raise DomainError(f"overlay must be a set of Overlay members, got {self.overlay!r}")
+
+    @property
+    def half_width(self) -> float:
+        """Half the side of the square viewport: bounding_radius(n) * (1 + margin_frac)."""
+        return bounding_radius(self.params.n) * (1.0 + self.margin_frac)
 
 
 def _grid_paths(spec: RenderSpec) -> list:
@@ -98,7 +107,7 @@ def render_svg(spec: RenderSpec, *, copies: list | None = None) -> str:
         raise DomainError(f"spec must be a RenderSpec, got {spec!r}")
     params = spec.params
     n = params.n
-    half = bounding_radius(n) * (1.0 + spec.margin_frac)
+    half = spec.half_width
     canvas = SvgCanvas(width_px=spec.width_px, world_half=half)
     tol_world = 0.1 * (2.0 * half / spec.width_px)
 

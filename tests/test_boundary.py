@@ -879,6 +879,74 @@ def test_interval_points_lead_each_row_with_its_exact_feature_value(n, beta):
     assert interval_points(p, np.array([]), js=[2]).tolist() == [[exact[2]]]
 
 
+@pytest.mark.parametrize("n", [3, 5, 96])
+@pytest.mark.parametrize("beta", [0.3, PI / 2])
+def test_interval_points_carry_unpaired_offsets_by_the_reflection_law(n, beta):
+    # 0.7 alone, beside 0.3 (whose mirror 1 - 0.3 is 0.7 only up to rounding) and 1/2, its
+    # own mirror: the series runs at 1 - 0.7, and the value is a(t) at t = (j + 0.7) pi/n
+    import mpmath as mp
+
+    p, rows = RosetteParams(n, beta), _oracle_rows(n)
+    batch = np.array([0.3, 0.7, 0.5])
+    got = interval_points(p, batch)
+    for k, s in enumerate(batch.tolist()):
+        assert np.array_equal(got[:, k + 1], interval_points(p, batch[k : k + 1])[:, 1])
+    alone = interval_points(p, [0.7])
+    with mp.workdps(30):
+        x = mp.mpf(1) / (2 * n)
+        w = mp.expjpi(2 * mp.mpf(0.7))
+        fa, fc = mp.hyp2f1(0.5, x, 1 + x, w), mp.hyp2f1(0.5, 0.5 - x, 1.5 - x, w)
+        rot = mp.expj(mp.mpf(beta) / 2)
+        for j in rows:
+            z = mp.expjpi((j + mp.mpf(0.7)) / n)
+            want = rot * z * fa + mp.conj(z ** (n - 1) / (n - 1) * fc) / rot
+            assert abs(alone[j, 1] - want) < 2e-14, j
+
+
+def _assert_exact_mirror_pairs(s: np.ndarray) -> None:
+    # sorted offsets s whose mirrors 1 - s are exact and in the set, so that interval_points
+    # runs the series once per pair: 1 - (1 - s) gives s back, bit for bit
+    assert np.all(np.diff(s) > 0) and 0.0 < s[0] and s[-1] < 1.0
+    assert np.array_equal(1.0 - s[::-1], s)
+    assert np.array_equal(1.0 - (1.0 - s), s)
+
+
+@pytest.mark.parametrize("per_interval,bands", [(96, 19), (320, 64), (512, 102), (683, 136)])
+def test_interval_offsets_come_in_exact_mirror_pairs(per_interval, bands):
+    s = interval_offsets(per_interval)
+    assert s.size == per_interval + 2 * bands
+    _assert_exact_mirror_pairs(s)
+
+
+@pytest.mark.parametrize("build,params,size", [
+    (rotated_copies, RosetteParams(5, 0.3), 768),
+    (rotated_copies, RosetteParams(12, 3 * PI / 2), 768),
+    (boundary_polyline, RosetteParams(5, PI / 2), 2 * (512 + 2 * 102)),
+    (lambda p: boundary_polyline(p, FIGURE_PER_INTERVAL), RosetteParams(6, -PI / 2),
+     2 * (96 + 2 * 19)),
+], ids=["copies-arc", "copies-arc-3pi/2", "half-speed-512", "half-speed-96"])
+def test_the_copies_arc_and_the_half_speed_grid_come_in_exact_mirror_pairs(
+        build, params, size, monkeypatch):
+    seen, real = [], boundary.interval_points
+
+    def spy(params, offsets, js=slice(None)):
+        seen.append(np.asarray(offsets))
+        return real(params, offsets, js)
+
+    monkeypatch.setattr(boundary, "interval_points", spy)
+    build(params)
+    (s,) = seen
+    assert s.size == size
+    _assert_exact_mirror_pairs(s)
+
+
+@pytest.mark.parametrize("n", [3, 5, 96])
+def test_rotated_copies_send_half_the_arc_through_the_series(series_points, n):
+    # 599 radii, one point per mirror pair of the 768 arc offsets, and the feature argument 1
+    rotated_copies(RosetteParams(n, 0.3))
+    assert sorted(series_points) == [1, 384, 599]
+
+
 def test_rotated_copies_share_the_one_fundamental_polyline():
     # n prefactors and one polyline: at n = 200 the n stored products held 8.4 MB
     p = RosetteParams(200, 0.3)

@@ -520,6 +520,25 @@ def test_bad_input_is_a_one_line_usage_error(argv, option, tmp_path, capsys, req
     assert usage_error_modules[request.node.callspec.id] == [2, []]
 
 
+@pytest.mark.parametrize("command", ["render", "decompose"])
+def test_a_margin_whose_viewport_overflows_is_a_one_line_usage_error(command, tmp_path, capsys,
+                                                                    monkeypatch):
+    # bounding_radius(3) * (1 + 1e308) overflowed: render wrote every coordinate as nan, and
+    # under -W error printed a traceback; decompose refuses before it tiles
+    from rosette import verify
+
+    monkeypatch.setattr(verify, "fundamental_decomposition", lambda *a, **k: pytest.fail("tiled"))
+    out = tmp_path / "out.svg"
+    with pytest.raises(SystemExit) as exc:
+        run_cli([command, "--n", "3", "--beta", "0.3", "--margin", "1e308", "--out", str(out)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    err = captured.err.strip().splitlines()
+    assert err[-1].startswith(f"rosette {command}: error: argument --margin: margin_frac 1e+308")
+    assert not any("Traceback" in line for line in err)
+
+
 @pytest.mark.parametrize("command", OUT_PATH_COMMANDS)
 @pytest.mark.parametrize("where", UNUSABLE_OUT_PATHS)
 def test_an_unusable_out_path_is_a_one_line_usage_error_before_any_work(

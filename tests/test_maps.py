@@ -25,6 +25,7 @@ from rosette import (
     curve_samples,
     dilatation,
     endpoint_values,
+    extract_features,
     f,
     f_many,
     g_many,
@@ -243,6 +244,25 @@ def test_reduce_beta_roundtrip(beta_tilde):
     beta, l = reduce_beta(beta_tilde)
     assert -PI / 2 < beta <= PI / 2 + 1e-15
     assert beta + l * PI == pytest.approx(beta_tilde, abs=1e-12)
+
+
+@pytest.mark.parametrize("beta", [1e17, -1e17])
+def test_a_phase_past_the_limit_is_a_domain_error(beta):
+    # reduce_beta(1e17) was (0.0, 31830988618379068): past |beta| ~ 1e16 the reduction
+    # keeps nothing, and extract_features turned its features by that meaningless count
+    with pytest.raises(DomainError):
+        reduce_beta(beta)
+    with pytest.raises(DomainError):
+        RosetteParams(5, beta).canonical()
+    with pytest.raises(DomainError):
+        extract_features(RosetteParams(5, beta))
+
+
+@pytest.mark.parametrize("beta", [maps.BETA_LIMIT, -maps.BETA_LIMIT])
+def test_the_phase_limit_itself_is_reduced(beta):
+    base, shifts = reduce_beta(beta)
+    assert -PI / 2 < base <= PI / 2 and base + shifts * PI == pytest.approx(beta, abs=1e-12)
+    assert len(extract_features(RosetteParams(5, beta)).features) == 10
 
 
 def test_canonical_rotation_examples():

@@ -160,6 +160,15 @@ def test_a_huge_margin_keeps_the_figure_at_the_centre():
     assert paths and {v for d in paths for v in re.split("[ML ]", d) if v} == {"450.000"}
 
 
+def test_a_margin_whose_viewport_overflows_is_a_domain_error():
+    # bounding_radius(3) * (1 + 1e308) overflowed to inf, and every coordinate was nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="margin_frac"):
+            RenderSpec(RosetteParams(3, 0.3), margin_frac=1e308)
+    assert RenderSpec(RosetteParams(5, 0.3), margin_frac=1e308).half_width < math.inf
+
+
 def test_polyline_skips_fewer_than_two_points():
     canvas = SvgCanvas(width_px=100, world_half=1.0)
     canvas.polyline([0.5 + 0.5j])

@@ -522,12 +522,13 @@ def test_half_pi_class_polylines_are_the_half_pi_polyline_carried_by_the_law(shi
 @pytest.mark.parametrize("n", [5, 96])
 @pytest.mark.parametrize("beta", [0.3, PI / 2])
 def test_boundary_polylines_evaluate_the_series_on_one_interval(series_points, n, beta):
-    # one pass over the k offsets of one basic interval (2k on the half-speed curve) and
-    # one over the feature argument w = 1: k + 1 series points, not 2n * k + 1
+    # one pass over the k offsets of one basic interval (2k on the half-speed curve), which
+    # come in exact pairs s, 1 - s that the reflection law serves from one series point,
+    # and one over the feature argument w = 1: k/2 + 1 series points, not 2n * k + 1
     p = RosetteParams(n, beta)
     boundary_polyline(p)
     k = interval_offsets(512).size * (2 if beta == PI / 2 else 1)
-    assert series_points == [k, 1]
+    assert series_points == [k // 2, 1]
 
 
 @pytest.mark.parametrize("n", [5, 6])
