@@ -35,7 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SingularPoint, as_array, as_number, require_integer
-from .series import SeriesKind, SeriesSpec, clip_to_disk, eval_families_many, eval_series_many
+from .series import (SeriesKind, SeriesSpec, clip_to_disk, endpoint_values, eval_families_many,
+                     eval_series_many)
 
 # Proximity of 1 - z^{2n} to zero below which derivative closed forms are refused.
 SINGULAR_TOL = 1e-12
@@ -158,8 +159,19 @@ def f_many(params: RosetteParams, z) -> np.ndarray:
 
 
 def f(params: RosetteParams, z: complex) -> MapValue:
-    """The rosette map at z, as the pair of its summands, from one series pass."""
-    hz, gz = (complex(v[0]) for v in parts_many(params, [as_number(z, complex, "point")]))
+    """The rosette map at z, as the pair of its summands, from one series pass.
+
+    At z = 1 the series pass would return the gamma closed forms of ``endpoint_values``,
+    so they are taken directly, bit for bit the same: h(1) = F_a(1) and
+    g(1) = fl(fl(1/(n-1)) F_c(1)), with imaginary parts +0.
+    """
+    z = as_number(z, complex, "point")
+    if z == 1.0:
+        ends = endpoint_values(params.n)
+        hz = complex(ends.analytic_at_one, 0.0)
+        gz = complex(1.0 / (params.n - 1) * ends.coanalytic_at_one, 0.0)
+    else:
+        hz, gz = (complex(v[0]) for v in parts_many(params, [z]))
     rot = cmath.exp(0.5j * params.beta)
     return MapValue(h=rot * hz, gbar=gz.conjugate() / rot)
 

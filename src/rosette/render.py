@@ -10,6 +10,11 @@ phase of the spec, the polyline that ``verify --level quick`` certifies: its
 cusps and nodes are vertices, and at beta = pi/2 + l pi it is the half-speed
 curve, which skips the arcs of constancy.  ``samples_per_curve`` seeds the
 adaptive sampling of the grid curves and of the hypocycloid overlay only.
+
+The grid is flattened from data: a radius for each circle and a unit direction for
+each ray, so that each flattening round forms all its points in one expression and
+takes f at them from one series pass.  ``SvgCanvas`` writes the text of all the paths
+in vectorised passes.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,21 +83,30 @@ class RenderSpec:
         return bounding_radius(self.params.n) * (1.0 + self.margin_frac)
 
 
-def _grid_paths(spec: RenderSpec) -> list:
-    """flatten_curves paths of the polar grid: circles |z| = rho, then rays arg z = theta.
+class _Grid(NamedTuple):
+    """The polar grid as data: circles |z| = rho, then rays arg z = theta, as flatten_curves
+    spans.  Rays stop at |z| = 1 - 1e-4; render_svg appends their exact boundary values."""
 
-    Rays stop at |z| = 1 - 1e-4; render_svg appends their exact boundary values.
-    """
-    circles = [
-        (lambda ts, r=i / spec.circles: r * np.exp(1j * ts), 0.0, TWO_PI, spec.samples_per_curve)
-        for i in range(1, spec.circles)
-    ]
-    rays = [
-        (lambda rs, ray=cmath.exp(1j * theta): rs * ray, 0.0, 1.0 - 1e-4,
-         max(spec.samples_per_curve // 4, 16))
-        for theta in _ray_angles(spec)
-    ]
-    return circles + rays
+    radii: np.ndarray       # rho = i / circles of each circle
+    directions: np.ndarray  # e^{i theta} of each ray
+    spans: list
+
+    def points(self, ts: np.ndarray, path: np.ndarray) -> np.ndarray:
+        """The grid point at each parameter: rho * e^{it} on a circle, t * e^{i theta} on a ray."""
+        z = np.empty(ts.shape, dtype=complex)
+        circle = path < self.radii.size
+        z[circle] = self.radii[path[circle]] * np.exp(1j * ts[circle])
+        ray = ~circle
+        z[ray] = ts[ray] * self.directions[path[ray] - self.radii.size]
+        return z
+
+
+def _grid(spec: RenderSpec) -> _Grid:
+    radii = np.arange(1, spec.circles) / spec.circles
+    directions = np.array([cmath.exp(1j * theta) for theta in _ray_angles(spec)])
+    spans = [(0.0, TWO_PI, spec.samples_per_curve)] * radii.size + [
+        (0.0, 1.0 - 1e-4, max(spec.samples_per_curve // 4, 16))] * directions.size
+    return _Grid(radii, directions, spans)
 
 
 def _ray_angles(spec: RenderSpec) -> list[float]:
@@ -112,8 +127,10 @@ def render_svg(spec: RenderSpec, *, copies: list | None = None) -> str:
     tol_world = 0.1 * (2.0 * half / spec.width_px)
 
     # images of the polar grid: circles, then radial lines ending on the exact boundary
+    grid = _grid(spec)
     curves = flatten_curves(
-        lambda z: combine_parts(params.beta, *parts_many(params, z)), _grid_paths(spec), tol_world
+        lambda ts, path: combine_parts(params.beta, *parts_many(params, grid.points(ts, path))),
+        grid.spans, tol_world,
     )
     ends = boundary_points(params, np.array(_ray_angles(spec)))
     rays = [np.append(c, e) for c, e in zip(curves[spec.circles - 1 :], ends)]

@@ -445,10 +445,10 @@ def test_each_sample_set_takes_one_two_family_series_pass(series_passes, monkeyp
     values = [s.value for s in curve_samples(p, ts)]
     assert series_passes == [2]
     extract_features(p)
-    assert series_passes == [2, 2, 2]  # the feature values at w = 1, then the confirmation
+    assert series_passes == [2, 2]  # the confirmation; the values at w = 1 take no pass
     if half_pi_shift(beta) is not None:
         halfspeed = halfspeed_points(p, ts)
-        assert series_passes == [2, 2, 2, 2]
+        assert series_passes == [2, 2, 2]
         monkeypatch.setattr(boundary, "_boundary_values",
                             lambda params, at: f_many(params, np.exp(1j * at)))
         assert np.array_equal(halfspeed, halfspeed_points(p, ts))
@@ -749,10 +749,10 @@ def test_carried_tangents_match_the_per_point_evaluation(monkeypatch, n):
             assert np.abs(np.angle(np.exp(1j * (got - want)))).max() < 1e-9, beta
 
 
-@pytest.mark.parametrize("beta, points", [(0.3, [1, 12]), (PI / 2, [1, 6]),
-                                          (-PI / 2 + 1e-10, [1, 6])])
+@pytest.mark.parametrize("beta, points", [(0.3, [12]), (PI / 2, [6]),
+                                          (-PI / 2 + 1e-10, [6])])
 def test_features_send_one_orbit_through_the_series_at_any_order(series_points, beta, points):
-    # the values at w = 1, then features 0 and 1 (node 0 alone) at 2 sides x 3 offsets
+    # features 0 and 1 (node 0 alone) at 2 sides x 3 offsets; the values at w = 1 take no pass
     extract_features(RosetteParams(5000, beta))
     assert series_points == points
 
@@ -942,9 +942,10 @@ def test_the_copies_arc_and_the_half_speed_grid_come_in_exact_mirror_pairs(
 
 @pytest.mark.parametrize("n", [3, 5, 96])
 def test_rotated_copies_send_half_the_arc_through_the_series(series_points, n):
-    # 599 radii, one point per mirror pair of the 768 arc offsets, and the feature argument 1
+    # 599 radii and one point per mirror pair of the 768 arc offsets; the feature argument 1
+    # takes endpoint_values' closed forms, no pass
     rotated_copies(RosetteParams(n, 0.3))
-    assert sorted(series_points) == [1, 384, 599]
+    assert sorted(series_points) == [384, 599]
 
 
 def test_rotated_copies_share_the_one_fundamental_polyline():

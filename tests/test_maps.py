@@ -44,6 +44,7 @@ from rosette import (
     winding_numbers,
 )
 import rosette.maps as maps
+from rosette.boundary import detect_arg_nonmonotonicity, feature_values, interval_points
 from rosette.maps import (
     EPS_DOMAIN,
     combine_parts,
@@ -256,6 +257,12 @@ def test_a_phase_past_the_limit_is_a_domain_error(beta):
         RosetteParams(5, beta).canonical()
     with pytest.raises(DomainError):
         extract_features(RosetteParams(5, beta))
+    # these four never reduce the phase, and took it: detect_arg_nonmonotonicity returned
+    # (True, 5.65...) at 1e17
+    for call in (lambda p: boundary_points(p, [0.1]), lambda p: interval_points(p, [0.5]),
+                 feature_values, detect_arg_nonmonotonicity):
+        with pytest.raises(DomainError, match="phase"):
+            call(RosetteParams(5, beta))
 
 
 @pytest.mark.parametrize("beta", [maps.BETA_LIMIT, -maps.BETA_LIMIT])
@@ -390,6 +397,34 @@ def test_shared_parts_match_the_separate_calls_bit_for_bit(n, direct_terms, monk
         assert (h1[0], g1[0]) == (hz[i], gz[i]), i
 
 
+def bits(z: complex) -> tuple:
+    return np.array([z.real, z.imag]).view(np.uint64).tolist()
+
+
+def test_f_at_one_takes_the_closed_forms_that_the_series_pass_gives(monkeypatch):
+    # h(1) = F_a(1) and g(1) = fl(fl(1/(n-1)) F_c(1)), imaginary parts +0, with no pass
+    orders = [*range(3, 200), 500, 1000, 2000, 10**4, 10**5]
+    at_one = {n: [complex(v[0]) for v in parts_many(RosetteParams(n, 0.0), [1.0])]
+              for n in orders}
+    monkeypatch.setattr(maps, "eval_families_many", None)  # a series pass would raise
+    for n, (h1, g1) in at_one.items():
+        ends = endpoint_values(n)
+        assert bits(h1) == bits(complex(ends.analytic_at_one, 0.0)), n
+        assert bits(g1) == bits(complex(1.0 / (n - 1) * ends.coanalytic_at_one, 0.0)), n
+        for beta in (0.0, 0.3, -2.5):
+            rot = cmath.exp(0.5j * beta)
+            for z in (1.0, 1, complex(1.0, -0.0), np.float64(1.0)):
+                got = f(RosetteParams(n, beta), z)
+                want = [bits(rot * h1), bits(g1.conjugate() / rot)]
+                assert [bits(got.h), bits(got.gbar)] == want, (n, beta, z)
+
+
+def test_feature_values_make_no_series_pass(series_passes):
+    for n, beta in ((3, 0.3), (5, PI / 2), (96, -1.2), (2000, 3 * PI / 2)):
+        feature_values(RosetteParams(n, beta))
+    assert series_passes == []
+
+
 def test_f_takes_both_summands_from_one_series_pass(monkeypatch):
     passes = []
     for name in ("eval_families_many", "eval_series_many"):
@@ -400,7 +435,7 @@ def test_f_takes_both_summands_from_one_series_pass(monkeypatch):
             p = RosetteParams(n, beta)
             passes.clear()
             got = f(p, z)
-            assert len(passes) == 1
+            assert len(passes) == (0 if z == 1.0 else 1)  # at 1, endpoint_values' closed forms
             # the summands as the one-part-a-pass form gave them, bit for bit
             rot = cmath.exp(0.5j * beta)
             hz, gz = complex(h_many(p, [z])[0]), complex(g_many(p, [z])[0])

@@ -1,17 +1,20 @@
 """The batched adaptive flattener and the SVG path writer."""
 
+import cmath
 import math
 import re
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from rosette import DomainError, render
+from rosette import DomainError, render, svgout
 from rosette.boundary import bounding_radius, rotated_copies
+from rosette.cli import main
 from rosette.maps import RosetteParams, f_many, hypocycloid
-from rosette.render import Overlay, RenderSpec, _grid_paths, render_svg
-from rosette.svgout import SvgCanvas, flatten_curve, flatten_curves
+from rosette.render import Overlay, RenderSpec, _grid, render_svg
+from rosette.svgout import SvgCanvas, flatten_curve, flatten_curves, path_data
 
 PI = math.pi
 
@@ -56,9 +59,41 @@ class Counting:
     def __init__(self, fn):
         self.fn, self.calls = fn, 0
 
-    def __call__(self, x):
+    def __call__(self, *args):
         self.calls += 1
-        return self.fn(x)
+        return self.fn(*args)
+
+
+def by_path(fns):
+    """A flatten_curves curve function that runs fns[i] on the parameters of path i."""
+    def curve(ts, path):
+        out = np.empty(ts.shape, dtype=complex)
+        for i, fn in enumerate(fns):
+            mine = path == i
+            out[mine] = fn(ts[mine])
+        return out
+    return curve
+
+
+def grid_point_fns(spec):
+    """The grid as one function a path: rho e^{it} for each circle, then t e^{i theta} a ray."""
+    circles = [lambda ts, r=i / spec.circles: r * np.exp(1j * ts) for i in range(1, spec.circles)]
+    rays = [lambda rs, ray=cmath.exp(2j * PI * j / spec.radial_lines): rs * ray
+            for j in range(spec.radial_lines)]
+    return circles + rays
+
+
+@pytest.mark.parametrize("spec", [RenderSpec(RosetteParams(5, 0.3)),
+                                  RenderSpec(RosetteParams(5, 0.3), radial_lines=7, circles=1,
+                                             samples_per_curve=33)])
+def test_the_grid_points_are_the_per_path_products_bit_for_bit(spec):
+    grid = _grid(spec)
+    fns = grid_point_fns(spec)
+    assert len(grid.spans) == len(fns) == spec.circles - 1 + spec.radial_lines
+    rng = np.random.default_rng(5)
+    path = np.sort(rng.integers(0, len(fns), 4000))
+    ts = rng.uniform(0.0, 2 * PI, path.size)
+    assert np.array_equal(grid.points(ts, path), by_path(fns)(ts, path))
 
 
 @pytest.mark.parametrize("n", [5, 6, 12])
@@ -67,12 +102,12 @@ def test_grid_curves_match_the_per_curve_loop(n, beta):
     params = RosetteParams(n, beta)
     spec = RenderSpec(params)
     tol = render_tolerance(spec)
-    paths = _grid_paths(spec)
-    value_fn = Counting(lambda z: f_many(params, z))
-    got = flatten_curves(value_fn, paths, tol)
-    assert len(got) == len(paths) == spec.circles - 1 + spec.radial_lines
-    assert value_fn.calls <= 1 + 12
-    for (point_fn, t0, t1, initial), curve in zip(paths, got):
+    grid = _grid(spec)
+    curve_fn = Counting(lambda ts, path: f_many(params, grid.points(ts, path)))
+    got = flatten_curves(curve_fn, grid.spans, tol)
+    assert len(got) == len(grid.spans) == spec.circles - 1 + spec.radial_lines
+    assert curve_fn.calls <= 1 + 12
+    for point_fn, (t0, t1, initial), curve in zip(grid_point_fns(spec), grid.spans, got):
         want = flatten_one(lambda t: f_many(params, point_fn(t)), t0, t1, initial, tol)
         assert curve.size == want.size
         # a direct-sum value depends on its batch by a few 1e-15
@@ -98,44 +133,46 @@ def line(t):
 
 
 def test_straight_segment_needs_no_split():
-    value_fn = Counting(lambda z: z)
-    (got,) = flatten_curves(value_fn, [(line, 0.0, 1.0, 17)], 1e-9)
-    assert value_fn.calls == 2  # the vertices, then the midpoints of one round
+    curve_fn = Counting(lambda ts, path: line(ts))
+    (got,) = flatten_curves(curve_fn, [(0.0, 1.0, 17)], 1e-9)
+    assert curve_fn.calls == 2  # the vertices, then the midpoints of one round
     assert np.array_equal(got, line(np.linspace(0.0, 1.0, 17)))
 
 
 @pytest.mark.parametrize("max_rounds", [1, 3, 12])
 def test_curve_that_hits_max_rounds(max_rounds):
-    value_fn = Counting(lambda z: z)
-    (got,) = flatten_curves(value_fn, [(kink, -1.0, 1.0, 3)], 1e-6, max_rounds)
+    curve_fn = Counting(lambda ts, path: kink(ts))
+    (got,) = flatten_curves(curve_fn, [(-1.0, 1.0, 3)], 1e-6, max_rounds)
     want = flatten_one(kink, -1.0, 1.0, 3, 1e-6, max_rounds)
-    assert value_fn.calls == 1 + max_rounds
+    assert curve_fn.calls == 1 + max_rounds
     assert got.size == want.size > 3
     assert np.array_equal(got, want)
 
 
 def test_paths_that_stop_in_different_rounds_keep_their_own_vertices():
-    paths = [(line, 0.0, 1.0, 5), (kink, -1.0, 1.0, 3), (line, -2.0, 3.0, 2), (kink, 0.0, 1.0, 8)]
-    value_fn = Counting(lambda z: z)
-    got = flatten_curves(value_fn, paths, 1e-4, 6)
-    assert value_fn.calls == 1 + 6
-    for (point_fn, t0, t1, initial), curve in zip(paths, got):
-        assert np.array_equal(curve, flatten_one(point_fn, t0, t1, initial, 1e-4, 6))
+    fns = [line, kink, line, kink]
+    spans = [(0.0, 1.0, 5), (-1.0, 1.0, 3), (-2.0, 3.0, 2), (0.0, 1.0, 8)]
+    curve_fn = Counting(by_path(fns))
+    got = flatten_curves(curve_fn, spans, 1e-4, 6)
+    assert curve_fn.calls == 1 + 6
+    for fn, (t0, t1, initial), curve in zip(fns, spans, got):
+        assert np.array_equal(curve, flatten_one(fn, t0, t1, initial, 1e-4, 6))
 
 
 def test_render_takes_each_flatten_round_from_one_series_pass(series_passes, monkeypatch):
     rounds, real = [], render.flatten_curves
 
-    def counting(value_fn, paths, tol_world):
-        return real(lambda z: rounds.append(np.size(z)) or value_fn(z), paths, tol_world)
+    def counting(curve_fn, spans, tol_world):
+        return real(lambda ts, path: rounds.append(ts.size) or curve_fn(ts, path), spans,
+                    tol_world)
 
     monkeypatch.setattr(render, "flatten_curves", counting)
     overlay = frozenset({Overlay.FEATURES, Overlay.CUSP_AXES})
     render_svg(RenderSpec(RosetteParams(6, 0.3), overlay=overlay))
     assert rounds[0] == 15 * 256 + 24 * 64 and len(rounds) == 9  # the initial grid, 8 splits
-    # h and g of every round in one pass; then the ray ends' f_many (h, then g), the
-    # boundary polyline's interval points and feature values, and the dots' feature values
-    assert series_passes == [2] * 9 + [1, 1, 2, 2, 2]
+    # h and g of every round in one pass; then the ray ends' f_many (h, then g) and the
+    # boundary polyline's interval points; the feature values at w = 1 take no pass
+    assert series_passes == [2] * 9 + [1, 1, 2]
 
 
 def test_polyline_matches_the_per_point_format():
@@ -151,6 +188,74 @@ def test_polyline_matches_the_per_point_format():
     assert canvas.elements == [
         f'<path d="{d}" fill="none" stroke="#123456" stroke-width="0.800"/>'
     ]
+
+
+def percent_text(xy):
+    """The reference: one '%.3f' a coordinate, as one % call over the path prints it."""
+    return "M" + "L".join(f"{x:.3f} {y:.3f}" for x, y in zip(xy[0::2], xy[1::2]))
+
+
+def near_power(p, toward, sign):
+    """+-10^p itself (toward None) or its float neighbour toward 0 or infinity."""
+    power = 10.0**p
+    return sign * (power if toward is None else float(np.nextafter(power, toward)))
+
+
+_COORDINATES = st.one_of(
+    st.integers(-10**8, 10**8).map(lambda m: (2 * m + 1) / 2000),  # exact decimal ties
+    st.sampled_from([0.0, -0.0, -5e-324, -1e-300, -4.9999e-4, -5e-4, 5e-4, 9999.9995]),
+    st.floats(-5e-4, -0.0),  # tiny negatives print "-0.000"
+    st.builds(near_power, st.integers(-4, 9), st.sampled_from([None, 0.0, math.inf]),
+              st.sampled_from([1.0, -1.0])),
+    st.floats(1000.0, 2e4) | st.floats(-2e4, -1000.0),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+# a path: x, y pairs of such coordinates
+_PATHS = st.lists(st.lists(st.tuples(_COORDINATES, _COORDINATES), min_size=1, max_size=6)
+                  .map(lambda pairs: np.array(pairs).ravel()), min_size=1, max_size=5)
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(_PATHS)
+def test_the_writer_prints_each_coordinate_as_percent_format_does(paths):
+    want = [percent_text(xy) for xy in paths]
+    chunk, limit = svgout._CHUNK, svgout._K_LIMIT
+    try:
+        assert path_data(paths) == want
+        svgout._CHUNK = 4  # paths that span the vectorised steps
+        assert path_data(paths) == want
+        svgout._K_LIMIT = 0  # every coordinate falls back to '%.3f'
+        assert path_data(paths) == want
+    finally:
+        svgout._CHUNK, svgout._K_LIMIT = chunk, limit
+    # a coordinate within the range and away from a tie is written from the digit tables
+    v = np.concatenate(paths)
+    exact = np.empty(v.size, dtype=bool)
+    svgout._coordinate_text(v, np.zeros(v.size, dtype=np.uint8), exact)
+    plain = np.array([abs(x) < 9999.0 and abs((x * 1000.0) % 1.0 - 0.5) > 1e-5 for x in v])
+    assert exact[plain].all()
+
+
+@pytest.mark.parametrize("argv", [
+    ["render", "--n", "5", "--beta", "0.3", "--width", "4000"],
+    ["render", "--n", "6", "--beta", "-0.7", "--margin", "0"],
+    ["render", "--n", "2000", "--beta", "0.3",
+     "--overlay", "features,axes,fundamental,hypocycloid"],
+    ["decompose", "--n", "12", "--beta", "0.3"],
+])
+def test_documents_equal_those_of_the_percent_fallback(argv, monkeypatch, tmp_path):
+    def written(name):
+        out = tmp_path / name
+        extra = ["--report", str(tmp_path / "r.json")] if argv[0] == "decompose" else []
+        assert main(argv + ["--out", str(out)] + extra) == 0
+        return out.read_bytes()
+
+    fast = written("fast.svg")
+    monkeypatch.setattr(svgout, "_K_LIMIT", 0)  # every coordinate falls back to '%.3f'
+    assert written("fallback.svg") == fast
+    if "4000" in argv:
+        assert re.search(rb"[ ML]\d{4}\.\d{3}", fast)  # coordinates above 999 px
 
 
 def test_a_huge_margin_keeps_the_figure_at_the_centre():

@@ -523,12 +523,13 @@ def test_half_pi_class_polylines_are_the_half_pi_polyline_carried_by_the_law(shi
 @pytest.mark.parametrize("beta", [0.3, PI / 2])
 def test_boundary_polylines_evaluate_the_series_on_one_interval(series_points, n, beta):
     # one pass over the k offsets of one basic interval (2k on the half-speed curve), which
-    # come in exact pairs s, 1 - s that the reflection law serves from one series point,
-    # and one over the feature argument w = 1: k/2 + 1 series points, not 2n * k + 1
+    # come in exact pairs s, 1 - s that the reflection law serves from one series point;
+    # the feature argument w = 1 takes endpoint_values' closed forms: k/2 series points,
+    # not 2n * k + 1
     p = RosetteParams(n, beta)
     boundary_polyline(p)
     k = interval_offsets(512).size * (2 if beta == PI / 2 else 1)
-    assert series_points == [k // 2, 1]
+    assert series_points == [k // 2]
 
 
 @pytest.mark.parametrize("n", [5, 6])
@@ -793,11 +794,12 @@ def test_symmetry_suite_makes_one_fused_series_pass(series_passes):
         assert series_passes == [2], beta
 
 
-def test_full_verify_makes_nine_series_passes(series_passes, tmp_path):
-    # symmetry 1, univalence 3, integral identities 1, decomposition 4
+def test_full_verify_makes_seven_series_passes(series_passes, tmp_path):
+    # symmetry 1, univalence 2, integral identities 1, decomposition 3; the feature values
+    # at w = 1 take endpoint_values' closed forms, no pass
     argv = ["verify", "--n", "5", "--beta", "0.3", "--level", "full"]
     assert main(argv + ["--out", str(tmp_path / "v.json")]) == 0
-    assert len(series_passes) == 9
+    assert len(series_passes) == 7
 
 
 @pytest.mark.parametrize("n", [3, 7, 12])
