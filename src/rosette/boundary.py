@@ -143,12 +143,6 @@ def distance_to_singular(n: int, t):
     return np.minimum(r, step - r)
 
 
-def _require_phase(params: RosetteParams) -> None:
-    """DomainError for a phase past BETA_LIMIT, as every function that reduces it raises,
-    also where the closed forms need no reduction."""
-    reduce_beta(params.beta)
-
-
 def _boundary_values(params: RosetteParams, ts: np.ndarray) -> np.ndarray:
     """a(t) = f(e^{it}) at finite parameters from one two-family series pass, bit for bit
     the values of ``boundary_points``."""
@@ -160,7 +154,6 @@ def boundary_points(params: RosetteParams, ts) -> np.ndarray:
     # f_many's two series passes, not _boundary_values, for two benchmark pins until ROADMAP
     # item 1: bench/test_bench.py reads boundary.f_many and wants this function's span on
     # boundary-render, where render's ray ends are now its only caller
-    _require_phase(params)
     return f_many(params, np.exp(1j * as_array(ts, float, "boundary parameter t")))
 
 
@@ -252,7 +245,6 @@ def feature_values(params: RosetteParams) -> np.ndarray:
     at a parameter off by rounding, about 1e-8 away in value, because the
     curve is only Hoelder-1/2 there.
     """
-    _require_phase(params)
     n = params.n
     at_one = f(params, 1.0)
     base_even, base_odd = at_one.h + at_one.gbar, at_one.h - at_one.gbar
@@ -532,7 +524,6 @@ def interval_points(params: RosetteParams, offsets, js=slice(None)) -> np.ndarra
     the one-offset call's column 1 at offsets[k], and each row the full array's row j, bit
     for bit.  The image polylines take their feature values from here alone.
     """
-    _require_phase(params)
     n = params.n
     s = np.ravel(np.asarray(offsets, dtype=float))
     upper = (s > 0.5) & (s <= 1.0)

@@ -44,8 +44,8 @@ SINGULAR_TOL = 1e-12
 # Slack on |z| <= 1 absorbing rounding of boundary points.
 EPS_DOMAIN = 1e-9
 
-# Largest |beta| that reduce_beta takes: reducing a float beta modulo pi loses about
-# |beta| * 1e-16 (1e-13 at 1e4, 2e-12 at 1e5), and past |beta| ~ 1e16 it keeps nothing.
+# Largest |beta| that RosetteParams and reduce_beta take: reducing a float beta modulo pi loses
+# about |beta| * 1e-16 (1e-13 at 1e4, 2e-12 at 1e5), and past |beta| ~ 1e16 it keeps nothing.
 BETA_LIMIT = 1e4
 
 # numpy computes z ** k by binary exponentiation below this exponent and by libm's cpow
@@ -63,6 +63,7 @@ class RosetteParams:
     def __post_init__(self):
         require_integer(self.n, 3, "rosette order n")
         as_number(self.beta, float, "rosette phase beta")
+        reduce_beta(self.beta)  # DomainError past BETA_LIMIT, for every function of params
 
     def canonical(self) -> tuple["RosetteParams", int]:
         """Equivalent parameters with beta in (-pi/2, pi/2] and the shift count l."""

@@ -384,9 +384,14 @@ def endpoint_values(n: int) -> EndpointValues:
     analytic_at_one   = sqrt(pi) Gamma(1 + 1/(2n)) / Gamma(1/2 + 1/(2n))
     coanalytic_at_one = sqrt(pi) Gamma(3/2 - 1/(2n)) / Gamma(1 - 1/(2n))
 
-    and the pair satisfies coanalytic/analytic = (n-1) tan(pi/(2n)).
+    and the pair satisfies coanalytic/analytic = (n-1) tan(pi/(2n)), cached per valid order.
     """
     require_integer(n, 2, "series order n")
+    return _endpoint_values(int(n))
+
+
+@functools.lru_cache(maxsize=256)
+def _endpoint_values(n: int) -> EndpointValues:
     x = 1.0 / (2.0 * n)
     root_pi = math.sqrt(math.pi)
     analytic = root_pi * gamma_real(1.0 + x) / gamma_real(0.5 + x)

@@ -181,9 +181,10 @@ class SvgCanvas:
             '<?xml version="1.0" encoding="UTF-8"?>\n'
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{w}" '
             f'viewBox="0 0 {w} {w}">\n'
-            f'<rect width="{w}" height="{w}" fill="#ffffff"/>\n'
+            f'<rect width="{w}" height="{w}" fill="#ffffff"/>'
         )
-        return head + "\n".join(self.elements) + "\n</svg>\n"
+        # one join, so the text is not copied again; an empty canvas keeps its empty line
+        return "\n".join([head, *(self.elements or [""]), "</svg>\n"])
 
 
 def _merged(old: np.ndarray, inserted: np.ndarray, at: np.ndarray) -> np.ndarray:

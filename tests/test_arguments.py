@@ -6,6 +6,8 @@ Each example gives every argument a valid value, drawn from small fixed sets (or
 replaces one argument by an adversarial one: text, None, a Fraction, a list where one
 number goes, ragged nesting, a complex where a real goes, NaN or an infinity.  The valid
 reals include -0.0, +-1e308, +-BETA_LIMIT and the parameters k pi/n and one ulp off them.
+RosetteParams refuses a phase past BETA_LIMIT, so ``params`` are built from the phases
+within it; RosetteParams' own case draws every phase and must refuse the others.
 """
 
 import dataclasses
@@ -29,6 +31,7 @@ from rosette import (
     SeriesKind,
     SeriesSpec,
     boundary_points,
+    bounding_radius,
     hypocycloid,
     render_svg,
 )
@@ -52,6 +55,7 @@ PHASES = (0.0, -0.0, 0.3, -1.2, math.pi / 2, -math.pi / 2, 3 * math.pi / 2 + 2 *
           BETA_LIMIT, -BETA_LIMIT, 1e308, -1e308)
 POINTS = (0.0, -0.0, 0.5, 0.3 + 0.4j, 1.0, -1.0, 1j, complex(math.cos(math.pi / 5),
           math.sin(math.pi / 5)), 1.0 + 5e-10, 2.0, 1e308, complex(0.0, -1e308))
+PARAM_PHASES = tuple(beta for beta in PHASES if abs(beta) <= BETA_LIMIT)
 HALF_PI_CLASS = (math.pi / 2, -math.pi / 2, math.pi / 2 + 3 * math.pi, math.pi / 2 - 5 * math.pi)
 NOT_A_NUMBER = ("0.5", None, Fraction(1, 2), object())
 NOT_FINITE = (math.nan, math.inf, -math.inf)
@@ -72,16 +76,22 @@ def _junk(scalar: bool, complex_ok: bool):
     return st.sampled_from(bad + lists + ((([0.5, 0.25], [0.5]) if scalar else ())))
 
 
-def _params(phases=PHASES):
+def _params(phases=PARAM_PHASES):
     return st.builds(RosetteParams, st.sampled_from(ORDERS), st.sampled_from(phases))
 
 
 def _render_spec():
-    return st.builds(RenderSpec, _params(), radial_lines=st.sampled_from((1, 3)),
-                     circles=st.sampled_from((1, 2)), samples_per_curve=st.just(16),
-                     width_px=st.sampled_from((1, 64)),
-                     margin_frac=st.sampled_from((0.0, 0.08, 2.0, 1e300, 1e308)),
-                     overlay=st.sets(st.sampled_from(list(Overlay))).map(frozenset))
+    """Specs that construct: a margin whose viewport half-width overflows (1e308 at n = 3)
+    is refused by RenderSpec, whose own case draws it."""
+    fields = st.fixed_dictionaries({
+        "params": _params(), "radial_lines": st.sampled_from((1, 3)),
+        "circles": st.sampled_from((1, 2)), "samples_per_curve": st.just(16),
+        "width_px": st.sampled_from((1, 64)),
+        "margin_frac": st.sampled_from((0.0, 0.08, 2.0, 1e300, 1e308)),
+        "overlay": st.sets(st.sampled_from(list(Overlay))).map(frozenset)})
+    return fields.filter(lambda kw: math.isfinite(
+        bounding_radius(kw["params"].n) * (1.0 + kw["margin_frac"]))).map(
+        lambda kw: RenderSpec(**kw))
 
 
 def _curves():
@@ -238,13 +248,17 @@ def test_a_public_call_returns_finite_numbers_or_raises_a_rosette_error(name):
             junk = _junk(key in SCALAR, key in COMPLEX).filter(lambda v: v is not None
                                                                  or key not in DEFAULT_NONE)
             kwargs[target] = data.draw(junk, label=target)
+        past_limit = (name == "RosetteParams" and target is None
+                      and abs(kwargs["beta"]) > BETA_LIMIT)
         try:
             result = fn(**kwargs)
         except RosetteError as exc:
             event(f"raised {type(exc).__name__}")
+            assert not past_limit or isinstance(exc, DomainError), exc
             return
         event("returned")
         assert target is None, f"{target}={kwargs[target]!r} was taken"
+        assert not past_limit, f"beta={kwargs['beta']!r} past BETA_LIMIT was taken"
         if name == "tail_bound" and result == math.inf:  # documented for abs_z >= 1
             return
         assert _not_finite(result) == [], kwargs

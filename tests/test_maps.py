@@ -44,7 +44,7 @@ from rosette import (
     winding_numbers,
 )
 import rosette.maps as maps
-from rosette.boundary import detect_arg_nonmonotonicity, feature_values, interval_points
+from rosette.boundary import feature_values
 from rosette.maps import (
     EPS_DOMAIN,
     combine_parts,
@@ -247,22 +247,18 @@ def test_reduce_beta_roundtrip(beta_tilde):
     assert beta + l * PI == pytest.approx(beta_tilde, abs=1e-12)
 
 
-@pytest.mark.parametrize("beta", [1e17, -1e17])
+@pytest.mark.parametrize("beta", [1e17, -1e17, math.nextafter(maps.BETA_LIMIT, math.inf),
+                                  -math.nextafter(maps.BETA_LIMIT, math.inf)])
 def test_a_phase_past_the_limit_is_a_domain_error(beta):
     # reduce_beta(1e17) was (0.0, 31830988618379068): past |beta| ~ 1e16 the reduction
-    # keeps nothing, and extract_features turned its features by that meaningless count
-    with pytest.raises(DomainError):
+    # keeps nothing.  RosetteParams(5, 1e17) itself was accepted, so f_many, parts_many and
+    # f computed with it, and the boundary functions each had to refuse it on their own.
+    with pytest.raises(DomainError, match="phase"):
         reduce_beta(beta)
-    with pytest.raises(DomainError):
-        RosetteParams(5, beta).canonical()
-    with pytest.raises(DomainError):
-        extract_features(RosetteParams(5, beta))
-    # these four never reduce the phase, and took it: detect_arg_nonmonotonicity returned
-    # (True, 5.65...) at 1e17
-    for call in (lambda p: boundary_points(p, [0.1]), lambda p: interval_points(p, [0.5]),
-                 feature_values, detect_arg_nonmonotonicity):
-        with pytest.raises(DomainError, match="phase"):
-            call(RosetteParams(5, beta))
+    with pytest.raises(DomainError, match="phase"):
+        RosetteParams(5, beta)
+    for edge in (maps.BETA_LIMIT, -maps.BETA_LIMIT):
+        assert RosetteParams(5, edge).beta == edge
 
 
 @pytest.mark.parametrize("beta", [maps.BETA_LIMIT, -maps.BETA_LIMIT])

@@ -183,6 +183,21 @@ def test_endpoint_values_match_mpmath_gamma():
     assert worst <= 1.5e-15
 
 
+def test_endpoint_values_are_computed_once_per_order(monkeypatch):
+    # each call made four math.gamma calls: 283 calls in one boundary-render pass
+    real, calls = math.gamma, []
+    monkeypatch.setattr(math, "gamma", lambda x: calls.append(x) or real(x))
+    series._endpoint_values.cache_clear()
+    first = endpoint_values(7)
+    assert endpoint_values(np.int64(7)) is first and len(calls) == 4
+    x, root_pi = 1.0 / 14.0, math.sqrt(math.pi)
+    assert first == (root_pi * real(1.0 + x) / real(0.5 + x),
+                     root_pi * real(1.5 - x) / real(1.0 - x))
+    for bad in ([5], 7.0, 1, "7"):  # refused before the cache sees them
+        with pytest.raises(DomainError):
+            endpoint_values(bad)
+
+
 @settings(max_examples=120, deadline=None)
 @given(
     st.floats(min_value=0.0, max_value=0.999),
