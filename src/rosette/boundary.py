@@ -45,10 +45,12 @@ want the ``boundary_points`` span, which render's ray ends now reach alone.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
-from dataclasses import dataclass, replace
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -112,28 +114,100 @@ class BoundaryFeature:
     interior_angle: Optional[float]
 
 
+class _Records(Sequence):
+    """A read-only sequence of ``record``s, kept as columns and built only when read.
+
+    It indexes, slices, iterates and compares as ``container`` (tuple or list) of the same
+    records does: it equals one, and a slice is one.  Each column is an array in row order,
+    named after the field it holds, NaN where a record holds None.
+    """
+
+    record: type
+    container: type = tuple
+
+    def _rows(self, rows: slice) -> list:
+        """The records of ``rows``."""
+        columns = (getattr(self, field.name)[rows].tolist() for field in fields(self.record))
+        return list(map(self.record, *([None if x != x else x for x in c] for c in columns)))
+
+    @functools.cached_property
+    def _records(self) -> list:
+        return self._rows(slice(None))
+
+    def __len__(self) -> int:
+        return self.t.size
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self.container(self._rows(index))
+        i = range(len(self))[index]  # negative indices and IndexError as a tuple has them
+        return self._rows(slice(i, i + 1))[0]
+
+    def __iter__(self):
+        return iter(self._records)
+
+    def __eq__(self, other):
+        if isinstance(other, (self.container, type(self))):
+            return self.container(self) == self.container(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.container(self))
+
+    def __repr__(self) -> str:
+        return repr(self.container(self))
+
+
+class FeatureRecords(_Records):
+    """``FeatureReport.features``: the columns of the features, read as a tuple of
+    BoundaryFeature.  ``kind`` is an object array of FeatureKind, ``location`` is complex,
+    and ``axis_arg`` and ``interior_angle`` are NaN where a feature has none."""
+
+    record = BoundaryFeature
+
+    def __init__(self, kind, t, location, magnitude, argument, axis_arg, interior_angle):
+        self.kind, self.t, self.location, self.magnitude = kind, t, location, magnitude
+        self.argument, self.axis_arg, self.interior_angle = argument, axis_arg, interior_angle
+
+
+class CurveSamples(_Records):
+    """What ``curve_samples`` returns: the columns of the samples, read as a list of
+    CurveSample.  ``value`` and ``d_value`` are complex, and ``d_value`` and ``d_arg`` are NaN
+    at the samples that have none; ``d_value`` is computed when it is first read."""
+
+    record, container = CurveSample, list
+    __hash__ = None  # as a list's
+
+    def __init__(self, params: RosetteParams, t, value, reduced, defined, d_arg, d_mag):
+        self.t, self.value, self.d_arg, self.d_mag = t, value, d_arg, d_mag
+        self._params, self._reduced, self._defined = params, reduced, defined
+
+    @functools.cached_property
+    def d_value(self) -> np.ndarray:
+        out = np.full(self.t.shape, np.nan, dtype=complex)
+        out[self._defined] = _derivative_values(self._params, self._reduced[self._defined])
+        return out
+
+
 @dataclass(frozen=True)
 class FeatureReport:
     params: RosetteParams
-    features: tuple[BoundaryFeature, ...]
+    features: FeatureRecords
     separations: tuple[float, ...]  # consecutive angular gaps of the feature arguments
     total_curvature_per_petal: float
 
 
-def wrap_angle(x: float) -> float:
-    """Reduce an angle to (-pi, pi]."""
-    y = math.fmod(x, TWO_PI)
-    if y > math.pi:
-        y -= TWO_PI
-    elif y <= -math.pi:
-        y += TWO_PI
-    return y
+def wrap_angle(x):
+    """Reduce an angle, or each angle of an array, to (-pi, pi]."""
+    y = np.fmod(x, TWO_PI)
+    y = np.where(y > math.pi, y - TWO_PI, np.where(y <= -math.pi, y + TWO_PI, y))
+    return y if isinstance(x, np.ndarray) else float(y)
 
 
-def _reduce_t(t: float) -> float:
-    """A finite angle reduced to [0, 2pi)."""
-    t = math.fmod(t, TWO_PI)
-    return t + TWO_PI if t < 0.0 else t
+def _reduce_t(t: np.ndarray) -> np.ndarray:
+    """Finite angles reduced to [0, 2pi); NaN stays NaN."""
+    t = np.fmod(t, TWO_PI)
+    return np.where(t < 0.0, t + TWO_PI, t)
 
 
 def distance_to_singular(n: int, t):
@@ -195,8 +269,7 @@ def _reduce(params: RosetteParams) -> tuple[RosetteParams, float, complex]:
 
 
 def _derivative_fields(params: RosetteParams, ts: np.ndarray):
-    """d_value, d_arg (NaN where undefined) and d_mag at parameters already 2pi-reduced."""
-    d_value = _derivative_values(params, ts)
+    """d_arg (NaN where undefined) and d_mag at parameters already 2pi-reduced."""
     base, lag, turn = _reduce(params)
     n, beta = base.n, base.beta
     if lag:
@@ -210,27 +283,21 @@ def _derivative_fields(params: RosetteParams, ts: np.ndarray):
     if is_half_pi(beta):
         d_arg[~first_half] = np.nan
         d_mag[~first_half] = 0.0
-    return d_value, d_arg, d_mag
+    return d_arg, d_mag
 
 
-def curve_samples(params: RosetteParams, ts: Sequence[float]) -> list[CurveSample]:
-    """Boundary samples for dumping, in the order of ts raveled; derivative fields are None
-    at singular t, and a non-finite t raises DomainError."""
-    ts = np.ravel(as_array(ts, float, "boundary parameter t"))
-    values = _boundary_values(params, ts).tolist()
+def curve_samples(params: RosetteParams, ts: Sequence[float]) -> CurveSamples:
+    """Boundary samples for dumping, in the order of ts raveled, as the columns of a
+    CurveSamples, which reads as a list of CurveSample; derivative fields are None at
+    singular t, and a non-finite t raises DomainError."""
+    ts = as_array(ts, float, "boundary parameter t").flatten()  # a copy: the view keeps it
+    values = _boundary_values(params, ts)
     red = np.mod(ts, TWO_PI)
     ok = distance_to_singular(params.n, red) >= T_SINGULAR_TOL
-    d_value = np.full(ts.shape, np.nan, dtype=complex)
     d_arg = np.full(ts.shape, np.nan)
     d_mag = np.zeros(ts.shape)
-    d_value[ok], d_arg[ok], d_mag[ok] = _derivative_fields(params, red[ok])
-    return [
-        CurveSample(t, v, None, None, 0.0) if not good
-        else CurveSample(t, v, dv, None if math.isnan(da) else da, dm)
-        for t, v, good, dv, da, dm in zip(
-            ts.tolist(), values, ok.tolist(), d_value.tolist(), d_arg.tolist(), d_mag.tolist()
-        )
-    ]
+    d_arg[ok], d_mag[ok] = _derivative_fields(params, red[ok])
+    return CurveSamples(params, ts, values, red, ok, d_arg, d_mag)
 
 
 # --- features ----------------------------------------------------------------
@@ -287,35 +354,32 @@ def extract_features(params: RosetteParams, confirm: bool = True) -> FeatureRepo
     """
     canonical, lag, turn = _carry(*params.canonical())
     n = params.n
-    ts, locations = feature_vertices(canonical)
-    nodes = ts.size == n  # beta = pi/2: n nodes replace the cusps
-    features: list[BoundaryFeature] = []
-    for j, (t, loc) in enumerate(zip(ts.tolist(), locations.tolist())):
-        if nodes:
-            kind, axis, angle = FeatureKind.NODE, None, math.pi / 2 - math.pi / n
-        elif j % 2 == 0:
-            kind, axis, angle = FeatureKind.CUSP, _reduce_t(t), None
-        else:
-            kind, axis, angle = FeatureKind.REMOVABLE_NODE, _reduce_t(math.pi / 2 + t), math.pi
-        features.append(
-            BoundaryFeature(kind, t, loc, abs(loc), _reduce_t(cmath.phase(loc)), axis, angle)
-        )
+    ts, location = feature_vertices(canonical)
+    kind = np.empty(ts.size, dtype=object)
+    if ts.size == n:  # beta = pi/2: n nodes replace the cusps
+        kind[:] = FeatureKind.NODE
+        axis, angle = np.full(n, np.nan), np.full(n, math.pi / 2 - math.pi / n)
+    else:  # cusps on their axes t, removable nodes with the tangent direction pi/2 + t
+        kind[0::2], kind[1::2] = FeatureKind.CUSP, FeatureKind.REMOVABLE_NODE
+        axis, angle = ts.copy(), np.full(2 * n, np.nan)
+        axis[1::2] += math.pi / 2
+        axis = _reduce_t(axis)
+        angle[1::2] = math.pi
+    locs = location.tolist()  # |a| and arg a by the scalar abs and cmath.phase of each value
+    magnitude = np.array(list(map(abs, locs)))
+    argument = _reduce_t(np.array(list(map(cmath.phase, locs))))
     if confirm:
-        _confirm_features(canonical, features)
+        _confirm_features(canonical, FeatureRecords(kind, ts, location, magnitude, argument,
+                                                    axis, angle))
     if lag:
         spin = cmath.phase(turn)
-        features = [replace(ft, t=_reduce_t(ft.t + lag), location=turn * ft.location,
-                            argument=_reduce_t(ft.argument + spin),
-                            axis_arg=None if ft.axis_arg is None else _reduce_t(ft.axis_arg + spin))
-                    for ft in features]
-    args = [ft.argument for ft in features]
-    seps = tuple(
-        (args[(i + 1) % len(args)] - args[i]) % TWO_PI for i in range(len(args))
-    )
+        ts, argument, axis = _reduce_t(ts + lag), _reduce_t(argument + spin), _reduce_t(axis + spin)
+        location = np.array(list(map(turn.__mul__, locs)))
     return FeatureReport(
         params=params,
-        features=tuple(features),
-        separations=seps,
+        features=FeatureRecords(kind, ts, location, magnitude, argument, axis, angle),
+        separations=tuple(np.mod(np.concatenate((argument[1:], argument[:1])) - argument,
+                                 TWO_PI).tolist()),
         total_curvature_per_petal=math.pi - TWO_PI / n,
     )
 
@@ -326,7 +390,7 @@ def _confirm_offsets(n: int) -> tuple[float, ...]:
     return tuple(d * scale for d in CONFIRM_OFFSETS)
 
 
-def _confirm_features(params: RosetteParams, features: list[BoundaryFeature]) -> None:
+def _confirm_features(params: RosetteParams, features: FeatureRecords) -> None:
     """Check the measured one-sided tangent directions at every feature against the closed forms.
 
     The nodes of beta = pi/2 + l pi are measured on the half-speed curve, which skips
@@ -335,7 +399,8 @@ def _confirm_features(params: RosetteParams, features: list[BoundaryFeature]) ->
     k = r m + q, r features per orbit, lies 2pi m/n past feature q, and the curve obeys
     a(t + 2pi/n) = e^{2i pi/n} a(t), so its points are q's turned by e^{2i pi m/n}.  Each
     secant still starts at the feature's own location from ``feature_values``, so a wrong
-    location at any feature fails the check.
+    location at any feature fails the check.  A failure names the first feature that fails,
+    and of its checks the first.
     """
     nodes = half_pi_shift(params.beta) is not None
     part, orbit = (halfspeed_points, 1) if nodes else (_boundary_values, 2)
@@ -344,22 +409,19 @@ def _confirm_features(params: RosetteParams, features: list[BoundaryFeature]) ->
     def carried(ts: np.ndarray) -> np.ndarray:  # one_sided_tangents' feature-major grid
         return np.multiply(spin, part(params, ts[: ts.size // spin.size])).ravel()
 
-    left, right = one_sided_tangents(
-        carried,
-        [ft.t for ft in features],
-        [ft.location for ft in features],
-        _confirm_offsets(params.n),
-    )
-    for ft, lo, hi in zip(features, left.tolist(), right.tolist()):
-        if ft.kind is FeatureKind.CUSP:
-            checks = [(lo, ft.t), (hi, math.pi + ft.t)]
-        elif ft.kind is FeatureKind.REMOVABLE_NODE:
-            checks = [(lo, ft.axis_arg), (hi, ft.axis_arg)]
-        else:  # beta = pi/2 node: the tangent jumps by the exterior angle
-            checks = [(wrap_angle(hi - lo), math.pi - ft.interior_angle)]
-        for got, want in checks:
-            if abs(wrap_angle(got - want)) > CONFIRM_TOL:
-                raise FeatureMismatch(ft.kind, ft.t, got, want)
+    t = features.t
+    lo, hi = one_sided_tangents(carried, t, features.location, _confirm_offsets(params.n))
+    if nodes:  # beta = pi/2 node: the tangent jumps by the exterior angle
+        got, want = wrap_angle(hi - lo)[None], (math.pi - features.interior_angle)[None]
+    else:  # a cusp turns back along its axis t, a removable node keeps its tangent
+        cusp = features.kind == FeatureKind.CUSP
+        got = np.stack((lo, hi))
+        want = np.where(cusp, np.stack((t, math.pi + t)), features.axis_arg)
+    bad = np.abs(wrap_angle(got - want)) > CONFIRM_TOL  # (check, feature)
+    if bad.any():
+        k = np.flatnonzero(bad.any(axis=0))[0]
+        c = np.flatnonzero(bad[:, k])[0]
+        raise FeatureMismatch(features.kind[k], float(t[k]), float(got[c, k]), float(want[c, k]))
 
 
 class SeparationSide(Enum):
@@ -397,8 +459,8 @@ def _check_within_petal(params: RosetteParams, t0: float, t1: float) -> tuple[fl
     base, lag, _ = _reduce(params)
     s0, s1 = t0 - lag, t1 - lag  # at the base phase
     petal = TWO_PI / n
-    k0 = math.floor((s0 + 1e-12) / petal)
-    k1 = math.ceil((s1 - 1e-12) / petal) - 1
+    k0 = np.floor((s0 + 1e-12) / petal)  # a float: near |t| = 1e308 the quotient is infinite
+    k1 = np.ceil((s1 - 1e-12) / petal) - 1
     if k1 > k0:
         raise IntervalCrossesCusp(
             f"[{t0}, {t1}] crosses a cusp parameter ({lag} + a multiple of 2pi/{n})"

@@ -116,12 +116,16 @@ def _output(text: str) -> str:
     return text
 
 
-def _write_text(path: Optional[str], text: str) -> None:
+def _write_text(path: Optional[str], text) -> None:
+    """Write ``text``, a string or an iterable of its pieces, to ``path`` as UTF-8 (to stdout
+    for None or ``-``)."""
+    pieces = (text,) if isinstance(text, str) else text
     if path is None or path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        with open(path, "wb") as fh:  # the bytes themselves, without a text layer to set up
+            for piece in pieces:
+                fh.write(piece.encode("utf-8"))
 
 
 def _quote(text: str) -> str:
@@ -129,50 +133,92 @@ def _quote(text: str) -> str:
     return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\r\n') else text
 
 
-def _csv(header: list[str], rows) -> str:
-    """CSV text with RFC 4180 line endings, each line joined in one call.  A None cell is
-    empty, a float is written in its shortest round-trip decimal form, and any other value
-    as str() writes it, quoted as RFC 4180 asks."""
-    lines = (["" if v is None else repr(float(v)) if isinstance(v, float) else _quote(str(v))
-              for v in row] for row in [header, *rows])
-    return "".join([",".join(cells) + "\r\n" for cells in lines])
+def _cell(value) -> str:
+    """A CSV cell of one value: empty for None, a float in its shortest round-trip decimal
+    form, any other value as str() writes it, quoted as RFC 4180 asks."""
+    return "" if value is None else repr(float(value)) if isinstance(value, float) else _quote(
+        str(value))
+
+
+# Rows per piece of a written table, so that only one piece's cells are held at a time.
+_CHUNK = 512
+
+
+def _float_cells(values: np.ndarray, missing: str) -> list[str]:
+    """float.__repr__ of each value, ``missing`` for NaN (a view's None).  Values that repeat
+    within their first 64, as the features' orbit columns do, take one repr per distinct bit
+    pattern."""
+    floats = values.tolist()
+    head = floats[:64]
+    if 2 * len(set(head)) > len(head):
+        cells = list(map(float.__repr__, floats))
+        return [missing if c == "nan" else c for c in cells] if "nan" in cells else cells
+    bits = values.view(np.int64).tolist()
+    value_of = dict(zip(bits, floats))
+    texts = {b: missing if v != v else float.__repr__(v) for b, v in value_of.items()}
+    return list(map(texts.__getitem__, bits))
+
+
+def _pieces(columns: list, missing: str):
+    """The cells of equally long columns, up to _CHUNK rows at a time, as one list per
+    column.  A column is a float array, written by ``_float_cells``, or an object array of
+    finished cells."""
+    for start in range(0, len(columns[0]), _CHUNK):
+        yield [_float_cells(c[start:start + _CHUNK], missing) if c.dtype.kind == "f"
+               else c[start:start + _CHUNK].tolist() for c in columns]
+
+
+def _csv(header, columns: list):
+    """The pieces of a CSV table with RFC 4180 line endings: the header, then the rows of
+    the columns (see ``_pieces``), NaN written as an empty cell."""
+    yield ",".join(map(_quote, header)) + "\r\n"
+    for cells in _pieces(columns, ""):
+        yield "\r\n".join(map(",".join, zip(*cells))) + "\r\n"
 
 
 # --- features ------------------------------------------------------------------
 
 # The fields of a feature: the keys of its JSON object and the columns of the CSV.
 _FEATURE_COLUMNS = ("kind", "t", "re", "im", "magnitude", "argument", "axis_arg", "interior_angle")
+# One feature of the JSON report, as json.dumps(payload, indent=2) writes it.
+_FEATURE_JSON = "    {\n" + ",\n".join(f'      "{key}": %s' for key in _FEATURE_COLUMNS) + "\n    }"
 
 
-def _feature_payload(n: int, beta_input: float) -> dict:
-    from .boundary import extract_features
+def _feature_columns(features, kind_text) -> list:
+    """The report's columns in _FEATURE_COLUMNS order, the kinds as ``kind_text`` writes them."""
+    from .boundary import FeatureKind
 
-    beta, shifts = reduce_beta(beta_input)
-    params = RosetteParams(n, beta)
-    report = extract_features(params)
-    features = [dict(zip(_FEATURE_COLUMNS, (
-        ft.kind.value, ft.t, ft.location.real, ft.location.imag, ft.magnitude, ft.argument,
-        ft.axis_arg, ft.interior_angle))) for ft in report.features]
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "feature_report",
-        "n": n,
-        "beta_input": beta_input,
-        "beta_canonical": beta,
-        "half_turn_shifts": shifts,
-        "features": features,
-        "separations": list(report.separations),
-        "total_curvature_per_petal": report.total_curvature_per_petal,
-    }
+    kinds = np.empty(len(features), dtype=object)
+    for kind in FeatureKind:
+        kinds[features.kind == kind] = kind_text(kind.value)
+    return [kinds, features.t, features.location.real, features.location.imag,
+            features.magnitude, features.argument, features.axis_arg, features.interior_angle]
+
+
+def _feature_json(n: int, beta_input: float, beta: float, shifts: int, report):
+    """The pieces of ``json.dumps(payload, indent=2) + "\n"`` for the feature report, whose
+    floats are all finite: each float by float.__repr__, None as null."""
+    yield ('{\n  "schema_version": %d,\n  "kind": "feature_report",\n  "n": %d,\n'
+           '  "beta_input": %r,\n  "beta_canonical": %r,\n  "half_turn_shifts": %d,\n'
+           '  "features": [\n' % (SCHEMA_VERSION, n, beta_input, beta, shifts))
+    columns = _feature_columns(report.features, lambda text: f'"{text}"')
+    for k, cells in enumerate(_pieces(columns, "null")):
+        yield (",\n" if k else "") + ",\n".join(map(_FEATURE_JSON.__mod__, zip(*cells)))
+    yield '\n  ],\n  "separations": [\n'
+    for k, (cells,) in enumerate(_pieces([np.array(report.separations)], "null")):
+        yield (",\n" if k else "") + ",\n".join(["    " + c for c in cells])
+    yield '\n  ],\n  "total_curvature_per_petal": %r\n}\n' % report.total_curvature_per_petal
 
 
 def cmd_features(args) -> int:
-    payload = _feature_payload(args.n, args.beta)
+    from .boundary import extract_features
+
+    beta, shifts = reduce_beta(args.beta)
+    report = extract_features(RosetteParams(args.n, beta))
     if args.format == "json":
-        _write_text(args.out, json.dumps(payload, indent=2) + "\n")
+        _write_text(args.out, _feature_json(args.n, args.beta, beta, shifts, report))
     else:
-        rows = [list(ft.values()) for ft in payload["features"]]
-        _write_text(args.out, _csv(list(_FEATURE_COLUMNS), rows))
+        _write_text(args.out, _csv(_FEATURE_COLUMNS, _feature_columns(report.features, _quote)))
     return 0
 
 
@@ -220,7 +266,8 @@ def cmd_verify(args) -> int:
     }
     if args.format == "csv":
         header = ["name", "passed", "max_residual", "samples_used"]
-        _write_text(args.out, _csv(header, [list(c.values()) for c in checks]))
+        columns = [np.array([_cell(c[key]) for c in checks], dtype=object) for key in header]
+        _write_text(args.out, _csv(header, columns))
     else:
         _write_text(args.out, json.dumps(payload, indent=2) + "\n")
     return 0 if passed else 1
@@ -235,16 +282,16 @@ def cmd_dump(args) -> int:
         from .boundary import curve_samples
 
         ts = (np.arange(args.count) + 0.5) * 2.0 * math.pi / args.count
-        rows = [[s.t, s.value.real, s.value.imag, s.d_arg, s.d_mag]
-                for s in curve_samples(params, ts)]
-        text = _csv(["t", "re", "im", "d_arg", "d_mag"], rows)
+        s = curve_samples(params, ts)
+        text = _csv(["t", "re", "im", "d_arg", "d_mag"],
+                    [s.t, s.value.real, s.value.imag, s.d_arg, s.d_mag])
     else:
         rs = (np.arange(args.count) + 0.5) / args.count
         angles = (0.0, math.pi / args.n, 2.0 * math.pi / args.n)
         rays = np.concatenate([rs * np.exp(1j * a) for a in angles])  # one series pass for all
-        vals = combine_parts(params.beta, *parts_many(params, rays)).reshape(len(angles), -1)
-        rows = [[a, r, v.real, v.imag] for a, ray in zip(angles, vals) for r, v in zip(rs, ray)]
-        text = _csv(["ray_arg", "r", "re", "im"], rows)
+        vals = combine_parts(params.beta, *parts_many(params, rays))
+        text = _csv(["ray_arg", "r", "re", "im"],
+                    [np.repeat(angles, args.count), np.tile(rs, len(angles)), vals.real, vals.imag])
     _write_text(args.out, text)
     return 0
 

@@ -1,10 +1,12 @@
 """Exception types shared across the package, and the one rule for numeric arguments: a
 number is what numpy reads as bool, int or float, or complex where a complex value goes, and
 every real is finite.  ``as_array``, ``as_number`` (exactly one number) and ``require_integer``
-(an order or a count) apply it to every public argument; anything else raises DomainError.
+(an order or a count; ``require_order`` bounds an order by the largest float) apply it to every
+public argument; anything else raises DomainError.
 """
 
 import operator
+import sys
 
 import numpy as np
 
@@ -79,6 +81,14 @@ def require_integer(value, minimum: int, what: str) -> None:
         raise DomainError(f"{what} must be an integer, got {value!r}") from None
     if small:
         raise DomainError(f"{what} must be >= {minimum}, got {value}")
+
+
+def require_order(n, minimum: int, what: str) -> None:
+    """``require_integer`` for an order n, which float arithmetic also meets: DomainError
+    past the largest float too."""
+    require_integer(n, minimum, what)
+    if n > sys.float_info.max:
+        raise DomainError(f"{what} must be at most {sys.float_info.max!r}, the largest float")
 
 
 def as_array(values, dtype: type, what: str) -> np.ndarray:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SingularPoint, as_array, as_number, require_integer
+from .errors import DomainError, SingularPoint, as_array, as_number, require_order
 from .series import (SeriesKind, SeriesSpec, clip_to_disk, endpoint_values, eval_families_many,
                      eval_series_many)
 
@@ -61,7 +61,7 @@ class RosetteParams:
     beta: float
 
     def __post_init__(self):
-        require_integer(self.n, 3, "rosette order n")
+        require_order(self.n, 3, "rosette order n")
         as_number(self.beta, float, "rosette phase beta")
         reduce_beta(self.beta)  # DomainError past BETA_LIMIT, for every function of params
 
@@ -232,7 +232,7 @@ def jacobian(params: RosetteParams, z: complex) -> float:
 def hypocycloid(n: int, z) -> np.ndarray | complex:
     """The n-cusped hypocycloid map z + conj(z)^{n-1}/(n-1) on the closed disk, the rosettes'
     baseline."""
-    require_integer(n, 3, "hypocycloid order n")
+    require_order(n, 3, "hypocycloid order n")
     arr = as_array(z, complex, "points")
     clip_to_disk(arr, EPS_DOMAIN)
     out = arr + np.conj(arr) ** (n - 1) / (n - 1)

@@ -65,7 +65,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DomainError, NoConvergence, as_array, as_number, require_integer
+from .errors import (DomainError, NoConvergence, as_array, as_number, require_integer,
+                     require_order)
 
 _log = logging.getLogger(__name__)
 
@@ -150,7 +151,7 @@ class SeriesSpec:
     n: int
 
     def __post_init__(self):
-        require_integer(self.n, 2, "series order n")
+        require_order(self.n, 2, "series order n")
         if not isinstance(self.kind, SeriesKind):
             raise DomainError(f"kind must be a SeriesKind, got {self.kind!r}")
 
@@ -386,7 +387,7 @@ def endpoint_values(n: int) -> EndpointValues:
 
     and the pair satisfies coanalytic/analytic = (n-1) tan(pi/(2n)), cached per valid order.
     """
-    require_integer(n, 2, "series order n")
+    require_order(n, 2, "series order n")
     return _endpoint_values(int(n))
 
 

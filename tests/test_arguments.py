@@ -7,7 +7,9 @@ replaces one argument by an adversarial one: text, None, a Fraction, a list wher
 number goes, ragged nesting, a complex where a real goes, NaN or an infinity.  The valid
 reals include -0.0, +-1e308, +-BETA_LIMIT and the parameters k pi/n and one ulp off them.
 RosetteParams refuses a phase past BETA_LIMIT, so ``params`` are built from the phases
-within it; RosetteParams' own case draws every phase and must refuse the others.
+within it; RosetteParams' own case draws every phase and must refuse the others.  Likewise
+an order too large for a float: ``params`` and ``spec`` take the orders above, and every
+function of an order ``n`` draws these too and must refuse them.
 """
 
 import dataclasses
@@ -38,6 +40,7 @@ from rosette import (
 from rosette.cli import BETA_LIMIT
 
 ORDERS = (3, 5, 12)
+TOO_LARGE_ORDERS = (10**400, 2**1024)  # float(n) raises OverflowError
 
 
 def _node_parameters() -> list[float]:
@@ -120,7 +123,7 @@ def _counts(least: int):
 VALID = {
     "params": _params(),
     ("halfspeed_points", "params"): _params(HALF_PI_CLASS),
-    "n": st.sampled_from(ORDERS),
+    "n": st.sampled_from(ORDERS + TOO_LARGE_ORDERS),
     "beta": st.sampled_from(PHASES),
     "beta_tilde": st.sampled_from(PHASES),
     "theta": st.sampled_from(PHASES),
@@ -248,8 +251,9 @@ def test_a_public_call_returns_finite_numbers_or_raises_a_rosette_error(name):
             junk = _junk(key in SCALAR, key in COMPLEX).filter(lambda v: v is not None
                                                                  or key not in DEFAULT_NONE)
             kwargs[target] = data.draw(junk, label=target)
-        past_limit = (name == "RosetteParams" and target is None
-                      and abs(kwargs["beta"]) > BETA_LIMIT)
+        past_limit = target is None and (
+            name == "RosetteParams" and abs(kwargs["beta"]) > BETA_LIMIT
+            or "n" in keys and keys["n"] == "n" and kwargs["n"] in TOO_LARGE_ORDERS)
         try:
             result = fn(**kwargs)
         except RosetteError as exc:
@@ -258,7 +262,7 @@ def test_a_public_call_returns_finite_numbers_or_raises_a_rosette_error(name):
             return
         event("returned")
         assert target is None, f"{target}={kwargs[target]!r} was taken"
-        assert not past_limit, f"beta={kwargs['beta']!r} past BETA_LIMIT was taken"
+        assert not past_limit, f"a phase past BETA_LIMIT or an order too large was taken: {kwargs}"
         if name == "tail_bound" and result == math.inf:  # documented for abs_z >= 1
             return
         assert _not_finite(result) == [], kwargs
@@ -279,6 +283,17 @@ def test_a_record_holds_exactly_what_it_is_given(name):
         assert all(getattr(record, f) is v for f, v in kwargs.items())
 
     check()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: rosette.endpoint_values(10**400),
+    lambda: rosette.f_many(RosetteParams(10**400, 0.3), [0.5]),
+    lambda: rosette.eval_series_many(SeriesSpec(SeriesKind.ANALYTIC, 10**400), [0.5]),
+], ids=["endpoint_values", "f_many", "eval_series_many"])
+def test_an_order_too_large_for_a_float_is_a_domain_error(call):
+    # each raised OverflowError ("int too large to convert to float")
+    with pytest.raises(DomainError):
+        call()
 
 
 @pytest.mark.parametrize("overlay", [None, 5, 2.5, object()])
