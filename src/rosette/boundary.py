@@ -114,12 +114,19 @@ class BoundaryFeature:
     interior_angle: Optional[float]
 
 
+def _read_only(column: np.ndarray) -> np.ndarray:
+    """A view of ``column`` that cannot be written."""
+    view = column.view()
+    view.flags.writeable = False
+    return view
+
+
 class _Records(Sequence):
     """A read-only sequence of ``record``s, kept as columns and built only when read.
 
     It indexes, slices, iterates and compares as ``container`` (tuple or list) of the same
-    records does: it equals one, and a slice is one.  Each column is an array in row order,
-    named after the field it holds, NaN where a record holds None.
+    records does: it equals one, and a slice is one.  Each column is a read-only array in
+    row order, named after the field it holds, NaN where a record holds None.
     """
 
     record: type
@@ -166,8 +173,9 @@ class FeatureRecords(_Records):
     record = BoundaryFeature
 
     def __init__(self, kind, t, location, magnitude, argument, axis_arg, interior_angle):
-        self.kind, self.t, self.location, self.magnitude = kind, t, location, magnitude
-        self.argument, self.axis_arg, self.interior_angle = argument, axis_arg, interior_angle
+        columns = kind, t, location, magnitude, argument, axis_arg, interior_angle
+        (self.kind, self.t, self.location, self.magnitude, self.argument, self.axis_arg,
+         self.interior_angle) = map(_read_only, columns)
 
 
 class CurveSamples(_Records):
@@ -179,14 +187,14 @@ class CurveSamples(_Records):
     __hash__ = None  # as a list's
 
     def __init__(self, params: RosetteParams, t, value, reduced, defined, d_arg, d_mag):
-        self.t, self.value, self.d_arg, self.d_mag = t, value, d_arg, d_mag
+        self.t, self.value, self.d_arg, self.d_mag = map(_read_only, (t, value, d_arg, d_mag))
         self._params, self._reduced, self._defined = params, reduced, defined
 
     @functools.cached_property
     def d_value(self) -> np.ndarray:
         out = np.full(self.t.shape, np.nan, dtype=complex)
         out[self._defined] = _derivative_values(self._params, self._reduced[self._defined])
-        return out
+        return _read_only(out)
 
 
 @dataclass(frozen=True)

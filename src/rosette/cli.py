@@ -145,18 +145,9 @@ _CHUNK = 512
 
 
 def _float_cells(values: np.ndarray, missing: str) -> list[str]:
-    """float.__repr__ of each value, ``missing`` for NaN (a view's None).  Values that repeat
-    within their first 64, as the features' orbit columns do, take one repr per distinct bit
-    pattern."""
-    floats = values.tolist()
-    head = floats[:64]
-    if 2 * len(set(head)) > len(head):
-        cells = list(map(float.__repr__, floats))
-        return [missing if c == "nan" else c for c in cells] if "nan" in cells else cells
-    bits = values.view(np.int64).tolist()
-    value_of = dict(zip(bits, floats))
-    texts = {b: missing if v != v else float.__repr__(v) for b, v in value_of.items()}
-    return list(map(texts.__getitem__, bits))
+    """float.__repr__ of each value, ``missing`` for NaN (a view's None)."""
+    cells = list(map(float.__repr__, values.tolist()))
+    return [missing if c == "nan" else c for c in cells] if "nan" in cells else cells
 
 
 def _pieces(columns: list, missing: str):

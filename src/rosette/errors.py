@@ -1,12 +1,11 @@
 """Exception types shared across the package, and the one rule for numeric arguments: a
 number is what numpy reads as bool, int or float, or complex where a complex value goes, and
 every real is finite.  ``as_array``, ``as_number`` (exactly one number) and ``require_integer``
-(an order or a count; ``require_order`` bounds an order by the largest float) apply it to every
+(an order or a count; ``require_order`` bounds an order by ORDER_LIMIT) apply it to every
 public argument; anything else raises DomainError.
 """
 
 import operator
-import sys
 
 import numpy as np
 
@@ -83,12 +82,18 @@ def require_integer(value, minimum: int, what: str) -> None:
         raise DomainError(f"{what} must be >= {minimum}, got {value}")
 
 
+# The largest order: past 2**53 consecutive integers round to one float, so the float
+# arithmetic of an order (pi/n, 2n t, ...) could not tell them apart, and far past it 2n and
+# the series' 2mn overflow.
+ORDER_LIMIT = 2**53
+
+
 def require_order(n, minimum: int, what: str) -> None:
     """``require_integer`` for an order n, which float arithmetic also meets: DomainError
-    past the largest float too."""
+    past ORDER_LIMIT too."""
     require_integer(n, minimum, what)
-    if n > sys.float_info.max:
-        raise DomainError(f"{what} must be at most {sys.float_info.max!r}, the largest float")
+    if n > ORDER_LIMIT:
+        raise DomainError(f"{what} must be at most 2**53 = {ORDER_LIMIT}")
 
 
 def as_array(values, dtype: type, what: str) -> np.ndarray:

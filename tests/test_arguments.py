@@ -8,7 +8,7 @@ number goes, ragged nesting, a complex where a real goes, NaN or an infinity.  T
 reals include -0.0, +-1e308, +-BETA_LIMIT and the parameters k pi/n and one ulp off them.
 RosetteParams refuses a phase past BETA_LIMIT, so ``params`` are built from the phases
 within it; RosetteParams' own case draws every phase and must refuse the others.  Likewise
-an order too large for a float: ``params`` and ``spec`` take the orders above, and every
+an order past ORDER_LIMIT: ``params`` and ``spec`` take the orders above, and every
 function of an order ``n`` draws these too and must refuse them.
 """
 
@@ -38,9 +38,11 @@ from rosette import (
     render_svg,
 )
 from rosette.cli import BETA_LIMIT
+from rosette.errors import ORDER_LIMIT
 
 ORDERS = (3, 5, 12)
-TOO_LARGE_ORDERS = (10**400, 2**1024)  # float(n) raises OverflowError
+# past ORDER_LIMIT; float(2 * n) raises OverflowError for 10**308, float(n) for the last two
+TOO_LARGE_ORDERS = (ORDER_LIMIT + 1, 10**308, 10**400, 2**1024)
 
 
 def _node_parameters() -> list[float]:
@@ -289,11 +291,25 @@ def test_a_record_holds_exactly_what_it_is_given(name):
     lambda: rosette.endpoint_values(10**400),
     lambda: rosette.f_many(RosetteParams(10**400, 0.3), [0.5]),
     lambda: rosette.eval_series_many(SeriesSpec(SeriesKind.ANALYTIC, 10**400), [0.5]),
-], ids=["endpoint_values", "f_many", "eval_series_many"])
+    lambda: rosette.separation_angle(RosetteParams(10**308, 0.3), SeparationSide.NODE_AFTER_CUSP),
+    lambda: rosette.jacobian(RosetteParams(10**308, 0.3), 0.5),
+    lambda: rosette.f_many(RosetteParams(ORDER_LIMIT + 1, 0.3), [0.5]),
+], ids=["endpoint_values", "f_many", "eval_series_many", "separation_angle", "jacobian",
+        "f_many_past_the_limit"])
 def test_an_order_too_large_for_a_float_is_a_domain_error(call):
-    # each raised OverflowError ("int too large to convert to float")
+    # each raised OverflowError ("int too large to convert to float") but the last, which
+    # returned the values of order 2**53
     with pytest.raises(DomainError):
         call()
+
+
+def test_the_largest_order_gives_finite_numbers():
+    params, spec = RosetteParams(ORDER_LIMIT, 0.3), SeriesSpec(SeriesKind.ANALYTIC, ORDER_LIMIT)
+    values = [rosette.separation_angle(params, SeparationSide.NODE_AFTER_CUSP),
+              rosette.jacobian(params, 0.5), *rosette.endpoint_values(ORDER_LIMIT),
+              *rosette.f_many(params, [0.5, 0.999 + 0.01j]),
+              *rosette.eval_series_many(spec, [0.5, 0.999 + 0.01j])]
+    assert np.isfinite(values).all(), values
 
 
 @pytest.mark.parametrize("overlay", [None, 5, 2.5, object()])

@@ -87,8 +87,8 @@ FLOATS = st.sampled_from(_SPECIAL) | st.floats(allow_nan=False, allow_infinity=F
 
 
 def _column(data, size: int, label: str) -> np.ndarray:
-    """``size`` floats, drawn one by one or from a pool of up to 3, so that both the repr of
-    every cell and the one repr per distinct value are written."""
+    """``size`` floats, drawn one by one or from a pool of up to 3, as the features' orbit
+    columns repeat theirs."""
     if data.draw(st.booleans(), label=f"{label} repeats"):
         pool = data.draw(st.lists(FLOATS, min_size=1, max_size=3), label=f"{label} pool")
         picks = data.draw(st.lists(st.sampled_from(range(len(pool))), min_size=size,
@@ -241,3 +241,6 @@ def test_the_views_read_as_the_records_built_one_at_a_time(n, beta):
     with pytest.raises(TypeError):
         hash(samples)
     assert [s.d_value for s in samples] == [s.d_value for s in expect]
+    for column in (features.kind, features.t, features.axis_arg, samples.value, samples.d_value):
+        with pytest.raises(ValueError, match="read-only"):  # the records read stay the columns
+            column[0] = column[1]
