@@ -33,7 +33,7 @@ h(w_1 conj(z)) = w_1 conj(h(z)), g(w_1 conj(z)) = -conj(w_1) conj(g(z)), w_1 = e
 the offset 1 - s of a basic interval is the mirror of s, and the first half of one interval
 fixes the whole boundary.  Every offset builder (``interval_offsets``, the copies' arc, the
 half-speed grid) emits exact pairs s, 1 - s, with s on the 2^-53 grid where 1 - s is exact,
-and ``interval_points`` sends one series point per pair.
+and ``interval_points`` takes only such pairs and sends one series point per pair.
 
 Every sample set of the curve (``curve_samples``, the feature confirmation,
 ``halfspeed_points``) takes h and g from one two-family series pass.
@@ -122,47 +122,38 @@ def _read_only(column: np.ndarray) -> np.ndarray:
 
 
 class _Records(Sequence):
-    """A read-only sequence of ``record``s, kept as columns and built only when read.
-
-    It indexes, slices, iterates and compares as ``container`` (tuple or list) of the same
-    records does: it equals one, and a slice is one.  Each column is a read-only array in
-    row order, named after the field it holds, NaN where a record holds None.
-    """
+    """A read-only sequence of ``record``s, kept as columns.  The first read of a record
+    builds them all, once, as ``container`` (tuple or list), which then answers every index,
+    slice, iteration and comparison.  Each column is a read-only array in row order, named
+    after the field it holds, NaN where a record holds None."""
 
     record: type
     container: type = tuple
 
-    def _rows(self, rows: slice) -> list:
-        """The records of ``rows``."""
-        columns = (getattr(self, field.name)[rows].tolist() for field in fields(self.record))
-        return list(map(self.record, *([None if x != x else x for x in c] for c in columns)))
-
     @functools.cached_property
-    def _records(self) -> list:
-        return self._rows(slice(None))
+    def _records(self):
+        columns = ([None if x != x else x for x in getattr(self, field.name).tolist()]
+                   for field in fields(self.record))
+        return self.container(map(self.record, *columns))
 
     def __len__(self) -> int:
         return self.t.size
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            return self.container(self._rows(index))
-        i = range(len(self))[index]  # negative indices and IndexError as a tuple has them
-        return self._rows(slice(i, i + 1))[0]
+        return self._records[index]
 
     def __iter__(self):
         return iter(self._records)
 
     def __eq__(self, other):
-        if isinstance(other, (self.container, type(self))):
-            return self.container(self) == self.container(other)
-        return NotImplemented
+        other = other._records if isinstance(other, type(self)) else other
+        return self._records == other if isinstance(other, self.container) else NotImplemented
 
     def __hash__(self):
-        return hash(self.container(self))
+        return hash(self._records)
 
     def __repr__(self) -> str:
-        return repr(self.container(self))
+        return repr(self._records)
 
 
 class FeatureRecords(_Records):
@@ -561,47 +552,35 @@ def _mirror_pairs(lower: np.ndarray) -> np.ndarray:
     return np.concatenate([s, 1.0 - s[s < 0.5][::-1]])
 
 
-def _distinct(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(keys, inverse) with keys[inverse] == x bit for bit, one key per distinct bit
-    pattern (so -0.0 and 0.0 stay apart), without np.unique."""
-    bits = x.view(np.int64)
-    order = np.argsort(bits, kind="stable")
-    first = np.ones(x.size, dtype=bool)
-    first[1:] = bits[order[1:]] != bits[order[:-1]]
-    inverse = np.empty(x.size, dtype=np.intp)
-    inverse[order] = np.cumsum(first) - 1
-    return x[order[first]], inverse
-
-
 def interval_points(params: RosetteParams, offsets, js=slice(None)) -> np.ndarray:
     """Rows a(j pi/n), a((j + s) pi/n) at the offsets s, for the basic intervals j in ``js``
     (a slice or index array into 0..2n-1), a(j pi/n) being ``feature_values``' exact value.
 
-    h and g are evaluated once, at z = e^{i s pi/n}, and carried onto every
+    The offsets are exact mirror pairs as ``_mirror_pairs`` lays them out (sorted, in (0, 1),
+    with 1 - s in the set bit for bit for each s); any others raise DomainError.  h and g are
+    evaluated once per pair, at z = e^{i s pi/n} for s <= 1/2, and carried onto every
     interval by the summand rotation laws h(w_j z) = w_j h(z) and
     g(w_j z) = (-1)^j conj(w_j) g(z), w_j = e^{ij pi/n}:
 
-        a((j + s) pi/n) = w_j (e^{i beta/2} h(z) + (-1)^j e^{-i beta/2} conj(g(z))).
+        a((j + s) pi/n) = w_j (e^{i beta/2} h(z) + (-1)^j e^{-i beta/2} conj(g(z))),
 
-    An offset s in (1/2, 1] is carried from u = 1 - s, exact there, by the reflection law:
-    e^{i s pi/n} = w_1 conj(e^{i u pi/n}), and the real coefficients give
+    and onto the mirror 1 - s, at w_1 conj(z), by the reflection law of real coefficients:
 
         h(w_1 conj(z)) = w_1 conj(h(z)),    g(w_1 conj(z)) = -conj(w_1) conj(g(z)).
 
-    So the series runs once per distinct min(s, 1 - s) (any other s is evaluated as it is),
-    and an offset builder that emits exact pairs s, 1 - s (``_mirror_pairs``) pays one
-    series point per pair.  A value depends on its own offset alone: column k + 1 equals
-    the one-offset call's column 1 at offsets[k], and each row the full array's row j, bit
+    A pair's columns equal the two-offset call's, and each row the full array's row j, bit
     for bit.  The image polylines take their feature values from here alone.
     """
     n = params.n
-    s = np.ravel(np.asarray(offsets, dtype=float))
-    upper = (s > 0.5) & (s <= 1.0)
-    keys, inverse = _distinct(np.where(upper, 1.0 - s, s))
-    hz, gz = (part[inverse] for part in parts_many(params, np.exp(1j * (keys * (math.pi / n)))))
+    s = as_array(offsets, float, "interval offsets")
+    if not (s.ndim == 1 and np.all(np.diff(s, prepend=0.0) > 0) and np.array_equal(1 - s[::-1], s)):
+        raise DomainError(f"interval offsets must be sorted exact mirror pairs s, 1 - s in (0, 1), "
+                          f"got {s}")
+    hz, gz = parts_many(params, np.exp(1j * (s[: (s.size + 1) // 2] * (math.pi / n))))
+    below = slice(s.size // 2)  # the s < 1/2, whose mirrors follow in reverse order
     w1 = cmath.exp(1j * math.pi / n)
-    hz[upper] = np.multiply(w1, np.conj(hz[upper]))
-    gz[upper] = np.multiply(-w1.conjugate(), np.conj(gz[upper]))
+    hz = np.append(hz, np.multiply(w1, np.conj(hz[below][::-1])))
+    gz = np.append(gz, np.multiply(-w1.conjugate(), np.conj(gz[below][::-1])))
     j = np.arange(2 * n)[js]
     omega = np.exp(1j * (j * math.pi / n))[:, None]
     odd = j % 2 == 1

@@ -25,6 +25,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
+from .errors import ORDER_LIMIT
 from .maps import BETA_LIMIT, RosetteParams, combine_parts, parts_many, reduce_beta
 
 # boundary, render and verify are imported by the commands that use them, so that a
@@ -68,13 +69,16 @@ def parse_beta(text: str) -> float:
     return val
 
 
-def _at_least(name: str, low, cast=int):
-    """An argparse type: a finite ``cast`` (int or float) no smaller than ``low``."""
+def _at_least(name: str, low, cast=int, high=ORDER_LIMIT):
+    """An argparse type: a finite ``cast`` (int or float) from ``low`` to ``high``, by default
+    ORDER_LIMIT, the largest order or count that the library's float arithmetic tells apart."""
 
     def parse(text: str):
         value = cast(text)
         if not low <= value < math.inf:  # also false for NaN
             raise argparse.ArgumentTypeError(f"a finite {name} >= {low} is required, got {value}")
+        if value > high:
+            raise argparse.ArgumentTypeError(f"{name} must be at most {high}, got {value}")
         return value
 
     parse.__name__ = cast.__name__  # argparse names the type in "invalid int value: 'x'"
@@ -83,9 +87,11 @@ def _at_least(name: str, low, cast=int):
 
 def _grid(text: str) -> tuple[int, int]:
     m = re.match(r"^(\d+)x(\d+)$", text.strip(), re.IGNORECASE)
-    if not m or min(int(m.group(1)), int(m.group(2))) < 1:
-        raise argparse.ArgumentTypeError("grid must look like 24x16, both counts >= 1")
-    return int(m.group(1)), int(m.group(2))
+    counts = (int(m.group(1)), int(m.group(2))) if m else (0, 0)
+    if not all(1 <= count <= ORDER_LIMIT for count in counts):
+        raise argparse.ArgumentTypeError(
+            f"grid must look like 24x16, both counts from 1 to {ORDER_LIMIT}")
+    return counts
 
 
 def _overlays(text: str) -> frozenset:
@@ -380,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="numerical certification suite")
     common(p)
     p.add_argument("--level", choices=["quick", "full"], default="quick")
-    p.add_argument("--seed", type=_at_least("seed", 0), default=0)
+    p.add_argument("--seed", type=_at_least("seed", 0, high=math.inf), default=0)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--out", type=_output, default=None)
     p.set_defaults(func=cmd_verify)
@@ -399,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--grid", type=_grid, default=(24, 16), help="RxC polar grid")
         p.add_argument("--samples", type=_at_least("samples", 16), default=256)
         p.add_argument("--width", type=_at_least("width", 1), default=900)
-        p.add_argument("--margin", type=_at_least("margin", 0, float), default=0.08)
+        p.add_argument("--margin", type=_at_least("margin", 0, float, high=math.inf), default=0.08)
         p.add_argument(
             "--overlay",
             type=_overlays,

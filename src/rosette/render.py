@@ -155,7 +155,8 @@ def render_svg(spec: RenderSpec, *, copies: list | None = None) -> str:
     # boundary curve, bold, passing exactly through the features
     canvas.polyline(boundary_polyline(params, FIGURE_PER_INTERVAL), stroke="#123a66", width=1.6)
 
-    feats = extract_features(params, confirm=False).features
+    if Overlay.CUSP_AXES in spec.overlay or Overlay.FEATURES in spec.overlay:
+        feats = extract_features(params, confirm=False).features
     if Overlay.CUSP_AXES in spec.overlay:
         for ft in feats:
             if ft.axis_arg is not None and ft.kind.value == "cusp":

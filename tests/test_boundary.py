@@ -35,6 +35,8 @@ from rosette.boundary import (
     FIGURE_PER_INTERVAL,
     _boundary_values,
     _confirm_offsets,
+    _feature_js,
+    _mirror_pairs,
     distance_to_singular,
     feature_values,
     half_pi_shift,
@@ -45,7 +47,7 @@ from rosette.boundary import (
     one_sided_tangents,
     wrap_angle,
 )
-from rosette.maps import half_turn_rotation
+from rosette.maps import combine_parts, half_turn_rotation, parts_many
 
 PI = math.pi
 
@@ -793,10 +795,17 @@ def test_features_just_above_minus_half_pi_are_the_carried_nodes(n):
 
 INTERVAL_ORDERS = (3, 5, 12, 96, 500)
 INTERVAL_PHASES = (0.0, 0.3, -1.2, PI / 2, 2.5)
-# Both ends of an interval (next to a cusp or node), its middle and the grid's band.
-# Within d of the far end the rounding of s pi/n alone, times |a'| ~ d^{-1/2}, moves
-# a value by ~1e-16 / sqrt(d): 1.4e-13 at d = 1e-6, so the offsets stop at 1 - 1e-4.
-INTERVAL_OFFSETS = np.array([1e-6, 1e-4, 1e-3, 0.04, 0.37, 0.5, 0.81, 0.999, 1 - 1e-4])
+# Both ends of an interval (next to a cusp or node), its middle and the grid's band, in the
+# exact mirror pairs that interval_points takes.  The far end's values are the near end's
+# carried by the reflection law, so they hold to 1 - 1e-6: had they come from the series at
+# the rounded s pi/n, that rounding times |a'| ~ d^{-1/2} would move them by 1.4e-13 there.
+INTERVAL_OFFSETS = _mirror_pairs(np.array([1e-6, 1e-4, 1e-3, 0.04, 0.19, 0.37, 0.5]))
+
+
+def _pairs(*sets):
+    """The exact mirror pairs of the offsets s <= 1/2 of ``sets``."""
+    s = np.concatenate(sets)
+    return _mirror_pairs(s[s <= 0.5])
 
 
 def _oracle_rows(n):
@@ -835,7 +844,7 @@ def test_interval_points_match_the_oracle_at_the_exact_parameter(n):
 
 @pytest.mark.parametrize("n", INTERVAL_ORDERS)
 def test_interval_points_agree_with_boundary_points(n):
-    offsets = np.concatenate([INTERVAL_OFFSETS, interval_offsets(16)])
+    offsets = _pairs(INTERVAL_OFFSETS, interval_offsets(16))
     ts = (np.arange(2 * n)[:, None] + offsets) * (PI / n)
     for beta in INTERVAL_PHASES:
         p = RosetteParams(n, beta)
@@ -846,17 +855,21 @@ def test_interval_points_agree_with_boundary_points(n):
 
 @pytest.mark.parametrize("n", INTERVAL_ORDERS)
 def test_interval_points_columns_do_not_depend_on_the_batch(n):
-    offsets = np.concatenate([INTERVAL_OFFSETS, interval_offsets(64)])
+    # a pair's two columns are the two-offset call's, 1/2 alone its own mirror
+    offsets = _pairs(INTERVAL_OFFSETS, interval_offsets(64))
+    middle = offsets.size // 2
     for beta in INTERVAL_PHASES:
         p = RosetteParams(n, beta)
         full = interval_points(p, offsets)
-        for k in range(0, offsets.size, 7):
-            assert np.array_equal(full[:, k + 1], interval_points(p, offsets[k : k + 1])[:, 1])
+        for k in [*range(0, middle, 7), middle]:
+            pair = np.unique(offsets[[k, -1 - k]])
+            got = interval_points(p, pair)
+            assert np.array_equal(full[:, [k + 1, offsets.size - k]], got[:, [1, -1]])
 
 
 @pytest.mark.parametrize("n", INTERVAL_ORDERS)
 def test_interval_points_selected_rows_are_the_full_arrays_rows(n):
-    offsets = np.concatenate([INTERVAL_OFFSETS, interval_offsets(64)])
+    offsets = _pairs(INTERVAL_OFFSETS, interval_offsets(64))
     picks = (slice(0, None, 2), slice(1, None, 2), slice(0, 2), [2 * n - 1, 0, n], [])
     for beta in INTERVAL_PHASES:
         p = RosetteParams(n, beta)
@@ -874,33 +887,86 @@ def test_interval_points_lead_each_row_with_its_exact_feature_value(n, beta):
     p = RosetteParams(n, beta)
     exact = feature_values(p)
     for js in (slice(None), slice(1, None, 2), [2 * n - 1, 0]):
-        got = interval_points(p, np.array([0.25, 0.5]), js=js)
+        got = interval_points(p, np.array([0.25, 0.5, 0.75]), js=js)
         assert np.array_equal(got[:, 0], exact[np.arange(2 * n)[js]])
     assert interval_points(p, np.array([]), js=[2]).tolist() == [[exact[2]]]
 
 
 @pytest.mark.parametrize("n", [3, 5, 96])
 @pytest.mark.parametrize("beta", [0.3, PI / 2])
-def test_interval_points_carry_unpaired_offsets_by_the_reflection_law(n, beta):
-    # 0.7 alone, beside 0.3 (whose mirror 1 - 0.3 is 0.7 only up to rounding) and 1/2, its
-    # own mirror: the series runs at 1 - 0.7, and the value is a(t) at t = (j + 0.7) pi/n
+def test_interval_points_carry_the_mirror_offset_by_the_reflection_law(n, beta):
+    # the pair of 0.3 beside 1/2, its own mirror: the series runs at s = 0.3 on the 2^-53
+    # grid, and the value at 1 - s is a(t) at t = (j + 1 - s) pi/n
     import mpmath as mp
 
     p, rows = RosetteParams(n, beta), _oracle_rows(n)
-    batch = np.array([0.3, 0.7, 0.5])
+    batch = _mirror_pairs(np.array([0.3, 0.5]))
     got = interval_points(p, batch)
-    for k, s in enumerate(batch.tolist()):
-        assert np.array_equal(got[:, k + 1], interval_points(p, batch[k : k + 1])[:, 1])
-    alone = interval_points(p, [0.7])
+    assert np.array_equal(got[:, [1, 3]], interval_points(p, batch[[0, 2]])[:, 1:])
+    assert np.array_equal(got[:, 2], interval_points(p, batch[1:2])[:, 1])
     with mp.workdps(30):
         x = mp.mpf(1) / (2 * n)
-        w = mp.expjpi(2 * mp.mpf(0.7))
+        u = 1 - mp.mpf(batch[0])
+        w = mp.expjpi(2 * u)
         fa, fc = mp.hyp2f1(0.5, x, 1 + x, w), mp.hyp2f1(0.5, 0.5 - x, 1.5 - x, w)
         rot = mp.expj(mp.mpf(beta) / 2)
         for j in rows:
-            z = mp.expjpi((j + mp.mpf(0.7)) / n)
+            z = mp.expjpi((j + u) / n)
             want = rot * z * fa + mp.conj(z ** (n - 1) / (n - 1) * fc) / rot
-            assert abs(alone[j, 1] - want) < 2e-14, j
+            assert abs(got[j, 3] - want) < 2e-14, j
+
+
+def _reference_interval_points(params, offsets, js=slice(None)):
+    """interval_points as it took any offsets: the series at each distinct min(s, 1 - s) by
+    bit pattern, each s in (1/2, 1] carried from 1 - s by the reflection law."""
+    n = params.n
+    s = np.ravel(np.asarray(offsets, dtype=float))
+    upper = (s > 0.5) & (s <= 1.0)
+    x = np.where(upper, 1.0 - s, s)
+    bits = x.view(np.int64)
+    order = np.argsort(bits, kind="stable")
+    first = np.ones(x.size, dtype=bool)
+    first[1:] = bits[order[1:]] != bits[order[:-1]]
+    inverse = np.empty(x.size, dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    keys = x[order[first]]
+    hz, gz = (part[inverse] for part in parts_many(params, np.exp(1j * (keys * (PI / n)))))
+    w1 = cmath.exp(1j * PI / n)
+    hz[upper] = np.multiply(w1, np.conj(hz[upper]))
+    gz[upper] = np.multiply(-w1.conjugate(), np.conj(gz[upper]))
+    j = np.arange(2 * n)[js]
+    omega = np.exp(1j * (j * PI / n))[:, None]
+    odd = j % 2 == 1
+    out = np.empty((j.size, s.size + 1), dtype=complex)
+    out[:, 0] = feature_values(params)[j]
+    out[~odd, 1:] = np.multiply(omega[~odd], combine_parts(params.beta, hz, gz))
+    out[odd, 1:] = np.multiply(omega[odd], combine_parts(params.beta, hz, -gz))
+    return out
+
+
+@pytest.mark.parametrize("n", [3, 5, 12, 96])
+@pytest.mark.parametrize("beta", [0.3, -1.2, PI / 2, 3 * PI / 2])
+def test_interval_points_on_pairs_are_the_distinct_offsets_path_bit_for_bit(n, beta):
+    p = RosetteParams(n, beta)
+    builders = [interval_offsets(FIGURE_PER_INTERVAL), interval_offsets(512),
+                _mirror_pairs(interval_offsets(FIGURE_PER_INTERVAL) / 2),
+                _mirror_pairs(interval_offsets(512) / 2),
+                _mirror_pairs((np.arange(384) + 0.5) / 768), np.array([0.5]), np.array([])]
+    for offsets in builders:
+        for js in (slice(None), _feature_js(p), slice(0, 3)):
+            want = _reference_interval_points(p, offsets, js)
+            assert interval_points(p, offsets, js).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("offsets", [
+    [0.7], [0.3], [0.3, 0.7], [0.75, 0.25], [0.25, 0.75, 0.5], [0.25, 0.5, 0.5, 0.75],
+    [0.25, 0.4, 0.75], [0.0, 1.0], [-0.25, 1.25], [[0.25, 0.75]], [0.25, math.nan, 0.75],
+    interval_offsets(16)[::-1],
+], ids=["0.7", "0.3", "inexact-mirror", "unsorted", "unsorted-middle", "repeated",
+        "unpaired-middle", "ends", "outside", "2-D", "nan", "reversed-grid"])
+def test_interval_points_refuse_offsets_that_are_not_exact_mirror_pairs(offsets):
+    with pytest.raises(DomainError, match="interval offsets"):
+        interval_points(RosetteParams(5, 0.3), offsets)
 
 
 def _assert_exact_mirror_pairs(s: np.ndarray) -> None:

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rosette.cli import BETA_LIMIT, main, parse_beta
+from rosette.errors import ORDER_LIMIT
 from rosette.maps import RosetteParams, combine_parts, parts_many
 from rosette.render import Overlay
 
@@ -446,6 +447,15 @@ BAD_INPUT = [
     (["features", "--n", "3", "--beta", "0pi/0"], "--beta"),
     (["features", "--n", "3", "--beta", "-pi/0"], "--beta"),
     (["features", "--n", "3", "--beta", "pi/0.0"], "--beta"),
+    # integers past ORDER_LIMIT: each raised an error deep in the library, with a traceback
+    (["features", "--n", str(ORDER_LIMIT + 1), "--beta", "0.3"], "--n"),
+    (["verify", "--n", str(10**400), "--beta", "0.3"], "--n"),
+    (["dump", "--n", "5", "--beta", "0", "--count", str(10**30)], "--count"),
+    (["render", "--n", "5", "--beta", "0", "--width", str(10**400)], "--width"),
+    (["render", "--n", "5", "--beta", "0", "--samples", str(ORDER_LIMIT + 1)], "--samples"),
+    (["render", "--n", "5", "--beta", "0", "--grid", f"{ORDER_LIMIT + 1}x16"], "--grid"),
+    (["decompose", "--n", "5", "--beta", "0", "--grid", f"24x{10**30}"], "--grid"),
+    (["decompose", "--n", "5", "--beta", "0", "--probe-grid", str(10**30)], "--probe-grid"),
 ]
 
 BAD_INPUT_IDS = [
@@ -454,7 +464,9 @@ BAD_INPUT_IDS = [
     "render-margin-neg", "render-margin-nan", "render-margin-inf", "decompose-margin-neg",
     "decompose-margin-nan", "decompose-margin-inf", "seed-neg", "report-directory",
     "report-missing-directory", "report-empty", "beta-pi-over-0", "beta-0pi-over-0",
-    "beta-neg-pi-over-0", "beta-pi-over-0.0",
+    "beta-neg-pi-over-0", "beta-pi-over-0.0", "n-past-limit", "n-10**400", "count-10**30",
+    "width-10**400", "samples-past-limit", "grid-radial-past-limit", "grid-circles-10**30",
+    "probe-grid-10**30",
 ]
 
 
@@ -618,6 +630,23 @@ def test_render_without_out_is_a_usage_error_before_any_work(monkeypatch, capsys
     err = capsys.readouterr().err.strip().splitlines()
     assert err[-1] == "rosette render: error: the following arguments are required: --out"
     assert usage_error_modules["render-without-out"] == [2, []]
+
+
+def test_the_integer_options_take_orders_and_counts_up_to_the_limit_and_any_seed():
+    # the bound is ORDER_LIMIT itself, which the library takes as an order; a seed only
+    # seeds numpy's generator, which takes any size
+    from rosette.cli import build_parser
+
+    top = str(ORDER_LIMIT)
+    args = build_parser().parse_args(["decompose", "--n", top, "--beta", "0", "--samples", top,
+                                      "--width", top, "--grid", f"{top}x{top}",
+                                      "--probe-grid", top])
+    assert (args.n, args.samples, args.width, args.probe_grid) == (ORDER_LIMIT,) * 4
+    assert args.grid == (ORDER_LIMIT, ORDER_LIMIT)
+    args = build_parser().parse_args(["dump", "--n", "5", "--beta", "0", "--count", top])
+    assert args.count == ORDER_LIMIT
+    args = build_parser().parse_args(["verify", "--n", "5", "--beta", "0", "--seed", str(10**30)])
+    assert args.seed == 10**30
 
 
 def test_decompose_out_stays_optional():

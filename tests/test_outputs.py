@@ -244,3 +244,16 @@ def test_the_views_read_as_the_records_built_one_at_a_time(n, beta):
     for column in (features.kind, features.t, features.axis_arg, samples.value, samples.d_value):
         with pytest.raises(ValueError, match="read-only"):  # the records read stay the columns
             column[0] = column[1]
+
+
+@pytest.mark.parametrize("beta", [0.3, PI / 2], ids=["0.3", "pi/2"])
+def test_a_view_reads_each_record_as_one_object(beta):
+    # the first read builds every record once, as a tuple or a list does hold them
+    params = RosetteParams(5, beta)
+    features = extract_features(params).features
+    samples = curve_samples(params, ref.boundary_ts(16))
+    for view in (features, samples):
+        records = list(view)
+        for k in (0, 3, -1):
+            assert view[k] is view[k] is records[k] is next(iter(view[k:]))
+        assert all(a is b for a, b in zip(view, records))

@@ -176,6 +176,25 @@ def test_render_takes_each_flatten_round_from_one_series_pass(series_passes, mon
     assert series_passes == [2] * 9 + [1, 1, 2]
 
 
+@pytest.mark.parametrize("overlay,reports", [
+    ((), 0), ((Overlay.HYPOCYCLOID, Overlay.FUNDAMENTAL_SET), 0), ((Overlay.FEATURES,), 1),
+    ((Overlay.CUSP_AXES,), 1), ((Overlay.FEATURES, Overlay.CUSP_AXES), 1),
+], ids=["none", "hypocycloid,fundamental", "features", "axes", "features,axes"])
+def test_render_extracts_the_features_only_to_draw_them(overlay, reports, monkeypatch):
+    # a figure without the features or axes overlay took a feature report that it never drew
+    calls, real = [], render.extract_features
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(render, "extract_features", spy)
+    spec = RenderSpec(RosetteParams(5, 0.3), radial_lines=4, circles=2, samples_per_curve=16,
+                      overlay=frozenset(overlay))
+    render_svg(spec)
+    assert len(calls) == reports
+
+
 def test_polyline_matches_the_per_point_format():
     canvas = SvgCanvas(width_px=900, world_half=1.37)
     rng = np.random.default_rng(3)
