@@ -18,9 +18,15 @@ Where the derivative is non-zero its argument follows the linear law
 so the boundary turns at the constant rate n/2 - 1 and the total curvature
 between consecutive cusps is pi - 2pi/n.
 
-These closed forms hold for beta in (-pi/2, pi/2].  Every function here takes
-any beta = base + l pi (see ``_reduce``) and carries them by the half-turn law: t
-moves by l pi/n, and every point and direction turns by ``half_turn_rotation(n, l)``.
+These closed forms hold for beta in (-pi/2, pi/2].  Each call decides once, in ``_reduce``
+by ``half_pi_shift`` of beta as given, whether beta is in the class of pi/2 + l pi, and
+writes beta = base + l pi.  The derivative fields of ``curve_samples``, ``separation_angle``,
+``total_curvature``'s petal check, ``halfspeed_points``, ``rotated_copies`` and, in that
+class, ``boundary_polyline`` compute at that base (``extract_features`` at the canonical
+phase) and carry the result by the half-turn law: t moves by l pi/n, and every point and
+direction turns by ``half_turn_rotation(n, l)``.  The values of ``boundary_points``,
+``curve_samples``, ``feature_values``, ``interval_points``, ``detect_arg_nonmonotonicity``
+and, outside that class, ``boundary_polyline`` are the series' at beta as given.
 
 The image polylines (``boundary_polyline``, the fundamental polyline of ``rotated_copies``)
 are rows of ``interval_points``, which alone puts the exact feature values in; each builder
@@ -248,28 +254,22 @@ def half_pi_shift(beta: float) -> Optional[int]:
     return shifts - 1 if base + math.pi / 2 <= BETA_HALF_PI_TOL else None
 
 
-def is_half_pi(beta: float) -> bool:
-    """Whether beta is pi/2 itself (not another phase of its class) within BETA_HALF_PI_TOL."""
-    return half_pi_shift(beta) == 0
-
-
-def _carry(base: RosetteParams, shifts: int) -> tuple[RosetteParams, float, complex]:
-    return base, shifts * math.pi / base.n, half_turn_rotation(base.n, shifts)
-
-
-def _reduce(params: RosetteParams) -> tuple[RosetteParams, float, complex]:
-    """(base, l pi/n, half_turn_rotation(n, l)) for beta = base + l pi, where the base is
-    pi/2 within BETA_HALF_PI_TOL in the class of pi/2 (l = half_pi_shift), so that the
-    closed forms see its constancy arcs, and the canonical phase otherwise."""
+def _reduce(params: RosetteParams) -> tuple[RosetteParams, float, complex, bool]:
+    """(base, l pi/n, half_turn_rotation(n, l), nodes) for beta = base + l pi, where ``nodes``
+    is the class of pi/2 by ``half_pi_shift`` of beta as given, the closed forms' one decision;
+    the base is beta - l pi there (it may round past pi/2's band) and canonical elsewhere."""
     shifts = half_pi_shift(params.beta)
-    if shifts is None:
-        return _carry(*params.canonical())
-    return _carry(RosetteParams(params.n, params.beta - shifts * math.pi), shifts)
+    nodes = shifts is not None
+    if nodes:
+        base = RosetteParams(params.n, params.beta - shifts * math.pi)
+    else:
+        base, shifts = params.canonical()
+    return base, shifts * math.pi / params.n, half_turn_rotation(params.n, shifts), nodes
 
 
 def _derivative_fields(params: RosetteParams, ts: np.ndarray):
     """d_arg (NaN where undefined) and d_mag at parameters already 2pi-reduced."""
-    base, lag, turn = _reduce(params)
+    base, lag, turn, nodes = _reduce(params)
     n, beta = base.n, base.beta
     if lag:
         ts = np.mod(ts - lag, TWO_PI)
@@ -279,7 +279,7 @@ def _derivative_fields(params: RosetteParams, ts: np.ndarray):
     d_mag = math.sqrt(2.0) * np.sqrt(np.maximum(1.0 + sin_term, 0.0)) * x
     d_arg = np.ceil(ts * n / TWO_PI) * math.pi - (n / 2.0 - 1.0) * ts
     d_arg += cmath.phase(turn)
-    if is_half_pi(beta):
+    if nodes:
         d_arg[~first_half] = np.nan
         d_mag[~first_half] = 0.0
     return d_arg, d_mag
@@ -351,8 +351,9 @@ def extract_features(params: RosetteParams, confirm: bool = True) -> FeatureRepo
     n = 5 would put the first feature at t = 2pi - pi/n = 5.655, not pi/n = 0.628,
     and turn every location by the half turn.
     """
-    canonical, lag, turn = _carry(*params.canonical())
+    canonical, shifts = params.canonical()
     n = params.n
+    lag, turn = shifts * math.pi / n, half_turn_rotation(n, shifts)
     ts, location = feature_vertices(canonical)
     kind = np.empty(ts.size, dtype=object)
     if ts.size == n:  # beta = pi/2: n nodes replace the cusps
@@ -438,8 +439,8 @@ def separation_angle(params: RosetteParams, side: SeparationSide) -> float:
     """
     if not isinstance(side, SeparationSide):
         raise DomainError(f"side must be a SeparationSide, got {side!r}")
-    base = _reduce(params)[0]
-    if is_half_pi(base.beta):
+    base, _, _, nodes = _reduce(params)
+    if nodes:
         raise NonCanonicalBeta("separation angles require beta off pi/2 + l pi")
     n = params.n
     tn = math.tan(math.pi / (2 * n))
@@ -455,7 +456,7 @@ def _check_within_petal(params: RosetteParams, t0: float, t1: float) -> tuple[fl
     t0, t1 = as_number(t0, float, "interval end t0"), as_number(t1, float, "interval end t1")
     if t1 < t0:
         raise IntervalCrossesCusp("need t0 <= t1")
-    base, lag, _ = _reduce(params)
+    _, lag, _, nodes = _reduce(params)
     s0, s1 = t0 - lag, t1 - lag  # at the base phase
     petal = TWO_PI / n
     k0 = np.floor((s0 + 1e-12) / petal)  # a float: near |t| = 1e308 the quotient is infinite
@@ -464,7 +465,7 @@ def _check_within_petal(params: RosetteParams, t0: float, t1: float) -> tuple[fl
         raise IntervalCrossesCusp(
             f"[{t0}, {t1}] crosses a cusp parameter ({lag} + a multiple of 2pi/{n})"
         )
-    if is_half_pi(base.beta) and s1 - k0 * petal > math.pi / n + 1e-12:
+    if nodes and s1 - k0 * petal > math.pi / n + 1e-12:
         # only the first half of each inter-cusp interval carries the curve
         raise IntervalCrossesCusp(
             "for beta = pi/2 + l pi the interval must lie in an active half "
@@ -511,9 +512,9 @@ def halfspeed_points(params: RosetteParams, ts) -> np.ndarray:
     visiting the node exactly at t = 2k pi/n.  At l != 0 it is that curve of pi/2
     carried by the half-turn law.  Any other beta raises WrongBeta, a non-finite t DomainError.
     """
-    if half_pi_shift(params.beta) is None:
+    base, lag, turn, nodes = _reduce(params)
+    if not nodes:
         raise WrongBeta("half-speed reparametrization requires beta = pi/2 + l pi")
-    base, lag, turn = _reduce(params)
     n = base.n
     ts = as_array(ts, float, "boundary parameter t")
     red = np.mod(ts - lag, TWO_PI)
@@ -641,12 +642,12 @@ def boundary_polyline(params: RosetteParams, per_interval: int = 512) -> np.ndar
     """
     require_integer(per_interval, 1, "per_interval")
     offsets = interval_offsets(per_interval)
-    if half_pi_shift(params.beta) is None:
-        base, lag, turn = params, 0.0, 1.0
+    base, lag, turn, nodes = _reduce(params)
+    if nodes:  # the nodes' intervals, the even ones at the base
+        offsets, js = _mirror_pairs(offsets / 2), slice(0, None, 2)
     else:
-        base, lag, turn = _reduce(params)
-        offsets = _mirror_pairs(offsets / 2)
-    poly = interval_points(base, offsets, js=_feature_js(base)).ravel()
+        base, lag, js = params, 0.0, slice(None)
+    poly = interval_points(base, offsets, js=js).ravel()
     poly = dedupe(np.append(poly, poly[0]), 1e-13 * scale_constant(base.n))
     return turn * poly if lag else poly
 
@@ -664,7 +665,7 @@ def rotated_copies(params: RosetteParams) -> list[RotatedCopy]:
     e^{2ik pi/n}, k = 1..n, and then by the image rotation of the half-turn law,
     ``half_turn_rotation(n, l)`` for beta = base + l*pi.
     """
-    base, _, turn = _reduce(params)
+    base, _, turn, _ = _reduce(params)
     r = np.sin(0.5 * math.pi * np.linspace(0.0, 1.0, 600)) ** 2  # clustered toward r = 1
     side1 = combine_parts(base.beta, *parts_many(base, r[:-1]))  # a(0) appended below
     rows = interval_points(base, _mirror_pairs((np.arange(384) + 0.5) / 768), js=slice(0, 3))

@@ -139,13 +139,6 @@ def _quote(text: str) -> str:
     return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\r\n') else text
 
 
-def _cell(value) -> str:
-    """A CSV cell of one value: empty for None, a float in its shortest round-trip decimal
-    form, any other value as str() writes it, quoted as RFC 4180 asks."""
-    return "" if value is None else repr(float(value)) if isinstance(value, float) else _quote(
-        str(value))
-
-
 # Rows per piece of a written table, so that only one piece's cells are held at a time.
 _CHUNK = 512
 
@@ -263,8 +256,11 @@ def cmd_verify(args) -> int:
     }
     if args.format == "csv":
         header = ["name", "passed", "max_residual", "samples_used"]
-        columns = [np.array([_cell(c[key]) for c in checks], dtype=object) for key in header]
-        _write_text(args.out, _csv(header, columns))
+        # a NaN residual, which fails its check, is written nan, as the JSON report writes NaN
+        residuals = _float_cells(np.array([c["max_residual"] for c in checks]), "nan")
+        rows = [(_quote(c["name"]), str(c["passed"]), residual, str(c["samples_used"]))
+                for c, residual in zip(checks, residuals)]
+        _write_text(args.out, _csv(header, list(np.array(rows, dtype=object).T)))
     else:
         _write_text(args.out, json.dumps(payload, indent=2) + "\n")
     return 0 if passed else 1

@@ -43,11 +43,10 @@ from rosette.boundary import (
     feature_vertices,
     interval_offsets,
     interval_points,
-    is_half_pi,
     one_sided_tangents,
     wrap_angle,
 )
-from rosette.maps import combine_parts, half_turn_rotation, parts_many
+from rosette.maps import BETA_LIMIT, combine_parts, half_turn_rotation, parts_many
 
 PI = math.pi
 
@@ -365,6 +364,75 @@ def test_carried_curvature_matches_its_numeric_cross_check():
     )
 
 
+# --- one decision of the class of pi/2 per call -------------------------------------
+
+# Phases of the class of pi/2 at n = 5 whose base beta - l pi rounds just past the
+# BETA_HALF_PI_TOL band, while half_pi_shift, which reduces beta by reduce_beta, puts them
+# in it (l = -661, -79 and 1000; found by a scan of 3000 ulps around each band edge).
+CLASS_EDGE_WITNESSES = (-2075.0219476950583, -246.61502330579876, 3143.163449917588)
+
+# Every 97th l with pi/2 + l pi within BETA_LIMIT, and the two ends and the two nearest 0.
+SWEEP_SHIFTS = sorted({*range(-3183, 3183, 97), -1, 0, 3182})
+
+
+def _class_actions(beta: float, l: int) -> dict:
+    """Whether each boundary function acts on the class of pi/2 at n = 5 for beta, a phase
+    near pi/2 + l pi."""
+    n, p = 5, RosetteParams(5, beta)
+    ts = (np.arange(20) + 0.5) * (PI / 10)  # off the multiples of pi/5
+
+    def raises(error, fn, *args) -> bool:
+        try:
+            fn(*args)
+        except error:
+            return True
+        return False
+
+    node_polyline = boundary_polyline(RosetteParams(n, PI / 2), 2)
+    # the curvature interval, within (l + 1) pi/n to (l + 2) pi/n, lies on a constancy arc in
+    # the class and within one petal off it
+    return {
+        "curve_samples": bool(np.isnan(curve_samples(p, ts).d_arg).any()),
+        "boundary_polyline": len(boundary_polyline(p, 2)) == len(node_polyline),
+        "separation_angle": raises(NonCanonicalBeta, separation_angle, p,
+                                   SeparationSide.NODE_AFTER_CUSP),
+        "total_curvature": raises(IntervalCrossesCusp, total_curvature, p,
+                                  (l + 1) * PI / n + 0.1, (l + 2) * PI / n - 0.1),
+        "halfspeed_points": not raises(WrongBeta, halfspeed_points, p, ts),
+        "extract_features": len(extract_features(p).features) == n,
+    }
+
+
+@pytest.mark.parametrize("beta", CLASS_EDGE_WITNESSES)
+def test_phases_whose_base_rounds_past_the_band_act_on_the_class_of_half_pi(beta):
+    n, l = 5, half_pi_shift(beta)
+    assert l is not None
+    actions = _class_actions(beta, l)
+    assert actions == dict.fromkeys(actions, True)
+    p = RosetteParams(n, beta)
+    samples = curve_samples(p, (np.arange(400) + 0.5) * (2 * PI / 400))  # dump --count 400
+    arcs = samples.d_mag == 0.0
+    assert arcs.sum() == 200 and np.array_equal(np.isnan(samples.d_arg), arcs)
+    figure = boundary_polyline(p, FIGURE_PER_INTERVAL)  # what verify --level quick certifies
+    assert len(figure) == len(boundary_polyline(RosetteParams(n, PI / 2), FIGURE_PER_INTERVAL))
+    with pytest.raises(IntervalCrossesCusp):
+        total_curvature(p, l * PI / n + 0.1, l * PI / n + 1.9 * PI / n)
+
+
+@pytest.mark.parametrize("l", SWEEP_SHIFTS)
+def test_every_function_acts_on_the_class_that_half_pi_shift_decides(l):
+    # phases on both sides of the band edges pi/2 + l pi -+ 1e-9, up to 3000 ulps away
+    phases = [edge + k * np.spacing(abs(edge))
+              for edge in (PI / 2 + l * PI - 1e-9, PI / 2 + l * PI + 1e-9)
+              for k in (-3000, -30, -1, 0, 1, 30, 3000)]
+    assert all(abs(beta) <= BETA_LIMIT for beta in phases)
+    classes = [half_pi_shift(beta) is not None for beta in phases]
+    assert True in classes and False in classes
+    for beta, nodes in zip(phases, classes):
+        actions = _class_actions(beta, l)
+        assert actions == dict.fromkeys(actions, nodes), beta
+
+
 # --- curvature --------------------------------------------------------------------
 
 
@@ -670,7 +738,7 @@ def test_feature_vertices_away_from_half_pi_are_all_multiples():
 def test_batched_tangents_match_one_point_classification(beta):
     p = RosetteParams(5, beta)
     feats = extract_features(p, confirm=False).features
-    part = halfspeed_points if is_half_pi(beta) else boundary_points
+    part = halfspeed_points if half_pi_shift(beta) is not None else boundary_points
     curve = lambda ts: part(p, ts)  # noqa: E731
     left, right = one_sided_tangents(curve, [ft.t for ft in feats], [ft.location for ft in feats])
     for ft, lo, hi in zip(feats, left, right):

@@ -484,8 +484,10 @@ def unusable_out(root: Path, where: str) -> str:
 
 @pytest.fixture(scope="module")
 def usage_error_modules(tmp_path_factory):
-    """For each usage error of this section, by test id: its exit code and which of verify
-    and render it loaded, from one fresh interpreter that runs them all in turn."""
+    """For each usage error of this section, by test id: its outcome and which of verify and
+    render it loaded, from one fresh interpreter that runs them all in turn.  The outcome is
+    the exit code, a normal return's code, or the type and message of any other exception,
+    so that a case that goes wrong fails its own tests alone."""
     root = tmp_path_factory.mktemp("usage")
     cases = {"small-order": ["features", "--n", "2", "--beta", "0"],
              "render-without-out": ["render", "--n", "5", "--beta", "0", "--samples", "16",
@@ -504,11 +506,15 @@ def usage_error_modules(tmp_path_factory):
         "found = {}\n"
         "for key, argv in json.load(sys.stdin).items():\n"
         "    try:\n"
-        "        with contextlib.redirect_stderr(io.StringIO()):\n"
-        "            main(argv)\n"
+        "        with contextlib.redirect_stdout(io.StringIO()), \\\n"
+        "                contextlib.redirect_stderr(io.StringIO()):\n"
+        "            outcome = main(argv)\n"
         "    except SystemExit as exc:\n"
-        "        found[key] = [exc.code, sorted(m for m in ('rosette.verify', 'rosette.render')\n"
-        "                                       if m in sys.modules)]\n"
+        "        outcome = exc.code\n"
+        "    except Exception as exc:\n"
+        "        outcome = f'{type(exc).__name__}: {exc}'\n"
+        "    found[key] = [outcome, sorted(m for m in ('rosette.verify', 'rosette.render')\n"
+        "                                  if m in sys.modules)]\n"
         "print(json.dumps(found))"
     )
     src = Path(__file__).resolve().parents[1] / "src"

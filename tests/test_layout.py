@@ -157,6 +157,49 @@ def test_only_interval_points_puts_the_feature_values_into_a_polyline():
     assert inserts.found == set()
 
 
+class _Calls(_NameUses):
+    """(enclosing function, called name, first argument's source) of every call of a name."""
+
+    def __init__(self, module: str, names: set[str]):
+        super().__init__(module, None)
+        self.names = names
+
+    def visit_Call(self, node):
+        callee = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(
+            node.func, "id", None)
+        if callee in self.names:
+            self.found.add((".".join(self.scope), callee, ast.unparse(node.args[0])))
+        self.generic_visit(node)
+
+
+def test_the_class_of_half_pi_is_decided_from_the_phase_as_given():
+    # _reduce decides the class of pi/2 once per call, by half_pi_shift of beta as given, and
+    # hands it on beside its base beta - l pi, which can round just past the band: no function
+    # re-decides from that base.  The features decide it from reduce_beta's canonical phase,
+    # which rounds as half_pi_shift does.  A name referenced but not called also counts.
+    names = {"half_pi_shift", "_feature_js", "feature_vertices", "_confirm_features",
+             "is_half_pi", "_carry"}
+    calls, references = set(), set()
+    for path in SOURCE.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found = _Calls(path.stem, names)
+        found.visit(tree)
+        calls |= found.found
+        for name in names:
+            uses = _NameUses(path.stem, name)
+            uses.visit(tree)
+            references |= {(scope, name) for scope in uses.found}
+    assert calls == {
+        ("boundary._reduce", "half_pi_shift", "params.beta"),
+        ("boundary._feature_js", "half_pi_shift", "params.beta"),
+        ("boundary._confirm_features", "half_pi_shift", "params.beta"),
+        ("boundary.feature_vertices", "_feature_js", "params"),
+        ("boundary.extract_features", "feature_vertices", "canonical"),
+        ("boundary.extract_features", "_confirm_features", "canonical"),
+    }
+    assert references == {(scope, name) for scope, name, _ in calls}
+
+
 def test_every_imported_name_is_used():
     unused = []
     for path in sorted(SOURCE.glob("*.py")):

@@ -182,6 +182,25 @@ def test_the_verify_table_is_the_reference_writers_bytes(tmp_path):
     assert run(tmp_path, [*argv, "--format", "csv"]) == expect
 
 
+@pytest.mark.parametrize("residual", [2.5e-7, math.nan], ids=["number", "nan"])
+def test_a_failing_verify_table_is_the_reference_writers_bytes(residual, tmp_path, monkeypatch):
+    import json
+
+    from rosette import verify
+
+    failing = verify.CheckResult("integral_identities", False, residual, 22)
+    monkeypatch.setattr(verify, "integral_identities", lambda *args: failing)
+    out = tmp_path / "out"
+    argv = ["verify", "--n", "5", "--beta", "0.3", "--level", "quick", "--out", str(out)]
+    assert cli.main(argv) == 1
+    checks = json.loads(out.read_bytes())["checks"]
+    assert [c["passed"] for c in checks].count(False) == 1
+    header = ["name", "passed", "max_residual", "samples_used"]
+    expect = ref.reference_csv(header, [list(c.values()) for c in checks])
+    assert cli.main([*argv, "--format", "csv"]) == 1
+    assert out.read_bytes().decode("utf-8") == expect
+
+
 # --- the fast path stays ---------------------------------------------------------------
 
 
