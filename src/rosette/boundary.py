@@ -72,6 +72,7 @@ from .maps import (
     half_turn_rotation,
     parts_many,
     reduce_beta,
+    require_params,
 )
 from .series import scale_constant
 
@@ -203,16 +204,12 @@ class FeatureReport:
 
 
 def wrap_angle(x):
-    """Reduce an angle, or each angle of an array, to (-pi, pi]."""
+    """Reduce an angle, or each angle of an array, to (-pi, pi]: a number by math.fmod."""
+    if not isinstance(x, np.ndarray):
+        y = math.fmod(x, TWO_PI)
+        return y - TWO_PI if y > math.pi else y + TWO_PI if y <= -math.pi else y
     y = np.fmod(x, TWO_PI)
-    y = np.where(y > math.pi, y - TWO_PI, np.where(y <= -math.pi, y + TWO_PI, y))
-    return y if isinstance(x, np.ndarray) else float(y)
-
-
-def _reduce_t(t: np.ndarray) -> np.ndarray:
-    """Finite angles reduced to [0, 2pi); NaN stays NaN."""
-    t = np.fmod(t, TWO_PI)
-    return np.where(t < 0.0, t + TWO_PI, t)
+    return np.where(y > math.pi, y - TWO_PI, np.where(y <= -math.pi, y + TWO_PI, y))
 
 
 def distance_to_singular(n: int, t):
@@ -225,7 +222,7 @@ def distance_to_singular(n: int, t):
 def _boundary_values(params: RosetteParams, ts: np.ndarray) -> np.ndarray:
     """a(t) = f(e^{it}) at finite parameters from one two-family series pass, bit for bit
     the values of ``boundary_points``."""
-    return combine_parts(params.beta, *parts_many(params, np.exp(1j * ts)))
+    return combine_parts(require_params(params).beta, *parts_many(params, np.exp(1j * ts)))
 
 
 def boundary_points(params: RosetteParams, ts) -> np.ndarray:
@@ -258,7 +255,7 @@ def _reduce(params: RosetteParams) -> tuple[RosetteParams, float, complex, bool]
     """(base, l pi/n, half_turn_rotation(n, l), nodes) for beta = base + l pi, where ``nodes``
     is the class of pi/2 by ``half_pi_shift`` of beta as given, the closed forms' one decision;
     the base is beta - l pi there (it may round past pi/2's band) and canonical elsewhere."""
-    shifts = half_pi_shift(params.beta)
+    shifts = half_pi_shift(require_params(params).beta)
     nodes = shifts is not None
     if nodes:
         base = RosetteParams(params.n, params.beta - shifts * math.pi)
@@ -351,7 +348,7 @@ def extract_features(params: RosetteParams, confirm: bool = True) -> FeatureRepo
     n = 5 would put the first feature at t = 2pi - pi/n = 5.655, not pi/n = 0.628,
     and turn every location by the half turn.
     """
-    canonical, shifts = params.canonical()
+    canonical, shifts = require_params(params).canonical()
     n = params.n
     lag, turn = shifts * math.pi / n, half_turn_rotation(n, shifts)
     ts, location = feature_vertices(canonical)
@@ -363,23 +360,23 @@ def extract_features(params: RosetteParams, confirm: bool = True) -> FeatureRepo
         kind[0::2], kind[1::2] = FeatureKind.CUSP, FeatureKind.REMOVABLE_NODE
         axis, angle = ts.copy(), np.full(2 * n, np.nan)
         axis[1::2] += math.pi / 2
-        axis = _reduce_t(axis)
+        axis = np.mod(axis, TWO_PI)
         angle[1::2] = math.pi
     locs = location.tolist()  # |a| and arg a by the scalar abs and cmath.phase of each value
     magnitude = np.array(list(map(abs, locs)))
-    argument = _reduce_t(np.array(list(map(cmath.phase, locs))))
+    argument = np.mod(np.array(list(map(cmath.phase, locs))), TWO_PI)
     if confirm:
         _confirm_features(canonical, FeatureRecords(kind, ts, location, magnitude, argument,
                                                     axis, angle))
     if lag:
         spin = cmath.phase(turn)
-        ts, argument, axis = _reduce_t(ts + lag), _reduce_t(argument + spin), _reduce_t(axis + spin)
+        carried = np.mod((ts + lag, argument + spin, axis + spin), TWO_PI)
+        ts, argument, axis = np.where(carried == TWO_PI, 0.0, carried)  # np.mod(-1e-17, 2pi) is 2pi
         location = np.array(list(map(turn.__mul__, locs)))
     return FeatureReport(
         params=params,
         features=FeatureRecords(kind, ts, location, magnitude, argument, axis, angle),
-        separations=tuple(np.mod(np.concatenate((argument[1:], argument[:1])) - argument,
-                                 TWO_PI).tolist()),
+        separations=tuple(np.mod(np.roll(argument, -1) - argument, TWO_PI).tolist()),
         total_curvature_per_petal=math.pi - TWO_PI / n,
     )
 
@@ -452,7 +449,7 @@ def separation_angle(params: RosetteParams, side: SeparationSide) -> float:
 
 def _check_within_petal(params: RosetteParams, t0: float, t1: float) -> tuple[float, float]:
     """(t0, t1) as floats, after raising unless they are real, finite and within one petal."""
-    n = params.n
+    n = require_params(params).n
     t0, t1 = as_number(t0, float, "interval end t0"), as_number(t1, float, "interval end t1")
     if t1 < t0:
         raise IntervalCrossesCusp("need t0 <= t1")
@@ -499,7 +496,7 @@ def total_curvature_numeric(params: RosetteParams, t0: float, t1: float) -> floa
     d = _derivative_values(params, ts)
     args = np.angle(d)
     diffs = np.diff(args)
-    diffs = (diffs + math.pi) % TWO_PI - math.pi
+    diffs = wrap_angle(diffs)
     # reported as a magnitude, consistent with the analytic formula
     return float(abs(np.sum(diffs)))
 
@@ -599,7 +596,7 @@ def detect_arg_nonmonotonicity(params: RosetteParams) -> tuple[bool, Optional[fl
     Returns (found, witness_t) with the witness at the midpoint of a grid
     step on which the unwrapped argument decreases by more than 1e-6 rad.
     """
-    n, offsets = params.n, interval_offsets(512)
+    n, offsets = require_params(params).n, interval_offsets(512)
     ts = ((np.arange(2 * n)[:, None] + np.append(0.0, offsets)) * (math.pi / n)).ravel()
     vals = interval_points(params, offsets).ravel()
     args = np.unwrap(np.angle(vals))
@@ -697,9 +694,9 @@ def one_sided_tangents(
     """Left and right tangent directions of a curve at each parameter in ``ts``.
 
     The secant directions arg(s (a(t0 + s d) - a(t0))), s = -1 and +1, are
-    unwrapped around the one at the first offset and Richardson-extrapolated
-    to d -> 0 for an O(d) error model; the offsets must form a geometric
-    sequence.  One call of ``curve_fn`` covers every parameter and both sides: it gets
+    unwrapped around the one at the first offset, to within [-pi, pi) of it, and
+    Richardson-extrapolated to d -> 0 for an O(d) error model; the offsets must form a
+    geometric sequence.  One call of ``curve_fn`` covers every parameter and both sides: it gets
     the t0 + s d raveled in the order (t0, s, d).
     """
     t0 = np.asarray(ts, dtype=float)
@@ -708,7 +705,7 @@ def one_sided_tangents(
     vals = _curve_values(curve_fn, (t0[:, None, None] + side * d).ravel())
     locs = as_array(locations, complex, "locations")[:, None, None]
     raw = np.angle(side * (vals.reshape(t0.size, 2, d.size) - locs))
-    est = raw[..., :1] + (raw - raw[..., :1] + math.pi) % TWO_PI - math.pi
+    est = raw[..., :1] - wrap_angle(raw[..., :1] - raw)
     ratio = d[0] / d[1]
     while est.shape[-1] > 1:
         est = (ratio * est[..., 1:] - est[..., :-1]) / (ratio - 1.0)

@@ -74,6 +74,13 @@ class RosetteParams:
         return SeriesSpec(kind, self.n)
 
 
+def require_params(params) -> RosetteParams:
+    """``params`` itself; DomainError unless it is a RosetteParams, whose fields are checked."""
+    if not isinstance(params, RosetteParams):
+        raise DomainError(f"params must be RosetteParams, got {params!r}")
+    return params
+
+
 @dataclass(frozen=True)
 class MapValue:
     """One evaluation of a rosette map, split into its two summands.
@@ -120,7 +127,7 @@ def integer_power(z: np.ndarray, k: int) -> np.ndarray:
 def h_many(params: RosetteParams, z) -> np.ndarray:
     """Analytic part h(z) = z * F_a(z^{2n}), vectorized."""
     z = clip_to_disk(as_array(z, complex, "points"), EPS_DOMAIN)[0]
-    w = integer_power(z, 2 * params.n)
+    w = integer_power(z, 2 * require_params(params).n)
     factor = eval_series_many(params._spec(SeriesKind.ANALYTIC), w)
     return z * factor
 
@@ -128,7 +135,7 @@ def h_many(params: RosetteParams, z) -> np.ndarray:
 def g_many(params: RosetteParams, z) -> np.ndarray:
     """Co-analytic part g(z) = z^{n-1}/(n-1) * F_c(z^{2n}), vectorized."""
     z = clip_to_disk(as_array(z, complex, "points"), EPS_DOMAIN)[0]
-    w = integer_power(z, 2 * params.n)
+    w = integer_power(z, 2 * require_params(params).n)
     factor = eval_series_many(params._spec(SeriesKind.COANALYTIC), w)
     return integer_power(z, params.n - 1) / (params.n - 1) * factor
 
@@ -156,7 +163,7 @@ def f_many(params: RosetteParams, z) -> np.ndarray:
     # test_uninstall_restores_every_binding reads boundary.f_many.  So the two passes
     # remain for interior-eval's library calls and for boundary.boundary_points (render's
     # ray ends, the one CLI caller left); every other caller makes one parts_many pass.
-    return combine_parts(params.beta, h_many(params, z), g_many(params, z))
+    return combine_parts(require_params(params).beta, h_many(params, z), g_many(params, z))
 
 
 def f(params: RosetteParams, z: complex) -> MapValue:
@@ -167,13 +174,13 @@ def f(params: RosetteParams, z: complex) -> MapValue:
     g(1) = fl(fl(1/(n-1)) F_c(1)), with imaginary parts +0.
     """
     z = as_number(z, complex, "point")
+    rot = cmath.exp(0.5j * require_params(params).beta)
     if z == 1.0:
         ends = endpoint_values(params.n)
         hz = complex(ends.analytic_at_one, 0.0)
         gz = complex(1.0 / (params.n - 1) * ends.coanalytic_at_one, 0.0)
     else:
         hz, gz = (complex(v[0]) for v in parts_many(params, [z]))
-    rot = cmath.exp(0.5j * params.beta)
     return MapValue(h=rot * hz, gbar=gz.conjugate() / rot)
 
 
@@ -187,7 +194,7 @@ def _root_factor(params: RosetteParams, z: np.ndarray) -> np.ndarray:
     projected onto the circle.
     """
     clip_to_disk(z, EPS_DOMAIN)
-    rad = 1.0 - integer_power(z, 2 * params.n)
+    rad = 1.0 - integer_power(z, 2 * require_params(params).n)
     if (np.abs(rad) < SINGULAR_TOL).any():
         raise SingularPoint(
             "derivative evaluated within singular_tol of a 2n-th root of unity"
@@ -214,14 +221,14 @@ def dilatation(params: RosetteParams, z: complex) -> complex:
     """g'/h' computed directly as z^{n-2}; independent of beta, total on the closed disk."""
     z = as_number(z, complex, "point")
     clip_to_disk(np.asarray(z), EPS_DOMAIN)
-    return z ** (params.n - 2)
+    return z ** (require_params(params).n - 2)
 
 
 def jacobian(params: RosetteParams, z: complex) -> float:
     """|h'|^2 - |g'|^2 in the simplified form (1 - |z|^{2(n-2)})/|1 - z^{2n}|."""
     z = as_number(z, complex, "point")
     clip_to_disk(np.asarray(z), EPS_DOMAIN)
-    rad = 1.0 - z ** (2 * params.n)
+    rad = 1.0 - z ** (2 * require_params(params).n)
     if abs(rad) < SINGULAR_TOL:
         raise SingularPoint(
             "jacobian evaluated within singular_tol of a 2n-th root of unity"

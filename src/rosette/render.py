@@ -30,6 +30,7 @@ import numpy as np
 
 from .boundary import (
     FIGURE_PER_INTERVAL,
+    TWO_PI,
     RotatedCopy,
     boundary_points,
     boundary_polyline,
@@ -38,10 +39,8 @@ from .boundary import (
     rotated_copies,
 )
 from .errors import DomainError, as_number, require_integer
-from .maps import RosetteParams, combine_parts, hypocycloid, parts_many
+from .maps import RosetteParams, combine_parts, hypocycloid, parts_many, require_params
 from .svgout import SvgCanvas, axis_segment, flatten_curve, flatten_curves
-
-TWO_PI = 2.0 * math.pi
 
 
 class Overlay(Enum):
@@ -62,8 +61,7 @@ class RenderSpec:
     overlay: frozenset = field(default_factory=frozenset)
 
     def __post_init__(self):
-        if not isinstance(self.params, RosetteParams):
-            raise DomainError(f"params must be RosetteParams, got {self.params!r}")
+        require_params(self.params)
         require_integer(self.radial_lines, 1, "radial_lines")
         require_integer(self.circles, 1, "circles")
         require_integer(self.width_px, 1, "width_px")

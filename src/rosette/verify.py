@@ -19,7 +19,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .boundary import RotatedCopy, boundary_polyline, bounding_radius, rotated_copies, wrap_angle
+from .boundary import (TWO_PI, RotatedCopy, boundary_polyline, bounding_radius, rotated_copies,
+                       wrap_angle)
 from .errors import DomainError, TooCloseToCurve, as_array, as_number, require_integer
 from .geometry import (
     count_self_intersections,
@@ -37,11 +38,10 @@ from .maps import (
     half_turn_rotation,
     integer_power,
     parts_many,
+    require_params,
 )
 from .quadrature import tanh_sinh
 from .series import SeriesKind, scale_constant
-
-TWO_PI = 2.0 * math.pi
 
 # Clearance, times scale_constant(n), within which a probe is taken to lie on a polyline: the
 # scan refuses it, the tiling exempts it.  Far above rounding (ulps of the scale, ABS_TOL 1e-12),
@@ -144,7 +144,7 @@ def univalence_scan(
     pairwise distinct (pigeonhole injectivity), with the minimum separation reported.
     """
     require_integer(grid_resolution, 2, "grid_resolution")  # (c) needs two images
-    n = params.n
+    n = require_params(params).n
     if per_interval is None:
         per_interval = max(320, -(-4096 // (2 * n)))
     poly = boundary_polyline(params, per_interval)
@@ -215,7 +215,7 @@ def integral_oracle(
         raise DomainError(f"kind must be a SeriesKind, got {kind!r}")
     z = np.array([as_number(z, complex, "point")])
     analytic = kind is SeriesKind.ANALYTIC
-    rhs = complex(parts_many(params, z)[0 if analytic else 1][0])
+    rhs = complex(parts_many(require_params(params), z)[0 if analytic else 1][0])
     lhs = complex(tanh_sinh(params.n, z, 0 if analytic else params.n - 2)[0])
     return IntegralCheck(lhs=lhs, rhs=rhs, residual=abs(lhs - rhs))
 
@@ -230,7 +230,7 @@ def integral_identities(params: RosetteParams, count: int, seed: int) -> CheckRe
     require_integer(seed, 0, "seed")
     z = np.append(_disk_samples(np.random.default_rng(seed), count, 0.95), 1.0)
     kinds = (SeriesKind.ANALYTIC, SeriesKind.COANALYTIC)
-    powers = (0, params.n - 2)  # h' and g' = z^(n-2) h'
+    powers = (0, require_params(params).n - 2)  # h' and g' = z^(n-2) h'
     sides = [(tanh_sinh(params.n, z, p), rhs) for p, rhs in zip(powers, parts_many(params, z))]
     residual = np.array([np.abs(lhs - rhs) for lhs, rhs in sides])
     i, k = np.unravel_index(np.argmax(residual), residual.shape)  # a NaN wins, and fails
@@ -257,8 +257,7 @@ def symmetry_suite(
     """Evaluate every pointwise identity of the mapping layer at seeded samples."""
     require_integer(sample_count, 1, "sample_count")
     require_integer(seed, 0, "seed")
-    n = params.n
-    beta = params.beta
+    n, beta = require_params(params).n, params.beta
     rng = np.random.default_rng(seed)
     z = _disk_samples(rng, sample_count)
     checks: list[CheckResult] = []
@@ -462,8 +461,8 @@ def fundamental_decomposition(
     # vertex geometry at the origin from tiny-radius secants, at the canonical phase
     canonical_beta = params.canonical()[0].beta
     a0, a1, a2 = (cmath.phase(complex(v)) for v in combine_parts(canonical_beta, *at_side))
-    vertex_angle = (a2 - a0) % TWO_PI
-    half_angles = ((a1 - a0) % TWO_PI, (a2 - a1) % TWO_PI)
+    vertex_angle = np.mod(a2 - a0, TWO_PI)
+    half_angles = np.mod((a1 - a0, a2 - a1), TWO_PI)
 
     report = CoverageReport(
         passed=violations == 0
@@ -504,7 +503,7 @@ def _cone_members(probes: np.ndarray, copies: list[RotatedCopy], cone, reach: fl
     order = np.argsort(args, kind="stable")
     args = args[order]
     for copy in copies:
-        lo = (cone[0] + cmath.phase(copy.prefactor) - widen + math.pi) % TWO_PI - math.pi
+        lo = wrap_angle(cone[0] + cmath.phase(copy.prefactor) - widen)
         hi = lo + cone[1] + 2.0 * widen
         yield np.concatenate([
             order[np.searchsorted(args, lo + s, "left") : np.searchsorted(args, hi + s, "right")]

@@ -1,11 +1,11 @@
-"""The README's own examples run: its command lines and its library example.
+"""The README's own examples run, and the README stays a guide of at most 400 lines.
 
 Runs every `rosette ...` line of the first ```sh block under "## Command line"
 through `rosette.cli.main`, and executes the first ```python block under
 "## Library example", both in a fresh temporary directory with their output
 captured; exits non-zero, naming each failure, if a line exits non-zero (a
-usage error included), the example raises, or either block is missing or
-empty.  Needs only the runtime dependencies:
+usage error included), the example raises, either block is missing or
+empty, or the README is longer than MAX_LINES.  Needs only the runtime dependencies:
 
     PYTHONPATH=src python tests/readme.py
 """
@@ -25,6 +25,7 @@ from pathlib import Path
 from rosette.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+MAX_LINES = 400
 
 
 def block(text: str, heading: str, language: str) -> str:
@@ -55,6 +56,8 @@ def failures(text: str) -> list[str]:
     """Every way the examples of the README ``text`` fail; empty when they all run."""
     lines, example = commands(text), block(text, "Library example", "python")
     found = [] if lines else ["the Command line section has no `rosette ...` line"]
+    if len(text.splitlines()) > MAX_LINES:
+        found.append(f"the README has {len(text.splitlines())} lines, more than {MAX_LINES}")
     if not example.strip():
         found.append("the Library example section has no python block")
     here = os.getcwd()

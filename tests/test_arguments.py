@@ -9,7 +9,8 @@ reals include -0.0, +-1e308, +-BETA_LIMIT and the parameters k pi/n and one ulp 
 RosetteParams refuses a phase past BETA_LIMIT, so ``params`` are built from the phases
 within it; RosetteParams' own case draws every phase and must refuse the others.  Likewise
 an order past ORDER_LIMIT: ``params`` and ``spec`` take the orders above, and every
-function of an order ``n`` draws these too and must refuse them.
+function of an order ``n`` draws these too and must refuse them.  An adversarial ``params``
+is no RosetteParams: text, None, the tuple (5, 0.3), a SeriesSpec or an int.
 """
 
 import dataclasses
@@ -182,7 +183,9 @@ COMPLEX = {"z", "w0", "points", "location", "curve", "pts", ("f", "z"), ("dilata
 # Arguments whose default None is valid, so that None is no adversarial value there.
 DEFAULT_NONE = {"per_interval", "location", ("winding_number", "exclusion_radius")}
 # Arguments that are no numbers, which the adversarial values leave alone.
-NOT_NUMERIC = {"confirm", "copies", "curve_fn", "overlay", "params", "spec"}
+NOT_NUMERIC = {"confirm", "copies", "curve_fn", "overlay", "spec"}
+# The adversarial values of ``params``: anything but a RosetteParams.
+NOT_PARAMS = st.sampled_from(("5, 0.3", None, (5, 0.3), SeriesSpec(SeriesKind.ANALYTIC, 5), 5))
 
 # Records hold what they are given, a failed check's NaN residual included, so they are
 # checked to compute nothing; the other classes validate their arguments.
@@ -250,8 +253,8 @@ def test_a_public_call_returns_finite_numbers_or_raises_a_rosette_error(name):
         if targets and data.draw(st.booleans(), label="one adversarial argument"):
             target = data.draw(st.sampled_from(targets), label="adversarial argument")
             key = keys[target]
-            junk = _junk(key in SCALAR, key in COMPLEX).filter(lambda v: v is not None
-                                                                 or key not in DEFAULT_NONE)
+            junk = NOT_PARAMS if target == "params" else _junk(key in SCALAR, key in COMPLEX)
+            junk = junk.filter(lambda v: v is not None or key not in DEFAULT_NONE)
             kwargs[target] = data.draw(junk, label=target)
         past_limit = target is None and (
             name == "RosetteParams" and abs(kwargs["beta"]) > BETA_LIMIT

@@ -240,6 +240,26 @@ def test_features_of_a_noncanonical_beta_are_the_carried_canonical_features():
     assert rep.separations == pytest.approx(base.separations, abs=1e-12)
 
 
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_feature_angles_lie_in_zero_to_two_pi_and_none_is_negative_zero(n):
+    # fmod(-2pi, 2pi) is -0.0 and x + 2pi rounds to 2pi for x just below 0: reduced that way,
+    # n = 3 at beta = -29.75 reported t = -0.0 and n = 4 at beta = 4.75 an axis_arg of 2pi
+    for beta in np.arange(-120, 121) * 0.25:
+        features = extract_features(RosetteParams(n, float(beta)), confirm=False).features
+        for column in (features.t, features.argument, features.axis_arg):
+            angles = column[~np.isnan(column)]
+            assert ((angles >= 0.0) & (angles < 2 * PI)).all(), (n, beta)
+            assert not np.signbit(angles).any(), (n, beta)
+
+
+def test_wrap_angle_takes_a_number_to_the_bits_of_the_array_path():
+    xs = [PI, -PI, 0.0, -0.0, 2 * PI, -2 * PI, 3 * PI, 1e300, -1e300,
+          *np.random.default_rng(5).uniform(-50.0, 50.0, 200)]
+    got = [wrap_angle(float(x)) for x in xs]
+    assert all(type(y) is float and -PI < y <= PI for y in got)
+    assert np.array(got).tobytes() == wrap_angle(np.array(xs)).tobytes()
+
+
 @pytest.mark.parametrize("beta", [0.3 + PI, 0.3 - 2 * PI, -2.9, 7.5])
 def test_separation_angles_are_those_of_the_canonical_phase(beta):
     canonical, _ = RosetteParams(5, beta).canonical()

@@ -190,7 +190,7 @@ def test_the_class_of_half_pi_is_decided_from_the_phase_as_given():
             uses.visit(tree)
             references |= {(scope, name) for scope in uses.found}
     assert calls == {
-        ("boundary._reduce", "half_pi_shift", "params.beta"),
+        ("boundary._reduce", "half_pi_shift", "require_params(params).beta"),
         ("boundary._feature_js", "half_pi_shift", "params.beta"),
         ("boundary._confirm_features", "half_pi_shift", "params.beta"),
         ("boundary.feature_vertices", "_feature_js", "params"),
@@ -198,6 +198,27 @@ def test_the_class_of_half_pi_is_decided_from_the_phase_as_given():
         ("boundary.extract_features", "_confirm_features", "canonical"),
     }
     assert references == {(scope, name) for scope, name, _ in calls}
+
+
+def test_angles_have_one_reduction_and_one_wrap():
+    # np.mod(x, TWO_PI) reduces to [0, 2pi) and boundary.wrap_angle wraps to (-pi, pi]:
+    # only boundary assigns TWO_PI, only wrap_angle calls fmod, and no module takes % TWO_PI
+    assigned, fmods, percent = set(), set(), []
+    for path in SOURCE.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        calls = _Calls(path.stem, {"fmod"})
+        calls.visit(tree)
+        fmods |= {scope for scope, _, _ in calls.found}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and any(getattr(target, "id", None) == "TWO_PI"
+                                                    for target in node.targets):
+                assigned.add(path.stem)
+            elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod) \
+                    and "TWO_PI" in ast.unparse(node.right):
+                percent.append(f"{path.stem}:{node.lineno}")
+    assert assigned == {"boundary"}
+    assert fmods == {"boundary.wrap_angle"}
+    assert percent == []
 
 
 def test_every_imported_name_is_used():

@@ -22,8 +22,10 @@ TWO_PI = 2.0 * PI
 
 
 def _scalar_reduce_t(t: float) -> float:
-    t = math.fmod(t, TWO_PI)
-    return t + TWO_PI if t < 0.0 else t
+    """t in [0, 2pi) by the bits of np.mod (+0.0 at -2pi), with the 2pi that x + 2pi rounds
+    to for x just below 0 read as 0 (0.23.0 reported -0.0 and 2pi there)."""
+    t %= TWO_PI
+    return 0.0 if t == TWO_PI else t
 
 
 def reference_report(params: RosetteParams) -> FeatureReport:
