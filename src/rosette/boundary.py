@@ -348,8 +348,7 @@ def extract_features(params: RosetteParams, confirm: bool = True) -> FeatureRepo
     n = 5 would put the first feature at t = 2pi - pi/n = 5.655, not pi/n = 0.628,
     and turn every location by the half turn.
     """
-    canonical, shifts = require_params(params).canonical()
-    n = params.n
+    (canonical, shifts), n = require_params(params).canonical(), params.n
     lag, turn = shifts * math.pi / n, half_turn_rotation(n, shifts)
     ts, location = feature_vertices(canonical)
     kind = np.empty(ts.size, dtype=object)
@@ -376,7 +375,8 @@ def extract_features(params: RosetteParams, confirm: bool = True) -> FeatureRepo
     return FeatureReport(
         params=params,
         features=FeatureRecords(kind, ts, location, magnitude, argument, axis, angle),
-        separations=tuple(np.mod(np.roll(argument, -1) - argument, TWO_PI).tolist()),
+        separations=tuple(np.mod(np.concatenate((argument[1:], argument[:1])) - argument,
+                                 TWO_PI).tolist()),
         total_curvature_per_petal=math.pi - TWO_PI / n,
     )
 
