@@ -697,14 +697,22 @@ def one_sided_tangents(
     unwrapped around the one at the first offset, to within [-pi, pi) of it, and
     Richardson-extrapolated to d -> 0 for an O(d) error model; the offsets must form a
     geometric sequence.  One call of ``curve_fn`` covers every parameter and both sides: it gets
-    the t0 + s d raveled in the order (t0, s, d).
+    the t0 + s d raveled in the order (t0, s, d).  A secant no longer than 1e-14 (|a(t0 + s d)|
+    + |a(t0)|) is rounding and raises DomainError: on beta = pi/2's arcs of constancy one of
+    the three secants is at most 1.4e-15 of that sum (n 3-1000), while the true secants that
+    confirm a feature measure 1.5e-13 or more (cusps 1e-9 off pi/2 at n = 200), and 5e-11 on
+    hypocycloid cusps.
     """
     t0 = np.asarray(ts, dtype=float)
     d = np.asarray(offsets, dtype=float)
     side = np.array([-1.0, 1.0])[:, None]
-    vals = _curve_values(curve_fn, (t0[:, None, None] + side * d).ravel())
+    vals = _curve_values(curve_fn, (t0[:, None, None] + side * d).ravel()).reshape(-1, 2, d.size)
     locs = as_array(locations, complex, "locations")[:, None, None]
-    raw = np.angle(side * (vals.reshape(t0.size, 2, d.size) - locs))
+    short = np.argwhere(np.abs(vals - locs) <= 1e-14 * (np.abs(vals) + np.abs(locs)))
+    if short.size:
+        i, s = short[0, :2]
+        raise DomainError(f"the {('left', 'right')[s]} secant at t0 = {float(t0[i])!r} is rounding")
+    raw = np.angle(side * (vals - locs))
     est = raw[..., :1] - wrap_angle(raw[..., :1] - raw)
     ratio = d[0] / d[1]
     while est.shape[-1] > 1:

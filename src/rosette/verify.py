@@ -138,10 +138,12 @@ def univalence_scan(
 ) -> VerificationReport:
     """Certify injectivity numerically for one rosette, at any beta.
 
-    (a) the sampled boundary polyline has no self-intersections; (b) images
-    of an interior z-grid have winding number 1 and 64 probes a quarter of the
-    scale beyond the bounding circle have winding 0; (c) the grid images are
-    pairwise distinct (pigeonhole injectivity), with the minimum separation reported.
+    (a) the sampled boundary polyline has no self-intersections; (b) images of an interior
+    z-grid have winding 1 and 64 probes a quarter of the scale beyond the bounding circle
+    winding 0, in one crossing pass; the grid's clearance is one nearest-segment query, the
+    ring's min |p| - max |v| (each segment lies in the disc of its larger vertex), and one not
+    above the exclusion takes winding_numbers to name the probe too close.  (c) the grid
+    images are pairwise distinct (pigeonhole injectivity), with the minimum separation reported.
     """
     require_integer(grid_resolution, 2, "grid_resolution")  # (c) needs two images
     n = require_params(params).n
@@ -161,36 +163,30 @@ def univalence_scan(
     scale = scale_constant(n)
     exclusion = _CLEARANCE * scale
     probes = combine_parts(params.beta, *_parts_at(params, _interior_grid(grid_resolution))[0])
-    near, worst, found = _wound(poly, probes, exclusion, 1)
-    checks.append(CheckResult("interior_winding_one", worst == 0, float(worst), probes.size,
-                              {"min_curve_distance": near, **found}))
-
     ring = (bounding_radius(n) + 0.25 * scale) * np.exp(1j * TWO_PI * (np.arange(64) + 0.37) / 64)
-    _, worst, found = _wound(poly, ring, exclusion, 0)
-    checks.append(CheckResult("exterior_winding_zero", worst == 0, float(worst), ring.size,
-                              found or None))
+    both = np.concatenate([probes, ring])
+    near, rim = min_curve_distance(poly, probes), float(np.abs(ring).min())
+    # 2^-48 rim (32 ulps) off keeps the bound below curve_distances: a ring probe's distance errs
+    # by 2 ulps of |p| + 5 of max |v|, the bound by 3 of rim + 2 of max |v|; 12 of rim in all
+    clear = rim * (1.0 - 2.0**-48) - float(np.abs(poly).max())  # NaN for a NaN vertex
+    if not (near > exclusion and clear > exclusion):
+        winding_numbers(poly, both, exclusion)
+    winds = windings(poly, both)
+    for name, points, wind, target, details in (
+            ("interior_winding_one", probes, winds[:probes.size], 1, {"min_curve_distance": near}),
+            ("exterior_winding_zero", ring, winds[probes.size:], 0, {})):
+        errors = np.abs(wind - target)
+        k = int(np.argmax(errors))
+        worst = float(errors[k])
+        if worst:
+            p, w = complex(points[k]), int(wind[k])
+            details["worst_probe"] = {"index": k, "point": [p.real, p.imag], "winding": w}
+        checks.append(CheckResult(name, not worst, worst, points.size, details or None))
 
     min_sep = min_pairwise_distance(probes)
     checks.append(CheckResult("grid_images_distinct", min_sep > 0.0, 0.0 if min_sep > 0.0 else 1.0,
                               probes.size, {"min_separation": min_sep}))
     return VerificationReport(params=params, checks=checks)
-
-
-def _wound(poly: np.ndarray, points: np.ndarray, exclusion: float,
-           target: int) -> tuple[float, int, dict]:
-    """The probes' least distance to the closed polyline (one nearest query), their largest
-    |winding - target| (the crossing rule), and {"worst_probe": the first probe reaching it}
-    if that is nonzero.  For a probe within the exclusion radius, or not finite,
-    winding_numbers raises TooCloseToCurve naming it."""
-    near = min_curve_distance(poly, points)
-    if not near > exclusion:
-        winding_numbers(poly, points, exclusion)
-    winds = windings(poly, points)
-    errors = np.abs(winds - target)
-    k = int(np.argmax(errors))
-    p, w, worst = complex(points[k]), int(winds[k]), int(errors[k])
-    witness = {"index": k, "point": [p.real, p.imag], "winding": w}
-    return near, worst, {"worst_probe": witness} if worst else {}
 
 
 # --- integral identities --------------------------------------------------------

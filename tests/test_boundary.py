@@ -779,6 +779,20 @@ def test_batched_tangents_match_one_point_classification_on_hypocycloid():
         assert abs(wrap_angle(est.right_arg - hi)) < 1e-12
 
 
+@pytest.mark.parametrize("n, t0", [(5, 0.0), (12, 4 * PI / 12)])
+def test_a_secant_within_rounding_is_refused(n, t0):
+    # at beta = pi/2 these nodes' left side is an arc of constancy of boundary_points: the
+    # left secants are 2e-16 to 4e-15 long, and their directions gave a left_arg of 0.107
+    # (n = 5) and -6.143 (n = 12) with the kind NODE; the half-speed curve skips the arc
+    p = RosetteParams(n, PI / 2)
+    with pytest.raises(DomainError, match=f"^the left secant at t0 = {t0!r} is rounding$"):
+        classify_singular_point(lambda ts: boundary_points(p, ts), t0)
+    est = classify_singular_point(lambda ts: halfspeed_points(p, ts), t0)
+    assert est.kind is FeatureKind.NODE
+    with pytest.raises(DomainError, match="^the right secant at t0 = 0.5 is rounding$"):
+        one_sided_tangents(lambda ts: np.where(ts < 0.5, ts, 0.5) + 0j, [0.25, 0.5], [0.25, 0.5])
+
+
 def test_confirm_offsets_shrink_only_past_n_1000():
     for n in (3, 12, 999, 1000):
         assert _confirm_offsets(n) == CONFIRM_OFFSETS

@@ -201,19 +201,132 @@ def test_a_probe_on_the_curve_raises_the_winding_numbers_message(monkeypatch, in
     assert str(got.value).startswith(f"probe {point} at distance 0.000e+00 <= exclusion ")
 
 
+def _reference_scan(params, grid_resolution=24, per_interval=None):
+    """univalence_scan as 0.27.0 ran it: each probe set measured by its own nearest query
+    and wound by its own crossing pass, winding_numbers naming a probe that is too close."""
+    n = params.n
+    if per_interval is None:
+        per_interval = max(320, -(-4096 // (2 * n)))
+    poly = verify.boundary_polyline(params, per_interval)
+    crossings = verify.count_self_intersections(poly)
+    simple = {"segments": poly.size - 1}
+    if crossings:
+        simple["first_crossing"] = verify.crossing_witness(poly)
+    checks = [verify.CheckResult("boundary_simple", crossings == 0, float(crossings),
+                                 poly.size - 1, simple)]
+    scale = scale_constant(n)
+    exclusion = 1e-6 * scale
+
+    def wound(points, target):
+        near = geometry.min_curve_distance(poly, points)
+        if not near > exclusion:
+            verify.winding_numbers(poly, points, exclusion)
+        winds = windings(poly, points)
+        errors = np.abs(winds - target)
+        k = int(np.argmax(errors))
+        p, w, worst = complex(points[k]), int(winds[k]), int(errors[k])
+        witness = {"index": k, "point": [p.real, p.imag], "winding": w}
+        return near, worst, {"worst_probe": witness} if worst else {}
+
+    probes = combine_parts(params.beta, *parts_many(params, verify._interior_grid(grid_resolution)))
+    near, worst, found = wound(probes, 1)
+    checks.append(verify.CheckResult("interior_winding_one", worst == 0, float(worst), probes.size,
+                                     {"min_curve_distance": near, **found}))
+    ring = (bounding_radius(n) + 0.25 * scale) * np.exp(2j * PI * (np.arange(64) + 0.37) / 64)
+    _, worst, found = wound(ring, 0)
+    checks.append(verify.CheckResult("exterior_winding_zero", worst == 0, float(worst), ring.size,
+                                     found or None))
+    min_sep = geometry.min_pairwise_distance(probes)
+    checks.append(verify.CheckResult("grid_images_distinct", min_sep > 0.0,
+                                     0.0 if min_sep > 0.0 else 1.0, probes.size,
+                                     {"min_separation": min_sep}))
+    return verify.VerificationReport(params=params, checks=checks)
+
+
+def _outcome(scan, params, grid, per_interval):
+    """The scan's report, or the message of the TooCloseToCurve it raises."""
+    try:
+        return repr(scan(params, grid, per_interval))  # repr: the float and bool types too
+    except TooCloseToCurve as error:
+        return f"TooCloseToCurve: {error}"
+
+
+def _on_the_ring(poly, n):
+    """The polyline with its vertex 10 moved out to the exterior ring's radius, between two
+    probes: the disc bound fails there, yet no probe is within the exclusion radius."""
+    poly = poly.copy()
+    poly[10] *= (bounding_radius(n) + 0.25 * scale_constant(n)) / abs(poly[10])
+    return poly
+
+
+def _through_a_ring_probe(poly, n):
+    """The polyline with a vertex inserted at the exterior ring's probe 5, too close to it."""
+    ring = (bounding_radius(n) + 0.25 * scale_constant(n)) * np.exp(2j * PI * 5.37 / 64)
+    return np.insert(poly, 10, ring)
+
+
+_MUTANTS = {  # the builder's polyline, and ones that fail a check, the disc bound or the scan
+    "as_built": lambda poly, n: poly,
+    "vertex_doubled": lambda poly, n: np.insert(poly, 10, poly[10]),
+    "scaled": lambda poly, n: 0.3 * poly,
+    "vertex_on_ring": _on_the_ring,
+    "through_a_ring_probe": _through_a_ring_probe,
+}
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 12, 96])
+@pytest.mark.parametrize("beta", [0.0, 0.3, PI / 2, -2.9, 3 * PI / 2],
+                         ids=["zero", "0.3", "half_pi", "negative", "three_half_pi"])
+def test_the_one_pass_scan_is_the_scan_of_two_probe_sets(monkeypatch, n, beta):
+    # the checks, details included, and the TooCloseToCurve messages of the 0.27.0 route, on
+    # the builder's polylines and on mutants that fail checks or take the exact fallback
+    params = RosetteParams(n, beta)
+    real = verify.boundary_polyline
+    for per_interval in (64, None):
+        for name, mutate in _MUTANTS.items():
+            monkeypatch.setattr(verify, "boundary_polyline",
+                                lambda params, per, mutate=mutate: mutate(real(params, per), n))
+            for grid in ((2, 3, 12) if per_interval else (12,)):
+                want = _outcome(_reference_scan, params, grid, per_interval)
+                got = _outcome(verify.univalence_scan, params, grid, per_interval)
+                assert got == want, (name, grid, per_interval)
+
+
+def test_a_ring_bound_that_fails_takes_winding_numbers_and_returns(monkeypatch):
+    # a vertex on the ring's circle leaves no room for the disc bound, yet the nearest ring
+    # probe is far from it: winding_numbers runs once, raises nothing, and the scan goes on
+    params = RosetteParams(5, 0.3)
+    poly = _on_the_ring(verify.boundary_polyline(params, 96), 5)
+    monkeypatch.setattr(verify, "boundary_polyline", lambda params, per_interval: poly)
+    calls = []
+    monkeypatch.setattr(verify, "winding_numbers",
+                        lambda *args, real=verify.winding_numbers: calls.append(real(*args)))
+    report = verify.univalence_scan(params, grid_resolution=12, per_interval=96)
+    assert len(calls) == 1 and len(calls[0]) == 144 + 64
+    assert min(r.min_distance_to_curve for r in calls[0][144:]) > 1e-3 * scale_constant(5)
+    assert report.passed
+    assert repr(report) == repr(_reference_scan(params, 12, 96))
+
+
 def test_a_passing_scan_winds_every_probe_set_by_one_route(monkeypatch):
-    # both probe sets: one nearest query each and the crossing rule, with winding_numbers
-    # only to name a probe that is too close; neither stage closes the builders' polylines
-    # again
-    calls = {"winding_numbers": 0, "min_curve_distance": 0, "ensure_closed": 0}
+    # both probe sets in one crossing pass, the grid measured by one nearest query on one
+    # set of chunk discs and the ring by the disc bound, with winding_numbers only to name a
+    # probe that is too close; neither stage closes the builders' polylines again
+    calls = {"winding_numbers": 0, "min_curve_distance": 0, "ensure_closed": 0, "windings": 0}
     for name in calls:
         def spy(*args, name=name, real=getattr(verify, name)):
             calls[name] += 1
             return real(*args)
 
         monkeypatch.setattr(verify, name, spy)
+    chunks = []
+    monkeypatch.setattr(geometry, "_chunks",
+                        lambda pts, real=geometry._chunks: chunks.append(pts.size) or real(pts))
     params = RosetteParams(5, 0.3)
     assert verify.univalence_scan(params, grid_resolution=12, per_interval=96).passed
-    assert calls == {"winding_numbers": 0, "min_curve_distance": 2, "ensure_closed": 0}
+    assert calls == {"winding_numbers": 0, "min_curve_distance": 1, "ensure_closed": 0,
+                     "windings": 1}
+    assert len(chunks) == 1
     assert verify.fundamental_decomposition(params, probe_grid=12)[1].passed
-    assert calls == {"winding_numbers": 0, "min_curve_distance": 2, "ensure_closed": 0}
+    del calls["windings"]  # the tiling winds its probes around each copy
+    assert calls == {"winding_numbers": 0, "min_curve_distance": 1, "ensure_closed": 0}
