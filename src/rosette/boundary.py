@@ -18,15 +18,16 @@ Where the derivative is non-zero its argument follows the linear law
 so the boundary turns at the constant rate n/2 - 1 and the total curvature
 between consecutive cusps is pi - 2pi/n.
 
-These closed forms hold for beta in (-pi/2, pi/2].  Each call decides once, in ``_reduce``
-by ``half_pi_shift`` of beta as given, whether beta is in the class of pi/2 + l pi, and
-writes beta = base + l pi.  The derivative fields of ``curve_samples``, ``separation_angle``,
-``total_curvature``'s petal check, ``halfspeed_points``, ``rotated_copies`` and, in that
-class, ``boundary_polyline`` compute at that base (``extract_features`` at the canonical
-phase) and carry the result by the half-turn law: t moves by l pi/n, and every point and
-direction turns by ``half_turn_rotation(n, l)``.  The values of ``boundary_points``,
-``curve_samples``, ``feature_values``, ``interval_points``, ``detect_arg_nonmonotonicity``
-and, outside that class, ``boundary_polyline`` are the series' at beta as given.
+These closed forms hold for beta in (-pi/2, pi/2].  Each call decides once, by
+``half_pi_shift``, whether beta is in the class of pi/2 + l pi: ``_reduce`` from beta as given,
+writing beta = base + l pi, and ``extract_features``, which lays out and confirms the features,
+from the canonical phase as its base.  The features, the derivative fields of ``curve_samples``,
+``separation_angle``, ``total_curvature``'s petal check, ``halfspeed_points``,
+``rotated_copies`` and, in that class, ``boundary_polyline`` compute at that base and carry the
+result by the half-turn law: t moves by l pi/n, and every point and direction turns by
+``half_turn_rotation(n, l)``.  The values of ``boundary_points``, ``curve_samples``,
+``feature_values``, ``interval_points``, ``detect_arg_nonmonotonicity`` and, outside that
+class, ``boundary_polyline`` are the series' at beta as given.
 
 The image polylines (``boundary_polyline``, the fundamental polyline of ``rotated_copies``)
 are rows of ``interval_points``, which alone puts the exact feature values in; each builder
@@ -308,51 +309,39 @@ def feature_values(params: RosetteParams) -> np.ndarray:
     at a parameter off by rounding, about 1e-8 away in value, because the
     curve is only Hoelder-1/2 there.
     """
-    n = params.n
+    n = require_params(params).n
     at_one = f(params, 1.0)
     base_even, base_odd = at_one.h + at_one.gbar, at_one.h - at_one.gbar
     return np.array([cmath.exp(1j * j * math.pi / n) * (base_even if j % 2 == 0 else base_odd)
                      for j in range(2 * n)])
 
 
-def _feature_js(params: RosetteParams) -> slice:
-    """The j in 0..2n-1 (a slice) of the features t = j pi/n: all 2n, or at beta = pi/2 + l pi
-    the n nodes j = l (mod 2); the other multiples only end arcs of constancy there."""
-    shifts = half_pi_shift(params.beta)
-    return slice(None) if shifts is None else slice(shifts % 2, None, 2)
-
-
-def feature_vertices(params: RosetteParams) -> tuple[np.ndarray, np.ndarray]:
-    """Parameters t = j pi/n in [0, 2pi) of the boundary features (``_feature_js``) and
-    their values a(t) from feature_values."""
-    js = np.arange(2 * params.n)[_feature_js(params)]
-    return js * math.pi / params.n, feature_values(params)[js]
-
-
 def extract_features(params: RosetteParams, confirm: bool = True) -> FeatureReport:
     """Locate and classify every boundary feature of a rosette.
 
     For canonical |beta| < pi/2: n cusps at t = 2k pi/n with axis argument 2k pi/n,
-    interleaved with n removable nodes at odd multiples of pi/n whose common
-    tangent direction is pi/2 + (2k-1)pi/n.  For beta = pi/2: n nodes at
-    t = 2k pi/n with interior angle pi/2 - pi/n (within BETA_HALF_PI_TOL
-    above -pi/2, the same nodes carried to the odd multiples).  Feature
-    locations come from the series evaluated exactly at argument 1 plus the
-    rotation laws.  With ``confirm`` the one-sided tangent directions at every
-    feature are re-estimated from Richardson-extrapolated secants of the curve
-    itself and checked against the closed forms; only one orbit's secant points
-    go through the series, and the n-fold rotation law carries them to the other
-    features (``_confirm_features``), so that work does not grow with n.  Any
-    other beta gets the features of its canonical phase, in the same order, carried
-    by the law; not those of ``_reduce``'s base, which at beta = -pi/2 + 5e-10 and
-    n = 5 would put the first feature at t = 2pi - pi/n = 5.655, not pi/n = 0.628,
-    and turn every location by the half turn.
+    interleaved with n removable nodes at odd multiples of pi/n whose common tangent direction
+    is pi/2 + (2k-1)pi/n.  For beta = pi/2: n nodes at t = 2k pi/n with interior angle
+    pi/2 - pi/n (within BETA_HALF_PI_TOL above -pi/2, the same nodes carried to the odd
+    multiples), a class that ``half_pi_shift`` of the canonical phase decides once for the
+    layout and the confirmation alike.  Feature locations come from the series evaluated
+    exactly at argument 1 plus the rotation laws.  With ``confirm`` the one-sided tangent
+    directions at every feature are re-estimated from Richardson-extrapolated secants of the
+    curve itself and checked against the closed forms; only one orbit's secant points go
+    through the series, and the n-fold rotation law carries them to the other features
+    (``_confirm_features``), so that work does not grow with n.  Any other beta gets the
+    features of its canonical phase, in the same order, carried by the law; not those of
+    ``_reduce``'s base, which at beta = -pi/2 + 5e-10 and n = 5 would put the first feature
+    at t = 2pi - pi/n = 5.655, not pi/n = 0.628, and turn every location by the half turn.
     """
     (canonical, shifts), n = require_params(params).canonical(), params.n
     lag, turn = shifts * math.pi / n, half_turn_rotation(n, shifts)
-    ts, location = feature_vertices(canonical)
+    node_shift = half_pi_shift(canonical.beta)  # 0 at pi/2, -1 within the band above -pi/2
+    nodes = node_shift is not None
+    js = np.arange(node_shift % 2, 2 * n, 2) if nodes else np.arange(2 * n)
+    ts, location = js * math.pi / n, feature_values(canonical)[js]
     kind = np.empty(ts.size, dtype=object)
-    if ts.size == n:  # beta = pi/2: n nodes replace the cusps
+    if nodes:  # beta = pi/2: n nodes replace the cusps
         kind[:] = FeatureKind.NODE
         axis, angle = np.full(n, np.nan), np.full(n, math.pi / 2 - math.pi / n)
     else:  # cusps on their axes t, removable nodes with the tangent direction pi/2 + t
@@ -365,8 +354,7 @@ def extract_features(params: RosetteParams, confirm: bool = True) -> FeatureRepo
     magnitude = np.array(list(map(abs, locs)))
     argument = np.mod(np.array(list(map(cmath.phase, locs))), TWO_PI)
     if confirm:
-        _confirm_features(canonical, FeatureRecords(kind, ts, location, magnitude, argument,
-                                                    axis, angle))
+        _confirm_features(canonical, nodes, kind, ts, location, axis, angle)
     if lag:
         spin = cmath.phase(turn)
         carried = np.mod((ts + lag, argument + spin, axis + spin), TWO_PI)
@@ -387,38 +375,36 @@ def _confirm_offsets(n: int) -> tuple[float, ...]:
     return tuple(d * scale for d in CONFIRM_OFFSETS)
 
 
-def _confirm_features(params: RosetteParams, features: FeatureRecords) -> None:
+def _confirm_features(params: RosetteParams, nodes: bool, kind, t, location, axis_arg,
+                      interior_angle) -> None:
     """Check the measured one-sided tangent directions at every feature against the closed forms.
 
-    The nodes of beta = pi/2 + l pi are measured on the half-speed curve, which skips
-    the constancy arcs.  Only one orbit's secant points go through the curve: those of
-    features 0 and 1 (node 0 alone in the class of pi/2), 12 points (6) at any n.  Feature
-    k = r m + q, r features per orbit, lies 2pi m/n past feature q, and the curve obeys
-    a(t + 2pi/n) = e^{2i pi/n} a(t), so its points are q's turned by e^{2i pi m/n}.  Each
-    secant still starts at the feature's own location from ``feature_values``, so a wrong
-    location at any feature fails the check.  A failure names the first feature that fails,
-    and of its checks the first.
+    The features are ``extract_features``' columns at the canonical phase ``params``, and
+    ``nodes`` its class of pi/2, whose nodes are measured on the half-speed curve, which skips
+    the constancy arcs.  Only one orbit's secant points go through the curve: those of features
+    0 and 1 (node 0 alone in the class of pi/2), 12 points (6) at any n.  Feature k = r m + q,
+    r features per orbit, lies 2pi m/n past feature q, and the curve obeys a(t + 2pi/n) =
+    e^{2i pi/n} a(t), so its points are q's turned by e^{2i pi m/n}.  Each secant still starts
+    at the feature's own location from ``feature_values``, so a wrong location at any feature
+    fails the check.  A failure names the first feature that fails, and of its checks the first.
     """
-    nodes = half_pi_shift(params.beta) is not None
     part, orbit = (halfspeed_points, 1) if nodes else (_boundary_values, 2)
-    spin = np.exp(1j * (TWO_PI / params.n) * np.arange(len(features) // orbit))[:, None]
+    spin = np.exp(1j * (TWO_PI / params.n) * np.arange(t.size // orbit))[:, None]
 
     def carried(ts: np.ndarray) -> np.ndarray:  # one_sided_tangents' feature-major grid
         return np.multiply(spin, part(params, ts[: ts.size // spin.size])).ravel()
 
-    t = features.t
-    lo, hi = one_sided_tangents(carried, t, features.location, _confirm_offsets(params.n))
+    lo, hi = one_sided_tangents(carried, t, location, _confirm_offsets(params.n))
     if nodes:  # beta = pi/2 node: the tangent jumps by the exterior angle
-        got, want = wrap_angle(hi - lo)[None], (math.pi - features.interior_angle)[None]
+        got, want = wrap_angle(hi - lo)[None], (math.pi - interior_angle)[None]
     else:  # a cusp turns back along its axis t, a removable node keeps its tangent
-        cusp = features.kind == FeatureKind.CUSP
         got = np.stack((lo, hi))
-        want = np.where(cusp, np.stack((t, math.pi + t)), features.axis_arg)
+        want = np.where(kind == FeatureKind.CUSP, np.stack((t, math.pi + t)), axis_arg)
     bad = np.abs(wrap_angle(got - want)) > CONFIRM_TOL  # (check, feature)
     if bad.any():
         k = np.flatnonzero(bad.any(axis=0))[0]
         c = np.flatnonzero(bad[:, k])[0]
-        raise FeatureMismatch(features.kind[k], float(t[k]), float(got[c, k]), float(want[c, k]))
+        raise FeatureMismatch(kind[k], float(t[k]), float(got[c, k]), float(want[c, k]))
 
 
 class SeparationSide(Enum):
@@ -533,6 +519,7 @@ def interval_offsets(per_interval: int) -> np.ndarray:
     """Sorted sampling offsets s in (0, 1) of one basic interval: midpoint-uniform,
     with twice denser coverage in a band of width 0.1 at either end (the features),
     in exact mirror pairs s, 1 - s (``_mirror_pairs``)."""
+    require_integer(per_interval, 1, "per_interval")
     base = (np.arange((per_interval + 1) // 2) + 0.5) / per_interval
     band_count = max(1, int(0.2 * per_interval))
     band = 0.1 * (np.arange(band_count) + 0.5) / band_count
@@ -569,7 +556,7 @@ def interval_points(params: RosetteParams, offsets, js=slice(None)) -> np.ndarra
     A pair's columns equal the two-offset call's, and each row the full array's row j, bit
     for bit.  The image polylines take their feature values from here alone.
     """
-    n = params.n
+    n = require_params(params).n
     s = as_array(offsets, float, "interval offsets")
     if not (s.ndim == 1 and np.all(np.diff(s, prepend=0.0) > 0) and np.array_equal(1 - s[::-1], s)):
         raise DomainError(f"interval offsets must be sorted exact mirror pairs s, 1 - s in (0, 1), "
@@ -637,7 +624,6 @@ def boundary_polyline(params: RosetteParams, per_interval: int = 512) -> np.ndar
     polyline of ``_reduce``'s base turned by the half-turn law, so every l has the vertices
     of l = 0.
     """
-    require_integer(per_interval, 1, "per_interval")
     offsets = interval_offsets(per_interval)
     base, lag, turn, nodes = _reduce(params)
     if nodes:  # the nodes' intervals, the even ones at the base

@@ -436,7 +436,13 @@ def _merge_negative_angles(argv: list[str]) -> list[str]:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = _parser().parse_args(_merge_negative_angles(sys.argv[1:] if argv is None else argv))
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()  # its last buffered piece too, while the reader may still be there
+    except BrokenPipeError:  # the reader stopped early (``| head``): end quietly, as on SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # the flush at exit too
+        return 141
+    return code
 
 
 if __name__ == "__main__":

@@ -143,7 +143,7 @@ def g_many(params: RosetteParams, z) -> np.ndarray:
 def parts_many(params: RosetteParams, z) -> tuple[np.ndarray, np.ndarray]:
     """h(z) and g(z) from one series pass, each bit for bit as h_many/g_many give it."""
     z = clip_to_disk(as_array(z, complex, "points"), EPS_DOMAIN)[0]
-    w = integer_power(z, 2 * params.n)
+    w = integer_power(z, 2 * require_params(params).n)
     fa, fc = eval_families_many([params._spec(k) for k in SeriesKind], w)
     return z * fa, integer_power(z, params.n - 1) / (params.n - 1) * fc
 

@@ -287,6 +287,7 @@ def eval_families_many(specs: Sequence[SeriesSpec], z) -> list[np.ndarray]:
     cannot be certified.  A point off the disk, NaN included, raises DomainError.
     """
     specs = [_require_spec(s) for s in specs]
+    require_integer(len(specs), 1, "number of series families")
     n = specs[0].n
     if any(s.n != n for s in specs):
         raise DomainError("families evaluated together must share n")

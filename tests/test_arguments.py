@@ -24,6 +24,7 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings, strategies as st
 
 import rosette
+from rosette import boundary, maps, series
 from rosette import (
     DomainError,
     Overlay,
@@ -329,3 +330,22 @@ def test_copies_that_are_no_list_of_copies_are_a_domain_error(copies):
                       width_px=64, overlay=frozenset({Overlay.FUNDAMENTAL_SET}))
     with pytest.raises(DomainError):
         render_svg(spec, copies=copies)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: maps.parts_many(None, [0.5]),
+    lambda: boundary.feature_values(None),
+    lambda: boundary.interval_points(None, [0.25, 0.75]),
+    lambda: boundary.interval_offsets(0),
+    lambda: boundary.interval_offsets(-3),
+    lambda: boundary.interval_offsets(2.5),
+    lambda: boundary.interval_offsets("a"),
+    lambda: series.eval_families_many([], [0.5]),
+], ids=["parts_many", "feature_values", "interval_points", "interval_offsets-0",
+        "interval_offsets-negative", "interval_offsets-float", "interval_offsets-text",
+        "eval_families_many-no-family"])
+def test_the_documented_helpers_outside_all_keep_the_argument_rule(call):
+    # None raised AttributeError, the empty family list IndexError and "a" TypeError;
+    # interval_offsets took 2.5 and gave [0.05, 0.95] for 0 and -3
+    with pytest.raises(DomainError):
+        call()

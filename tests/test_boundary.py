@@ -35,12 +35,10 @@ from rosette.boundary import (
     FIGURE_PER_INTERVAL,
     _boundary_values,
     _confirm_offsets,
-    _feature_js,
     _mirror_pairs,
     distance_to_singular,
     feature_values,
     half_pi_shift,
-    feature_vertices,
     interval_offsets,
     interval_points,
     one_sided_tangents,
@@ -731,14 +729,22 @@ def test_hypocycloid_regular_at_odd_multiples():
     assert est.kind is FeatureKind.REMOVABLE_NODE  # smooth point: tangents agree
 
 
-# --- shared feature vertices and confirmation ----------------------------------------------
+# --- feature vertices and confirmation ------------------------------------------------------
+
+
+def _sorted_feature_vertices(params):
+    # the report lists the features of a phase past its canonical one in the canonical order,
+    # carried by the half-turn law; sorted by t they read as the multiples of pi/n in order
+    feats = extract_features(params, confirm=False).features
+    order = np.argsort(feats.t)
+    return feats.t[order], feats.location[order]
 
 
 @pytest.mark.parametrize("n", [3, 5, 8])
 @pytest.mark.parametrize("shifts", [-1, 1, 2])
 def test_feature_vertices_at_shifted_half_pi_are_the_rotated_nodes(n, shifts):
-    ts, vals = feature_vertices(RosetteParams(n, PI / 2 + shifts * PI))
-    base_ts, base_vals = feature_vertices(RosetteParams(n, PI / 2))
+    ts, vals = _sorted_feature_vertices(RosetteParams(n, PI / 2 + shifts * PI))
+    base_ts, base_vals = _sorted_feature_vertices(RosetteParams(n, PI / 2))
     assert len(ts) == len(base_ts) == n
     moved = np.mod(base_ts + shifts * PI / n, 2 * PI)
     order = np.argsort(moved)
@@ -748,10 +754,14 @@ def test_feature_vertices_at_shifted_half_pi_are_the_rotated_nodes(n, shifts):
 
 def test_feature_vertices_away_from_half_pi_are_all_multiples():
     for beta in (0.0, 0.3, -1.2, 0.3 + 2 * PI):
-        ts, vals = feature_vertices(RosetteParams(5, beta))
+        p = RosetteParams(5, beta)
+        ts, vals = _sorted_feature_vertices(p)
         assert np.allclose(ts, np.arange(10) * PI / 5)
-        exact = feature_values(RosetteParams(5, beta))
-        assert vals.tolist() == [exact[j] for j in range(10)]
+        exact = feature_values(p)
+        if p.canonical()[1] == 0:
+            assert vals.tolist() == [exact[j] for j in range(10)]
+        else:  # the canonical phase's values, turned by the half-turn law
+            assert np.abs(vals - exact).max() < 1e-12
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.7, -1.2, PI / 2])
@@ -1054,8 +1064,10 @@ def test_interval_points_on_pairs_are_the_distinct_offsets_path_bit_for_bit(n, b
                 _mirror_pairs(interval_offsets(FIGURE_PER_INTERVAL) / 2),
                 _mirror_pairs(interval_offsets(512) / 2),
                 _mirror_pairs((np.arange(384) + 0.5) / 768), np.array([0.5]), np.array([])]
+    shift = half_pi_shift(beta)  # the features' intervals: all 2n, or the n nodes'
+    features = slice(None) if shift is None else slice(shift % 2, None, 2)
     for offsets in builders:
-        for js in (slice(None), _feature_js(p), slice(0, 3)):
+        for js in (slice(None), features, slice(0, 3)):
             want = _reference_interval_points(p, offsets, js)
             assert interval_points(p, offsets, js).tobytes() == want.tobytes()
 

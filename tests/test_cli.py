@@ -749,3 +749,20 @@ def test_bad_input_after_a_good_call_is_still_a_one_line_usage_error(tmp_path, c
     # the failed parse left nothing behind for the next call
     assert main(good) == 0
     assert json.loads((tmp_path / "good.json").read_text())["n"] == 5
+
+
+@pytest.mark.parametrize("argv", [
+    ["dump", "--n", "5", "--beta", "0", "--count", "200000"],
+    ["features", "--n", "2000", "--beta", "0"],
+], ids=["dump", "features"])
+def test_a_reader_that_stops_early_ends_the_cli_quietly(argv):
+    # a reader that closes after 10 bytes of megabytes of output (``| head -c 10``): the next
+    # write raised BrokenPipeError, a traceback and exit 1; now exit 141, as on SIGPIPE
+    src = Path(__file__).resolve().parents[1] / "src"
+    with subprocess.Popen([sys.executable, "-W", "error", "-m", "rosette.cli", *argv],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env={**os.environ, "PYTHONPATH": str(src)}) as proc:
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert (proc.returncode, err) == (141, b"")

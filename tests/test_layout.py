@@ -142,16 +142,16 @@ def test_only_maps_and_boundary_call_f_many():
 def test_only_interval_points_puts_the_feature_values_into_a_polyline():
     # the image polylines are rows of interval_points, whose column 0 is a(j pi/n) from the
     # rotation laws; a builder that spliced the values in itself (with np.insert, say)
-    # would read feature_values or feature_vertices.  Besides interval_points they serve
-    # the feature report and the half-speed curve's snap only.
+    # would read feature_values (or feature_vertices, were it back).  Besides interval_points
+    # they serve the feature report and the half-speed curve's snap only.
     users = set()
     for path in SOURCE.glob("*.py"):
         for name in ("feature_values", "feature_vertices"):
             uses = _NameUses(path.stem, name)
             uses.visit(ast.parse(path.read_text(encoding="utf-8")))
             users |= uses.found
-    assert users == {"boundary.interval_points", "boundary.feature_vertices",
-                     "boundary.extract_features", "boundary.halfspeed_points"}
+    assert users == {"boundary.interval_points", "boundary.extract_features",
+                     "boundary.halfspeed_points"}
     inserts = _NameUses("boundary", "insert")
     inserts.visit(ast.parse((SOURCE / "boundary.py").read_text(encoding="utf-8")))
     assert inserts.found == set()
@@ -175,8 +175,9 @@ class _Calls(_NameUses):
 def test_the_class_of_half_pi_is_decided_from_the_phase_as_given():
     # _reduce decides the class of pi/2 once per call, by half_pi_shift of beta as given, and
     # hands it on beside its base beta - l pi, which can round just past the band: no function
-    # re-decides from that base.  The features decide it from reduce_beta's canonical phase,
-    # which rounds as half_pi_shift does.  A name referenced but not called also counts.
+    # re-decides from that base.  extract_features decides it from reduce_beta's canonical
+    # phase, which rounds as half_pi_shift does, lays the features out from that one answer and
+    # hands it to their confirmation.  A name referenced but not called also counts.
     names = {"half_pi_shift", "_feature_js", "feature_vertices", "_confirm_features",
              "is_half_pi", "_carry"}
     calls, references = set(), set()
@@ -191,10 +192,7 @@ def test_the_class_of_half_pi_is_decided_from_the_phase_as_given():
             references |= {(scope, name) for scope in uses.found}
     assert calls == {
         ("boundary._reduce", "half_pi_shift", "require_params(params).beta"),
-        ("boundary._feature_js", "half_pi_shift", "params.beta"),
-        ("boundary._confirm_features", "half_pi_shift", "params.beta"),
-        ("boundary.feature_vertices", "_feature_js", "params"),
-        ("boundary.extract_features", "feature_vertices", "canonical"),
+        ("boundary.extract_features", "half_pi_shift", "canonical.beta"),
         ("boundary.extract_features", "_confirm_features", "canonical"),
     }
     assert references == {(scope, name) for scope, name, _ in calls}

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 import large_outputs as ref
 from rosette import FeatureKind, RosetteParams, boundary, cli, curve_samples, extract_features
 from rosette.boundary import (BoundaryFeature, CurveSample, FeatureRecords, FeatureReport,
-                              feature_vertices)
+                              feature_values, half_pi_shift)
 from rosette.maps import half_turn_rotation, reduce_beta
 
 PI = math.pi
@@ -33,8 +33,10 @@ def reference_report(params: RosetteParams) -> FeatureReport:
     feature by scalar arithmetic, then one replace per feature for the half turns."""
     canonical, shifts = params.canonical()
     n, lag, turn = params.n, shifts * PI / params.n, half_turn_rotation(params.n, shifts)
-    ts, locations = feature_vertices(canonical)
-    nodes = ts.size == n
+    shift = half_pi_shift(canonical.beta)  # all 2n multiples of pi/n, or the n nodes'
+    nodes = shift is not None
+    js = np.arange(shift % 2, 2 * n, 2) if nodes else np.arange(2 * n)
+    ts, locations = js * PI / n, feature_values(canonical)[js]
     features = []
     for j, (t, loc) in enumerate(zip(ts.tolist(), locations.tolist())):
         if nodes:

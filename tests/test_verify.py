@@ -33,7 +33,8 @@ from rosette import geometry, maps, quadrature, verify
 from rosette.boundary import (
     FIGURE_PER_INTERVAL,
     bounding_radius,
-    feature_vertices,
+    feature_values,
+    half_pi_shift,
     halfspeed_points,
     interval_offsets,
     rotated_copies,
@@ -492,7 +493,9 @@ def test_boundary_polylines_follow_the_sorted_parameter_grid(n, beta):
     # vertex by vertex, the curve on the grid (j + s) pi/n with the feature parameters
     # merged in: half-speed at pi/2
     p = RosetteParams(n, beta)
-    ft_ts, ft_vals = feature_vertices(p)
+    shift = half_pi_shift(beta)  # all 2n multiples of pi/n, or the n nodes'
+    js = np.arange(2 * n) if shift is None else np.arange(shift % 2, 2 * n, 2)
+    ft_ts, ft_vals = js * PI / n, feature_values(p)[js]
 
     def merged(part, offsets):
         grid = ((np.arange(2 * n)[:, None] + offsets) * (PI / n)).ravel()
