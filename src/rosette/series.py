@@ -31,11 +31,62 @@ therefore works in two regimes:
       h(z) = int_0^z (1 - s^{2n})^{-1/2} ds,   g(z) = int_0^z s^{n-2} (1 - s^{2n})^{-1/2} ds,
 
   whose values at z = 1 are the gamma closed forms of ``endpoint_values``.
-  Integrating from 1 along s = 1 + u^2 (z - 1), u in [0, 1], removes the
-  inverse square root at s = 1; a 15/31-point Gauss-Kronrod pair does the
-  rest, and the difference of its two rules is the error estimate.  On the
-  circle the integrand's nearest singularity in u stays at |u| >= ~sqrt(2)
-  (reached at w = -1, for every n), where the 15-point rule is still within ~4e-16.
+  Integrating from 1 along s = zeta = 1 + u^2 (z - 1), u in [0, 1], removes the
+  inverse square root at s = 1: h(z) = h(1) + (z - 1) int_0^1 phi(u) du with
+  phi(u) = 2u / sqrt(1 - zeta^{2n}), and g the same with zeta^{n-2} phi(u).
+  The 31-point Kronrod rule takes the integral; the bound below, proven for
+  the 15-point Gauss rule at the odd Kronrod nodes, holds for it as well (its
+  positive weights integrate degree 46 exactly, so rho^-48 replaces rho^-30).
+
+The bound.  Gauss-Legendre with m = 15 nodes on [0, 1] integrates polynomials of
+degree 2m - 1 exactly, is symmetric and has positive weights summing to 1.  If f is
+analytic inside the Bernstein ellipse E_rho of [0, 1] (foci 0 and 1, semi-axes sum
+rho/2) with |f| <= M there, the Chebyshev coefficients of f obey |a_k| <= 2M rho^-k,
+only the even k >= 2m are integrated wrongly, each by at most 2/(k^2 - 1) + 2 <= 32/15
+times the interval's length 1/2, and so (Trefethen, "Is Gauss quadrature better than
+Clenshaw-Curtis?", SIAM Review 50 (2008), Thm 4.5)
+
+    |int_0^1 f - G_15(f)| <= Q(rho) M,   Q(rho) = (32/15) rho^-30 / (1 - rho^-2).
+
+Lemma.  Let |z - 1| = d <= D and u in E_rho, so |u| <= U = (1 + (rho + 1/rho)/2)/2
+and delta = zeta - 1 = u^2 (z - 1) has |delta| <= r = U^2 D.  Write
+L = 2n log zeta = a + ib, so that zeta^{2n} = e^L.  Let the band be |a| <= alpha and
+Phi the largest |arg zeta| on the band: asin(r) if r^2 <= 1 - e^{-alpha/n}, where the
+disk |delta| <= r touches the ray of largest argument inside the band, and otherwise
+2 asin(sqrt((r^2 - e^2) / (4 (1 - e)))), e = 1 - e^{-alpha/(2n)}, on the band's inner
+circle.  If n Phi < pi, then both integrands obey
+
+    d |phi|^2 <= S^2 = max(2 e^{alpha/2} / (n sigma), 4 r / (1 - e^{-alpha})),
+    sigma = sin(n Phi) / (n Phi).
+
+Proof.  |phi|^2 = 4 |u|^2 / |e^L - 1|, and the co-analytic integrand has the further
+factor |zeta|^{2n-4} = e^{a (1 - 2/n)}.  (i) Since delta = e^{L/(2n)} - 1,
+|u|^2 d = |delta| <= e^{max(a, 0)/(2n)} |L| / (2n).  (ii) e^L - 1 = e^{L/2} L
+prod_k (1 + (L/(2 pi k))^2), and each factor's real part is at least
+1 - (b/(2 pi k))^2; on the band |b| <= 2n Phi < 2 pi, so by Euler's product for the
+sine |e^L - 1| >= e^{a/2} |L| sigma.  With (i), on the band d |phi|^2 is at most
+2 e^{max(a, 0)/(2n) - a/2 + c a} / (n sigma), c = 0 (analytic) or 1 - 2/n
+(co-analytic), which is at most 2 e^{alpha/2} / (n sigma) for |a| <= alpha and n >= 2.
+(iii) Off the band (a = -inf at zeta = 0) |e^L - 1| >= |e^a - 1| >= 1 - e^{-alpha}; for a > alpha the
+co-analytic factor e^{a(1 - 2/n)} / (e^a - 1) is at most 1 / (1 - e^{-alpha}) too, and
+|u|^2 d <= U^2 D = r.  The integrand has no zero of 1 - zeta^{2n} in the ellipse
+but the removable one at u = 0, so it is analytic there, and on [0, 1] the square root
+taken is that branch: zeta stays in the closed unit disk, where Re(1 - zeta^{2n}) >= 0.
+
+So the 15-node error in h(z) - h(1), or in g(z) - g(1), is at most
+Q(rho) d sup|phi| <= Q(rho) S sqrt(d): per point a constant times sqrt|z - 1|, and
+|pre| times that in the family's value, pre = 1/z or (n - 1) z^{1-n}.
+``_anchored_bound`` takes D as the largest |z - 1| with |w| in [0.639, 1] and
+|arg z| <= pi/(2n) (every anchored point at the default split), and rho and alpha from
+a small menu, whichever gives the smallest S Q(rho); that is O(1) per order and valid
+up to ORDER_LIMIT.  The reported error adds the endpoint values' relative error and a
+rounding allowance relative to |pre| (h(1) + S_1 sqrt(d)), S_1 being the lemma's S for
+rho = 1, the segment [0, 1] itself.  The proven part is largest at w = -1: 7.7e-14
+at n = 2, 2.0e-14 at n = 3 and about 1.7e-14 from n = 5 to 10^5, against true errors of
+a few 1e-16; the lemma's S was checked against the brute-force maximum of d |phi|^2
+over the ellipse at n = 2..500, which it exceeds by a factor 1.6 to 5.  Points with |z - 1| > D occur only when _DIRECT_TERMS or ABS_TOL moves
+the split below |w| = 0.639; the lemma's disk then holds roots of zeta^{2n} = 1, and
+they keep the difference of the two rules as their estimate.
 
 One core, ``eval_families_many``, evaluates several families of one order
 in one pass: they share the domain check, the split at the direct radius, and
@@ -45,13 +96,18 @@ coefficient tables are cached per (family, n, M).  ``eval_series_many`` is its
 one-family case.
 
 The achieved absolute accuracy is a few 1e-15 everywhere on the closed disk
-(against mpmath's hyp2f1 for n = 3..1000, down to |1 - w| = 1e-16); the
-evaluator raises ``NoConvergence`` whenever its own error estimate exceeds
-ABS_TOL instead of returning a silently degraded value.  The
-value at a point is the same bit for bit whatever batch it is evaluated in.  Each
-call logs one DEBUG record on the package logger: the families evaluated, the
-points in each regime, the direct-sum terms and quadrature nodes used, and the
-largest error estimate.
+(against mpmath's hyp2f1 for n = 3..1000, down to |1 - w| = 1e-16, and by
+tests/anchored_oracle.py, which also holds every anchored value to its bound).  The
+evaluator raises ``NoConvergence`` whenever its error estimate exceeds ABS_TOL
+instead of returning a silently degraded value.  With the module's constants that
+happens nowhere on the disk: the direct tail bound stays below 1e-12 and the anchored
+bound below 1.1e-13 (n = 2, w = -1).  It can happen where a constant is changed: a smaller ABS_TOL, a split moved
+below |w| = 0.639, whose far points have only the rules' difference as estimate, or a
+NaN estimate.  The value at a point is the same bit for bit whatever batch it is
+evaluated in.  Each call logs one DEBUG record on the package logger: the families
+evaluated, the points in each regime, the direct-sum terms and quadrature nodes used,
+the points past the proof's reach, the largest proven bound and the largest error
+estimate.
 """
 
 from __future__ import annotations
@@ -122,6 +178,19 @@ _U, _KRONROD, _GAUSS = _rule_on_unit_interval()
 _NODES = _U.size
 _U2, _TWO_U = _U * _U, 2.0 * _U
 
+# The anchored integral's error bound (module docstring): the proof covers the z with
+# |z - 1| up to the largest at |w| >= _PROVEN_FROM, which holds every anchored point at
+# the default split, and takes the Bernstein ellipse and band of the menus that give
+# the smallest bound for the order.
+_PROVEN_FROM = 0.639
+_ELLIPSES = (3.0, 3.2)
+_BANDS = (0.1, 0.2)
+
+# Relative rounding allowed for an anchored value, on the scale |pre| (h(1) + S_1 sqrt|z - 1|)
+# of its terms: 16 ulp, four times the largest whole error tests/anchored_oracle.py has
+# measured on that scale for the 15-node values (3.8 ulp, n = 2..10^5).
+_ROUND_REL_ERR = 2.0**-48
+
 # Points per block of the anchored integral, so that its (points, nodes) arrays stay small.
 _ANCHOR_BLOCK = 4096
 
@@ -134,6 +203,38 @@ _AT_ONE_RADIUS = 1e-200
 # value is a ratio of two math.gamma values (1.0e-15 measured against 40-digit mpmath
 # for n = 2..400 and 10^3..10^8).
 _ENDPOINT_REL_ERR = 5e-15
+
+
+def _lemma_scale(n: int, reach: float, rho: float, band: float) -> float:
+    """S of the module docstring's lemma for |z - 1| <= reach, or inf where it fails."""
+    big_u = (1.0 + (rho + 1.0 / rho) / 2.0) / 2.0
+    r = big_u * big_u * reach
+    if r * r <= -math.expm1(-band / n):
+        phi = math.asin(r)  # the disk's ray of largest argument touches it inside the band
+    else:
+        e = -math.expm1(-band / (2 * n))  # 1 - the band's inner radius
+        q = (r - e) * (r + e) / (4.0 * (1.0 - e))
+        phi = 2.0 * math.asin(math.sqrt(q)) if q < 1.0 else math.inf
+    if not n * phi < math.pi:
+        return math.inf
+    sigma = math.sin(n * phi) / (n * phi)
+    return math.sqrt(max(2.0 * math.exp(band / 2.0) / (n * sigma),
+                         4.0 * r / -math.expm1(-band)))
+
+
+@functools.lru_cache(maxsize=256)
+def _anchored_bound(n: int) -> tuple[float, float, float]:
+    """(D, S_1, S Q(rho)) of the module docstring's lemma for order n: the proof covers
+    |z - 1| <= D, where the 15-node error of the anchored integral is at most
+    S Q(rho) sqrt|z - 1| and the integrand on [0, 1] (rho = 1) at most S_1 / sqrt|z - 1|."""
+    s = math.sin(math.pi / (4 * n))
+    e = -math.expm1(math.log(_PROVEN_FROM) / (2 * n))  # 1 - |z| at |w| = _PROVEN_FROM
+    # the largest |z - 1| over |z| in [1 - e, 1], |arg z| <= pi/(2n); widened by 2^-20
+    # so that the rounded |z - 1| of w = -1 stays inside
+    reach = math.sqrt(max(e * e + 4.0 * (1.0 - e) * s * s, 4.0 * s * s)) * (1.0 + 2.0**-20)
+    quad = min(_lemma_scale(n, reach, rho, band) * (32.0 / 15.0) * rho**-30 / (1.0 - rho**-2)
+               for rho in _ELLIPSES for band in _BANDS)
+    return reach, min(_lemma_scale(n, reach, 1.0, band) for band in _BANDS), quad
 
 
 class SeriesKind(Enum):
@@ -286,7 +387,28 @@ def eval_families_many(specs: Sequence[SeriesSpec], z) -> list[np.ndarray]:
     disk; NoConvergence is raised, for the first family that misses it, if that
     cannot be certified.  A point off the disk, NaN included, raises DomainError.
     """
-    specs = [_require_spec(s) for s in specs]
+    specs, out, err, shape, counts = _evaluate(specs, z)
+    worsts = err.max(axis=1, initial=0.0).tolist()  # keeps a NaN
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug(
+            "series %s n=%d: %d direct (<= %d terms), %d anchored (%d nodes each), "
+            "%d at w = 1, %d past the proof's reach, largest proven bound %.3e, "
+            "max error estimate %.3e",
+            "+".join(s.kind.value for s in specs), specs[0].n, *counts, max(worsts),
+        )
+    for worst in worsts:
+        if not worst <= ABS_TOL:  # also true for a NaN estimate
+            raise NoConvergence(f"series error estimate {worst:.3e} exceeds ABS_TOL {ABS_TOL:.3e}")
+    return [row.reshape(shape) for row in out]
+
+
+def _evaluate(specs, z) -> tuple[list[SeriesSpec], np.ndarray, np.ndarray, tuple, tuple]:
+    """The checked specs, the values (a row per family) and each one's error bound at every
+    point of ``z`` raveled, the shape of ``z``, and the regime counts of the log record."""
+    try:
+        specs = [_require_spec(s) for s in specs]
+    except TypeError:  # not iterable
+        raise DomainError(f"specs must be a sequence of SeriesSpec, got {specs!r}") from None
     require_integer(len(specs), 1, "number of series families")
     n = specs[0].n
     if any(s.n != n for s in specs):
@@ -301,7 +423,6 @@ def eval_families_many(specs: Sequence[SeriesSpec], z) -> list[np.ndarray]:
 
     out = np.empty((len(specs), w.size), dtype=complex)
     err = np.zeros((len(specs), w.size))
-    direct_err = [0.0] * len(specs)
     if direct.size:
         wd = w[direct]
         # the tail bound grows with |w|, so the largest direct |w| has the largest estimate
@@ -316,7 +437,7 @@ def eval_families_many(specs: Sequence[SeriesSpec], z) -> list[np.ndarray]:
                 np.multiply(acc, wd, out=tmp)
                 np.add(tmp, c, out=acc)
             out[k, direct] = acc
-            direct_err[k] = next_coeff * top**terms / (1.0 - top)
+            err[k, direct] = next_coeff * top**terms / (1.0 - top)
 
     dist_one = np.abs(w[rest] - 1.0)
     near = dist_one <= _AT_ONE_RADIUS
@@ -328,10 +449,15 @@ def eval_families_many(specs: Sequence[SeriesSpec], z) -> list[np.ndarray]:
         err[:, at_one] = anchors[:, None] * _ENDPOINT_REL_ERR + 2.0 * np.sqrt(dist_one[near])
     # The integral anchored at w = 1 (module docstring).  z - 1 and 1 - zeta^{2n} come from
     # log1p/expm1 so that they keep their relative accuracy however close w is to 1.
+    reach, scale, quad = _anchored_bound(n)
+    proven_bound, far = 0.0, 0
     for i in range(0, anchored.size, _ANCHOR_BLOCK):
         part = anchored[i : i + _ANCHOR_BLOCK]
         log_z = _log1p(w[part] - 1.0) / (2 * n)  # z = w^{1/(2n)}
         z_minus_1 = _expm1(log_z)
+        dist = np.abs(z_minus_1)
+        proven, root_dist = dist <= reach, np.sqrt(dist)
+        far += part.size - int(np.count_nonzero(proven))
         log_zeta = _log1p(z_minus_1[:, None] * _U2)  # zeta = 1 + u^2 (z - 1) at each node
         root = _TWO_U / np.sqrt(-_expm1(2 * n * log_zeta))
         for k, (spec, anchor) in enumerate(zip(specs, anchors)):
@@ -348,20 +474,17 @@ def eval_families_many(specs: Sequence[SeriesSpec], z) -> list[np.ndarray]:
             kronrod = (integrand * _KRONROD).sum(axis=1) * z_minus_1
             gauss = (integrand * _GAUSS).sum(axis=1) * z_minus_1
             out[k, part] = np.multiply(pre, start + kronrod)
-            err[k, part] = np.abs(pre) * (start * _ENDPOINT_REL_ERR + np.abs(kronrod - gauss))
+            size = np.abs(pre)
+            truncation = size * root_dist * quad
+            proven_bound = max(proven_bound, float(truncation.max(initial=0.0, where=proven)))
+            err[k, part] = np.where(
+                proven,
+                truncation + size * _ROUND_REL_ERR * (start + root_dist * scale),
+                size * np.abs(kronrod - gauss),
+            ) + size * start * _ENDPOINT_REL_ERR
 
-    worsts = np.maximum(err.max(axis=1, initial=0.0), direct_err).tolist()  # keeps a NaN
-    if _log.isEnabledFor(logging.DEBUG):
-        _log.debug(
-            "series %s n=%d: %d direct (<= %d terms), %d anchored (%d nodes each), "
-            "%d at w = 1, max error estimate %.3e",
-            "+".join(s.kind.value for s in specs), n, direct.size, terms,
-            anchored.size, _NODES, at_one.size, max(worsts),
-        )
-    for worst in worsts:
-        if not worst <= ABS_TOL:  # also true for a NaN estimate
-            raise NoConvergence(f"series error estimate {worst:.3e} exceeds ABS_TOL {ABS_TOL:.3e}")
-    return [row.reshape(shape) for row in out]
+    counts = (direct.size, terms, anchored.size, _NODES, at_one.size, far, proven_bound)
+    return specs, out, err, shape, counts
 
 
 def eval_series_many(spec: SeriesSpec, z) -> np.ndarray:

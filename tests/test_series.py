@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import anchored_oracle
 import rosette.series as series
 from rosette.series import eval_families_many
 from rosette import (
@@ -508,6 +509,14 @@ def test_matches_oracle_on_and_just_inside_the_circle(kind, n, point):
     w = _on_closed_disk(point)
     got = eval_series_many(spec(kind, n), [w])[0]
     assert abs(got - mp_reference(kind, n, w)) <= 1e-12, (kind, n, w)
+
+
+def test_every_anchored_value_lies_within_its_reported_bound():
+    # a 504-point subset of tests/anchored_oracle.py (CI runs 10^4): w = -1, |1 - w| down
+    # to 1e-15, the circle and rings in (0.64, 1) at n = 2..10^5, against mpmath's hyp2f1
+    failures, worst, checked = anchored_oracle.check(points=500, seed=1)
+    assert failures == [] and checked >= 500
+    assert worst > 1e-3  # the bound is no looser than a thousand times the worst error
 
 
 def test_points_within_underflow_of_one_take_the_endpoint_value():
