@@ -18,7 +18,7 @@ nothing unless the application configures logging.
 import logging
 import sys
 
-__version__ = "0.29.0"
+__version__ = "0.30.0"
 
 logging.getLogger(__name__).addHandler(logging.NullHandler())
 

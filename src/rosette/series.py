@@ -34,9 +34,9 @@ therefore works in two regimes:
   Integrating from 1 along s = zeta = 1 + u^2 (z - 1), u in [0, 1], removes the
   inverse square root at s = 1: h(z) = h(1) + (z - 1) int_0^1 phi(u) du with
   phi(u) = 2u / sqrt(1 - zeta^{2n}), and g the same with zeta^{n-2} phi(u).
-  The 31-point Kronrod rule takes the integral; the bound below, proven for
-  the 15-point Gauss rule at the odd Kronrod nodes, holds for it as well (its
-  positive weights integrate degree 46 exactly, so rho^-48 replaces rho^-30).
+  The 15-point Gauss-Legendre rule (at the odd abscissae of QUADPACK's 31-point
+  Kronrod table) takes the integral, and the bound below, proven for it, is
+  the error reported.
 
 The bound.  Gauss-Legendre with m = 15 nodes on [0, 1] integrates polynomials of
 degree 2m - 1 exactly, is symmetric and has positive weights summing to 1.  If f is
@@ -60,18 +60,19 @@ circle.  If n Phi < pi, then both integrands obey
     sigma = sin(n Phi) / (n Phi).
 
 Proof.  |phi|^2 = 4 |u|^2 / |e^L - 1|, and the co-analytic integrand has the further
-factor |zeta|^{2n-4} = e^{a (1 - 2/n)}.  (i) Since delta = e^{L/(2n)} - 1,
-|u|^2 d = |delta| <= e^{max(a, 0)/(2n)} |L| / (2n).  (ii) e^L - 1 = e^{L/2} L
-prod_k (1 + (L/(2 pi k))^2), and each factor's real part is at least
-1 - (b/(2 pi k))^2; on the band |b| <= 2n Phi < 2 pi, so by Euler's product for the
-sine |e^L - 1| >= e^{a/2} |L| sigma.  With (i), on the band d |phi|^2 is at most
-2 e^{max(a, 0)/(2n) - a/2 + c a} / (n sigma), c = 0 (analytic) or 1 - 2/n
-(co-analytic), which is at most 2 e^{alpha/2} / (n sigma) for |a| <= alpha and n >= 2.
-(iii) Off the band (a = -inf at zeta = 0) |e^L - 1| >= |e^a - 1| >= 1 - e^{-alpha}; for a > alpha the
-co-analytic factor e^{a(1 - 2/n)} / (e^a - 1) is at most 1 / (1 - e^{-alpha}) too, and
-|u|^2 d <= U^2 D = r.  The integrand has no zero of 1 - zeta^{2n} in the ellipse
-but the removable one at u = 0, so it is analytic there, and on [0, 1] the square root
-taken is that branch: zeta stays in the closed unit disk, where Re(1 - zeta^{2n}) >= 0.
+factor |zeta|^{2n-4} = e^{a (1 - 2/n)}.
+(i) Since delta = e^{L/(2n)} - 1, |u|^2 d = |delta| <= e^{max(a, 0)/(2n)} |L| / (2n).
+(ii) e^L - 1 = e^{L/2} L prod_k (1 + (L / (2 pi k))^2), and each factor's real part is
+at least 1 - (b / (2 pi k))^2.  On the band |b| <= 2n Phi < 2 pi, so by Euler's
+product for the sine |e^L - 1| >= e^{a/2} |L| sigma.  With (i), on the band d |phi|^2
+is at most 2 e^{max(a, 0)/(2n) - a/2 + c a} / (n sigma), c = 0 (analytic) or 1 - 2/n
+(co-analytic), which is at most 2 e^{alpha/2} / (n sigma) for |a| <= alpha, n >= 2.
+(iii) Off the band (a = -inf at zeta = 0), |e^L - 1| >= |e^a - 1| >= 1 - e^{-alpha};
+for a > alpha the co-analytic factor e^{a (1 - 2/n)} / (e^a - 1) is at most
+1 / (1 - e^{-alpha}) too, and |u|^2 d <= U^2 D = r.
+The integrand has no zero of 1 - zeta^{2n} in the ellipse but the removable one at
+u = 0, so it is analytic there; and on [0, 1] the square root taken is that branch,
+for zeta stays in the closed unit disk, where Re(1 - zeta^{2n}) >= 0.
 
 So the 15-node error in h(z) - h(1), or in g(z) - g(1), is at most
 Q(rho) d sup|phi| <= Q(rho) S sqrt(d): per point a constant times sqrt|z - 1|, and
@@ -84,30 +85,33 @@ rounding allowance relative to |pre| (h(1) + S_1 sqrt(d)), S_1 being the lemma's
 rho = 1, the segment [0, 1] itself.  The proven part is largest at w = -1: 7.7e-14
 at n = 2, 2.0e-14 at n = 3 and about 1.7e-14 from n = 5 to 10^5, against true errors of
 a few 1e-16; the lemma's S was checked against the brute-force maximum of d |phi|^2
-over the ellipse at n = 2..500, which it exceeds by a factor 1.6 to 5.  Points with |z - 1| > D occur only when _DIRECT_TERMS or ABS_TOL moves
-the split below |w| = 0.639; the lemma's disk then holds roots of zeta^{2n} = 1, and
-they keep the difference of the two rules as their estimate.
+over the ellipse at n = 2..500, which it exceeds by a factor 1.6 to 5.
+
+Points with |z - 1| > D occur only when _DIRECT_TERMS or ABS_TOL moves the split
+below |w| = 0.639; the lemma's disk then holds roots of zeta^{2n} = 1, so they take
+the 31-point Kronrod rule, with its difference from the 15-point rule as their
+estimate, a heuristic and not a proof.
 
 One core, ``eval_families_many``, evaluates several families of one order
 in one pass: they share the domain check, the split at the direct radius, and
 the anchored nodes, log z, z - 1, log zeta and root 2u/sqrt(1 - zeta^{2n}), on
-which the co-analytic family multiplies in zeta^{n-2}.  The direct sum's
-coefficient tables are cached per (family, n, M).  ``eval_series_many`` is its
-one-family case.
+which the co-analytic family multiplies in zeta^{n-2}; its (points, nodes) arrays
+are buffers allocated once per call (``_node_sums``).  The direct sum's coefficient
+tables are cached per (family, n, M).  ``eval_series_many`` is its one-family case.
 
-The achieved absolute accuracy is a few 1e-15 everywhere on the closed disk
-(against mpmath's hyp2f1 for n = 3..1000, down to |1 - w| = 1e-16, and by
+The achieved absolute accuracy is a few 1e-15 everywhere on the closed disk (against
+mpmath's hyp2f1 for n = 3..1000, down to |1 - w| = 1e-16, and by
 tests/anchored_oracle.py, which also holds every anchored value to its bound).  The
-evaluator raises ``NoConvergence`` whenever its error estimate exceeds ABS_TOL
-instead of returning a silently degraded value.  With the module's constants that
-happens nowhere on the disk: the direct tail bound stays below 1e-12 and the anchored
-bound below 1.1e-13 (n = 2, w = -1).  It can happen where a constant is changed: a smaller ABS_TOL, a split moved
-below |w| = 0.639, whose far points have only the rules' difference as estimate, or a
-NaN estimate.  The value at a point is the same bit for bit whatever batch it is
-evaluated in.  Each call logs one DEBUG record on the package logger: the families
-evaluated, the points in each regime, the direct-sum terms and quadrature nodes used,
-the points past the proof's reach, the largest proven bound and the largest error
-estimate.
+evaluator raises ``NoConvergence`` whenever its error estimate exceeds ABS_TOL instead
+of returning a silently degraded value.  With the module's constants that happens
+nowhere on the disk: the direct tail bound stays below 1e-12 and the anchored bound
+below 1.1e-13 (n = 2, w = -1).  It can happen where a constant is changed: a smaller
+ABS_TOL, or a split moved below |w| = 0.639, whose far points have only the rules'
+difference as estimate; and for a NaN estimate.  The value at a point is the same bit
+for bit whatever batch it is evaluated in.  Each call logs one DEBUG record on the
+package logger: the families evaluated, the points in each regime, the direct-sum
+terms and quadrature nodes used, the points past the proof's reach, the largest proven
+bound and the largest error estimate.
 """
 
 from __future__ import annotations
@@ -163,20 +167,29 @@ _WG = (
 )
 
 
-def _rule_on_unit_interval() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nodes u in (0, 1) and the Kronrod and Gauss weights there."""
-    x = np.array(_XGK)
-    x = np.concatenate([-x, x[-2::-1]])
-    wk = np.array(_WGK)
-    wg = np.zeros(16)
-    wg[1::2] = _WG
-    kronrod, gauss = (0.5 * np.concatenate([v, v[-2::-1]]) for v in (wk, wg))
-    return 0.5 * (1.0 + x), kronrod, gauss
+class _Rule(NamedTuple):
+    """A symmetric rule on [0, 1]: squared and doubled nodes, and weight rows (its own first)."""
+
+    u2: np.ndarray
+    two_u: np.ndarray
+    weights: tuple[np.ndarray, ...]
 
 
-_U, _KRONROD, _GAUSS = _rule_on_unit_interval()
-_NODES = _U.size
-_U2, _TWO_U = _U * _U, 2.0 * _U
+def _rule(abscissae, *weights) -> _Rule:
+    """The rule of the non-negative abscissae on [-1, 1], descending, and their weights."""
+    x = np.array(abscissae)
+    u = 0.5 * (1.0 + np.concatenate([-x, x[-2::-1]]))
+    rows = tuple(0.5 * np.concatenate([np.array(v), np.array(v)[-2::-1]]) for v in weights)
+    return _Rule(u * u, 2.0 * u, rows)
+
+
+# The anchored integral's rule: 15-point Gauss, at the odd Kronrod abscissae.  Past the
+# proof's reach the 31-point Kronrod rule, with the Gauss weights as its comparison row.
+_GAUSS_15 = _rule(_XGK[1::2], _WG)
+_KRONROD_31 = _rule(_XGK, _WGK, [w for pair in zip([0.0] * 8, _WG) for w in pair])
+
+# Points per block of the anchored integral, so that its (points, nodes) arrays stay small.
+_ANCHOR_BLOCK = 4096
 
 # The anchored integral's error bound (module docstring): the proof covers the z with
 # |z - 1| up to the largest at |w| >= _PROVEN_FROM, which holds every anchored point at
@@ -190,9 +203,6 @@ _BANDS = (0.1, 0.2)
 # of its terms: 16 ulp, four times the largest whole error tests/anchored_oracle.py has
 # measured on that scale for the 15-node values (3.8 ulp, n = 2..10^5).
 _ROUND_REL_ERR = 2.0**-48
-
-# Points per block of the anchored integral, so that its (points, nodes) arrays stay small.
-_ANCHOR_BLOCK = 4096
 
 # Points this close to w = 1 take the value at 1: the integral from 1, at most
 # 2 sqrt(|w - 1|) in size, is added to their error estimate instead of computed
@@ -364,6 +374,54 @@ def _expm1(y: np.ndarray) -> np.ndarray:
     return (np.expm1(a) * np.cos(b) - 2.0 * s * s) + 1j * (np.exp(a) * np.sin(b))
 
 
+def _node_sums(n: int, z_minus_1: np.ndarray, kinds, rule: _Rule, work) -> dict:
+    """For each kind, the rule's weighted sums of the anchored integrand over u in (0, 1),
+    one per weight row, at every z - 1 (module docstring): 2u / sqrt(1 - zeta^{2n}), times
+    zeta^{n-2} for the co-analytic family, zeta = 1 + u^2 (z - 1).
+
+    ``work`` holds three complex and three real (points, nodes) buffers of at least
+    ``z_minus_1.size`` rows, so that a block allocates none of its (points, nodes) arrays.
+    No value may depend on the batch it sits in: every complex product keeps the operand
+    order of the plain expressions (numpy rounds a complex product differently with its
+    operands swapped, or in place), and the sums are row sums, not a BLAS product, whose
+    order of addition depends on the batch shape.
+    """
+    p = z_minus_1.size
+    x, y, root = (buf[:p] for buf in work[0])
+    ra, rb, rc = (buf[:p] for buf in work[1])
+    # log zeta = log1p(u^2 (z - 1)) into x, both parts accurate when zeta is near 1 (_log1p)
+    np.multiply(z_minus_1[:, None], rule.u2, out=x)
+    a, b = x.real, x.imag
+    np.multiply(a, np.add(a, 2.0, out=ra), out=ra)
+    np.add(ra, np.multiply(b, b, out=rb), out=ra)
+    np.multiply(0.5, np.log1p(ra, out=ra), out=ra)
+    np.arctan2(b, np.add(a, 1.0, out=rb), out=rb)
+    a[...], b[...] = ra, rb
+    # 1 - zeta^{2n} = -expm1(2n log zeta) into y (_expm1), then root = 2u / sqrt of it
+    np.multiply(2 * n, x, out=y)
+    a, b = y.real, y.imag
+    np.sin(np.multiply(0.5, b, out=rc), out=rc)
+    np.multiply(np.expm1(a, out=ra), np.cos(b, out=rb), out=ra)
+    np.subtract(ra, np.multiply(np.multiply(2.0, rc, out=rb), rc, out=rb), out=ra)
+    np.multiply(np.exp(a, out=rb), np.sin(b, out=rc), out=rb)
+    np.negative(ra, out=a)
+    np.negative(rb, out=b)
+    np.divide(rule.two_u, np.sqrt(y, out=y), out=root)
+    integrands = {SeriesKind.ANALYTIC: root}
+    if SeriesKind.COANALYTIC in kinds:  # root zeta^{n-2} into x, over log zeta
+        integrands[SeriesKind.COANALYTIC] = np.multiply(
+            root, np.exp(np.multiply(n - 2, x, out=y), out=y), out=x)
+    return {kind: [np.multiply(integrands[kind], weights, out=y).sum(axis=1)
+                   for weights in rule.weights]
+            for kind in kinds}
+
+
+def _node_buffers(points: int, rule: _Rule):
+    """The (points, nodes) buffers of ``_node_sums`` for blocks of up to ``points`` points."""
+    shape = (min(points, _ANCHOR_BLOCK), rule.u2.size)
+    return [np.empty(shape, dtype=complex) for _ in range(3)], [np.empty(shape) for _ in range(3)]
+
+
 def clip_to_disk(z: np.ndarray, slack: float) -> tuple[np.ndarray, np.ndarray]:
     """z and |z| with the points up to ``slack`` outside the closed unit disk projected onto
     the circle (in a copy); DomainError for a point farther out or NaN."""
@@ -391,9 +449,9 @@ def eval_families_many(specs: Sequence[SeriesSpec], z) -> list[np.ndarray]:
     worsts = err.max(axis=1, initial=0.0).tolist()  # keeps a NaN
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug(
-            "series %s n=%d: %d direct (<= %d terms), %d anchored (%d nodes each), "
-            "%d at w = 1, %d past the proof's reach, largest proven bound %.3e, "
-            "max error estimate %.3e",
+            "series %s n=%d: %d direct (<= %d terms), %d anchored (15 Gauss nodes each), "
+            "%d at w = 1, %d past the proof's reach (31 Kronrod nodes each), "
+            "largest proven bound %.3e, max error estimate %.3e",
             "+".join(s.kind.value for s in specs), specs[0].n, *counts, max(worsts),
         )
     for worst in worsts:
@@ -448,42 +506,49 @@ def _evaluate(specs, z) -> tuple[list[SeriesSpec], np.ndarray, np.ndarray, tuple
         out[:, at_one] = anchors[:, None]
         err[:, at_one] = anchors[:, None] * _ENDPOINT_REL_ERR + 2.0 * np.sqrt(dist_one[near])
     # The integral anchored at w = 1 (module docstring).  z - 1 and 1 - zeta^{2n} come from
-    # log1p/expm1 so that they keep their relative accuracy however close w is to 1.
-    reach, scale, quad = _anchored_bound(n)
-    proven_bound, far = 0.0, 0
-    for i in range(0, anchored.size, _ANCHOR_BLOCK):
-        part = anchored[i : i + _ANCHOR_BLOCK]
-        log_z = _log1p(w[part] - 1.0) / (2 * n)  # z = w^{1/(2n)}
+    # log1p/expm1 so that they keep their relative accuracy however close w is to 1.  The
+    # points within the proof's reach take the 15-point Gauss rule and the proven bound,
+    # the others (only where the split is moved below |w| = 0.639) the 31-point Kronrod
+    # rule and its difference from Gauss.
+    far, proven_bound = 0, 0.0
+    if anchored.size:
+        reach, smooth, quad = _anchored_bound(n)
+        log_z = _log1p(w[anchored] - 1.0) / (2 * n)  # z = w^{1/(2n)}
         z_minus_1 = _expm1(log_z)
         dist = np.abs(z_minus_1)
-        proven, root_dist = dist <= reach, np.sqrt(dist)
-        far += part.size - int(np.count_nonzero(proven))
-        log_zeta = _log1p(z_minus_1[:, None] * _U2)  # zeta = 1 + u^2 (z - 1) at each node
-        root = _TWO_U / np.sqrt(-_expm1(2 * n * log_zeta))
+        proven = dist <= reach
+        far = anchored.size - int(np.count_nonzero(proven))
+        kinds = {s.kind for s in specs}
+        sums = {kind: np.empty((2, anchored.size), dtype=complex) for kind in kinds}
+        parts = [(slice(None), _GAUSS_15)] if not far else [
+            (np.flatnonzero(proven), _GAUSS_15), (np.flatnonzero(~proven), _KRONROD_31)]
+        for rows, rule in parts:
+            count = np.count_nonzero(proven) if rule is _GAUSS_15 else far
+            work = _node_buffers(count, rule) if count else None
+            for i in range(0, count, _ANCHOR_BLOCK):
+                block = slice(i, i + _ANCHOR_BLOCK) if not far else rows[i : i + _ANCHOR_BLOCK]
+                for kind, found in _node_sums(n, z_minus_1[block], kinds, rule, work).items():
+                    for row, values in enumerate(found):
+                        sums[kind][row, block] = values
+        root_dist = np.sqrt(dist)
         for k, (spec, anchor) in enumerate(zip(specs, anchors)):
-            # No value may depend on the batch it sits in.  So np.multiply, not ``*``:
-            # numpy evaluates ``x * temporary`` as ``temporary * x`` in place once the
-            # temporary exceeds 256 KiB, and a complex product rounds differently with
-            # its operands swapped.  And row sums, not a BLAS product, whose order of
-            # addition depends on the batch shape.
             if spec.kind is SeriesKind.ANALYTIC:
-                integrand, pre, start = root, np.exp(-log_z), anchor
+                pre, start = np.exp(-log_z), anchor
             else:
-                integrand = np.multiply(root, np.exp((n - 2) * log_zeta))
                 pre, start = (n - 1) * np.exp((1 - n) * log_z), anchor / (n - 1)
-            kronrod = (integrand * _KRONROD).sum(axis=1) * z_minus_1
-            gauss = (integrand * _GAUSS).sum(axis=1) * z_minus_1
-            out[k, part] = np.multiply(pre, start + kronrod)
+            integral = sums[spec.kind][0] * z_minus_1
+            out[k, anchored] = np.multiply(pre, start + integral)
             size = np.abs(pre)
             truncation = size * root_dist * quad
-            proven_bound = max(proven_bound, float(truncation.max(initial=0.0, where=proven)))
-            err[k, part] = np.where(
-                proven,
-                truncation + size * _ROUND_REL_ERR * (start + root_dist * scale),
-                size * np.abs(kronrod - gauss),
-            ) + size * start * _ENDPOINT_REL_ERR
+            bound = truncation + size * _ROUND_REL_ERR * (start + root_dist * smooth)
+            if far:
+                truncation[~proven] = 0.0
+                spread = size * np.abs(integral - sums[spec.kind][1] * z_minus_1)
+                bound[~proven] = spread[~proven]
+            proven_bound = max(proven_bound, float(truncation.max()))
+            err[k, anchored] = bound + size * start * _ENDPOINT_REL_ERR
 
-    counts = (direct.size, terms, anchored.size, _NODES, at_one.size, far, proven_bound)
+    counts = (direct.size, terms, anchored.size, at_one.size, far, proven_bound)
     return specs, out, err, shape, counts
 
 

@@ -519,6 +519,37 @@ def test_every_anchored_value_lies_within_its_reported_bound():
     assert worst > 1e-3  # the bound is no looser than a thousand times the worst error
 
 
+def _plain_anchored(kind, n, w):
+    """The 15-node anchored value as plain expressions, each step a fresh array."""
+    x = np.array(series._XGK[1::2])
+    u = 0.5 * (1.0 + np.concatenate([-x, x[-2::-1]]))
+    weights = 0.5 * np.concatenate([np.array(series._WG), np.array(series._WG)[-2::-1]])
+    log_z = series._log1p(w - 1.0) / (2 * n)
+    z_minus_1 = series._expm1(log_z)
+    log_zeta = series._log1p(z_minus_1[:, None] * (u * u))
+    root = (2.0 * u) / np.sqrt(-series._expm1(2 * n * log_zeta))
+    ends = endpoint_values(n)
+    if kind is A:
+        integrand, pre, start = root, np.exp(-log_z), ends.analytic_at_one
+    else:
+        integrand = np.multiply(root, np.exp((n - 2) * log_zeta))
+        pre, start = (n - 1) * np.exp((1 - n) * log_z), ends.coanalytic_at_one / (n - 1)
+    return np.multiply(pre, start + (integrand * weights).sum(axis=1) * z_minus_1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 6, 96, 500])
+def test_the_buffered_anchored_pass_is_the_plain_15_node_rule_bit_for_bit(n):
+    # every (points, nodes) step writes into buffers allocated once per call; sizes
+    # from one point to past the 4096-point block
+    rng = np.random.default_rng(n)
+    for size in (1, 7, 2048, 5000):
+        w = rng.uniform(0.64, 1.0, size) * np.exp(1j * rng.uniform(-math.pi, math.pi, size))
+        w[0] = -1.0
+        for kind in (A, C):
+            got = eval_series_many(spec(kind, n), w)
+            assert got.tobytes() == _plain_anchored(kind, n, w).tobytes(), (kind, size)
+
+
 def test_points_within_underflow_of_one_take_the_endpoint_value():
     # the nodes of the anchored integral would underflow to zeta = 1 here
     ev = endpoint_values(6)
@@ -551,7 +582,7 @@ def test_each_evaluation_logs_its_regimes(caplog):
     (record,) = [r for r in caplog.records if r.name == "rosette.series"]
     msg = record.getMessage()
     assert record.levelno == logging.DEBUG
-    assert "1 direct (<= 64 terms)" in msg and "2 anchored (31 nodes each)" in msg
+    assert "1 direct (<= 64 terms)" in msg and "2 anchored (15 Gauss nodes each)" in msg
     assert "1 at w = 1" in msg
     worst = float(re.search(r"max error estimate (\S+)", msg).group(1))
     assert 0.0 < worst <= 1e-12
@@ -567,6 +598,6 @@ def test_one_pass_logs_one_record_naming_both_families(caplog):
     assert len(records) == 3
     single_a, single_c, pair = records
     assert pair.startswith("series analytic+coanalytic n=5: ")
-    assert "1 direct (<= 64 terms), 2 anchored (31 nodes each), 1 at w = 1" in pair
+    assert "1 direct (<= 64 terms), 2 anchored (15 Gauss nodes each), 1 at w = 1" in pair
     worst = [float(re.search(r"max error estimate (\S+)", m).group(1)) for m in records]
     assert worst[2] == max(worst[:2])
