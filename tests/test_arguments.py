@@ -341,11 +341,16 @@ def test_copies_that_are_no_list_of_copies_are_a_domain_error(copies):
     lambda: boundary.interval_offsets(2.5),
     lambda: boundary.interval_offsets("a"),
     lambda: series.eval_families_many([], [0.5]),
+    lambda: series.eval_families_many(None, [0.5]),
+    lambda: boundary.interval_points(maps.RosetteParams(5, 0.3), [0.25, 0.75], [99]),
+    lambda: boundary.interval_points(maps.RosetteParams(5, 0.3), [0.25, 0.75], "a"),
 ], ids=["parts_many", "feature_values", "interval_points", "interval_offsets-0",
         "interval_offsets-negative", "interval_offsets-float", "interval_offsets-text",
-        "eval_families_many-no-family"])
+        "eval_families_many-no-family", "eval_families_many-none",
+        "interval_points-js-past-2n", "interval_points-js-text"])
 def test_the_documented_helpers_outside_all_keep_the_argument_rule(call):
     # None raised AttributeError, the empty family list IndexError and "a" TypeError;
-    # interval_offsets took 2.5 and gave [0.05, 0.95] for 0 and -3
+    # interval_offsets took 2.5 and gave [0.05, 0.95] for 0 and -3; no family list (None)
+    # raised TypeError, and interval_points' js [99] at n = 5 and "a" IndexError
     with pytest.raises(DomainError):
         call()

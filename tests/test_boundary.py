@@ -44,7 +44,7 @@ from rosette.boundary import (
     one_sided_tangents,
     wrap_angle,
 )
-from rosette.maps import BETA_LIMIT, combine_parts, half_turn_rotation, parts_many
+from rosette.maps import BETA_LIMIT, combine_parts, f, half_turn_rotation, parts_many
 
 PI = math.pi
 
@@ -80,6 +80,18 @@ def test_boundary_rotation_law():
         lhs = boundary_points(p, [t + 2 * PI / 5])[0]
         rhs = cmath.exp(2j * PI / 5) * boundary_points(p, [t])[0]
         assert lhs == pytest.approx(rhs, abs=1e-12)
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.3, PI / 2, -2.9])
+def test_feature_values_are_the_scalar_loop_bit_for_bit(beta):
+    # the one numpy pass against the loop it replaced: cmath.exp(1j j pi/n) times the
+    # even or odd base, one Python complex product per j
+    for n in [*range(3, 300), 1000, 2000, 10**4, 10**5]:
+        p = RosetteParams(n, beta)
+        at_one = f(p, 1.0)
+        even, odd = at_one.h + at_one.gbar, at_one.h - at_one.gbar
+        loop = [cmath.exp(1j * j * PI / n) * (even if j % 2 == 0 else odd) for j in range(2 * n)]
+        assert feature_values(p).tobytes() == np.array(loop).tobytes(), n
 
 
 def test_scaling_coherence():
