@@ -199,9 +199,9 @@ _PROVEN_FROM = 0.639
 _ELLIPSES = (3.0, 3.2)
 _BANDS = (0.1, 0.2)
 
-# Relative rounding allowed for an anchored value, on the scale |pre| (h(1) + S_1 sqrt|z - 1|)
-# of its terms: 16 ulp, four times the largest whole error tests/anchored_oracle.py has
-# measured on that scale for the 15-node values (3.8 ulp, n = 2..10^5).
+# Relative rounding allowed for an anchored value, on the scale |pre| (start + S_1 sqrt|z - 1|)
+# of its terms, start = h(1) or g(1): 16 ulp, four times the largest whole error that
+# tests/anchored_oracle.py has measured on that scale for the 15-node values (3.8 ulp).
 _ROUND_REL_ERR = 2.0**-48
 
 # Points this close to w = 1 take the value at 1: the integral from 1, at most
@@ -213,6 +213,12 @@ _AT_ONE_RADIUS = 1e-200
 # value is a ratio of two math.gamma values (1.0e-15 measured against 40-digit mpmath
 # for n = 2..400 and 10^3..10^8).
 _ENDPOINT_REL_ERR = 5e-15
+
+
+def _gauss_factor(rho: float) -> float:
+    """Q(rho) of the module docstring: the 15-point rule's error on [0, 1] is at most Q(rho)
+    times the largest |f| on the Bernstein ellipse E_rho."""
+    return (32.0 / 15.0) * rho**-30 / (1.0 - rho**-2)
 
 
 def _lemma_scale(n: int, reach: float, rho: float, band: float) -> float:
@@ -242,7 +248,7 @@ def _anchored_bound(n: int) -> tuple[float, float, float]:
     # the largest |z - 1| over |z| in [1 - e, 1], |arg z| <= pi/(2n); widened by 2^-20
     # so that the rounded |z - 1| of w = -1 stays inside
     reach = math.sqrt(max(e * e + 4.0 * (1.0 - e) * s * s, 4.0 * s * s)) * (1.0 + 2.0**-20)
-    quad = min(_lemma_scale(n, reach, rho, band) * (32.0 / 15.0) * rho**-30 / (1.0 - rho**-2)
+    quad = min(_lemma_scale(n, reach, rho, band) * _gauss_factor(rho)
                for rho in _ELLIPSES for band in _BANDS)
     return reach, min(_lemma_scale(n, reach, 1.0, band) for band in _BANDS), quad
 
@@ -380,7 +386,8 @@ def _node_sums(n: int, z_minus_1: np.ndarray, kinds, rule: _Rule, work) -> dict:
     zeta^{n-2} for the co-analytic family, zeta = 1 + u^2 (z - 1).
 
     ``work`` holds three complex and three real (points, nodes) buffers of at least
-    ``z_minus_1.size`` rows, so that a block allocates none of its (points, nodes) arrays.
+    ``z_minus_1.size`` rows, allocated once per call, so that a block allocates none of its
+    (points, nodes) arrays.
     No value may depend on the batch it sits in: every complex product keeps the operand
     order of the plain expressions (numpy rounds a complex product differently with its
     operands swapped, or in place), and the sums are row sums, not a BLAS product, whose
@@ -414,12 +421,6 @@ def _node_sums(n: int, z_minus_1: np.ndarray, kinds, rule: _Rule, work) -> dict:
     return {kind: [np.multiply(integrands[kind], weights, out=y).sum(axis=1)
                    for weights in rule.weights]
             for kind in kinds}
-
-
-def _node_buffers(points: int, rule: _Rule):
-    """The (points, nodes) buffers of ``_node_sums`` for blocks of up to ``points`` points."""
-    shape = (min(points, _ANCHOR_BLOCK), rule.u2.size)
-    return [np.empty(shape, dtype=complex) for _ in range(3)], [np.empty(shape) for _ in range(3)]
 
 
 def clip_to_disk(z: np.ndarray, slack: float) -> tuple[np.ndarray, np.ndarray]:
@@ -520,13 +521,13 @@ def _evaluate(specs, z) -> tuple[list[SeriesSpec], np.ndarray, np.ndarray, tuple
         far = anchored.size - int(np.count_nonzero(proven))
         kinds = {s.kind for s in specs}
         sums = {kind: np.empty((2, anchored.size), dtype=complex) for kind in kinds}
-        parts = [(slice(None), _GAUSS_15)] if not far else [
-            (np.flatnonzero(proven), _GAUSS_15), (np.flatnonzero(~proven), _KRONROD_31)]
-        for rows, rule in parts:
-            count = np.count_nonzero(proven) if rule is _GAUSS_15 else far
-            work = _node_buffers(count, rule) if count else None
-            for i in range(0, count, _ANCHOR_BLOCK):
-                block = slice(i, i + _ANCHOR_BLOCK) if not far else rows[i : i + _ANCHOR_BLOCK]
+        for rule, rows in ((_GAUSS_15, np.flatnonzero(proven)),
+                           (_KRONROD_31, np.flatnonzero(~proven))):
+            dims = (min(rows.size, _ANCHOR_BLOCK), rule.u2.size)
+            work = ([np.empty(dims, dtype=complex) for _ in range(3)],
+                    [np.empty(dims) for _ in range(3)])
+            for i in range(0, rows.size, _ANCHOR_BLOCK):
+                block = rows[i : i + _ANCHOR_BLOCK]
                 for kind, found in _node_sums(n, z_minus_1[block], kinds, rule, work).items():
                     for row, values in enumerate(found):
                         sums[kind][row, block] = values
@@ -541,10 +542,11 @@ def _evaluate(specs, z) -> tuple[list[SeriesSpec], np.ndarray, np.ndarray, tuple
             size = np.abs(pre)
             truncation = size * root_dist * quad
             bound = truncation + size * _ROUND_REL_ERR * (start + root_dist * smooth)
-            if far:
-                truncation[~proven] = 0.0
-                spread = size * np.abs(integral - sums[spec.kind][1] * z_minus_1)
-                bound[~proven] = spread[~proven]
+            if far:  # the rules' difference, where the proof does not reach
+                past = ~proven
+                truncation[past] = 0.0
+                bound[past] = size[past] * np.abs(
+                    integral[past] - sums[spec.kind][1, past] * z_minus_1[past])
             proven_bound = max(proven_bound, float(truncation.max()))
             err[k, anchored] = bound + size * start * _ENDPOINT_REL_ERR
 

@@ -519,6 +519,51 @@ def test_every_anchored_value_lies_within_its_reported_bound():
     assert worst > 1e-3  # the bound is no looser than a thousand times the worst error
 
 
+@pytest.mark.parametrize("pole", [1.05, 1.2])
+def test_the_gauss_rule_meets_its_ellipse_bound_beside_a_pole(pole):
+    # f(u) = 1 / (pole - u) on [0, 1]: on E_rho, rho below the pole's, |f| is largest at the
+    # ellipse's vertex (1 + a) / 2, a = (rho + 1/rho) / 2; the best rho's bound holds and
+    # is within 1000 times the error (174 and 363 times here)
+    u, weights = np.sqrt(series._GAUSS_15.u2), series._GAUSS_15.weights[0]
+    error = abs((weights / (pole - u)).sum() - math.log(pole / (pole - 1.0)))
+    x = 2.0 * pole - 1.0
+    rhos = np.linspace(1.01, x + math.sqrt(x * x - 1.0), 2000)[:-1]
+    bound = min(series._gauss_factor(rho) / (pole - (1.0 + (rho + 1.0 / rho) / 2.0) / 2.0)
+                for rho in rhos)
+    assert error <= bound <= 1000 * error
+
+
+def _anchored_integrands_squared(n, u, reach):
+    """d |phi|^2 of both families at the nodes u, over a grid of the z with |w| >= 0.639 and
+    |z - 1| <= reach, through the evaluator's accurate log1p and expm1."""
+    t0 = series._PROVEN_FROM ** (1 / (2 * n))
+    angles = np.linspace(-math.pi / (2 * n), math.pi / (2 * n), 41)
+    z = (np.linspace(t0, 1.0, 5)[:, None] * np.exp(1j * angles)).ravel()
+    z_minus_1 = z[(np.abs(z - 1.0) > 0.0) & (np.abs(z - 1.0) <= reach)] - 1.0
+    log_zeta = series._log1p(u[None, :] ** 2 * z_minus_1[:, None])
+    analytic = np.abs(z_minus_1)[:, None] * 4 * np.abs(u) ** 2 / np.abs(series._expm1(2 * n * log_zeta))
+    return analytic, analytic * np.exp((2 * n - 4) * log_zeta.real)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 12, 96, 2000, 10**5])
+def test_the_lemma_bounds_the_integrands_on_each_ellipse_of_the_menu(n):
+    # the module docstring's lemma: d |phi|^2 <= S^2 on the Bernstein ellipse (the maximum
+    # is on its boundary) for every z in reach, and S^2 is within 64 times the largest
+    # value found; S_1 bounds the integrands on the segment [0, 1] itself
+    reach, smooth, _ = series._anchored_bound(n)
+    theta = np.linspace(0.0, 2 * math.pi, 720, endpoint=False)
+    for rho in series._ELLIPSES:
+        u = (1.0 + (rho * np.exp(1j * theta) + np.exp(-1j * theta) / rho) / 2.0) / 2.0
+        for band in series._BANDS:
+            scale = series._lemma_scale(n, reach, rho, band)
+            if math.isfinite(scale):
+                found = max(values.max() for values in _anchored_integrands_squared(n, u, reach))
+                assert found <= scale**2 <= 64 * found, (rho, band)
+    segment = np.linspace(0.0, 1.0, 201)[1:].astype(complex)
+    found = max(values.max() for values in _anchored_integrands_squared(n, segment, reach))
+    assert found <= smooth**2 <= 64 * found
+
+
 def _plain_anchored(kind, n, w):
     """The 15-node anchored value as plain expressions, each step a fresh array."""
     x = np.array(series._XGK[1::2])
