@@ -313,9 +313,8 @@ def feature_values(params: RosetteParams) -> np.ndarray:
     at_one = f(params, 1.0)
     base = np.array([at_one.h + at_one.gbar, at_one.h - at_one.gbar])
     js = np.arange(2 * n)
-    # the complex product as Python's, parts spelled out, so that no fused multiply-add
-    # of numpy's complex loop can round it otherwise; the loop of cmath.exp gave the same
-    # bits, ten times slower
+    # Python's complex product, in real parts: numpy's complex loop may fuse multiply-adds,
+    # which round otherwise
     turn, pick = np.exp(1j * (js * math.pi / n)), base[js % 2]
     return (turn.real * pick.real - turn.imag * pick.imag) + 1j * (
         turn.real * pick.imag + turn.imag * pick.real)
@@ -554,7 +553,7 @@ def _interval_indices(js, n: int) -> np.ndarray:
                 raise DomainError(f"interval index j must be below 2n = {2 * n}, got {k}")
     except TypeError:  # not iterable
         raise DomainError(f"js must be a slice or a sequence of indices, got {js!r}") from None
-    return np.array(js, dtype=int).reshape(-1)
+    return np.array(js, dtype=int)
 
 
 def interval_points(params: RosetteParams, offsets, js=slice(None)) -> np.ndarray:
