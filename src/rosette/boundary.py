@@ -62,7 +62,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import (DomainError, FeatureMismatch, IntervalCrossesCusp, NonCanonicalBeta, WrongBeta,
-                     as_array, as_number, require_integer)
+                     as_array, as_number, require_integer, require_order)
 from .geometry import dedupe
 from .maps import (
     RosetteParams,
@@ -522,8 +522,9 @@ def halfspeed_points(params: RosetteParams, ts) -> np.ndarray:
 def interval_offsets(per_interval: int) -> np.ndarray:
     """Sorted sampling offsets s in (0, 1) of one basic interval: midpoint-uniform,
     with twice denser coverage in a band of width 0.1 at either end (the features),
-    in exact mirror pairs s, 1 - s (``_mirror_pairs``)."""
-    require_integer(per_interval, 1, "per_interval")
+    in exact mirror pairs s, 1 - s (``_mirror_pairs``).  ``per_interval`` is bounded like an
+    order: past ORDER_LIMIT the float offsets could not tell the counts apart."""
+    require_order(per_interval, 1, "per_interval")
     base = (np.arange((per_interval + 1) // 2) + 0.5) / per_interval
     band_count = max(1, int(0.2 * per_interval))
     band = 0.1 * (np.arange(band_count) + 0.5) / band_count

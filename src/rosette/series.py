@@ -34,9 +34,8 @@ therefore works in two regimes:
   Integrating from 1 along s = zeta = 1 + u^2 (z - 1), u in [0, 1], removes the
   inverse square root at s = 1: h(z) = h(1) + (z - 1) int_0^1 phi(u) du with
   phi(u) = 2u / sqrt(1 - zeta^{2n}), and g the same with zeta^{n-2} phi(u).
-  The 15-point Gauss-Legendre rule (at the odd abscissae of QUADPACK's 31-point
-  Kronrod table) takes the integral, and the bound below, proven for it, is
-  the error reported.
+  The 15-point Gauss-Legendre rule takes the integral, and the bound below, proven
+  for it, is the error reported.
 
 The bound.  Gauss-Legendre with m = 15 nodes on [0, 1] integrates polynomials of
 degree 2m - 1 exactly, is symmetric and has positive weights summing to 1.  If f is
@@ -77,20 +76,18 @@ for zeta stays in the closed unit disk, where Re(1 - zeta^{2n}) >= 0.
 So the 15-node error in h(z) - h(1), or in g(z) - g(1), is at most
 Q(rho) d sup|phi| <= Q(rho) S sqrt(d): per point a constant times sqrt|z - 1|, and
 |pre| times that in the family's value, pre = 1/z or (n - 1) z^{1-n}.
-``_anchored_bound`` takes D as the largest |z - 1| with |w| in [0.639, 1] and
-|arg z| <= pi/(2n) (every anchored point at the default split), and rho and alpha from
-a small menu, whichever gives the smallest S Q(rho); that is O(1) per order and valid
-up to ORDER_LIMIT.  The reported error adds the endpoint values' relative error and a
-rounding allowance relative to |pre| (h(1) + S_1 sqrt(d)), S_1 being the lemma's S for
-rho = 1, the segment [0, 1] itself.  The proven part is largest at w = -1: 7.7e-14
-at n = 2, 2.0e-14 at n = 3 and about 1.7e-14 from n = 5 to 10^5, against true errors of
-a few 1e-16; the lemma's S was checked against the brute-force maximum of d |phi|^2
-over the ellipse at n = 2..500, which it exceeds by a factor 1.6 to 5.
-
-Points with |z - 1| > D occur only when _DIRECT_TERMS or ABS_TOL moves the split
-below |w| = 0.639; the lemma's disk then holds roots of zeta^{2n} = 1, so they take
-the 31-point Kronrod rule, with its difference from the 15-point rule as their
-estimate, a heuristic and not a proof.
+``_anchored_bound`` takes D as the largest |z - 1| with |w| in [split, 1], split being
+the live direct radius, and |arg z| <= pi/(2n): every anchored point.  It takes rho and
+alpha from a small menu, whichever gives the smallest S Q(rho); that is O(1) per order
+and split and valid up to ORDER_LIMIT.  S and the bound are inf where n Phi >= pi for
+every choice: only for a split moved below |w| = 0.018 (n = 2), 0.10 (n = 5) or 0.198
+(n >= 500), whose disk holds roots of zeta^{2n} = 1.  The reported error adds the
+endpoint values' relative error and a rounding allowance relative to |pre|
+(h(1) + S_1 sqrt(d)), S_1 being the lemma's S for rho = 1, the segment [0, 1] itself.
+The proven part is largest at w = -1: 7.7e-14 at n = 2, 2.0e-14 at n = 3 and about
+1.7e-14 from n = 5 to 10^5, against true errors of a few 1e-16; the lemma's S was
+checked against the brute-force maximum of d |phi|^2 over the ellipse at n = 2..500,
+which it exceeds by a factor 1.6 to 5.
 
 One core, ``eval_families_many``, evaluates several families of one order
 in one pass: they share the domain check, the split at the direct radius, and
@@ -106,12 +103,11 @@ evaluator raises ``NoConvergence`` whenever its error estimate exceeds ABS_TOL i
 of returning a silently degraded value.  With the module's constants that happens
 nowhere on the disk: the direct tail bound stays below 1e-12 and the anchored bound
 below 1.1e-13 (n = 2, w = -1).  It can happen where a constant is changed: a smaller
-ABS_TOL, or a split moved below |w| = 0.639, whose far points have only the rules'
-difference as estimate; and for a NaN estimate.  The value at a point is the same bit
-for bit whatever batch it is evaluated in.  Each call logs one DEBUG record on the
-package logger: the families evaluated, the points in each regime, the direct-sum
-terms and quadrature nodes used, the points past the proof's reach, the largest proven
-bound and the largest error estimate.
+ABS_TOL, or a split moved so low that the lemma fails (an infinite bound); and for a
+NaN estimate.  The value at a point is the same bit for bit whatever batch it is
+evaluated in.  Each call logs one DEBUG record on the package logger: the families
+evaluated, the points in each regime, the direct-sum terms and quadrature nodes used,
+the largest proven bound and the largest error estimate.
 """
 
 from __future__ import annotations
@@ -141,24 +137,12 @@ ABS_TOL = 1e-12
 # that, stays at the rounding level of the anchored integral, which takes the others.
 _DIRECT_TERMS = 64
 
-# Gauss-Kronrod pair on [-1, 1] (Kronrod 1965; the 31-point table of QUADPACK's
-# qk31): the 16 non-negative Kronrod abscissae, descending, with the 15-point
-# Gauss abscissae at the odd positions, and the weights of both rules.
-_XGK = (
-    0.99800229869339706029, 0.98799251802048542849, 0.96773907567913913426,
-    0.93727339240070590431, 0.89726453234408190088, 0.84820658341042721620,
-    0.79041850144246593297, 0.72441773136017004742, 0.65099674129741697053,
-    0.57097217260853884754, 0.48508186364023968069, 0.39415134707756336990,
-    0.29918000715316881217, 0.20119409399743452230, 0.10114206691871749903,
-    0.0,
-)
-_WGK = (
-    0.0053774798729233489878, 0.015007947329316122538, 0.025460847326715320187,
-    0.035346360791375846222, 0.044589751324764876608, 0.053481524690928087265,
-    0.062009567800670640285, 0.069854121318728258710, 0.076849680757720378894,
-    0.083080502823133021038, 0.088564443056211770647, 0.093126598170825321225,
-    0.096642726983623678505, 0.099173598721791959332, 0.10076984552387559504,
-    0.10133000701479154902,
+# 15-point Gauss-Legendre on [-1, 1] (the Gauss half of QUADPACK's qk31 table): the 8
+# non-negative abscissae, descending, and their weights.
+_XG = (
+    0.98799251802048542849, 0.93727339240070590431, 0.84820658341042721620,
+    0.72441773136017004742, 0.57097217260853884754, 0.39415134707756336990,
+    0.20119409399743452230, 0.0,
 )
 _WG = (
     0.030753241996117268355, 0.070366047488108124709, 0.10715922046717193501,
@@ -168,34 +152,28 @@ _WG = (
 
 
 class _Rule(NamedTuple):
-    """A symmetric rule on [0, 1]: squared and doubled nodes, and weight rows (its own first)."""
+    """A symmetric rule on [0, 1]: squared and doubled nodes, and weights."""
 
     u2: np.ndarray
     two_u: np.ndarray
-    weights: tuple[np.ndarray, ...]
+    weights: np.ndarray
 
 
-def _rule(abscissae, *weights) -> _Rule:
+def _rule(abscissae, weights) -> _Rule:
     """The rule of the non-negative abscissae on [-1, 1], descending, and their weights."""
-    x = np.array(abscissae)
+    x, v = np.array(abscissae), np.array(weights)
     u = 0.5 * (1.0 + np.concatenate([-x, x[-2::-1]]))
-    rows = tuple(0.5 * np.concatenate([np.array(v), np.array(v)[-2::-1]]) for v in weights)
-    return _Rule(u * u, 2.0 * u, rows)
+    return _Rule(u * u, 2.0 * u, 0.5 * np.concatenate([v, v[-2::-1]]))
 
 
-# The anchored integral's rule: 15-point Gauss, at the odd Kronrod abscissae.  Past the
-# proof's reach the 31-point Kronrod rule, with the Gauss weights as its comparison row.
-_GAUSS_15 = _rule(_XGK[1::2], _WG)
-_KRONROD_31 = _rule(_XGK, _WGK, [w for pair in zip([0.0] * 8, _WG) for w in pair])
+# The anchored integral's rule.
+_GAUSS_15 = _rule(_XG, _WG)
 
 # Points per block of the anchored integral, so that its (points, nodes) arrays stay small.
 _ANCHOR_BLOCK = 4096
 
-# The anchored integral's error bound (module docstring): the proof covers the z with
-# |z - 1| up to the largest at |w| >= _PROVEN_FROM, which holds every anchored point at
-# the default split, and takes the Bernstein ellipse and band of the menus that give
-# the smallest bound for the order.
-_PROVEN_FROM = 0.639
+# The anchored integral's error bound (module docstring) takes the Bernstein ellipse and
+# band of these menus that give the smallest bound for the order and split.
 _ELLIPSES = (3.0, 3.2)
 _BANDS = (0.1, 0.2)
 
@@ -239,14 +217,16 @@ def _lemma_scale(n: int, reach: float, rho: float, band: float) -> float:
 
 
 @functools.lru_cache(maxsize=256)
-def _anchored_bound(n: int) -> tuple[float, float, float]:
-    """(D, S_1, S Q(rho)) of the module docstring's lemma for order n: the proof covers
-    |z - 1| <= D, where the 15-node error of the anchored integral is at most
-    S Q(rho) sqrt|z - 1| and the integrand on [0, 1] (rho = 1) at most S_1 / sqrt|z - 1|."""
+def _anchored_bound(n: int, split: float) -> tuple[float, float, float]:
+    """(D, S_1, S Q(rho)) of the module docstring's lemma for order n and the direct radius
+    ``split``: the proof covers |z - 1| <= D, every anchored point, where the 15-node error
+    of the anchored integral is at most S Q(rho) sqrt|z - 1| and the integrand on [0, 1]
+    (rho = 1) at most S_1 / sqrt|z - 1|; S and S_1 are inf where the lemma fails."""
     s = math.sin(math.pi / (4 * n))
-    e = -math.expm1(math.log(_PROVEN_FROM) / (2 * n))  # 1 - |z| at |w| = _PROVEN_FROM
+    e = -math.expm1(math.log(split) / (2 * n))  # 1 - |z| at |w| = split
     # the largest |z - 1| over |z| in [1 - e, 1], |arg z| <= pi/(2n); widened by 2^-20
-    # so that the rounded |z - 1| of w = -1 stays inside
+    # so that the rounded |z - 1| of the farthest points, w = -1 and just past -split,
+    # stays inside
     reach = math.sqrt(max(e * e + 4.0 * (1.0 - e) * s * s, 4.0 * s * s)) * (1.0 + 2.0**-20)
     quad = min(_lemma_scale(n, reach, rho, band) * _gauss_factor(rho)
                for rho in _ELLIPSES for band in _BANDS)
@@ -380,9 +360,9 @@ def _expm1(y: np.ndarray) -> np.ndarray:
     return (np.expm1(a) * np.cos(b) - 2.0 * s * s) + 1j * (np.exp(a) * np.sin(b))
 
 
-def _node_sums(n: int, z_minus_1: np.ndarray, kinds, rule: _Rule, work) -> dict:
-    """For each kind, the rule's weighted sums of the anchored integrand over u in (0, 1),
-    one per weight row, at every z - 1 (module docstring): 2u / sqrt(1 - zeta^{2n}), times
+def _node_sums(n: int, z_minus_1: np.ndarray, kinds, work) -> dict:
+    """For each kind, the 15-point rule's weighted sum of the anchored integrand over u in
+    (0, 1) at every z - 1 (module docstring): 2u / sqrt(1 - zeta^{2n}), times
     zeta^{n-2} for the co-analytic family, zeta = 1 + u^2 (z - 1).
 
     ``work`` holds three complex and three real (points, nodes) buffers of at least
@@ -393,6 +373,7 @@ def _node_sums(n: int, z_minus_1: np.ndarray, kinds, rule: _Rule, work) -> dict:
     operands swapped, or in place), and the sums are row sums, not a BLAS product, whose
     order of addition depends on the batch shape.
     """
+    rule = _GAUSS_15
     p = z_minus_1.size
     x, y, root = (buf[:p] for buf in work[0])
     ra, rb, rc = (buf[:p] for buf in work[1])
@@ -418,8 +399,7 @@ def _node_sums(n: int, z_minus_1: np.ndarray, kinds, rule: _Rule, work) -> dict:
     if SeriesKind.COANALYTIC in kinds:  # root zeta^{n-2} into x, over log zeta
         integrands[SeriesKind.COANALYTIC] = np.multiply(
             root, np.exp(np.multiply(n - 2, x, out=y), out=y), out=x)
-    return {kind: [np.multiply(integrands[kind], weights, out=y).sum(axis=1)
-                   for weights in rule.weights]
+    return {kind: np.multiply(integrands[kind], rule.weights, out=y).sum(axis=1)
             for kind in kinds}
 
 
@@ -451,8 +431,7 @@ def eval_families_many(specs: Sequence[SeriesSpec], z) -> list[np.ndarray]:
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug(
             "series %s n=%d: %d direct (<= %d terms), %d anchored (15 Gauss nodes each), "
-            "%d at w = 1, %d past the proof's reach (31 Kronrod nodes each), "
-            "largest proven bound %.3e, max error estimate %.3e",
+            "%d at w = 1, largest proven bound %.3e, max error estimate %.3e",
             "+".join(s.kind.value for s in specs), specs[0].n, *counts, max(worsts),
         )
     for worst in worsts:
@@ -477,7 +456,8 @@ def _evaluate(specs, z) -> tuple[list[SeriesSpec], np.ndarray, np.ndarray, tuple
     w, aw = clip_to_disk(w.ravel(), DOMAIN_SLACK)
 
     terms = _DIRECT_TERMS
-    certified = aw <= _direct_radius(terms, ABS_TOL)
+    split = _direct_radius(terms, ABS_TOL)
+    certified = aw <= split
     direct, rest = np.flatnonzero(certified), np.flatnonzero(~certified)
 
     out = np.empty((len(specs), w.size), dtype=complex)
@@ -507,50 +487,35 @@ def _evaluate(specs, z) -> tuple[list[SeriesSpec], np.ndarray, np.ndarray, tuple
         out[:, at_one] = anchors[:, None]
         err[:, at_one] = anchors[:, None] * _ENDPOINT_REL_ERR + 2.0 * np.sqrt(dist_one[near])
     # The integral anchored at w = 1 (module docstring).  z - 1 and 1 - zeta^{2n} come from
-    # log1p/expm1 so that they keep their relative accuracy however close w is to 1.  The
-    # points within the proof's reach take the 15-point Gauss rule and the proven bound,
-    # the others (only where the split is moved below |w| = 0.639) the 31-point Kronrod
-    # rule and its difference from Gauss.
-    far, proven_bound = 0, 0.0
+    # log1p/expm1 so that they keep their relative accuracy however close w is to 1.
+    proven_bound = 0.0
     if anchored.size:
-        reach, smooth, quad = _anchored_bound(n)
+        _, smooth, quad = _anchored_bound(n, split)
         log_z = _log1p(w[anchored] - 1.0) / (2 * n)  # z = w^{1/(2n)}
         z_minus_1 = _expm1(log_z)
-        dist = np.abs(z_minus_1)
-        proven = dist <= reach
-        far = anchored.size - int(np.count_nonzero(proven))
         kinds = {s.kind for s in specs}
-        sums = {kind: np.empty((2, anchored.size), dtype=complex) for kind in kinds}
-        for rule, rows in ((_GAUSS_15, np.flatnonzero(proven)),
-                           (_KRONROD_31, np.flatnonzero(~proven))):
-            dims = (min(rows.size, _ANCHOR_BLOCK), rule.u2.size)
-            work = ([np.empty(dims, dtype=complex) for _ in range(3)],
-                    [np.empty(dims) for _ in range(3)])
-            for i in range(0, rows.size, _ANCHOR_BLOCK):
-                block = rows[i : i + _ANCHOR_BLOCK]
-                for kind, found in _node_sums(n, z_minus_1[block], kinds, rule, work).items():
-                    for row, values in enumerate(found):
-                        sums[kind][row, block] = values
-        root_dist = np.sqrt(dist)
+        sums = {kind: np.empty(anchored.size, dtype=complex) for kind in kinds}
+        dims = (min(anchored.size, _ANCHOR_BLOCK), _GAUSS_15.u2.size)
+        work = ([np.empty(dims, dtype=complex) for _ in range(3)],
+                [np.empty(dims) for _ in range(3)])
+        for i in range(0, anchored.size, _ANCHOR_BLOCK):
+            block = slice(i, i + _ANCHOR_BLOCK)
+            for kind, found in _node_sums(n, z_minus_1[block], kinds, work).items():
+                sums[kind][block] = found
+        root_dist = np.sqrt(np.abs(z_minus_1))
         for k, (spec, anchor) in enumerate(zip(specs, anchors)):
             if spec.kind is SeriesKind.ANALYTIC:
                 pre, start = np.exp(-log_z), anchor
             else:
                 pre, start = (n - 1) * np.exp((1 - n) * log_z), anchor / (n - 1)
-            integral = sums[spec.kind][0] * z_minus_1
-            out[k, anchored] = np.multiply(pre, start + integral)
+            out[k, anchored] = np.multiply(pre, start + sums[spec.kind] * z_minus_1)
             size = np.abs(pre)
             truncation = size * root_dist * quad
             bound = truncation + size * _ROUND_REL_ERR * (start + root_dist * smooth)
-            if far:  # the rules' difference, where the proof does not reach
-                past = ~proven
-                truncation[past] = 0.0
-                bound[past] = size[past] * np.abs(
-                    integral[past] - sums[spec.kind][1, past] * z_minus_1[past])
             proven_bound = max(proven_bound, float(truncation.max()))
             err[k, anchored] = bound + size * start * _ENDPOINT_REL_ERR
 
-    counts = (direct.size, terms, anchored.size, at_one.size, far, proven_bound)
+    counts = (direct.size, terms, anchored.size, at_one.size, proven_bound)
     return specs, out, err, shape, counts
 
 

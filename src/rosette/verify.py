@@ -202,10 +202,10 @@ def integral_oracle(
     from 0 to z with the tanh-sinh rule of ``quadrature``, refined by halving its
     step until two levels agree to 1e-10; rhs is h(z) or g(z) from the series.  The
     check is independent of the series it checks: the series integrates from w = 1
-    with a 15/31-point Gauss-Kronrod pair and adds the gamma closed forms at 1, while
-    the oracle integrates from 0, where both maps vanish, with another rule.  Raises
-    DomainError for a kind that is no SeriesKind or a point outside the closed disk
-    (before any quadrature) and QuadratureFailure if the rule does not converge.
+    with the 15-point Gauss rule under its proven bound and adds the gamma closed forms
+    at 1, while the oracle integrates from 0, where both maps vanish, with another rule.
+    Raises DomainError for a kind that is no SeriesKind or a point outside the closed
+    disk (before any quadrature) and QuadratureFailure if the rule does not converge.
     """
     if not isinstance(kind, SeriesKind):
         raise DomainError(f"kind must be a SeriesKind, got {kind!r}")

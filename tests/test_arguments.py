@@ -340,17 +340,20 @@ def test_copies_that_are_no_list_of_copies_are_a_domain_error(copies):
     lambda: boundary.interval_offsets(-3),
     lambda: boundary.interval_offsets(2.5),
     lambda: boundary.interval_offsets("a"),
+    lambda: boundary.interval_offsets(10**20),
     lambda: series.eval_families_many([], [0.5]),
     lambda: series.eval_families_many(None, [0.5]),
     lambda: boundary.interval_points(maps.RosetteParams(5, 0.3), [0.25, 0.75], [99]),
     lambda: boundary.interval_points(maps.RosetteParams(5, 0.3), [0.25, 0.75], "a"),
 ], ids=["parts_many", "feature_values", "interval_points", "interval_offsets-0",
         "interval_offsets-negative", "interval_offsets-float", "interval_offsets-text",
+        "interval_offsets-past-order-limit",
         "eval_families_many-no-family", "eval_families_many-none",
         "interval_points-js-past-2n", "interval_points-js-text"])
 def test_the_documented_helpers_outside_all_keep_the_argument_rule(call):
     # None raised AttributeError, the empty family list IndexError and "a" TypeError;
-    # interval_offsets took 2.5 and gave [0.05, 0.95] for 0 and -3; no family list (None)
+    # interval_offsets took 2.5, gave [0.05, 0.95] for 0 and -3 and raised numpy's
+    # ValueError for 10**20 (an array past its size limit); no family list (None)
     # raised TypeError, and interval_points' js [99] at n = 5 and "a" IndexError
     with pytest.raises(DomainError):
         call()

@@ -375,8 +375,8 @@ def closed_disk_points(n, seed=0):
 
 
 @pytest.mark.parametrize("n", [3, 4, 7, 96, 500])
-# the direct sum's 64 terms, and 8, which moves its seam; the ids keep the test names stable
-@pytest.mark.parametrize("direct_terms", [64, 8], ids=["policy0", "policy1"])
+# the direct sum's 64 terms, and 32, which moves its seam; the ids keep the test names stable
+@pytest.mark.parametrize("direct_terms", [64, 32], ids=["policy0", "policy1"])
 def test_shared_parts_match_the_separate_calls_bit_for_bit(n, direct_terms, monkeypatch):
     monkeypatch.setattr(series, "_DIRECT_TERMS", direct_terms)
     z = closed_disk_points(n)

@@ -314,7 +314,7 @@ def test_boundary_rounding_slack_accepted():
 
 
 def test_no_convergence_when_capped(monkeypatch):
-    # past the direct sum, a tolerance the quadrature pair cannot reach
+    # past the direct sum, a tolerance the anchored rule's proven bound cannot reach
     monkeypatch.setattr(series, "ABS_TOL", 1e-19)
     for z in (0.99999, complex(np.exp(1j * 0.37)), 1.0):
         with pytest.raises(NoConvergence):
@@ -325,14 +325,14 @@ def test_no_convergence_when_capped(monkeypatch):
 
 
 def test_capped_direct_sums_match_the_oracle(monkeypatch):
-    # caps below the 64 direct terms move the direct/anchored seam from |w| ~ 0.64
-    # down to ~0.63 (63 terms), ~0.18 (16) and w = 0 (1 term); 1 - |w| spreads
+    # caps other than the 64 direct terms move the direct/anchored seam from |w| ~ 0.64
+    # down to ~0.415 (32 terms) and ~0.635 (63), and up to ~0.796 (128); 1 - |w| spreads
     # geometrically down to 0.03, so evenly spaced picks land on both sides of each
     rng = np.random.default_rng(7)
     w = (1.0 - np.geomspace(1.0, 0.03, 2048)) * np.exp(1j * rng.uniform(0, 2 * math.pi, 2048))
     picks = np.linspace(0, w.size - 1, 16).astype(int)
     uncapped = {kind: eval_series_many(spec(kind, 5), w) for kind in (A, C)}
-    for k in (1, 16, 63):
+    for k in (32, 63, 128):
         monkeypatch.setattr(series, "_DIRECT_TERMS", k)
         for kind in (A, C):
             got = eval_series_many(spec(kind, 5), w)
@@ -400,7 +400,7 @@ def test_the_split_at_the_direct_radius_follows_the_live_terms_and_tolerance(mon
         (record,) = [r for r in caplog.records if r.name == "rosette.series"]
         return int(re.search(r"(\d+) direct", record.getMessage()).group(1))
 
-    for terms, tol in ((64, 1e-12), (8, 1e-12), (64, 1e-13)):
+    for terms, tol in ((64, 1e-12), (32, 1e-12), (64, 1e-13)):
         monkeypatch.setattr(series, "_DIRECT_TERMS", terms)
         monkeypatch.setattr(series, "ABS_TOL", tol)
         assert direct_count() == int((w**terms <= tol * (1.0 - w)).sum()), (terms, tol)
@@ -436,8 +436,8 @@ def shared_core_points(n, seed=0):
 
 
 @pytest.mark.parametrize("n", [3, 4, 7, 96, 500])
-# the direct sum's 64 terms, and 8, which moves its seam; the ids keep the test names stable
-@pytest.mark.parametrize("direct_terms", [64, 8], ids=["policy0", "policy1"])
+# the direct sum's 64 terms, and 32, which moves its seam; the ids keep the test names stable
+@pytest.mark.parametrize("direct_terms", [64, 32], ids=["policy0", "policy1"])
 def test_one_pass_for_both_families_matches_the_one_kind_calls_bit_for_bit(
     n, direct_terms, monkeypatch
 ):
@@ -519,12 +519,21 @@ def test_every_anchored_value_lies_within_its_reported_bound():
     assert worst > 1e-3  # the bound is no looser than a thousand times the worst error
 
 
+def test_anchored_values_at_a_moved_split_lie_within_their_reported_bounds():
+    # a 140-point subset of the second section of tests/anchored_oracle.py: the split of
+    # 32 direct terms (|w| = 0.4147), w just past -split and |w| up to 0.64 at n = 2..10^5
+    failures, worst, checked = anchored_oracle.check(
+        points=140, seed=1, direct_terms=anchored_oracle.MOVED_TERMS)
+    assert failures == [] and checked >= 140
+    assert series._DIRECT_TERMS == 64 and worst > 1e-3
+
+
 @pytest.mark.parametrize("pole", [1.05, 1.2])
 def test_the_gauss_rule_meets_its_ellipse_bound_beside_a_pole(pole):
     # f(u) = 1 / (pole - u) on [0, 1]: on E_rho, rho below the pole's, |f| is largest at the
     # ellipse's vertex (1 + a) / 2, a = (rho + 1/rho) / 2; the best rho's bound holds and
     # is within 1000 times the error (174 and 363 times here)
-    u, weights = np.sqrt(series._GAUSS_15.u2), series._GAUSS_15.weights[0]
+    u, weights = np.sqrt(series._GAUSS_15.u2), series._GAUSS_15.weights
     error = abs((weights / (pole - u)).sum() - math.log(pole / (pole - 1.0)))
     x = 2.0 * pole - 1.0
     rhos = np.linspace(1.01, x + math.sqrt(x * x - 1.0), 2000)[:-1]
@@ -533,10 +542,10 @@ def test_the_gauss_rule_meets_its_ellipse_bound_beside_a_pole(pole):
     assert error <= bound <= 1000 * error
 
 
-def _anchored_integrands_squared(n, u, reach):
-    """d |phi|^2 of both families at the nodes u, over a grid of the z with |w| >= 0.639 and
+def _anchored_integrands_squared(n, u, split, reach):
+    """d |phi|^2 of both families at the nodes u, over a grid of the z with |w| >= split and
     |z - 1| <= reach, through the evaluator's accurate log1p and expm1."""
-    t0 = series._PROVEN_FROM ** (1 / (2 * n))
+    t0 = split ** (1 / (2 * n))
     angles = np.linspace(-math.pi / (2 * n), math.pi / (2 * n), 41)
     z = (np.linspace(t0, 1.0, 5)[:, None] * np.exp(1j * angles)).ravel()
     z_minus_1 = z[(np.abs(z - 1.0) > 0.0) & (np.abs(z - 1.0) <= reach)] - 1.0
@@ -549,24 +558,41 @@ def _anchored_integrands_squared(n, u, reach):
 def test_the_lemma_bounds_the_integrands_on_each_ellipse_of_the_menu(n):
     # the module docstring's lemma: d |phi|^2 <= S^2 on the Bernstein ellipse (the maximum
     # is on its boundary) for every z in reach, and S^2 is within 64 times the largest
-    # value found; S_1 bounds the integrands on the segment [0, 1] itself
-    reach, smooth, _ = series._anchored_bound(n)
+    # value found; S_1 bounds the integrands on the segment [0, 1] itself.  At the default
+    # split and at moved ones, the reach D holds the farthest anchored points: w = -1 and
+    # the first double past the split at arg w = pi
     theta = np.linspace(0.0, 2 * math.pi, 720, endpoint=False)
-    for rho in series._ELLIPSES:
-        u = (1.0 + (rho * np.exp(1j * theta) + np.exp(-1j * theta) / rho) / 2.0) / 2.0
-        for band in series._BANDS:
-            scale = series._lemma_scale(n, reach, rho, band)
-            if math.isfinite(scale):
-                found = max(values.max() for values in _anchored_integrands_squared(n, u, reach))
-                assert found <= scale**2 <= 64 * found, (rho, band)
     segment = np.linspace(0.0, 1.0, 201)[1:].astype(complex)
-    found = max(values.max() for values in _anchored_integrands_squared(n, segment, reach))
-    assert found <= smooth**2 <= 64 * found
+    for terms, tol in ((64, 1e-12), (32, 1e-12), (64, 1e-13), (128, 1e-12)):
+        split = series._direct_radius(terms, tol)
+        reach, smooth, _ = series._anchored_bound(n, split)
+        farthest = np.array([-1.0, -np.nextafter(split, 1.0)], dtype=complex)
+        assert (np.abs(series._expm1(series._log1p(farthest - 1.0) / (2 * n))) <= reach).all()
+        for rho in series._ELLIPSES:
+            u = (1.0 + (rho * np.exp(1j * theta) + np.exp(-1j * theta) / rho) / 2.0) / 2.0
+            for band in series._BANDS:
+                scale = series._lemma_scale(n, reach, rho, band)
+                if math.isfinite(scale):
+                    found = max(values.max()
+                                for values in _anchored_integrands_squared(n, u, split, reach))
+                    assert found <= scale**2 <= 64 * found, (terms, tol, rho, band)
+        found = max(values.max()
+                    for values in _anchored_integrands_squared(n, segment, split, reach))
+        assert found <= smooth**2 <= 64 * found, (terms, tol)
+
+
+def test_a_split_too_low_for_the_lemma_raises_no_convergence(monkeypatch):
+    # 8 direct terms move the split to |w| = 0.0315, far below the 0.19 under which the
+    # lemma fails at n = 96 (n Phi >= pi on every ellipse of the menu): the bound is inf,
+    # and the call raises rather than return a value that no proof covers
+    monkeypatch.setattr(series, "_DIRECT_TERMS", 8)
+    with pytest.raises(NoConvergence):
+        eval_series_many(spec(A, 96), [0.3])
 
 
 def _plain_anchored(kind, n, w):
     """The 15-node anchored value as plain expressions, each step a fresh array."""
-    x = np.array(series._XGK[1::2])
+    x = np.array(series._XG)
     u = 0.5 * (1.0 + np.concatenate([-x, x[-2::-1]]))
     weights = 0.5 * np.concatenate([np.array(series._WG), np.array(series._WG)[-2::-1]])
     log_z = series._log1p(w - 1.0) / (2 * n)
@@ -605,14 +631,14 @@ def test_points_within_underflow_of_one_take_the_endpoint_value():
 
 def test_direct_sum_hands_over_to_the_anchored_integral_seamlessly(monkeypatch):
     # |w| straddles the direct-sum seam of 32 terms (near 0.415) and of the
-    # default 64 terms (near 0.639); 1 term sends every point here to the
-    # anchored integral
+    # default 64 terms (near 0.639); 128 terms send every point here to the
+    # direct sum
     radii = np.array([0.40, 0.41, 0.415, 0.42, 0.43, 0.62, 0.635, 0.638, 0.64, 0.645, 0.66])
     w = (radii[:, None] * np.exp(1j * np.array([0.0, 0.4, 2.0, math.pi]))).ravel()
     for kind in (A, C):
         for n in (4, 9):
             hi = eval_series_many(SeriesSpec(kind, n), w)
-            for cap in (1, 32):
+            for cap in (32, 128):
                 monkeypatch.setattr(series, "_DIRECT_TERMS", cap)
                 lo = eval_series_many(SeriesSpec(kind, n), w)
                 monkeypatch.undo()
