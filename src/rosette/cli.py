@@ -10,6 +10,11 @@ decompose  render with the fundamental-set overlay and report tiling coverage
 
 ``--beta`` accepts plain radians (``0.3``) or fractions of pi (``pi/4``,
 ``-2pi/5``, ``3pi``).  All output is deterministic for a fixed seed.
+
+Exit codes: 0 on success, 1 for a failed ``verify`` or ``decompose`` check, 2 for a
+usage error (argparse), EXIT_LIBRARY_ERROR (3) when a library error (``RosetteError``)
+stops a command at valid input, with one stderr line
+``rosette <command>: <ErrorClass>: <message>``, and 141 when the reader of stdout stops.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .errors import ORDER_LIMIT
+from .errors import ORDER_LIMIT, RosetteError
 from .maps import BETA_LIMIT, RosetteParams, combine_parts, parts_many, reduce_beta
 
 # boundary, render and verify are imported by the commands that use them, so that a
@@ -35,6 +40,10 @@ if TYPE_CHECKING:
     from .verify import CheckResult
 
 SCHEMA_VERSION = 1
+
+# The exit code of a command that a RosetteError stopped: neither argparse's 2 for a usage
+# error nor the 1 of a failed verify or decompose check.
+EXIT_LIBRARY_ERROR = 3
 
 _BETA_RE = re.compile(
     r"^(?P<sign>[+-]?)(?P<mult>\d+(?:\.\d+)?)?\s*pi(?:\s*/\s*(?P<den>\d+(?:\.\d+)?))?$",
@@ -442,6 +451,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except BrokenPipeError:  # the reader stopped early (``| head``): end quietly, as on SIGPIPE
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # the flush at exit too
         return 141
+    except RosetteError as exc:  # one line, not a traceback
+        message = " ".join(str(exc).split())
+        print(f"rosette {args.command}: {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_LIBRARY_ERROR
     return code
 
 

@@ -21,6 +21,20 @@ and ``f`` (one point, as Python scalars) build f of any phase from its parts.
 ``parts_many`` gives h and g from one series pass over their shared argument z^{2n},
 and ``derivative_parts`` gives h' and g' from one root factor 1/sqrt(1 - z^{2n}).
 
+h and g do not depend on beta, so the phases of a sweep share one (h, g) per order
+and point set.  ``parts_many`` keeps them in a memo: an LRU keyed by n and the clipped
+points' shape and exact bytes (a hit compares the points themselves, not a digest),
+under a budget of 2 MiB, each entry counted as its key's and its two arrays' bytes plus
+512 bytes for its Python objects.  A set whose entry would count more than a quarter of
+the budget (about 10^4 points) bypasses the memo before any key is built; a call that
+raises stores nothing; one lock guards lookup, insert and evict, and the pass itself
+runs outside it.  A hit returns copies that the caller owns, logs one DEBUG record (n
+and the point count) and makes no series pass.  It is bit for bit what a fresh pass
+gives, because a series value depends neither on its batch nor on earlier calls.  Code
+that patches the evaluator (``series`` constants, or ``eval_families_many`` as looked
+up here) must call ``clear_parts_memo`` first, or it may read values of the unpatched
+one.  ``f_many``, ``h_many`` and ``g_many`` take no memo.
+
 Every power of z whose exponent grows with n comes from ``integer_power``: numpy's own
 z ** k below k = 100, and above it binary exponentiation, with libm's cpow kept for
 the results of modulus above 1/2, next to the singular points.
@@ -29,7 +43,10 @@ the results of modulus above 1/2, next to the singular points.
 from __future__ import annotations
 
 import cmath
+import logging
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +64,8 @@ EPS_DOMAIN = 1e-9
 # Largest |beta| that RosetteParams and reduce_beta take: reducing a float beta modulo pi loses
 # about |beta| * 1e-16 (1e-13 at 1e4, 2e-12 at 1e5), and past |beta| ~ 1e16 it keeps nothing.
 BETA_LIMIT = 1e4
+
+_log = logging.getLogger(__name__)
 
 # numpy computes z ** k by binary exponentiation below this exponent and by libm's cpow
 # (about 0.25 us a point) from it on.
@@ -140,12 +159,76 @@ def g_many(params: RosetteParams, z) -> np.ndarray:
     return integer_power(z, params.n - 1) / (params.n - 1) * factor
 
 
+class _PartsMemo:
+    """The LRU of ``parts_many`` (module docstring): (n, shape, bytes) -> (h, g, cost)."""
+
+    BUDGET = 2 * 2**20
+    ENTRY_OVERHEAD = 512  # the key tuple, the bytes and array headers, the LRU's link
+
+    def __init__(self):
+        self._entries = OrderedDict()
+        self._lock = threading.Lock()
+        self.size = 0  # the accounted bytes of the entries
+
+    def key(self, n: int, z: np.ndarray):
+        """The key of the set z at order n, and its entry's cost; None past the cap."""
+        cost = 3 * z.nbytes + self.ENTRY_OVERHEAD  # the key's bytes, h and g
+        if 4 * cost > self.BUDGET:
+            return None
+        return (n, z.shape, z.tobytes()), cost
+
+    def get(self, key):
+        with self._lock:
+            found = self._entries.get(key)
+            if found is not None:
+                self._entries.move_to_end(key)
+        # the stored arrays are never written, so they are copied outside the lock
+        return None if found is None else (found[0].copy(), found[1].copy())
+
+    def put(self, key, cost: int, hz: np.ndarray, gz: np.ndarray) -> None:
+        entry = (hz.copy(), gz.copy(), cost)
+        with self._lock:
+            if key in self._entries:  # another thread stored the same pass
+                return
+            self._entries[key] = entry
+            self.size += cost
+            while self.size > self.BUDGET:
+                self.size -= self._entries.popitem(last=False)[1][2]
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+            self.size = 0
+
+
+_PARTS_MEMO = _PartsMemo()
+
+
+def clear_parts_memo() -> None:
+    """Empty the memo of ``parts_many``; needed after patching the evaluator (module docstring)."""
+    _PARTS_MEMO.clear()
+
+
 def parts_many(params: RosetteParams, z) -> tuple[np.ndarray, np.ndarray]:
-    """h(z) and g(z) from one series pass, each bit for bit as h_many/g_many give it."""
+    """h(z) and g(z) from one series pass, each bit for bit as h_many/g_many give it.
+
+    The pair comes from the memo (module docstring) when the same order and points were
+    evaluated before; the arrays returned are the caller's either way.
+    """
     z = clip_to_disk(as_array(z, complex, "points"), EPS_DOMAIN)[0]
-    w = integer_power(z, 2 * require_params(params).n)
+    n = require_params(params).n
+    keyed = _PARTS_MEMO.key(n, z)
+    if keyed is not None:
+        found = _PARTS_MEMO.get(keyed[0])
+        if found is not None:
+            _log.debug("parts memo n=%d: %d points served without a series pass", n, z.size)
+            return found
+    w = integer_power(z, 2 * n)
     fa, fc = eval_families_many([params._spec(k) for k in SeriesKind], w)
-    return z * fa, integer_power(z, params.n - 1) / (params.n - 1) * fc
+    hz, gz = z * fa, integer_power(z, n - 1) / (n - 1) * fc
+    if keyed is not None:
+        _PARTS_MEMO.put(*keyed, hz, gz)
+    return hz, gz
 
 
 def combine_parts(beta: float, hz, gz) -> np.ndarray:

@@ -291,11 +291,14 @@ def coeff_values(spec: SeriesSpec, count: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=256)
-def _direct_table(kind: SeriesKind, n: int, terms: int) -> tuple[tuple[float, ...], float]:
-    """The direct sum's Horner table, coefficients terms-1 down to 0 as Python floats,
-    and coefficient ``terms``, which scales its tail bound."""
+def _direct_table(kind: SeriesKind, n: int,
+                  terms: int) -> tuple[tuple[np.complex128, ...], float]:
+    """The direct sum's Horner table, coefficients terms-1 down to 0, and coefficient
+    ``terms``, which scales its tail bound.  The table holds np.complex128 scalars, so that
+    np.add converts no Python float at each term; c + 0j adds +0.0 to the imaginary part,
+    as the float c does, so no bit changes."""
     cofs = coeff_values(SeriesSpec(kind, n), terms + 1)
-    return tuple(cofs[terms - 1 :: -1].tolist()), float(cofs[terms])
+    return tuple(cofs[terms - 1 :: -1].astype(complex)), float(cofs[terms])
 
 
 @functools.cache

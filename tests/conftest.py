@@ -6,6 +6,13 @@ import pytest
 from rosette import maps, series
 
 
+@pytest.fixture(autouse=True)
+def cold_parts_memo():
+    """Each test starts with an empty maps.parts_many memo: a test that counts the series
+    passes of a set, or patches the evaluator, must not be served a pass of another test."""
+    maps.clear_parts_memo()
+
+
 def _spy_series_passes(monkeypatch, measure) -> list:
     """measure(specs, z) of every series pass, spied where series and maps look it up."""
     real, passes = series.eval_families_many, []

@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from rosette.cli import BETA_LIMIT, main, parse_beta
-from rosette.errors import ORDER_LIMIT
+from rosette.boundary import FeatureKind
+from rosette.cli import BETA_LIMIT, EXIT_LIBRARY_ERROR, main, parse_beta
+from rosette.errors import ORDER_LIMIT, FeatureMismatch, RosetteError
 from rosette.maps import RosetteParams, combine_parts, parts_many
 from rosette.render import Overlay
 
@@ -766,3 +767,45 @@ def test_a_reader_that_stops_early_ends_the_cli_quietly(argv):
         proc.stdout.close()
         err = proc.stderr.read()
     assert (proc.returncode, err) == (141, b"")
+
+
+def _library_errors(cls=RosetteError) -> list:
+    """RosetteError and every subclass of it."""
+    return [cls] + [sub for child in cls.__subclasses__() for sub in _library_errors(child)]
+
+
+# One stage of each command, patched where the command looks it up.
+STAGES = {
+    "features": ("rosette.boundary", "extract_features", []),
+    "verify": ("rosette.verify", "univalence_scan", []),
+    "dump": ("rosette.boundary", "curve_samples", []),
+    "render": ("rosette.render", "render_svg", ["--out", "@out"]),
+    "decompose": ("rosette.verify", "fundamental_decomposition", ["--report", "@out"]),
+}
+
+
+@pytest.mark.parametrize("error", _library_errors(), ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize("command", sorted(STAGES))
+def test_a_library_error_ends_the_command_in_one_line(command, error, monkeypatch, capsys,
+                                                      tmp_path):
+    # a FeatureMismatch at a valid phase (features --n 500 --beta 1.5707963277948966) ended
+    # in a traceback with exit 1, the code of a failed verify check
+    module, name, extra = STAGES[command]
+    if error is FeatureMismatch:
+        raised, message = error(FeatureKind.CUSP, 4.0, 0.5, 7.0), (
+            "cusp at t=4.0: tangent direction 0.5 does not match expected 7.0")
+    else:
+        raised, message = error("the stage failed\nat its witness"), (
+            "the stage failed at its witness")
+
+    def stage(*args, **kwargs):
+        raise raised
+
+    monkeypatch.setattr(f"{module}.{name}", stage)
+    out = str(tmp_path / "out")
+    code = main([command, "--n", "5", "--beta", "0.3",
+                 *[out if arg == "@out" else arg for arg in extra]])
+    err = capsys.readouterr().err
+    assert code == EXIT_LIBRARY_ERROR not in (1, 2)
+    assert err == f"rosette {command}: {error.__name__}: {message}\n"
+    assert "Traceback" not in err
